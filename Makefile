@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: build test race bench bench-gate bench-pin fmt vet scenarios scenarios-update \
-	ci fmt-check twin-calibrate twin-update crossover
+	ci fmt-check twin-calibrate twin-update crossover bench-module loc
 
 build:
 	$(GO) build ./...
@@ -14,9 +14,19 @@ test:
 
 # Mirror of CI's test job (minus the race passes, which `make race`
 # covers): run this before pushing and the test job cannot surprise you.
-ci: vet fmt-check build test
+ci: vet fmt-check build test bench-module
 	./scripts/coverage_ratchet.sh
 	./scripts/twin_gate.sh
+
+# bench/ is a module of its own, outside ./...: vet and test it here so
+# a removed API it imports from the main module fails before the push.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
+# The size metric ROADMAP aim 2 tracks: non-test Go lines outside bench/.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1
 
 # gofmt as a check (CI mode), not a rewrite: lists offending files and
 # fails, leaving the tree untouched.

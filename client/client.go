@@ -43,6 +43,7 @@ import (
 
 	"attache"
 	"attache/internal/obs"
+	"attache/internal/shard"
 )
 
 // Client talks to one attached daemon. It is safe for concurrent use.
@@ -72,11 +73,6 @@ func WithHTTPClient(hc *http.Client) Option {
 func WithRetry(n int) Option {
 	return func(c *Client) { c.maxRetries = n }
 }
-
-// WithMaxRetries caps retry attempts after the first try.
-//
-// Deprecated: use WithRetry.
-func WithMaxRetries(n int) Option { return WithRetry(n) }
 
 // WithTenant stamps every request with the X-Attache-Tenant header, so a
 // clustered daemon books the client's ops to that tenant's admission
@@ -131,62 +127,6 @@ func New(baseURL string, opts ...Option) *Client {
 	return c
 }
 
-// Config is the struct form of the client knobs, one field per
-// functional option; zero values take the option's default.
-//
-// Deprecated: configure with New and functional options (WithRetry,
-// WithBackoff, WithDeadlineBudget, WithTenant, WithTraceHeader,
-// WithHTTPClient, WithJitterSeed). NewFromConfig remains as a shim for
-// one release.
-type Config struct {
-	HTTPClient     *http.Client
-	MaxRetries     int // 0 keeps the default of 4; negative disables retries
-	BackoffBase    time.Duration
-	BackoffMax     time.Duration
-	DeadlineBudget time.Duration
-	Tenant         string
-	TraceHeader    string
-	JitterSeed     int64 // non-zero makes backoff jitter deterministic
-}
-
-// NewFromConfig builds a client from the struct form of the knobs. It is
-// a thin shim over New: every field maps to exactly one functional
-// option, proven equivalent by TestNewFromConfigEquivalence.
-//
-// Deprecated: use New with functional options.
-func NewFromConfig(baseURL string, cfg Config) *Client {
-	var opts []Option
-	if cfg.HTTPClient != nil {
-		opts = append(opts, WithHTTPClient(cfg.HTTPClient))
-	}
-	if cfg.MaxRetries != 0 {
-		opts = append(opts, WithRetry(max(cfg.MaxRetries, 0)))
-	}
-	if cfg.BackoffBase != 0 || cfg.BackoffMax != 0 {
-		base, maxB := cfg.BackoffBase, cfg.BackoffMax
-		if base == 0 {
-			base = 50 * time.Millisecond
-		}
-		if maxB == 0 {
-			maxB = 2 * time.Second
-		}
-		opts = append(opts, WithBackoff(base, maxB))
-	}
-	if cfg.DeadlineBudget != 0 {
-		opts = append(opts, WithDeadlineBudget(cfg.DeadlineBudget))
-	}
-	if cfg.Tenant != "" {
-		opts = append(opts, WithTenant(cfg.Tenant))
-	}
-	if cfg.TraceHeader != "" {
-		opts = append(opts, WithTraceHeader(cfg.TraceHeader))
-	}
-	if cfg.JitterSeed != 0 {
-		opts = append(opts, WithJitterSeed(cfg.JitterSeed))
-	}
-	return New(baseURL, opts...)
-}
-
 // StatusError is a non-retryable (or retry-exhausted) HTTP failure.
 // errors.Is resolves it to the matching attache sentinel via Unwrap.
 type StatusError struct {
@@ -198,18 +138,25 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("client: server answered %d: %s", e.Code, e.Message)
 }
 
+// Unwrap resolves the status to the taxonomy sentinel the daemon answers
+// it for, when the status names exactly one: 400 is shared by two rows,
+// and 500 is also what an error outside the taxonomy gets, so neither
+// identifies anything.
 func (e *StatusError) Unwrap() error {
-	switch e.Code {
-	case http.StatusNotFound:
-		return attache.ErrNeverWritten
-	case http.StatusTooManyRequests:
-		return attache.ErrOverloaded
-	case http.StatusServiceUnavailable:
-		return attache.ErrClosed
-	case http.StatusGatewayTimeout:
-		return context.DeadlineExceeded
+	if e.Code == http.StatusInternalServerError {
+		return nil
 	}
-	return nil
+	var sentinel error
+	for _, row := range shard.OpErrors {
+		if row.Status != e.Code {
+			continue
+		}
+		if sentinel != nil {
+			return nil
+		}
+		sentinel = row.Sentinel
+	}
+	return sentinel
 }
 
 func retryable(code int) bool {
@@ -466,46 +413,16 @@ func (c *Client) DoCtx(ctx context.Context, ops []attache.Op) ([]attache.Result,
 }
 
 // opErr maps a per-op error message from the daemon back onto the typed
-// sentinels, so batch callers can errors.Is without parsing strings.
+// sentinels, so batch callers can errors.Is without parsing strings: the
+// daemon sends err.Error(), which embeds the message of the sentinel the
+// error wraps.
 func opErr(msg string) error {
-	for _, m := range []struct {
-		needle   string
-		sentinel error
-	}{
-		{"overloaded", attache.ErrOverloaded},
-		{"never written", attache.ErrNeverWritten},
-		{"64 bytes", attache.ErrBadLineSize},
-		{"out of range", attache.ErrOutOfRange},
-		{"injected fault", attache.ErrFaultInjected},
-		{"engine closed", attache.ErrClosed},
-		{"context deadline exceeded", context.DeadlineExceeded},
-		{"context canceled", context.Canceled},
-	} {
-		if strings.Contains(msg, m.needle) {
-			return fmt.Errorf("%s: %w", msg, m.sentinel)
+	for _, row := range shard.OpErrors {
+		if strings.Contains(msg, row.Sentinel.Error()) {
+			return fmt.Errorf("%s: %w", msg, row.Sentinel)
 		}
 	}
 	return errors.New(msg)
-}
-
-// Stats fetches the daemon's merged engine snapshot. It pins the
-// deprecated v1 flat schema (?v=1) so the shape keeps round-tripping
-// into attache.EngineSnapshot across the stats v2 redesign; new code
-// wanting per-instance, per-class, or per-tenant breakdowns should use
-// StatsV2.
-func (c *Client) Stats(ctx context.Context) (attache.EngineSnapshot, error) {
-	var snap attache.EngineSnapshot
-	code, respBody, err := c.roundTrip(ctx, http.MethodGet, "/v1/stats?v=1", nil)
-	if err != nil {
-		return snap, err
-	}
-	if code != http.StatusOK {
-		return snap, statusToErr(code, respBody)
-	}
-	if err := json.Unmarshal(respBody, &snap); err != nil {
-		return snap, fmt.Errorf("client: bad stats response: %w", err)
-	}
-	return snap, nil
 }
 
 // StatsV2 is the schema-version-2 stats document served at /v1/stats:

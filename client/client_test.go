@@ -81,12 +81,12 @@ func TestRoundTripAgainstRealDaemon(t *testing.T) {
 		t.Fatalf("batch op3 err = %v, want ErrBadLineSize", res[3].Err)
 	}
 
-	snap, err := c.Stats(ctx)
+	doc, err := c.StatsV2(ctx)
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	if snap.Total.Writes != 2 || snap.Total.Reads != 2 {
-		t.Fatalf("stats snapshot off: %+v", snap.Total)
+	if doc.Engine.Total.Writes != 2 || doc.Engine.Total.Reads != 2 {
+		t.Fatalf("stats totals off: %+v", doc.Engine.Total)
 	}
 	if err := c.Health(ctx); err != nil {
 		t.Fatalf("health: %v", err)
@@ -127,7 +127,7 @@ func TestRetriesExhausted(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := New(ts.URL, fastOpts(WithMaxRetries(2))...)
+	c := New(ts.URL, fastOpts(WithRetry(2))...)
 	err := c.Write(context.Background(), 1, testLine(1))
 	if !errors.Is(err, attache.ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
@@ -148,7 +148,7 @@ func TestDeadlineBudget(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := New(ts.URL, fastOpts(WithMaxRetries(10), WithDeadlineBudget(50*time.Millisecond))...)
+	c := New(ts.URL, fastOpts(WithRetry(10), WithDeadlineBudget(50*time.Millisecond))...)
 	start := time.Now()
 	err := c.Write(context.Background(), 1, testLine(1))
 	elapsed := time.Since(start)
@@ -199,7 +199,7 @@ func TestShedMapsToOverloaded(t *testing.T) {
 	go eng.Do([]attache.Op{{Write: true, Addr: 2, Data: testLine(2)}})
 	time.Sleep(10 * time.Millisecond)
 
-	c := New(ts.URL, fastOpts(WithMaxRetries(0))...)
+	c := New(ts.URL, fastOpts(WithRetry(0))...)
 	_, err := c.Read(context.Background(), 1)
 	if !errors.Is(err, attache.ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)

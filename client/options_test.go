@@ -12,29 +12,22 @@ import (
 	"attache/internal/shard"
 )
 
-// TestNewFromConfigEquivalence proves the deprecated struct constructor
-// is a pure shim: for every knob, NewFromConfig yields a client with the
-// same resolved settings as New with the matching functional option.
-func TestNewFromConfigEquivalence(t *testing.T) {
+// TestNewOptions pins what New resolves: the documented defaults with no
+// options, and each functional option landing in exactly its own knob.
+func TestNewOptions(t *testing.T) {
 	hc := &http.Client{Timeout: 3 * time.Second}
-	cases := []struct {
+	for _, tc := range []struct {
 		name string
-		cfg  Config
 		opts []Option
+		want *Client
 	}{
-		{name: "zero config = all defaults"},
+		{
+			name: "no options = all defaults",
+			want: &Client{maxRetries: 4, baseBackoff: 50 * time.Millisecond, maxBackoff: 2 * time.Second,
+				traceHeader: obs.TraceHeader},
+		},
 		{
 			name: "every knob set",
-			cfg: Config{
-				HTTPClient:     hc,
-				MaxRetries:     7,
-				BackoffBase:    5 * time.Millisecond,
-				BackoffMax:     80 * time.Millisecond,
-				DeadlineBudget: 250 * time.Millisecond,
-				Tenant:         "acme",
-				TraceHeader:    "X-Proxy-Trace",
-				JitterSeed:     42,
-			},
 			opts: []Option{
 				WithHTTPClient(hc),
 				WithRetry(7),
@@ -44,27 +37,23 @@ func TestNewFromConfigEquivalence(t *testing.T) {
 				WithTraceHeader("X-Proxy-Trace"),
 				WithJitterSeed(42),
 			},
+			want: &Client{hc: hc, maxRetries: 7, baseBackoff: 5 * time.Millisecond, maxBackoff: 80 * time.Millisecond,
+				budget: 250 * time.Millisecond, tenant: "acme", traceHeader: "X-Proxy-Trace"},
 		},
 		{
-			name: "partial backoff fills the other default",
-			cfg:  Config{BackoffBase: 9 * time.Millisecond},
-			opts: []Option{WithBackoff(9*time.Millisecond, 2*time.Second)},
+			name: "empty trace header keeps the default",
+			opts: []Option{WithTraceHeader("")},
+			want: &Client{maxRetries: 4, baseBackoff: 50 * time.Millisecond, maxBackoff: 2 * time.Second,
+				traceHeader: obs.TraceHeader},
 		},
-		{
-			name: "negative MaxRetries disables retries",
-			cfg:  Config{MaxRetries: -1},
-			opts: []Option{WithRetry(0)},
-		},
-	}
-	for _, tc := range cases {
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := NewFromConfig("http://daemon:8080/", tc.cfg)
-			want := New("http://daemon:8080/", tc.opts...)
-			if got.base != want.base {
-				t.Errorf("base = %q, want %q", got.base, want.base)
+			got, want := New("http://daemon:8080/", tc.opts...), tc.want
+			if got.base != "http://daemon:8080" {
+				t.Errorf("base = %q, want the trailing slash trimmed", got.base)
 			}
-			if tc.cfg.HTTPClient != nil && got.hc != want.hc {
-				t.Errorf("http client = %p, want %p", got.hc, want.hc)
+			if got.hc == nil || want.hc != nil && got.hc != want.hc {
+				t.Errorf("http client = %p, want %p (or any default)", got.hc, want.hc)
 			}
 			if got.maxRetries != want.maxRetries {
 				t.Errorf("maxRetries = %d, want %d", got.maxRetries, want.maxRetries)
@@ -124,8 +113,8 @@ func TestTenantHeaderSent(t *testing.T) {
 }
 
 // TestStatsV2RoundTrip drives the versioned stats surface end to end
-// against a real daemon: v2 is the default schema and carries the
-// cluster section; Stats() keeps decoding the pinned v1 shape.
+// against a real daemon: the document carries schema_version 2 and the
+// engine, cluster and tenant sections.
 func TestStatsV2RoundTrip(t *testing.T) {
 	ts, _ := newDaemon(t, shard.Config{Shards: 2})
 	c := New(ts.URL, fastOpts(WithTenant("acme"))...)
@@ -156,13 +145,5 @@ func TestStatsV2RoundTrip(t *testing.T) {
 	}
 	if len(doc.Cluster.Classes) != 1 || doc.Cluster.Classes[0].Class != "best-effort" {
 		t.Fatalf("classes = %+v, want one best-effort class", doc.Cluster.Classes)
-	}
-
-	snap, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatalf("stats v1: %v", err)
-	}
-	if snap.Total.Reads != 1 || snap.Total.Writes != 1 {
-		t.Fatalf("v1 totals = %+v, want 1 read / 1 write", snap.Total)
 	}
 }

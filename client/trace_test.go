@@ -82,7 +82,7 @@ func TestClientSendsTraceHeader(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := New(srv.URL, WithMaxRetries(0))
+	c := New(srv.URL, WithRetry(0))
 	if err := c.Health(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -277,19 +277,23 @@ func main() {
 }
 
 // writeSnapshotFile writes the cluster's snapv1 image to path via a
-// same-directory temp file and an atomic rename.
+// same-directory temp file and an atomic rename. The file is synced
+// before the rename: otherwise a crash shortly after the drain could
+// leave the new name pointing at data that never reached the disk.
 func writeSnapshotFile(cl *cluster.Cluster, path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := cl.WriteSnapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = cl.WriteSnapshot(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}

@@ -202,7 +202,7 @@ func main() {
 		if *tierSpec != "" {
 			logger.Warn("tiers ignored: the tier config belongs to the daemon (attached -tiers)", "target", *target)
 		}
-		tgt = client.New(*target, client.WithMaxRetries(0))
+		tgt = client.New(*target, client.WithRetry(0))
 	} else {
 		opts := []attache.Option{
 			attache.WithShards(*shards),

@@ -8,6 +8,7 @@ import (
 
 	"attache/internal/core"
 	"attache/internal/shard"
+	"attache/internal/stats"
 )
 
 // Router assigns each op in a batch to an instance. Implementations must
@@ -171,10 +172,6 @@ func (r affinityRouter) Route(ops []shard.Op, loads []int64, assign []int) {
 // and Lemire-reduces it to [0, n) — the same unbiased mapping the
 // engine's shardFor uses, over page prefixes instead of line addresses.
 func (r affinityRouter) instanceFor(addr uint64) int {
-	x := (addr >> r.prefixBits) + 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	x ^= x >> 31
-	hi, _ := bits.Mul64(x, r.n)
+	hi, _ := bits.Mul64(stats.SplitMix64(addr>>r.prefixBits), r.n)
 	return int(hi)
 }

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"attache/internal/stats"
 )
 
 // Class is an SLO service class label. Tenants map to classes via
@@ -152,9 +154,9 @@ func (b *sloBook) ClassSnapshots() []ClassSnapshot {
 		if len(c.lat) > 0 {
 			sorted := append([]float64(nil), c.lat...)
 			sort.Float64s(sorted)
-			s.P50us = quantile(sorted, 0.50)
-			s.P90us = quantile(sorted, 0.90)
-			s.P99us = quantile(sorted, 0.99)
+			s.P50us = stats.Quantile(sorted, 0.50)
+			s.P90us = stats.Quantile(sorted, 0.90)
+			s.P99us = stats.Quantile(sorted, 0.99)
 			s.MaxUs = sorted[len(sorted)-1]
 		}
 		out = append(out, s)
@@ -214,20 +216,4 @@ func (b *sloBook) JainFairness() float64 {
 		return 1
 	}
 	return (sum * sum) / (float64(n) * sumSq)
-}
-
-// quantile reads q from an ascending-sorted slice using the nearest-rank
-// convention loadgen's report quantiles use.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

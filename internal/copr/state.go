@@ -112,6 +112,13 @@ func (p *Predictor) RestoreState(st *State) error {
 			return fmt.Errorf("copr: snapshot GI counter %d exceeds 2-bit range", g)
 		}
 	}
+	// An accuracy above 1 cannot come from a real predictor. Restoring it
+	// clamped would change what the snapshot says, so refuse it.
+	for _, r := range append([]RatioState{st.Overall}, st.BySource[:]...) {
+		if r.Hits > r.Total {
+			return fmt.Errorf("copr: snapshot accuracy counter has %d hits out of %d predictions", r.Hits, r.Total)
+		}
+	}
 	if p.papr != nil {
 		if err := restoreAssoc(p.papr.table, st.PaPR, func(va, _ uint64) uint8 {
 			if va > 3 {

@@ -33,6 +33,7 @@ import (
 	"attache/internal/core"
 	"attache/internal/obs"
 	"attache/internal/shard"
+	"attache/internal/stats"
 	"attache/internal/tier"
 )
 
@@ -313,38 +314,20 @@ type TenantReport struct {
 	Errors map[string]uint64 `json:"errors,omitempty"`
 }
 
-// Classify buckets an op error for the taxonomy.
+// Classify buckets an op error under its label in the shared taxonomy.
+// A row matches by errors.Is or, failing that, by its sentinel's message
+// appearing in the error's — so the label survives error chains
+// flattened to strings (the HTTP client path).
 func Classify(err error) string {
-	switch {
-	case err == nil:
+	if err == nil {
 		return "ok"
-	case isErr(err, core.ErrOverloaded):
-		return "overloaded"
-	case isErr(err, context.DeadlineExceeded):
-		return "deadline"
-	case isErr(err, context.Canceled):
-		return "canceled"
-	case isErr(err, shard.ErrFaultInjected):
-		return "fault_injected"
-	case isErr(err, shard.ErrClosed):
-		return "closed"
-	case isErr(err, core.ErrNeverWritten):
-		return "never_written"
-	case isErr(err, core.ErrBadLineSize):
-		return "bad_line_size"
-	case isErr(err, core.ErrOutOfRange):
-		return "out_of_range"
+	}
+	for _, row := range shard.OpErrors {
+		if errors.Is(err, row.Sentinel) || strings.Contains(err.Error(), row.Sentinel.Error()) {
+			return row.Label
+		}
 	}
 	return "other"
-}
-
-// isErr is errors.Is plus a message-substring fallback, so taxonomy
-// survives error chains flattened to strings (the HTTP client path).
-func isErr(err, sentinel error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, sentinel) || strings.Contains(err.Error(), sentinel.Error())
 }
 
 // workerTally is one worker's private accounting, merged after the run.
@@ -589,15 +572,11 @@ func quantiles(s []time.Duration) Quantiles {
 		return Quantiles{}
 	}
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	at := func(q float64) time.Duration {
-		i := int(q * float64(len(s)-1))
-		return s[i]
-	}
 	qs := Quantiles{
 		Count: uint64(len(s)),
-		P50:   at(0.50),
-		P90:   at(0.90),
-		P99:   at(0.99),
+		P50:   stats.Quantile(s, 0.50),
+		P90:   stats.Quantile(s, 0.90),
+		P99:   stats.Quantile(s, 0.99),
 		Max:   s[len(s)-1],
 	}
 	qs.P50Micros = float64(qs.P50) / float64(time.Microsecond)

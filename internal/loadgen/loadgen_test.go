@@ -192,6 +192,30 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// TestQuantilesNearestRank pins the report quantiles on small samples;
+// internal/cluster's TestClassQuantilesMatchLoadgen holds the identical
+// table for the daemon's per-class view.
+func TestQuantilesNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n             int // samples are 1µs .. nµs, offered in descending order
+		p50, p90, p99 float64
+	}{
+		{1, 1, 1, 1},
+		{3, 2, 2, 2},
+		{10, 5, 9, 9},
+	} {
+		var s []time.Duration
+		for us := tc.n; us >= 1; us-- {
+			s = append(s, time.Duration(us)*time.Microsecond)
+		}
+		got := quantiles(s)
+		if got.P50Micros != tc.p50 || got.P90Micros != tc.p90 || got.P99Micros != tc.p99 || got.MaxMicros != float64(tc.n) {
+			t.Errorf("n=%d: p50/p90/p99/max = %v/%v/%v/%v, want %v/%v/%v/%d",
+				tc.n, got.P50Micros, got.P90Micros, got.P99Micros, got.MaxMicros, tc.p50, tc.p90, tc.p99, tc.n)
+		}
+	}
+}
+
 func sum(m map[string]uint64) uint64 {
 	var n uint64
 	for _, v := range m {

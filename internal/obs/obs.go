@@ -35,6 +35,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"attache/internal/stats"
 )
 
 // TraceHeader is the HTTP header carrying a request's trace ID, both
@@ -135,9 +137,14 @@ func (o *Observer) Sampled() bool {
 }
 
 // NewID generates a fresh trace ID (splitmix64 over a counter, so IDs
-// are unique per observer and deterministic under Config.Seed).
+// are unique per observer, deterministic under Config.Seed, and
+// successive IDs share no visible prefix).
 func (o *Observer) NewID() TraceID {
-	return TraceID(splitmix64(o.idSeed + o.idCtr.Add(1)))
+	id := stats.SplitMix64(o.idSeed + o.idCtr.Add(1))
+	if id == 0 { // 0 is the "generate one for me" sentinel
+		id = 1
+	}
+	return TraceID(id)
 }
 
 // StartTrace begins a trace. id 0 generates a fresh ID. The caller owns
@@ -192,19 +199,4 @@ func (o *Observer) Recent(limit int) []Timeline {
 		out = append(out, o.ring[i].Timeline())
 	}
 	return out
-}
-
-// splitmix64 is the standard 64-bit finalizer — good dispersion from a
-// sequential counter, so successive trace IDs share no visible prefix.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	if x == 0 { // 0 is the "generate one for me" sentinel
-		x = 1
-	}
-	return x
 }

@@ -10,6 +10,8 @@
 // scrambler and descrambler.
 package scramble
 
+import "attache/internal/stats"
+
 // Scrambler generates a per-address keystream from a boot-time key. The
 // paper's scramblers "choose hashes with memory block address as an input"
 // so identical data written to different blocks still looks different
@@ -21,19 +23,12 @@ type Scrambler struct {
 // New returns a scrambler for the given boot-time key.
 func New(key uint64) *Scrambler { return &Scrambler{key: key} }
 
-// splitmix64 is the keystream generator: a full-period 64-bit mixer with
-// good avalanche behaviour, small enough to be plausible controller
-// hardware.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
-	x = (x ^ x>>27) * 0x94D049BB133111EB
-	return x ^ x>>31
-}
-
 // keyword returns the i-th 8-byte keystream word for a block address.
+// The keystream generator is splitmix64: a full-period 64-bit mixer
+// with good avalanche behaviour, small enough to be plausible
+// controller hardware.
 func (s *Scrambler) keyword(addr uint64, i int) uint64 {
-	return splitmix64(s.key ^ splitmix64(addr+uint64(i)*0xA24BAED4963EE407))
+	return stats.SplitMix64(s.key ^ stats.SplitMix64(addr+uint64(i)*0xA24BAED4963EE407))
 }
 
 // Apply XORs data in place with the keystream for the given block address.

@@ -139,26 +139,14 @@ func TestClusterServeEndToEnd(t *testing.T) {
 		t.Fatalf("jain_fairness = %v, want in (0, 1]", j)
 	}
 
-	// v1 still round-trips the flat shape for existing clients.
-	rec = httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats?v=1", nil))
-	var v1 statsV1
-	if err := json.Unmarshal(rec.Body.Bytes(), &v1); err != nil {
-		t.Fatalf("bad v1 JSON: %v", err)
-	}
-	if v1.Total.Writes != 12 || v1.Shards != 6 || len(v1.Telemetry) != 6 {
-		t.Fatalf("v1 = writes %d / shards %d / telemetry %d, want 12 / 6 / 6",
-			v1.Total.Writes, v1.Shards, len(v1.Telemetry))
-	}
-	if strings.Contains(rec.Body.String(), "schema_version") {
-		t.Fatal("v1 response leaked v2 fields")
-	}
-
-	// Unknown schema versions are rejected, not guessed at.
-	rec = httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats?v=3", nil))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("stats?v=3 = %d, want 400", rec.Code)
+	// Unknown schema versions — the removed v1 included — are rejected,
+	// not guessed at.
+	for _, v := range []string{"1", "3"} {
+		rec = httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats?v="+v, nil))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("stats?v=%s = %d, want 400", v, rec.Code)
+		}
 	}
 
 	// Metrics exposition carries the cluster gauges and per-tenant series.

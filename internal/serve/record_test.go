@@ -116,7 +116,7 @@ func TestTraceRecordReplayConservation(t *testing.T) {
 	tw := workload.NewTraceWriter(&capture)
 	ts := httptest.NewServer(New(liveEng, Config{Record: tw}).Handler())
 	t.Cleanup(ts.Close)
-	liveRep, err := loadgen.RunEvents(context.Background(), client.New(ts.URL, client.WithMaxRetries(0)), cfg, events)
+	liveRep, err := loadgen.RunEvents(context.Background(), client.New(ts.URL, client.WithRetry(0)), cfg, events)
 	if err != nil {
 		t.Fatal(err)
 	}

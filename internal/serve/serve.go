@@ -4,9 +4,8 @@
 //	POST /v1/read    {"addr":42}                     -> {"addr":42,"data":"<base64 64B>"}
 //	POST /v1/write   {"addr":42,"data":"<base64>"}   -> {"addr":42,"ok":true}
 //	POST /v1/batch   ops as a JSON array, or one JSON object per line     -> per-op results
-//	GET  /v1/stats   versioned stats: schema v2 by default (nested engine/
-//	                 robust/telemetry/cluster/tenants sections), the
-//	                 deprecated v1 flat shape via ?v=1
+//	GET  /v1/stats   versioned stats, schema v2 (nested engine/robust/
+//	                 telemetry/cluster/tenants sections); ?v= pins it
 //	GET  /v1/trace/{id}  one traced request's pipeline timeline (Config.Obs)
 //	GET  /v1/trace   the most recent retained timelines
 //	GET  /v1/snapshot  the cluster's full snapv1 state image
@@ -67,7 +66,6 @@ import (
 	"time"
 
 	"attache/internal/cluster"
-	"attache/internal/core"
 	"attache/internal/obs"
 	"attache/internal/shard"
 )
@@ -395,29 +393,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// statusClientClosedRequest is nginx's conventional code for a request
-// whose client went away before the response: there is no standard
-// status, but the metrics layer needs the taxonomy.
-const statusClientClosedRequest = 499
-
-// statusFor maps engine errors to HTTP statuses via the typed sentinels.
+// statusFor maps engine errors to HTTP statuses via the typed sentinels
+// of the shared taxonomy.
 func statusFor(err error) int {
-	switch {
-	case errors.Is(err, core.ErrNeverWritten):
-		return http.StatusNotFound
-	case errors.Is(err, core.ErrBadLineSize), errors.Is(err, core.ErrOutOfRange):
-		return http.StatusBadRequest
-	case errors.Is(err, core.ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return statusClientClosedRequest
-	case errors.Is(err, shard.ErrClosed):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusInternalServerError
+	for _, row := range shard.OpErrors {
+		if errors.Is(err, row.Sentinel) {
+			return row.Status
+		}
 	}
+	return http.StatusInternalServerError
 }
 
 func (s *Server) writeErr(w http.ResponseWriter, err error) {
@@ -586,24 +570,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, batchResp{Results: results, Failed: failed})
 }
 
-// handleStats serves the versioned stats document: schema v2 by default,
-// the deprecated v1 flat shape via ?v=1 (kept for one release; see
-// README). ?decisions=N additionally inlines the N most recent routing
-// decisions into the v2 cluster section.
+// handleStats serves the versioned stats document, schema v2; ?v= pins
+// the version and any other value answers 400. ?decisions=N additionally
+// inlines the N most recent routing decisions into the cluster section.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	switch v := r.URL.Query().Get("v"); v {
-	case "", "2":
-		n := 0
-		if d := r.URL.Query().Get("decisions"); d != "" {
-			n, _ = strconv.Atoi(d)
-		}
-		writeJSON(w, http.StatusOK, s.statsV2(n))
-	case "1":
-		writeJSON(w, http.StatusOK, s.statsV1())
-	default:
+	if v := r.URL.Query().Get("v"); v != "" && v != "2" {
 		writeJSON(w, http.StatusBadRequest,
-			errResp{Error: fmt.Sprintf("unknown stats schema version %q (want 1 or 2)", v)})
+			errResp{Error: fmt.Sprintf("unknown stats schema version %q (want 2)", v)})
+		return
 	}
+	n := 0
+	if d := r.URL.Query().Get("decisions"); d != "" {
+		n, _ = strconv.Atoi(d)
+	}
+	writeJSON(w, http.StatusOK, s.statsV2(n))
 }
 
 // handleTrace serves one traced request's timeline by ID

@@ -10,20 +10,9 @@ import (
 	"attache/internal/tier"
 )
 
-// statsV1 is the deprecated flat stats shape served under /v1/stats?v=1:
-// the engine snapshot's fields at the top level, plus daemon extras.
-// Built from the cluster's merged snapshot, so for a 1-instance cluster
-// it is byte-identical to what the pre-cluster daemon served.
-type statsV1 struct {
-	shard.Snapshot
-	Shards        int              `json:"shards"`
-	UptimeSeconds float64          `json:"uptime_seconds"`
-	Telemetry     []obs.ShardGauge `json:"telemetry"`
-}
-
-// statsV2 is the current stats document (schema_version 2): nested
-// sections instead of a flat blob, with per-instance, per-class, and
-// per-tenant breakdowns the cluster layer introduces.
+// statsV2 is the stats document (schema_version 2): nested sections
+// with the per-instance, per-class, and per-tenant breakdowns the
+// cluster layer introduces.
 type statsV2 struct {
 	SchemaVersion int                      `json:"schema_version"`
 	Engine        engineSection            `json:"engine"`
@@ -64,15 +53,6 @@ type clusterSection struct {
 	Classes      []cluster.ClassSnapshot `json:"classes"`
 	JainFairness float64                 `json:"jain_fairness"`
 	Decisions    []cluster.Decision      `json:"decisions,omitempty"`
-}
-
-func (s *Server) statsV1() statsV1 {
-	return statsV1{
-		Snapshot:      s.cl.EngineSnapshot(),
-		Shards:        s.cl.Shards(),
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		Telemetry:     s.cl.Gauges(),
-	}
 }
 
 func (s *Server) statsV2(decisions int) statsV2 {

@@ -196,18 +196,6 @@ func TestStatsIncludesTelemetry(t *testing.T) {
 		t.Fatalf("stats telemetry gauges = %+v, want 2 shards", stats.Telemetry.Gauges)
 	}
 
-	// Deprecated v1 keeps the flat telemetry list.
-	rec = httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats?v=1", nil))
-	var v1 struct {
-		Telemetry []obs.ShardGauge `json:"telemetry"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &v1); err != nil {
-		t.Fatal(err)
-	}
-	if len(v1.Telemetry) != 2 {
-		t.Fatalf("v1 stats telemetry = %+v, want 2 shards", v1.Telemetry)
-	}
 }
 
 func TestMetricsIncludeQueueGauges(t *testing.T) {

@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,11 +48,39 @@ import (
 	"attache/internal/core"
 	"attache/internal/obs"
 	"attache/internal/snap"
+	"attache/internal/stats"
 	"attache/internal/tier"
 )
 
 // ErrClosed reports an operation on an engine after Close.
 var ErrClosed = errors.New("shard: engine closed")
+
+// OpErrors is the op-error taxonomy: every sentinel an op can fail
+// with, the label reports file it under, and the HTTP status the daemon
+// answers it with. It is the only place the three are paired —
+// the daemon's status mapping, the client's mapping back from statuses
+// and from per-op error strings, and loadgen's classifier all iterate
+// it, first match wins. An error matching no row is "other" / 500.
+//
+// Order matters where one error can carry two sentinels: a client call
+// that ran out of deadline budget while being shed wraps both
+// ErrOverloaded and DeadlineExceeded, and counts as overloaded.
+var OpErrors = []struct {
+	Sentinel error
+	Label    string
+	Status   int
+}{
+	{core.ErrOverloaded, "overloaded", http.StatusTooManyRequests},
+	{context.DeadlineExceeded, "deadline", http.StatusGatewayTimeout},
+	// 499 is nginx's "client closed request": the caller went away, so
+	// nobody reads it, but it keeps access logs and metrics truthful.
+	{context.Canceled, "canceled", 499},
+	{ErrFaultInjected, "fault_injected", http.StatusInternalServerError},
+	{ErrClosed, "closed", http.StatusServiceUnavailable},
+	{core.ErrNeverWritten, "never_written", http.StatusNotFound},
+	{core.ErrBadLineSize, "bad_line_size", http.StatusBadRequest},
+	{core.ErrOutOfRange, "out_of_range", http.StatusBadRequest},
+}
 
 // Config sizes the engine.
 type Config struct {
@@ -534,11 +563,7 @@ func build(opts core.Options, cfg Config, st *snap.EngineState) (*Engine, error)
 // without the modulo bias — and without the hardware divide — that a
 // plain `%` pays when the shard count is not a power of two.
 func (e *Engine) shardFor(addr uint64) int {
-	x := addr + 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	x ^= x >> 31
-	hi, _ := bits.Mul64(x, uint64(len(e.shards)))
+	hi, _ := bits.Mul64(stats.SplitMix64(addr), uint64(len(e.shards)))
 	return int(hi)
 }
 

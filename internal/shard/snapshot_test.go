@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"attache/internal/copr"
 	"attache/internal/core"
 	"attache/internal/snap"
 	"attache/internal/tier"
@@ -249,6 +250,18 @@ func TestRestoreEngineRejects(t *testing.T) {
 	defer eng.Close()
 	st := eng.ExportState()
 
+	// withCopr returns a copy of st whose first shard's predictor state
+	// went through mutate, leaving st itself intact for the other cases.
+	withCopr := func(mutate func(*copr.State)) *snap.EngineState {
+		cp := *st
+		cp.Shards = append([]snap.ShardState(nil), st.Shards...)
+		mem, pred := *st.Shards[0].Mem, *st.Shards[0].Mem.Copr
+		mutate(&pred)
+		mem.Copr = &pred
+		cp.Shards[0].Mem = &mem
+		return &cp
+	}
+
 	cases := []struct {
 		name string
 		st   *snap.EngineState
@@ -259,6 +272,10 @@ func TestRestoreEngineRejects(t *testing.T) {
 		{"empty-state", &snap.EngineState{}, Config{}, "no shards"},
 		{"shard-mismatch", st, Config{Shards: 5}, "configured 5 shards but snapshot has 2"},
 		{"caller-tier", st, Config{Tier: &tier.Config{NearLines: 4}}, "cfg.Tier must be nil"},
+		{"predictor-hits-over-total", withCopr(func(p *copr.State) { p.Overall = copr.RatioState{Hits: 2, Total: 1} }),
+			Config{}, "2 hits out of 1 predictions"},
+		{"predictor-source-hits-over-total", withCopr(func(p *copr.State) { p.BySource[copr.SourceGI] = copr.RatioState{Hits: 9, Total: 3} }),
+			Config{}, "9 hits out of 3 predictions"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

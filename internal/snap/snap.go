@@ -72,39 +72,11 @@ type ClusterState struct {
 	Engines []*EngineState
 }
 
-// ---------------------------------------------------------------------
-// encoding
-
-type writer struct {
-	b []byte
-}
-
-func (w *writer) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *writer) u16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
-func (w *writer) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *writer) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *writer) f64(v float64) {
-	w.u64(math.Float64bits(v))
-}
-func (w *writer) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-func (w *writer) raw(p []byte) { w.b = append(w.b, p...) }
-
 // EncodeBytes serializes a snapshot to its canonical byte form.
 func EncodeBytes(cs *ClusterState) []byte {
-	w := &writer{}
-	w.raw(magic[:])
-	w.u16(Version)
-	w.u32(uint32(len(cs.Engines)))
-	for _, e := range cs.Engines {
-		encodeEngine(w, e)
-	}
-	return w.b
+	c := &codec{}
+	walkCluster(c, cs)
+	return c.b
 }
 
 // Encode writes the canonical serialization of cs to out.
@@ -113,283 +85,19 @@ func Encode(out io.Writer, cs *ClusterState) error {
 	return err
 }
 
-func encodeEngine(w *writer, e *EngineState) {
-	o := e.Opts
-	w.u32(uint32(o.CIDBits))
-	w.u64(uint64(o.Seed))
-	var flags uint8
-	if o.DisablePredictor {
-		flags |= 1
-	}
-	if o.ExtendedCompression {
-		flags |= 2
-	}
-	w.u8(flags)
-	p := o.Predictor
-	w.u64(uint64(p.MemorySize))
-	w.u32(uint32(p.GICounters))
-	w.u8(p.GIThreshold)
-	w.u32(uint32(p.PaPRBytes))
-	w.u32(uint32(p.PaPRWays))
-	w.u32(uint32(p.LiPRBytes))
-	w.u32(uint32(p.LiPRWays))
-	var en uint8
-	if p.EnableGI {
-		en |= 1
-	}
-	if p.EnablePaPR {
-		en |= 2
-	}
-	if p.EnableLiPR {
-		en |= 4
-	}
-	w.u8(en)
-
-	w.bool(e.Tier != nil)
-	if e.Tier != nil {
-		t := *e.Tier
-		w.u64(uint64(t.NearLines))
-		w.u8(uint8(len(t.Policy)))
-		w.raw([]byte(t.Policy))
-		w.u64(t.FreqThreshold)
-		w.u64(t.FreqDecayEvery)
-		w.u32(t.PinShift)
-		w.u64(t.PinPrefix)
-		w.f64(t.Link.FarLatencyNs)
-		w.f64(t.Link.FarBandwidthMult)
-		w.f64(t.Link.NearEnergyPerByte)
-		w.f64(t.Link.FarEnergyPerByte)
-	}
-	for _, r := range e.Robust {
-		w.u64(r)
-	}
-	w.u32(uint32(len(e.Shards)))
-	for i := range e.Shards {
-		encodeShard(w, &e.Shards[i])
-	}
-}
-
-func encodeShard(w *writer, s *ShardState) {
-	m := s.Mem
-	w.u64(uint64(len(m.Lines)))
-	for _, l := range m.Lines {
-		w.u64(l.Addr)
-		var flags uint8
-		if l.Compressed {
-			flags |= 1
-		}
-		if l.Collision {
-			flags |= 2
-		}
-		w.u8(flags)
-		w.raw(l.Blocks[0][:])
-		w.raw(l.Blocks[1][:])
-	}
-	for _, v := range []uint64{
-		m.Stats.Reads, m.Stats.Writes, m.Stats.BlocksRead, m.Stats.BlocksWritten,
-		m.Stats.Mispredictions, m.Stats.RAAccesses, m.Stats.CompressedLines, m.Stats.RAOccupancy,
-	} {
-		w.u64(v)
-	}
-
-	w.u16(m.Blem.CID)
-	raAddrs := make([]uint64, 0, len(m.Blem.RA))
-	for a := range m.Blem.RA {
-		raAddrs = append(raAddrs, a)
-	}
-	sort.Slice(raAddrs, func(i, j int) bool { return raAddrs[i] < raAddrs[j] })
-	w.u64(uint64(len(raAddrs)))
-	for _, a := range raAddrs {
-		w.u64(a)
-		w.bool(m.Blem.RA[a])
-	}
-	for _, v := range m.Blem.Stats {
-		w.u64(v)
-	}
-
-	w.bool(m.Copr != nil)
-	if m.Copr != nil {
-		c := m.Copr
-		w.u32(uint32(len(c.GI)))
-		w.raw(c.GI)
-		encodeTable(w, c.PaPR)
-		encodeTable(w, c.LiPR)
-		w.u64(c.Overall.Hits)
-		w.u64(c.Overall.Total)
-		for _, r := range c.BySource {
-			w.u64(r.Hits)
-			w.u64(r.Total)
-		}
-	}
-
-	w.bool(s.Tier != nil)
-	if s.Tier != nil {
-		t := s.Tier
-		w.u64(uint64(len(t.Near)))
-		for _, n := range t.Near {
-			w.u64(n.Addr)
-			w.u64(n.Freq)
-			w.raw(n.Data[:])
-		}
-		w.u64(uint64(len(t.FarFreq)))
-		for _, f := range t.FarFreq {
-			w.u64(f.Addr)
-			w.u64(f.Count)
-		}
-		w.u64(t.FreqOps)
-		for _, v := range t.Counters {
-			w.u64(v)
-		}
-	}
-}
-
-func encodeTable(w *writer, t *copr.TableState) {
-	w.bool(t != nil)
-	if t == nil {
-		return
-	}
-	w.u64(t.Tick)
-	w.u32(uint32(t.Sets))
-	w.u32(uint32(t.Ways))
-	for _, e := range t.Entries {
-		w.bool(e.Valid)
-		w.u64(e.Key)
-		w.u64(e.A)
-		w.u64(e.B)
-		w.u64(e.Used)
-	}
-}
-
-// ---------------------------------------------------------------------
-// decoding
-
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format+": %w", append(args, ErrCorrupt)...)
-	}
-}
-
-func (r *reader) remaining() int { return len(r.b) - r.off }
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.remaining() < n {
-		r.fail("truncated at offset %d (need %d bytes, have %d)", r.off, n, r.remaining())
-		return nil
-	}
-	p := r.b[r.off : r.off+n]
-	r.off += n
-	return p
-}
-
-func (r *reader) u8() uint8 {
-	p := r.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
-func (r *reader) u16() uint16 {
-	p := r.take(2)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(p)
-}
-
-func (r *reader) u32() uint32 {
-	p := r.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(p)
-}
-
-func (r *reader) u64() uint64 {
-	p := r.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(p)
-}
-
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *reader) bool() bool {
-	switch r.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.fail("boolean field at offset %d not 0 or 1", r.off-1)
-		return false
-	}
-}
-
-// count reads an element count and validates it against the remaining
-// input, given the minimum encoded size of one element — a corrupted
-// count can never force an over-allocation.
-func (r *reader) count(minElem int, what string) int {
-	n := r.u64()
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64(r.remaining()/minElem) {
-		r.fail("%s count %d exceeds remaining input", what, n)
-		return 0
-	}
-	return int(n)
-}
-
 // DecodeBytes parses a canonical snapshot. It never panics: truncated,
 // corrupted, or version-skewed input returns an error.
 func DecodeBytes(b []byte) (*ClusterState, error) {
-	r := &reader{b: b}
-	if m := r.take(len(magic)); r.err == nil {
-		for i := range magic {
-			if m[i] != magic[i] {
-				r.fail("bad magic")
-				break
-			}
-		}
-	}
-	if v := r.u16(); r.err == nil && v != Version {
-		return nil, fmt.Errorf("%w: got version %d, support %d", ErrVersion, v, Version)
-	}
-	nEng := r.u32()
-	if r.err == nil && nEng > uint64Max32(r.remaining()) {
-		r.fail("engine count %d exceeds remaining input", nEng)
-	}
+	c := &codec{b: b, dec: true}
 	cs := &ClusterState{}
-	for i := uint32(0); r.err == nil && i < nEng; i++ {
-		cs.Engines = append(cs.Engines, decodeEngine(r))
+	walkCluster(c, cs)
+	if c.err != nil {
+		return nil, c.err
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after snapshot: %w", r.remaining(), ErrCorrupt)
+	if c.remaining() != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after snapshot: %w", c.remaining(), ErrCorrupt)
 	}
 	return cs, nil
-}
-
-// uint64Max32 bounds a u32 count by the remaining bytes (each engine
-// needs at least a few dozen bytes; 1 is a safe floor).
-func uint64Max32(remaining int) uint32 {
-	if remaining < 0 {
-		return 0
-	}
-	return uint32(remaining)
 }
 
 // Decode reads all of in and parses it as a snapshot.
@@ -401,210 +109,403 @@ func Decode(in io.Reader) (*ClusterState, error) {
 	return DecodeBytes(b)
 }
 
-func decodeEngine(r *reader) *EngineState {
-	e := &EngineState{}
-	e.Opts.CIDBits = int(int32(r.u32()))
-	e.Opts.Seed = int64(r.u64())
-	flags := r.u8()
-	if r.err == nil && flags > 3 {
-		r.fail("unknown option flags %#x", flags)
-	}
-	e.Opts.DisablePredictor = flags&1 != 0
-	e.Opts.ExtendedCompression = flags&2 != 0
-	e.Opts.Predictor.MemorySize = int64(r.u64())
-	e.Opts.Predictor.GICounters = int(int32(r.u32()))
-	e.Opts.Predictor.GIThreshold = r.u8()
-	e.Opts.Predictor.PaPRBytes = int(int32(r.u32()))
-	e.Opts.Predictor.PaPRWays = int(int32(r.u32()))
-	e.Opts.Predictor.LiPRBytes = int(int32(r.u32()))
-	e.Opts.Predictor.LiPRWays = int(int32(r.u32()))
-	en := r.u8()
-	if r.err == nil && en > 7 {
-		r.fail("unknown predictor enable flags %#x", en)
-	}
-	e.Opts.Predictor.EnableGI = en&1 != 0
-	e.Opts.Predictor.EnablePaPR = en&2 != 0
-	e.Opts.Predictor.EnableLiPR = en&4 != 0
+// ---------------------------------------------------------------------
+// the codec: one cursor, two directions
 
-	if r.bool() {
-		t := &tier.Config{}
-		t.NearLines = int64(r.u64())
-		pl := int(r.u8())
-		if r.err == nil && pl > 32 {
-			r.fail("tier policy name length %d exceeds 32", pl)
+// codec is a cursor over snapv1 bytes that either appends to b
+// (encoding) or consumes b from off (decoding). Every primitive takes a
+// pointer to the field it carries, so one walk describes the layout for
+// both directions. Encoding only ever reads through the pointers: a
+// state being encoded may be shared.
+type codec struct {
+	b   []byte
+	off int
+	dec bool
+	err error // decode only; once set, every primitive is a no-op
+}
+
+// fail records a decode error; only the first one sticks, so checks
+// that run on the zeroes read after it need no guard of their own.
+// Validation is the decoder's job alone — the encoder trusts its input
+// — so callers guard checks with c.dec.
+func (c *codec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format+": %w", append(args, ErrCorrupt)...)
+	}
+}
+
+func (c *codec) remaining() int { return len(c.b) - c.off }
+
+// take consumes the next n input bytes, or fails and returns nil.
+func (c *codec) take(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if c.remaining() < n {
+		c.fail("truncated at offset %d (need %d bytes, have %d)", c.off, n, c.remaining())
+		return nil
+	}
+	p := c.b[c.off : c.off+n]
+	c.off += n
+	return p
+}
+
+// raw carries len(p) bytes verbatim.
+func (c *codec) raw(p []byte) {
+	if !c.dec {
+		c.b = append(c.b, p...)
+		return
+	}
+	copy(p, c.take(len(p)))
+}
+
+func (c *codec) u8(p *uint8) {
+	if !c.dec {
+		c.b = append(c.b, *p)
+	} else if b := c.take(1); b != nil {
+		*p = b[0]
+	}
+}
+
+func (c *codec) u16(p *uint16) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint16(c.b, *p)
+	} else if b := c.take(2); b != nil {
+		*p = binary.LittleEndian.Uint16(b)
+	}
+}
+
+func (c *codec) u32(p *uint32) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint32(c.b, *p)
+	} else if b := c.take(4); b != nil {
+		*p = binary.LittleEndian.Uint32(b)
+	}
+}
+
+func (c *codec) u64(p *uint64) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint64(c.b, *p)
+	} else if b := c.take(8); b != nil {
+		*p = binary.LittleEndian.Uint64(b)
+	}
+}
+
+// i32 and i64 carry Go ints as two's-complement u32/u64.
+func (c *codec) i32(p *int) {
+	v := uint32(*p)
+	c.u32(&v)
+	if c.dec {
+		*p = int(int32(v))
+	}
+}
+
+func (c *codec) i64(p *int64) {
+	v := uint64(*p)
+	c.u64(&v)
+	if c.dec {
+		*p = int64(v)
+	}
+}
+
+func (c *codec) f64(p *float64) {
+	v := math.Float64bits(*p)
+	c.u64(&v)
+	if c.dec {
+		*p = math.Float64frombits(v)
+	}
+}
+
+// str carries a string as a u8 length plus its bytes; decoding rejects
+// lengths above max.
+func (c *codec) str(p *string, max int, what string) {
+	n := uint8(len(*p))
+	c.u8(&n)
+	if !c.dec {
+		c.b = append(c.b, *p...)
+		return
+	}
+	if int(n) > max {
+		c.fail("%s length %d exceeds %d", what, n, max)
+	}
+	*p = string(c.take(int(n)))
+}
+
+// bool carries one byte that must be 0 or 1.
+func (c *codec) bool(p *bool) {
+	var v uint8
+	if *p {
+		v = 1
+	}
+	c.u8(&v)
+	if c.dec {
+		if v > 1 {
+			c.fail("boolean field at offset %d not 0 or 1", c.off-1)
 		}
-		t.Policy = string(r.take(pl))
-		t.FreqThreshold = r.u64()
-		t.FreqDecayEvery = r.u64()
-		t.PinShift = r.u32()
-		t.PinPrefix = r.u64()
-		t.Link.FarLatencyNs = r.f64()
-		t.Link.FarBandwidthMult = r.f64()
-		t.Link.NearEnergyPerByte = r.f64()
-		t.Link.FarEnergyPerByte = r.f64()
-		if r.err == nil {
-			e.Tier = t
+		*p = v == 1
+	}
+}
+
+// flags carries up to eight booleans as one byte, bits[i] in bit i, and
+// rejects a byte with any higher bit set.
+func (c *codec) flags(what string, bits ...*bool) {
+	var v uint8
+	for i, b := range bits {
+		if *b {
+			v |= 1 << i
 		}
+	}
+	c.u8(&v)
+	if !c.dec {
+		return
+	}
+	if int(v) >= 1<<len(bits) {
+		c.fail("unknown %s flags %#x at offset %d", what, v, c.off-1)
+	}
+	for i, b := range bits {
+		*b = v&(1<<i) != 0
+	}
+}
+
+// bound vets a decoded element count against the remaining input, given
+// the minimum encoded size of one element — a corrupted count can never
+// force an over-allocation. An encoder's count passes through.
+func (c *codec) bound(n uint64, minElem int, what string) int {
+	if c.err != nil {
+		return 0
+	}
+	if c.dec && n > uint64(c.remaining()/minElem) {
+		c.fail("%s count %d exceeds remaining input", what, n)
+		return 0
+	}
+	return int(n)
+}
+
+// count32 carries an element count as a u32 and returns it, bounded at
+// one byte an element, a safe floor.
+func (c *codec) count32(n int, what string) int {
+	v := uint32(n)
+	c.u32(&v)
+	return c.bound(uint64(v), 1, what)
+}
+
+// slice carries len(*p) as a u64 count and returns it; decoding bounds
+// it and only then allocates the elements the walk goes on to fill in.
+func slice[T any](c *codec, p *[]T, minElem int, what string) int {
+	v := uint64(len(*p))
+	c.u64(&v)
+	n := c.bound(v, minElem, what)
+	if c.dec {
+		*p = make([]T, n)
+	}
+	return n
+}
+
+// present carries the presence byte of an optional section and reports
+// whether the section follows; decoding allocates it.
+func present[T any](c *codec, p **T) bool {
+	has := *p != nil
+	c.bool(&has)
+	if c.dec && has && c.err == nil {
+		*p = new(T)
+	}
+	return has && c.err == nil
+}
+
+// ---------------------------------------------------------------------
+// the walk: the snapv1 layout, written once
+//
+// EncodeBytes and DecodeBytes run the same walk* functions, so the two
+// directions cannot drift apart. Adding a field is one line here (plus a
+// Version bump); `if c.dec` marks the decoder-only work: allocation and
+// validation.
+
+func walkCluster(c *codec, cs *ClusterState) {
+	m := magic
+	c.raw(m[:])
+	if c.dec && m != magic {
+		c.fail("bad magic")
+	}
+	v := uint16(Version)
+	c.u16(&v)
+	if c.err == nil && v != Version {
+		c.err = fmt.Errorf("%w: got version %d, support %d", ErrVersion, v, Version)
+	}
+	n := c.count32(len(cs.Engines), "engine")
+	for i := 0; c.err == nil && i < n; i++ {
+		if c.dec {
+			cs.Engines = append(cs.Engines, &EngineState{})
+		}
+		walkEngine(c, cs.Engines[i])
+	}
+}
+
+func walkEngine(c *codec, e *EngineState) {
+	o := &e.Opts
+	c.i32(&o.CIDBits)
+	c.i64(&o.Seed)
+	c.flags("option", &o.DisablePredictor, &o.ExtendedCompression)
+	p := &o.Predictor
+	c.i64(&p.MemorySize)
+	c.i32(&p.GICounters)
+	c.u8(&p.GIThreshold)
+	c.i32(&p.PaPRBytes)
+	c.i32(&p.PaPRWays)
+	c.i32(&p.LiPRBytes)
+	c.i32(&p.LiPRWays)
+	c.flags("predictor enable", &p.EnableGI, &p.EnablePaPR, &p.EnableLiPR)
+
+	if present(c, &e.Tier) {
+		t := e.Tier
+		c.i64(&t.NearLines)
+		c.str(&t.Policy, 32, "tier policy name")
+		c.u64(&t.FreqThreshold)
+		c.u64(&t.FreqDecayEvery)
+		c.u32(&t.PinShift)
+		c.u64(&t.PinPrefix)
+		c.f64(&t.Link.FarLatencyNs)
+		c.f64(&t.Link.FarBandwidthMult)
+		c.f64(&t.Link.NearEnergyPerByte)
+		c.f64(&t.Link.FarEnergyPerByte)
 	}
 	for i := range e.Robust {
-		e.Robust[i] = r.u64()
+		c.u64(&e.Robust[i])
 	}
-	nShards := r.u32()
-	if r.err == nil && nShards > uint64Max32(r.remaining()) {
-		r.fail("shard count %d exceeds remaining input", nShards)
+	n := c.count32(len(e.Shards), "shard")
+	for i := 0; c.err == nil && i < n; i++ {
+		if c.dec {
+			e.Shards = append(e.Shards, ShardState{Mem: &core.MemoryState{}})
+		}
+		walkShard(c, &e.Shards[i], e.Tier != nil)
 	}
-	for i := uint32(0); r.err == nil && i < nShards; i++ {
-		e.Shards = append(e.Shards, decodeShard(r, e.Tier != nil))
-	}
-	return e
 }
 
-func decodeShard(r *reader, tiered bool) ShardState {
-	s := ShardState{Mem: &core.MemoryState{}}
+func walkShard(c *codec, s *ShardState, tiered bool) {
 	m := s.Mem
-	nLines := r.count(8+1+core.LineSize, "line")
-	m.Lines = make([]core.LineState, 0, nLines)
-	var prevAddr uint64
-	for i := 0; r.err == nil && i < nLines; i++ {
-		var l core.LineState
-		l.Addr = r.u64()
-		if i > 0 && l.Addr <= prevAddr {
-			r.fail("lines not strictly sorted at index %d", i)
-			break
+	n := slice(c, &m.Lines, 8+1+core.LineSize, "line")
+	for i := 0; c.err == nil && i < n; i++ {
+		l := &m.Lines[i]
+		c.u64(&l.Addr)
+		if c.dec && i > 0 && l.Addr <= m.Lines[i-1].Addr {
+			c.fail("lines not strictly sorted at index %d", i)
 		}
-		prevAddr = l.Addr
-		flags := r.u8()
-		if r.err == nil && flags > 3 {
-			r.fail("unknown line flags %#x at index %d", flags, i)
-			break
+		c.flags("line", &l.Compressed, &l.Collision)
+		if c.dec && l.Compressed && l.Collision {
+			c.fail("line %d both compressed and collided", i)
 		}
-		if flags == 3 {
-			r.fail("line %d both compressed and collided", i)
-			break
-		}
-		l.Compressed = flags&1 != 0
-		l.Collision = flags&2 != 0
-		copy(l.Blocks[0][:], r.take(core.SubRankBlock))
-		copy(l.Blocks[1][:], r.take(core.SubRankBlock))
-		m.Lines = append(m.Lines, l)
+		c.raw(l.Blocks[0][:])
+		c.raw(l.Blocks[1][:])
 	}
-	m.Stats.Reads = r.u64()
-	m.Stats.Writes = r.u64()
-	m.Stats.BlocksRead = r.u64()
-	m.Stats.BlocksWritten = r.u64()
-	m.Stats.Mispredictions = r.u64()
-	m.Stats.RAAccesses = r.u64()
-	m.Stats.CompressedLines = r.u64()
-	m.Stats.RAOccupancy = r.u64()
-	m.Stats.Lines = uint64(len(m.Lines))
+	c.u64(&m.Stats.Reads)
+	c.u64(&m.Stats.Writes)
+	c.u64(&m.Stats.BlocksRead)
+	c.u64(&m.Stats.BlocksWritten)
+	c.u64(&m.Stats.Mispredictions)
+	c.u64(&m.Stats.RAAccesses)
+	c.u64(&m.Stats.CompressedLines)
+	c.u64(&m.Stats.RAOccupancy)
+	if c.dec {
+		m.Stats.Lines = uint64(len(m.Lines))
+	}
 
-	m.Blem.CID = r.u16()
-	nRA := r.count(9, "RA entry")
-	m.Blem.RA = make(map[uint64]bool, nRA)
-	var prevRA uint64
-	for i := 0; r.err == nil && i < nRA; i++ {
-		a := r.u64()
-		if i > 0 && a <= prevRA {
-			r.fail("RA entries not strictly sorted at index %d", i)
-			break
+	// The Replacement Area is a map; on the wire it is its entries
+	// sorted by address.
+	c.u16(&m.Blem.CID)
+	var ra []uint64
+	if !c.dec {
+		ra = make([]uint64, 0, len(m.Blem.RA))
+		for a := range m.Blem.RA {
+			ra = append(ra, a)
 		}
-		prevRA = a
-		m.Blem.RA[a] = r.bool()
+		sort.Slice(ra, func(i, j int) bool { return ra[i] < ra[j] })
+	}
+	n = slice(c, &ra, 9, "RA entry")
+	if c.dec {
+		m.Blem.RA = make(map[uint64]bool, n)
+	}
+	for i := 0; c.err == nil && i < n; i++ {
+		c.u64(&ra[i])
+		if c.dec && i > 0 && ra[i] <= ra[i-1] {
+			c.fail("RA entries not strictly sorted at index %d", i)
+		}
+		v := m.Blem.RA[ra[i]]
+		c.bool(&v)
+		if c.dec {
+			m.Blem.RA[ra[i]] = v
+		}
 	}
 	for i := range m.Blem.Stats {
-		m.Blem.Stats[i] = r.u64()
+		c.u64(&m.Blem.Stats[i])
 	}
 
-	if r.bool() {
-		c := &copr.State{}
-		nGI := r.u32()
-		if r.err == nil && int(nGI) > r.remaining() {
-			r.fail("GI counter count %d exceeds remaining input", nGI)
+	if present(c, &m.Copr) {
+		p := m.Copr
+		n = c.count32(len(p.GI), "GI counter")
+		if c.dec {
+			p.GI = make([]uint8, n)
 		}
-		c.GI = append([]uint8(nil), r.take(int(nGI))...)
-		c.PaPR = decodeTable(r, "PaPR")
-		c.LiPR = decodeTable(r, "LiPR")
-		c.Overall.Hits = r.u64()
-		c.Overall.Total = r.u64()
-		for i := range c.BySource {
-			c.BySource[i].Hits = r.u64()
-			c.BySource[i].Total = r.u64()
-		}
-		if r.err == nil {
-			m.Copr = c
+		c.raw(p.GI)
+		walkTable(c, &p.PaPR, "PaPR")
+		walkTable(c, &p.LiPR, "LiPR")
+		c.u64(&p.Overall.Hits)
+		c.u64(&p.Overall.Total)
+		for i := range p.BySource {
+			c.u64(&p.BySource[i].Hits)
+			c.u64(&p.BySource[i].Total)
 		}
 	}
 
-	hasTier := r.bool()
-	if r.err == nil && hasTier != tiered {
-		r.fail("shard tier-state presence (%v) disagrees with engine tier config (%v)", hasTier, tiered)
+	has := present(c, &s.Tier)
+	if c.dec && has != tiered {
+		c.fail("shard tier-state presence (%v) disagrees with engine tier config (%v)", has, tiered)
 	}
-	if r.err == nil && hasTier {
-		t := &tier.State{}
-		nNear := r.count(8+8+tier.LineSize, "near line")
-		t.Near = make([]tier.NearLineState, 0, nNear)
-		for i := 0; r.err == nil && i < nNear; i++ {
-			var n tier.NearLineState
-			n.Addr = r.u64()
-			n.Freq = r.u64()
-			copy(n.Data[:], r.take(tier.LineSize))
-			t.Near = append(t.Near, n)
+	if has {
+		t := s.Tier
+		n = slice(c, &t.Near, 8+8+tier.LineSize, "near line")
+		for i := 0; c.err == nil && i < n; i++ {
+			// Recency order, least recently used first: no sortedness to check.
+			c.u64(&t.Near[i].Addr)
+			c.u64(&t.Near[i].Freq)
+			c.raw(t.Near[i].Data[:])
 		}
-		nFreq := r.count(16, "freq counter")
-		t.FarFreq = make([]tier.FreqCount, 0, nFreq)
-		for i := 0; r.err == nil && i < nFreq; i++ {
-			var f tier.FreqCount
-			f.Addr = r.u64()
-			if i > 0 && f.Addr <= t.FarFreq[i-1].Addr {
-				r.fail("freq counters not strictly sorted at index %d", i)
-				break
+		n = slice(c, &t.FarFreq, 16, "freq counter")
+		for i := 0; c.err == nil && i < n; i++ {
+			c.u64(&t.FarFreq[i].Addr)
+			if c.dec && i > 0 && t.FarFreq[i].Addr <= t.FarFreq[i-1].Addr {
+				c.fail("freq counters not strictly sorted at index %d", i)
 			}
-			f.Count = r.u64()
-			t.FarFreq = append(t.FarFreq, f)
+			c.u64(&t.FarFreq[i].Count)
 		}
-		t.FreqOps = r.u64()
+		c.u64(&t.FreqOps)
 		for i := range t.Counters {
-			t.Counters[i] = r.u64()
-		}
-		if r.err == nil {
-			s.Tier = t
+			c.u64(&t.Counters[i])
 		}
 	}
-	return s
 }
 
-func decodeTable(r *reader, what string) *copr.TableState {
-	if !r.bool() {
-		return nil
+func walkTable(c *codec, pt **copr.TableState, what string) {
+	if !present(c, pt) {
+		return
 	}
-	t := &copr.TableState{}
-	t.Tick = r.u64()
-	sets := r.u32()
-	ways := r.u32()
-	if r.err != nil {
-		return nil
+	t := *pt
+	c.u64(&t.Tick)
+	c.i32(&t.Sets)
+	c.i32(&t.Ways)
+	n := len(t.Entries)
+	if c.dec {
+		const maxDim = 1 << 24
+		if t.Sets < 0 || t.Sets > maxDim || t.Ways < 0 || t.Ways > maxDim {
+			c.fail("%s table geometry %dx%d out of range", what, uint32(t.Sets), uint32(t.Ways))
+		}
+		n = c.bound(uint64(t.Sets)*uint64(t.Ways), 33, what+" table entry")
+		t.Entries = make([]copr.EntryState, n)
 	}
-	const maxDim = 1 << 24
-	if sets > maxDim || ways > maxDim {
-		r.fail("%s table geometry %dx%d out of range", what, sets, ways)
-		return nil
+	for i := 0; c.err == nil && i < n; i++ {
+		e := &t.Entries[i]
+		c.bool(&e.Valid)
+		c.u64(&e.Key)
+		c.u64(&e.A)
+		c.u64(&e.B)
+		c.u64(&e.Used)
 	}
-	n := uint64(sets) * uint64(ways)
-	if n > uint64(r.remaining()/33) {
-		r.fail("%s table entry count %d exceeds remaining input", what, n)
-		return nil
-	}
-	t.Sets = int(sets)
-	t.Ways = int(ways)
-	t.Entries = make([]copr.EntryState, 0, n)
-	for i := uint64(0); r.err == nil && i < n; i++ {
-		var e copr.EntryState
-		e.Valid = r.bool()
-		e.Key = r.u64()
-		e.A = r.u64()
-		e.B = r.u64()
-		e.Used = r.u64()
-		t.Entries = append(t.Entries, e)
-	}
-	return t
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -178,4 +180,99 @@ func TestDecodeRejects(t *testing.T) {
 			t.Fatalf("huge count: got %v, want ErrCorrupt", err)
 		}
 	})
+}
+
+// fixtureEngine drives the seeded workload behind the committed
+// testdata/*.snapv1 fixtures: a 3-bit CID so incompressible lines
+// collide into the Replacement Area, a small predictor so the tables
+// stay a few KB, and (tiered) the freq policy so near lines and far
+// freq counters are both populated.
+func fixtureEngine(t *testing.T, tiered bool) *shard.Engine {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.Seed = 42
+	opts.CIDBits = 3
+	opts.Predictor.PaPRBytes, opts.Predictor.PaPRWays = 64, 2
+	opts.Predictor.LiPRBytes, opts.Predictor.LiPRWays = 256, 2
+	cfg := shard.Config{Shards: 2}
+	if tiered {
+		cfg.Tier = &tier.Config{NearLines: 8, Policy: tier.PolicyFreq, FreqThreshold: 2, FreqDecayEvery: 64}
+	}
+	eng, err := shard.New(opts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	rng := rand.New(rand.NewSource(7))
+	line := make([]byte, core.LineSize)
+	for i := 0; i < 900; i++ {
+		addr := uint64(rng.Intn(160))
+		if rng.Intn(2) == 0 {
+			if addr%2 == 0 {
+				rng.Read(line)
+			} else {
+				for j := range line {
+					line[j] = byte(addr)
+				}
+			}
+			if err := eng.Write(addr, line); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := eng.Read(addr); err != nil && !errors.Is(err, core.ErrNeverWritten) {
+			t.Fatal(err)
+		}
+	}
+	return eng
+}
+
+// TestFixtures pins the snapv1 byte layout against snapshots written by
+// the two-sided encoder that preceded the single walk (the commit before
+// the codec collapse, same workload): today's WriteSnapshot must
+// reproduce them byte for byte, and they must survive decode→encode
+// unchanged. Never regenerate these files to make the test pass — a
+// diff here is a format change and needs a Version bump.
+func TestFixtures(t *testing.T) {
+	for _, fx := range []struct {
+		file   string
+		tiered bool
+	}{
+		{"untiered-predictor.snapv1", false},
+		{"tiered-freq.snapv1", true},
+	} {
+		t.Run(fx.file, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", fx.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := fixtureEngine(t, fx.tiered).WriteSnapshot(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("WriteSnapshot wrote %d bytes that differ from the %d-byte fixture", got.Len(), len(want))
+			}
+			cs, err := snap.DecodeBytes(want)
+			if err != nil {
+				t.Fatalf("fixture does not decode: %v", err)
+			}
+			if !bytes.Equal(snap.EncodeBytes(cs), want) {
+				t.Fatal("EncodeBytes(DecodeBytes(fixture)) != fixture")
+			}
+			// The fixture is only a pin if every optional section is in it.
+			var ra, near, freq int
+			for _, s := range cs.Engines[0].Shards {
+				if s.Mem.Copr == nil || s.Mem.Copr.PaPR == nil || s.Mem.Copr.LiPR == nil {
+					t.Fatal("fixture shard has no predictor tables")
+				}
+				ra += len(s.Mem.Blem.RA)
+				if s.Tier != nil {
+					near += len(s.Tier.Near)
+					freq += len(s.Tier.FarFreq)
+				}
+			}
+			if ra == 0 || fx.tiered && (near == 0 || freq == 0) {
+				t.Fatalf("fixture sections empty: RA=%d near=%d freq=%d", ra, near, freq)
+			}
+		})
+	}
 }

@@ -1,6 +1,8 @@
 // Package stats provides the counters, histograms, and derived-metric
 // helpers used by every component of the Attaché simulator, plus small
-// table-formatting utilities for the experiment harness.
+// table-formatting utilities for the experiment harness. It is also the
+// leaf where the serving side keeps the two numeric definitions its
+// packages must agree on: Quantile and SplitMix64.
 package stats
 
 import (
@@ -184,6 +186,29 @@ func (h *Histogram) Percentile(p float64) float64 {
 		}
 	}
 	return float64(len(h.buckets)) * h.bucketWidth
+}
+
+// Quantile reads the q-quantile (0 <= q <= 1) of a non-empty sample
+// sorted ascending, by the nearest-rank rule index = floor(q*(n-1)): q=0
+// is the minimum, q=1 the maximum, and no index is ever out of range.
+// Every exact-sample quantile the serving side reports (loadgen's
+// report, the cluster's per-class SLO view) is this one, so they agree
+// on the same samples.
+func Quantile[T any](sorted []T, q float64) T {
+	return sorted[int(q*float64(len(sorted)-1))]
+}
+
+// SplitMix64 is the splitmix64 finalizer: a bijective 64-bit mixer with
+// full avalanche. It is the one hash the serving side uses — shard
+// placement, affinity routing, the scrambler keystream, trace IDs and
+// workload sub-seeds all call it, and each of them pins its output, so
+// the constants may never change. Small enough to inline at every call
+// site, across packages.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	return x ^ x>>31
 }
 
 // Bucket reports the count in bucket i.

@@ -91,6 +91,31 @@ func TestHistogramPercentile(t *testing.T) {
 	}
 }
 
+// TestQuantile pins the nearest-rank rule index = floor(q*(n-1)).
+func TestQuantile(t *testing.T) {
+	s := []int{10, 20, 30}
+	for q, want := range map[float64]int{0: 10, 0.49: 10, 0.5: 20, 0.99: 20, 1: 30} {
+		if got := Quantile(s, q); got != want {
+			t.Errorf("Quantile(%v, %v) = %d, want %d", s, q, got, want)
+		}
+	}
+	if got := Quantile([]string{"only"}, 0.99); got != "only" {
+		t.Errorf("single-sample quantile = %q", got)
+	}
+}
+
+// TestSplitMix64 pins the mixer to the reference splitmix64 stream
+// (Vigna's first outputs for seed 0): shard placement, the scrambler
+// keystream and every golden depend on these exact bits.
+func TestSplitMix64(t *testing.T) {
+	const gamma = 0x9E3779B97F4A7C15
+	for i, want := range []uint64{0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F} {
+		if got := SplitMix64(uint64(i) * gamma); got != want {
+			t.Errorf("output %d = %#x, want %#x", i, got, want)
+		}
+	}
+}
+
 func TestHistogramNegativeClamps(t *testing.T) {
 	h := NewHistogram(1, 4)
 	h.Observe(-3)

@@ -38,6 +38,7 @@ import (
 	"attache/internal/core"
 	"attache/internal/loadgen"
 	"attache/internal/shard"
+	"attache/internal/stats"
 )
 
 // Process selects a client's inter-arrival distribution.
@@ -247,18 +248,11 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// splitmix64 is the sub-seed mixer: one multiply-xorshift pass with full
-// avalanche, so adjacent client indices get unrelated RNG streams.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // clientSeed derives client i's private RNG seed from the spec seed.
+// splitmix64 has full avalanche, so adjacent client indices get
+// unrelated RNG streams.
 func clientSeed(seed int64, i int) int64 {
-	return int64(splitmix64(uint64(seed) ^ splitmix64(uint64(i)+1)))
+	return int64(stats.SplitMix64(uint64(seed) ^ stats.SplitMix64(uint64(i)+1)))
 }
 
 // Compose expands spec into its deterministic, time-merged event
@@ -473,7 +467,7 @@ func (g *chaseGen) next(rng *rand.Rand) uint64 {
 	// Dependent chain: the next address is a hash of the current one, so
 	// the walk has no stride, no page locality, and no prefetchable
 	// structure — each hop depends on the last.
-	g.cur = splitmix64(g.cur + 1)
+	g.cur = stats.SplitMix64(g.cur + 1)
 	return g.cur % g.space
 }
 

@@ -7,7 +7,7 @@
 #   - only the over-quota tenant is refused (429); the other sees zero
 #     quota sheds
 #   - stats v2 carries the cluster section (instances, router, classes,
-#     jain_fairness) and v1 still round-trips the flat legacy shape
+#     jain_fairness)
 #
 # Needs: curl, jq. Exits non-zero on the first broken assertion.
 set -euo pipefail
@@ -57,11 +57,6 @@ echo "$stats" | jq -e '.cluster.jain_fairness > 0 and .cluster.jain_fairness <= 
   { echo "FAIL: jain_fairness out of range"; exit 1; }
 echo "$stats" | jq -e '.cluster.classes | map(.class) | index("gold") != null' >/dev/null ||
   { echo "FAIL: gold class missing from quantiles"; exit 1; }
-
-# The deprecated v1 shape still round-trips, without v2 fields.
-curl -sf "$base/v1/stats?v=1" |
-  jq -e '(.total.writes > 0) and (.schema_version == null) and (.telemetry | length == 0 | not)' >/dev/null ||
-  { echo "FAIL: legacy v1 stats broken"; exit 1; }
 
 # The admitted work conserves across the fleet: merged totals equal the
 # sum of per-instance totals.
