@@ -44,6 +44,7 @@ import (
 	"attache"
 	"attache/internal/obs"
 	"attache/internal/shard"
+	"attache/internal/wire"
 )
 
 // Client talks to one attached daemon. It is safe for concurrent use.
@@ -298,9 +299,7 @@ func budgetErr(ctxErr error, attempts int, lastErr error) error {
 
 // statusToErr turns a terminal non-2xx response into an error.
 func statusToErr(code int, body []byte) error {
-	var er struct {
-		Error string `json:"error"`
-	}
+	var er wire.Error
 	msg := strings.TrimSpace(string(body))
 	if json.Unmarshal(body, &er) == nil && er.Error != "" {
 		msg = er.Error
@@ -308,14 +307,9 @@ func statusToErr(code int, body []byte) error {
 	return &StatusError{Code: code, Message: msg}
 }
 
-type lineBody struct {
-	Addr uint64 `json:"addr"`
-	Data []byte `json:"data,omitempty"`
-}
-
 // Read fetches the 64-byte line at addr.
 func (c *Client) Read(ctx context.Context, addr uint64) ([]byte, error) {
-	body, err := json.Marshal(lineBody{Addr: addr})
+	body, err := json.Marshal(wire.Line{Addr: addr})
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +320,7 @@ func (c *Client) Read(ctx context.Context, addr uint64) ([]byte, error) {
 	if code != http.StatusOK {
 		return nil, statusToErr(code, respBody)
 	}
-	var resp lineBody
+	var resp wire.Line
 	if err := json.Unmarshal(respBody, &resp); err != nil {
 		return nil, fmt.Errorf("client: bad read response: %w", err)
 	}
@@ -335,7 +329,7 @@ func (c *Client) Read(ctx context.Context, addr uint64) ([]byte, error) {
 
 // Write stores the 64-byte line data at addr.
 func (c *Client) Write(ctx context.Context, addr uint64, data []byte) error {
-	body, err := json.Marshal(lineBody{Addr: addr, Data: data})
+	body, err := json.Marshal(wire.Line{Addr: addr, Data: data})
 	if err != nil {
 		return err
 	}
@@ -349,26 +343,14 @@ func (c *Client) Write(ctx context.Context, addr uint64, data []byte) error {
 	return nil
 }
 
-type batchOp struct {
-	Op   string `json:"op"`
-	Addr uint64 `json:"addr"`
-	Data []byte `json:"data,omitempty"`
-}
-
-type batchResult struct {
-	Addr  uint64 `json:"addr"`
-	Data  []byte `json:"data,omitempty"`
-	OK    bool   `json:"ok,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
 // Do submits a batch of ops with the daemon's per-op failure isolation:
 // the returned slice matches ops in order, and each Result carries its
 // own error (resolved to attache sentinels where possible).
 func (c *Client) Do(ctx context.Context, ops []attache.Op) ([]attache.Result, error) {
-	reqOps := make([]batchOp, len(ops))
+	reqOps := make([]wire.Op, len(ops))
 	for i, op := range ops {
-		reqOps[i] = batchOp{Op: "read", Addr: op.Addr}
+		// Addr points into the caller's slice: no per-op allocation.
+		reqOps[i] = wire.Op{Op: "read", Addr: &ops[i].Addr}
 		if op.Write {
 			reqOps[i].Op, reqOps[i].Data = "write", op.Data
 		}
@@ -384,9 +366,7 @@ func (c *Client) Do(ctx context.Context, ops []attache.Op) ([]attache.Result, er
 	if code != http.StatusOK {
 		return nil, statusToErr(code, respBody)
 	}
-	var resp struct {
-		Results []batchResult `json:"results"`
-	}
+	var resp wire.Batch
 	if err := json.Unmarshal(respBody, &resp); err != nil {
 		return nil, fmt.Errorf("client: bad batch response: %w", err)
 	}
@@ -425,47 +405,12 @@ func opErr(msg string) error {
 	return errors.New(msg)
 }
 
-// StatsV2 is the schema-version-2 stats document served at /v1/stats:
-// nested sections with per-instance engine snapshots, per-SLO-class
-// latency quantiles, a Jain fairness index, and per-tenant accounting.
-type StatsV2 struct {
-	SchemaVersion int `json:"schema_version"`
-	Engine        struct {
-		Shards      int                      `json:"shards"`
-		SRAMBytes   int                      `json:"sram_bytes"`
-		Total       attache.StatsSnapshot    `json:"total"`
-		PerInstance []attache.EngineSnapshot `json:"per_instance"`
-	} `json:"engine"`
-	Robust    attache.RobustStats `json:"robust"`
-	Telemetry struct {
-		UptimeSeconds float64              `json:"uptime_seconds"`
-		Gauges        []attache.ShardGauge `json:"gauges"`
-	} `json:"telemetry"`
-	Cluster struct {
-		Instances    int     `json:"instances"`
-		Router       string  `json:"router"`
-		JainFairness float64 `json:"jain_fairness"`
-		Classes      []struct {
-			Class   string  `json:"class"`
-			Calls   int64   `json:"calls"`
-			Ops     int64   `json:"ops"`
-			P50us   float64 `json:"p50_us"`
-			P90us   float64 `json:"p90_us"`
-			P99us   float64 `json:"p99_us"`
-			MaxUs   float64 `json:"max_us"`
-			Samples int     `json:"samples"`
-		} `json:"classes"`
-	} `json:"cluster"`
-	Tenants []struct {
-		Tenant      string `json:"tenant"`
-		Class       string `json:"class"`
-		Ops         int64  `json:"ops"`
-		OK          int64  `json:"ok"`
-		ShedQuota   int64  `json:"shed_quota"`
-		ShedBackend int64  `json:"shed_backend"`
-		Errors      int64  `json:"errors"`
-	} `json:"tenants"`
-}
+// StatsV2 is the schema-version-2 stats document served at /v1/stats —
+// the very type the daemon encodes: nested sections with per-instance
+// engine snapshots (and the merged Engine.Tiers view on a tiered
+// daemon), per-SLO-class latency quantiles, a Jain fairness index,
+// routing decisions when requested, and per-tenant accounting.
+type StatsV2 = wire.Stats
 
 // StatsV2 fetches the current (schema v2) stats document.
 func (c *Client) StatsV2(ctx context.Context) (StatsV2, error) {

@@ -1,7 +1,10 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -10,6 +13,7 @@ import (
 
 	"attache/internal/obs"
 	"attache/internal/shard"
+	"attache/internal/tier"
 )
 
 // TestNewOptions pins what New resolves: the documented defaults with no
@@ -145,5 +149,56 @@ func TestStatsV2RoundTrip(t *testing.T) {
 	}
 	if len(doc.Cluster.Classes) != 1 || doc.Cluster.Classes[0].Class != "best-effort" {
 		t.Fatalf("classes = %+v, want one best-effort class", doc.Cluster.Classes)
+	}
+}
+
+// TestStatsV2SeesWhatTheServerSends: the client's stats type is the
+// daemon's, so nothing the daemon sends is dropped on the way in — the
+// merged tier view and inlined routing decisions included — and a
+// decoded document re-encodes to the bytes it came from.
+func TestStatsV2SeesWhatTheServerSends(t *testing.T) {
+	ts, eng := newDaemon(t, shard.Config{Shards: 2, Tier: &tier.Config{NearLines: 8}})
+	c := New(ts.URL, fastOpts()...)
+	ctx := context.Background()
+	for i := uint64(0); i < 32; i++ {
+		if err := c.Write(ctx, i, testLine(byte(i))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Read(ctx, i/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	doc, err := c.StatsV2(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := eng.TierSnapshot()
+	if doc.Engine.Tiers == nil || *doc.Engine.Tiers != want || want.Demotions == 0 {
+		t.Fatalf("Engine.Tiers = %+v, want the server's merged tier snapshot %+v", doc.Engine.Tiers, want)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/stats?decisions=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/stats?decisions=4: %d, %v", resp.StatusCode, err)
+	}
+	var raw StatsV2
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if ds := raw.Cluster.Decisions; len(ds) != 4 || ds[3].Seq != 64 || ds[3].Ops != 1 || len(ds[3].Addrs) != 1 {
+		t.Fatalf("Cluster.Decisions = %+v, want the last four of 64 one-op decisions", ds)
+	}
+	again, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(again, '\n'), body) {
+		t.Fatalf("decode→encode changed the document:\n sent %s\n got  %s", body, again)
 	}
 }

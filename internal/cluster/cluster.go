@@ -25,6 +25,7 @@ import (
 	"attache/internal/core"
 	"attache/internal/obs"
 	"attache/internal/shard"
+	"attache/internal/stats"
 	"attache/internal/tier"
 )
 
@@ -345,10 +346,7 @@ func (c *Cluster) EngineSnapshot() shard.Snapshot {
 		s := e.StatsSnapshot()
 		merged.PerShard = append(merged.PerShard, s.PerShard...)
 		merged.SRAMBytes += s.SRAMBytes
-		merged.Robust.Sheds += s.Robust.Sheds
-		merged.Robust.Canceled += s.Robust.Canceled
-		merged.Robust.InjectedErrors += s.Robust.InjectedErrors
-		merged.Robust.InjectedDelays += s.Robust.InjectedDelays
+		stats.Add(&merged.Robust, s.Robust)
 		if s.Tiers != nil {
 			if merged.Tiers == nil {
 				merged.Tiers = &tier.Snapshot{}

@@ -275,7 +275,7 @@ func TestMemoryContainer(t *testing.T) {
 	if m.Lines() != len(written) {
 		t.Fatalf("lines = %d, want %d", m.Lines(), len(written))
 	}
-	if m.stats.Reads.Value() != uint64(len(written)) {
+	if m.stats.Reads != uint64(len(written)) {
 		t.Fatal("read counter wrong")
 	}
 	if acc := m.PredictionAccuracy(); acc < 0 || acc > 1 {
@@ -315,21 +315,38 @@ func TestCompressedLinesGaugeTracksOverwrites(t *testing.T) {
 	if err := m.Write(1, compressibleLine(0)); err != nil {
 		t.Fatal(err)
 	}
-	if m.stats.CompressedLines.Value() != 1 {
-		t.Fatalf("gauge = %d, want 1", m.stats.CompressedLines.Value())
+	if m.stats.CompressedLines != 1 {
+		t.Fatalf("gauge = %d, want 1", m.stats.CompressedLines)
 	}
 	// Overwrite with incompressible content: the gauge must drop.
 	if err := m.Write(1, randomLine(rng)); err != nil {
 		t.Fatal(err)
 	}
-	if m.stats.CompressedLines.Value() != 0 {
-		t.Fatalf("gauge = %d after uncompressible overwrite, want 0", m.stats.CompressedLines.Value())
+	if m.stats.CompressedLines != 0 {
+		t.Fatalf("gauge = %d after uncompressible overwrite, want 0", m.stats.CompressedLines)
 	}
 	// And recover when compressible data returns.
 	if err := m.Write(1, compressibleLine(2)); err != nil {
 		t.Fatal(err)
 	}
-	if m.stats.CompressedLines.Value() != 1 {
-		t.Fatalf("gauge = %d, want 1", m.stats.CompressedLines.Value())
+	if m.stats.CompressedLines != 1 {
+		t.Fatalf("gauge = %d, want 1", m.stats.CompressedLines)
 	}
+}
+
+// TestGaugeUnderflowPanics: a gauge decremented below zero is an
+// accounting bug and must fail loudly, not wrap to 2^64-1.
+func TestGaugeUnderflowPanics(t *testing.T) {
+	g := uint64(2)
+	dec(&g)
+	dec(&g)
+	if g != 0 {
+		t.Fatalf("gauge = %d, want 0", g)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("decrementing zero should panic")
+		}
+	}()
+	dec(&g)
 }

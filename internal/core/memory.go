@@ -7,47 +7,23 @@ import (
 	"attache/internal/stats"
 )
 
-// MemoryStats aggregates traffic through a Memory in the units the paper
-// reports.
-type MemoryStats struct {
-	Reads           stats.Counter
-	Writes          stats.Counter
-	BlocksRead      stats.Counter // 32-byte sub-rank transfers
-	BlocksWritten   stats.Counter
-	Mispredictions  stats.Counter
-	RAAccesses      stats.Counter
-	CompressedLines stats.Counter // current count of compressed lines
-	RAOccupancy     stats.Counter // current count of lines parked in the Replacement Area
-}
-
-// BandwidthSavings reports the fraction of 32-byte transfers avoided
-// relative to an uncompressed system (2 blocks per access).
-func (s *MemoryStats) BandwidthSavings() float64 {
-	total := s.Reads.Value() + s.Writes.Value()
-	if total == 0 {
-		return 0
-	}
-	moved := s.BlocksRead.Value() + s.BlocksWritten.Value()
-	return 1 - float64(moved)/float64(2*total)
-}
-
 // StatsSnapshot is an immutable copy of a Memory's counters plus its
 // derived metrics, taken at one instant. Snapshots are plain values:
 // safe to retain, compare, serialize, and merge across shards.
 type StatsSnapshot struct {
-	Reads           uint64 `json:"reads"`
-	Writes          uint64 `json:"writes"`
-	BlocksRead      uint64 `json:"blocks_read"`
-	BlocksWritten   uint64 `json:"blocks_written"`
-	Mispredictions  uint64 `json:"mispredictions"`
-	RAAccesses      uint64 `json:"ra_accesses"`
-	CompressedLines uint64 `json:"compressed_lines"`
-	RAOccupancy     uint64 `json:"ra_occupancy"`
-	Lines           uint64 `json:"lines"`
+	Reads           uint64 `json:"reads" prom:"attached_reads_total,counter" help:"Line reads served."`
+	Writes          uint64 `json:"writes" prom:"attached_writes_total,counter" help:"Line writes served."`
+	BlocksRead      uint64 `json:"blocks_read" prom:"attached_blocks_read_total,counter" help:"32-byte sub-rank blocks fetched."`
+	BlocksWritten   uint64 `json:"blocks_written" prom:"attached_blocks_written_total,counter" help:"32-byte sub-rank blocks written."`
+	Mispredictions  uint64 `json:"mispredictions" prom:"attached_mispredictions_total,counter" help:"COPR mispredictions (corrective fetches)."`
+	RAAccesses      uint64 `json:"ra_accesses" prom:"attached_ra_accesses_total,counter" help:"Replacement Area reads+writes (CID collisions)."`
+	CompressedLines uint64 `json:"compressed_lines" prom:"attached_compressed_lines,gauge" help:"Lines currently stored compressed."`
+	RAOccupancy     uint64 `json:"ra_occupancy" prom:"attached_ra_occupancy,gauge" help:"Lines currently parked in the Replacement Area."`
+	Lines           uint64 `json:"lines" prom:"attached_lines,gauge" help:"Distinct lines currently stored."`
 	// PredictionAccuracy is COPR's running accuracy at snapshot time
-	// (1 when the predictor is disabled). When snapshots are merged with
-	// Accumulate it becomes the reads-weighted mean across shards.
-	PredictionAccuracy float64 `json:"prediction_accuracy"`
+	// (1 when the predictor is disabled). It does not merge by summing:
+	// Accumulate makes it the reads-weighted mean across shards.
+	PredictionAccuracy float64 `json:"prediction_accuracy" prom:"attached_predictor_accuracy,gauge" help:"COPR running accuracy, reads-weighted across shards."`
 }
 
 // BandwidthSavings reports the fraction of 32-byte transfers the snapshot
@@ -73,19 +49,12 @@ func (s StatsSnapshot) CompressedLineRatio() float64 {
 // PredictionAccuracy becomes the reads-weighted mean of the two, so
 // merging per-shard snapshots yields fleet-level metrics.
 func (s *StatsSnapshot) Accumulate(o StatsSnapshot) {
+	acc := s.PredictionAccuracy
 	if s.Reads+o.Reads > 0 {
-		s.PredictionAccuracy = (s.PredictionAccuracy*float64(s.Reads) +
-			o.PredictionAccuracy*float64(o.Reads)) / float64(s.Reads+o.Reads)
+		acc = (acc*float64(s.Reads) + o.PredictionAccuracy*float64(o.Reads)) / float64(s.Reads+o.Reads)
 	}
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.BlocksRead += o.BlocksRead
-	s.BlocksWritten += o.BlocksWritten
-	s.Mispredictions += o.Mispredictions
-	s.RAAccesses += o.RAAccesses
-	s.CompressedLines += o.CompressedLines
-	s.RAOccupancy += o.RAOccupancy
-	s.Lines += o.Lines
+	stats.Add(s, o)
+	s.PredictionAccuracy = acc
 }
 
 // Memory is a functional compressed memory backed by the Attaché
@@ -107,10 +76,11 @@ type Memory struct {
 	// written line so Read can assert the compress/scramble/BLEM
 	// round-trip returned exactly what was stored.
 	shadow map[uint64][LineSize]byte
-	// stats holds the memory's traffic counters. Readers go through
-	// StatsSnapshot, which returns an immutable copy that stays coherent
-	// while an engine is running.
-	stats MemoryStats
+	// stats holds the memory's traffic counters; its Lines and
+	// PredictionAccuracy are derived and filled in only by
+	// StatsSnapshot, which readers go through: it returns an immutable
+	// copy that stays coherent while an engine is running.
+	stats StatsSnapshot
 }
 
 // NewMemory builds a memory with its own framework instance.
@@ -149,22 +119,22 @@ func (m *Memory) Write(lineAddr uint64, data []byte) error {
 		copy(raw[:], data)
 		m.shadow[lineAddr] = raw
 	}
-	m.stats.Writes.Inc()
-	m.stats.BlocksWritten.Add(uint64(tr.BlocksTouched))
+	m.stats.Writes++
+	m.stats.BlocksWritten += uint64(tr.BlocksTouched)
 	if tr.RAAccess {
-		m.stats.RAAccesses.Inc()
+		m.stats.RAAccesses++
 	}
 	switch {
 	case st.Compressed && (!existed || !prev.Compressed):
-		m.stats.CompressedLines.Inc()
+		m.stats.CompressedLines++
 	case !st.Compressed && existed && prev.Compressed:
-		m.stats.CompressedLines.Dec()
+		dec(&m.stats.CompressedLines)
 	}
 	switch {
 	case st.Collision && (!existed || !prev.Collision):
-		m.stats.RAOccupancy.Inc()
+		m.stats.RAOccupancy++
 	case !st.Collision && existed && prev.Collision:
-		m.stats.RAOccupancy.Dec()
+		dec(&m.stats.RAOccupancy)
 	}
 	return nil
 }
@@ -185,13 +155,13 @@ func (m *Memory) Read(lineAddr uint64) ([]byte, error) {
 			return nil, fmt.Errorf("core: self-check failed at line %#x: read bytes differ from last write", lineAddr)
 		}
 	}
-	m.stats.Reads.Inc()
-	m.stats.BlocksRead.Add(uint64(tr.BlocksTouched))
+	m.stats.Reads++
+	m.stats.BlocksRead += uint64(tr.BlocksTouched)
 	if tr.Mispredicted {
-		m.stats.Mispredictions.Inc()
+		m.stats.Mispredictions++
 	}
 	if tr.RAAccess {
-		m.stats.RAAccesses.Inc()
+		m.stats.RAAccesses++
 	}
 	return data, nil
 }
@@ -231,18 +201,19 @@ func (m *Memory) BatchWrite(addrs []uint64, lines [][]byte) error {
 // derived metrics. This is the supported way to read stats: the returned
 // value never changes, so callers can hold it across further traffic.
 func (m *Memory) StatsSnapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Reads:              m.stats.Reads.Value(),
-		Writes:             m.stats.Writes.Value(),
-		BlocksRead:         m.stats.BlocksRead.Value(),
-		BlocksWritten:      m.stats.BlocksWritten.Value(),
-		Mispredictions:     m.stats.Mispredictions.Value(),
-		RAAccesses:         m.stats.RAAccesses.Value(),
-		CompressedLines:    m.stats.CompressedLines.Value(),
-		RAOccupancy:        m.stats.RAOccupancy.Value(),
-		Lines:              uint64(len(m.lines)),
-		PredictionAccuracy: m.PredictionAccuracy(),
+	s := m.stats
+	s.Lines = uint64(len(m.lines))
+	s.PredictionAccuracy = m.PredictionAccuracy()
+	return s
+}
+
+// dec decrements a gauge; decrementing zero panics, since a negative
+// line count always indicates an accounting bug.
+func dec(g *uint64) {
+	if *g == 0 {
+		panic("core: gauge underflow")
 	}
+	*g--
 }
 
 // Lines reports how many distinct lines have been written.

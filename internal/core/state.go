@@ -22,10 +22,10 @@ func (m *Memory) Delete(lineAddr uint64) bool {
 		delete(m.shadow, lineAddr)
 	}
 	if st.Compressed {
-		m.stats.CompressedLines.Dec()
+		dec(&m.stats.CompressedLines)
 	}
 	if st.Collision {
-		m.stats.RAOccupancy.Dec()
+		dec(&m.stats.RAOccupancy)
 	}
 	return true
 }
@@ -119,14 +119,7 @@ func RestoreMemory(opts Options, st *MemoryState) (*Memory, error) {
 		return nil, fmt.Errorf("core: snapshot RA-occupancy gauge %d, but %d lines are collided",
 			st.Stats.RAOccupancy, collided)
 	}
-	m.stats.Reads.Restore(st.Stats.Reads)
-	m.stats.Writes.Restore(st.Stats.Writes)
-	m.stats.BlocksRead.Restore(st.Stats.BlocksRead)
-	m.stats.BlocksWritten.Restore(st.Stats.BlocksWritten)
-	m.stats.Mispredictions.Restore(st.Stats.Mispredictions)
-	m.stats.RAAccesses.Restore(st.Stats.RAAccesses)
-	m.stats.CompressedLines.Restore(st.Stats.CompressedLines)
-	m.stats.RAOccupancy.Restore(st.Stats.RAOccupancy)
+	m.stats = st.Stats
 	if err := m.f.Blem.RestoreState(st.Blem); err != nil {
 		return nil, err
 	}

@@ -163,9 +163,10 @@ func (h *Harness) executeRun(key, name string, kind config.SystemKind, cfg confi
 		if err != nil {
 			return Metrics{}, fmt.Errorf("run %s: %w", key, err)
 		}
-		acc = addMetrics(acc, m)
+		stats.Add(&acc, m)
 	}
-	return scaleMetrics(acc, 1/float64(len(h.Seeds))), nil
+	stats.Scale(&acc, 1/float64(len(h.Seeds)))
+	return acc, nil
 }
 
 // progress forwards one line to the Progress callback under a mutex, so
@@ -181,74 +182,6 @@ func (h *Harness) progress(msg string) {
 
 func (h *Harness) run(name string, kind config.SystemKind) (Metrics, error) {
 	return h.runCached(name, kind, "", h.Cfg)
-}
-
-func addMetrics(a, b Metrics) Metrics {
-	a.Cycles += b.Cycles
-	a.Instructions += b.Instructions
-	a.IPC += b.IPC
-	a.DataReads += b.DataReads
-	a.DataWrites += b.DataWrites
-	a.MetaReads += b.MetaReads
-	a.MetaWrites += b.MetaWrites
-	a.RAReads += b.RAReads
-	a.RAWrites += b.RAWrites
-	a.CorrectionReads += b.CorrectionReads
-	a.TotalRequests += b.TotalRequests
-	a.BytesMoved += b.BytesMoved
-	a.AvgReadLatency += b.AvgReadLatency
-	a.BandwidthBytesPerKCycle += b.BandwidthBytesPerKCycle
-	a.EnergyNJ += b.EnergyNJ
-	a.EnergyActivateNJ += b.EnergyActivateNJ
-	a.EnergyReadNJ += b.EnergyReadNJ
-	a.EnergyWriteNJ += b.EnergyWriteNJ
-	a.EnergyRefreshNJ += b.EnergyRefreshNJ
-	a.EnergyBackgroundNJ += b.EnergyBackgroundNJ
-	a.CoprAccuracy += b.CoprAccuracy
-	a.ECCAccuracy += b.ECCAccuracy
-	for i := range a.CoprSourceShare {
-		a.CoprSourceShare[i] += b.CoprSourceShare[i]
-		a.CoprSourceAcc[i] += b.CoprSourceAcc[i]
-	}
-	a.MDHitRate += b.MDHitRate
-	a.CompressedReadFrac += b.CompressedReadFrac
-	a.LLCMissRate += b.LLCMissRate
-	a.RowHitRate += b.RowHitRate
-	return a
-}
-
-func scaleMetrics(a Metrics, f float64) Metrics {
-	a.Cycles = sim.Time(float64(a.Cycles) * f)
-	a.Instructions = int64(float64(a.Instructions) * f)
-	a.IPC *= f
-	a.DataReads = uint64(float64(a.DataReads) * f)
-	a.DataWrites = uint64(float64(a.DataWrites) * f)
-	a.MetaReads = uint64(float64(a.MetaReads) * f)
-	a.MetaWrites = uint64(float64(a.MetaWrites) * f)
-	a.RAReads = uint64(float64(a.RAReads) * f)
-	a.RAWrites = uint64(float64(a.RAWrites) * f)
-	a.CorrectionReads = uint64(float64(a.CorrectionReads) * f)
-	a.TotalRequests = uint64(float64(a.TotalRequests) * f)
-	a.BytesMoved = uint64(float64(a.BytesMoved) * f)
-	a.AvgReadLatency *= f
-	a.BandwidthBytesPerKCycle *= f
-	a.EnergyNJ *= f
-	a.EnergyActivateNJ *= f
-	a.EnergyReadNJ *= f
-	a.EnergyWriteNJ *= f
-	a.EnergyRefreshNJ *= f
-	a.EnergyBackgroundNJ *= f
-	a.CoprAccuracy *= f
-	a.ECCAccuracy *= f
-	for i := range a.CoprSourceShare {
-		a.CoprSourceShare[i] *= f
-		a.CoprSourceAcc[i] *= f
-	}
-	a.MDHitRate *= f
-	a.CompressedReadFrac *= f
-	a.LLCMissRate *= f
-	a.RowHitRate *= f
-	return a
 }
 
 // Fig1 reproduces Figure 1: per benchmark, the proportion of compressed

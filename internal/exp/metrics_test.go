@@ -3,17 +3,20 @@ package exp
 import (
 	"testing"
 
+	"attache/internal/stats"
 	"attache/internal/trace"
 )
 
 func TestAddAndScaleMetrics(t *testing.T) {
 	a := Metrics{Cycles: 100, DataReads: 10, EnergyNJ: 5, CoprAccuracy: 0.8}
 	b := Metrics{Cycles: 300, DataReads: 30, EnergyNJ: 15, CoprAccuracy: 0.6}
-	sum := addMetrics(a, b)
+	sum := a
+	stats.Add(&sum, b)
 	if sum.Cycles != 400 || sum.DataReads != 40 || sum.EnergyNJ != 20 {
 		t.Fatalf("add wrong: %+v", sum)
 	}
-	avg := scaleMetrics(sum, 0.5)
+	avg := sum
+	stats.Scale(&avg, 0.5)
 	if avg.Cycles != 200 || avg.DataReads != 20 || avg.EnergyNJ != 10 {
 		t.Fatalf("scale wrong: %+v", avg)
 	}

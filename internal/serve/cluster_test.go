@@ -14,6 +14,7 @@ import (
 	"attache/internal/core"
 	"attache/internal/obs"
 	"attache/internal/shard"
+	"attache/internal/wire"
 )
 
 // newClusterServer spins up a 3-instance least-loaded cluster behind the
@@ -86,7 +87,7 @@ func TestClusterServeEndToEnd(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats = %d: %s", rec.Code, rec.Body)
 	}
-	var v2 statsV2
+	var v2 wire.Stats
 	if err := json.Unmarshal(rec.Body.Bytes(), &v2); err != nil {
 		t.Fatalf("bad v2 JSON: %v", err)
 	}

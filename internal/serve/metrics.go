@@ -9,32 +9,28 @@ import (
 	"time"
 
 	"attache/internal/shard"
+	"attache/internal/stats"
 )
 
 // latencyBuckets are the upper bounds (seconds) of the per-endpoint
 // request-duration histograms, exponential from 100µs to 2.5s; slower
 // requests land in +Inf.
-var latencyBuckets = []float64{
+var latencyBuckets = [...]float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 }
 
-// nLatencyBuckets counts the finite buckets plus the +Inf overflow; a
-// compile-time-adjacent check in newMetricsSet keeps it in sync with
-// latencyBuckets.
-const nLatencyBuckets = 15
-
 // latencyHist is a fixed-bucket histogram with atomic counters, so the
 // request hot path never takes a lock to observe a duration.
 type latencyHist struct {
-	buckets [nLatencyBuckets]atomic.Uint64 // last bucket is +Inf
+	buckets [len(latencyBuckets) + 1]atomic.Uint64 // last bucket is +Inf
 	sumNano atomic.Uint64
 	count   atomic.Uint64
 }
 
 func (h *latencyHist) observe(d time.Duration) {
 	sec := d.Seconds()
-	i := sort.SearchFloat64s(latencyBuckets, sec)
+	i := sort.SearchFloat64s(latencyBuckets[:], sec)
 	h.buckets[i].Add(1)
 	h.sumNano.Add(uint64(d.Nanoseconds()))
 	h.count.Add(1)
@@ -51,9 +47,6 @@ type metricsSet struct {
 }
 
 func newMetricsSet(endpoints ...string) *metricsSet {
-	if len(latencyBuckets)+1 != nLatencyBuckets {
-		panic("serve: nLatencyBuckets out of sync with latencyBuckets")
-	}
 	m := &metricsSet{
 		hists: make(map[string]*latencyHist, len(endpoints)),
 		codes: make(map[string]map[int]uint64, len(endpoints)),
@@ -82,48 +75,23 @@ func (s *Server) renderMetrics() string {
 	snap := s.cl.EngineSnapshot()
 	var b strings.Builder
 
+	// Every engine, robust and tier counter is rendered from its struct
+	// field's prom/help tags; only what no stats struct holds — ratios
+	// derived from several fields and daemon-level facts — is named here.
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 	}
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-
-	t := snap.Total
-	counter("attached_reads_total", "Line reads served.", t.Reads)
-	counter("attached_writes_total", "Line writes served.", t.Writes)
-	counter("attached_blocks_read_total", "32-byte sub-rank blocks fetched.", t.BlocksRead)
-	counter("attached_blocks_written_total", "32-byte sub-rank blocks written.", t.BlocksWritten)
-	counter("attached_mispredictions_total", "COPR mispredictions (corrective fetches).", t.Mispredictions)
-	counter("attached_ra_accesses_total", "Replacement Area reads+writes (CID collisions).", t.RAAccesses)
-	counter("attached_shed_ops_total", "Ops rejected with ErrOverloaded at shard-queue admission.", snap.Robust.Sheds)
-	counter("attached_canceled_ops_total", "Ops skipped because their context expired in the queue.", snap.Robust.Canceled)
-	counter("attached_injected_errors_total", "Fault-injection errors (0 unless a fault plan is active).", snap.Robust.InjectedErrors)
-	counter("attached_injected_delays_total", "Fault-injection delays (0 unless a fault plan is active).", snap.Robust.InjectedDelays)
-	gauge("attached_lines", "Distinct lines currently stored.", float64(t.Lines))
-	gauge("attached_compressed_lines", "Lines currently stored compressed.", float64(t.CompressedLines))
-	gauge("attached_compressed_line_ratio", "Fraction of stored lines compressed.", t.CompressedLineRatio())
-	gauge("attached_ra_occupancy", "Lines currently parked in the Replacement Area.", float64(t.RAOccupancy))
-	gauge("attached_predictor_accuracy", "COPR running accuracy, reads-weighted across shards.", t.PredictionAccuracy)
-	gauge("attached_bandwidth_savings_ratio", "Fraction of sub-rank transfers avoided vs uncompressed.", t.BandwidthSavings())
-	gauge("attached_shards", "Configured shard count.", float64(s.cl.Shards()))
+	stats.WriteProm(&b, snap.Total)
+	stats.WriteProm(&b, snap.Robust)
+	gauge("attached_compressed_line_ratio", "Fraction of stored lines compressed.", snap.Total.CompressedLineRatio())
+	gauge("attached_bandwidth_savings_ratio", "Fraction of sub-rank transfers avoided vs uncompressed.", snap.Total.BandwidthSavings())
 	gauge("attached_sram_overhead_bytes", "Summed predictor+CID SRAM across shards.", float64(snap.SRAMBytes))
+	gauge("attached_shards", "Configured shard count.", float64(s.cl.Shards()))
 	gauge("attached_uptime_seconds", "Seconds since the daemon started serving.", time.Since(s.started).Seconds())
 	gauge("attached_cluster_instances", "Engine instances behind the router.", float64(s.cl.Instances()))
 	gauge("attached_cluster_jain_fairness", "Jain fairness index over per-tenant successful throughput.", s.cl.JainFairness())
-
-	if tr := snap.Tiers; tr != nil {
-		counter("attached_tier_near_reads_total", "Line reads served from the near (uncompressed) tier.", tr.NearReads)
-		counter("attached_tier_near_writes_total", "Line writes absorbed by the near tier.", tr.NearWrites)
-		counter("attached_tier_far_reads_total", "Line reads that crossed the far link.", tr.FarReads)
-		counter("attached_tier_far_writes_total", "Line writes that crossed the far link.", tr.FarWrites)
-		counter("attached_tier_promotions_total", "Lines promoted far-to-near.", tr.Promotions)
-		counter("attached_tier_demotions_total", "Lines demoted near-to-far.", tr.Demotions)
-		gauge("attached_tier_near_resident", "Lines currently resident in the near tier.", float64(tr.NearResident))
-		gauge("attached_tier_far_resident", "Lines currently resident in the far tier.", float64(tr.FarResident))
-		gauge("attached_tier_far_link_bytes", "Modeled bytes moved across the far link (bandwidth multiplier applied).", tr.FarLinkBytes)
-		gauge("attached_tier_far_latency_ns", "Modeled cumulative far-link latency in nanoseconds.", tr.FarLatencyNs)
-		gauge("attached_tier_energy_pj", "Modeled cumulative memory-traffic energy in picojoules.", tr.EnergyPJ)
+	if snap.Tiers != nil {
+		stats.WriteProm(&b, *snap.Tiers)
 	}
 
 	s.renderPerShard(&b, snap)

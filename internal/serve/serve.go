@@ -68,6 +68,7 @@ import (
 	"attache/internal/cluster"
 	"attache/internal/obs"
 	"attache/internal/shard"
+	"attache/internal/wire"
 )
 
 // Config holds the daemon-level knobs: where to listen, HTTP timeouts,
@@ -254,48 +255,6 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 	return err
 }
 
-// --- request/response bodies ---------------------------------------------
-
-type readReq struct {
-	Addr *uint64 `json:"addr"`
-}
-
-type writeReq struct {
-	Addr *uint64 `json:"addr"`
-	Data []byte  `json:"data"` // base64 in JSON
-}
-
-type lineResp struct {
-	Addr uint64 `json:"addr"`
-	Data []byte `json:"data,omitempty"`
-	OK   bool   `json:"ok,omitempty"`
-}
-
-type errResp struct {
-	Error string `json:"error"`
-}
-
-// batchOp is one line of a /v1/batch request.
-type batchOp struct {
-	Op   string  `json:"op"` // "read" or "write"
-	Addr *uint64 `json:"addr"`
-	Data []byte  `json:"data,omitempty"`
-}
-
-// batchOpResult reports one op's outcome; exactly one of Data/OK/Error
-// is meaningful.
-type batchOpResult struct {
-	Addr  uint64 `json:"addr"`
-	Data  []byte `json:"data,omitempty"`
-	OK    bool   `json:"ok,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
-type batchResp struct {
-	Results []batchOpResult `json:"results"`
-	Failed  int             `json:"failed"`
-}
-
 // --- plumbing -------------------------------------------------------------
 
 // statusWriter remembers the status code for the metrics layer.
@@ -380,7 +339,7 @@ func post(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeJSON(w, http.StatusMethodNotAllowed, errResp{Error: "use POST"})
+			writeJSON(w, http.StatusMethodNotAllowed, wire.Error{Error: "use POST"})
 			return
 		}
 		h(w, r)
@@ -410,13 +369,13 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 		secs := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-	writeJSON(w, code, errResp{Error: err.Error()})
+	writeJSON(w, code, wire.Error{Error: err.Error()})
 }
 
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, errResp{Error: "bad JSON: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad JSON: " + err.Error()})
 		return false
 	}
 	return true
@@ -425,12 +384,12 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 // --- handlers -------------------------------------------------------------
 
 func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
-	var req readReq
+	var req wire.LineReq
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Addr == nil {
-		writeJSON(w, http.StatusBadRequest, errResp{Error: "missing addr"})
+		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "missing addr"})
 		return
 	}
 	if s.cfg.Record != nil {
@@ -441,16 +400,16 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, lineResp{Addr: *req.Addr, Data: data})
+	writeJSON(w, http.StatusOK, wire.Line{Addr: *req.Addr, Data: data})
 }
 
 func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
-	var req writeReq
+	var req wire.LineReq
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Addr == nil {
-		writeJSON(w, http.StatusBadRequest, errResp{Error: "missing addr"})
+		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "missing addr"})
 		return
 	}
 	if s.cfg.Record != nil {
@@ -460,32 +419,32 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, lineResp{Addr: *req.Addr, OK: true})
+	writeJSON(w, http.StatusOK, wire.Line{Addr: *req.Addr, OK: true})
 }
 
 // decodeBatch accepts either a single JSON array of ops or a stream of
 // JSON objects (one per line — NDJSON — or whitespace-separated).
-func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) ([]batchOp, bool) {
+func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) ([]wire.Op, bool) {
 	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	first, err := firstNonSpace(br)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errResp{Error: "empty batch body"})
+		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "empty batch body"})
 		return nil, false
 	}
 	dec := json.NewDecoder(br)
-	var ops []batchOp
+	var ops []wire.Op
 	if first == '[' {
 		if err := dec.Decode(&ops); err != nil {
-			writeJSON(w, http.StatusBadRequest, errResp{Error: "bad JSON: " + err.Error()})
+			writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad JSON: " + err.Error()})
 			return nil, false
 		}
 	} else {
 		for {
-			var op batchOp
+			var op wire.Op
 			if err := dec.Decode(&op); err == io.EOF {
 				break
 			} else if err != nil {
-				writeJSON(w, http.StatusBadRequest, errResp{Error: "bad JSON: " + err.Error()})
+				writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad JSON: " + err.Error()})
 				return nil, false
 			}
 			ops = append(ops, op)
@@ -496,7 +455,7 @@ func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) ([]batchOp,
 	}
 	if len(ops) > s.cfg.MaxBatchOps {
 		writeJSON(w, http.StatusBadRequest,
-			errResp{Error: fmt.Sprintf("batch of %d ops exceeds limit %d", len(ops), s.cfg.MaxBatchOps)})
+			wire.Error{Error: fmt.Sprintf("batch of %d ops exceeds limit %d", len(ops), s.cfg.MaxBatchOps)})
 		return nil, false
 	}
 	return ops, true
@@ -522,7 +481,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	results := make([]batchOpResult, len(reqOps))
+	results := make([]wire.OpResult, len(reqOps))
 	ops := make([]shard.Op, 0, len(reqOps))
 	opIdx := make([]int, 0, len(reqOps)) // results index of ops[k]
 	for i, op := range reqOps {
@@ -567,7 +526,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			failed++
 		}
 	}
-	writeJSON(w, http.StatusOK, batchResp{Results: results, Failed: failed})
+	writeJSON(w, http.StatusOK, wire.Batch{Results: results, Failed: failed})
 }
 
 // handleStats serves the versioned stats document, schema v2; ?v= pins
@@ -576,14 +535,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("v"); v != "" && v != "2" {
 		writeJSON(w, http.StatusBadRequest,
-			errResp{Error: fmt.Sprintf("unknown stats schema version %q (want 2)", v)})
+			wire.Error{Error: fmt.Sprintf("unknown stats schema version %q (want 2)", v)})
 		return
 	}
 	n := 0
 	if d := r.URL.Query().Get("decisions"); d != "" {
-		n, _ = strconv.Atoi(d)
+		var err error
+		if n, err = strconv.Atoi(d); err != nil || n < 0 {
+			writeJSON(w, http.StatusBadRequest,
+				wire.Error{Error: fmt.Sprintf("bad decisions count %q (want a non-negative integer)", d)})
+			return
+		}
 	}
-	writeJSON(w, http.StatusOK, s.statsV2(n))
+	writeJSON(w, http.StatusOK, s.statsDoc(n))
 }
 
 // handleTrace serves one traced request's timeline by ID
@@ -591,7 +555,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // given (/v1/trace).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Obs == nil {
-		writeJSON(w, http.StatusNotFound, errResp{Error: "tracing disabled: run with an observer (-trace-sample)"})
+		writeJSON(w, http.StatusNotFound, wire.Error{Error: "tracing disabled: run with an observer (-trace-sample)"})
 		return
 	}
 	idStr := strings.TrimPrefix(strings.TrimPrefix(r.URL.Path, "/v1/trace"), "/")
@@ -603,12 +567,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	id, err := obs.ParseTraceID(idStr)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errResp{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
 		return
 	}
 	tl, ok := s.cfg.Obs.Timeline(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errResp{Error: fmt.Sprintf("trace %s not retained (ring holds the most recent traces only)", id)})
+		writeJSON(w, http.StatusNotFound, wire.Error{Error: fmt.Sprintf("trace %s not retained (ring holds the most recent traces only)", id)})
 		return
 	}
 	writeJSON(w, http.StatusOK, tl)
@@ -623,12 +587,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, errResp{Error: "use GET"})
+		writeJSON(w, http.StatusMethodNotAllowed, wire.Error{Error: "use GET"})
 		return
 	}
 	var buf bytes.Buffer
 	if err := s.cl.WriteSnapshot(&buf); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errResp{Error: "snapshot: " + err.Error()})
+		writeJSON(w, http.StatusInternalServerError, wire.Error{Error: "snapshot: " + err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -82,6 +82,8 @@ func TestHandlers(t *testing.T) {
 		{"batch empty body", "POST", "/v1/batch", "", 400, "empty batch"},
 		{"healthz", "GET", "/healthz", "", 200, "ok"},
 		{"stats", "GET", "/v1/stats", "", 200, `"per_shard"`},
+		{"stats decisions not a number", "GET", "/v1/stats?decisions=abc", "", 400, `bad decisions count \"abc\"`},
+		{"stats decisions negative", "GET", "/v1/stats?decisions=-3", "", 400, `bad decisions count \"-3\"`},
 		{"metrics", "GET", "/metrics", "", 200, "attached_reads_total"},
 	}
 	for _, tc := range cases {
@@ -283,6 +285,10 @@ func TestEndToEndServeDrainShutdown(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // let traffic overlap the drain
 	cancel()
 	wg.Wait()
+	// A connection the transport dialed speculatively and never used sits
+	// in StateNew on the server, which Shutdown waits 5 s on — the whole
+	// ShutdownTimeout. Hang up on everything the clients are done with.
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"attache/client"
 	"attache/internal/loadgen"
 	"attache/internal/shard"
+	"attache/internal/wire"
 )
 
 // TestTaxonomyRoundTrip carries every row of shard.OpErrors through the
@@ -34,7 +35,7 @@ func TestTaxonomyRoundTrip(t *testing.T) {
 			mux := http.NewServeMux()
 			mux.HandleFunc("/v1/read", func(w http.ResponseWriter, r *http.Request) { srv.writeErr(w, opErr) })
 			mux.HandleFunc("/v1/batch", func(w http.ResponseWriter, r *http.Request) {
-				writeJSON(w, http.StatusOK, batchResp{Results: []batchOpResult{{Addr: 42, Error: opErr.Error()}}, Failed: 1})
+				writeJSON(w, http.StatusOK, wire.Batch{Results: []wire.OpResult{{Addr: 42, Error: opErr.Error()}}, Failed: 1})
 			})
 			ts := httptest.NewServer(mux)
 			defer ts.Close()

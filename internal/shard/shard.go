@@ -158,13 +158,12 @@ type Result struct {
 // submissions; execution checks it once per task so a cancelled task
 // frees its ring slot without executing.
 type task struct {
-	ctx      context.Context
-	ops      []Op
-	idx      []int // positions of this shard's ops in ops / res
-	res      []Result
-	snap     *core.StatsSnapshot
-	tierSnap *tier.Snapshot // filled alongside snap on tiered engines
-	done     *sync.WaitGroup
+	ctx  context.Context
+	ops  []Op
+	idx  []int // positions of this shard's ops in ops / res
+	res  []Result
+	snap *shardStats
+	done *sync.WaitGroup
 
 	// tr, when non-nil, receives this task's pipeline spans; enq is the
 	// trace-relative enqueue instant the dequeue span starts from. Both
@@ -197,14 +196,14 @@ type robustCounters struct {
 type RobustStats struct {
 	// Sheds counts ops rejected with ErrOverloaded because their shard's
 	// ring was full at DoCtx admission.
-	Sheds uint64 `json:"sheds"`
+	Sheds uint64 `json:"sheds" prom:"attached_shed_ops_total,counter" help:"Ops rejected with ErrOverloaded at shard-queue admission."`
 	// Canceled counts ops that returned a context error: expired or
 	// cancelled while queued, skipped without executing.
-	Canceled uint64 `json:"canceled"`
+	Canceled uint64 `json:"canceled" prom:"attached_canceled_ops_total,counter" help:"Ops skipped because their context expired in the queue."`
 	// InjectedErrors / InjectedDelays count fault-injection outcomes
 	// (always 0 with injection off).
-	InjectedErrors uint64 `json:"injected_errors"`
-	InjectedDelays uint64 `json:"injected_delays"`
+	InjectedErrors uint64 `json:"injected_errors" prom:"attached_injected_errors_total,counter" help:"Fault-injection errors (0 unless a fault plan is active)."`
+	InjectedDelays uint64 `json:"injected_delays" prom:"attached_injected_delays_total,counter" help:"Fault-injection delays (0 unless a fault plan is active)."`
 }
 
 // worker owns one shard: one Memory, one goroutine, one ring, and (when
@@ -357,10 +356,7 @@ func (w *worker) drain() {
 // same way whether they arrived through the ring or the inline path.
 func (w *worker) execute(t *task) {
 	if t.snap != nil {
-		*t.snap = w.mem.StatsSnapshot()
-		if t.tierSnap != nil && w.tier != nil {
-			*t.tierSnap = w.tier.Snapshot()
-		}
+		*t.snap = w.stats()
 		t.done.Done()
 		return
 	}
@@ -865,56 +861,60 @@ func (e *Engine) StatsSnapshot() Snapshot {
 			InjectedDelays: e.robust.injectedDelays.Load(),
 		},
 	}
-	var perTier []tier.Snapshot
-	if e.cfg.Tier != nil {
-		perTier = make([]tier.Snapshot, len(e.shards))
-	}
+	per := make([]shardStats, len(e.shards))
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
 		// Workers have exited (Close waited for them), so direct reads
 		// are exclusive again.
 		for i, w := range e.shards {
-			snap.PerShard[i] = w.mem.StatsSnapshot()
-			if perTier != nil {
-				perTier[i] = w.tier.Snapshot()
-			}
+			per[i] = w.stats()
 		}
 	} else {
 		var done sync.WaitGroup
 		for i, w := range e.shards {
 			if w.memMu.TryLock() {
 				if w.qlen.Load() == 0 {
-					snap.PerShard[i] = w.mem.StatsSnapshot()
-					if perTier != nil {
-						perTier[i] = w.tier.Snapshot()
-					}
+					per[i] = w.stats()
 					w.memMu.Unlock()
 					continue
 				}
 				w.memMu.Unlock()
 			}
 			done.Add(1)
-			t := task{snap: &snap.PerShard[i], done: &done}
-			if perTier != nil {
-				t.tierSnap = &perTier[i]
-			}
-			w.admitAlways(t)
+			w.admitAlways(task{snap: &per[i], done: &done})
 		}
 		e.mu.RUnlock()
 		done.Wait()
 	}
-	for _, s := range snap.PerShard {
-		snap.Total.Accumulate(s)
+	var tiers tier.Snapshot
+	for i, s := range per {
+		snap.PerShard[i] = s.mem
+		snap.Total.Accumulate(s.mem)
+		tiers.Accumulate(s.tier)
 	}
-	if perTier != nil {
-		var ts tier.Snapshot
-		for _, s := range perTier {
-			ts.Accumulate(s)
-		}
-		snap.Tiers = &ts
+	if e.cfg.Tier != nil {
+		snap.Tiers = &tiers
 	}
 	return snap
+}
+
+// shardStats is one shard's stats record, the single channel from a
+// worker to StatsSnapshot: the far (or only) memory's counters, plus
+// the tier's on a tiered engine (zero otherwise).
+type shardStats struct {
+	mem  core.StatsSnapshot
+	tier tier.Snapshot
+}
+
+// stats reads the shard's record. The caller holds the execution right
+// (w.memMu, or the engine is closed).
+func (w *worker) stats() shardStats {
+	s := shardStats{mem: w.mem.StatsSnapshot()}
+	if w.tier != nil {
+		s.tier = w.tier.Snapshot()
+	}
+	return s
 }
 
 // Tiered reports whether the engine runs the two-tier backend.

@@ -2,7 +2,8 @@
 // helpers used by every component of the Attaché simulator, plus small
 // table-formatting utilities for the experiment harness. It is also the
 // leaf where the serving side keeps the two numeric definitions its
-// packages must agree on: Quantile and SplitMix64.
+// packages must agree on, Quantile and SplitMix64, and the folds that
+// make a stats struct's field list its metric table (fold.go).
 package stats
 
 import (
@@ -12,8 +13,7 @@ import (
 	"strings"
 )
 
-// Counter is an event counter. Most uses only grow it; Dec exists for
-// the few gauges (e.g. currently-compressed line counts) that shrink.
+// Counter is a monotonic event counter.
 type Counter struct {
 	n uint64
 }
@@ -23,15 +23,6 @@ func (c *Counter) Add(delta uint64) { c.n += delta }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.n++ }
-
-// Dec decrements the counter by one; decrementing zero panics, since a
-// negative count always indicates an accounting bug.
-func (c *Counter) Dec() {
-	if c.n == 0 {
-		panic("stats: counter underflow")
-	}
-	c.n--
-}
 
 // Value reports the current count.
 func (c *Counter) Value() uint64 { return c.n }

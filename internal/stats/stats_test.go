@@ -233,19 +233,3 @@ func TestHistogramConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCounterDec(t *testing.T) {
-	var c Counter
-	c.Add(2)
-	c.Dec()
-	if c.Value() != 1 {
-		t.Fatalf("value = %d, want 1", c.Value())
-	}
-	c.Dec()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("decrementing zero should panic")
-		}
-	}()
-	c.Dec()
-}

@@ -42,9 +42,9 @@ func (m *Memory) ExportState() *State {
 		Near:    make([]NearLineState, 0, len(m.near)),
 		FreqOps: m.accesses,
 		Counters: [6]uint64{
-			m.c.nearReads, m.c.nearWrites,
-			m.c.farReads, m.c.farWrites,
-			m.c.promotions, m.c.demotions,
+			m.c.NearReads, m.c.NearWrites,
+			m.c.FarReads, m.c.FarWrites,
+			m.c.Promotions, m.c.Demotions,
 		},
 	}
 	for n := m.tail; n != nil; n = n.prev {
@@ -93,13 +93,13 @@ func RestoreMemory(cfg Config, far *core.Memory, st *State) (*Memory, error) {
 		m.farFreq[f.Addr] = f.Count
 	}
 	m.accesses = st.FreqOps
-	m.c = counters{
-		nearReads:  st.Counters[0],
-		nearWrites: st.Counters[1],
-		farReads:   st.Counters[2],
-		farWrites:  st.Counters[3],
-		promotions: st.Counters[4],
-		demotions:  st.Counters[5],
+	m.c = Snapshot{
+		NearReads:  st.Counters[0],
+		NearWrites: st.Counters[1],
+		FarReads:   st.Counters[2],
+		FarWrites:  st.Counters[3],
+		Promotions: st.Counters[4],
+		Demotions:  st.Counters[5],
 	}
 	return m, nil
 }

@@ -28,6 +28,7 @@ import (
 	"fmt"
 
 	"attache/internal/core"
+	"attache/internal/stats"
 )
 
 // LineSize mirrors the framework's access granularity.
@@ -148,16 +149,9 @@ type Memory struct {
 	farFreq  map[uint64]uint64
 	accesses uint64
 
-	c counters
-}
-
-type counters struct {
-	nearReads  uint64
-	nearWrites uint64
-	farReads   uint64
-	farWrites  uint64
-	promotions uint64
-	demotions  uint64
+	// c holds the six traffic counters in their Snapshot fields; every
+	// other Snapshot field is derived, filled in only by Snapshot().
+	c Snapshot
 }
 
 // NewMemory builds a tiered memory in front of far. The far memory must
@@ -313,7 +307,7 @@ func (m *Memory) install(addr uint64, data []byte) (bool, error) {
 		}
 		m.unlink(v)
 		delete(m.near, v.addr)
-		m.c.demotions++
+		m.c.Demotions++
 	}
 	n := &node{addr: addr}
 	copy(n.data[:], data)
@@ -324,7 +318,7 @@ func (m *Memory) install(addr uint64, data []byte) (bool, error) {
 	m.near[addr] = n
 	m.pushFront(n)
 	m.far.Delete(addr)
-	m.c.promotions++
+	m.c.Promotions++
 	return true, nil
 }
 
@@ -335,7 +329,7 @@ func (m *Memory) Read(lineAddr uint64) ([]byte, error) {
 		m.tick()
 		m.moveToFront(n)
 		n.freq++
-		m.c.nearReads++
+		m.c.NearReads++
 		out := make([]byte, LineSize)
 		copy(out, n.data[:])
 		return out, nil
@@ -344,7 +338,7 @@ func (m *Memory) Read(lineAddr uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.c.farReads++
+	m.c.FarReads++
 	if m.noteFar(lineAddr) {
 		if _, err := m.install(lineAddr, data); err != nil {
 			return nil, err
@@ -368,7 +362,7 @@ func (m *Memory) Write(lineAddr uint64, data []byte) error {
 		m.moveToFront(n)
 		n.freq++
 		copy(n.data[:], data)
-		m.c.nearWrites++
+		m.c.NearWrites++
 		return nil
 	}
 	if m.noteFar(lineAddr) {
@@ -377,40 +371,44 @@ func (m *Memory) Write(lineAddr uint64, data []byte) error {
 			return err
 		}
 		if installed {
-			m.c.nearWrites++
+			m.c.NearWrites++
 			return nil
 		}
 	}
 	if err := m.far.Write(lineAddr, data); err != nil {
 		return err
 	}
-	m.c.farWrites++
+	m.c.FarWrites++
 	return nil
 }
 
 // Snapshot captures the tier's traffic split and modeled link costs.
+// Policy and NearCapacity do not merge by summing; Accumulate fixes
+// them up.
 type Snapshot struct {
 	Policy       string `json:"policy"`
 	NearCapacity int64  `json:"near_capacity"` // -1 means unbounded
-	NearResident uint64 `json:"near_resident"`
-	FarResident  uint64 `json:"far_resident"`
+	NearResident uint64 `json:"near_resident" prom:"attached_tier_near_resident,gauge" help:"Lines currently resident in the near tier."`
+	FarResident  uint64 `json:"far_resident" prom:"attached_tier_far_resident,gauge" help:"Lines currently resident in the far tier."`
 
-	NearReads  uint64 `json:"near_reads"`
-	NearWrites uint64 `json:"near_writes"`
-	FarReads   uint64 `json:"far_reads"`  // client reads served far
-	FarWrites  uint64 `json:"far_writes"` // client writes landing far
-	Promotions uint64 `json:"promotions"`
-	Demotions  uint64 `json:"demotions"`
+	NearReads  uint64 `json:"near_reads" prom:"attached_tier_near_reads_total,counter" help:"Line reads served from the near (uncompressed) tier."`
+	NearWrites uint64 `json:"near_writes" prom:"attached_tier_near_writes_total,counter" help:"Line writes absorbed by the near tier."`
+	// FarReads/FarWrites are client reads served far and client writes
+	// landing far.
+	FarReads   uint64 `json:"far_reads" prom:"attached_tier_far_reads_total,counter" help:"Line reads that crossed the far link."`
+	FarWrites  uint64 `json:"far_writes" prom:"attached_tier_far_writes_total,counter" help:"Line writes that crossed the far link."`
+	Promotions uint64 `json:"promotions" prom:"attached_tier_promotions_total,counter" help:"Lines promoted far-to-near."`
+	Demotions  uint64 `json:"demotions" prom:"attached_tier_demotions_total,counter" help:"Lines demoted near-to-far."`
 
 	// FarAccesses/FarLinkBlocks are the far memory's own totals
 	// (client ops plus demotion writebacks); the float figures apply
 	// the LinkModel to them.
 	FarAccesses   uint64  `json:"far_accesses"`
 	FarLinkBlocks uint64  `json:"far_link_blocks"`
-	FarLinkBytes  float64 `json:"far_link_bytes"`
-	FarLatencyNs  float64 `json:"far_latency_ns"`
+	FarLinkBytes  float64 `json:"far_link_bytes" prom:"attached_tier_far_link_bytes,gauge" help:"Modeled bytes moved across the far link (bandwidth multiplier applied)."`
+	FarLatencyNs  float64 `json:"far_latency_ns" prom:"attached_tier_far_latency_ns,gauge" help:"Modeled cumulative far-link latency in nanoseconds."`
 	NearBytes     uint64  `json:"near_bytes"`
-	EnergyPJ      float64 `json:"energy_pj"`
+	EnergyPJ      float64 `json:"energy_pj" prom:"attached_tier_energy_pj,gauge" help:"Modeled cumulative memory-traffic energy in picojoules."`
 }
 
 // Snapshot derives the tier snapshot from the live counters and the far
@@ -422,19 +420,12 @@ func (m *Memory) Snapshot() Snapshot {
 	if cap64 < 0 {
 		cap64 = -1
 	}
-	s := Snapshot{
-		Policy:       m.cfg.Policy,
-		NearCapacity: cap64,
-		NearResident: uint64(len(m.near)),
-		FarResident:  far.Lines,
-		NearReads:    m.c.nearReads,
-		NearWrites:   m.c.nearWrites,
-		FarReads:     m.c.farReads,
-		FarWrites:    m.c.farWrites,
-		Promotions:   m.c.promotions,
-		Demotions:    m.c.demotions,
-		FarAccesses:  far.Reads + far.Writes,
-	}
+	s := m.c
+	s.Policy = m.cfg.Policy
+	s.NearCapacity = cap64
+	s.NearResident = uint64(len(m.near))
+	s.FarResident = far.Lines
+	s.FarAccesses = far.Reads + far.Writes
 	s.FarLinkBlocks = far.BlocksRead + far.BlocksWritten
 	s.FarLinkBytes = float64(s.FarLinkBlocks*core.SubRankBlock) * m.cfg.Link.FarBandwidthMult
 	s.FarLatencyNs = float64(s.FarAccesses) * m.cfg.Link.FarLatencyNs
@@ -454,23 +445,9 @@ func (s *Snapshot) Accumulate(o Snapshot) {
 	if s.Policy == "" {
 		s.Policy = o.Policy
 	}
-	if s.NearCapacity < 0 || o.NearCapacity < 0 {
+	unbounded := s.NearCapacity < 0 || o.NearCapacity < 0
+	stats.Add(s, o)
+	if unbounded {
 		s.NearCapacity = -1
-	} else {
-		s.NearCapacity += o.NearCapacity
 	}
-	s.NearResident += o.NearResident
-	s.FarResident += o.FarResident
-	s.NearReads += o.NearReads
-	s.NearWrites += o.NearWrites
-	s.FarReads += o.FarReads
-	s.FarWrites += o.FarWrites
-	s.Promotions += o.Promotions
-	s.Demotions += o.Demotions
-	s.FarAccesses += o.FarAccesses
-	s.FarLinkBlocks += o.FarLinkBlocks
-	s.FarLinkBytes += o.FarLinkBytes
-	s.FarLatencyNs += o.FarLatencyNs
-	s.NearBytes += o.NearBytes
-	s.EnergyPJ += o.EnergyPJ
 }

@@ -1,0 +1,101 @@
+// Package wire declares the JSON bodies of the daemon's /v1 endpoints,
+// once, for both ends: internal/serve builds and decodes them, client
+// sends and parses them, so the two cannot drift. Declarations only —
+// no behaviour lives here.
+package wire
+
+import (
+	"attache/internal/cluster"
+	"attache/internal/core"
+	"attache/internal/obs"
+	"attache/internal/shard"
+	"attache/internal/tier"
+)
+
+// LineReq is a /v1/read or /v1/write request as the server decodes it.
+// Addr is a pointer so a missing address stays distinguishable from 0.
+type LineReq struct {
+	Addr *uint64 `json:"addr"`
+	Data []byte  `json:"data,omitempty"` // base64 in JSON; writes only
+}
+
+// Line is what the client sends to /v1/read and /v1/write and what both
+// answer with: reads carry Data, writes OK.
+type Line struct {
+	Addr uint64 `json:"addr"`
+	Data []byte `json:"data,omitempty"`
+	OK   bool   `json:"ok,omitempty"`
+}
+
+// Error is the body of every non-2xx JSON answer.
+type Error struct {
+	Error string `json:"error"`
+}
+
+// Op is one op of a /v1/batch request. Addr is a pointer for the
+// server's missing-address check; a client points it at its own op.
+type Op struct {
+	Op   string  `json:"op"` // "read" or "write"
+	Addr *uint64 `json:"addr"`
+	Data []byte  `json:"data,omitempty"`
+}
+
+// OpResult reports one batch op's outcome; exactly one of Data/OK/Error
+// is meaningful.
+type OpResult struct {
+	Addr  uint64 `json:"addr"`
+	Data  []byte `json:"data,omitempty"`
+	OK    bool   `json:"ok,omitempty"`
+	Error string `json:"error,omitempty"`
+}
+
+// Batch is the /v1/batch answer: one result per op, in order.
+type Batch struct {
+	Results []OpResult `json:"results"`
+	Failed  int        `json:"failed"`
+}
+
+// Stats is the /v1/stats document (schema_version 2): nested sections
+// with the per-instance, per-class, and per-tenant breakdowns the
+// cluster layer introduces.
+type Stats struct {
+	SchemaVersion int                      `json:"schema_version"`
+	Engine        Engine                   `json:"engine"`
+	Robust        shard.RobustStats        `json:"robust"`
+	Telemetry     Telemetry                `json:"telemetry"`
+	Cluster       Cluster                  `json:"cluster"`
+	Tenants       []cluster.TenantSnapshot `json:"tenants"`
+}
+
+// Engine is the storage-side view: merged totals plus each instance's
+// own engine snapshot.
+type Engine struct {
+	Shards      int                `json:"shards"`
+	SRAMBytes   int                `json:"sram_bytes"`
+	Total       core.StatsSnapshot `json:"total"`
+	PerInstance []shard.Snapshot   `json:"per_instance"`
+	// Tiers is the merged two-tier view (near/far residency, tier
+	// traffic, far-link cost model figures), present only when the
+	// cluster runs a tiered backend. Per-instance tier sections live in
+	// each PerInstance snapshot. On tiered engines Total describes the
+	// far (compressed) tier; near-tier accounting is all here.
+	Tiers *tier.Snapshot `json:"tiers,omitempty"`
+}
+
+// Telemetry is the daemon-side view: uptime and live queue gauges
+// (shard indices are global across instances).
+type Telemetry struct {
+	UptimeSeconds float64          `json:"uptime_seconds"`
+	Gauges        []obs.ShardGauge `json:"gauges"`
+}
+
+// Cluster is the routing/SLO view: per-class latency quantiles, the
+// Jain fairness index over per-tenant throughput, and (on request)
+// recent routing decisions for counterfactual analysis.
+type Cluster struct {
+	Instances    int                     `json:"instances"`
+	Router       string                  `json:"router"`
+	Classes      []cluster.ClassSnapshot `json:"classes"`
+	JainFairness float64                 `json:"jain_fairness"`
+	Decisions    []cluster.Decision      `json:"decisions,omitempty"`
+}

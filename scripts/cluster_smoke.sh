@@ -8,8 +8,10 @@
 #     quota sheds
 #   - stats v2 carries the cluster section (instances, router, classes,
 #     jain_fairness)
+#   - /metrics and /v1/stats agree on the quiesced daemon
+#     (scripts/metrics_vs_stats.sh)
 #
-# Needs: curl, jq. Exits non-zero on the first broken assertion.
+# Needs: curl, jq, awk. Exits non-zero on the first broken assertion.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,6 +66,8 @@ echo "$stats" | jq -e '
   .engine.total.writes == ([.engine.per_instance[].total.writes] | add) and
   .engine.total.reads  == ([.engine.per_instance[].total.reads]  | add)' >/dev/null ||
   { echo "FAIL: merged totals do not equal per-instance sums"; exit 1; }
+
+./scripts/metrics_vs_stats.sh "$base"
 
 kill -TERM "$daemon_pid"
 wait "$daemon_pid" 2>/dev/null || true
