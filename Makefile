@@ -58,13 +58,15 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput$$' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedThroughput$$|BenchmarkSubmitLatency$$' -benchmem ./internal/shard
+	$(GO) test -run '^$$' -bench 'BenchmarkFrameworkStore$$' -benchmem ./internal/core
 
 # Compare min-of-5 against scripts/bench_baseline.txt; fails on
 # regression and on >BENCH_GATE_IMPROVE_TOL% unexplained improvement.
 bench-gate:
 	./scripts/bench_gate.sh
 
-# Re-pin scripts/bench_baseline.txt via min-of-5 in one step. Run this
+# Re-pin scripts/bench_baseline.txt (and BENCH_14.json, its summary) via
+# min-of-5 in one step. Run this
 # on the machine the gate will run on, and commit the result together
 # with the change that moved the numbers.
 bench-pin:

@@ -81,17 +81,20 @@ func bdiShapeSize(s bdiShape) int {
 // encoding. It returns the encoded bytes (first byte is the encoding tag)
 // and ok=false when no encoding beats the raw line.
 func BDICompress(line []byte) (encoded []byte, ok bool) {
+	return bdiAppend(nil, line)
+}
+
+// bdiAppend is the BDI encoder: it appends the encoding of line to dst, or
+// returns dst untouched and ok=false when no encoding beats the raw line.
+func bdiAppend(dst, line []byte) (encoded []byte, ok bool) {
 	if len(line) != LineSize {
 		panic(fmt.Sprintf("compress: BDICompress needs a %d-byte line, got %d", LineSize, len(line)))
 	}
 	if isZeros(line) {
-		return []byte{byte(BDIZeros)}, true
+		return append(dst, byte(BDIZeros)), true
 	}
 	if v, rep := repeated8(line); rep {
-		out := make([]byte, 9)
-		out[0] = byte(BDIRep)
-		binary.LittleEndian.PutUint64(out[1:], v)
-		return out, true
+		return binary.LittleEndian.AppendUint64(append(dst, byte(BDIRep)), v), true
 	}
 	var segs [bdiMaxSegs]uint64
 	var immediate [bdiMaxSegs]bool
@@ -100,38 +103,43 @@ func BDICompress(line []byte) (encoded []byte, ok bool) {
 		if !ok {
 			continue
 		}
-		return bdiEncode(s, base, &segs, &immediate), true
+		return bdiEncode(dst, s, base, &segs, &immediate), true
 	}
-	return nil, false
+	return dst, false
 }
 
 // BDIDecompress reverses BDICompress. It returns an error on a malformed
 // encoding.
 func BDIDecompress(encoded []byte) ([]byte, error) {
+	return decodeLine(AlgoBDI, encoded)
+}
+
+// bdiDecode is the BDI decoder, writing the line into dst.
+func bdiDecode(dst *[LineSize]byte, encoded []byte) error {
 	if len(encoded) == 0 {
-		return nil, fmt.Errorf("compress: empty BDI encoding")
+		return fmt.Errorf("compress: empty BDI encoding")
 	}
 	enc := BDIEncoding(encoded[0])
 	switch enc {
 	case BDIZeros:
-		return make([]byte, LineSize), nil
+		*dst = [LineSize]byte{}
+		return nil
 	case BDIRep:
 		if len(encoded) != 9 {
-			return nil, fmt.Errorf("compress: rep encoding needs 9 bytes, got %d", len(encoded))
+			return fmt.Errorf("compress: rep encoding needs 9 bytes, got %d", len(encoded))
 		}
-		out := make([]byte, LineSize)
 		v := binary.LittleEndian.Uint64(encoded[1:])
 		for i := 0; i < LineSize; i += 8 {
-			binary.LittleEndian.PutUint64(out[i:], v)
+			binary.LittleEndian.PutUint64(dst[i:], v)
 		}
-		return out, nil
+		return nil
 	}
 	for _, s := range bdiShapes {
 		if s.enc == enc {
-			return decodeBaseDelta(encoded, s)
+			return decodeBaseDelta(dst, encoded, s)
 		}
 	}
-	return nil, fmt.Errorf("compress: unknown BDI encoding tag %d", encoded[0])
+	return fmt.Errorf("compress: unknown BDI encoding tag %d", encoded[0])
 }
 
 // BDISize reports the compressed size in bytes BDI achieves for line, or
@@ -222,12 +230,14 @@ func bdiPlan(line []byte, s bdiShape, segs *[bdiMaxSegs]uint64, immediate *[bdiM
 	return base, true
 }
 
-// bdiEncode materializes the encoding bdiPlan validated.
-func bdiEncode(s bdiShape, base uint64, segs *[bdiMaxSegs]uint64, immediate *[bdiMaxSegs]bool) []byte {
+// bdiEncode appends the encoding bdiPlan validated to dst.
+func bdiEncode(dst []byte, s bdiShape, base uint64, segs *[bdiMaxSegs]uint64, immediate *[bdiMaxSegs]bool) []byte {
 	nseg := LineSize / s.seg
 	segBits := s.seg * 8
 	deltaBits := s.delta * 8
-	out := make([]byte, bdiShapeSize(s))
+	var zero [LineSize]byte // grows dst zeroed: the mask bits are OR-ed in
+	dst = append(dst, zero[:bdiShapeSize(s)]...)
+	out := dst[len(dst)-bdiShapeSize(s):]
 	out[0] = byte(s.enc)
 	maskOff := 1
 	baseOff := maskOff + nseg/8
@@ -243,14 +253,14 @@ func bdiEncode(s bdiShape, base uint64, segs *[bdiMaxSegs]uint64, immediate *[bd
 		delta := (v - base) & maskBits(segBits)
 		writeSeg(out, deltaOff+i*s.delta, s.delta, delta&maskBits(deltaBits))
 	}
-	return out
+	return dst
 }
 
-func decodeBaseDelta(encoded []byte, s bdiShape) ([]byte, error) {
+func decodeBaseDelta(dst *[LineSize]byte, encoded []byte, s bdiShape) error {
 	nseg := LineSize / s.seg
 	want := bdiShapeSize(s)
 	if len(encoded) != want {
-		return nil, fmt.Errorf("compress: %s encoding needs %d bytes, got %d", s.enc, want, len(encoded))
+		return fmt.Errorf("compress: %s encoding needs %d bytes, got %d", s.enc, want, len(encoded))
 	}
 	segBits := s.seg * 8
 	deltaBits := s.delta * 8
@@ -258,8 +268,6 @@ func decodeBaseDelta(encoded []byte, s bdiShape) ([]byte, error) {
 	baseOff := maskOff + nseg/8
 	deltaOff := baseOff + s.seg
 	base := readSeg(encoded, baseOff, s.seg)
-
-	out := make([]byte, LineSize)
 	for i := 0; i < nseg; i++ {
 		raw := readSeg(encoded, deltaOff+i*s.delta, s.delta)
 		delta := uint64(signExtend(raw, deltaBits)) & maskBits(segBits)
@@ -269,9 +277,9 @@ func decodeBaseDelta(encoded []byte, s bdiShape) ([]byte, error) {
 		} else {
 			v = (base + delta) & maskBits(segBits)
 		}
-		writeSeg(out, i*s.seg, s.seg, v)
+		writeSeg(dst[:], i*s.seg, s.seg, v)
 	}
-	return out, nil
+	return nil
 }
 
 func maskBits(bits int) uint64 {

@@ -50,3 +50,19 @@ func BenchmarkCompress(b *testing.B) {
 		e.Compress(lines[i%len(lines)])
 	}
 }
+
+// BenchmarkBitWriter is the bottom rung: one line's worth of FPC-shaped
+// fields (sixteen 3-bit prefixes, each followed by 0 to 32 data bits)
+// written into a fixed 70-byte buffer, as fpcAppend drives the writer.
+func BenchmarkBitWriter(b *testing.B) {
+	var buf [70]byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w := BitWriter{buf: buf[:]}
+		for word := 0; word < fpcWords; word++ {
+			bits := fpcDataBits[word%len(fpcDataBits)]
+			w.WriteBits(uint64(word)<<uint(bits)|0x5A5A5A5A&maskBits(bits), 3+bits)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "lines/s")
+}

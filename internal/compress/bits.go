@@ -2,33 +2,54 @@ package compress
 
 import "fmt"
 
-// BitWriter serializes values MSB-first into a byte buffer. FPC's variable
-// width codes are packed with it.
+// BitWriter serializes values MSB-first into a byte buffer. FPC's and
+// CPack's variable width codes are packed with it. It fills buf in place
+// and replaces it with a larger copy only when it runs out, so a writer
+// started on a buffer that holds the codec's worst case (FPC 70 bytes,
+// CPack 68) never allocates; the zero value grows a buffer of its own.
 type BitWriter struct {
-	buf   []byte
+	buf   []byte // bytes past the written bits are scratch
 	nbits int
 }
 
-// WriteBits appends the low n bits of v, most significant bit first.
+// WriteBits appends the low n bits of v, most significant bit first: it
+// tops up the partly filled last byte, then stores whole bytes, then the
+// zero-padded remainder.
 func (w *BitWriter) WriteBits(v uint64, n int) {
 	if n < 0 || n > 64 {
 		panic(fmt.Sprintf("compress: WriteBits width %d out of range", n))
 	}
-	for i := n - 1; i >= 0; i-- {
-		bit := (v >> uint(i)) & 1
-		byteIdx := w.nbits >> 3
-		if byteIdx == len(w.buf) {
-			w.buf = append(w.buf, 0)
+	v &= maskBits(n)
+	i := w.nbits >> 3    // the byte the next bit lands in
+	free := -w.nbits & 7 // its unwritten low bits, 0 when it is a fresh byte
+	w.nbits += n
+	if end := (w.nbits + 7) >> 3; end > len(w.buf) {
+		// A fresh slice, not append: storing append(w.buf) through w
+		// would make every caller's stack buffer escape.
+		grown := make([]byte, max(2*len(w.buf), LineSize, end))
+		copy(grown, w.buf)
+		w.buf = grown
+	}
+	if free > 0 {
+		if n <= free {
+			w.buf[i] |= byte(v << uint(free-n))
+			return
 		}
-		if bit != 0 {
-			w.buf[byteIdx] |= 1 << uint(7-w.nbits&7)
-		}
-		w.nbits++
+		n -= free
+		w.buf[i] |= byte(v >> uint(n))
+		i++
+	}
+	for ; n >= 8; n -= 8 {
+		w.buf[i] = byte(v >> uint(n-8))
+		i++
+	}
+	if n > 0 {
+		w.buf[i] = byte(v << uint(8-n))
 	}
 }
 
 // Bytes returns the packed buffer; the final byte is zero-padded.
-func (w *BitWriter) Bytes() []byte { return w.buf }
+func (w *BitWriter) Bytes() []byte { return w.buf[:(w.nbits+7)>>3] }
 
 // Len reports the number of bits written.
 func (w *BitWriter) Len() int { return w.nbits }
@@ -52,11 +73,13 @@ func (r *BitReader) ReadBits(n int) (uint64, error) {
 		return 0, fmt.Errorf("compress: bitstream exhausted (need %d bits at offset %d, have %d)", n, r.pos, len(r.buf)*8)
 	}
 	var v uint64
-	for i := 0; i < n; i++ {
-		byteIdx := r.pos >> 3
-		bit := (r.buf[byteIdx] >> uint(7-r.pos&7)) & 1
-		v = v<<1 | uint64(bit)
-		r.pos++
+	for n > 0 {
+		avail := 8 - r.pos&7 // unread low bits of the current byte
+		take := min(avail, n)
+		b := uint64(r.buf[r.pos>>3]) & maskBits(avail)
+		v = v<<uint(take) | b>>uint(avail-take)
+		r.pos += take
+		n -= take
 	}
 	return v, nil
 }

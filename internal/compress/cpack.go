@@ -30,11 +30,17 @@ const (
 // CPackCompress compresses a 64-byte line. ok is false when the encoding
 // does not beat the raw line.
 func CPackCompress(line []byte) (encoded []byte, ok bool) {
+	// Worst case is 16 uncompressed words: 16 x 34 bits = 68 bytes.
+	return cpackAppend(make([]byte, 0, 68), line)
+}
+
+// cpackAppend is the CPack encoder: it appends the encoding of line to dst
+// and reports whether it beat the raw line.
+func cpackAppend(dst, line []byte) (encoded []byte, ok bool) {
 	if len(line) != LineSize {
 		panic(fmt.Sprintf("compress: CPackCompress needs a %d-byte line, got %d", LineSize, len(line)))
 	}
-	// Worst case is 16 uncompressed words: 16 x 34 bits = 68 bytes.
-	w := BitWriter{buf: make([]byte, 0, 68)}
+	w := BitWriter{buf: dst[len(dst):cap(dst)]}
 	var dictArr [cpackDictSize]uint32
 	dict := dictArr[:0]
 	for i := 0; i < fpcWords; i++ {
@@ -43,29 +49,22 @@ func CPackCompress(line []byte) (encoded []byte, ok bool) {
 		case word == 0:
 			w.WriteBits(0b00, 2)
 		case word&0xFFFFFF00 == 0:
-			w.WriteBits(0b1110, 4)
-			w.WriteBits(uint64(word), 8)
+			w.WriteBits(0b1110<<8|uint64(word), 4+8)
 		default:
 			if idx, kind := cpackMatch(dict, word); kind == 2 {
-				w.WriteBits(0b10, 2)
-				w.WriteBits(uint64(idx), 4)
+				w.WriteBits(0b10<<4|uint64(idx), 2+4)
 			} else if kind == 1 {
-				w.WriteBits(0b1101, 4)
-				w.WriteBits(uint64(idx), 4)
-				w.WriteBits(uint64(word&0xFF), 8)
+				w.WriteBits(0b1101<<12|uint64(idx)<<8|uint64(word&0xFF), 4+4+8)
 			} else if kind == 0 {
-				w.WriteBits(0b1100, 4)
-				w.WriteBits(uint64(idx), 4)
-				w.WriteBits(uint64(word&0xFFFF), 16)
+				w.WriteBits(0b1100<<20|uint64(idx)<<16|uint64(word&0xFFFF), 4+4+16)
 			} else {
-				w.WriteBits(0b01, 2)
-				w.WriteBits(uint64(word), 32)
+				w.WriteBits(0b01<<32|uint64(word), 2+32)
 			}
 			dict = cpackPush(dict, word)
 		}
 	}
-	out := w.Bytes()
-	return out, len(out) < LineSize
+	enc := w.Bytes() // in dst's spare capacity unless the writer outgrew it
+	return append(dst, enc...), len(enc) < LineSize
 }
 
 // cpackMatch finds the best dictionary match for word: kind 2 = full,
@@ -98,20 +97,25 @@ func cpackPush(dict []uint32, word uint32) []uint32 {
 
 // CPackDecompress reverses CPackCompress.
 func CPackDecompress(encoded []byte) ([]byte, error) {
+	return decodeLine(AlgoCPack, encoded)
+}
+
+// cpackDecode is the CPack decoder, writing the line into dst.
+func cpackDecode(dst *[LineSize]byte, encoded []byte) error {
 	r := NewBitReader(encoded)
-	out := make([]byte, LineSize)
-	var dict []uint32
+	var dictArr [cpackDictSize]uint32
+	dict := dictArr[:0]
 	for i := 0; i < fpcWords; i++ {
 		word, pushed, err := cpackDecodeWord(r, dict)
 		if err != nil {
-			return nil, fmt.Errorf("compress: cpack word %d: %w", i, err)
+			return fmt.Errorf("compress: cpack word %d: %w", i, err)
 		}
 		if pushed {
 			dict = cpackPush(dict, word)
 		}
-		binary.LittleEndian.PutUint32(out[i*4:], word)
+		binary.LittleEndian.PutUint32(dst[i*4:], word)
 	}
-	return out, nil
+	return nil
 }
 
 func cpackDecodeWord(r *BitReader, dict []uint32) (word uint32, pushed bool, err error) {

@@ -79,22 +79,67 @@ func (c Compressed) Pack() []byte {
 	}
 }
 
-// Unpack parses a packed payload (the output of Pack for AlgoBDI/AlgoFPC)
-// back into a Compressed value.
-func Unpack(packed []byte) (Compressed, error) {
+// splitPacked identifies the algorithm of a packed payload from its
+// leading byte and returns the codec payload, aliasing packed.
+func splitPacked(packed []byte) (Algorithm, []byte, error) {
 	if len(packed) == 0 {
-		return Compressed{}, fmt.Errorf("compress: empty packed payload")
+		return AlgoNone, nil, fmt.Errorf("compress: empty packed payload")
 	}
 	switch {
 	case packed[0] == fpcTag:
-		return Compressed{Algo: AlgoFPC, Payload: append([]byte(nil), packed[1:]...)}, nil
+		return AlgoFPC, packed[1:], nil
 	case packed[0] == cpackTag:
-		return Compressed{Algo: AlgoCPack, Payload: append([]byte(nil), packed[1:]...)}, nil
+		return AlgoCPack, packed[1:], nil
 	case packed[0] < fpcTag:
-		return Compressed{Algo: AlgoBDI, Payload: append([]byte(nil), packed...)}, nil
+		return AlgoBDI, packed, nil
 	default:
-		return Compressed{}, fmt.Errorf("compress: unknown packed tag %d", packed[0])
+		return AlgoNone, nil, fmt.Errorf("compress: unknown packed tag %d", packed[0])
 	}
+}
+
+// Unpack parses a packed payload (the output of Pack for AlgoBDI/AlgoFPC)
+// back into a Compressed value that owns a copy of the payload.
+func Unpack(packed []byte) (Compressed, error) {
+	algo, payload, err := splitPacked(packed)
+	if err != nil {
+		return Compressed{}, err
+	}
+	return Compressed{Algo: algo, Payload: append([]byte(nil), payload...)}, nil
+}
+
+// DecodePacked decompresses a packed payload into dst without copying or
+// allocating: Unpack and Decompress in one step, for callers that own the
+// destination line.
+func DecodePacked(dst *[LineSize]byte, packed []byte) error {
+	algo, payload, err := splitPacked(packed)
+	if err != nil {
+		return err
+	}
+	return decode(dst, algo, payload)
+}
+
+// decode runs the one decoder algo names.
+func decode(dst *[LineSize]byte, algo Algorithm, payload []byte) error {
+	switch algo {
+	case AlgoBDI:
+		return bdiDecode(dst, payload)
+	case AlgoFPC:
+		return fpcDecode(dst, payload)
+	case AlgoCPack:
+		return cpackDecode(dst, payload)
+	default:
+		return fmt.Errorf("compress: unknown algorithm %v", algo)
+	}
+}
+
+// decodeLine decodes into a freshly allocated line: the exported
+// XDecompress form of each codec.
+func decodeLine(algo Algorithm, payload []byte) ([]byte, error) {
+	out := new([LineSize]byte)
+	if err := decode(out, algo, payload); err != nil {
+		return nil, err
+	}
+	return out[:], nil
 }
 
 // Engine is the compression-decompression engine in the memory controller
@@ -119,71 +164,86 @@ func NewEngine() *Engine { return &Engine{Target: 30} }
 // §IV-A5 / Table I make addressable.
 func NewExtendedEngine() *Engine { return &Engine{Target: 30, EnableCPack: true} }
 
-// Compress runs both codecs and returns the smaller result. When neither
-// codec reaches the target, the result carries AlgoNone with a copy of the
-// raw line so callers can store it directly.
+// Choose is the engine's one selection rule, decided from the
+// allocation-free size passes alone: the codec whose packed form is
+// smallest and at most Target bytes, or AlgoNone. BDI wins ties — FPC and
+// CPack pay one tag byte in packed form (see Pack) and must come out
+// strictly smaller than the winner so far. size is the packed size,
+// LineSize for AlgoNone.
+func (e *Engine) Choose(line []byte) (algo Algorithm, size int) {
+	algo, size = AlgoNone, LineSize
+	if s := BDISize(line); s < LineSize && s <= e.Target {
+		algo, size = AlgoBDI, s
+	}
+	if s := FPCSize(line); s < LineSize && s+1 <= e.Target && (algo == AlgoNone || s+1 < size) {
+		algo, size = AlgoFPC, s+1
+	}
+	if e.EnableCPack {
+		if s := CPackSize(line); s < LineSize && s+1 <= e.Target && (algo == AlgoNone || s+1 < size) {
+			algo, size = AlgoCPack, s+1
+		}
+	}
+	return algo, size
+}
+
+// AppendPacked appends the packed form of line (what Compress(line).Pack()
+// returns) to dst and names the algorithm chosen. Only the winning encoder
+// runs; for AlgoNone dst comes back untouched. With Target spare bytes in
+// dst it allocates nothing.
+func (e *Engine) AppendPacked(dst, line []byte) ([]byte, Algorithm) {
+	algo, _ := e.Choose(line)
+	return appendPacked(dst, line, algo), algo
+}
+
+// appendPacked runs the one encoder algo names, tag byte first.
+func appendPacked(dst, line []byte, algo Algorithm) []byte {
+	switch algo {
+	case AlgoBDI:
+		dst, _ = bdiAppend(dst, line)
+	case AlgoFPC:
+		dst, _ = fpcAppend(append(dst, fpcTag), line)
+	case AlgoCPack:
+		dst, _ = cpackAppend(append(dst, cpackTag), line)
+	}
+	return dst
+}
+
+// Compress selects the codec with Choose and runs it. When no codec
+// reaches the target, the result carries AlgoNone with a copy of the raw
+// line so callers can store it directly.
 func (e *Engine) Compress(line []byte) Compressed {
 	if len(line) != LineSize {
 		panic(fmt.Sprintf("compress: Engine.Compress needs a %d-byte line, got %d", LineSize, len(line)))
 	}
-	best := Compressed{Algo: AlgoNone}
-	if bdi, ok := BDICompress(line); ok && len(bdi) <= e.Target {
-		best = Compressed{Algo: AlgoBDI, Payload: bdi}
+	algo, size := e.Choose(line)
+	if algo == AlgoNone {
+		return Compressed{Algo: AlgoNone, Payload: append([]byte(nil), line...)}
 	}
-	// FPC pays one tag byte in packed form (see Pack).
-	if fpc, ok := FPCCompress(line); ok && len(fpc)+1 <= e.Target &&
-		(best.Algo == AlgoNone || len(fpc)+1 < best.Size()) {
-		best = Compressed{Algo: AlgoFPC, Payload: fpc}
+	payload := appendPacked(make([]byte, 0, size), line, algo)
+	if algo != AlgoBDI {
+		payload = payload[1:] // Pack re-adds the tag byte
 	}
-	if e.EnableCPack {
-		if cp, ok := CPackCompress(line); ok && len(cp)+1 <= e.Target &&
-			(best.Algo == AlgoNone || len(cp)+1 < best.Size()) {
-			best = Compressed{Algo: AlgoCPack, Payload: cp}
-		}
-	}
-	if best.Algo == AlgoNone {
-		best.Payload = append([]byte(nil), line...)
-	}
-	return best
+	return Compressed{Algo: algo, Payload: payload}
 }
 
 // Decompress reverses Compress.
 func (e *Engine) Decompress(c Compressed) ([]byte, error) {
-	switch c.Algo {
-	case AlgoNone:
+	if c.Algo == AlgoNone {
 		if len(c.Payload) != LineSize {
 			return nil, fmt.Errorf("compress: uncompressed payload is %d bytes, want %d", len(c.Payload), LineSize)
 		}
 		return append([]byte(nil), c.Payload...), nil
-	case AlgoBDI:
-		return BDIDecompress(c.Payload)
-	case AlgoFPC:
-		return FPCDecompress(c.Payload)
-	case AlgoCPack:
-		return CPackDecompress(c.Payload)
-	default:
-		return nil, fmt.Errorf("compress: unknown algorithm %v", c.Algo)
 	}
+	return decodeLine(c.Algo, c.Payload)
 }
 
 // Compressible reports whether line compresses to at most the engine's
-// target payload under either codec. This is the predicate the whole paper
-// is built on ("compressible to 30 bytes", Fig. 4). It runs the size-only
-// codec paths, so it allocates nothing.
+// target payload under any of its codecs. This is the predicate the whole
+// paper is built on ("compressible to 30 bytes", Fig. 4). Like Choose it
+// allocates nothing.
 func (e *Engine) Compressible(line []byte) bool {
-	if s := BDISize(line); s < LineSize && s <= e.Target {
-		return true
-	}
-	// FPC and CPack pay one tag byte in packed form (see Pack).
-	if s := FPCSize(line); s < LineSize && s+1 <= e.Target {
-		return true
-	}
-	if e.EnableCPack {
-		if s := CPackSize(line); s < LineSize && s+1 <= e.Target {
-			return true
-		}
-	}
-	return false
+	algo, _ := e.Choose(line)
+	return algo != AlgoNone
 }
 
 // BestSize reports the smallest size either codec achieves regardless of

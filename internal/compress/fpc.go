@@ -28,46 +28,49 @@ const fpcWords = LineSize / 4
 // worst case every word is stored uncompressed (16 x 35 bits = 70 bytes),
 // in which case ok=false signals the encoding did not beat the raw line.
 func FPCCompress(line []byte) (encoded []byte, ok bool) {
+	return fpcAppend(make([]byte, 0, 70), line)
+}
+
+// fpcAppend is the FPC encoder: it appends the encoding of line to dst and
+// reports whether it beat the raw line.
+func fpcAppend(dst, line []byte) (encoded []byte, ok bool) {
 	if len(line) != LineSize {
 		panic(fmt.Sprintf("compress: FPCCompress needs a %d-byte line, got %d", LineSize, len(line)))
 	}
-	// Worst case is 16 uncompressed words: 16 x 35 bits = 70 bytes.
-	w := BitWriter{buf: make([]byte, 0, 70)}
+	w := BitWriter{buf: dst[len(dst):cap(dst)]}
 	for i := 0; i < fpcWords; i++ {
-		word := binary.LittleEndian.Uint32(line[i*4:])
-		pat, data := fpcClassify(word)
-		w.WriteBits(uint64(pat), 3)
-		if bits := fpcDataBits[pat]; bits > 0 {
-			w.WriteBits(uint64(data), bits)
-		}
+		pat, data := fpcClassify(binary.LittleEndian.Uint32(line[i*4:]))
+		bits := fpcDataBits[pat]
+		w.WriteBits(uint64(pat)<<uint(bits)|uint64(data), 3+bits)
 	}
-	out := w.Bytes()
-	return out, len(out) < LineSize
+	enc := w.Bytes() // in dst's spare capacity unless the writer outgrew it
+	return append(dst, enc...), len(enc) < LineSize
 }
 
 // FPCDecompress reverses FPCCompress.
 func FPCDecompress(encoded []byte) ([]byte, error) {
+	return decodeLine(AlgoFPC, encoded)
+}
+
+// fpcDecode is the FPC decoder, writing the line into dst.
+func fpcDecode(dst *[LineSize]byte, encoded []byte) error {
 	r := NewBitReader(encoded)
-	out := make([]byte, LineSize)
 	for i := 0; i < fpcWords; i++ {
 		pat, err := r.ReadBits(3)
 		if err != nil {
-			return nil, fmt.Errorf("compress: FPC word %d prefix: %w", i, err)
+			return fmt.Errorf("compress: FPC word %d prefix: %w", i, err)
 		}
-		var data uint64
-		if bits := fpcDataBits[pat]; bits > 0 {
-			data, err = r.ReadBits(bits)
-			if err != nil {
-				return nil, fmt.Errorf("compress: FPC word %d data: %w", i, err)
-			}
+		data, err := r.ReadBits(fpcDataBits[pat])
+		if err != nil {
+			return fmt.Errorf("compress: FPC word %d data: %w", i, err)
 		}
 		word, err := fpcExpand(int(pat), uint32(data))
 		if err != nil {
-			return nil, fmt.Errorf("compress: FPC word %d: %w", i, err)
+			return fmt.Errorf("compress: FPC word %d: %w", i, err)
 		}
-		binary.LittleEndian.PutUint32(out[i*4:], word)
+		binary.LittleEndian.PutUint32(dst[i*4:], word)
 	}
-	return out, nil
+	return nil
 }
 
 // FPCSize reports the compressed size in bytes FPC achieves for line, or

@@ -90,18 +90,61 @@ func FuzzCPackSizeAgreement(f *testing.F) {
 		if len(data) != LineSize {
 			return
 		}
-		enc, ok := CPackCompress(data)
-		size := CPackSize(data)
-		if ok {
-			if size != len(enc) {
-				t.Fatalf("CPackSize=%d but encoder produced %d bytes", size, len(enc))
-			}
-			if size >= LineSize {
-				t.Fatalf("encoder claimed a win at %d bytes", size)
-			}
-		} else if size != LineSize {
-			t.Fatalf("CPackSize=%d for a line the encoder rejects, want %d", size, LineSize)
+		fuzzSizeAgreement(t, "CPack", CPackCompress, CPackSize, data)
+	})
+}
+
+// FuzzBDISizeAgreement and FuzzFPCSizeAgreement assert the same for the
+// other two codecs. Engine.Choose picks the winner from the three size
+// passes before any encoder runs, so a size that disagreed with its
+// encoder would select a payload that overflows the sub-rank block or
+// miss one that fits.
+func FuzzBDISizeAgreement(f *testing.F) {
+	fuzzSeedLines(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) != LineSize {
+			return
 		}
+		fuzzSizeAgreement(t, "BDI", BDICompress, BDISize, data)
+	})
+}
+
+func FuzzFPCSizeAgreement(f *testing.F) {
+	fuzzSeedLines(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) != LineSize {
+			return
+		}
+		fuzzSizeAgreement(t, "FPC", FPCCompress, FPCSize, data)
+	})
+}
+
+func fuzzSizeAgreement(t *testing.T, name string, compress func([]byte) ([]byte, bool), size func([]byte) int, data []byte) {
+	enc, ok := compress(data)
+	got := size(data)
+	if ok {
+		if got != len(enc) {
+			t.Fatalf("%sSize=%d but encoder produced %d bytes", name, got, len(enc))
+		}
+		if got >= LineSize {
+			t.Fatalf("%s encoder claimed a win at %d bytes", name, got)
+		}
+	} else if got != LineSize {
+		t.Fatalf("%sSize=%d for a line the encoder rejects, want %d", name, got, LineSize)
+	}
+}
+
+// FuzzEngineCompressMatchesReference holds the size-first chooser and the
+// append-style encoders to the run-every-encoder reference, for both
+// engine configurations.
+func FuzzEngineCompressMatchesReference(f *testing.F) {
+	fuzzSeedLines(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) != LineSize {
+			return
+		}
+		checkCompressMatchesReference(t, NewEngine(), data)
+		checkCompressMatchesReference(t, NewExtendedEngine(), data)
 	})
 }
 

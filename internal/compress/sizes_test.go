@@ -76,7 +76,8 @@ func TestSizeOnlyPathsMatchCodecs(t *testing.T) {
 }
 
 // TestCompressibleMatchesCompress pins the size-only Compressible predicate
-// to the allocating Compress selection for both engine configurations.
+// to the chooser and to the Compress selection for both engine
+// configurations.
 func TestCompressibleMatchesCompress(t *testing.T) {
 	for _, e := range []*Engine{NewEngine(), NewExtendedEngine()} {
 		for i, line := range testLines(400) {
@@ -84,6 +85,10 @@ func TestCompressibleMatchesCompress(t *testing.T) {
 			if got := e.Compressible(line); got != want {
 				t.Fatalf("engine cpack=%v line %d: Compressible=%v, Compress says %v",
 					e.EnableCPack, i, got, want)
+			}
+			if algo, _ := e.Choose(line); (algo != AlgoNone) != want {
+				t.Fatalf("engine cpack=%v line %d: Choose=%v, Compress says compressible=%v",
+					e.EnableCPack, i, algo, want)
 			}
 		}
 	}

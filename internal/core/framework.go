@@ -115,9 +115,9 @@ func (f *Framework) Store(lineAddr uint64, data []byte) (StoredLine, AccessTrace
 	var out StoredLine
 	tr := AccessTrace{}
 
-	c := f.Comp.Compress(data)
-	if c.Algo != compress.AlgoNone {
-		packed := c.Pack()
+	// Both stored forms are built in stack buffers: Store allocates nothing.
+	var buf [blem.MaxPayload]byte
+	if packed, algo := f.Comp.AppendPacked(buf[:0], data); algo != compress.AlgoNone {
 		f.Scr.Apply(lineAddr, packed)
 		block, err := f.Blem.PackCompressed(packed)
 		if err != nil {
@@ -128,8 +128,10 @@ func (f *Framework) Store(lineAddr uint64, data []byte) (StoredLine, AccessTrace
 		tr.ActualCompressed = true
 		tr.BlocksTouched = 1
 	} else {
-		scrambled := f.Scr.Scrambled(lineAddr, data)
-		stored, collision := f.Blem.StoreUncompressed(lineAddr, scrambled)
+		var scrambled [LineSize]byte
+		copy(scrambled[:], data)
+		f.Scr.Apply(lineAddr, scrambled[:])
+		stored, collision := f.Blem.StoreUncompressed(lineAddr, scrambled[:])
 		copy(out.Blocks[0][:], stored[:SubRankBlock])
 		copy(out.Blocks[1][:], stored[SubRankBlock:])
 		out.Collision = collision
@@ -165,23 +167,18 @@ func (f *Framework) Load(lineAddr uint64, stored StoredLine) ([]byte, AccessTrac
 		tr.BlocksTouched = 2
 	}
 
-	cls := f.Blem.Classify(stored.Blocks[0][:])
-	var data []byte
-	switch cls {
+	// The returned line is Load's one allocation; temporaries stay on the stack.
+	data := new([LineSize]byte)
+	switch cls := f.Blem.Classify(stored.Blocks[0][:]); cls {
 	case blem.ClassCompressed:
-		packed := make([]byte, blem.MaxPayload)
-		copy(packed, blem.PayloadOf(stored.Blocks[0][:]))
-		f.Scr.Apply(lineAddr, packed)
-		n, err := compress.MeasurePacked(packed)
+		var packed [blem.MaxPayload]byte
+		copy(packed[:], blem.PayloadOf(stored.Blocks[0][:]))
+		f.Scr.Apply(lineAddr, packed[:])
+		n, err := compress.MeasurePacked(packed[:])
 		if err != nil {
 			return nil, tr, fmt.Errorf("core: corrupt compressed block at %d: %w", lineAddr, err)
 		}
-		u, err := compress.Unpack(packed[:n])
-		if err != nil {
-			return nil, tr, err
-		}
-		data, err = f.Comp.Decompress(u)
-		if err != nil {
+		if err := compress.DecodePacked(data, packed[:n]); err != nil {
 			return nil, tr, err
 		}
 	case blem.ClassUncompressed, blem.ClassCollision:
@@ -189,16 +186,13 @@ func (f *Framework) Load(lineAddr uint64, stored StoredLine) ([]byte, AccessTrac
 			tr.Mispredicted = true
 			tr.BlocksTouched++ // corrective fetch of the second block
 		}
-		full := make([]byte, LineSize)
-		copy(full, stored.Blocks[0][:])
-		copy(full[SubRankBlock:], stored.Blocks[1][:])
+		copy(data[:], stored.Blocks[0][:])
+		copy(data[SubRankBlock:], stored.Blocks[1][:])
 		if cls == blem.ClassCollision {
 			tr.RAAccess = true
-			restored := f.Blem.LoadCollided(lineAddr, full)
-			full = restored[:]
+			*data = f.Blem.LoadCollided(lineAddr, data[:])
 		}
-		f.Scr.Apply(lineAddr, full)
-		data = full
+		f.Scr.Apply(lineAddr, data[:])
 	}
 	if tr.PredictedCompressed != tr.ActualCompressed {
 		tr.Mispredicted = true
@@ -206,7 +200,7 @@ func (f *Framework) Load(lineAddr uint64, stored StoredLine) ([]byte, AccessTrac
 	if f.Copr != nil {
 		f.Copr.Update(lineAddr*LineSize, stored.Compressed)
 	}
-	return data, tr, nil
+	return data[:], tr, nil
 }
 
 // StorageOverheadBytes reports the framework's SRAM cost: the predictor

@@ -45,10 +45,9 @@ func Classes() map[workload.PayloadKind]ClassProfile {
 				// Spread addresses and versions so parity- and
 				// version-dependent builders are sampled evenly.
 				line := workload.PayloadLine(kind, uint64(i)*3+1, uint64(i)/2)
-				c := eng.Compress(line)
-				if c.Algo != compress.AlgoNone {
+				if algo, size := eng.Choose(line); algo != compress.AlgoNone {
 					compressed++
-					packed += float64(len(c.Pack()))
+					packed += float64(size)
 				}
 			}
 			p := ClassProfile{PCompress: compressed / classProbeSamples}

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# Benchmark regression gate: run the two throughput benchmarks that pin
-# the hot paths (the simulator loop and the sharded engine pipeline),
-# summarize over -count runs (minimum ns/op — scheduler noise only ever
+# Benchmark regression gate: run the benchmarks that pin the hot paths
+# (the simulator loop, the sharded engine pipeline, and Framework.Store,
+# the codec hot path under every write), summarize over -count runs
+# (minimum ns/op — scheduler noise only ever
 # adds time, so min-of-N is the robust estimator on busy machines;
 # average allocs/op — those are deterministic), and fail if either
 # regresses against the committed baseline (scripts/bench_baseline.txt):
@@ -19,8 +20,9 @@
 #     broken benchmark that stopped measuring the work. Either way the
 #     gate should not wave it through silently.
 #
-# Also writes BENCH_5.json (name, ns/op, allocs/op per benchmark) for CI
-# artifact upload, and prints a benchstat comparison when benchstat is
+# Also writes BENCH_14.json (name, ns/op, allocs/op per benchmark) — on a
+# re-pin too, so the copy committed at the repo root is the summary of the
+# committed baseline — and prints a benchstat comparison when benchstat is
 # on PATH (report only — the gate itself needs nothing beyond awk).
 #
 # Refresh the baseline (deliberately, on the machine the gate will run
@@ -39,19 +41,20 @@ export LC_ALL
 cd "$(dirname "$0")/.."
 
 baseline=scripts/bench_baseline.txt
-json="${BENCH_JSON:-BENCH_5.json}"
+json="${BENCH_JSON:-BENCH_14.json}"
 count="${BENCH_COUNT:-5}"
 time_tol="${BENCH_GATE_TIME_TOL:-10}"
 alloc_tol="${BENCH_GATE_ALLOC_TOL:-0.2}"
 improve_tol="${BENCH_GATE_IMPROVE_TOL:-25}"
 
 current="${TMPDIR:-/tmp}/attache-bench.$$.txt"
-trap 'rm -f "$current"' EXIT
+trap 'rm -f "$current" "${current}.cur" "${current}.base"' EXIT
 
 echo "bench gate: running benchmarks (count=$count)..."
 {
 	go test -run '^$' -bench 'BenchmarkSimulatorThroughput$' -benchmem -count="$count" .
 	go test -run '^$' -bench 'BenchmarkShardedThroughput$|BenchmarkSubmitLatency$' -benchmem -count="$count" ./internal/shard
+	go test -run '^$' -bench 'BenchmarkFrameworkStore$' -benchmem -count="$count" ./internal/core
 } | tee "$current"
 
 # summarize: min ns/op and mean allocs/op per benchmark, with the
@@ -75,19 +78,9 @@ summarize() {
 	' "$1" | sort
 }
 
-if [ "${UPDATE:-}" = "1" ]; then
-	cp "$current" "$baseline"
-	echo "bench gate: baseline updated ($baseline)"
-	exit 0
-fi
-
-[ -f "$baseline" ] || { echo "bench gate: no baseline — run UPDATE=1 $0 first"; exit 1; }
-
 summarize "$current" > "${current}.cur"
-summarize "$baseline" > "${current}.base"
-trap 'rm -f "$current" "${current}.cur" "${current}.base"' EXIT
 
-# BENCH_5.json: the averaged summary, for artifact upload.
+# BENCH_14.json: the summary, one record per benchmark.
 awk '
 	BEGIN { print "[" }
 	{
@@ -97,6 +90,16 @@ awk '
 	END { print "\n]" }
 ' "${current}.cur" > "$json"
 echo "bench gate: wrote $json"
+
+if [ "${UPDATE:-}" = "1" ]; then
+	cp "$current" "$baseline"
+	echo "bench gate: baseline updated ($baseline)"
+	exit 0
+fi
+
+[ -f "$baseline" ] || { echo "bench gate: no baseline — run UPDATE=1 $0 first"; exit 1; }
+
+summarize "$baseline" > "${current}.base"
 
 if command -v benchstat >/dev/null 2>&1; then
 	echo "bench gate: benchstat comparison (baseline vs current):"
