@@ -32,9 +32,7 @@ const benchScale = 0.15
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		h := exp.NewHarness(benchScale)
-		_, runners := h.Experiments()
-		tab, err := runners[id]()
+		tab, err := exp.NewHarness(benchScale).Experiment(id)()
 		if err != nil {
 			b.Fatal(err)
 		}

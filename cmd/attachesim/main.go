@@ -7,21 +7,36 @@
 //	attachesim -experiment fig12
 //	attachesim -experiment fig12,fig13 -scale 2 -seeds 42,1337 -v
 //	attachesim -experiment all
+//	attachesim -trace mytrace.txt -compressibility 0.5 -experiment systems
 //
 // Scale multiplies the per-core memory-reference count (default 12000);
 // the paper's shapes are stable from scale 1 upward. Results are printed
 // as aligned tables with a final mean row where the paper reports an
 // average.
 //
-// Simulations fan out across -parallel worker goroutines (default: all
-// CPUs). Runs are deterministic and aggregated in a fixed order, so the
-// tables are byte-identical at any parallelism. -cpuprofile/-memprofile
+// Simulations fan out with at most -parallel executing at once (default:
+// all CPUs). Runs are deterministic and aggregated in a fixed order, so
+// the tables are byte-identical at any parallelism. -cpuprofile/-memprofile
 // write pprof profiles for performance work.
+//
+// -trace replaces the workload catalog with a recorded memory trace, the
+// bring-your-own-workload entry point: every experiment then runs on it,
+// each core replaying its own copy (rate mode, looping for the run
+// length). One access per line, '#' comments allowed:
+//
+//	R 0x7f001040 12     # read byte address 0x7f001040, 12 instrs after previous
+//	W 104896            # write, default gap 1
+//
+// A trace records addresses but not data, so the compressibility of the
+// address space is modeled: -compressibility sets the fraction of lines
+// that compress to <=30 bytes and -homogeneity how strongly that clusters
+// by 4KB page.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -32,34 +47,48 @@ import (
 
 	"attache/internal/config"
 	"attache/internal/exp"
+	"attache/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters; it returns the
+// exit code: 1 for runtime errors, 2 for bad flags, ids or values.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("attachesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		experiment = flag.String("experiment", "all", "experiment id(s), comma separated, or 'all'")
-		scale      = flag.Float64("scale", 1.0, "run-length multiplier (1.0 = 12000 memory references per core)")
-		seeds      = flag.String("seeds", "42", "comma-separated RNG seeds; results are averaged")
-		verbose    = flag.Bool("v", false, "print one line per completed simulation run")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		format     = flag.String("format", "table", "output format: table or csv")
-		outDir     = flag.String("out", "", "also write each result to <dir>/<id>.txt and <id>.csv")
-		report     = flag.String("report", "", "run every experiment and write a markdown report to this file")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulations (results are identical at any value)")
-		checkMode  = flag.String("check", "off", "runtime checking: off, invariants, or oracle (validates the simulation; results are unchanged)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		experiment = fs.String("experiment", "all", "experiment id(s), comma separated, or 'all'")
+		scale      = fs.Float64("scale", 1.0, "run-length multiplier (1.0 = 12000 memory references per core)")
+		seeds      = fs.String("seeds", "42", "comma-separated RNG seeds; results are averaged")
+		verbose    = fs.Bool("v", false, "print one line per completed simulation run")
+		list       = fs.Bool("list", false, "list experiment ids and exit")
+		format     = fs.String("format", "table", "output format: table or csv")
+		outDir     = fs.String("out", "", "also write each result to <dir>/<id>.txt and <id>.csv")
+		report     = fs.String("report", "", "run every experiment and write a markdown report to this file")
+		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulations (results are identical at any value)")
+		checkMode  = fs.String("check", "off", "runtime checking: off, invariants, or oracle (validates the simulation; results are unchanged)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		tracePath  = fs.String("trace", "", "run the experiments on this recorded trace instead of the workload catalog")
+		comp       = fs.Float64("compressibility", 0.5, "with -trace: fraction of lines compressible to <=30B")
+		homog      = fs.Float64("homogeneity", 0.8, "with -trace: probability a 4KB page is uniformly compressible")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "attachesim: "+format+"\n", a...)
+		return code
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "attachesim: %v\n", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "attachesim: %v\n", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -67,13 +96,13 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "attachesim: %v\n", err)
+				fail(1, "%v", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle live objects before the snapshot
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "attachesim: %v\n", err)
+				fail(1, "%v", err)
 			}
 		}()
 	}
@@ -82,95 +111,101 @@ func main() {
 	h.Parallelism = *parallel
 	lvl, err := config.ParseCheckLevel(*checkMode)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "attachesim: %v\n", err)
-		os.Exit(2)
+		return fail(2, "%v", err)
 	}
 	h.Cfg.Check = lvl
-	order, runners := h.Experiments()
 
 	if *list {
-		fmt.Println("available experiments (paper artifact -> id):")
-		for _, id := range order {
-			fmt.Printf("  %s\n", id)
+		fmt.Fprintln(stdout, "available experiments (paper artifact -> id):")
+		for _, e := range h.Experiments() {
+			fmt.Fprintf(stdout, "  %s\n", e.ID)
 		}
-		return
+		return 0
 	}
 
-	var seedVals []int64
+	h.Seeds = nil
 	for _, s := range strings.Split(*seeds, ",") {
 		v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "attachesim: bad seed %q: %v\n", s, err)
-			os.Exit(2)
+			return fail(2, "bad seed %q: %v", s, err)
 		}
-		seedVals = append(seedVals, v)
+		h.Seeds = append(h.Seeds, v)
 	}
-	h.Seeds = seedVals
 	if *verbose {
-		h.Progress = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
+		h.Progress = func(msg string) { fmt.Fprintln(stderr, msg) }
+	}
+
+	if *tracePath != "" {
+		if *comp < 0 || *comp > 1 || *homog < 0 || *homog > 1 {
+			return fail(2, "-compressibility and -homogeneity must be in [0,1]")
+		}
+		f, err := os.Open(*tracePath)
+		if err != nil {
+			return fail(1, "%v", err)
+		}
+		ft, err := trace.ParseTrace(f)
+		f.Close()
+		if err != nil {
+			return fail(1, "%s: %v", *tracePath, err)
+		}
+		h.Trace = &exp.TraceWorkload{Name: filepath.Base(*tracePath), Recording: ft,
+			Compressibility: *comp, Homogeneity: *homog}
 	}
 
 	if *report != "" {
 		f, err := os.Create(*report)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "attachesim: %v\n", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
 		if err := h.WriteReport(f); err != nil {
-			fmt.Fprintf(os.Stderr, "attachesim: %v\n", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "attachesim: %v\n", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
-		fmt.Printf("report written to %s\n", *report)
-		return
+		fmt.Fprintf(stdout, "report written to %s\n", *report)
+		return 0
 	}
 
-	ids := order
+	exps := h.Experiments()
 	if *experiment != "all" {
-		ids = nil
+		exps = nil
 		for _, id := range strings.Split(*experiment, ",") {
 			id = strings.TrimSpace(id)
-			if runners[id] == nil {
-				fmt.Fprintf(os.Stderr, "attachesim: unknown experiment %q (try -list)\n", id)
-				os.Exit(2)
+			r := h.Experiment(id)
+			if r == nil {
+				return fail(2, "unknown experiment %q (try -list)", id)
 			}
-			ids = append(ids, id)
+			exps = append(exps, exp.Experiment{ID: id, Run: r})
 		}
 	}
 
 	if *format != "table" && *format != "csv" {
-		fmt.Fprintf(os.Stderr, "attachesim: unknown format %q (want table or csv)\n", *format)
-		os.Exit(2)
+		return fail(2, "unknown format %q (want table or csv)", *format)
 	}
-	h.Prefetch(ids...)
-	for _, id := range ids {
+	for _, e := range exps {
 		start := time.Now()
-		tab, err := runners[id]()
+		tab, err := e.Run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "attachesim: %s failed: %v\n", id, err)
-			os.Exit(1)
+			return fail(1, "%s failed: %v", e.ID, err)
 		}
 		if *format == "csv" {
-			fmt.Printf("# %s\n%s\n", id, tab.CSV())
+			fmt.Fprintf(stdout, "# %s\n%s\n", e.ID, tab.CSV())
 		} else {
-			fmt.Println(tab.String())
-			fmt.Printf("(%s completed in %s)\n\n", id, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintln(stdout, tab.String())
+			fmt.Fprintf(stdout, "(%s completed in %s)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		}
 		if *outDir != "" {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "attachesim: %v\n", err)
-				os.Exit(1)
+				return fail(1, "%v", err)
 			}
 			for ext, content := range map[string]string{".txt": tab.String(), ".csv": tab.CSV()} {
-				path := filepath.Join(*outDir, id+ext)
+				path := filepath.Join(*outDir, e.ID+ext)
 				if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "attachesim: %v\n", err)
-					os.Exit(1)
+					return fail(1, "%v", err)
 				}
 			}
 		}
 	}
+	return 0
 }

@@ -19,12 +19,10 @@ import (
 
 // Harness runs the paper's experiments with memoized simulation results,
 // so figures that share runs (12/13/14 share the four-system sweep;
-// 1/11/15 reuse slices of it) pay for them once. The memo cache is
-// concurrency-safe with singleflight semantics: two goroutines asking for
-// the same run execute it exactly once. Prefetch fans the planned runs of
-// a set of experiments across Parallelism workers; results are identical
-// to serial execution because every run is an independent deterministic
-// simulation and aggregation always happens in experiment order.
+// 1/11/15 reuse slices of it) pay for them once. The memo cache is keyed
+// by a run's inputs and has singleflight semantics: two goroutines asking
+// for the same run execute it exactly once. Experiments fetch their runs
+// through sweep (sweep.go), which is where the parallelism lives.
 type Harness struct {
 	Cfg             config.Config
 	AccessesPerCore int64
@@ -33,26 +31,47 @@ type Harness struct {
 	// serialized by an internal mutex so concurrent runs do not interleave
 	// mid-line.
 	Progress func(msg string)
-	// Parallelism bounds how many simulations Prefetch executes
-	// concurrently. Values <= 0 fall back to runtime.GOMAXPROCS(0).
-	// Results do not depend on it.
+	// Parallelism bounds how many simulations execute at once, across
+	// every caller of the harness; set it before the first run. Values
+	// <= 1 (the zero value included) run serially on the caller. Results
+	// do not depend on it.
 	Parallelism int
+	// Trace, when set, replaces the workload catalog with one recorded
+	// trace, so every experiment runs on it.
+	Trace *TraceWorkload
 
-	mu         sync.Mutex // guards cache and inflight
-	cache      map[string]cachedRun
-	inflight   map[string]*inflightRun
+	mu         sync.Mutex // guards cache and the creation of slots
+	cache      map[runInputs]*memoRun
+	slots      chan struct{} // one token per executing simulation
 	progressMu sync.Mutex
 }
 
-// cachedRun memoizes one run's outcome; errors are cached too, so a failed
-// simulation is not retried by every figure that shares it.
-type cachedRun struct {
-	m   Metrics
-	err error
+// TraceWorkload is a recorded trace standing in for the catalog. Every
+// core replays its own cursor over the recording (rate mode). A trace
+// records addresses but not data, so line contents are modeled: a
+// trace.DataModel seeded with the run's seed makes Compressibility of
+// the lines compress to <= 30 bytes, clustered by 4 KB page with
+// probability Homogeneity.
+type TraceWorkload struct {
+	Name                         string // row label in result tables
+	Recording                    *trace.FileTrace
+	Compressibility, Homogeneity float64
 }
 
-// inflightRun is the singleflight rendezvous for one executing run.
-type inflightRun struct {
+// runInputs is the memoization identity of one simulation: everything it is
+// a function of besides the harness-wide run length, seeds and trace.
+// config.Config is comparable; a slice field added to it would stop this
+// file compiling rather than silently alias two runs.
+type runInputs struct {
+	workload string
+	kind     config.SystemKind
+	cfg      config.Config
+}
+
+// memoRun is one run's cache entry and singleflight rendezvous. Errors
+// are memoized too, so a failed simulation is not retried by every figure
+// that shares it.
+type memoRun struct {
 	done chan struct{} // closed when m/err are final
 	m    Metrics
 	err  error
@@ -70,14 +89,15 @@ func NewHarness(scale float64) *Harness {
 		AccessesPerCore: n,
 		Seeds:           []int64{42},
 		Parallelism:     runtime.GOMAXPROCS(0),
-		cache:           map[string]cachedRun{},
-		inflight:        map[string]*inflightRun{},
 	}
 }
 
 // Workloads lists every workload of the evaluation: the catalog plus the
-// two mixes.
+// two mixes, or the one recorded trace when Trace is set.
 func (h *Harness) Workloads() []string {
+	if h.Trace != nil {
+		return []string{h.Trace.Name}
+	}
 	names := trace.Names()
 	for _, m := range trace.Mixes() {
 		names = append(names, m.Name)
@@ -86,6 +106,11 @@ func (h *Harness) Workloads() []string {
 }
 
 func (h *Harness) profilesFor(name string) ([]trace.Profile, error) {
+	if h.Trace != nil {
+		// Only the core count matters: executeRun overrides the access
+		// streams and the data model.
+		name = "lbm"
+	}
 	for _, m := range trace.Mixes() {
 		if m.Name == name {
 			return MixProfiles(m)
@@ -98,90 +123,80 @@ func (h *Harness) profilesFor(name string) ([]trace.Profile, error) {
 	return RateMode(p, h.Cfg.CPU.Cores), nil
 }
 
-// runKey is the memoization identity of one simulation. The config is not
-// part of the key: variant must uniquely describe every non-default
-// configuration, which the planner in parallel.go relies on too.
-func runKey(name string, kind config.SystemKind, variant string) string {
-	return fmt.Sprintf("%s|%v|%s", name, kind, variant)
-}
+// simulate is Run, behind a variable so tests can instrument the
+// scheduler without simulating.
+var simulate = Run
 
 // runCached executes (or recalls) one simulation, averaging over the
-// harness seeds. variant distinguishes non-default configurations.
-// It is safe for concurrent use: the first caller for a key executes the
-// run, any later caller blocks until that result is final (singleflight).
-func (h *Harness) runCached(name string, kind config.SystemKind, variant string, cfg config.Config) (Metrics, error) {
-	key := runKey(name, kind, variant)
+// harness seeds. It is safe for concurrent use: the first caller for a
+// key executes the run, holding one of the Parallelism slots while it
+// does; any later caller blocks, slotless, until that result is final
+// (singleflight).
+func (h *Harness) runCached(workload string, s runSpec) (Metrics, error) {
+	key := runInputs{workload, s.kind, h.Cfg}
+	if s.mod != nil {
+		key.cfg = s.mod(h.Cfg)
+	}
 	h.mu.Lock()
 	if h.cache == nil {
-		h.cache = map[string]cachedRun{}
+		h.cache = map[runInputs]*memoRun{}
+		h.slots = make(chan struct{}, max(h.Parallelism, 1))
 	}
-	if h.inflight == nil {
-		h.inflight = map[string]*inflightRun{}
+	r, found := h.cache[key]
+	if !found {
+		r = &memoRun{done: make(chan struct{})}
+		h.cache[key] = r
 	}
-	if c, ok := h.cache[key]; ok {
-		h.mu.Unlock()
-		return c.m, c.err
-	}
-	if fl, ok := h.inflight[key]; ok {
-		h.mu.Unlock()
-		<-fl.done
-		return fl.m, fl.err
-	}
-	fl := &inflightRun{done: make(chan struct{})}
-	h.inflight[key] = fl
 	h.mu.Unlock()
-
-	fl.m, fl.err = h.executeRun(key, name, kind, cfg)
-
-	h.mu.Lock()
-	h.cache[key] = cachedRun{m: fl.m, err: fl.err}
-	delete(h.inflight, key)
-	h.mu.Unlock()
-	close(fl.done)
-
-	if fl.err == nil {
-		h.progress(fmt.Sprintf("ran %-28s cycles=%d", key, fl.m.Cycles))
+	if found {
+		<-r.done
+		return r.m, r.err
 	}
-	return fl.m, fl.err
+
+	name := fmt.Sprintf("%s|%v|%s", workload, s.kind, s.label)
+	h.slots <- struct{}{}
+	r.m, r.err = h.executeRun(name, key)
+	<-h.slots
+	close(r.done)
+	if r.err == nil && h.Progress != nil {
+		h.progressMu.Lock()
+		h.Progress(fmt.Sprintf("ran %-28s cycles=%d", name, r.m.Cycles))
+		h.progressMu.Unlock()
+	}
+	return r.m, r.err
 }
 
-// executeRun performs the actual simulations for one cache key.
-func (h *Harness) executeRun(key, name string, kind config.SystemKind, cfg config.Config) (Metrics, error) {
-	profs, err := h.profilesFor(name)
+// executeRun performs the actual simulations for one cache key; name
+// labels it in errors.
+func (h *Harness) executeRun(name string, key runInputs) (Metrics, error) {
+	profs, err := h.profilesFor(key.workload)
 	if err != nil {
 		return Metrics{}, err
 	}
 	var acc Metrics
 	for _, seed := range h.Seeds {
-		m, err := Run(RunConfig{
-			Cfg:             cfg,
-			Kind:            kind,
+		rc := RunConfig{
+			Cfg:             key.cfg,
+			Kind:            key.kind,
 			Profiles:        profs,
 			AccessesPerCore: h.AccessesPerCore,
 			Seed:            seed,
-		})
+		}
+		if tw := h.Trace; tw != nil {
+			rc.Sources = make([]trace.Source, len(profs))
+			for i := range rc.Sources {
+				rc.Sources[i] = tw.Recording.Clone()
+			}
+			rc.LineModel = trace.NewDataModel(uint64(seed), tw.Compressibility, tw.Homogeneity)
+		}
+		m, err := simulate(rc)
 		if err != nil {
-			return Metrics{}, fmt.Errorf("run %s: %w", key, err)
+			return Metrics{}, fmt.Errorf("run %s: %w", name, err)
 		}
 		stats.Add(&acc, m)
 	}
 	stats.Scale(&acc, 1/float64(len(h.Seeds)))
 	return acc, nil
-}
-
-// progress forwards one line to the Progress callback under a mutex, so
-// parallel runs never interleave output mid-line.
-func (h *Harness) progress(msg string) {
-	if h.Progress == nil {
-		return
-	}
-	h.progressMu.Lock()
-	defer h.progressMu.Unlock()
-	h.Progress(msg)
-}
-
-func (h *Harness) run(name string, kind config.SystemKind) (Metrics, error) {
-	return h.runCached(name, kind, "", h.Cfg)
 }
 
 // Fig1 reproduces Figure 1: per benchmark, the proportion of compressed
@@ -190,17 +205,11 @@ func (h *Harness) run(name string, kind config.SystemKind) (Metrics, error) {
 func (h *Harness) Fig1() (*stats.Table, error) {
 	t := stats.NewTable("Fig 1: metadata traffic overhead (1MB metadata cache)",
 		"compressed_pct", "extra_traffic_pct")
-	for _, w := range h.Workloads() {
-		m, err := h.run(w, config.SystemMDCache)
-		if err != nil {
-			return nil, err
-		}
-		data := float64(m.DataReads + m.DataWrites)
-		meta := float64(m.MetaReads + m.MetaWrites)
-		t.AddRow(w, m.CompressedReadFrac*100, meta/data*100)
-	}
-	t.AddMeanRow()
-	return t, nil
+	return h.perWorkload(t, func(m []Metrics) []float64 {
+		data := float64(m[0].DataReads + m[0].DataWrites)
+		meta := float64(m[0].MetaReads + m[0].MetaWrites)
+		return []float64{m[0].CompressedReadFrac * 100, meta / data * 100}
+	}, sys(config.SystemMDCache))
 }
 
 // Fig2 reproduces Figure 2's latency/bandwidth comparison with a
@@ -291,25 +300,24 @@ func (h *Harness) Fig4() (*stats.Table, error) {
 func (h *Harness) Fig5() (*stats.Table, error) {
 	t := stats.NewTable("Fig 5: metadata-cache size sweep (suite averages)",
 		"hit_rate", "speedup")
-	for _, size := range mdcacheSweepSizes {
-		cfg := h.Cfg
-		cfg.MDCache.Bytes = size
-		var hit, speedup float64
-		n := 0
-		for _, w := range h.Workloads() {
-			base, err := h.run(w, config.SystemBaseline)
-			if err != nil {
-				return nil, err
-			}
-			md, err := h.runCached(w, config.SystemMDCache, mdcacheSizeVariant(size), cfg)
-			if err != nil {
-				return nil, err
-			}
-			hit += md.MDHitRate
-			speedup += float64(base.Cycles) / float64(md.Cycles)
-			n++
+	sizes := []int{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
+	specs := []runSpec{sys(config.SystemBaseline)}
+	for _, size := range sizes {
+		specs = append(specs, runSpec{fmt.Sprintf("size=%d", size), config.SystemMDCache,
+			func(cfg config.Config) config.Config { cfg.MDCache.Bytes = size; return cfg }})
+	}
+	ms, err := h.sweep(specs...)
+	if err != nil {
+		return nil, err
+	}
+	n := float64(len(ms))
+	for j, size := range sizes {
+		var hit, sp float64
+		for _, m := range ms {
+			hit += m[j+1].MDHitRate
+			sp += speedup(m[j+1], m[0])
 		}
-		t.AddRow(fmt.Sprintf("%dKB", size>>10), hit/float64(n), speedup/float64(n))
+		t.AddRow(fmt.Sprintf("%dKB", size>>10), hit/n, sp/n)
 	}
 	return t, nil
 }
@@ -320,7 +328,6 @@ func (h *Harness) Fig5() (*stats.Table, error) {
 func (h *Harness) Fig8() (*stats.Table, error) {
 	t := stats.NewTable("Fig 8: CID collision probability vs accesses (15-bit CID)",
 		"analytic_p", "measured_p")
-	e := blem.NewEngine(15, 2024)
 	scr := scramble.New(0xFEEDFACE)
 	line := make([]byte, 64)
 	const trials = 64
@@ -347,7 +354,6 @@ func (h *Harness) Fig8() (*stats.Table, error) {
 			}
 		}
 	}
-	_ = e
 	for _, n := range ns {
 		analytic := 1 - math.Pow(1-blem.CollisionProbability(15), float64(n))
 		t.AddRow(fmt.Sprintf("%d accesses", n), analytic, float64(counts[n])/trials)
@@ -386,15 +392,9 @@ func (h *Harness) Table1() (*stats.Table, error) {
 // Fig11 reproduces Figure 11: COPR prediction accuracy per benchmark.
 func (h *Harness) Fig11() (*stats.Table, error) {
 	t := stats.NewTable("Fig 11: COPR prediction accuracy", "accuracy")
-	for _, w := range h.Workloads() {
-		m, err := h.run(w, config.SystemAttache)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(w, m.CoprAccuracy)
-	}
-	t.AddMeanRow()
-	return t, nil
+	return h.perWorkload(t, func(m []Metrics) []float64 {
+		return []float64{m[0].CoprAccuracy}
+	}, sys(config.SystemAttache))
 }
 
 // Fig12 reproduces Figure 12: speedup of the Metadata-Cache system,
@@ -402,46 +402,18 @@ func (h *Harness) Fig11() (*stats.Table, error) {
 func (h *Harness) Fig12() (*stats.Table, error) {
 	t := stats.NewTable("Fig 12: speedup normalized to baseline",
 		"mdcache", "attache", "ideal")
-	for _, w := range h.Workloads() {
-		base, err := h.run(w, config.SystemBaseline)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, 0, 3)
-		for _, k := range []config.SystemKind{config.SystemMDCache, config.SystemAttache, config.SystemIdeal} {
-			m, err := h.run(w, k)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, float64(base.Cycles)/float64(m.Cycles))
-		}
-		t.AddRow(w, row...)
-	}
-	t.AddMeanRow()
-	return t, nil
+	return h.perWorkload(t, func(m []Metrics) []float64 {
+		return vsBaseline(m, speedup)
+	}, fourSystems...)
 }
 
 // Fig13 reproduces Figure 13: energy consumption normalized to baseline.
 func (h *Harness) Fig13() (*stats.Table, error) {
 	t := stats.NewTable("Fig 13: energy normalized to baseline",
 		"mdcache", "attache", "ideal")
-	for _, w := range h.Workloads() {
-		base, err := h.run(w, config.SystemBaseline)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, 0, 3)
-		for _, k := range []config.SystemKind{config.SystemMDCache, config.SystemAttache, config.SystemIdeal} {
-			m, err := h.run(w, k)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, m.EnergyNJ/base.EnergyNJ)
-		}
-		t.AddRow(w, row...)
-	}
-	t.AddMeanRow()
-	return t, nil
+	return h.perWorkload(t, func(m []Metrics) []float64 {
+		return vsBaseline(m, energyRatio)
+	}, fourSystems...)
 }
 
 // Fig14 reproduces Figure 14: memory bandwidth improvement (a) and
@@ -451,26 +423,9 @@ func (h *Harness) Fig13() (*stats.Table, error) {
 func (h *Harness) Fig14() (*stats.Table, error) {
 	t := stats.NewTable("Fig 14: useful bandwidth (a) and memory latency (b), normalized to baseline",
 		"bw_mdcache", "bw_attache", "bw_ideal", "lat_mdcache", "lat_attache", "lat_ideal")
-	kinds := []config.SystemKind{config.SystemMDCache, config.SystemAttache, config.SystemIdeal}
-	for _, w := range h.Workloads() {
-		base, err := h.run(w, config.SystemBaseline)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, 0, 6)
-		var lats []float64
-		for _, k := range kinds {
-			m, err := h.run(w, k)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, float64(base.Cycles)/float64(m.Cycles))
-			lats = append(lats, m.AvgReadLatency/base.AvgReadLatency)
-		}
-		t.AddRow(w, append(row, lats...)...)
-	}
-	t.AddMeanRow()
-	return t, nil
+	return h.perWorkload(t, func(m []Metrics) []float64 {
+		return append(vsBaseline(m, speedup), vsBaseline(m, latencyRatio)...)
+	}, fourSystems...)
 }
 
 // Fig15 reproduces Figure 15: number of memory requests in the
@@ -479,42 +434,31 @@ func (h *Harness) Fig14() (*stats.Table, error) {
 func (h *Harness) Fig15() (*stats.Table, error) {
 	t := stats.NewTable("Fig 15: normalized requests with metadata caching",
 		"norm_reads", "norm_writes", "norm_total")
-	for _, w := range h.Workloads() {
-		m, err := h.run(w, config.SystemMDCache)
-		if err != nil {
-			return nil, err
-		}
+	return h.perWorkload(t, func(ms []Metrics) []float64 {
+		m := ms[0]
 		dataReads := float64(m.DataReads + m.CorrectionReads)
 		dataWrites := float64(m.DataWrites)
-		t.AddRow(w,
-			(dataReads+float64(m.MetaReads))/dataReads,
-			(dataWrites+float64(m.MetaWrites))/dataWrites,
-			(dataReads+dataWrites+float64(m.MetaReads+m.MetaWrites))/(dataReads+dataWrites))
-	}
-	t.AddMeanRow()
-	return t, nil
+		return []float64{
+			(dataReads + float64(m.MetaReads)) / dataReads,
+			(dataWrites + float64(m.MetaWrites)) / dataWrites,
+			(dataReads + dataWrites + float64(m.MetaReads+m.MetaWrites)) / (dataReads + dataWrites),
+		}
+	}, sys(config.SystemMDCache))
 }
 
 // Fig16 reproduces Figure 16: 1MB metadata-cache hit rate under LRU,
 // DRRIP, and SHiP replacement.
 func (h *Harness) Fig16() (*stats.Table, error) {
-	t := stats.NewTable("Fig 16: metadata-cache hit rate by replacement policy",
-		"lru", "drrip", "ship")
-	for _, w := range h.Workloads() {
-		row := make([]float64, 0, 3)
-		for _, pol := range mdcachePolicies {
-			cfg := h.Cfg
-			cfg.MDCache.Policy = pol
-			m, err := h.runCached(w, config.SystemMDCache, mdcachePolicyVariant(pol), cfg)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, m.MDHitRate)
-		}
-		t.AddRow(w, row...)
+	policies := []string{"lru", "drrip", "ship"}
+	t := stats.NewTable("Fig 16: metadata-cache hit rate by replacement policy", policies...)
+	var specs []runSpec
+	for _, pol := range policies {
+		specs = append(specs, runSpec{"policy=" + pol, config.SystemMDCache,
+			func(cfg config.Config) config.Config { cfg.MDCache.Policy = pol; return cfg }})
 	}
-	t.AddMeanRow()
-	return t, nil
+	return h.perWorkload(t, func(m []Metrics) []float64 {
+		return []float64{m[0].MDHitRate, m[1].MDHitRate, m[2].MDHitRate}
+	}, specs...)
 }
 
 // Fig17 reproduces Figure 17: Attaché speedup with different COPR
@@ -523,23 +467,15 @@ func (h *Harness) Fig16() (*stats.Table, error) {
 func (h *Harness) Fig17() (*stats.Table, error) {
 	t := stats.NewTable("Fig 17: speedup by COPR component mix",
 		"papr_only", "papr_gi", "full")
-	for _, w := range h.Workloads() {
-		base, err := h.run(w, config.SystemBaseline)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, 0, 3)
-		for _, v := range coprVariants {
-			m, err := h.runCached(w, config.SystemAttache, v.name, v.apply(h.Cfg))
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, float64(base.Cycles)/float64(m.Cycles))
-		}
-		t.AddRow(w, row...)
+	copr := func(label string, gi, lipr bool) runSpec {
+		return runSpec{label, config.SystemAttache, func(cfg config.Config) config.Config {
+			cfg.Attache.EnableGI, cfg.Attache.EnablePaPR, cfg.Attache.EnableLiPR = gi, true, lipr
+			return cfg
+		}}
 	}
-	t.AddMeanRow()
-	return t, nil
+	return h.perWorkload(t, func(m []Metrics) []float64 {
+		return vsBaseline(m, speedup)
+	}, sys(config.SystemBaseline), copr("papr", false, false), copr("papr+gi", true, false), copr("full", true, true))
 }
 
 // EnergyBreakdown is an extension experiment: where each system's energy
@@ -550,14 +486,14 @@ func (h *Harness) Fig17() (*stats.Table, error) {
 func (h *Harness) EnergyBreakdown() (*stats.Table, error) {
 	t := stats.NewTable("Energy breakdown by component (suite-mean fractions)",
 		"activate", "read", "write", "refresh", "background")
-	kinds := []config.SystemKind{config.SystemBaseline, config.SystemMDCache, config.SystemAttache, config.SystemIdeal}
-	for _, k := range kinds {
+	ms, err := h.sweep(fourSystems...)
+	if err != nil {
+		return nil, err
+	}
+	for j, s := range fourSystems {
 		var act, rd, wr, ref, bg, tot float64
-		for _, w := range h.Workloads() {
-			m, err := h.run(w, k)
-			if err != nil {
-				return nil, err
-			}
+		for _, row := range ms {
+			m := row[j]
 			act += m.EnergyActivateNJ
 			rd += m.EnergyReadNJ
 			wr += m.EnergyWriteNJ
@@ -565,7 +501,7 @@ func (h *Harness) EnergyBreakdown() (*stats.Table, error) {
 			bg += m.EnergyBackgroundNJ
 			tot += m.EnergyNJ
 		}
-		t.AddRow(k.String(), act/tot, rd/tot, wr/tot, ref/tot, bg/tot)
+		t.AddRow(s.kind.String(), act/tot, rd/tot, wr/tot, ref/tot, bg/tot)
 	}
 	return t, nil
 }
@@ -578,27 +514,9 @@ func (h *Harness) EnergyBreakdown() (*stats.Table, error) {
 func (h *Harness) Predictors() (*stats.Table, error) {
 	t := stats.NewTable("COPR vs last-outcome predictor (ECC metadata, Deb et al.)",
 		"ecc_speedup", "attache_speedup", "ecc_accuracy", "copr_accuracy")
-	for _, w := range h.Workloads() {
-		base, err := h.run(w, config.SystemBaseline)
-		if err != nil {
-			return nil, err
-		}
-		ecc, err := h.run(w, config.SystemECC)
-		if err != nil {
-			return nil, err
-		}
-		att, err := h.run(w, config.SystemAttache)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(w,
-			float64(base.Cycles)/float64(ecc.Cycles),
-			float64(base.Cycles)/float64(att.Cycles),
-			ecc.ECCAccuracy,
-			att.CoprAccuracy)
-	}
-	t.AddMeanRow()
-	return t, nil
+	return h.perWorkload(t, func(m []Metrics) []float64 {
+		return append(vsBaseline(m, speedup), m[1].ECCAccuracy, m[2].CoprAccuracy)
+	}, sys(config.SystemBaseline), sys(config.SystemECC), sys(config.SystemAttache))
 }
 
 // CoprAnatomy is an extension experiment: which COPR level answers each
@@ -608,46 +526,68 @@ func (h *Harness) Predictors() (*stats.Table, error) {
 func (h *Harness) CoprAnatomy() (*stats.Table, error) {
 	t := stats.NewTable("COPR anatomy: share of predictions (and accuracy) by level",
 		"lipr_share", "lipr_acc", "papr_share", "papr_acc", "gi_share", "gi_acc")
-	for _, w := range h.Workloads() {
-		m, err := h.run(w, config.SystemAttache)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(w,
+	return h.perWorkload(t, func(ms []Metrics) []float64 {
+		m := ms[0]
+		return []float64{
 			m.CoprSourceShare[0], m.CoprSourceAcc[0],
 			m.CoprSourceShare[1], m.CoprSourceAcc[1],
-			m.CoprSourceShare[2], m.CoprSourceAcc[2])
+			m.CoprSourceShare[2], m.CoprSourceAcc[2],
+		}
+	}, sys(config.SystemAttache))
+}
+
+// Systems is an extension experiment: the five memory-system
+// organizations side by side as suite means — on a recorded trace
+// (Harness.Trace) the suite is that one workload, so the table reads as
+// its cycles, speedup, DRAM bytes moved and read latency per system.
+func (h *Harness) Systems() (*stats.Table, error) {
+	t := stats.NewTable("Systems compared (suite means)",
+		"cycles", "speedup", "bytes_moved", "read_latency")
+	specs := []runSpec{sys(config.SystemBaseline), sys(config.SystemMDCache),
+		sys(config.SystemECC), sys(config.SystemAttache), sys(config.SystemIdeal)}
+	ms, err := h.sweep(specs...)
+	if err != nil {
+		return nil, err
 	}
-	t.AddMeanRow()
+	n := float64(len(ms))
+	for j, s := range specs {
+		var cycles, sp, moved, lat float64
+		for _, m := range ms {
+			cycles += float64(m[j].Cycles)
+			sp += speedup(m[j], m[0])
+			moved += float64(m[j].BytesMoved)
+			lat += m[j].AvgReadLatency
+		}
+		t.AddRow(s.kind.String(), cycles/n, sp/n, moved/n, lat/n)
+	}
 	return t, nil
 }
 
-// Experiment names in paper order.
-var experimentOrder = []string{
-	"fig1", "fig2", "fig4", "fig5", "fig8", "tab1",
-	"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-	"compare", "energy", "predictors", "copr-anatomy",
+// Experiment is one registry entry: an id and the method regenerating its
+// table.
+type Experiment struct {
+	ID  string
+	Run func() (*stats.Table, error)
 }
 
-// Experiments returns the experiment registry: id -> runner.
-func (h *Harness) Experiments() (order []string, runners map[string]func() (*stats.Table, error)) {
-	return experimentOrder, map[string]func() (*stats.Table, error){
-		"fig1":         h.Fig1,
-		"fig2":         h.Fig2,
-		"fig4":         h.Fig4,
-		"fig5":         h.Fig5,
-		"fig8":         h.Fig8,
-		"tab1":         h.Table1,
-		"fig11":        h.Fig11,
-		"fig12":        h.Fig12,
-		"fig13":        h.Fig13,
-		"fig14":        h.Fig14,
-		"fig15":        h.Fig15,
-		"fig16":        h.Fig16,
-		"fig17":        h.Fig17,
-		"compare":      h.Compare,
-		"energy":       h.EnergyBreakdown,
-		"predictors":   h.Predictors,
-		"copr-anatomy": h.CoprAnatomy,
+// Experiments returns the experiment registry: the paper's artifacts in
+// paper order, then the extensions.
+func (h *Harness) Experiments() []Experiment {
+	return []Experiment{
+		{"fig1", h.Fig1}, {"fig2", h.Fig2}, {"fig4", h.Fig4}, {"fig5", h.Fig5},
+		{"fig8", h.Fig8}, {"tab1", h.Table1}, {"fig11", h.Fig11}, {"fig12", h.Fig12},
+		{"fig13", h.Fig13}, {"fig14", h.Fig14}, {"fig15", h.Fig15}, {"fig16", h.Fig16},
+		{"fig17", h.Fig17}, {"compare", h.Compare}, {"energy", h.EnergyBreakdown},
+		{"predictors", h.Predictors}, {"copr-anatomy", h.CoprAnatomy}, {"systems", h.Systems},
 	}
+}
+
+// Experiment returns the runner registered under id, or nil.
+func (h *Harness) Experiment(id string) func() (*stats.Table, error) {
+	for _, e := range h.Experiments() {
+		if e.ID == id {
+			return e.Run
+		}
+	}
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"attache/internal/config"
 	"attache/internal/stats"
 	"attache/internal/trace"
 )
@@ -208,14 +209,25 @@ func TestFig16PolicyShape(t *testing.T) {
 
 func TestExperimentRegistryComplete(t *testing.T) {
 	h := tinyHarness()
-	order, runners := h.Experiments()
-	if len(order) != 17 {
-		t.Fatalf("experiments = %d, want 17 (13 paper artifacts + 4 extensions)", len(order))
+	exps := h.Experiments()
+	if len(exps) != 18 {
+		t.Fatalf("experiments = %d, want 18 (13 paper artifacts + 5 extensions)", len(exps))
 	}
-	for _, id := range order {
-		if runners[id] == nil {
-			t.Fatalf("experiment %q has no runner", id)
+	for i, e := range exps {
+		if e.Run == nil {
+			t.Fatalf("experiment %q has no runner", e.ID)
 		}
+		if got := h.Experiment(e.ID); got == nil {
+			t.Fatalf("Experiment(%q) = nil", e.ID)
+		}
+		for _, prev := range exps[:i] {
+			if prev.ID == e.ID {
+				t.Fatalf("experiment id %q registered twice", e.ID)
+			}
+		}
+	}
+	if h.Experiment("fig99") != nil {
+		t.Fatal("unknown id has a runner")
 	}
 }
 
@@ -223,11 +235,10 @@ func TestRunCacheReused(t *testing.T) {
 	h := sweepHarness()
 	runs := 0
 	h.Progress = func(string) { runs++ }
-	if _, err := h.run("lbm", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.run("lbm", 0); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := h.runCached("lbm", sys(config.SystemBaseline)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if runs != 1 {
 		t.Fatalf("cache miss: %d runs for identical request", runs)

@@ -3,6 +3,7 @@ package exp
 import (
 	"testing"
 
+	"attache/internal/config"
 	"attache/internal/stats"
 	"attache/internal/trace"
 )
@@ -30,7 +31,7 @@ func TestSeedAveraging(t *testing.T) {
 		h := NewHarness(0)
 		h.AccessesPerCore = 400
 		h.Seeds = seeds
-		m, err := h.run("lbm", 0)
+		m, err := h.runCached("lbm", sys(config.SystemBaseline))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,27 +17,12 @@ type PaperValue struct {
 // PaperClaims returns the paper's headline numbers with their measurement
 // procedures. Compare() evaluates all of them.
 func PaperClaims() []PaperValue {
-	meanOf := func(get func(m Metrics, base Metrics) float64, kind config.SystemKind) func(h *Harness) (float64, error) {
+	meanOf := func(ratio func(m, base Metrics) float64, kind config.SystemKind) func(h *Harness) (float64, error) {
 		return func(h *Harness) (float64, error) {
-			var sum float64
-			var n int
-			for _, w := range h.Workloads() {
-				base, err := h.run(w, config.SystemBaseline)
-				if err != nil {
-					return 0, err
-				}
-				m, err := h.run(w, kind)
-				if err != nil {
-					return 0, err
-				}
-				sum += get(m, base)
-				n++
-			}
-			return sum / float64(n), nil
+			return h.suiteMean(func(m []Metrics) float64 { return ratio(m[1], m[0]) },
+				sys(config.SystemBaseline), sys(kind))
 		}
 	}
-	speedup := func(m, base Metrics) float64 { return float64(base.Cycles) / float64(m.Cycles) }
-	energy := func(m, base Metrics) float64 { return m.EnergyNJ / base.EnergyNJ }
 
 	return []PaperValue{
 		{
@@ -55,34 +40,14 @@ func PaperClaims() []PaperValue {
 			Artifact: "Fig 5/16", Claim: "1MB metadata-cache hit rate (suite mean, LRU)",
 			Paper: 0.77,
 			Measure: func(h *Harness) (float64, error) {
-				var sum float64
-				var n int
-				for _, w := range h.Workloads() {
-					m, err := h.run(w, config.SystemMDCache)
-					if err != nil {
-						return 0, err
-					}
-					sum += m.MDHitRate
-					n++
-				}
-				return sum / float64(n), nil
+				return h.suiteMean(func(m []Metrics) float64 { return m[0].MDHitRate }, sys(config.SystemMDCache))
 			},
 		},
 		{
 			Artifact: "Fig 11", Claim: "COPR prediction accuracy (suite mean)",
 			Paper: 0.88,
 			Measure: func(h *Harness) (float64, error) {
-				var sum float64
-				var n int
-				for _, w := range h.Workloads() {
-					m, err := h.run(w, config.SystemAttache)
-					if err != nil {
-						return 0, err
-					}
-					sum += m.CoprAccuracy
-					n++
-				}
-				return sum / float64(n), nil
+				return h.suiteMean(func(m []Metrics) float64 { return m[0].CoprAccuracy }, sys(config.SystemAttache))
 			},
 		},
 		{Artifact: "Fig 12", Claim: "metadata-cache speedup over baseline", Paper: 1.08,
@@ -92,28 +57,23 @@ func PaperClaims() []PaperValue {
 		{Artifact: "Fig 12", Claim: "ideal speedup over baseline", Paper: 1.17,
 			Measure: meanOf(speedup, config.SystemIdeal)},
 		{Artifact: "Fig 13", Claim: "metadata-cache energy vs baseline", Paper: 0.90,
-			Measure: meanOf(energy, config.SystemMDCache)},
+			Measure: meanOf(energyRatio, config.SystemMDCache)},
 		{Artifact: "Fig 13", Claim: "Attaché energy vs baseline", Paper: 0.78,
-			Measure: meanOf(energy, config.SystemAttache)},
+			Measure: meanOf(energyRatio, config.SystemAttache)},
 		{Artifact: "Fig 13", Claim: "ideal energy vs baseline", Paper: 0.77,
-			Measure: meanOf(energy, config.SystemIdeal)},
+			Measure: meanOf(energyRatio, config.SystemIdeal)},
 		{
 			Artifact: "Fig 14a", Claim: "Attaché bandwidth improvement over baseline",
 			Paper: 1.16,
-			Measure: func(h *Harness) (float64, error) {
-				// Useful work per cycle: the baseline moves the same
-				// payload in more cycles, so payload-rate ratio equals
-				// inverse cycle ratio.
-				v, err := meanOf(speedup, config.SystemAttache)(h)
-				return v, err
-			},
+			// Useful work per cycle: the baseline moves the same payload
+			// in more cycles, so payload-rate ratio equals inverse cycle
+			// ratio.
+			Measure: meanOf(speedup, config.SystemAttache),
 		},
 		{
 			Artifact: "Fig 14b", Claim: "Attaché average memory latency vs baseline",
-			Paper: 0.86,
-			Measure: meanOf(func(m, base Metrics) float64 {
-				return m.AvgReadLatency / base.AvgReadLatency
-			}, config.SystemAttache),
+			Paper:   0.86,
+			Measure: meanOf(latencyRatio, config.SystemAttache),
 		},
 		{
 			Artifact: "Fig 15", Claim: "extra requests from metadata caching (suite mean)",

@@ -102,5 +102,13 @@ func (f *FileTrace) Next() Access {
 	return a
 }
 
+// Clone returns an independent cursor at f's position over the same
+// recording; the accesses are shared and never written, so clones may
+// replay concurrently.
+func (f *FileTrace) Clone() *FileTrace {
+	c := *f
+	return &c
+}
+
 // Rewind restarts the replay.
 func (f *FileTrace) Rewind() { f.pos = 0 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -61,6 +62,36 @@ func TestParseTraceErrors(t *testing.T) {
 		if _, err := ParseTrace(strings.NewReader(c)); err == nil {
 			t.Errorf("input %q: expected error", c)
 		}
+	}
+}
+
+// TestFileTraceClones: clones share the recording but not the cursor, so
+// one parse serves every core — concurrently (run under -race) — and the
+// parent stays where it was.
+func TestFileTraceClones(t *testing.T) {
+	parent, err := ParseTrace(strings.NewReader("R 0\nR 64\nR 128\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent.Next() // clones start where the parent stands: at line 1
+	var wg sync.WaitGroup
+	for steps := 1; steps <= 7; steps++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := parent.Clone()
+			var got uint64
+			for i := 0; i < steps; i++ {
+				got = c.Next().LineAddr
+			}
+			if want := uint64(steps % 3); got != want {
+				t.Errorf("clone after %d steps read line %d, want %d", steps, got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := parent.Next().LineAddr; got != 1 {
+		t.Fatalf("parent read line %d after its clones advanced, want 1", got)
 	}
 }
 
