@@ -54,18 +54,22 @@ crossover:
 race:
 	$(GO) test -race ./...
 
-# The benchmarks the gate pins, once, with allocation counts.
+# The benchmarks the gate pins, then the wire rungs of the ladder (codec,
+# handler, client over loopback), once, with allocation counts.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput$$' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedThroughput$$|BenchmarkSubmitLatency$$' -benchmem ./internal/shard
 	$(GO) test -run '^$$' -bench 'BenchmarkFrameworkStore$$' -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec$$' -benchmem ./internal/wire
+	$(GO) test -run '^$$' -bench 'BenchmarkHandlerBatch64$$' -benchmem ./internal/serve
+	$(GO) test -run '^$$' -bench 'BenchmarkClientLoopbackBatch64$$' -benchmem ./client
 
 # Compare min-of-5 against scripts/bench_baseline.txt; fails on
 # regression and on >BENCH_GATE_IMPROVE_TOL% unexplained improvement.
 bench-gate:
 	./scripts/bench_gate.sh
 
-# Re-pin scripts/bench_baseline.txt (and BENCH_14.json, its summary) via
+# Re-pin scripts/bench_baseline.txt (and BENCH_16.json, its summary) via
 # min-of-5 in one step. Run this
 # on the machine the gate will run on, and commit the result together
 # with the change that moved the numbers.

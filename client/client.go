@@ -29,12 +29,13 @@ package client
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -227,9 +228,32 @@ func ContextWithTenant(ctx context.Context, tenant string) context.Context {
 	return obs.ContextWithTenant(ctx, tenant)
 }
 
+// respBufs recycles response-body buffers of the data calls. A buffer
+// goes back once its response is parsed: results are decoded out of it
+// (base64 into the caller's slab, error text into fresh strings), so
+// nothing the caller keeps points into it. Request bodies are not
+// recycled: the transport may still be reading one after Do returns.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// exchange is roundTrip for the data calls: it reads the answer into a
+// pooled buffer and hands it to parse when the status is 200.
+func (c *Client) exchange(ctx context.Context, path string, body []byte, parse func(resp []byte) error) error {
+	buf := respBufs.Get().(*[]byte)
+	defer respBufs.Put(buf)
+	code, resp, err := c.roundTrip(ctx, http.MethodPost, path, body, (*buf)[:0])
+	if err != nil {
+		return err
+	}
+	*buf = resp
+	if code != http.StatusOK {
+		return statusToErr(code, resp)
+	}
+	return parse(resp)
+}
+
 // roundTrip POSTs (or GETs, for empty body) path with retries and
-// returns the final response status and body.
-func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte) (int, []byte, error) {
+// returns the final response status and body, read into buf.
+func (c *Client) roundTrip(ctx context.Context, method, path string, body, buf []byte) (int, []byte, error) {
 	if c.budget > 0 {
 		if _, has := ctx.Deadline(); !has {
 			var cancel context.CancelFunc
@@ -261,8 +285,9 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 			}
 			lastErr = err
 		} else {
-			respBody, rerr := io.ReadAll(resp.Body)
+			respBody, rerr := wire.ReadBody(buf[:0], resp.Body, resp.ContentLength)
 			resp.Body.Close()
+			buf = respBody
 			if rerr != nil {
 				lastErr = rerr
 			} else if !retryable(resp.StatusCode) {
@@ -309,79 +334,105 @@ func statusToErr(code int, body []byte) error {
 
 // Read fetches the 64-byte line at addr.
 func (c *Client) Read(ctx context.Context, addr uint64) ([]byte, error) {
-	body, err := json.Marshal(wire.Line{Addr: addr})
-	if err != nil {
-		return nil, err
-	}
-	code, respBody, err := c.roundTrip(ctx, http.MethodPost, "/v1/read", body)
-	if err != nil {
-		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, statusToErr(code, respBody)
-	}
-	var resp wire.Line
-	if err := json.Unmarshal(respBody, &resp); err != nil {
-		return nil, fmt.Errorf("client: bad read response: %w", err)
-	}
-	return resp.Data, nil
+	var line wire.Line
+	err := c.exchange(ctx, "/v1/read", wire.AppendLine(nil, wire.Line{Addr: addr}), func(resp []byte) error {
+		var sc wire.Scanner
+		sc.Reset(resp)
+		if err := sc.Line(&line, new([wire.LineSize]byte)); err != nil {
+			return fmt.Errorf("client: bad read response: %w", err)
+		}
+		return nil
+	})
+	return line.Data, err
 }
 
 // Write stores the 64-byte line data at addr.
 func (c *Client) Write(ctx context.Context, addr uint64, data []byte) error {
-	body, err := json.Marshal(wire.Line{Addr: addr, Data: data})
-	if err != nil {
-		return err
+	body := wire.AppendLine(nil, wire.Line{Addr: addr, Data: data})
+	return c.exchange(ctx, "/v1/write", body, func([]byte) error { return nil })
+}
+
+// appendBatchRequest renders ops as the array form of a /v1/batch body,
+// growing dst once, to the size the body will have.
+func appendBatchRequest(dst []byte, ops []attache.Op) []byte {
+	size := len("[]")
+	for i := range ops {
+		size += len(`{"op":"write","addr":18446744073709551615},`)
+		if ops[i].Write {
+			size += len(`,"data":""`) + base64.StdEncoding.EncodedLen(len(ops[i].Data))
+		}
 	}
-	code, respBody, err := c.roundTrip(ctx, http.MethodPost, "/v1/write", body)
-	if err != nil {
-		return err
+	dst = append(slices.Grow(dst, size), '[')
+	for i := range ops {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		// Addr points into the caller's slice: no per-op allocation.
+		op := wire.Op{Op: "read", Addr: &ops[i].Addr}
+		if ops[i].Write {
+			op.Op, op.Data = "write", ops[i].Data
+		}
+		dst = wire.AppendOp(dst, op)
 	}
-	if code != http.StatusOK {
-		return statusToErr(code, respBody)
+	return append(dst, ']')
+}
+
+// parseBatchResponse turns a /v1/batch answer into one Result per op.
+// Every line read lands in one slab allocated here, 64 bytes per read op,
+// each Data exactly its own slot: the slab is per call and never
+// recycled, and keeping one result alive keeps its batch's slab.
+func parseBatchResponse(resp []byte, ops []attache.Op) ([]attache.Result, error) {
+	reads := 0
+	for i := range ops {
+		if !ops[i].Write {
+			reads++
+		}
 	}
-	return nil
+	slab := make([][wire.LineSize]byte, 0, reads)
+	out := make([]attache.Result, 0, len(ops))
+	var (
+		sc wire.Scanner
+		r  wire.OpResult
+	)
+	sc.Reset(resp)
+	for {
+		// Result i answers ops[i]: a read's line goes to the next slot.
+		var slot *[wire.LineSize]byte
+		if i := len(out); i < len(ops) && !ops[i].Write {
+			slab = slab[:len(slab)+1]
+			slot = &slab[len(slab)-1]
+		}
+		if !sc.NextResult(&r, slot) {
+			break
+		}
+		if len(out) == len(ops) {
+			return nil, fmt.Errorf("client: batch answered more than %d results", len(ops))
+		}
+		if r.Error != "" {
+			out = append(out, attache.Result{Err: opErr(r.Error)})
+		} else {
+			out = append(out, attache.Result{Data: r.Data})
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("client: bad batch response: %w", err)
+	}
+	if len(out) != len(ops) {
+		return nil, fmt.Errorf("client: batch answered %d results for %d ops", len(out), len(ops))
+	}
+	return out, nil
 }
 
 // Do submits a batch of ops with the daemon's per-op failure isolation:
 // the returned slice matches ops in order, and each Result carries its
 // own error (resolved to attache sentinels where possible).
 func (c *Client) Do(ctx context.Context, ops []attache.Op) ([]attache.Result, error) {
-	reqOps := make([]wire.Op, len(ops))
-	for i, op := range ops {
-		// Addr points into the caller's slice: no per-op allocation.
-		reqOps[i] = wire.Op{Op: "read", Addr: &ops[i].Addr}
-		if op.Write {
-			reqOps[i].Op, reqOps[i].Data = "write", op.Data
-		}
-	}
-	body, err := json.Marshal(reqOps)
-	if err != nil {
-		return nil, err
-	}
-	code, respBody, err := c.roundTrip(ctx, http.MethodPost, "/v1/batch", body)
-	if err != nil {
-		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, statusToErr(code, respBody)
-	}
-	var resp wire.Batch
-	if err := json.Unmarshal(respBody, &resp); err != nil {
-		return nil, fmt.Errorf("client: bad batch response: %w", err)
-	}
-	if len(resp.Results) != len(ops) {
-		return nil, fmt.Errorf("client: batch answered %d results for %d ops", len(resp.Results), len(ops))
-	}
-	out := make([]attache.Result, len(ops))
-	for i, r := range resp.Results {
-		if r.Error != "" {
-			out[i].Err = opErr(r.Error)
-			continue
-		}
-		out[i].Data = r.Data
-	}
-	return out, nil
+	var out []attache.Result
+	err := c.exchange(ctx, "/v1/batch", appendBatchRequest(nil, ops), func(resp []byte) (err error) {
+		out, err = parseBatchResponse(resp, ops)
+		return err
+	})
+	return out, err
 }
 
 // DoCtx is Do under the method name the sharded Engine exposes, so a
@@ -415,7 +466,7 @@ type StatsV2 = wire.Stats
 // StatsV2 fetches the current (schema v2) stats document.
 func (c *Client) StatsV2(ctx context.Context) (StatsV2, error) {
 	var doc StatsV2
-	code, respBody, err := c.roundTrip(ctx, http.MethodGet, "/v1/stats?v=2", nil)
+	code, respBody, err := c.roundTrip(ctx, http.MethodGet, "/v1/stats?v=2", nil, nil)
 	if err != nil {
 		return doc, err
 	}
@@ -433,7 +484,7 @@ func (c *Client) StatsV2(ctx context.Context) (StatsV2, error) {
 // recent traces, so look timelines up promptly.
 func (c *Client) Trace(ctx context.Context, id string) (attache.Timeline, error) {
 	var tl attache.Timeline
-	code, respBody, err := c.roundTrip(ctx, http.MethodGet, "/v1/trace/"+id, nil)
+	code, respBody, err := c.roundTrip(ctx, http.MethodGet, "/v1/trace/"+id, nil, nil)
 	if err != nil {
 		return tl, err
 	}
@@ -448,7 +499,7 @@ func (c *Client) Trace(ctx context.Context, id string) (attache.Timeline, error)
 
 // Health probes /healthz; nil means the daemon is live and not draining.
 func (c *Client) Health(ctx context.Context) error {
-	code, respBody, err := c.roundTrip(ctx, http.MethodGet, "/healthz", nil)
+	code, respBody, err := c.roundTrip(ctx, http.MethodGet, "/healthz", nil, nil)
 	if err != nil {
 		return err
 	}

@@ -32,7 +32,7 @@ func fastOpts(extra ...Option) []Option {
 }
 
 // newDaemon spins a real engine + serve handler behind httptest.
-func newDaemon(t *testing.T, cfg shard.Config) (*httptest.Server, *shard.Engine) {
+func newDaemon(t testing.TB, cfg shard.Config) (*httptest.Server, *shard.Engine) {
 	t.Helper()
 	eng, err := shard.New(core.DefaultOptions(), cfg)
 	if err != nil {

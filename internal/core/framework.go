@@ -149,11 +149,24 @@ func (f *Framework) Store(lineAddr uint64, data []byte) (StoredLine, AccessTrace
 	return out, tr, nil
 }
 
-// Load runs the read path of Fig. 9(d-f): predict with COPR, fetch the
+// Load runs the read path of Fig. 9(d-f) into a freshly allocated line;
+// see LoadInto, which it wraps.
+func (f *Framework) Load(lineAddr uint64, stored StoredLine) ([]byte, AccessTrace, error) {
+	data := new([LineSize]byte)
+	tr, err := f.LoadInto(data, lineAddr, stored)
+	if err != nil {
+		return nil, tr, err
+	}
+	return data[:], tr, nil
+}
+
+// LoadInto runs the read path of Fig. 9(d-f): predict with COPR, fetch the
 // predicted sub-rank block(s), classify via the blended header, correct a
 // misprediction with the remaining block, consult the Replacement Area on
-// a collision, then descramble and decompress.
-func (f *Framework) Load(lineAddr uint64, stored StoredLine) ([]byte, AccessTrace, error) {
+// a collision, then descramble and decompress into dst. It allocates
+// nothing; every byte of dst is written on success, and dst holds
+// unspecified bytes when an error is returned.
+func (f *Framework) LoadInto(dst *[LineSize]byte, lineAddr uint64, stored StoredLine) (AccessTrace, error) {
 	tr := AccessTrace{ActualCompressed: stored.Compressed}
 	if f.Copr != nil {
 		tr.PredictedCompressed, _ = f.Copr.Predict(lineAddr * LineSize)
@@ -167,8 +180,6 @@ func (f *Framework) Load(lineAddr uint64, stored StoredLine) ([]byte, AccessTrac
 		tr.BlocksTouched = 2
 	}
 
-	// The returned line is Load's one allocation; temporaries stay on the stack.
-	data := new([LineSize]byte)
 	switch cls := f.Blem.Classify(stored.Blocks[0][:]); cls {
 	case blem.ClassCompressed:
 		var packed [blem.MaxPayload]byte
@@ -176,23 +187,23 @@ func (f *Framework) Load(lineAddr uint64, stored StoredLine) ([]byte, AccessTrac
 		f.Scr.Apply(lineAddr, packed[:])
 		n, err := compress.MeasurePacked(packed[:])
 		if err != nil {
-			return nil, tr, fmt.Errorf("core: corrupt compressed block at %d: %w", lineAddr, err)
+			return tr, fmt.Errorf("core: corrupt compressed block at %d: %w", lineAddr, err)
 		}
-		if err := compress.DecodePacked(data, packed[:n]); err != nil {
-			return nil, tr, err
+		if err := compress.DecodePacked(dst, packed[:n]); err != nil {
+			return tr, err
 		}
 	case blem.ClassUncompressed, blem.ClassCollision:
 		if tr.PredictedCompressed {
 			tr.Mispredicted = true
 			tr.BlocksTouched++ // corrective fetch of the second block
 		}
-		copy(data[:], stored.Blocks[0][:])
-		copy(data[SubRankBlock:], stored.Blocks[1][:])
+		copy(dst[:], stored.Blocks[0][:])
+		copy(dst[SubRankBlock:], stored.Blocks[1][:])
 		if cls == blem.ClassCollision {
 			tr.RAAccess = true
-			*data = f.Blem.LoadCollided(lineAddr, data[:])
+			*dst = f.Blem.LoadCollided(lineAddr, dst[:])
 		}
-		f.Scr.Apply(lineAddr, data[:])
+		f.Scr.Apply(lineAddr, dst[:])
 	}
 	if tr.PredictedCompressed != tr.ActualCompressed {
 		tr.Mispredicted = true
@@ -200,7 +211,7 @@ func (f *Framework) Load(lineAddr uint64, stored StoredLine) ([]byte, AccessTrac
 	if f.Copr != nil {
 		f.Copr.Update(lineAddr*LineSize, stored.Compressed)
 	}
-	return data[:], tr, nil
+	return tr, nil
 }
 
 // StorageOverheadBytes reports the framework's SRAM cost: the predictor

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -96,6 +98,51 @@ func TestHotPathAllocations(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(200, func() { f.Load(c.addr, st) }); n > 1 {
 			t.Errorf("%s: Load allocates %.1f times per line, want at most 1 (the returned line)", c.name, n)
+		}
+		var dst [LineSize]byte
+		if n := testing.AllocsPerRun(200, func() { f.LoadInto(&dst, c.addr, st) }); n != 0 {
+			t.Errorf("%s: LoadInto allocates %.1f times per line, want 0", c.name, n)
+		}
+	}
+}
+
+// TestReadIntoOverwritesDst: every stored form defines all 64 bytes of
+// the destination, so a caller may hand ReadInto a dirty buffer — an
+// arena slot, a reused array — and Read, its wrapper, returns the same
+// bytes. The self-check compares what ReadInto produced.
+func TestReadIntoOverwritesDst(t *testing.T) {
+	for _, c := range hotPathClasses(t) {
+		m, err := NewMemory(c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.EnableCheck()
+		if err := m.Write(c.addr, c.line); err != nil {
+			t.Fatal(err)
+		}
+		var dst [LineSize]byte
+		for i := range dst {
+			dst[i] = 0xA5
+		}
+		if err := m.ReadInto(&dst, c.addr); err != nil || !bytes.Equal(dst[:], c.line) {
+			t.Errorf("%s: ReadInto a dirty buffer: %v, got %x", c.name, err, dst)
+		}
+		if got, err := m.Read(c.addr); err != nil || !bytes.Equal(got, c.line) {
+			t.Errorf("%s: Read: %v, got %x", c.name, err, got)
+		}
+		if n := testing.AllocsPerRun(200, func() { m.ReadInto(&dst, c.addr) }); n != 0 {
+			t.Errorf("%s: Memory.ReadInto allocates %.1f times, want 0", c.name, n)
+		}
+		if err := m.ReadInto(&dst, c.addr+1); !errors.Is(err, ErrNeverWritten) {
+			t.Errorf("%s: ReadInto of an unwritten line: %v", c.name, err)
+		}
+		// A shadow that disagrees with the stored image fails both forms.
+		m.shadow[c.addr] = [LineSize]byte{1}
+		if err := m.ReadInto(&dst, c.addr); err == nil {
+			t.Errorf("%s: self-check missed a divergence", c.name)
+		}
+		if _, err := m.Read(c.addr); err == nil {
+			t.Errorf("%s: self-check missed a divergence through Read", c.name)
 		}
 	}
 }

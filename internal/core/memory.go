@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"attache/internal/stats"
@@ -139,20 +138,31 @@ func (m *Memory) Write(lineAddr uint64, data []byte) error {
 	return nil
 }
 
-// Read loads the 64-byte line at lineAddr. Reading a never-written line
-// returns ErrNeverWritten.
+// Read loads the 64-byte line at lineAddr into a freshly allocated
+// slice. Reading a never-written line returns ErrNeverWritten.
 func (m *Memory) Read(lineAddr uint64) ([]byte, error) {
-	st, ok := m.lines[lineAddr]
-	if !ok {
-		return nil, fmt.Errorf("core: line %#x: %w", lineAddr, ErrNeverWritten)
-	}
-	data, tr, err := m.f.Load(lineAddr, st)
-	if err != nil {
+	data := new([LineSize]byte)
+	if err := m.ReadInto(data, lineAddr); err != nil {
 		return nil, err
 	}
+	return data[:], nil
+}
+
+// ReadInto loads the 64-byte line at lineAddr into dst without
+// allocating; it is the one read path (Read wraps it). On an error dst
+// holds unspecified bytes.
+func (m *Memory) ReadInto(dst *[LineSize]byte, lineAddr uint64) error {
+	st, ok := m.lines[lineAddr]
+	if !ok {
+		return fmt.Errorf("core: line %#x: %w", lineAddr, ErrNeverWritten)
+	}
+	tr, err := m.f.LoadInto(dst, lineAddr, st)
+	if err != nil {
+		return err
+	}
 	if m.shadow != nil {
-		if want, ok := m.shadow[lineAddr]; ok && !bytes.Equal(data, want[:]) {
-			return nil, fmt.Errorf("core: self-check failed at line %#x: read bytes differ from last write", lineAddr)
+		if want, ok := m.shadow[lineAddr]; ok && *dst != want {
+			return fmt.Errorf("core: self-check failed at line %#x: read bytes differ from last write", lineAddr)
 		}
 	}
 	m.stats.Reads++
@@ -163,7 +173,7 @@ func (m *Memory) Read(lineAddr uint64) ([]byte, error) {
 	if tr.RAAccess {
 		m.stats.RAAccesses++
 	}
-	return data, nil
+	return nil
 }
 
 // BatchRead loads the lines at addrs in order. It fails fast: on the

@@ -42,6 +42,13 @@
 // Batch requests isolate failures per op and always answer 200 with
 // per-op errors inline ("partial failure" semantics).
 //
+// The three data endpoints read and write their bodies through
+// internal/wire's scanner and encoders, out of a pooled per-request state
+// (reqState): steady state, a request allocates nothing per op. A batch
+// body is bounded while it is scanned — MaxBodyBytes for the bytes,
+// MaxBatchOps op by op in both the array and the NDJSON form — and
+// anything but whitespace after its value is a 400.
+//
 // Every handler submits through the engine's context-aware ops with the
 // request's context, so a client disconnect or deadline cancels queued
 // work, and a saturated shard queue sheds the request instead of
@@ -49,7 +56,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -62,6 +68,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -372,24 +379,90 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, code, wire.Error{Error: err.Error()})
 }
 
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad JSON: " + err.Error()})
+// reqState is everything a data request needs between reading its body
+// and writing its answer. States are pooled: a handler takes one, and
+// hands it back when it returns — which is safe because by then nothing
+// else holds a reference into it: cluster.DoCtx has waited for every
+// enqueued task, core and tier copy a payload on write, a Recorder
+// copies what it keeps, and the ResponseWriter has consumed out.
+type reqState struct {
+	body    []byte
+	scan    wire.Scanner
+	lines   [][wire.LineSize]byte // decoded write payloads, one slot per write
+	ops     []shard.Op
+	idx     []int // results index of ops[k]
+	results []wire.OpResult
+	out     []byte
+}
+
+var reqStates = sync.Pool{New: func() any { return new(reqState) }}
+
+// release drops what the request left behind — payload and error-string
+// references — and returns the state to the pool.
+func (st *reqState) release() {
+	clear(st.ops)
+	clear(st.results)
+	st.ops, st.idx, st.results = st.ops[:0], st.idx[:0], st.results[:0]
+	reqStates.Put(st)
+}
+
+// slot returns the n'th payload slot, growing the slab as needed. A
+// grown slab leaves earlier slots where they were (still referenced by
+// their ops), so slots stay valid for the whole request.
+func (st *reqState) slot(n int) *[wire.LineSize]byte {
+	if n == len(st.lines) {
+		st.lines = append(st.lines, [wire.LineSize]byte{})
+	}
+	return &st.lines[n]
+}
+
+// readBody reads the request body into st and points the scanner at it,
+// answering 400 itself when the body cannot be read (too large, torn).
+func (s *Server) readBody(st *reqState, w http.ResponseWriter, r *http.Request) bool {
+	var err error
+	st.body, err = wire.ReadBody(st.body[:0], http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
+	if err != nil {
+		badJSON(w, err)
 		return false
 	}
+	st.scan.Reset(st.body)
 	return true
+}
+
+func badJSON(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad JSON: " + err.Error()})
+}
+
+// writeBody sends a complete JSON body in one Write.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // --- handlers -------------------------------------------------------------
 
-func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
-	var req wire.LineReq
-	if !s.decodeBody(w, r, &req) {
-		return
+// lineReq scans a /v1/read or /v1/write body, answering 400 itself.
+func (s *Server) lineReq(st *reqState, w http.ResponseWriter, r *http.Request) (req wire.LineReq, ok bool) {
+	if !s.readBody(st, w, r) {
+		return req, false
+	}
+	if err := st.scan.LineReq(&req, st.slot(0)); err != nil {
+		badJSON(w, err)
+		return req, false
 	}
 	if req.Addr == nil {
 		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "missing addr"})
+		return req, false
+	}
+	return req, true
+}
+
+func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
+	st := reqStates.Get().(*reqState)
+	defer st.release()
+	req, ok := s.lineReq(st, w, r)
+	if !ok {
 		return
 	}
 	if s.cfg.Record != nil {
@@ -400,16 +473,15 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wire.Line{Addr: *req.Addr, Data: data})
+	st.out = wire.AppendLine(st.out[:0], wire.Line{Addr: *req.Addr, Data: data})
+	writeBody(w, st.out)
 }
 
 func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
-	var req wire.LineReq
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if req.Addr == nil {
-		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "missing addr"})
+	st := reqStates.Get().(*reqState)
+	defer st.release()
+	req, ok := s.lineReq(st, w, r)
+	if !ok {
 		return
 	}
 	if s.cfg.Record != nil {
@@ -419,114 +491,85 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wire.Line{Addr: *req.Addr, OK: true})
+	st.out = wire.AppendLine(st.out[:0], wire.Line{Addr: *req.Addr, OK: true})
+	writeBody(w, st.out)
 }
 
-// decodeBatch accepts either a single JSON array of ops or a stream of
-// JSON objects (one per line — NDJSON — or whitespace-separated).
-func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) ([]wire.Op, bool) {
-	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	first, err := firstNonSpace(br)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "empty batch body"})
-		return nil, false
-	}
-	dec := json.NewDecoder(br)
-	var ops []wire.Op
-	if first == '[' {
-		if err := dec.Decode(&ops); err != nil {
-			writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad JSON: " + err.Error()})
-			return nil, false
+// scanBatch turns the body — a single JSON array of ops or a stream of
+// JSON objects (one per line, NDJSON, or whitespace-separated) — into
+// st.ops and one st.results entry per op, stopping at the first op beyond
+// MaxBatchOps in either form. It answers 400 itself.
+func (s *Server) scanBatch(st *reqState, w http.ResponseWriter) bool {
+	var op wire.Op
+	writes := 0
+	for st.scan.Next(&op, st.slot(writes)) {
+		i := len(st.results)
+		if i == s.cfg.MaxBatchOps {
+			writeJSON(w, http.StatusBadRequest,
+				wire.Error{Error: fmt.Sprintf("batch exceeds limit of %d ops", s.cfg.MaxBatchOps)})
+			return false
 		}
-	} else {
-		for {
-			var op wire.Op
-			if err := dec.Decode(&op); err == io.EOF {
-				break
-			} else if err != nil {
-				writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad JSON: " + err.Error()})
-				return nil, false
-			}
-			ops = append(ops, op)
-			if len(ops) > s.cfg.MaxBatchOps {
-				break
-			}
-		}
-	}
-	if len(ops) > s.cfg.MaxBatchOps {
-		writeJSON(w, http.StatusBadRequest,
-			wire.Error{Error: fmt.Sprintf("batch of %d ops exceeds limit %d", len(ops), s.cfg.MaxBatchOps)})
-		return nil, false
-	}
-	return ops, true
-}
-
-// firstNonSpace peeks past leading JSON whitespace without consuming it.
-func firstNonSpace(br *bufio.Reader) (byte, error) {
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		switch b {
-		case ' ', '\t', '\n', '\r':
+		st.results = append(st.results, wire.OpResult{})
+		if op.Addr == nil {
+			st.results[i].Error = "missing addr"
 			continue
 		}
-		return b, br.UnreadByte()
+		st.results[i].Addr = *op.Addr
+		switch op.Op {
+		case "read":
+			st.ops = append(st.ops, shard.Op{Addr: *op.Addr})
+		case "write":
+			st.ops = append(st.ops, shard.Op{Write: true, Addr: *op.Addr, Data: op.Data})
+			writes++
+		default:
+			st.results[i].Error = fmt.Sprintf("unknown op %q (want read or write)", op.Op)
+			continue
+		}
+		st.idx = append(st.idx, i)
 	}
+	switch err := st.scan.Err(); {
+	case errors.Is(err, wire.ErrEmptyBody):
+		writeJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
+		return false
+	case err != nil:
+		badJSON(w, err)
+		return false
+	}
+	return true
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	reqOps, ok := s.decodeBatch(w, r)
-	if !ok {
+	st := reqStates.Get().(*reqState)
+	defer st.release()
+	if !s.readBody(st, w, r) || !s.scanBatch(st, w) {
 		return
 	}
-	results := make([]wire.OpResult, len(reqOps))
-	ops := make([]shard.Op, 0, len(reqOps))
-	opIdx := make([]int, 0, len(reqOps)) // results index of ops[k]
-	for i, op := range reqOps {
-		if op.Addr == nil {
-			results[i].Error = "missing addr"
-			continue
-		}
-		results[i].Addr = *op.Addr
-		switch op.Op {
-		case "read":
-			ops = append(ops, shard.Op{Addr: *op.Addr})
-			opIdx = append(opIdx, i)
-		case "write":
-			ops = append(ops, shard.Op{Write: true, Addr: *op.Addr, Data: op.Data})
-			opIdx = append(opIdx, i)
-		default:
-			results[i].Error = fmt.Sprintf("unknown op %q (want read or write)", op.Op)
-		}
+	if s.cfg.Record != nil && len(st.ops) > 0 {
+		s.cfg.Record.RecordOps(st.ops)
 	}
-	if s.cfg.Record != nil && len(ops) > 0 {
-		s.cfg.Record.RecordOps(ops)
-	}
-	res, err := s.cl.DoCtx(r.Context(), ops)
+	res, err := s.cl.DoCtx(r.Context(), st.ops)
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	failed := 0
 	for k, rr := range res {
-		i := opIdx[k]
-		switch {
+		switch out := &st.results[st.idx[k]]; {
 		case rr.Err != nil:
-			results[i].Error = rr.Err.Error()
-		case reqOps[i].Op == "read":
-			results[i].Data = rr.Data
+			out.Error = rr.Err.Error()
+		case st.ops[k].Write:
+			out.OK = true
 		default:
-			results[i].OK = true
+			out.Data = rr.Data
 		}
 	}
-	for _, r := range results {
+	failed := 0
+	for _, r := range st.results {
 		if r.Error != "" {
 			failed++
 		}
 	}
-	writeJSON(w, http.StatusOK, wire.Batch{Results: results, Failed: failed})
+	st.out = wire.AppendBatch(st.out[:0], wire.Batch{Results: st.results, Failed: failed})
+	writeBody(w, st.out)
 }
 
 // handleStats serves the versioned stats document, schema v2; ?v= pins

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"attache/internal/core"
+	"attache/internal/tier"
 )
 
 // TestInlineFastPathMatchesQueuedPath pins the central fast-path
@@ -148,12 +149,12 @@ func TestInlineContendedSubmissionQueues(t *testing.T) {
 
 // TestInlineSubmitPathAllocationBudget pins the steady-state allocation
 // cost of a submission, observer off, as absolute counts now that
-// Framework.Store allocates nothing and Framework.Load only the line it
-// returns: a Do with a caller-built batch may allocate the Result slice
-// handed back plus one line per read — 1 for a write, 2 for a read, 1
-// for a batch of writes of any size — and the one-op convenience
-// wrappers one more (their Op-slice literal). The envelope — per-shard
-// index lists, completion state, task — must come from the pool.
+// Framework.Store and LoadInto allocate nothing: a Do with a
+// caller-built batch may allocate the Result slice handed back plus one
+// arena for all its reads — 1 for writes only, 2 with reads, whatever
+// the batch size — and the one-op convenience wrappers one more (their
+// Op-slice literal). The envelope — per-shard index lists, completion
+// state, task — must come from the pool.
 func TestInlineSubmitPathAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; absolute budgets only hold without -race")
@@ -172,6 +173,14 @@ func TestInlineSubmitPathAllocationBudget(t *testing.T) {
 	if _, err := e.Do(ops8); err != nil {
 		t.Fatal(err)
 	}
+	reads64, mixed64 := make([]Op, 64), make([]Op, 64)
+	for i := range reads64 {
+		reads64[i] = Op{Addr: uint64(i % 8)}
+		mixed64[i] = reads64[i]
+		if i%4 == 0 {
+			mixed64[i] = ops8[i%8]
+		}
+	}
 	do := func(ops []Op) func() {
 		return func() {
 			if _, err := e.Do(ops); err != nil {
@@ -188,6 +197,8 @@ func TestInlineSubmitPathAllocationBudget(t *testing.T) {
 		{"one-read Do", do([]Op{{Addr: 3}}), 2},
 		// Batches must amortize: the envelope is per submission, not per op.
 		{"8-write Do", do(ops8), 1},
+		{"64-read Do", do(reads64), 2},
+		{"64-op 75%-read Do", do(mixed64), 2},
 		{"Write wrapper", func() {
 			if err := e.Write(3, line); err != nil {
 				t.Fatal(err)
@@ -360,5 +371,79 @@ func TestPoolReuseNoAliasing(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
+	}
+}
+
+// TestReadArenaOwnership pins what a caller may assume about Result.Data
+// now that a batch's reads share one arena: the arena is the call's own
+// (results read the same after a thousand further batches rewrote and
+// reread the same lines), each Data is clipped to its 64 bytes (growing
+// or scribbling over one cannot reach its neighbour), and an op that
+// failed holds no slot.
+func TestReadArenaOwnership(t *testing.T) {
+	for _, tiered := range []bool{false, true} {
+		cfg := Config{Shards: 2, MaxLines: 1 << 10}
+		if tiered {
+			cfg.Tier = &tier.Config{NearLines: 8}
+		}
+		e, err := New(core.DefaultOptions(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+
+		const n = 32
+		writes, reads := make([]Op, n), make([]Op, n+2)
+		for i := range writes {
+			writes[i] = Op{Write: true, Addr: uint64(i), Data: testLine(uint64(i))}
+			reads[i] = Op{Addr: uint64(i)}
+		}
+		reads[n] = Op{Addr: 1 << 11} // out of range: never routed
+		reads[n+1] = Op{Addr: 1000}  // never written
+		if _, err := e.Do(writes); err != nil {
+			t.Fatal(err)
+		}
+		kept, err := e.Do(reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := n; i < len(kept); i++ {
+			if kept[i].Err == nil || kept[i].Data != nil {
+				t.Fatalf("tiered=%v: failed read %d: %+v", tiered, i, kept[i])
+			}
+		}
+		for i := 0; i < n; i++ {
+			if cap(kept[i].Data) != core.LineSize {
+				t.Fatalf("tiered=%v: result %d has capacity %d", tiered, i, cap(kept[i].Data))
+			}
+		}
+		// Growing result 0 must reallocate, and scribbling over all of
+		// result 1 must stay inside it.
+		_ = append(kept[0].Data, 0xFF)
+		for j := range kept[1].Data {
+			kept[1].Data[j] = 0xFF
+		}
+		for i := 0; i < n; i++ {
+			if want := testLine(uint64(i)); i != 1 && !bytes.Equal(kept[i].Data, want) {
+				t.Fatalf("tiered=%v: result %d changed under its neighbour's hands", tiered, i)
+			}
+		}
+
+		for round := 0; round < 1000; round++ {
+			for i := range writes {
+				writes[i].Data = testLine(uint64(i + round + 1))
+			}
+			if _, err := e.Do(writes); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := e.Do(reads); err != nil || !bytes.Equal(res[5].Data, writes[5].Data) {
+				t.Fatalf("tiered=%v round %d: %v", tiered, round, err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if want := testLine(uint64(i)); i != 1 && !bytes.Equal(kept[i].Data, want) {
+				t.Fatalf("tiered=%v: result %d of the first batch changed after later batches", tiered, i)
+			}
+		}
 	}
 }

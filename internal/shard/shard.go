@@ -142,7 +142,10 @@ type Op struct {
 
 // Result is the outcome of one Op, in submission order.
 type Result struct {
-	// Data holds the line read; nil for writes and failed ops.
+	// Data holds the line read; nil for writes and failed ops. It is a
+	// capacity-clipped 64-byte slice of an arena its batch's reads share:
+	// the caller's to keep and to modify, but retaining one Data keeps the
+	// whole arena (64 B x the batch's reads) reachable.
 	Data []byte
 	// Err is the op's failure, if any; batch submission isolates
 	// failures per op, so one bad op never poisons its neighbours.
@@ -406,16 +409,16 @@ func (w *worker) execute(t *task) {
 			}
 		}
 		op := t.ops[j]
-		if w.tier != nil {
-			if op.Write {
-				t.res[j].Err = w.tier.Write(op.Addr, op.Data)
-			} else {
-				t.res[j].Data, t.res[j].Err = w.tier.Read(op.Addr)
-			}
-		} else if op.Write {
+		// A read lands in the arena slot submit pointed its Data at.
+		switch {
+		case op.Write && w.tier != nil:
+			t.res[j].Err = w.tier.Write(op.Addr, op.Data)
+		case op.Write:
 			t.res[j].Err = w.mem.Write(op.Addr, op.Data)
-		} else {
-			t.res[j].Data, t.res[j].Err = w.mem.Read(op.Addr)
+		case w.tier != nil:
+			t.res[j].Err = w.tier.ReadInto((*[core.LineSize]byte)(t.res[j].Data), op.Addr)
+		default:
+			t.res[j].Err = w.mem.ReadInto((*[core.LineSize]byte)(t.res[j].Data), op.Addr)
 		}
 	}
 	if t.tr != nil {
@@ -643,13 +646,26 @@ func (e *Engine) DoCtx(ctx context.Context, ops []Op) ([]Result, error) {
 // uncontended: claim the execution lock, verify the ring is empty, and
 // apply the ops right here on the submitting goroutine — zero handoff,
 // zero allocation. A busy shard falls back to the ring. The steady-state
-// cost of a submission is therefore one Result-slice allocation; the
-// index lists and completion WaitGroup come from the engine's pool.
+// cost of a submission is therefore two allocations whatever its size:
+// the Result slice, and — when the batch has reads — one arena of 64
+// bytes per read that every read's Data is a capacity-clipped slice of.
+// The index lists and completion WaitGroup come from the engine's pool.
+//
+// The arena is fresh per call and never recycled, so results stay valid
+// for as long as the caller keeps them; the price is that retaining one
+// Result.Data pins its whole batch's arena (at most 64 B x reads).
 func (e *Engine) submit(ctx context.Context, ops []Op) ([]Result, error) {
 	res := make([]Result, len(ops))
 	if len(ops) == 0 {
 		return res, nil
 	}
+	reads := 0
+	for i := range ops {
+		if !ops[i].Write {
+			reads++
+		}
+	}
+	arena := make([]byte, reads*core.LineSize)
 	// Trace resolution: a trace already in the context (the HTTP layer or
 	// a harness put it there) is always honored; otherwise the observer's
 	// sampler may start one that the engine owns and finishes itself.
@@ -675,6 +691,9 @@ func (e *Engine) submit(ctx context.Context, ops []Op) ([]Result, error) {
 			res[i].Err = fmt.Errorf("shard: addr %#x beyond configured capacity %d: %w",
 				op.Addr, e.cfg.MaxLines, core.ErrOutOfRange)
 			continue
+		}
+		if !op.Write {
+			res[i].Data, arena = arena[:core.LineSize:core.LineSize], arena[core.LineSize:]
 		}
 		s := e.shardFor(op.Addr)
 		perShard[s] = append(perShard[s], i)
@@ -757,6 +776,12 @@ func (e *Engine) submit(ctx context.Context, ops []Op) ([]Result, error) {
 	}
 	// Every task has completed; no worker references the envelope now.
 	e.states.Put(st)
+	// A read that failed, was shed, cancelled or never ran keeps no slot.
+	for i := range res {
+		if res[i].Err != nil {
+			res[i].Data = nil
+		}
+	}
 	return res, nil
 }
 

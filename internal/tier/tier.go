@@ -322,29 +322,39 @@ func (m *Memory) install(addr uint64, data []byte) (bool, error) {
 	return true, nil
 }
 
-// Read loads the 64-byte line at lineAddr from whichever tier holds it.
-// Reading a never-written line returns core's ErrNeverWritten.
+// Read loads the 64-byte line at lineAddr from whichever tier holds it
+// into a freshly allocated slice. Reading a never-written line returns
+// core's ErrNeverWritten.
 func (m *Memory) Read(lineAddr uint64) ([]byte, error) {
+	data := new([LineSize]byte)
+	if err := m.ReadInto(data, lineAddr); err != nil {
+		return nil, err
+	}
+	return data[:], nil
+}
+
+// ReadInto is the one read path (Read wraps it): it loads the line into
+// dst without allocating beyond what a promotion installs. On an error
+// dst holds unspecified bytes.
+func (m *Memory) ReadInto(dst *[LineSize]byte, lineAddr uint64) error {
 	if n := m.near[lineAddr]; n != nil {
 		m.tick()
 		m.moveToFront(n)
 		n.freq++
 		m.c.NearReads++
-		out := make([]byte, LineSize)
-		copy(out, n.data[:])
-		return out, nil
+		*dst = n.data
+		return nil
 	}
-	data, err := m.far.Read(lineAddr)
-	if err != nil {
-		return nil, err
+	if err := m.far.ReadInto(dst, lineAddr); err != nil {
+		return err
 	}
 	m.c.FarReads++
 	if m.noteFar(lineAddr) {
-		if _, err := m.install(lineAddr, data); err != nil {
-			return nil, err
+		if _, err := m.install(lineAddr, dst[:]); err != nil {
+			return err
 		}
 	}
-	return data, nil
+	return nil
 }
 
 // Write stores a 64-byte line at lineAddr. Near-resident lines update

@@ -254,6 +254,39 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
+// TestReadIntoBothTiers: ReadInto is the one read path. A near hit and a
+// far read (with its promotion) both overwrite a dirty destination with
+// the line, the promoted copy is the tier's own — scribbling on the
+// caller's buffer afterwards does not reach it — and a near hit
+// allocates nothing.
+func TestReadIntoBothTiers(t *testing.T) {
+	m := newTier(t, Config{NearLines: 2, Policy: PolicyFreq, FreqThreshold: 2, FreqDecayEvery: 1 << 30}, 1)
+	if err := m.Write(7, line(7)); err != nil { // below the threshold: lands far
+		t.Fatal(err)
+	}
+	var dst [LineSize]byte
+	for pass, wantNear := range []int{1, 1, 1} { // far read that promotes, then near hits
+		for i := range dst {
+			dst[i] = 0xEE
+		}
+		if err := m.ReadInto(&dst, 7); err != nil || !bytes.Equal(dst[:], line(7)) {
+			t.Fatalf("pass %d: %v, got %x", pass, err, dst)
+		}
+		if m.NearResident() != wantNear {
+			t.Fatalf("pass %d: %d lines near, want %d", pass, m.NearResident(), wantNear)
+		}
+	}
+	if s := m.Snapshot(); s.FarReads != 1 || s.NearReads != 2 || s.Promotions != 1 {
+		t.Fatalf("traffic split: %+v", s)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.ReadInto(&dst, 7) }); n != 0 {
+		t.Fatalf("a near hit allocates %.1f times, want 0", n)
+	}
+	if err := m.ReadInto(&dst, 8); !errors.Is(err, core.ErrNeverWritten) {
+		t.Fatalf("unwritten line: %v", err)
+	}
+}
+
 // TestFreqThresholdGate: the freq policy leaves a line far until it has
 // been touched FreqThreshold times.
 func TestFreqThresholdGate(t *testing.T) {

@@ -1,7 +1,26 @@
-// Package wire declares the JSON bodies of the daemon's /v1 endpoints,
-// once, for both ends: internal/serve builds and decodes them, client
-// sends and parses them, so the two cannot drift. Declarations only —
-// no behaviour lives here.
+// Package wire is the daemon's /v1 wire format, once, for both ends:
+// the declarations of every JSON body, and for the data-path bodies (Op,
+// OpResult, Batch, Line, LineReq) the codec that moves them — append-style
+// encoders and a byte-slice Scanner (codec.go) that internal/serve and
+// client both use, so the two ends cannot drift and neither goes through
+// reflection per op. The struct tags below remain the definition of the
+// format: the codec is held to what encoding/json does with these very
+// types by the differential fuzz targets FuzzWireOpsVsJSON and
+// FuzzWireBatchVsJSON.
+//
+// Where the Scanner is stricter than encoding/json — each case pinned by
+// TestNarrowings, everything else encoding/json accepts is accepted with
+// the same result (unknown members of any shape skipped, escapes resolved,
+// duplicate members and nulls settled the same way):
+//
+//   - a key must be spelled exactly: "Addr" is refused, not folded to "addr";
+//   - "data" must be a base64 string, not an array of byte values;
+//   - a value under an unknown key may nest at most 64 deep;
+//   - "results" may appear once in an answer;
+//   - nothing but whitespace may follow the body's value (a Decoder never
+//     looked past it: `[...] x` used to pass).
+//
+// The control-plane bodies (Stats, Error, traces) stay on encoding/json.
 package wire
 
 import (
