@@ -69,7 +69,7 @@ bench:
 bench-gate:
 	./scripts/bench_gate.sh
 
-# Re-pin scripts/bench_baseline.txt (and BENCH_16.json, its summary) via
+# Re-pin scripts/bench_baseline.txt (and BENCH_17.json, its summary) via
 # min-of-5 in one step. Run this
 # on the machine the gate will run on, and commit the result together
 # with the change that moved the numbers.

@@ -54,7 +54,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its inputs and outputs as parameters; it returns the
 // exit code: 1 for runtime errors, 2 for bad flags, ids or values.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("attachesim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -94,15 +94,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
+			// A profile that was asked for and not written fails the
+			// run; an earlier failure keeps its own code.
+			if err := writeHeapProfile(*memProfile); err != nil {
 				fail(1, "%v", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle live objects before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fail(1, "%v", err)
+				if code == 0 {
+					code = 1
+				}
 			}
 		}()
 	}
@@ -208,4 +206,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // settle live objects before the snapshot
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

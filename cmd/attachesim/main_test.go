@@ -60,6 +60,25 @@ func TestBadInputExitsTwo(t *testing.T) {
 	}
 }
 
+// TestUnwritableMemprofileExitsOne: the heap profile is written on the
+// way out, after the work succeeded; failing to write it must still fail
+// the run, and must not mask an earlier failure's code.
+func TestUnwritableMemprofileExitsOne(t *testing.T) {
+	unwritable := filepath.Join(t.TempDir(), "no-such-dir", "heap.prof")
+	code, out, errs := sim("-list", "-memprofile", unwritable)
+	if code != 1 || !strings.Contains(out, "fig12") || !strings.Contains(errs, "no-such-dir") {
+		t.Errorf("unwritable -memprofile: exit %d, stderr %q; want the listing, exit 1 and the path named", code, errs)
+	}
+	if code, _, _ := sim("-experiment", "fig99", "-memprofile", unwritable); code != 2 {
+		t.Errorf("bad experiment with unwritable -memprofile: exit %d, want 2", code)
+	}
+	written := filepath.Join(t.TempDir(), "heap.prof")
+	mustSim(t, "-list", "-memprofile", written)
+	if fi, err := os.Stat(written); err != nil || fi.Size() == 0 {
+		t.Errorf("writable -memprofile left no profile: %v", err)
+	}
+}
+
 // TestParallelismDoesNotChangeOutput drives a default-configuration
 // sweep and a configuration sweep through the real CLI.
 func TestParallelismDoesNotChangeOutput(t *testing.T) {

@@ -43,9 +43,22 @@ type llcLine struct {
 }
 
 type mshrEntry struct {
+	c       *LLC
+	addr    uint64
 	waiters []func(sim.Time)
 	dirty   bool // a store merged into this fill
+
+	// Bound once, when the entry is first allocated, and recycled with
+	// it: issueFn sends the backend read after the lookup latency, fillFn
+	// is that read's completion. Both are live from startFill until the
+	// entry's fill runs.
+	issueFn sim.Event
+	fillFn  sim.Event
 }
+
+func (e *mshrEntry) issue(sim.Time) { e.c.backend.Read(e.addr, e.fillFn) }
+
+func (e *mshrEntry) fill(now sim.Time) { e.c.fill(e, now) }
 
 // LLC is the shared last-level cache.
 type LLC struct {
@@ -57,11 +70,12 @@ type LLC struct {
 	lines   []llcLine
 	tick    uint64
 	mshr    map[uint64]*mshrEntry
-	// mshrFree recycles mshrEntry values (and their waiter slices): an
-	// entry retires into the freelist when its fill completes, so the
-	// steady-state miss path allocates neither the entry nor the first
-	// waiter append. Purely an allocation optimization — entries are
-	// single-owner and the fill order is untouched.
+	// mshrFree recycles mshrEntry values (with their waiter slices and
+	// bound callbacks): an entry retires into the freelist when its fill
+	// completes, so the steady-state miss path allocates neither the
+	// entry, nor the first waiter append, nor a closure. Purely an
+	// allocation optimization — entries are single-owner and the fill
+	// order is untouched.
 	mshrFree []*mshrEntry
 	// prefetchNextLine issues a fill for addr+1 alongside every demand
 	// miss (a simple sequential prefetcher; off by default — Table II
@@ -101,14 +115,22 @@ func (c *LLC) Sets() int { return c.sets }
 // EnableNextLinePrefetch turns the sequential prefetcher on or off.
 func (c *LLC) EnableNextLinePrefetch(on bool) { c.prefetchNextLine = on }
 
-// getEntry pops a recycled mshrEntry (empty, clean) or allocates one.
-func (c *LLC) getEntry() *mshrEntry {
+// startFill takes a recycled mshrEntry (empty, clean) or allocates one,
+// registers it as the in-flight fill of addr and schedules its backend
+// read after the lookup latency.
+func (c *LLC) startFill(addr uint64) *mshrEntry {
+	var e *mshrEntry
 	if n := len(c.mshrFree); n > 0 {
-		e := c.mshrFree[n-1]
+		e = c.mshrFree[n-1]
 		c.mshrFree = c.mshrFree[:n-1]
-		return e
+	} else {
+		e = &mshrEntry{c: c}
+		e.issueFn, e.fillFn = e.issue, e.fill
 	}
-	return &mshrEntry{}
+	e.addr = addr
+	c.mshr[addr] = e
+	c.eng.ScheduleAfter(c.latency, e.issueFn)
+	return e
 }
 
 func (c *LLC) set(addr uint64) []llcLine {
@@ -144,12 +166,8 @@ func (c *LLC) Read(addr uint64, done func(now sim.Time)) {
 		e.waiters = append(e.waiters, done)
 		return
 	}
-	e := c.getEntry()
+	e := c.startFill(addr)
 	e.waiters = append(e.waiters, done)
-	c.mshr[addr] = e
-	c.eng.ScheduleAfter(c.latency, func(sim.Time) {
-		c.backend.Read(addr, func(now sim.Time) { c.fill(addr, now) })
-	})
 	c.maybePrefetch(addr + 1)
 }
 
@@ -166,10 +184,7 @@ func (c *LLC) maybePrefetch(addr uint64) {
 		return
 	}
 	c.Stats.Prefetches.Inc()
-	c.mshr[addr] = c.getEntry() // no waiters: fill installs silently
-	c.eng.ScheduleAfter(c.latency, func(sim.Time) {
-		c.backend.Read(addr, func(now sim.Time) { c.fill(addr, now) })
-	})
+	c.startFill(addr) // no waiters: fill installs silently
 }
 
 // Write performs a store to addr. Hits mark the line dirty; misses
@@ -190,18 +205,13 @@ func (c *LLC) Write(addr uint64) {
 		e.dirty = true
 		return
 	}
-	e := c.getEntry()
-	e.dirty = true
-	c.mshr[addr] = e
-	c.eng.ScheduleAfter(c.latency, func(sim.Time) {
-		c.backend.Read(addr, func(now sim.Time) { c.fill(addr, now) })
-	})
+	c.startFill(addr).dirty = true
 }
 
 // fill installs a returned line, evicting the LRU victim (writing it back
 // if dirty) and releasing every coalesced waiter.
-func (c *LLC) fill(addr uint64, now sim.Time) {
-	e := c.mshr[addr]
+func (c *LLC) fill(e *mshrEntry, now sim.Time) {
+	addr := e.addr
 	delete(c.mshr, addr)
 
 	set := c.set(addr)

@@ -268,3 +268,39 @@ func TestPrefetchDoesNotDuplicateInflight(t *testing.T) {
 		t.Fatalf("line 201 fetched %d times, want 1", seen[201])
 	}
 }
+
+// TestPrefetchEntryRecyclesCleanly: a prefetch fill has no waiters; its
+// entry must come back to the freelist empty and serve a later demand
+// miss — and a waiter that re-enters the LLC from its own fill must get a
+// different entry from the one still being retired.
+func TestPrefetchEntryRecyclesCleanly(t *testing.T) {
+	eng, b, c := newLLC(64<<10, 8)
+	c.EnableNextLinePrefetch(true)
+	c.Read(100, func(sim.Time) {}) // demand 100 + prefetch 101
+	eng.RunUntilDone(10000)
+	if c.OutstandingMisses() != 0 || len(c.mshrFree) != 2 {
+		t.Fatalf("after the fills: %d in flight, %d recycled, want 0 and 2", c.OutstandingMisses(), len(c.mshrFree))
+	}
+	for _, e := range c.mshrFree {
+		if len(e.waiters) != 0 || e.dirty {
+			t.Fatalf("recycled entry for %d not clean: %d waiters, dirty=%v", e.addr, len(e.waiters), e.dirty)
+		}
+	}
+
+	c.EnableNextLinePrefetch(false)
+	var order []uint64
+	c.Read(5000, func(sim.Time) {
+		order = append(order, 5000)
+		c.Read(6000, func(sim.Time) { order = append(order, 6000) })
+	})
+	eng.RunUntilDone(10000)
+	if len(order) != 2 || order[0] != 5000 || order[1] != 6000 {
+		t.Fatalf("completions = %v, want [5000 6000]", order)
+	}
+	if got := b.reads[len(b.reads)-2:]; got[0] != 5000 || got[1] != 6000 {
+		t.Fatalf("backend saw %v, want reads of 5000 then 6000 through recycled entries", got)
+	}
+	if len(c.mshrFree) != 2 {
+		t.Fatalf("%d entries pooled, want the same 2 reused", len(c.mshrFree))
+	}
+}

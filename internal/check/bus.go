@@ -9,7 +9,9 @@ import "attache/internal/sim"
 //   - issued never exceeds submitted (queue accounting cannot go
 //     negative);
 //   - per-sub-rank data-bus bursts never overlap: each burst must start
-//     at or after the previous burst on that sub-rank ended.
+//     at or after the previous burst on that sub-rank ended;
+//   - a queue scan the scheduler skipped as provably fruitless would
+//     have found nothing to issue.
 //
 // The audit is pure observation: the channel reports what it decided and
 // the audit validates, so enabling it cannot perturb scheduling.
@@ -50,6 +52,15 @@ func (a *BusAudit) OnIssue(addr uint64, now sim.Time) {
 		a.rec.Failf(addr, now,
 			"channel %d issued more requests (%d) than were submitted (%d)", a.id, a.issued, a.submitted)
 	}
+}
+
+// OnQuietSkip reports a skipped queue scan that, replayed, found the
+// request at addr issuable: the channel believed the queue quiet until
+// quietUntil and was wrong.
+func (a *BusAudit) OnQuietSkip(addr uint64, quietUntil, now sim.Time) {
+	a.rec.Failf(addr, now,
+		"channel %d skipped a queue scan at cycle %d as quiet until %d, but a request was issuable",
+		a.id, now, quietUntil)
 }
 
 // CheckDrained validates end-of-simulation conservation: with empty

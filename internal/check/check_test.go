@@ -98,3 +98,17 @@ func TestBusAuditIssueOverrun(t *testing.T) {
 		t.Fatal("issuing more than submitted must fail")
 	}
 }
+
+func TestBusAuditQuietSkipNamesChannelCycleAndTime(t *testing.T) {
+	var r Recorder
+	NewBusAudit(&r, 2).OnQuietSkip(0x50003, 30, 20)
+	f, ok := r.Err().(*Failure)
+	if !ok || f.Addr != 0x50003 || f.Cycle != 20 {
+		t.Fatalf("failure = %+v, want address 0x50003 at cycle 20", r.Err())
+	}
+	for _, want := range []string{"channel 2", "quiet until 30"} {
+		if !strings.Contains(f.What, want) {
+			t.Fatalf("diagnostic %q does not name %q", f.What, want)
+		}
+	}
+}

@@ -48,6 +48,22 @@ type pendingLoad struct {
 	done     bool
 }
 
+// loadSlot carries one outstanding load's completion: the issue position
+// and a callback bound once, when the slot is first allocated. A slot is
+// taken at issue and returned when its load completes, so a core never
+// holds more than MSHRs of them.
+type loadSlot struct {
+	c        *Core
+	instrPos int64
+	doneFn   func(now sim.Time)
+}
+
+func (l *loadSlot) complete(now sim.Time) {
+	c, pos := l.c, l.instrPos
+	c.slotFree = append(c.slotFree, l) // before complete: it may issue again
+	c.complete(pos, now)
+}
+
 // Core replays one trace generator's stream against a memory hierarchy.
 type Core struct {
 	eng      *sim.Engine
@@ -63,6 +79,7 @@ type Core struct {
 	cur        trace.Access
 	nextMemAt  int64
 	pending    []pendingLoad
+	slotFree   []*loadSlot
 	lastUpdate sim.Time
 	blockedAt  sim.Time // time the core became fully blocked, -1 if running
 	finished   bool
@@ -86,6 +103,7 @@ func NewCore(eng *sim.Engine, id int, cfg Config, gen trace.Source, target int64
 	c := &Core{
 		eng: eng, id: id, cfg: cfg, gen: gen, mem: mem,
 		target: target, onFinish: onFinish, blockedAt: -1,
+		pending: make([]pendingLoad, 0, cfg.MSHRs),
 	}
 	c.tickFn = c.tick
 	return c
@@ -225,9 +243,16 @@ func (c *Core) issueCurrent(now sim.Time) {
 			}
 		}
 		c.pending = append(c.pending, pendingLoad{instrPos: c.pos})
-		idx := len(c.pending) - 1
-		pos := c.pending[idx].instrPos
-		c.mem.Read(addr, func(done sim.Time) { c.complete(pos, done) })
+		var l *loadSlot
+		if n := len(c.slotFree); n > 0 {
+			l = c.slotFree[n-1]
+			c.slotFree = c.slotFree[:n-1]
+		} else {
+			l = &loadSlot{c: c}
+			l.doneFn = l.complete
+		}
+		l.instrPos = c.pos
+		c.mem.Read(addr, l.doneFn)
 	}
 	c.issued++
 	c.cur = c.gen.Next()
@@ -248,7 +273,9 @@ func (c *Core) complete(instrPos int64, now sim.Time) {
 		n++
 	}
 	if n > 0 {
-		c.pending = c.pending[n:]
+		// Compact in place: re-slicing forward would walk the backing
+		// array off its end and make append reallocate for the whole run.
+		c.pending = c.pending[:copy(c.pending, c.pending[n:])]
 	}
 	c.tick(now)
 }

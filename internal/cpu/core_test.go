@@ -243,3 +243,21 @@ func TestFileTraceDrivesCore(t *testing.T) {
 		t.Fatalf("traffic = %d reads, %d writes; want 6/3", mem.reads, mem.writes)
 	}
 }
+
+// TestLoadSlotsBoundedByMSHRs: the core recycles its load slots and
+// compacts pending in place, so a long run ends holding at most MSHRs
+// slots and the pending array it started with.
+func TestLoadSlotsBoundedByMSHRs(t *testing.T) {
+	cfg := defaultCfg()
+	cfg.MSHRs = 4
+	c, mem, _ := runCore(t, coreProfile(trace.PatternRandom, 2, 0), cfg, 1000, 500)
+	if mem.reads != 500 {
+		t.Fatalf("reads = %d, want 500", mem.reads)
+	}
+	if n := len(c.slotFree); n == 0 || n > cfg.MSHRs {
+		t.Fatalf("%d load slots after 500 loads, want 1..%d", n, cfg.MSHRs)
+	}
+	if len(c.pending) != 0 || cap(c.pending) != cfg.MSHRs {
+		t.Fatalf("pending len %d cap %d, want 0 and the original %d", len(c.pending), cap(c.pending), cfg.MSHRs)
+	}
+}

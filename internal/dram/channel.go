@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 
 	"attache/internal/check"
 	"attache/internal/config"
@@ -36,8 +37,45 @@ type Request struct {
 	// Done runs at completion (reads: data returned; writes: written).
 	// May be nil for posted writes.
 	Done func(now sim.Time)
+}
 
-	arrive sim.Time
+// queued is what the scheduler keeps of a submitted Request: the queues
+// hold it by value, so a scan walks contiguous memory, the bank index is
+// decoded once, and the caller's *Request never escapes Submit.
+type queued struct {
+	done     func(now sim.Time)
+	arrive   sim.Time
+	row, col int
+	bank     int // index into banks[s]
+	subRanks SubRankMask
+	write    bool
+	double   bool
+	priority bool
+}
+
+// reqQueue is one of a channel's two request queues.
+type reqQueue struct {
+	reqs []queued
+	// quiet is set when a scan finds nothing issuable: the earliest time
+	// any queued request becomes issuable while banks and buses stay as
+	// they are (the minimum of availableAt over reqs). tick skips the
+	// scan until then. The three state changes that invalidate it: issue
+	// and an applied refresh move banks or buses and zero both queues'
+	// times; Submit lowers its queue's time by the newcomer's. Zero
+	// means unknown: scan.
+	quiet sim.Time
+}
+
+// remove deletes reqs[i], keeping arrival order, and clears the vacated
+// tail slot so the queue's backing array does not pin a completed
+// request's callback.
+func (q *reqQueue) remove(i int) queued {
+	r := q.reqs[i]
+	n := len(q.reqs) - 1
+	copy(q.reqs[i:], q.reqs[i+1:])
+	q.reqs[n] = queued{}
+	q.reqs = q.reqs[:n]
+	return r
 }
 
 // ChannelStats aggregates per-channel activity.
@@ -71,8 +109,10 @@ type Channel struct {
 	banks   [2][]bank // [subRank][bankIndex]; lockstep in baseline mode
 	busFree [2]sim.Time
 
-	readQ  []*Request
-	writeQ []*Request
+	readQ  reqQueue
+	writeQ reqQueue
+	// inflateQuiet is InjectQuietInflate's pending fault (testhooks.go).
+	inflateQuiet bool
 
 	draining    bool
 	nextRefresh sim.Time
@@ -121,7 +161,7 @@ func NewChannel(eng *sim.Engine, cfg config.Config, id int) *Channel {
 
 // QueueDepths reports current read and write queue occupancy.
 func (c *Channel) QueueDepths() (reads, writes int) {
-	return len(c.readQ), len(c.writeQ)
+	return len(c.readQ.reqs), len(c.writeQ.reqs)
 }
 
 // EnableAudit attaches a bus/conservation invariant checker reporting
@@ -135,31 +175,43 @@ func (c *Channel) EnableAudit(rec *check.Recorder) {
 // without an audit).
 func (c *Channel) AuditDrained(now sim.Time) {
 	if c.audit != nil {
-		c.audit.CheckDrained(len(c.readQ), len(c.writeQ), now)
+		c.audit.CheckDrained(len(c.readQ.reqs), len(c.writeQ.reqs), now)
 	}
 }
 
 // Submit enqueues a request. Writes are posted into the write buffer;
 // reads go to the read queue. The scheduler wakes immediately if it is
-// not already due sooner.
+// not already due sooner. The channel copies what it needs: r is not
+// retained.
 func (c *Channel) Submit(r *Request) {
 	if r.SubRanks == 0 || r.SubRanks > SubRankBoth {
 		panic(fmt.Sprintf("dram: invalid sub-rank mask %d", r.SubRanks))
 	}
 	now := c.eng.Now()
-	r.arrive = now
 	if c.audit != nil {
 		c.audit.OnSubmit()
 	}
+	q, depthMax := &c.readQ, &c.Stats.QueuedReadMax
 	if r.Write {
-		c.writeQ = append(c.writeQ, r)
-		if len(c.writeQ) > c.Stats.QueuedWriteMax {
-			c.Stats.QueuedWriteMax = len(c.writeQ)
-		}
-	} else {
-		c.readQ = append(c.readQ, r)
-		if len(c.readQ) > c.Stats.QueuedReadMax {
-			c.Stats.QueuedReadMax = len(c.readQ)
+		q, depthMax = &c.writeQ, &c.Stats.QueuedWriteMax
+	}
+	q.reqs = append(q.reqs, queued{
+		done:     r.Done,
+		arrive:   now,
+		row:      r.Loc.Row,
+		col:      r.Loc.Col,
+		bank:     r.Loc.Group*c.cfg.DRAM.BanksPerGroup + r.Loc.Bank,
+		subRanks: r.SubRanks,
+		write:    r.Write,
+		double:   r.DoubleBurst,
+		priority: r.Priority,
+	})
+	if len(q.reqs) > *depthMax {
+		*depthMax = len(q.reqs)
+	}
+	if q.quiet > 0 {
+		if at := c.availableAt(&q.reqs[len(q.reqs)-1]); at < q.quiet {
+			q.quiet = at
 		}
 	}
 	c.wake(now)
@@ -189,16 +241,29 @@ func (c *Channel) tick(now sim.Time) {
 		if q == nil {
 			break
 		}
-		idx := c.pickIssuable(*q, now)
-		if idx < 0 {
+		if now < q.quiet {
+			// The last scan proved nothing here can issue yet. The
+			// audit replays the scan to hold that proof to account.
+			if c.audit != nil {
+				if idx, _ := c.pickIssuable(q.reqs, now); idx >= 0 {
+					c.audit.OnQuietSkip(auditAddr(&q.reqs[idx]), q.quiet, now)
+				}
+			}
 			break
 		}
-		r := (*q)[idx]
-		*q = append((*q)[:idx], (*q)[idx+1:]...)
-		c.issue(now, r)
+		idx, quiet := c.pickIssuable(q.reqs, now)
+		if idx < 0 {
+			if c.inflateQuiet {
+				c.inflateQuiet = false
+				quiet += c.tBurst
+			}
+			q.quiet = quiet
+			break
+		}
+		c.issue(now, q.remove(idx))
 	}
 
-	if len(c.readQ) > 0 || len(c.writeQ) > 0 {
+	if len(c.readQ.reqs) > 0 || len(c.writeQ.reqs) > 0 {
 		next := c.busFree[0]
 		if c.busFree[1] < next {
 			next = c.busFree[1]
@@ -221,18 +286,18 @@ func (c *Channel) tick(now sim.Time) {
 // pickQueue applies read priority with watermark write draining: writes
 // are serviced when the buffer passes the high watermark (until it falls
 // to the low watermark) or opportunistically when no reads wait.
-func (c *Channel) pickQueue() *[]*Request {
-	if len(c.writeQ) >= c.cfg.DRAM.WriteHighWater {
+func (c *Channel) pickQueue() *reqQueue {
+	if len(c.writeQ.reqs) >= c.cfg.DRAM.WriteHighWater {
 		c.draining = true
 	}
-	if c.draining && len(c.writeQ) <= c.cfg.DRAM.WriteLowWater {
+	if c.draining && len(c.writeQ.reqs) <= c.cfg.DRAM.WriteLowWater {
 		c.draining = false
 	}
-	useWrites := c.draining || len(c.readQ) == 0
-	if useWrites && len(c.writeQ) > 0 {
+	useWrites := c.draining || len(c.readQ.reqs) == 0
+	if useWrites && len(c.writeQ.reqs) > 0 {
 		return &c.writeQ
 	}
-	if len(c.readQ) > 0 {
+	if len(c.readQ.reqs) > 0 {
 		return &c.readQ
 	}
 	return nil
@@ -243,17 +308,23 @@ func (c *Channel) pickQueue() *[]*Request {
 // request (a blocking metadata fetch or misprediction correction), then
 // the oldest request. It returns -1 when every candidate's bus is
 // committed too far ahead, keeping scheduling decisions within a burst of
-// real time.
-func (c *Channel) pickIssuable(q []*Request, now sim.Time) int {
+// real time — and then also the earliest time one of them will pass,
+// the queue's quiet time.
+func (c *Channel) pickIssuable(q []queued, now sim.Time) (idx int, quiet sim.Time) {
 	oldest, prio := -1, -1
-	for i, r := range q {
-		if !c.busAvailable(r, now) {
+	quiet = math.MaxInt64
+	for i := range q {
+		r := &q[i]
+		if at := c.availableAt(r); at > now {
+			if at < quiet {
+				quiet = at
+			}
 			continue
 		}
 		if !c.cfg.DRAM.SchedFCFS && c.isRowHit(r) {
-			return i
+			return i, 0
 		}
-		if prio < 0 && r.Priority {
+		if prio < 0 && r.priority {
 			prio = i
 		}
 		if oldest < 0 {
@@ -261,52 +332,57 @@ func (c *Channel) pickIssuable(q []*Request, now sim.Time) int {
 		}
 	}
 	if prio >= 0 {
-		return prio
+		return prio, 0
 	}
-	return oldest
+	return oldest, quiet
 }
 
-// busAvailable reports whether the request could deliver its data within
-// one burst of when its bus frees. The estimate accounts for the
-// request's own bank preparation (precharge + activate + CAS): a row-miss
-// request whose data cannot arrive before the bus frees anyway is
-// issuable — its bank work overlaps the in-flight bursts — while
-// requests that would stack the bus more than one burst ahead wait. This
-// keeps bank-level parallelism alive under row-miss-heavy traffic without
-// over-committing the data bus.
-func (c *Channel) busAvailable(r *Request, now sim.Time) bool {
-	bi := r.Loc.Group*c.cfg.DRAM.BanksPerGroup + r.Loc.Bank
+// availableAt reports the earliest time the request could deliver its
+// data within one burst of when its bus frees, given the banks and buses
+// as they stand; the request is issuable at now iff availableAt <= now.
+// The estimate accounts for the request's own bank preparation
+// (precharge + activate + CAS): a row-miss request whose data cannot
+// arrive before the bus frees anyway is issuable — its bank work
+// overlaps the in-flight bursts — while requests that would stack the
+// bus more than one burst ahead wait. This keeps bank-level parallelism
+// alive under row-miss-heavy traffic without over-committing the data
+// bus.
+//
+// On sub-rank s the column command starts at max(readyAt, now) + prep
+// (prep = 0 on a row hit, tRCD on a closed bank, tRP+tRCD on a
+// conflict) and the request waits while busFree[s] > start + tCAS +
+// tBurst, that is while max(readyAt, now) < need = busFree[s] − tBurst
+// − tCAS − prep. A sub-rank whose bank is ready no earlier than need
+// never holds the request back; any other releases it at need. The
+// request's time is the latest over its sub-ranks.
+func (c *Channel) availableAt(r *queued) sim.Time {
+	var at sim.Time
 	for s := 0; s < 2; s++ {
-		if r.SubRanks&(1<<uint(s)) == 0 {
+		if r.subRanks&(1<<uint(s)) == 0 {
 			continue
 		}
-		b := &c.banks[s][bi]
-		start := b.readyAt
-		if start < now {
-			start = now
-		}
-		if !b.open || b.row != r.Loc.Row {
+		b := &c.banks[s][r.bank]
+		need := c.busFree[s] - c.tBurst - c.tCAS
+		if !b.open || b.row != r.row {
 			if b.open {
-				start += c.tRP
+				need -= c.tRP
 			}
-			start += c.tRCD
+			need -= c.tRCD
 		}
-		casDone := start + c.tCAS
-		if c.busFree[s] > casDone+c.tBurst {
-			return false
+		if b.readyAt < need && need > at {
+			at = need
 		}
 	}
-	return true
+	return at
 }
 
-func (c *Channel) isRowHit(r *Request) bool {
-	bi := r.Loc.Group*c.cfg.DRAM.BanksPerGroup + r.Loc.Bank
+func (c *Channel) isRowHit(r *queued) bool {
 	for s := 0; s < 2; s++ {
-		if r.SubRanks&(1<<uint(s)) == 0 {
+		if r.subRanks&(1<<uint(s)) == 0 {
 			continue
 		}
-		b := &c.banks[s][bi]
-		if !b.open || b.row != r.Loc.Row {
+		b := &c.banks[s][r.bank]
+		if !b.open || b.row != r.row {
 			return false
 		}
 	}
@@ -315,31 +391,32 @@ func (c *Channel) isRowHit(r *Request) bool {
 
 // issue computes the request's service against bank and bus state,
 // charges energy, and schedules its completion.
-func (c *Channel) issue(now sim.Time, r *Request) {
-	bi := r.Loc.Group*c.cfg.DRAM.BanksPerGroup + r.Loc.Bank
+func (c *Channel) issue(now sim.Time, r queued) {
+	// Banks and buses move: what either queue's last scan proved is void.
+	c.readQ.quiet, c.writeQ.quiet = 0, 0
 	burst := c.tBurst
-	if r.DoubleBurst {
+	if r.double {
 		burst *= 2
 	}
-	rowHit := c.isRowHit(r)
+	rowHit := c.isRowHit(&r)
 	c.Stats.RowHits.Observe(rowHit)
 	if c.audit != nil {
-		c.audit.OnIssue(auditAddr(r.Loc), now)
+		c.audit.OnIssue(auditAddr(&r), now)
 	}
 
 	subranks := 0
 	var finish sim.Time
 	for s := 0; s < 2; s++ {
-		if r.SubRanks&(1<<uint(s)) == 0 {
+		if r.subRanks&(1<<uint(s)) == 0 {
 			continue
 		}
 		subranks++
-		b := &c.banks[s][bi]
+		b := &c.banks[s][r.bank]
 		start := b.readyAt
 		if start < now {
 			start = now
 		}
-		if !b.open || b.row != r.Loc.Row {
+		if !b.open || b.row != r.row {
 			if b.open {
 				start += c.tRP // precharge the old row
 			}
@@ -354,7 +431,7 @@ func (c *Channel) issue(now sim.Time, r *Request) {
 			}
 			start += c.tRCD // activate the new row
 			b.open = true
-			b.row = r.Loc.Row
+			b.row = r.row
 			// Each half-rank activation is charged separately; a
 			// lockstep (both-sub-rank) activation costs two halves,
 			// which equals one full-rank activate.
@@ -367,7 +444,7 @@ func (c *Channel) issue(now sim.Time, r *Request) {
 		}
 		dataEnd := dataStart + burst
 		if c.audit != nil {
-			c.audit.OnBurst(s, dataStart, dataEnd, auditAddr(r.Loc), now)
+			c.audit.OnBurst(s, dataStart, dataEnd, auditAddr(&r), now)
 		}
 		c.busFree[s] = dataEnd
 		c.Stats.BusBusy[s] += burst
@@ -384,15 +461,15 @@ func (c *Channel) issue(now sim.Time, r *Request) {
 		}
 	}
 	bytes := uint64(subranks) * 32
-	if r.DoubleBurst {
+	if r.double {
 		bytes *= 2
 	}
-	if r.Write {
+	if r.write {
 		c.Stats.Writes.Inc()
 		c.Stats.BytesWritten.Add(bytes)
 		if subranks == 2 {
 			c.Energy.Writes64++
-		} else if r.DoubleBurst {
+		} else if r.double {
 			c.Energy.Writes64++
 		} else {
 			c.Energy.Writes32++
@@ -402,23 +479,22 @@ func (c *Channel) issue(now sim.Time, r *Request) {
 		c.Stats.BytesRead.Add(bytes)
 		if subranks == 2 {
 			c.Energy.Reads64++
-		} else if r.DoubleBurst {
+		} else if r.double {
 			c.Energy.Reads64++
 		} else {
 			c.Energy.Reads32++
 		}
 		c.Stats.ReadLatency.Observe(float64(finish - r.arrive))
 	}
-	if r.Done != nil {
-		done := r.Done
-		c.eng.Schedule(finish, done)
+	if r.done != nil {
+		c.eng.Schedule(finish, r.done)
 	}
 }
 
 // auditAddr folds a DRAM coordinate into one diagnostic address for
 // check failures: row and column identify the block within the channel.
-func auditAddr(loc Location) uint64 {
-	return uint64(loc.Row)<<16 | uint64(loc.Col)
+func auditAddr(r *queued) uint64 {
+	return uint64(r.row)<<16 | uint64(r.col)
 }
 
 // refreshIfDue blocks all banks for tRFC once per tREFI window.
@@ -437,10 +513,11 @@ func (c *Channel) refreshIfDue(now sim.Time) {
 		}
 		c.Energy.Refreshes++
 		c.nextRefresh += c.tREFI
+		c.readQ.quiet, c.writeQ.quiet = 0, 0
 	}
 }
 
 // Drained reports whether both queues are empty (simulation end check).
 func (c *Channel) Drained() bool {
-	return len(c.readQ) == 0 && len(c.writeQ) == 0
+	return len(c.readQ.reqs) == 0 && len(c.writeQ.reqs) == 0
 }

@@ -106,11 +106,6 @@ func (h *Harness) Workloads() []string {
 }
 
 func (h *Harness) profilesFor(name string) ([]trace.Profile, error) {
-	if h.Trace != nil {
-		// Only the core count matters: executeRun overrides the access
-		// streams and the data model.
-		name = "lbm"
-	}
 	for _, m := range trace.Mixes() {
 		if m.Name == name {
 			return MixProfiles(m)
@@ -169,9 +164,14 @@ func (h *Harness) runCached(workload string, s runSpec) (Metrics, error) {
 // executeRun performs the actual simulations for one cache key; name
 // labels it in errors.
 func (h *Harness) executeRun(name string, key runInputs) (Metrics, error) {
-	profs, err := h.profilesFor(key.workload)
-	if err != nil {
-		return Metrics{}, err
+	// A recorded trace supplies its own access streams and data model;
+	// only a catalog workload has profiles.
+	var profs []trace.Profile
+	if h.Trace == nil {
+		var err error
+		if profs, err = h.profilesFor(key.workload); err != nil {
+			return Metrics{}, err
+		}
 	}
 	var acc Metrics
 	for _, seed := range h.Seeds {
@@ -183,7 +183,7 @@ func (h *Harness) executeRun(name string, key runInputs) (Metrics, error) {
 			Seed:            seed,
 		}
 		if tw := h.Trace; tw != nil {
-			rc.Sources = make([]trace.Source, len(profs))
+			rc.Sources = make([]trace.Source, key.cfg.CPU.Cores)
 			for i := range rc.Sources {
 				rc.Sources[i] = tw.Recording.Clone()
 			}

@@ -25,7 +25,8 @@ type RunConfig struct {
 	Cfg  config.Config
 	Kind config.SystemKind
 	// Profiles holds one profile per core (rate mode repeats the same
-	// profile; mixes differ per core).
+	// profile; mixes differ per core). Unused, and not validated, when
+	// Sources and LineModel both override them.
 	Profiles []trace.Profile
 	// AccessesPerCore is the number of memory references each core
 	// issues.
@@ -125,19 +126,24 @@ func MixProfiles(m trace.Mix) ([]trace.Profile, error) {
 
 // Run executes one simulation to completion and reports its metrics.
 func Run(rc RunConfig) (Metrics, error) {
-	if len(rc.Profiles) == 0 {
-		return Metrics{}, fmt.Errorf("exp: no profiles")
-	}
 	if rc.AccessesPerCore <= 0 {
 		return Metrics{}, fmt.Errorf("exp: accesses per core must be positive")
 	}
 	cfg := rc.Cfg
-	if len(rc.Profiles) != cfg.CPU.Cores {
-		return Metrics{}, fmt.Errorf("exp: %d profiles for %d cores", len(rc.Profiles), cfg.CPU.Cores)
+	ncores := cfg.CPU.Cores
+	// Profiles supply each core's generator unless Sources does, and the
+	// data model unless LineModel does: with both overridden they are
+	// not read.
+	if rc.Sources == nil || rc.LineModel == nil {
+		if len(rc.Profiles) == 0 {
+			return Metrics{}, fmt.Errorf("exp: no profiles")
+		}
+		if len(rc.Profiles) != ncores {
+			return Metrics{}, fmt.Errorf("exp: %d profiles for %d cores", len(rc.Profiles), ncores)
+		}
 	}
-
-	if rc.Sources != nil && len(rc.Sources) != cfg.CPU.Cores {
-		return Metrics{}, fmt.Errorf("exp: %d sources for %d cores", len(rc.Sources), cfg.CPU.Cores)
+	if rc.Sources != nil && len(rc.Sources) != ncores {
+		return Metrics{}, fmt.Errorf("exp: %d sources for %d cores", len(rc.Sources), ncores)
 	}
 	eng := sim.NewEngine()
 
@@ -171,13 +177,13 @@ func Run(rc RunConfig) (Metrics, error) {
 	// Warm the LLC to steady state (the paper warms for 40 B
 	// instructions): each core's stream flows into the cache without
 	// timing, then the measured run continues from the warmed state.
-	gens := make([]trace.Source, len(rc.Profiles))
-	warmPerCore := 2 * cfg.CPU.LLCBytes / config.LineSize / int64(len(rc.Profiles))
-	for i, p := range rc.Profiles {
+	gens := make([]trace.Source, ncores)
+	warmPerCore := 2 * cfg.CPU.LLCBytes / config.LineSize / int64(ncores)
+	for i := range gens {
 		if rc.Sources != nil {
 			gens[i] = rc.Sources[i]
 		} else {
-			gens[i] = trace.NewGeneratorAt(p, rc.Seed+int64(i)*7919, uint64(i)*mixSliceLines)
+			gens[i] = trace.NewGeneratorAt(rc.Profiles[i], rc.Seed+int64(i)*7919, uint64(i)*mixSliceLines)
 		}
 		for w := int64(0); w < warmPerCore; w++ {
 			a := gens[i].Next()
@@ -185,15 +191,15 @@ func Run(rc RunConfig) (Metrics, error) {
 		}
 	}
 
-	cores := make([]*cpu.Core, len(rc.Profiles))
-	for i := range rc.Profiles {
+	cores := make([]*cpu.Core, ncores)
+	for i := range cores {
 		cores[i] = cpu.NewCore(eng, i, coreCfg, gens[i], rc.AccessesPerCore, llc, nil)
 		// Staggered starts break the lockstep of identical rate-mode
 		// traces, which otherwise phase-locks with write draining.
 		cores[i].StartAt(sim.Time(i) * 61)
 	}
 
-	maxEvents := uint64(rc.AccessesPerCore) * uint64(len(rc.Profiles)) * 400
+	maxEvents := uint64(rc.AccessesPerCore) * uint64(ncores) * 400
 	if maxEvents < 1_000_000 {
 		maxEvents = 1_000_000
 	}

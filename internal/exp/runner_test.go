@@ -154,11 +154,10 @@ func TestRunWithExternalSources(t *testing.T) {
 	for i := range sources {
 		sources[i] = mkSource()
 	}
-	p, _ := trace.ByName("lbm")
+	// No Profiles: Sources and LineModel override everything they feed.
 	m, err := Run(RunConfig{
 		Cfg:             cfg,
 		Kind:            config.SystemAttache,
-		Profiles:        RateMode(p, cfg.CPU.Cores),
 		AccessesPerCore: 2000,
 		Seed:            3,
 		Sources:         sources,
@@ -189,5 +188,59 @@ func TestRunSourceCountValidated(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected source-count error")
+	}
+	// Sources alone do not excuse Profiles: the data model still comes
+	// from them.
+	_, err = Run(RunConfig{
+		Cfg:             cfg,
+		Kind:            config.SystemBaseline,
+		AccessesPerCore: 100,
+		Sources:         make([]trace.Source, cfg.CPU.Cores),
+	})
+	if err == nil {
+		t.Fatal("expected a no-profiles error when only Sources override them")
+	}
+	// With both overrides the source count is still held to the cores.
+	_, err = Run(RunConfig{
+		Cfg:             cfg,
+		Kind:            config.SystemBaseline,
+		AccessesPerCore: 100,
+		Sources:         make([]trace.Source, 2),
+		LineModel:       trace.NewDataModel(1, 0.5, 0.5),
+	})
+	if err == nil {
+		t.Fatal("expected source-count error without profiles")
+	}
+}
+
+// TestSteadyStateAllocationBudget pins the simulator's allocation rate
+// per memory reference, machine-independently: for each system kind the
+// difference between a run of 2N and a run of N references per core
+// cancels everything set-up allocates (LLC, COPR tables, generators,
+// the pools' first fills) and leaves what N more references cost.
+func TestSteadyStateAllocationBudget(t *testing.T) {
+	const n = 2000
+	const budget = 0.1 // allocations per memory reference
+	cfg := config.Default()
+	p, err := trace.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []config.SystemKind{
+		config.SystemBaseline, config.SystemIdeal, config.SystemAttache, config.SystemMDCache, config.SystemECC,
+	} {
+		allocs := func(refs int64) float64 {
+			return testing.AllocsPerRun(1, func() {
+				if _, err := Run(RunConfig{Cfg: cfg, Kind: kind, Profiles: RateMode(p, cfg.CPU.Cores),
+					AccessesPerCore: refs, Seed: 42}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		perRef := (allocs(2*n) - allocs(n)) / float64(n*cfg.CPU.Cores)
+		t.Logf("%v: %.4f allocations per memory reference", kind, perRef)
+		if perRef > budget {
+			t.Errorf("%v: %.3f allocations per memory reference in steady state, budget %.1f", kind, perRef, budget)
+		}
 	}
 }

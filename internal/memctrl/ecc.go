@@ -1,9 +1,6 @@
 package memctrl
 
-import (
-	"attache/internal/dram"
-	"attache/internal/sim"
-)
+import "attache/internal/dram"
 
 // The ECC-metadata system (Deb et al., ICCD 2016 — the alternative the
 // paper discusses in §VII-A): compression metadata is carried in the
@@ -45,45 +42,23 @@ func (l *lastOutcome) update(lineAddr uint64, compressed bool) {
 	l.bits[l.index(lineAddr)] = v
 }
 
-func (s *System) readECC(lineAddr uint64, done func(sim.Time)) {
-	// Same lookup latency as COPR / the metadata cache.
-	s.eng.ScheduleAfter(s.cfg.Attache.PredictorLatency, func(sim.Time) {
-		s.issueECCRead(lineAddr, done)
-	})
-}
-
-func (s *System) issueECCRead(lineAddr uint64, done func(sim.Time)) {
-	loc := s.mapper.Decode(lineAddr)
-	actual := s.compressed(lineAddr)
-	predicted := s.lastOut.predict(lineAddr)
-	s.Stats.CompressedReads.Observe(actual)
+func (s *System) issueECCRead(t *readTxn) {
+	t.loc = s.mapper.Decode(t.lineAddr)
+	t.actual = s.compressed(t.lineAddr)
+	t.predicted = s.lastOut.predict(t.lineAddr)
+	// No Replacement Area exists here — the ECC bits are the metadata
+	// store — so t.collision is never set and t.data's correction is the
+	// other half and nothing more.
+	s.Stats.CompressedReads.Observe(t.actual)
 	s.Stats.DataReads.Inc()
 
-	complete := func(now sim.Time) {
-		s.Stats.ECCPrediction.Observe(predicted == actual)
-		s.lastOut.update(lineAddr, actual)
-		done(now)
+	// ECC metadata arrives with the half-line and reveals the truth:
+	// t.data fetches the rest after a wrong "compressed" prediction.
+	mask := dram.SubRankBoth
+	if t.predicted {
+		mask = subRankFor(t.loc)
 	}
-
-	if predicted {
-		s.submit(&dram.Request{Loc: loc, SubRanks: subRankFor(loc), Done: func(now sim.Time) {
-			if actual {
-				complete(now)
-				return
-			}
-			// ECC metadata arrived with the half-line and revealed the
-			// truth: fetch the rest. No Replacement Area exists here —
-			// the ECC bits are the metadata store.
-			s.Stats.CorrectionReads.Inc()
-			other := dram.SubRank0
-			if subRankFor(loc) == dram.SubRank0 {
-				other = dram.SubRank1
-			}
-			s.submit(&dram.Request{Loc: loc, SubRanks: other, Done: complete})
-		}})
-		return
-	}
-	s.submit(&dram.Request{Loc: loc, SubRanks: dram.SubRankBoth, Done: complete})
+	s.submit(&dram.Request{Loc: t.loc, SubRanks: mask, Done: t.dataFn})
 }
 
 func (s *System) writeECC(lineAddr uint64) {

@@ -6,28 +6,130 @@ import (
 	"attache/internal/sim"
 )
 
+// readTxn is the state of one read in flight. Records are pooled on
+// System.txnFree and their method values are bound once, when a record
+// is first allocated, so a read schedules and submits t.xxxFn where it
+// would otherwise build a closure per step.
+//
+// Ownership: a callback bound to a record is live from getTxn until that
+// record's finish runs; finish releases the record before it calls the
+// caller's done, so a done that re-enters Read may be handed the same
+// record.
+type readTxn struct {
+	s        *System
+	lineAddr uint64
+	start    sim.Time
+	done     func(now sim.Time) // the caller's
+	loc      dram.Location
+
+	// Ground truth and prediction, fixed at issue (Attaché, ECC).
+	actual, collision, predicted bool
+	// remaining counts the responses a two-request merge still awaits.
+	remaining int
+
+	issueFn    sim.Event // after the predictor / metadata-cache latency
+	dataFn     sim.Event // first DRAM response (Attaché, ECC)
+	completeFn sim.Event
+	mergeFn    sim.Event
+	finishFn   sim.Event
+}
+
+func (s *System) getTxn() *readTxn {
+	if n := len(s.txnFree); n > 0 {
+		t := s.txnFree[n-1]
+		s.txnFree = s.txnFree[:n-1]
+		return t
+	}
+	t := &readTxn{s: s}
+	t.issueFn, t.dataFn, t.completeFn, t.mergeFn, t.finishFn = t.issue, t.data, t.complete, t.merge, t.finish
+	return t
+}
+
 // Read requests the 64-byte line at lineAddr; done runs when the complete
 // line is available at the controller. The request path depends on the
 // system organization.
 func (s *System) Read(lineAddr uint64, done func(now sim.Time)) {
-	start := s.eng.Now()
-	finish := func(now sim.Time) {
-		s.Stats.ReadLatency.Observe(float64(now - start))
-		if done != nil {
-			done(now)
-		}
-	}
+	t := s.getTxn()
+	t.lineAddr, t.start, t.done = lineAddr, s.eng.Now(), done
 	switch s.kind {
 	case config.SystemBaseline:
-		s.readBaseline(lineAddr, finish)
+		s.readBaseline(t)
 	case config.SystemIdeal:
-		s.readIdeal(lineAddr, finish)
-	case config.SystemAttache:
-		s.readAttache(lineAddr, finish)
+		s.readIdeal(t)
+	case config.SystemAttache, config.SystemECC:
+		// The COPR lookup costs the same 8 cycles as a metadata-cache
+		// probe (paper §V), and so does the ECC system's last-outcome
+		// table; the request issues after it.
+		s.eng.ScheduleAfter(s.cfg.Attache.PredictorLatency, t.issueFn)
 	case config.SystemMDCache:
-		s.readMDCache(lineAddr, finish)
+		s.eng.ScheduleAfter(s.cfg.MDCache.Latency, t.issueFn)
+	}
+}
+
+// issue runs once the lookup latency has passed.
+func (t *readTxn) issue(sim.Time) {
+	switch t.s.kind {
+	case config.SystemAttache:
+		t.s.issueAttacheRead(t)
+	case config.SystemMDCache:
+		t.s.issueMDCacheRead(t)
 	case config.SystemECC:
-		s.readECC(lineAddr, finish)
+		t.s.issueECCRead(t)
+	}
+}
+
+// data handles the first DRAM response of an Attaché or ECC read: the
+// header (BLEM) or the ECC bits arrived with it and reveal the truth.
+func (t *readTxn) data(now sim.Time) {
+	s := t.s
+	switch {
+	case t.predicted && !t.actual:
+		// Misprediction: the block is uncompressed (or collided); fetch
+		// the remaining half, plus the RA bit on a collision.
+		s.Stats.CorrectionReads.Inc()
+		s.fetchRest(t)
+	case !t.predicted && !t.actual && t.collision:
+		// XID says collision: the true data bit lives in the RA.
+		s.readRA(t.lineAddr, t.completeFn)
+	default:
+		// The prediction held, or both halves are already here.
+		t.complete(now)
+	}
+}
+
+// merge joins the two responses of a read that needed two requests.
+func (t *readTxn) merge(now sim.Time) {
+	if t.remaining--; t.remaining == 0 {
+		t.complete(now)
+	}
+}
+
+// complete trains the predictor with the ground truth (Attaché: COPR and
+// the oracle checker; ECC: the last-outcome table) and finishes the read.
+func (t *readTxn) complete(now sim.Time) {
+	s := t.s
+	switch s.kind {
+	case config.SystemAttache:
+		s.copr.Update(t.lineAddr*config.LineSize, t.actual)
+		if s.checker != nil {
+			s.checker.OnReadComplete(t.lineAddr, t.actual, now)
+		}
+	case config.SystemECC:
+		s.Stats.ECCPrediction.Observe(t.predicted == t.actual)
+		s.lastOut.update(t.lineAddr, t.actual)
+	}
+	t.finish(now)
+}
+
+// finish observes the read's latency, releases the record and only then
+// releases the caller.
+func (t *readTxn) finish(now sim.Time) {
+	s, done := t.s, t.done
+	s.Stats.ReadLatency.Observe(float64(now - t.start))
+	t.done = nil
+	s.txnFree = append(s.txnFree, t)
+	if done != nil {
+		done(now)
 	}
 }
 
@@ -49,10 +151,10 @@ func (s *System) Write(lineAddr uint64) {
 
 // --- Baseline: no compression, no sub-ranking --------------------------
 
-func (s *System) readBaseline(lineAddr uint64, done func(sim.Time)) {
+func (s *System) readBaseline(t *readTxn) {
 	s.Stats.DataReads.Inc()
-	loc := s.mapper.Decode(lineAddr)
-	s.submit(&dram.Request{Loc: loc, SubRanks: dram.SubRankBoth, Done: done})
+	loc := s.mapper.Decode(t.lineAddr)
+	s.submit(&dram.Request{Loc: loc, SubRanks: dram.SubRankBoth, Done: t.finishFn})
 }
 
 func (s *System) writeBaseline(lineAddr uint64) {
@@ -63,16 +165,16 @@ func (s *System) writeBaseline(lineAddr uint64) {
 
 // --- Ideal: oracle metadata, zero overhead -----------------------------
 
-func (s *System) readIdeal(lineAddr uint64, done func(sim.Time)) {
+func (s *System) readIdeal(t *readTxn) {
 	s.Stats.DataReads.Inc()
-	loc := s.mapper.Decode(lineAddr)
-	comp := s.compressed(lineAddr)
+	loc := s.mapper.Decode(t.lineAddr)
+	comp := s.compressed(t.lineAddr)
 	s.Stats.CompressedReads.Observe(comp)
 	mask := dram.SubRankBoth
 	if comp {
 		mask = subRankFor(loc)
 	}
-	s.submit(&dram.Request{Loc: loc, SubRanks: mask, Done: done})
+	s.submit(&dram.Request{Loc: loc, SubRanks: mask, Done: t.finishFn})
 }
 
 func (s *System) writeIdeal(lineAddr uint64) {
@@ -87,96 +189,46 @@ func (s *System) writeIdeal(lineAddr uint64) {
 
 // --- Attaché: BLEM + COPR ----------------------------------------------
 
-func (s *System) readAttache(lineAddr uint64, done func(sim.Time)) {
-	// The COPR lookup costs the same 8 cycles as a metadata-cache probe
-	// (paper §V); the request issues after it.
-	s.eng.ScheduleAfter(s.cfg.Attache.PredictorLatency, func(sim.Time) {
-		s.issueAttacheRead(lineAddr, done)
-	})
-}
-
-func (s *System) issueAttacheRead(lineAddr uint64, done func(sim.Time)) {
-	loc := s.mapper.Decode(lineAddr)
-	actual := s.compressed(lineAddr)
-	collision := s.collides(lineAddr)
-	predicted, _ := s.copr.Predict(lineAddr * config.LineSize)
-	s.Stats.CompressedReads.Observe(actual)
+func (s *System) issueAttacheRead(t *readTxn) {
+	lineAddr := t.lineAddr
+	t.loc = s.mapper.Decode(lineAddr)
+	t.actual = s.compressed(lineAddr)
+	t.collision = s.collides(lineAddr)
+	t.predicted, _ = s.copr.Predict(lineAddr * config.LineSize)
+	s.Stats.CompressedReads.Observe(t.actual)
 	s.Stats.DataReads.Inc()
 	if s.checker != nil {
-		s.checker.OnReadIssue(lineAddr, predicted, actual, s.eng.Now())
+		s.checker.OnReadIssue(lineAddr, t.predicted, t.actual, s.eng.Now())
 	}
 
-	// Completion (predictor update + checker + caller callback) is a
-	// method, not a closure: the common correct-prediction paths call it
-	// straight from the DRAM Done callback, so the only closure built per
-	// read is that callback itself. The correction paths (misprediction,
-	// collision) wrap it in a closure, but those are rare by design —
-	// COPR's whole point is that they are.
-	if predicted {
-		// Fetch only the header-bearing sub-rank block.
-		s.submit(&dram.Request{Loc: loc, SubRanks: subRankFor(loc), Done: func(now sim.Time) {
-			if actual {
-				// BLEM confirms: compressed, done.
-				s.completeAttacheRead(lineAddr, actual, done, now)
-				return
-			}
-			// Misprediction: BLEM classifies the block as uncompressed
-			// (or collided); fetch the remaining half, plus the RA bit
-			// on a collision.
-			s.Stats.CorrectionReads.Inc()
-			s.fetchRest(lineAddr, loc, collision, func(now sim.Time) {
-				s.completeAttacheRead(lineAddr, actual, done, now)
-			})
-		}})
-		return
-	}
-	// Predicted uncompressed: enable both sub-ranks. If the line was
+	// Predicted compressed: fetch only the header-bearing sub-rank block.
+	// Predicted uncompressed: enable both sub-ranks; if the line was
 	// actually compressed the extra half was wasted bandwidth but the
-	// data is already here (no correction request).
-	s.submit(&dram.Request{Loc: loc, SubRanks: dram.SubRankBoth, Done: func(now sim.Time) {
-		if !actual && collision {
-			// XID says collision: the true data bit lives in the RA.
-			s.readRA(lineAddr, func(now sim.Time) {
-				s.completeAttacheRead(lineAddr, actual, done, now)
-			})
-			return
-		}
-		s.completeAttacheRead(lineAddr, actual, done, now)
-	}})
-}
-
-// completeAttacheRead finishes an Attaché read: train the predictor with
-// the ground truth, notify the oracle checker, and release the caller.
-func (s *System) completeAttacheRead(lineAddr uint64, actual bool, done func(sim.Time), now sim.Time) {
-	s.copr.Update(lineAddr*config.LineSize, actual)
-	if s.checker != nil {
-		s.checker.OnReadComplete(lineAddr, actual, now)
+	// data is already here (no correction request). t.data sorts out
+	// which it was when the block arrives.
+	mask := dram.SubRankBoth
+	if t.predicted {
+		mask = subRankFor(t.loc)
 	}
-	done(now)
+	s.submit(&dram.Request{Loc: t.loc, SubRanks: mask, Done: t.dataFn})
 }
 
 // fetchRest issues the corrective second-half fetch (and RA read when the
 // line collided) after a wrong "compressed" prediction.
-func (s *System) fetchRest(lineAddr uint64, loc dram.Location, collision bool, done func(sim.Time)) {
+func (s *System) fetchRest(t *readTxn) {
 	other := dram.SubRank0
-	if subRankFor(loc) == dram.SubRank0 {
+	if subRankFor(t.loc) == dram.SubRank0 {
 		other = dram.SubRank1
 	}
-	if !collision {
-		s.submit(&dram.Request{Loc: loc, SubRanks: other, Done: done})
+	if !t.collision {
+		s.submit(&dram.Request{Loc: t.loc, SubRanks: other, Done: t.completeFn})
 		return
 	}
 	// Collision: both the remaining half and the RA bit are needed; the
 	// read completes when both arrive.
-	remaining := 2
-	merge := func(now sim.Time) {
-		remaining--
-		if remaining == 0 {
-			done(now)
-		}
-	}
-	s.submit(&dram.Request{Loc: loc, SubRanks: other, Done: merge})
-	s.readRA(lineAddr, merge)
+	t.remaining = 2
+	s.submit(&dram.Request{Loc: t.loc, SubRanks: other, Done: t.mergeFn})
+	s.readRA(t.lineAddr, t.mergeFn)
 }
 
 func (s *System) readRA(lineAddr uint64, done func(sim.Time)) {
@@ -216,17 +268,11 @@ func (s *System) writeAttache(lineAddr uint64) {
 
 // --- Metadata-Cache system ---------------------------------------------
 
-func (s *System) readMDCache(lineAddr uint64, done func(sim.Time)) {
-	s.eng.ScheduleAfter(s.cfg.MDCache.Latency, func(sim.Time) {
-		s.issueMDCacheRead(lineAddr, done)
-	})
-}
-
-func (s *System) issueMDCacheRead(lineAddr uint64, done func(sim.Time)) {
-	loc := s.mapper.Decode(lineAddr)
-	actual := s.compressed(lineAddr)
+func (s *System) issueMDCacheRead(t *readTxn) {
+	loc := s.mapper.Decode(t.lineAddr)
+	actual := s.compressed(t.lineAddr)
 	s.Stats.CompressedReads.Observe(actual)
-	key := s.metaKeyFor(lineAddr)
+	key := s.metaKeyFor(t.lineAddr)
 
 	res := s.mdc.Access(key, false)
 	if res.EvictedDirty {
@@ -240,7 +286,7 @@ func (s *System) issueMDCacheRead(lineAddr uint64, done func(sim.Time)) {
 		if actual {
 			mask = subRankFor(loc)
 		}
-		s.submit(&dram.Request{Loc: loc, SubRanks: mask, Done: done})
+		s.submit(&dram.Request{Loc: loc, SubRanks: mask, Done: t.finishFn})
 		return
 	}
 	// Miss: without metadata the controller cannot exploit sub-ranking
@@ -250,15 +296,9 @@ func (s *System) issueMDCacheRead(lineAddr uint64, done func(sim.Time)) {
 	// since the decompressor needs the metadata to interpret the data.
 	s.Stats.MetaReads.Inc()
 	s.Stats.DataReads.Inc()
-	remaining := 2
-	merge := func(now sim.Time) {
-		remaining--
-		if remaining == 0 {
-			done(now)
-		}
-	}
-	s.submit(&dram.Request{Loc: loc, SubRanks: dram.SubRankBoth, Done: merge})
-	s.submit(&dram.Request{Loc: s.metaLocFor(key), SubRanks: dram.SubRankBoth, Done: merge})
+	t.remaining = 2
+	s.submit(&dram.Request{Loc: loc, SubRanks: dram.SubRankBoth, Done: t.mergeFn})
+	s.submit(&dram.Request{Loc: s.metaLocFor(key), SubRanks: dram.SubRankBoth, Done: t.mergeFn})
 }
 
 func (s *System) writeMDCache(lineAddr uint64) {

@@ -69,6 +69,8 @@ type System struct {
 	raBase   uint64 // first line of the Replacement Area region
 	capLines uint64
 
+	txnFree []*readTxn // recycled read records (flows.go)
+
 	// Runtime checking (config.Check; DESIGN.md §8). rec collects the
 	// first invariant violation; checker is the differential oracle,
 	// present only on Attaché systems at CheckOracle when the line model
