@@ -105,6 +105,12 @@ func TestFunctionalOptions(t *testing.T) {
 	if _, err := attache.NewMemoryWith(attache.WithCIDWidth(0)); !errors.Is(err, attache.ErrOutOfRange) {
 		t.Fatalf("CID width 0 err = %v, want ErrOutOfRange", err)
 	}
+	// A predictor sizing copr.New would panic on is an error too.
+	bad := attache.DefaultPredictorConfig()
+	bad.PaPRWays = 0
+	if _, err := attache.NewMemoryWith(attache.WithPredictorSizing(bad)); !errors.Is(err, attache.ErrOutOfRange) {
+		t.Fatalf("zero PaPR ways err = %v, want ErrOutOfRange", err)
+	}
 }
 
 // TestSentinelErrors checks the typed errors flow through the public API.

@@ -1,65 +1,37 @@
 package blem
 
-import "fmt"
+import (
+	"attache/internal/snap"
+	"attache/internal/stats"
+)
 
-// State is the serializable image of a BLEM engine: the CID value, the
-// touched Replacement Area entries, and the stat counters. The snapv1
-// codec persists it so a restored engine classifies lines and counts
-// RA traffic exactly like the original.
+// WalkSnap carries the engine's snapv1 section — the CID value, the
+// touched Replacement Area entries sorted by address, and the seven
+// stat counters — between the live engine and c: written when c
+// encodes, overwritten (on a fresh engine) when it decodes, so a
+// restored engine classifies lines and counts RA traffic exactly like
+// the original.
 //
 // The CID is recorded even though NewEngine derives it from the seed:
-// a snapshot must stay authoritative if the derivation ever changes.
-type State struct {
-	CID uint16
-	RA  map[uint64]bool
-	// Stats holds the seven counters in declaration order: Writes,
-	// CompressedWrites, Collisions, RAWrites, Reads, CollisionReads,
-	// RAReads.
-	Stats [7]uint64
-}
+// a snapshot must stay authoritative if the derivation ever changes. It
+// must fit the configured width — a wider value means the snapshot came
+// from an incompatible configuration.
+func (e *Engine) WalkSnap(c *snap.Cursor) {
+	c.U16(&e.cid)
+	if e.cid >= 1<<uint(e.cidBits) {
+		c.Fail("CID %#x does not fit %d bits", e.cid, e.cidBits)
+	}
 
-// ExportState captures the engine's current state. The RA map is copied,
-// so the snapshot stays stable while the engine keeps serving.
-func (e *Engine) ExportState() State {
-	ra := make(map[uint64]bool, len(e.ra.bits))
-	for k, v := range e.ra.bits {
-		ra[k] = v
-	}
-	return State{
-		CID: e.cid,
-		RA:  ra,
-		Stats: [7]uint64{
-			e.Stats.Writes.Value(),
-			e.Stats.CompressedWrites.Value(),
-			e.Stats.Collisions.Value(),
-			e.Stats.RAWrites.Value(),
-			e.Stats.Reads.Value(),
-			e.Stats.CollisionReads.Value(),
-			e.Stats.RAReads.Value(),
-		},
-	}
-}
+	snap.Map(c, &e.ra.bits, 9, "RA entry", func(_ uint64, bit *bool) { c.Bool(bit) })
 
-// RestoreState overwrites the engine's CID, Replacement Area, and
-// counters from a snapshot. The CID must fit the engine's configured
-// width — a wider value means the snapshot came from an incompatible
-// configuration.
-func (e *Engine) RestoreState(st State) error {
-	if st.CID >= 1<<uint(e.cidBits) {
-		return fmt.Errorf("blem: snapshot CID %#x does not fit %d bits", st.CID, e.cidBits)
+	for _, ctr := range []*stats.Counter{
+		&e.Stats.Writes, &e.Stats.CompressedWrites, &e.Stats.Collisions, &e.Stats.RAWrites,
+		&e.Stats.Reads, &e.Stats.CollisionReads, &e.Stats.RAReads,
+	} {
+		v := ctr.Value()
+		c.U64(&v)
+		if c.Decoding() {
+			ctr.Restore(v)
+		}
 	}
-	e.cid = st.CID
-	bits := make(map[uint64]bool, len(st.RA))
-	for k, v := range st.RA {
-		bits[k] = v
-	}
-	e.ra = &ReplacementArea{bits: bits}
-	e.Stats.Writes.Restore(st.Stats[0])
-	e.Stats.CompressedWrites.Restore(st.Stats[1])
-	e.Stats.Collisions.Restore(st.Stats[2])
-	e.Stats.RAWrites.Restore(st.Stats[3])
-	e.Stats.Reads.Restore(st.Stats[4])
-	e.Stats.CollisionReads.Restore(st.Stats[5])
-	e.Stats.RAReads.Restore(st.Stats[6])
-	return nil
 }

@@ -8,62 +8,58 @@ import (
 	"attache/internal/snap"
 )
 
-// ExportState captures every instance's serializable state, instance
-// order preserved. Each instance's cut is internally consistent (all of
-// its shard locks held at once); instances are exported one after
-// another, so cross-instance skew is possible while traffic flows —
-// take the snapshot on a drained cluster for a globally exact image.
-func (c *Cluster) ExportState() *snap.ClusterState {
-	st := &snap.ClusterState{Engines: make([]*snap.EngineState, len(c.engines))}
-	for i, e := range c.engines {
-		st.Engines[i] = e.ExportState()
+// Snapshot returns the whole cluster as one snapv1 image: the framing,
+// then every instance's section in instance order. Each instance's cut
+// is internally consistent (all of its shard locks held at once);
+// instances are cut one after another, so cross-instance skew is
+// possible while traffic flows — take the snapshot on a drained cluster
+// for a globally exact image. Safe at any time, including after Close.
+func (c *Cluster) Snapshot() []byte {
+	cur := snap.NewEncoder(len(c.engines))
+	for _, e := range c.engines {
+		e.EncodeSnapshot(cur)
 	}
-	return st
+	return cur.Bytes()
 }
 
-// WriteSnapshot serializes the whole cluster as one snapv1 snapshot.
-// Safe at any time, including after Close.
+// WriteSnapshot writes the cluster's Snapshot to out.
 func (c *Cluster) WriteSnapshot(out io.Writer) error {
-	return snap.Encode(out, c.ExportState())
+	_, err := out.Write(c.Snapshot())
+	return err
 }
 
-// Restore rebuilds a cluster from a snapshot: one engine per serialized
-// instance (each restored via shard.RestoreEngine, so the snapshot is
-// authoritative for options, tier configuration, and shard count),
-// fronted by cfg's router and admission control. Router and admission
-// state are rebuilt fresh — they are load-balancing hints, not
-// behavioral state, and are not part of snapv1.
-func Restore(st *snap.ClusterState, shardCfg shard.Config, cfg Config) (*Cluster, error) {
-	if len(st.Engines) == 0 {
+// RestoreFrom reads a snapv1 snapshot from r and rebuilds the cluster it
+// holds: one engine per serialized instance (each through
+// shard.DecodeEngine, so the snapshot is authoritative for options,
+// tier configuration, and shard count), fronted by cfg's router and
+// admission control. Router and admission state are rebuilt fresh —
+// they are load-balancing hints, not behavioral state, and are not part
+// of snapv1. On any failure every engine already built is closed.
+func RestoreFrom(r io.Reader, shardCfg shard.Config, cfg Config) (_ *Cluster, err error) {
+	cur, n, err := snap.Open(r)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
 		return nil, fmt.Errorf("cluster: snapshot has no engines: %w", snap.ErrCorrupt)
 	}
-	engines := make([]*shard.Engine, len(st.Engines))
-	for i, es := range st.Engines {
-		eng, err := shard.RestoreEngine(es, shardCfg)
+	engines := make([]*shard.Engine, 0, n)
+	defer func() {
 		if err != nil {
-			for _, e := range engines[:i] {
+			for _, e := range engines {
 				e.Close()
 			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		eng, err := shard.DecodeEngine(cur, shardCfg)
+		if err != nil {
 			return nil, fmt.Errorf("cluster: restoring instance %d: %w", i, err)
 		}
-		engines[i] = eng
+		engines = append(engines, eng)
 	}
-	c, err := Wrap(engines, cfg)
-	if err != nil {
-		for _, e := range engines {
-			e.Close()
-		}
+	if err := cur.Finish(); err != nil {
 		return nil, err
 	}
-	return c, nil
-}
-
-// RestoreFrom decodes a snapv1 snapshot from r and restores the
-// cluster it holds.
-func RestoreFrom(r io.Reader, shardCfg shard.Config, cfg Config) (*Cluster, error) {
-	cs, err := snap.Decode(r)
-	if err != nil {
-		return nil, err
-	}
-	return Restore(cs, shardCfg, cfg)
+	return Wrap(engines, cfg)
 }

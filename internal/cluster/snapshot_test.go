@@ -128,15 +128,10 @@ func TestClusterTierMerge(t *testing.T) {
 	}
 
 	var want tier.Snapshot
-	for _, es := range cl.ExportState().Engines {
-		eng, err := shard.RestoreEngine(es, shard.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, eng := range cl.engines {
 		ts, ok := eng.TierSnapshot()
-		eng.Close()
 		if !ok {
-			t.Fatal("restored instance is not tiered")
+			t.Fatal("instance is not tiered")
 		}
 		want.Accumulate(ts)
 	}
@@ -174,7 +169,7 @@ func TestClusterUntieredNoTierSection(t *testing.T) {
 // name the instance and leak no engines.
 func TestClusterRestoreRejects(t *testing.T) {
 	t.Run("no-engines", func(t *testing.T) {
-		_, err := Restore(&snap.ClusterState{}, shard.Config{}, Config{})
+		_, err := RestoreFrom(bytes.NewReader(snap.NewEncoder(0).Bytes()), shard.Config{}, Config{})
 		if !errors.Is(err, snap.ErrCorrupt) {
 			t.Fatalf("empty snapshot: got %v, want ErrCorrupt", err)
 		}
@@ -185,9 +180,8 @@ func TestClusterRestoreRejects(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		st := cl.ExportState()
 		// A caller-supplied tier config is rejected per instance.
-		_, err = Restore(st, shard.Config{Tier: &tier.Config{NearLines: 4}}, Config{})
+		_, err = RestoreFrom(bytes.NewReader(cl.Snapshot()), shard.Config{Tier: &tier.Config{NearLines: 4}}, Config{})
 		if err == nil {
 			t.Fatal("restore with caller tier config succeeded")
 		}

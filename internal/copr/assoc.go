@@ -16,9 +16,9 @@ type assocEntry[V any] struct {
 	used  uint64
 }
 
-// newAssoc builds a table with capacity for at least `entries` items,
-// rounding the set count down to a power of two.
-func newAssoc[V any](entries, ways int) *assoc[V] {
+// assocSets is the set count of a table with capacity for at least
+// `entries` items, rounded down to a power of two for cheap indexing.
+func assocSets(entries, ways int) int {
 	if ways <= 0 {
 		panic("copr: ways must be positive")
 	}
@@ -26,10 +26,15 @@ func newAssoc[V any](entries, ways int) *assoc[V] {
 	if sets < 1 {
 		sets = 1
 	}
-	// Round down to a power of two for cheap indexing.
 	for sets&(sets-1) != 0 {
 		sets &= sets - 1
 	}
+	return sets
+}
+
+// newAssoc builds a table of assocSets(entries, ways) sets.
+func newAssoc[V any](entries, ways int) *assoc[V] {
+	sets := assocSets(entries, ways)
 	return &assoc[V]{
 		sets:    sets,
 		ways:    ways,

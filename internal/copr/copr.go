@@ -109,13 +109,30 @@ type Predictor struct {
 	Stats Stats
 }
 
-// New builds a predictor from cfg.
-func New(cfg Config) *Predictor {
-	if cfg.MemorySize <= 0 {
-		panic("copr: memory size must be positive")
+// Validate reports whether New can build a predictor from c: New panics
+// on exactly the configurations Validate rejects, so code that takes a
+// Config from outside the program (functional options, a snapshot's
+// options section) checks here first.
+func (c Config) Validate() error {
+	if c.MemorySize <= 0 {
+		return fmt.Errorf("copr: memory size %d must be positive", c.MemorySize)
 	}
-	if cfg.GICounters <= 0 || cfg.GICounters&(cfg.GICounters-1) != 0 {
-		panic(fmt.Sprintf("copr: GI counters must be a positive power of two, got %d", cfg.GICounters))
+	if c.GICounters <= 0 || c.GICounters&(c.GICounters-1) != 0 {
+		return fmt.Errorf("copr: GI counters must be a positive power of two, got %d", c.GICounters)
+	}
+	if c.EnablePaPR && (c.PaPRWays <= 0 || c.PaPRBytes < 0) {
+		return fmt.Errorf("copr: PaPR needs positive ways and a non-negative budget, got %d ways, %d bytes", c.PaPRWays, c.PaPRBytes)
+	}
+	if c.EnableLiPR && (c.LiPRWays <= 0 || c.LiPRBytes < 0) {
+		return fmt.Errorf("copr: LiPR needs positive ways and a non-negative budget, got %d ways, %d bytes", c.LiPRWays, c.LiPRBytes)
+	}
+	return nil
+}
+
+// New builds a predictor from cfg, which must be valid.
+func New(cfg Config) *Predictor {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	p := &Predictor{cfg: cfg}
 	p.gi = newGlobalIndicator(cfg.GICounters, cfg.MemorySize)

@@ -24,9 +24,11 @@ type liprEntry struct {
 // bit.
 const liprEntryBits = 145
 
+// liprEntries is how many entries a storage budget buys.
+func liprEntries(budgetBytes int) int { return budgetBytes * 8 / liprEntryBits }
+
 func newLinePredictor(budgetBytes, ways int) *linePredictor {
-	entries := budgetBytes * 8 / liprEntryBits
-	return &linePredictor{table: newAssoc[liprEntry](entries, ways)}
+	return &linePredictor{table: newAssoc[liprEntry](liprEntries(budgetBytes), ways)}
 }
 
 // lookup reports the page's prediction and observed vectors, if present.

@@ -11,9 +11,11 @@ type pagePredictor struct {
 // counter plus a page tag (~16 bits after set indexing) and valid bit.
 const paprEntryBits = 19
 
+// paprEntries is how many entries a storage budget buys.
+func paprEntries(budgetBytes int) int { return budgetBytes * 8 / paprEntryBits }
+
 func newPagePredictor(budgetBytes, ways int) *pagePredictor {
-	entries := budgetBytes * 8 / paprEntryBits
-	return &pagePredictor{table: newAssoc[uint8](entries, ways)}
+	return &pagePredictor{table: newAssoc[uint8](paprEntries(budgetBytes), ways)}
 }
 
 // lookup reports the counter for page, if present.

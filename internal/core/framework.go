@@ -80,10 +80,26 @@ type Framework struct {
 	Copr *copr.Predictor
 }
 
+// PredictorConfig resolves the COPR configuration in force: none when
+// the predictor is disabled, the paper's when Predictor is the zero value.
+func (o Options) PredictorConfig() (cfg copr.Config, enabled bool) {
+	switch {
+	case o.DisablePredictor:
+		return copr.Config{}, false
+	case o.Predictor.MemorySize == 0:
+		return copr.DefaultConfig(), true
+	}
+	return o.Predictor, true
+}
+
 // New builds a framework.
 func New(opts Options) (*Framework, error) {
 	if opts.CIDBits < 1 || opts.CIDBits > 15 {
 		return nil, fmt.Errorf("core: CID width %d not in [1,15]: %w", opts.CIDBits, ErrOutOfRange)
+	}
+	cfg, predict := opts.PredictorConfig()
+	if err := cfg.Validate(); predict && err != nil {
+		return nil, fmt.Errorf("core: %v: %w", err, ErrOutOfRange)
 	}
 	eng := compress.NewEngine()
 	if opts.ExtendedCompression {
@@ -95,11 +111,7 @@ func New(opts Options) (*Framework, error) {
 		Scr:  scramble.New(uint64(opts.Seed) * 0x9E3779B97F4A7C15),
 		Blem: blem.NewEngine(opts.CIDBits, opts.Seed),
 	}
-	if !opts.DisablePredictor {
-		cfg := opts.Predictor
-		if cfg.MemorySize == 0 {
-			cfg = copr.DefaultConfig()
-		}
+	if predict {
 		f.Copr = copr.New(cfg)
 	}
 	return f, nil

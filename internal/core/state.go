@@ -1,12 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-
-	"attache/internal/blem"
-	"attache/internal/copr"
-)
+import "attache/internal/snap"
 
 // Delete removes the line at lineAddr, keeping the compressed-line and
 // RA-occupancy gauges consistent. It reports whether the line existed.
@@ -36,101 +30,64 @@ func (m *Memory) Contains(lineAddr uint64) bool {
 	return ok
 }
 
-// Options reports the options the memory was built with — the other
-// half of what RestoreMemory needs besides ExportState.
+// Options reports the options the memory was built with.
 func (m *Memory) Options() Options { return m.f.opts }
 
-// LineState is the serializable image of one stored line.
-type LineState struct {
-	Addr       uint64
-	Compressed bool
-	Collision  bool
-	Blocks     [2][SubRankBlock]byte
+// snapLineBytes is one stored line on the wire: address, flags, blocks.
+const snapLineBytes = 8 + 1 + LineSize
+
+// SnapshotBytes bounds from above, within a few hundred bytes, what the
+// memory's snapv1 section takes: what an encoder grows its buffer by
+// before walking the memory.
+func (m *Memory) SnapshotBytes() int {
+	cfg, _ := m.f.opts.PredictorConfig() // the zero Config takes no bytes
+	return len(m.lines)*snapLineBytes + m.f.Blem.ReplacementArea().Len()*9 + cfg.SnapshotBytes() + 512
 }
 
-// MemoryState is the serializable image of a whole Memory: stored lines,
-// traffic counters, BLEM state (CID + Replacement Area), and predictor
-// state. It is what the snapv1 codec persists per shard.
-type MemoryState struct {
-	// Lines is sorted by address; addresses must be unique.
-	Lines []LineState
-	// Stats carries the eight counters; the derived Lines and
-	// PredictionAccuracy fields are recomputed and ignored on restore.
-	Stats StatsSnapshot
-	Blem  blem.State
-	// Copr is nil when the predictor is disabled.
-	Copr *copr.State
-}
-
-// ExportState captures the memory's full state as a plain value tree.
-// Everything is copied: the state stays stable while the memory serves.
-func (m *Memory) ExportState() *MemoryState {
-	st := &MemoryState{
-		Lines: make([]LineState, 0, len(m.lines)),
-		Stats: m.StatsSnapshot(),
-		Blem:  m.f.Blem.ExportState(),
-	}
-	for addr, line := range m.lines {
-		st.Lines = append(st.Lines, LineState{
-			Addr:       addr,
-			Compressed: line.Compressed,
-			Collision:  line.Collision,
-			Blocks:     line.Blocks,
-		})
-	}
-	sort.Slice(st.Lines, func(i, j int) bool { return st.Lines[i].Addr < st.Lines[j].Addr })
-	if m.f.Copr != nil {
-		st.Copr = m.f.Copr.ExportState()
-	}
-	return st
-}
-
-// RestoreMemory builds a Memory from opts and overwrites its state from
-// a snapshot, so that every subsequent operation behaves exactly as it
-// would have on the original. The snapshot must match the configuration:
-// predictor presence and geometry are validated, and the gauge counters
-// must agree with the stored lines.
-func RestoreMemory(opts Options, st *MemoryState) (*Memory, error) {
-	m, err := NewMemory(opts)
-	if err != nil {
-		return nil, err
-	}
+// WalkSnap carries the memory's snapv1 section — stored lines sorted by
+// address, the eight traffic counters, then the BLEM and predictor
+// sections — between the live memory and c: written when c encodes;
+// when it decodes, read into m, which must be fresh from NewMemory, so
+// that every subsequent operation behaves exactly as it would have on
+// the original. The snapshot must match the configuration (predictor
+// presence and geometry), and the gauge counters must agree with the
+// stored lines. Lines and PredictionAccuracy are derived, never stored.
+func (m *Memory) WalkSnap(c *snap.Cursor) {
 	var compressed, collided uint64
-	for i, l := range st.Lines {
-		if _, dup := m.lines[l.Addr]; dup {
-			return nil, fmt.Errorf("core: snapshot stores line %#x twice", l.Addr)
+	snap.Map(c, &m.lines, snapLineBytes, "line", func(addr uint64, l *StoredLine) {
+		c.Flags("line", &l.Compressed, &l.Collision)
+		if l.Compressed && l.Collision {
+			c.Fail("line %#x both compressed and collided", addr)
 		}
-		if i > 0 && st.Lines[i-1].Addr > l.Addr {
-			return nil, fmt.Errorf("core: snapshot lines not sorted at index %d", i)
-		}
-		m.lines[l.Addr] = StoredLine{Blocks: l.Blocks, Compressed: l.Compressed, Collision: l.Collision}
+		c.Raw(l.Blocks[0][:])
+		c.Raw(l.Blocks[1][:])
 		if l.Compressed {
 			compressed++
 		}
 		if l.Collision {
 			collided++
 		}
+	})
+
+	s := &m.stats
+	c.U64(&s.Reads)
+	c.U64(&s.Writes)
+	c.U64(&s.BlocksRead)
+	c.U64(&s.BlocksWritten)
+	c.U64(&s.Mispredictions)
+	c.U64(&s.RAAccesses)
+	c.U64(&s.CompressedLines)
+	c.U64(&s.RAOccupancy)
+	if s.CompressedLines != compressed {
+		c.Fail("compressed-lines gauge %d, but %d lines are compressed", s.CompressedLines, compressed)
 	}
-	if st.Stats.CompressedLines != compressed {
-		return nil, fmt.Errorf("core: snapshot compressed-lines gauge %d, but %d lines are compressed",
-			st.Stats.CompressedLines, compressed)
+	if s.RAOccupancy != collided {
+		c.Fail("RA-occupancy gauge %d, but %d lines are collided", s.RAOccupancy, collided)
 	}
-	if st.Stats.RAOccupancy != collided {
-		return nil, fmt.Errorf("core: snapshot RA-occupancy gauge %d, but %d lines are collided",
-			st.Stats.RAOccupancy, collided)
+
+	m.f.Blem.WalkSnap(c)
+
+	if c.Section(m.f.Copr != nil, "predictor") {
+		m.f.Copr.WalkSnap(c)
 	}
-	m.stats = st.Stats
-	if err := m.f.Blem.RestoreState(st.Blem); err != nil {
-		return nil, err
-	}
-	if (st.Copr != nil) != (m.f.Copr != nil) {
-		return nil, fmt.Errorf("core: snapshot predictor presence (%v) does not match configuration (%v)",
-			st.Copr != nil, m.f.Copr != nil)
-	}
-	if st.Copr != nil {
-		if err := m.f.Copr.RestoreState(st.Copr); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
 }

@@ -56,7 +56,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -621,27 +620,22 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, tl)
 }
 
-// handleSnapshot streams the cluster's snapv1 state image. Taking it
+// handleSnapshot serves the cluster's snapv1 state image. Taking it
 // quiesces every shard for the duration (each instance's cut is
 // internally consistent), so this is an admin endpoint, not a data-path
-// one — on a loaded cluster prefer -snapshot-on-drain. The bytes are
-// buffered before the first write so an export failure still maps to a
-// clean 500 instead of a torn body.
+// one — on a loaded cluster prefer -snapshot-on-drain. The image is
+// complete, and every lock released, before the first byte is written.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		writeJSON(w, http.StatusMethodNotAllowed, wire.Error{Error: "use GET"})
 		return
 	}
-	var buf bytes.Buffer
-	if err := s.cl.WriteSnapshot(&buf); err != nil {
-		writeJSON(w, http.StatusInternalServerError, wire.Error{Error: "snapshot: " + err.Error()})
-		return
-	}
+	image := s.cl.Snapshot()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(image)))
 	w.Header().Set("Content-Disposition", `attachment; filename="attache.snap"`)
-	w.Write(buf.Bytes())
+	w.Write(image)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

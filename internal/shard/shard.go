@@ -195,6 +195,16 @@ type robustCounters struct {
 	injectedDelays atomic.Uint64
 }
 
+// load reads the four counters into their exported form.
+func (r *robustCounters) load() RobustStats {
+	return RobustStats{
+		Sheds:          r.sheds.Load(),
+		Canceled:       r.canceled.Load(),
+		InjectedErrors: r.injectedErrs.Load(),
+		InjectedDelays: r.injectedDelays.Load(),
+	}
+}
+
 // RobustStats is the exported snapshot of the degradation counters.
 type RobustStats struct {
 	// Sheds counts ops rejected with ErrOverloaded because their shard's
@@ -468,10 +478,12 @@ func shardTierConfig(tc tier.Config, i, shards int) tier.Config {
 	return tc
 }
 
-// build is the shared constructor behind New and RestoreEngine: st, when
-// non-nil, supplies each shard's memory and tier state instead of
-// starting empty.
-func build(opts core.Options, cfg Config, st *snap.EngineState) (*Engine, error) {
+// build is the shared constructor behind New and DecodeEngine: c, when
+// non-nil, is a decoder positioned at the first shard's section, and
+// each shard's fresh memory and tier read their state from it instead
+// of starting empty. No goroutine starts until every shard is built, so
+// a failure leaves nothing to close.
+func build(opts core.Options, cfg Config, c *snap.Cursor) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: shard count %d not in [1,∞): %w", cfg.Shards, core.ErrOutOfRange)
@@ -501,34 +513,21 @@ func build(opts core.Options, cfg Config, st *snap.EngineState) (*Engine, error)
 		// must match a plain Memory); later shards mix in their index so
 		// each gets a distinct CID and scrambler key.
 		o.Seed = opts.Seed ^ int64(uint64(i)*0x9E3779B97F4A7C15)
-		var mem *core.Memory
-		var err error
-		if st != nil {
-			mem, err = core.RestoreMemory(o, st.Shards[i].Mem)
-		} else {
-			mem, err = core.NewMemory(o)
+		// A snapshot that configures predictor tables must also carry
+		// them: hold its options to its length before allocating. (What
+		// it configures invalidly, NewMemory refuses.)
+		if pc, on := o.PredictorConfig(); c != nil && on && pc.Validate() == nil && pc.SnapshotBytes() > c.Remaining() {
+			return nil, fmt.Errorf("shard %d: configured predictor needs %d bytes, %d remain: %w", i, pc.SnapshotBytes(), c.Remaining(), snap.ErrCorrupt)
 		}
+		mem, err := core.NewMemory(o)
 		if err != nil {
 			return nil, err
 		}
 		var tm *tier.Memory
 		if cfg.Tier != nil {
-			tc := shardTierConfig(*cfg.Tier, i, cfg.Shards)
-			if st != nil {
-				if st.Shards[i].Tier == nil {
-					return nil, fmt.Errorf("shard: snapshot shard %d has no tier state but the engine is tiered: %w",
-						i, snap.ErrCorrupt)
-				}
-				tm, err = tier.RestoreMemory(tc, mem, st.Shards[i].Tier)
-			} else {
-				tm, err = tier.NewMemory(tc, mem)
-			}
-			if err != nil {
+			if tm, err = tier.NewMemory(shardTierConfig(*cfg.Tier, i, cfg.Shards), mem); err != nil {
 				return nil, err
 			}
-		} else if st != nil && st.Shards[i].Tier != nil {
-			return nil, fmt.Errorf("shard: snapshot shard %d carries tier state but the engine is untiered: %w",
-				i, snap.ErrCorrupt)
 		}
 		e.sramBytes += mem.Framework().StorageOverheadBytes()
 		w := &worker{
@@ -544,14 +543,16 @@ func build(opts core.Options, cfg Config, st *snap.EngineState) (*Engine, error)
 		}
 		w.cond.L = &w.mu
 		e.shards[i] = w
+		if c != nil {
+			w.walkSnap(c)
+			if err := c.Err(); err != nil {
+				return nil, fmt.Errorf("shard %d: %w", i, err)
+			}
+		}
+	}
+	for _, w := range e.shards {
 		e.wg.Add(1)
 		go w.run(&e.wg)
-	}
-	if st != nil {
-		e.robust.sheds.Store(st.Robust[0])
-		e.robust.canceled.Store(st.Robust[1])
-		e.robust.injectedErrs.Store(st.Robust[2])
-		e.robust.injectedDelays.Store(st.Robust[3])
 	}
 	return e, nil
 }
@@ -879,12 +880,7 @@ func (e *Engine) StatsSnapshot() Snapshot {
 	snap := Snapshot{
 		PerShard:  make([]core.StatsSnapshot, len(e.shards)),
 		SRAMBytes: e.sramBytes,
-		Robust: RobustStats{
-			Sheds:          e.robust.sheds.Load(),
-			Canceled:       e.robust.canceled.Load(),
-			InjectedErrors: e.robust.injectedErrs.Load(),
-			InjectedDelays: e.robust.injectedDelays.Load(),
-		},
+		Robust:    e.robust.load(),
 	}
 	per := make([]shardStats, len(e.shards))
 	e.mu.RLock()

@@ -2,16 +2,33 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"attache/internal/copr"
 	"attache/internal/core"
 	"attache/internal/snap"
 	"attache/internal/tier"
 )
+
+// image is the engine's WriteSnapshot output.
+func image(t *testing.T, e *Engine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // seededBatch builds the i-th batch of a deterministic chaos-flavored
 // op sequence: single writes, single reads, and 8-op mixed batches over
@@ -95,7 +112,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 
 			// Snapshot mid-workload and restore. The snapshot carries the
 			// options, tier config, and shard count; cfg stays empty.
-			b, err := RestoreEngine(a.ExportState(), Config{})
+			b, err := RestoreEngineFrom(bytes.NewReader(image(t, a)), Config{})
 			if err != nil {
 				t.Fatalf("restore: %v", err)
 			}
@@ -125,9 +142,9 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreFromStream: the same equivalence holds through
-// the wire format — WriteSnapshot then RestoreEngineFrom, not just the
-// in-memory state tree.
+// TestSnapshotRestoreFromStream: the same equivalence holds for three
+// shards under the default (lru) policy, reading straight from the
+// buffer WriteSnapshot filled.
 func TestSnapshotRestoreFromStream(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Seed = 11
@@ -182,7 +199,7 @@ func TestSnapshotAfterClose(t *testing.T) {
 	stats := a.StatsSnapshot()
 	a.Close()
 
-	b, err := RestoreEngine(a.ExportState(), Config{})
+	b, err := RestoreEngineFrom(bytes.NewReader(image(t, a)), Config{})
 	if err != nil {
 		t.Fatalf("restore after close: %v", err)
 	}
@@ -199,6 +216,52 @@ func TestSnapshotAfterClose(t *testing.T) {
 			t.Fatalf("line %#x diverged after restore", addr)
 		}
 	}
+}
+
+// TestSnapshotUnderLoad: WriteSnapshot walks the live memories, so it
+// must hold every shard still while it does. Writers hammer a tiered
+// engine while snapshots are cut; each must restore — the restore-side
+// checks (gauges against stored lines, exclusive residency, sorted
+// addresses) refuse a torn cut — and the race detector watches the walk.
+func TestSnapshotUnderLoad(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.Predictor.PaPRBytes, opts.Predictor.LiPRBytes = 1<<10, 1<<10 // small images: the walk is not what is being timed
+	eng, err := New(opts, Config{Shards: 2, Tier: &tier.Config{NearLines: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := eng.Do(seededBatch(rng, i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 8; i++ {
+		re, err := RestoreEngineFrom(bytes.NewReader(image(t, eng)), Config{})
+		if err != nil {
+			t.Errorf("snapshot %d cut under load does not restore: %v", i, err)
+			break
+		}
+		re.Close()
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestZeroCapacityNearEngineBitIdentity: an engine configured with a
@@ -238,48 +301,56 @@ func TestZeroCapacityNearEngineBitIdentity(t *testing.T) {
 }
 
 // TestRestoreEngineRejects pins the restore-side validation: empty
-// snapshots, shard-count mismatches, and caller-supplied tier configs
-// are refused up front.
+// snapshots, shard-count mismatches, caller-supplied tier configs and
+// impossible predictor books are refused up front.
 func TestRestoreEngineRejects(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Seed = 1
-	eng, err := New(opts, Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
+	newEngine := func(t *testing.T) *Engine {
+		eng, err := New(opts, Config{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		return eng
 	}
-	defer eng.Close()
-	st := eng.ExportState()
+	good := image(t, newEngine(t))
 
-	// withCopr returns a copy of st whose first shard's predictor state
-	// went through mutate, leaving st itself intact for the other cases.
-	withCopr := func(mutate func(*copr.State)) *snap.EngineState {
-		cp := *st
-		cp.Shards = append([]snap.ShardState(nil), st.Shards...)
-		mem, pred := *st.Shards[0].Mem, *st.Shards[0].Mem.Copr
-		mutate(&pred)
-		mem.Copr = &pred
-		cp.Shards[0].Mem = &mem
-		return &cp
+	// An engine section that announces no shards: the header alone.
+	noShards := snap.NewEncoder(1)
+	(&header{opts: opts}).walk(noShards)
+
+	// badBooks snapshots an engine whose first shard's predictor had its
+	// accuracy books set to something no predictor can reach.
+	badBooks := func(set func(*copr.Stats)) []byte {
+		eng := newEngine(t)
+		set(&eng.shards[0].mem.Framework().Copr.Stats)
+		return image(t, eng)
 	}
+
+	twoEngines := snap.NewEncoder(2)
+	eng := newEngine(t)
+	eng.EncodeSnapshot(twoEngines)
+	eng.EncodeSnapshot(twoEngines)
 
 	cases := []struct {
-		name string
-		st   *snap.EngineState
-		cfg  Config
-		want string
+		name  string
+		image []byte
+		cfg   Config
+		want  string
 	}{
-		{"nil-state", nil, Config{}, "no shards"},
-		{"empty-state", &snap.EngineState{}, Config{}, "no shards"},
-		{"shard-mismatch", st, Config{Shards: 5}, "configured 5 shards but snapshot has 2"},
-		{"caller-tier", st, Config{Tier: &tier.Config{NearLines: 4}}, "cfg.Tier must be nil"},
-		{"predictor-hits-over-total", withCopr(func(p *copr.State) { p.Overall = copr.RatioState{Hits: 2, Total: 1} }),
+		{"empty-state", noShards.Bytes(), Config{}, "no shards"},
+		{"shard-mismatch", good, Config{Shards: 5}, "configured 5 shards but snapshot has 2"},
+		{"caller-tier", good, Config{Tier: &tier.Config{NearLines: 4}}, "cfg.Tier must be nil"},
+		{"predictor-hits-over-total", badBooks(func(s *copr.Stats) { s.Overall.Restore(2, 1) }),
 			Config{}, "2 hits out of 1 predictions"},
-		{"predictor-source-hits-over-total", withCopr(func(p *copr.State) { p.BySource[copr.SourceGI] = copr.RatioState{Hits: 9, Total: 3} }),
+		{"predictor-source-hits-over-total", badBooks(func(s *copr.Stats) { s.BySource[copr.SourceGI].Restore(9, 3) }),
 			Config{}, "9 hits out of 3 predictions"},
+		{"multi-engine-stream", twoEngines.Bytes(), Config{}, "want 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := RestoreEngine(tc.st, tc.cfg)
+			e, err := RestoreEngineFrom(bytes.NewReader(tc.image), tc.cfg)
 			if err == nil {
 				e.Close()
 				t.Fatalf("restore succeeded, want error containing %q", tc.want)
@@ -289,19 +360,110 @@ func TestRestoreEngineRejects(t *testing.T) {
 			}
 		})
 	}
+}
 
-	t.Run("multi-engine-stream", func(t *testing.T) {
-		var buf bytes.Buffer
-		if err := snap.Encode(&buf, &snap.ClusterState{Engines: []*snap.EngineState{st, st}}); err != nil {
+// TestRestoreRejectsHostileOptions: the options section of a snapshot
+// is outside input. Configurations copr.New would panic on, and table
+// budgets the rest of the image cannot possibly fill, are refused before
+// anything is built from them — quickly, without a panic, and without
+// allocating out of proportion to the input.
+func TestRestoreRejectsHostileOptions(t *testing.T) {
+	eng, err := New(core.DefaultOptions(), Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for i := uint64(0); i < 64; i++ {
+		if err := eng.Write(i, testLine(i)); err != nil {
 			t.Fatal(err)
 		}
-		e, err := RestoreEngineFrom(&buf, Config{})
-		if err == nil {
-			e.Close()
-			t.Fatal("RestoreEngineFrom accepted a 2-engine snapshot")
-		}
-		if !strings.Contains(err.Error(), "want 1") {
-			t.Fatalf("error %q does not point at the cluster restore path", err)
-		}
-	})
+	}
+	// Split a real image into its header and everything after it.
+	img := image(t, eng)
+	c, _, err := snap.Open(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h header
+	h.walk(c)
+	rest := img[len(img)-c.Remaining():]
+
+	for name, mutate := range map[string]func(*copr.Config){
+		"zero-ways":       func(p *copr.Config) { p.PaPRWays = 0 },
+		"gi-not-pow2":     func(p *copr.Config) { p.GICounters = 3 },
+		"negative-memory": func(p *copr.Config) { p.MemorySize = -1 },
+		"gigabyte-tables": func(p *copr.Config) { p.PaPRBytes, p.LiPRBytes = 1<<30, 1<<30 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := h
+			mutate(&bad.opts.Predictor)
+			enc := snap.NewEncoder(1)
+			bad.walk(enc)
+			hostile := append(enc.Bytes(), rest...)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			e, err := RestoreEngineFrom(bytes.NewReader(hostile), Config{})
+			took := time.Since(start)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				e.Close()
+				t.Fatal("restore accepted hostile predictor options")
+			}
+			if !errors.Is(err, snap.ErrCorrupt) && !errors.Is(err, core.ErrOutOfRange) {
+				t.Fatalf("error %v wraps neither ErrCorrupt nor ErrOutOfRange", err)
+			}
+			if took > time.Second {
+				t.Fatalf("refusal took %v", took)
+			}
+			// Whatever restore allocates is bounded by a count or a
+			// configured size it has checked against the remaining input.
+			if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+512*len(hostile)); grew > limit {
+				t.Fatalf("refusing %d bytes allocated %d, limit %d", len(hostile), grew, limit)
+			}
+		})
+	}
+}
+
+// TestFixtureSectionsPopulated: the committed snapv1 fixtures (pinned
+// byte for byte by snap's TestFixtures) are only a pin if every optional
+// section is in them. Read off the live state they restore to: both
+// predictor tables, Replacement Area entries, and — tiered — near lines
+// and freq counters.
+func TestFixtureSectionsPopulated(t *testing.T) {
+	for file, tiered := range map[string]bool{"untiered-predictor.snapv1": false, "tiered-freq.snapv1": true} {
+		t.Run(file, func(t *testing.T) {
+			f, err := os.Open(filepath.Join("..", "snap", "testdata", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			eng, err := RestoreEngineFrom(f, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if pc, on := eng.opts.PredictorConfig(); !on || !pc.EnablePaPR || !pc.EnableLiPR {
+				t.Fatal("fixture has no predictor tables")
+			}
+			var ra, near, freq int
+			for _, w := range eng.shards {
+				ra += w.mem.Framework().Blem.ReplacementArea().Len()
+				if w.tier == nil {
+					continue
+				}
+				// The tier section opens u64 n | n × 80 B near lines |
+				// u64 freq-counter count.
+				c := snap.NewEncoder(0)
+				framing := len(c.Bytes())
+				w.tier.WalkSnap(c)
+				n := w.tier.NearResident()
+				near += n
+				freq += int(binary.LittleEndian.Uint64(c.Bytes()[framing+8+80*n:]))
+			}
+			if ra == 0 || tiered && (near == 0 || freq == 0) {
+				t.Fatalf("fixture sections empty: RA=%d near=%d freq=%d", ra, near, freq)
+			}
+		})
+	}
 }

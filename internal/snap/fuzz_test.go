@@ -2,99 +2,94 @@ package snap_test
 
 import (
 	"bytes"
-	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"attache/internal/cluster"
 	"attache/internal/core"
+	"attache/internal/shard"
 	"attache/internal/snap"
 	"attache/internal/tier"
 )
 
-var updateCorpus = flag.Bool("update-corpus", false, "regenerate the checked-in fuzz seed corpus under testdata/fuzz/")
+// seedImages builds the hand-picked snapshot shapes the fuzzer starts
+// from: a cluster of no engines, a minimal untiered engine, and a small
+// tiered engine with every section populated. The three files under
+// testdata/fuzz/FuzzSnapshotRoundTrip are frozen artifacts: the same
+// three shapes as written by the tree encoder this target used to drive
+// (their writer, TestWriteFuzzCorpus, went with the trees).
+func seedImages(f *testing.F) [][]byte {
+	opts := core.DefaultOptions()
+	opts.CIDBits = 3
+	opts.DisablePredictor = true
 
-// seedStates builds the hand-picked snapshot shapes the fuzzer starts
-// from: empty cluster, minimal untiered engine, tiered engine with every
-// section populated.
-func seedStates() []*snap.ClusterState {
-	minimal := &snap.EngineState{}
-	minimal.Opts.CIDBits = 3
-	minimal.Opts.DisablePredictor = true
-	minimal.Shards = []snap.ShardState{{Mem: &core.MemoryState{}}}
+	minimal, err := shard.New(opts, shard.Config{Shards: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer minimal.Close()
 
-	tiered := &snap.EngineState{
-		Tier:   &tier.Config{NearLines: 2, Policy: tier.PolicyFreq, FreqThreshold: 2, FreqDecayEvery: 8, Link: tier.DefaultLink()},
-		Robust: [4]uint64{1, 2, 3, 4},
+	tiered, err := shard.New(opts, shard.Config{Shards: 1, Tier: &tier.Config{NearLines: 2, Policy: tier.PolicyFreq, FreqThreshold: 2, FreqDecayEvery: 8}})
+	if err != nil {
+		f.Fatal(err)
 	}
-	tiered.Opts.CIDBits = 3
-	tiered.Opts.DisablePredictor = true
-	ms := core.MemoryState{}
-	ms.Blem.CID = 5
-	ms.Blem.RA = map[uint64]bool{7: true, 9: false}
-	ts := &tier.State{
-		Near:     []tier.NearLineState{{Addr: 3, Freq: 2}},
-		FarFreq:  []tier.FreqCount{{Addr: 1, Count: 1}, {Addr: 4, Count: 2}},
-		FreqOps:  5,
-		Counters: [6]uint64{1, 2, 3, 4, 5, 6},
+	defer tiered.Close()
+	line := make([]byte, core.LineSize)
+	for i := 0; i < 40; i++ {
+		// Odd addresses take incompressible lines: a 3-bit CID parks one
+		// in eight of them in the Replacement Area.
+		addr := uint64(i % 12)
+		for j := range line {
+			line[j] = byte((i*131 + j*j) * int(addr%2))
+		}
+		if err := tiered.Write(addr, line); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := tiered.Read(uint64(i % 5)); err != nil {
+			f.Fatal(err)
+		}
 	}
-	tiered.Shards = []snap.ShardState{{Mem: &ms, Tier: ts}}
 
-	return []*snap.ClusterState{
-		{},
-		{Engines: []*snap.EngineState{minimal}},
-		{Engines: []*snap.EngineState{tiered}},
+	images := [][]byte{snap.NewEncoder(0).Bytes()}
+	for _, eng := range []*shard.Engine{minimal, tiered} {
+		var buf bytes.Buffer
+		if err := eng.WriteSnapshot(&buf); err != nil {
+			f.Fatal(err)
+		}
+		images = append(images, buf.Bytes())
 	}
+	return images
 }
 
-// FuzzSnapshotRoundTrip: the snapv1 decoder never panics on arbitrary
-// input, and — because it enforces canonical form — any input it
-// accepts re-encodes to exactly itself (decode∘encode is the identity
-// on the accepted set).
+// FuzzSnapshotRoundTrip drives the real restore path from its outermost
+// entry point: on arbitrary input cluster.RestoreFrom never panics, and
+// — because every walk enforces canonical form and refuses rather than
+// repairs — any input it accepts is exactly what the restored cluster
+// writes back (restore∘write is the identity on the accepted set). That
+// a refusal allocates in proportion to its input is pinned where it is
+// deterministic: shard's TestRestoreRejectsHostileOptions.
 func FuzzSnapshotRoundTrip(f *testing.F) {
-	for _, cs := range seedStates() {
-		f.Add(snap.EncodeBytes(cs))
+	for _, img := range seedImages(f) {
+		f.Add(img)
 	}
 	f.Add([]byte("ATSNAP"))
 	f.Add([]byte{})
+	for _, fx := range fixtures {
+		img, err := os.ReadFile(filepath.Join("testdata", fx.file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cs, err := snap.DecodeBytes(data)
+		cl, err := cluster.RestoreFrom(bytes.NewReader(data), shard.Config{}, cluster.Config{})
 		if err != nil {
 			return
 		}
-		enc := snap.EncodeBytes(cs)
-		if !bytes.Equal(enc, data) {
-			t.Fatalf("accepted input is not canonical: re-encoded %d bytes differ from %d-byte input", len(enc), len(data))
-		}
-		again, err := snap.DecodeBytes(enc)
-		if err != nil {
-			t.Fatalf("re-decode of own encoding failed: %v", err)
-		}
-		if !bytes.Equal(snap.EncodeBytes(again), enc) {
-			t.Fatal("second round trip diverged")
+		defer cl.Close()
+		if img := cl.Snapshot(); !bytes.Equal(img, data) {
+			t.Fatalf("accepted input is not canonical: restored cluster writes %d bytes that differ from the %d-byte input", len(img), len(data))
 		}
 	})
-}
-
-// TestWriteFuzzCorpus (with -update-corpus) materializes the seed
-// states as checked-in Go fuzz corpus files, so CI's fuzz smoke starts
-// from structurally valid snapshots even before any cached corpus
-// exists.
-func TestWriteFuzzCorpus(t *testing.T) {
-	if !*updateCorpus {
-		t.Skip("run with -update-corpus to regenerate testdata/fuzz/FuzzSnapshotRoundTrip/")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzSnapshotRoundTrip")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, cs := range seedStates() {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", snap.EncodeBytes(cs))
-		path := filepath.Join(dir, fmt.Sprintf("seed-%d", i))
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", path)
-	}
 }

@@ -1,27 +1,46 @@
-// Package snap implements snapv1, the versioned binary serialization of
-// a full engine: per-shard memory contents, BLEM state (CID +
-// Replacement Area), COPR predictor tables, traffic counters, and tier
-// residency. A snapshot restored through shard.RestoreEngine behaves
-// byte-identically to the engine it was taken from.
+// Package snap is what every writer and reader of snapv1 shares: the
+// magic/version framing, the error taxonomy, and the Cursor — one
+// direction-agnostic position in a snapshot's bytes. snapv1 is the
+// versioned binary image of a whole cluster: per-shard memory contents,
+// BLEM state (CID + Replacement Area), COPR predictor tables, traffic
+// counters, and tier residency. A snapshot restored through
+// shard.RestoreEngineFrom or cluster.RestoreFrom behaves byte-identically
+// to what it was taken from.
 //
-// Format (all integers little-endian):
+// The package knows no field of any other package. Each stateful
+// package walks its own live fields through a Cursor, in wire order,
+// with one method that serves both directions; the layout is the
+// concatenation of those walks (all integers little-endian):
 //
-//	magic "ATSNAP" | u16 version=1 | u32 engineCount | engines...
+//	snap     magic "ATSNAP" | u16 version=1 | u32 engineCount
+//	cluster  engines...
+//	shard    engine  = core.Options | tier config? | 4 robust counters |
+//	                   u32 shardCount | shards...
+//	         shard   = memory | tier?
+//	core     memory  = u64 n | n × (addr, flags, 2×32 B) | 8 counters |
+//	                   blem | predictor?
+//	blem     u16 CID | u64 n | n × (addr, bit) | 7 counters
+//	copr     u32 n | n GI counters | PaPR table? | LiPR table? |
+//	         5 × (hits, total)
+//	         table   = tick | i32 sets | i32 ways |
+//	                   sets×ways × (valid, key, A, B, used)
+//	tier     u64 n | n × (addr, freq, 64 B) | u64 n | n × (addr, count) |
+//	         decay clock | 6 counters
 //
-// Each engine serializes its core.Options (so restore can rebuild the
-// same framework), the engine-level robust counters, and one section
-// per shard. Maps (Replacement Area, freq counters) are sorted by
-// address, and stored lines are sorted by address, so encoding is
-// deterministic; the near-tier lines are the single exception — they
-// encode in recency order, least-recently-used first, because that
-// order is semantic. The decoder enforces sortedness, so for any bytes
-// it accepts, decode∘encode is the identity.
+// A "?" section is preceded by a presence byte. Maps (stored lines,
+// Replacement Area, freq counters) are written sorted by address, so
+// encoding is deterministic; the near-tier lines are the single
+// exception — they are written in recency order, least-recently-used
+// first, because that order is semantic. Decoding enforces sortedness,
+// flag ranges and counter ranges, so for any bytes a restore accepts,
+// writing the restored state yields those bytes again.
 //
-// Version-evolution rules: additions bump the u16 version; a decoder
-// rejects versions it does not know with ErrVersion (never guesses),
-// and every count field is validated against the remaining input before
-// allocation, so truncated or corrupted snapshots fail cleanly instead
-// of panicking or over-allocating.
+// Version-evolution rules: a new persisted field is one line in its
+// owner's walk plus a Version bump; a reader rejects versions it does
+// not know with ErrVersion (never guesses), and every count is vetted
+// against the remaining input before anything is allocated for it, so
+// truncated or corrupted snapshots fail cleanly instead of panicking or
+// over-allocating.
 package snap
 
 import (
@@ -30,11 +49,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
-
-	"attache/internal/copr"
-	"attache/internal/core"
-	"attache/internal/tier"
+	"slices"
 )
 
 // Version is the current snapv1 format version.
@@ -48,101 +63,105 @@ var ErrCorrupt = errors.New("snap: corrupt snapshot")
 // ErrVersion reports a snapshot written by an unknown format version.
 var ErrVersion = errors.New("snap: unsupported snapshot version")
 
-// ShardState is one shard's serialized state.
-type ShardState struct {
-	Mem *core.MemoryState
-	// Tier is nil for untiered engines.
-	Tier *tier.State
-}
-
-// EngineState is one engine's serialized state: enough to rebuild the
-// framework (Opts, Tier) plus the per-shard contents.
-type EngineState struct {
-	Opts core.Options
-	// Tier is the engine-level tier configuration; nil means untiered.
-	Tier *tier.Config
-	// Robust holds sheds, canceled, injectedErrs, injectedDelays.
-	Robust [4]uint64
-	Shards []ShardState
-}
-
-// ClusterState is the top-level snapshot container: one EngineState per
-// cluster instance (a single-engine snapshot is a 1-element cluster).
-type ClusterState struct {
-	Engines []*EngineState
-}
-
-// EncodeBytes serializes a snapshot to its canonical byte form.
-func EncodeBytes(cs *ClusterState) []byte {
-	c := &codec{}
-	walkCluster(c, cs)
-	return c.b
-}
-
-// Encode writes the canonical serialization of cs to out.
-func Encode(out io.Writer, cs *ClusterState) error {
-	_, err := out.Write(EncodeBytes(cs))
-	return err
-}
-
-// DecodeBytes parses a canonical snapshot. It never panics: truncated,
-// corrupted, or version-skewed input returns an error.
-func DecodeBytes(b []byte) (*ClusterState, error) {
-	c := &codec{b: b, dec: true}
-	cs := &ClusterState{}
-	walkCluster(c, cs)
-	if c.err != nil {
-		return nil, c.err
-	}
-	if c.remaining() != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after snapshot: %w", c.remaining(), ErrCorrupt)
-	}
-	return cs, nil
-}
-
-// Decode reads all of in and parses it as a snapshot.
-func Decode(in io.Reader) (*ClusterState, error) {
-	b, err := io.ReadAll(in)
-	if err != nil {
-		return nil, fmt.Errorf("snap: reading snapshot: %w", err)
-	}
-	return DecodeBytes(b)
-}
-
-// ---------------------------------------------------------------------
-// the codec: one cursor, two directions
-
-// codec is a cursor over snapv1 bytes that either appends to b
-// (encoding) or consumes b from off (decoding). Every primitive takes a
-// pointer to the field it carries, so one walk describes the layout for
-// both directions. Encoding only ever reads through the pointers: a
-// state being encoded may be shared.
-type codec struct {
+// Cursor is a position in snapv1 bytes that either appends (encoding)
+// or consumes (decoding). Every primitive takes a pointer to the field
+// it carries, so one walk describes the layout for both directions.
+// Encoding only ever reads through the pointers. Decoding is sticky:
+// after the first error every primitive is a no-op that leaves its
+// field untouched, so a walk checks Err once at the end — and loops on
+// OK, so a bad count cannot spin.
+type Cursor struct {
 	b   []byte
 	off int
 	dec bool
-	err error // decode only; once set, every primitive is a no-op
+	err error
 }
 
-// fail records a decode error; only the first one sticks, so checks
-// that run on the zeroes read after it need no guard of their own.
-// Validation is the decoder's job alone — the encoder trusts its input
-// — so callers guard checks with c.dec.
-func (c *codec) fail(format string, args ...any) {
-	if c.err == nil {
+// NewEncoder starts the image of a cluster of the given number of
+// engines: the framing is written, the engines' sections follow.
+func NewEncoder(engines int) *Cursor {
+	c := &Cursor{}
+	c.frame(engines)
+	return c
+}
+
+// Open reads the whole of in — snapv1 has nothing a reader could stream
+// on — checks the framing, and returns a decoder positioned at the
+// first of the engines sections it announces.
+func Open(in io.Reader) (*Cursor, int, error) {
+	b, err := io.ReadAll(in)
+	if err != nil {
+		return nil, 0, fmt.Errorf("snap: reading snapshot: %w", err)
+	}
+	c := &Cursor{b: b, dec: true}
+	engines := c.frame(0)
+	return c, engines, c.err
+}
+
+// frame carries the magic, the format version and the engine count.
+func (c *Cursor) frame(engines int) int {
+	m := magic
+	c.Raw(m[:])
+	if m != magic {
+		c.Fail("bad magic")
+	}
+	v := uint16(Version)
+	c.U16(&v)
+	if c.err == nil && v != Version {
+		c.err = fmt.Errorf("%w: got version %d, support %d", ErrVersion, v, Version)
+	}
+	return c.Count32(engines, "engine")
+}
+
+// Decoding reports the direction; walks guard the decoder-only work —
+// allocating, and storing into maps and lists — with it.
+func (c *Cursor) Decoding() bool { return c.dec }
+
+// Err reports the first decode error; an encoder never has one.
+func (c *Cursor) Err() error { return c.err }
+
+// OK reports whether no error has been recorded yet.
+func (c *Cursor) OK() bool { return c.err == nil }
+
+// Fail records a decode error wrapping ErrCorrupt. Only the first one
+// sticks, so checks that run on the zeroes read after it need no guard;
+// and an encoder records none — it trusts the live state it walks — so
+// a check written beside its field needs no direction guard either.
+func (c *Cursor) Fail(format string, args ...any) {
+	if c.dec && c.err == nil {
 		c.err = fmt.Errorf(format+": %w", append(args, ErrCorrupt)...)
 	}
 }
 
-func (c *codec) remaining() int { return len(c.b) - c.off }
+// Remaining reports the input bytes not yet consumed.
+func (c *Cursor) Remaining() int { return len(c.b) - c.off }
+
+// Grow makes room for n more encoded bytes, so a writer that knows its
+// counts pays for one buffer instead of a doubling series.
+func (c *Cursor) Grow(n int) {
+	if !c.dec && cap(c.b)-len(c.b) < n {
+		c.b = append(make([]byte, 0, len(c.b)+n), c.b...)
+	}
+}
+
+// Bytes returns the image encoded so far.
+func (c *Cursor) Bytes() []byte { return c.b }
+
+// Finish ends a decode: the first error, or ErrCorrupt if input is left.
+func (c *Cursor) Finish() error {
+	if c.err == nil && c.Remaining() != 0 {
+		c.Fail("%d trailing bytes after snapshot", c.Remaining())
+	}
+	return c.err
+}
 
 // take consumes the next n input bytes, or fails and returns nil.
-func (c *codec) take(n int) []byte {
+func (c *Cursor) take(n int) []byte {
 	if c.err != nil {
 		return nil
 	}
-	if c.remaining() < n {
-		c.fail("truncated at offset %d (need %d bytes, have %d)", c.off, n, c.remaining())
+	if c.Remaining() < n {
+		c.Fail("truncated at offset %d (need %d bytes, have %d)", c.off, n, c.Remaining())
 		return nil
 	}
 	p := c.b[c.off : c.off+n]
@@ -150,8 +169,8 @@ func (c *codec) take(n int) []byte {
 	return p
 }
 
-// raw carries len(p) bytes verbatim.
-func (c *codec) raw(p []byte) {
+// Raw carries len(p) bytes verbatim.
+func (c *Cursor) Raw(p []byte) {
 	if !c.dec {
 		c.b = append(c.b, p...)
 		return
@@ -159,7 +178,7 @@ func (c *codec) raw(p []byte) {
 	copy(p, c.take(len(p)))
 }
 
-func (c *codec) u8(p *uint8) {
+func (c *Cursor) U8(p *uint8) {
 	if !c.dec {
 		c.b = append(c.b, *p)
 	} else if b := c.take(1); b != nil {
@@ -167,7 +186,7 @@ func (c *codec) u8(p *uint8) {
 	}
 }
 
-func (c *codec) u16(p *uint16) {
+func (c *Cursor) U16(p *uint16) {
 	if !c.dec {
 		c.b = binary.LittleEndian.AppendUint16(c.b, *p)
 	} else if b := c.take(2); b != nil {
@@ -175,7 +194,7 @@ func (c *codec) u16(p *uint16) {
 	}
 }
 
-func (c *codec) u32(p *uint32) {
+func (c *Cursor) U32(p *uint32) {
 	if !c.dec {
 		c.b = binary.LittleEndian.AppendUint32(c.b, *p)
 	} else if b := c.take(4); b != nil {
@@ -183,7 +202,7 @@ func (c *codec) u32(p *uint32) {
 	}
 }
 
-func (c *codec) u64(p *uint64) {
+func (c *Cursor) U64(p *uint64) {
 	if !c.dec {
 		c.b = binary.LittleEndian.AppendUint64(c.b, *p)
 	} else if b := c.take(8); b != nil {
@@ -191,76 +210,76 @@ func (c *codec) u64(p *uint64) {
 	}
 }
 
-// i32 and i64 carry Go ints as two's-complement u32/u64.
-func (c *codec) i32(p *int) {
+// I32 and I64 carry Go ints as two's-complement u32/u64.
+func (c *Cursor) I32(p *int) {
 	v := uint32(*p)
-	c.u32(&v)
+	c.U32(&v)
 	if c.dec {
 		*p = int(int32(v))
 	}
 }
 
-func (c *codec) i64(p *int64) {
+func (c *Cursor) I64(p *int64) {
 	v := uint64(*p)
-	c.u64(&v)
+	c.U64(&v)
 	if c.dec {
 		*p = int64(v)
 	}
 }
 
-func (c *codec) f64(p *float64) {
+func (c *Cursor) F64(p *float64) {
 	v := math.Float64bits(*p)
-	c.u64(&v)
+	c.U64(&v)
 	if c.dec {
 		*p = math.Float64frombits(v)
 	}
 }
 
-// str carries a string as a u8 length plus its bytes; decoding rejects
+// Str carries a string as a u8 length plus its bytes; decoding rejects
 // lengths above max.
-func (c *codec) str(p *string, max int, what string) {
+func (c *Cursor) Str(p *string, max int, what string) {
 	n := uint8(len(*p))
-	c.u8(&n)
+	c.U8(&n)
 	if !c.dec {
 		c.b = append(c.b, *p...)
 		return
 	}
 	if int(n) > max {
-		c.fail("%s length %d exceeds %d", what, n, max)
+		c.Fail("%s length %d exceeds %d", what, n, max)
 	}
 	*p = string(c.take(int(n)))
 }
 
-// bool carries one byte that must be 0 or 1.
-func (c *codec) bool(p *bool) {
+// Bool carries one byte that must be 0 or 1.
+func (c *Cursor) Bool(p *bool) {
 	var v uint8
 	if *p {
 		v = 1
 	}
-	c.u8(&v)
+	c.U8(&v)
 	if c.dec {
 		if v > 1 {
-			c.fail("boolean field at offset %d not 0 or 1", c.off-1)
+			c.Fail("boolean field at offset %d not 0 or 1", c.off-1)
 		}
 		*p = v == 1
 	}
 }
 
-// flags carries up to eight booleans as one byte, bits[i] in bit i, and
+// Flags carries up to eight booleans as one byte, bits[i] in bit i, and
 // rejects a byte with any higher bit set.
-func (c *codec) flags(what string, bits ...*bool) {
+func (c *Cursor) Flags(what string, bits ...*bool) {
 	var v uint8
 	for i, b := range bits {
 		if *b {
 			v |= 1 << i
 		}
 	}
-	c.u8(&v)
+	c.U8(&v)
 	if !c.dec {
 		return
 	}
 	if int(v) >= 1<<len(bits) {
-		c.fail("unknown %s flags %#x at offset %d", what, v, c.off-1)
+		c.Fail("unknown %s flags %#x at offset %d", what, v, c.off-1)
 	}
 	for i, b := range bits {
 		*b = v&(1<<i) != 0
@@ -270,242 +289,80 @@ func (c *codec) flags(what string, bits ...*bool) {
 // bound vets a decoded element count against the remaining input, given
 // the minimum encoded size of one element — a corrupted count can never
 // force an over-allocation. An encoder's count passes through.
-func (c *codec) bound(n uint64, minElem int, what string) int {
+func (c *Cursor) bound(n uint64, minElem int, what string) int {
 	if c.err != nil {
 		return 0
 	}
-	if c.dec && n > uint64(c.remaining()/minElem) {
-		c.fail("%s count %d exceeds remaining input", what, n)
+	if c.dec && n > uint64(c.Remaining()/minElem) {
+		c.Fail("%s count %d exceeds remaining input", what, n)
 		return 0
 	}
 	return int(n)
 }
 
-// count32 carries an element count as a u32 and returns it, bounded at
-// one byte an element, a safe floor.
-func (c *codec) count32(n int, what string) int {
+// Count32 carries an element count as a u32 and returns the count in
+// force: n when encoding, the decoded one — bounded at one byte an
+// element, a safe floor — when decoding.
+func (c *Cursor) Count32(n int, what string) int {
 	v := uint32(n)
-	c.u32(&v)
+	c.U32(&v)
 	return c.bound(uint64(v), 1, what)
 }
 
-// slice carries len(*p) as a u64 count and returns it; decoding bounds
-// it and only then allocates the elements the walk goes on to fill in.
-func slice[T any](c *codec, p *[]T, minElem int, what string) int {
-	v := uint64(len(*p))
-	c.u64(&v)
-	n := c.bound(v, minElem, what)
-	if c.dec {
-		*p = make([]T, n)
-	}
-	return n
+// Count64 is Count32 with a u64 on the wire and the caller's floor on
+// an element's encoded size; the caller allocates only what it returns.
+func (c *Cursor) Count64(n, minElem int, what string) int {
+	v := uint64(n)
+	c.U64(&v)
+	return c.bound(v, minElem, what)
 }
 
-// present carries the presence byte of an optional section and reports
-// whether the section follows; decoding allocates it.
-func present[T any](c *codec, p **T) bool {
-	has := *p != nil
-	c.bool(&has)
-	if c.dec && has && c.err == nil {
-		*p = new(T)
+// Section carries the presence byte of an optional section whose
+// presence the configuration already fixes, and reports whether the
+// section follows; decoding fails unless the byte agrees with configured.
+func (c *Cursor) Section(configured bool, what string) bool {
+	has := configured
+	c.Bool(&has)
+	if c.err == nil && has != configured {
+		c.Fail("%s presence (%v) does not match configuration (%v)", what, has, configured)
 	}
 	return has && c.err == nil
 }
 
-// ---------------------------------------------------------------------
-// the walk: the snapv1 layout, written once
-//
-// EncodeBytes and DecodeBytes run the same walk* functions, so the two
-// directions cannot drift apart. Adding a field is one line here (plus a
-// Version bump); `if c.dec` marks the decoder-only work: allocation and
-// validation.
-
-func walkCluster(c *codec, cs *ClusterState) {
-	m := magic
-	c.raw(m[:])
-	if c.dec && m != magic {
-		c.fail("bad magic")
-	}
-	v := uint16(Version)
-	c.u16(&v)
-	if c.err == nil && v != Version {
-		c.err = fmt.Errorf("%w: got version %d, support %d", ErrVersion, v, Version)
-	}
-	n := c.count32(len(cs.Engines), "engine")
-	for i := 0; c.err == nil && i < n; i++ {
-		if c.dec {
-			cs.Engines = append(cs.Engines, &EngineState{})
-		}
-		walkEngine(c, cs.Engines[i])
-	}
-}
-
-func walkEngine(c *codec, e *EngineState) {
-	o := &e.Opts
-	c.i32(&o.CIDBits)
-	c.i64(&o.Seed)
-	c.flags("option", &o.DisablePredictor, &o.ExtendedCompression)
-	p := &o.Predictor
-	c.i64(&p.MemorySize)
-	c.i32(&p.GICounters)
-	c.u8(&p.GIThreshold)
-	c.i32(&p.PaPRBytes)
-	c.i32(&p.PaPRWays)
-	c.i32(&p.LiPRBytes)
-	c.i32(&p.LiPRWays)
-	c.flags("predictor enable", &p.EnableGI, &p.EnablePaPR, &p.EnableLiPR)
-
-	if present(c, &e.Tier) {
-		t := e.Tier
-		c.i64(&t.NearLines)
-		c.str(&t.Policy, 32, "tier policy name")
-		c.u64(&t.FreqThreshold)
-		c.u64(&t.FreqDecayEvery)
-		c.u32(&t.PinShift)
-		c.u64(&t.PinPrefix)
-		c.f64(&t.Link.FarLatencyNs)
-		c.f64(&t.Link.FarBandwidthMult)
-		c.f64(&t.Link.NearEnergyPerByte)
-		c.f64(&t.Link.FarEnergyPerByte)
-	}
-	for i := range e.Robust {
-		c.u64(&e.Robust[i])
-	}
-	n := c.count32(len(e.Shards), "shard")
-	for i := 0; c.err == nil && i < n; i++ {
-		if c.dec {
-			e.Shards = append(e.Shards, ShardState{Mem: &core.MemoryState{}})
-		}
-		walkShard(c, &e.Shards[i], e.Tier != nil)
-	}
-}
-
-func walkShard(c *codec, s *ShardState, tiered bool) {
-	m := s.Mem
-	n := slice(c, &m.Lines, 8+1+core.LineSize, "line")
-	for i := 0; c.err == nil && i < n; i++ {
-		l := &m.Lines[i]
-		c.u64(&l.Addr)
-		if c.dec && i > 0 && l.Addr <= m.Lines[i-1].Addr {
-			c.fail("lines not strictly sorted at index %d", i)
-		}
-		c.flags("line", &l.Compressed, &l.Collision)
-		if c.dec && l.Compressed && l.Collision {
-			c.fail("line %d both compressed and collided", i)
-		}
-		c.raw(l.Blocks[0][:])
-		c.raw(l.Blocks[1][:])
-	}
-	c.u64(&m.Stats.Reads)
-	c.u64(&m.Stats.Writes)
-	c.u64(&m.Stats.BlocksRead)
-	c.u64(&m.Stats.BlocksWritten)
-	c.u64(&m.Stats.Mispredictions)
-	c.u64(&m.Stats.RAAccesses)
-	c.u64(&m.Stats.CompressedLines)
-	c.u64(&m.Stats.RAOccupancy)
-	if c.dec {
-		m.Stats.Lines = uint64(len(m.Lines))
-	}
-
-	// The Replacement Area is a map; on the wire it is its entries
-	// sorted by address.
-	c.u16(&m.Blem.CID)
-	var ra []uint64
+// Map carries a map keyed by address the way every map travels: its
+// entry count, then its entries sorted by address — so encoding is
+// deterministic — with elem carrying each value. Decoding vets the count
+// at minElem encoded bytes an entry before allocating the map, and
+// enforces strict ascent, so what it accepts is canonical.
+func Map[V any](c *Cursor, m *map[uint64]V, minElem int, what string, elem func(addr uint64, v *V)) {
+	var addrs []uint64
 	if !c.dec {
-		ra = make([]uint64, 0, len(m.Blem.RA))
-		for a := range m.Blem.RA {
-			ra = append(ra, a)
+		addrs = make([]uint64, 0, len(*m))
+		for a := range *m {
+			addrs = append(addrs, a)
 		}
-		sort.Slice(ra, func(i, j int) bool { return ra[i] < ra[j] })
+		slices.Sort(addrs)
 	}
-	n = slice(c, &ra, 9, "RA entry")
-	if c.dec {
-		m.Blem.RA = make(map[uint64]bool, n)
+	n := c.Count64(len(addrs), minElem, what)
+	if c.dec && n > 0 {
+		*m = make(map[uint64]V, n)
 	}
+	var prev uint64
+	var v V // one value for the whole walk: elem's pointer makes it escape
 	for i := 0; c.err == nil && i < n; i++ {
-		c.u64(&ra[i])
-		if c.dec && i > 0 && ra[i] <= ra[i-1] {
-			c.fail("RA entries not strictly sorted at index %d", i)
+		var a uint64
+		if !c.dec {
+			a = addrs[i]
 		}
-		v := m.Blem.RA[ra[i]]
-		c.bool(&v)
+		c.U64(&a)
+		if i > 0 && a <= prev {
+			c.Fail("%s addresses not strictly ascending at index %d", what, i)
+		}
+		prev = a
+		v = (*m)[a]
+		elem(a, &v)
 		if c.dec {
-			m.Blem.RA[ra[i]] = v
+			(*m)[a] = v
 		}
-	}
-	for i := range m.Blem.Stats {
-		c.u64(&m.Blem.Stats[i])
-	}
-
-	if present(c, &m.Copr) {
-		p := m.Copr
-		n = c.count32(len(p.GI), "GI counter")
-		if c.dec {
-			p.GI = make([]uint8, n)
-		}
-		c.raw(p.GI)
-		walkTable(c, &p.PaPR, "PaPR")
-		walkTable(c, &p.LiPR, "LiPR")
-		c.u64(&p.Overall.Hits)
-		c.u64(&p.Overall.Total)
-		for i := range p.BySource {
-			c.u64(&p.BySource[i].Hits)
-			c.u64(&p.BySource[i].Total)
-		}
-	}
-
-	has := present(c, &s.Tier)
-	if c.dec && has != tiered {
-		c.fail("shard tier-state presence (%v) disagrees with engine tier config (%v)", has, tiered)
-	}
-	if has {
-		t := s.Tier
-		n = slice(c, &t.Near, 8+8+tier.LineSize, "near line")
-		for i := 0; c.err == nil && i < n; i++ {
-			// Recency order, least recently used first: no sortedness to check.
-			c.u64(&t.Near[i].Addr)
-			c.u64(&t.Near[i].Freq)
-			c.raw(t.Near[i].Data[:])
-		}
-		n = slice(c, &t.FarFreq, 16, "freq counter")
-		for i := 0; c.err == nil && i < n; i++ {
-			c.u64(&t.FarFreq[i].Addr)
-			if c.dec && i > 0 && t.FarFreq[i].Addr <= t.FarFreq[i-1].Addr {
-				c.fail("freq counters not strictly sorted at index %d", i)
-			}
-			c.u64(&t.FarFreq[i].Count)
-		}
-		c.u64(&t.FreqOps)
-		for i := range t.Counters {
-			c.u64(&t.Counters[i])
-		}
-	}
-}
-
-func walkTable(c *codec, pt **copr.TableState, what string) {
-	if !present(c, pt) {
-		return
-	}
-	t := *pt
-	c.u64(&t.Tick)
-	c.i32(&t.Sets)
-	c.i32(&t.Ways)
-	n := len(t.Entries)
-	if c.dec {
-		const maxDim = 1 << 24
-		if t.Sets < 0 || t.Sets > maxDim || t.Ways < 0 || t.Ways > maxDim {
-			c.fail("%s table geometry %dx%d out of range", what, uint32(t.Sets), uint32(t.Ways))
-		}
-		n = c.bound(uint64(t.Sets)*uint64(t.Ways), 33, what+" table entry")
-		t.Entries = make([]copr.EntryState, n)
-	}
-	for i := 0; c.err == nil && i < n; i++ {
-		e := &t.Entries[i]
-		c.bool(&e.Valid)
-		c.u64(&e.Key)
-		c.u64(&e.A)
-		c.u64(&e.B)
-		c.u64(&e.Used)
 	}
 }

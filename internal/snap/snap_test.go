@@ -1,24 +1,30 @@
+// The snapv1 conformance suite. The format's bytes are produced by the
+// walks of five packages, so these tests drive it from the outermost
+// entry points — cluster.RestoreFrom and WriteSnapshot — and compare
+// bytes: there is no intermediate form to compare.
 package snap_test
 
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
+	"testing/iotest"
 
+	"attache/internal/cluster"
 	"attache/internal/core"
 	"attache/internal/shard"
 	"attache/internal/snap"
 	"attache/internal/tier"
 )
 
-// buildState drives a small deterministic workload through a real
-// engine and exports it — the realistic snapshot shape for round-trip
-// tests.
-func buildState(t *testing.T, tiered bool) *snap.ClusterState {
+// newEngine drives a small deterministic workload through a real
+// 2-shard engine with the paper's predictor — the realistic snapshot
+// shape for round-trip tests.
+func newEngine(t *testing.T, tiered bool) *shard.Engine {
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.Seed = 42
@@ -30,7 +36,7 @@ func buildState(t *testing.T, tiered bool) *snap.ClusterState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
+	t.Cleanup(func() { eng.Close() })
 
 	rng := rand.New(rand.NewSource(7))
 	line := make([]byte, core.LineSize)
@@ -43,31 +49,35 @@ func buildState(t *testing.T, tiered bool) *snap.ClusterState {
 			if err := eng.Write(addr, line); err != nil {
 				t.Fatal(err)
 			}
-		} else {
-			if _, err := eng.Read(addr); err != nil && !errors.Is(err, core.ErrNeverWritten) {
-				t.Fatal(err)
-			}
+		} else if _, err := eng.Read(addr); err != nil && !errors.Is(err, core.ErrNeverWritten) {
+			t.Fatal(err)
 		}
 	}
-	cs := &snap.ClusterState{Engines: []*snap.EngineState{eng.ExportState()}}
-	normalize(cs)
-	return cs
+	return eng
 }
 
-// normalize zeroes the derived stats fields snapv1 does not serialize
-// (the decoder recomputes Lines and leaves PredictionAccuracy to the
-// restored predictor), so exported and decoded states compare equal.
-func normalize(cs *snap.ClusterState) {
-	for _, e := range cs.Engines {
-		for i := range e.Shards {
-			e.Shards[i].Mem.Stats.PredictionAccuracy = 0
-			e.Shards[i].Mem.Stats.Lines = uint64(len(e.Shards[i].Mem.Lines))
-		}
+// image is the engine's WriteSnapshot output.
+func image(t *testing.T, eng *shard.Engine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := eng.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
 	}
+	return buf.Bytes()
 }
 
-// TestRoundTrip: decode(encode(state)) reproduces the state exactly,
-// and encoding is deterministic.
+// restoreWrite restores the cluster in and returns its snapshot.
+func restoreWrite(in io.Reader) ([]byte, error) {
+	cl, err := cluster.RestoreFrom(in, shard.Config{}, cluster.Config{})
+	if err != nil {
+		return nil, err
+	}
+	defer cl.Close()
+	return cl.Snapshot(), nil
+}
+
+// TestRoundTrip: writing is deterministic, and restore→write reproduces
+// the image exactly.
 func TestRoundTrip(t *testing.T) {
 	for _, tiered := range []bool{false, true} {
 		name := "untiered"
@@ -75,81 +85,79 @@ func TestRoundTrip(t *testing.T) {
 			name = "tiered"
 		}
 		t.Run(name, func(t *testing.T) {
-			cs := buildState(t, tiered)
-			enc := snap.EncodeBytes(cs)
-			if !bytes.Equal(enc, snap.EncodeBytes(cs)) {
+			eng := newEngine(t, tiered)
+			img := image(t, eng)
+			if !bytes.Equal(img, image(t, eng)) {
 				t.Fatal("encoding is not deterministic")
 			}
-			got, err := snap.DecodeBytes(enc)
+			got, err := restoreWrite(bytes.NewReader(img))
 			if err != nil {
-				t.Fatalf("decode of a fresh encoding failed: %v", err)
+				t.Fatalf("restore of a fresh image failed: %v", err)
 			}
-			if !reflect.DeepEqual(got, cs) {
-				t.Fatalf("decode(encode(state)) != state")
-			}
-			if !bytes.Equal(snap.EncodeBytes(got), enc) {
-				t.Fatal("encode(decode(bytes)) != bytes")
+			if !bytes.Equal(got, img) {
+				t.Fatal("write(restore(bytes)) != bytes")
 			}
 		})
 	}
 }
 
-// TestStreamRoundTrip: the io.Writer/io.Reader forms agree with the
-// byte-slice forms.
+// TestStreamRoundTrip: the engine's io.Writer form and a one-instance
+// cluster's []byte form are the same image, and a stream that hands out
+// a byte at a time restores like a buffer does.
 func TestStreamRoundTrip(t *testing.T) {
-	cs := buildState(t, true)
-	var buf bytes.Buffer
-	if err := snap.Encode(&buf, cs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), snap.EncodeBytes(cs)) {
-		t.Fatal("Encode and EncodeBytes disagree")
-	}
-	got, err := snap.Decode(&buf)
+	eng := newEngine(t, true)
+	img := image(t, eng)
+	cl, err := cluster.Wrap([]*shard.Engine{eng}, cluster.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, cs) {
-		t.Fatal("stream decode did not round-trip")
+	if !bytes.Equal(cl.Snapshot(), img) {
+		t.Fatal("Engine.WriteSnapshot and Cluster.Snapshot disagree")
+	}
+	got, err := restoreWrite(iotest.OneByteReader(bytes.NewReader(img)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, img) {
+		t.Fatal("stream restore did not round-trip")
 	}
 }
 
-// TestMultiEngine: a multi-instance cluster snapshot round-trips too.
+// TestMultiEngine: a multi-instance cluster snapshot round-trips too,
+// its instances free to differ in configuration.
 func TestMultiEngine(t *testing.T) {
-	a, b := buildState(t, true), buildState(t, false)
-	cs := &snap.ClusterState{Engines: []*snap.EngineState{a.Engines[0], b.Engines[0]}}
-	got, err := snap.DecodeBytes(snap.EncodeBytes(cs))
+	cl, err := cluster.Wrap([]*shard.Engine{newEngine(t, true), newEngine(t, false)}, cluster.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, cs) {
+	img := cl.Snapshot()
+	got, err := restoreWrite(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, img) {
 		t.Fatal("multi-engine snapshot did not round-trip")
 	}
 }
 
-// TestDecodeRejects pins the decoder's failure taxonomy: every
-// truncation of a valid snapshot fails cleanly, and targeted
-// corruptions produce ErrCorrupt/ErrVersion rather than panics or
-// silent acceptance.
+// TestDecodeRejects pins the failure taxonomy: every truncation of a
+// valid snapshot fails cleanly, and targeted corruptions produce
+// ErrCorrupt/ErrVersion rather than panics or silent acceptance.
 func TestDecodeRejects(t *testing.T) {
-	enc := snap.EncodeBytes(buildState(t, true))
+	enc := image(t, fixtureEngine(t, true))
 
 	t.Run("every-truncation", func(t *testing.T) {
-		// Every strict prefix must be rejected — no truncation may decode.
-		step := 1
-		if len(enc) > 4096 {
-			step = len(enc) / 4096
-		}
-		for n := 0; n < len(enc); n += step {
-			if _, err := snap.DecodeBytes(enc[:n]); err == nil {
-				t.Fatalf("truncation to %d/%d bytes decoded successfully", n, len(enc))
+		// Every strict prefix must be rejected — no truncation may restore.
+		for n := 0; n < len(enc); n++ {
+			if _, err := restoreWrite(bytes.NewReader(enc[:n])); !errors.Is(err, snap.ErrCorrupt) {
+				t.Fatalf("truncation to %d/%d bytes: got %v, want ErrCorrupt", n, len(enc), err)
 			}
 		}
 	})
 	t.Run("bad-magic", func(t *testing.T) {
 		bad := append([]byte(nil), enc...)
 		bad[0] ^= 0xFF
-		if _, err := snap.DecodeBytes(bad); !errors.Is(err, snap.ErrCorrupt) {
+		if _, err := restoreWrite(bytes.NewReader(bad)); !errors.Is(err, snap.ErrCorrupt) {
 			t.Fatalf("bad magic: got %v, want ErrCorrupt", err)
 		}
 	})
@@ -157,27 +165,31 @@ func TestDecodeRejects(t *testing.T) {
 		bad := append([]byte(nil), enc...)
 		bad[6] = 0xFE // u16 version lives right after the 6-byte magic
 		bad[7] = 0xCA
-		if _, err := snap.DecodeBytes(bad); !errors.Is(err, snap.ErrVersion) {
+		if _, err := restoreWrite(bytes.NewReader(bad)); !errors.Is(err, snap.ErrVersion) {
 			t.Fatalf("version skew: got %v, want ErrVersion", err)
 		}
 	})
 	t.Run("trailing-bytes", func(t *testing.T) {
 		bad := append(append([]byte(nil), enc...), 0x00)
-		if _, err := snap.DecodeBytes(bad); !errors.Is(err, snap.ErrCorrupt) {
+		if _, err := restoreWrite(bytes.NewReader(bad)); !errors.Is(err, snap.ErrCorrupt) {
 			t.Fatalf("trailing byte: got %v, want ErrCorrupt", err)
 		}
 	})
 	t.Run("empty", func(t *testing.T) {
-		if _, err := snap.DecodeBytes(nil); err == nil {
-			t.Fatal("empty input decoded")
+		if _, err := restoreWrite(bytes.NewReader(nil)); err == nil {
+			t.Fatal("empty input restored")
 		}
 	})
 	t.Run("huge-count", func(t *testing.T) {
 		// Magic + version + an absurd engine count must fail on the count
 		// guard, not attempt allocation.
 		b := append([]byte("ATSNAP"), 1, 0, 0xFF, 0xFF, 0xFF, 0xFF)
-		if _, err := snap.DecodeBytes(b); !errors.Is(err, snap.ErrCorrupt) {
+		_, err := restoreWrite(bytes.NewReader(b))
+		if !errors.Is(err, snap.ErrCorrupt) {
 			t.Fatalf("huge count: got %v, want ErrCorrupt", err)
+		}
+		if want := "engine count 4294967295 exceeds remaining input"; err.Error()[:len(want)] != want {
+			t.Fatalf("huge count failed on %q, want the count guard", err)
 		}
 	})
 }
@@ -225,53 +237,39 @@ func fixtureEngine(t *testing.T, tiered bool) *shard.Engine {
 	return eng
 }
 
+var fixtures = []struct {
+	file   string
+	tiered bool
+}{
+	{"untiered-predictor.snapv1", false},
+	{"tiered-freq.snapv1", true},
+}
+
 // TestFixtures pins the snapv1 byte layout against snapshots written by
-// the two-sided encoder that preceded the single walk (the commit before
-// the codec collapse, same workload): today's WriteSnapshot must
-// reproduce them byte for byte, and they must survive decode→encode
+// the two-sided encoder over mirrored state trees that preceded the
+// per-package walks (same workload): today's WriteSnapshot must
+// reproduce them byte for byte, and they must survive restore→write
 // unchanged. Never regenerate these files to make the test pass — a
-// diff here is a format change and needs a Version bump.
+// diff here is a format change and needs a Version bump. (That every
+// optional section is populated in them is shard's
+// TestFixtureSectionsPopulated, which can see the live state.)
 func TestFixtures(t *testing.T) {
-	for _, fx := range []struct {
-		file   string
-		tiered bool
-	}{
-		{"untiered-predictor.snapv1", false},
-		{"tiered-freq.snapv1", true},
-	} {
+	for _, fx := range fixtures {
 		t.Run(fx.file, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", fx.file))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got bytes.Buffer
-			if err := fixtureEngine(t, fx.tiered).WriteSnapshot(&got); err != nil {
-				t.Fatal(err)
+			eng := fixtureEngine(t, fx.tiered)
+			if got := image(t, eng); !bytes.Equal(got, want) {
+				t.Fatalf("WriteSnapshot wrote %d bytes that differ from the %d-byte fixture", len(got), len(want))
 			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Fatalf("WriteSnapshot wrote %d bytes that differ from the %d-byte fixture", got.Len(), len(want))
-			}
-			cs, err := snap.DecodeBytes(want)
+			got, err := restoreWrite(bytes.NewReader(want))
 			if err != nil {
-				t.Fatalf("fixture does not decode: %v", err)
+				t.Fatalf("fixture does not restore: %v", err)
 			}
-			if !bytes.Equal(snap.EncodeBytes(cs), want) {
-				t.Fatal("EncodeBytes(DecodeBytes(fixture)) != fixture")
-			}
-			// The fixture is only a pin if every optional section is in it.
-			var ra, near, freq int
-			for _, s := range cs.Engines[0].Shards {
-				if s.Mem.Copr == nil || s.Mem.Copr.PaPR == nil || s.Mem.Copr.LiPR == nil {
-					t.Fatal("fixture shard has no predictor tables")
-				}
-				ra += len(s.Mem.Blem.RA)
-				if s.Tier != nil {
-					near += len(s.Tier.Near)
-					freq += len(s.Tier.FarFreq)
-				}
-			}
-			if ra == 0 || fx.tiered && (near == 0 || freq == 0) {
-				t.Fatalf("fixture sections empty: RA=%d near=%d freq=%d", ra, near, freq)
+			if !bytes.Equal(got, want) {
+				t.Fatal("write(restore(fixture)) != fixture")
 			}
 		})
 	}

@@ -52,14 +52,9 @@ func (r *Ratio) Hits() uint64 { return r.hits }
 func (r *Ratio) Total() uint64 { return r.total }
 
 // Restore sets the ratio to absolute hit/total counts — the
-// snapshot/restore path. hits above total is clamped, since a ratio
-// above 1 always indicates a corrupt snapshot.
-func (r *Ratio) Restore(hits, total uint64) {
-	if hits > total {
-		hits = total
-	}
-	r.hits, r.total = hits, total
-}
+// snapshot/restore path, which refuses hits above total before it gets
+// here: a ratio above 1 always indicates a corrupt snapshot.
+func (r *Ratio) Restore(hits, total uint64) { r.hits, r.total = hits, total }
 
 // Value reports hits/total, or 0 when nothing was observed.
 func (r *Ratio) Value() float64 {

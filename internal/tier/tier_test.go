@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"attache/internal/core"
+	"attache/internal/snap"
 )
 
 func newFar(t *testing.T, seed int64) *core.Memory {
@@ -31,6 +32,50 @@ func newTier(t *testing.T, cfg Config, seed int64) *Memory {
 	return m
 }
 
+// nearSet reports which addresses are near-resident, read off the live
+// recency list; a second sighting of one address fails the test.
+func nearSet(t *testing.T, m *Memory) map[uint64]bool {
+	t.Helper()
+	resident := make(map[uint64]bool, len(m.near))
+	for n := m.tail; n != nil; n = n.prev {
+		if resident[n.addr] {
+			t.Fatalf("address %#x resident near twice", n.addr)
+		}
+		resident[n.addr] = true
+	}
+	return resident
+}
+
+// snapshot encodes the far memory's section and then the tier's, the
+// order a shard writes them in.
+func snapshot(m *Memory) []byte {
+	c := snap.NewEncoder(1)
+	m.far.WalkSnap(c)
+	m.WalkSnap(c)
+	return c.Bytes()
+}
+
+// restore builds a fresh far memory and tier with m's configuration and
+// decodes image into them.
+func restore(t *testing.T, m *Memory, image []byte) (*Memory, error) {
+	t.Helper()
+	far, err := core.NewMemory(m.far.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewMemory(m.cfg, far)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := snap.Open(bytes.NewReader(image))
+	if err != nil {
+		t.Fatal(err)
+	}
+	far.WalkSnap(c)
+	r.WalkSnap(c)
+	return r, c.Finish()
+}
+
 func line(tag uint64) []byte {
 	b := make([]byte, LineSize)
 	for i := 0; i < LineSize; i += 8 {
@@ -51,15 +96,9 @@ func checkInvariants(t *testing.T, m *Memory, okReads uint64) {
 	far := m.Far().StatsSnapshot()
 
 	// Exclusive residency: no near-resident address may also be far.
-	st := m.ExportState()
-	seen := make(map[uint64]bool, len(st.Near))
-	for _, n := range st.Near {
-		if seen[n.Addr] {
-			t.Fatalf("address %#x resident near twice", n.Addr)
-		}
-		seen[n.Addr] = true
-		if m.Far().Contains(n.Addr) {
-			t.Fatalf("address %#x resident in both tiers", n.Addr)
+	for addr := range nearSet(t, m) {
+		if m.Far().Contains(addr) {
+			t.Fatalf("address %#x resident in both tiers", addr)
 		}
 	}
 
@@ -237,11 +276,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if err := m.Write(3, line(3)); err != nil { // evicts 2
 		t.Fatal(err)
 	}
-	st := m.ExportState()
-	resident := make(map[uint64]bool)
-	for _, n := range st.Near {
-		resident[n.Addr] = true
-	}
+	resident := nearSet(t, m)
 	if !resident[1] || !resident[3] || resident[2] {
 		t.Fatalf("LRU kept the wrong lines near: %v", resident)
 	}
@@ -325,11 +360,7 @@ func TestStaticPinPolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := m.ExportState()
-	resident := make(map[uint64]bool)
-	for _, n := range st.Near {
-		resident[n.Addr] = true
-	}
+	resident := nearSet(t, m)
 	if !resident[16] || !resident[17] {
 		t.Fatalf("pinned addresses not near: %v", resident)
 	}
@@ -345,11 +376,11 @@ func TestStaticPinPolicy(t *testing.T) {
 }
 
 // TestPolicyDeterminism: the same op sequence on two fresh tiers leaves
-// byte-identical exported state — victim tie-breaking included.
+// byte-identical snapshots — victim tie-breaking included.
 func TestPolicyDeterminism(t *testing.T) {
 	for _, policy := range []string{PolicyLRU, PolicyFreq, PolicyStatic} {
 		t.Run(policy, func(t *testing.T) {
-			run := func() *State {
+			run := func() []byte {
 				m := newTier(t, Config{NearLines: 4, Policy: policy, FreqThreshold: 2, FreqDecayEvery: 32, PinShift: 3, PinPrefix: 2}, 5)
 				rng := rand.New(rand.NewSource(99))
 				for i := 0; i < 1200; i++ {
@@ -364,17 +395,16 @@ func TestPolicyDeterminism(t *testing.T) {
 						}
 					}
 				}
-				return m.ExportState()
+				return snapshot(m)
 			}
-			a, b := run(), run()
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("identical runs diverged:\n a: %+v\n b: %+v", a, b)
+			if !bytes.Equal(run(), run()) {
+				t.Fatal("identical runs left different snapshots")
 			}
 		})
 	}
 }
 
-// TestTierStateRoundTrip: export mid-workload, restore into a fresh
+// TestTierStateRoundTrip: snapshot mid-workload, restore into a fresh
 // tier over a restored far memory, and drive both originals and
 // restorations identically — results and snapshots must match exactly.
 func TestTierStateRoundTrip(t *testing.T) {
@@ -394,13 +424,13 @@ func TestTierStateRoundTrip(t *testing.T) {
 				}
 			}
 
-			farRestored, err := core.RestoreMemory(m.Far().Options(), m.Far().ExportState())
+			image := snapshot(m)
+			restored, err := restore(t, m, image)
 			if err != nil {
 				t.Fatal(err)
 			}
-			restored, err := RestoreMemory(m.Config(), farRestored, m.ExportState())
-			if err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(snapshot(restored), image) {
+				t.Fatal("restore→snapshot changed the bytes")
 			}
 			if !reflect.DeepEqual(m.Snapshot(), restored.Snapshot()) {
 				t.Fatalf("snapshots diverge immediately after restore:\n %+v\n %+v", m.Snapshot(), restored.Snapshot())
@@ -430,56 +460,48 @@ func TestTierStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreRejects: corrupted tier states are refused.
+// TestRestoreRejects: a snapshot of a tier whose live state breaks the
+// layer's invariants is refused on restore.
 func TestRestoreRejects(t *testing.T) {
-	cfg := Config{NearLines: 2, Policy: PolicyLRU}.WithDefaults()
-	base := func(t *testing.T) (*core.Memory, *State) {
+	cfg := Config{NearLines: 2, Policy: PolicyLRU}
+	base := func(t *testing.T) *Memory {
 		m := newTier(t, cfg, 1)
 		for _, a := range []uint64{1, 2, 3} {
 			if err := m.Write(a, line(a)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		far, err := core.RestoreMemory(m.Far().Options(), m.Far().ExportState())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return far, m.ExportState()
+		return m
 	}
-
-	t.Run("over-capacity", func(t *testing.T) {
-		far, st := base(t)
-		var extra NearLineState
-		extra.Addr = 77
-		st.Near = append(st.Near, extra)
-		if _, err := RestoreMemory(cfg, far, st); err == nil {
-			t.Fatal("restore accepted more near lines than capacity")
-		}
-	})
-	t.Run("duplicate-near", func(t *testing.T) {
-		far, st := base(t)
-		st.Near[1] = st.Near[0]
-		if _, err := RestoreMemory(cfg, far, st); err == nil {
-			t.Fatal("restore accepted a duplicate near line")
-		}
-	})
-	t.Run("dual-residency", func(t *testing.T) {
-		far, st := base(t)
-		// Make a near line also far-resident.
-		if err := far.Write(st.Near[0].Addr, line(0)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := RestoreMemory(cfg, far, st); err == nil {
-			t.Fatal("restore accepted a line resident in both tiers")
-		}
-	})
-	t.Run("freq-state-for-lru", func(t *testing.T) {
-		far, st := base(t)
-		st.FarFreq = []FreqCount{{Addr: 1, Count: 2}}
-		if _, err := RestoreMemory(cfg, far, st); err == nil {
-			t.Fatal("restore accepted freq counters under the lru policy")
-		}
-	})
+	for name, breakIt := range map[string]func(t *testing.T, m *Memory){
+		"over-capacity": func(t *testing.T, m *Memory) {
+			n := &node{addr: 77}
+			m.near[n.addr] = n
+			m.pushFront(n)
+		},
+		"duplicate-near": func(t *testing.T, m *Memory) {
+			m.tail.addr = m.head.addr
+		},
+		"dual-residency": func(t *testing.T, m *Memory) {
+			if err := m.far.Write(m.head.addr, line(0)); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"freq-state-for-lru": func(t *testing.T, m *Memory) {
+			m.farFreq = map[uint64]uint64{1: 2}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := base(t)
+			if _, err := restore(t, m, snapshot(m)); err != nil {
+				t.Fatalf("intact tier does not restore: %v", err)
+			}
+			breakIt(t, m)
+			if _, err := restore(t, m, snapshot(m)); !errors.Is(err, snap.ErrCorrupt) {
+				t.Fatalf("restore of a broken tier: got %v, want ErrCorrupt", err)
+			}
+		})
+	}
 }
 
 // TestSnapshotAccumulate covers the merge semantics used by engine- and
