@@ -269,3 +269,64 @@ func (c *LLC) Prefill(addr uint64, dirty bool) {
 	c.tick++
 	set[victim] = llcLine{valid: true, tag: addr, dirty: dirty, used: c.tick}
 }
+
+// Image is a copy of what an LLC's lookups and replacement read. Lines is
+// set-major; within a set the valid lines come first, least recently used
+// to most, then zeros for the empty ways. A valid entry is
+// tag<<2 | dirty<<1 | 1 (a line address is a byte address over 64, so the
+// shift loses nothing): 8 bytes a line where the live cache spends 32.
+// Use stamps and way numbers are not kept, only the order they imply, so
+// two caches that behave alike from here on have equal images.
+type Image struct {
+	Ways  int
+	Lines []uint64
+}
+
+// ImageDirty is the dirty bit of an Image entry.
+const ImageDirty = 2
+
+// Image captures the cache's contents. In-flight fills and statistics are
+// not part of it.
+func (c *LLC) Image() Image {
+	img := Image{Ways: c.ways, Lines: make([]uint64, len(c.lines))}
+	order := make([]*llcLine, 0, c.ways) // one set's valid lines, LRU first
+	for s := 0; s < len(c.lines); s += c.ways {
+		order = order[:0]
+		for i := s; i < s+c.ways; i++ {
+			l := &c.lines[i]
+			if !l.valid {
+				continue
+			}
+			at := len(order)
+			order = append(order, l)
+			for ; at > 0 && order[at-1].used > l.used; at-- {
+				order[at] = order[at-1]
+			}
+			order[at] = l
+		}
+		for n, l := range order {
+			img.Lines[s+n] = l.tag<<2 | 1
+			if l.dirty {
+				img.Lines[s+n] |= ImageDirty
+			}
+		}
+	}
+	return img
+}
+
+// Load replaces the cache's contents with img, which must come from a
+// cache of the same geometry. Statistics and the prefetcher are untouched.
+func (c *LLC) Load(img Image) {
+	if img.Ways != c.ways || len(img.Lines) != len(c.lines) {
+		panic("cache: image geometry does not match the cache")
+	}
+	for s := 0; s < len(c.lines); s += c.ways {
+		for n, e := range img.Lines[s : s+c.ways] {
+			c.lines[s+n] = llcLine{}
+			if e&1 != 0 {
+				c.lines[s+n] = llcLine{valid: true, tag: e >> 2, dirty: e&ImageDirty != 0, used: uint64(n) + 1}
+			}
+		}
+	}
+	c.tick = uint64(c.ways)
+}

@@ -277,6 +277,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: ROB size must be positive, got %d", c.CPU.ROBSize)
 	case c.CPU.MSHRs <= 0:
 		return fmt.Errorf("config: MSHRs must be positive, got %d", c.CPU.MSHRs)
+	case c.CPU.LLCWays <= 0:
+		return fmt.Errorf("config: LLC ways must be positive, got %d", c.CPU.LLCWays)
+	case c.CPU.LLCLatency < 0:
+		return fmt.Errorf("config: LLC latency must not be negative, got %d", c.CPU.LLCLatency)
+	case !positivePowerOfTwo(c.CPU.LLCBytes / LineSize / int64(c.CPU.LLCWays)):
+		return fmt.Errorf("config: LLC of %d bytes and %d ways does not have a positive power of two of sets", c.CPU.LLCBytes, c.CPU.LLCWays)
 	case c.DRAM.Channels <= 0 || c.DRAM.Channels&(c.DRAM.Channels-1) != 0:
 		return fmt.Errorf("config: channels must be a positive power of two, got %d", c.DRAM.Channels)
 	case c.DRAM.BankGroups <= 0 || c.DRAM.BanksPerGroup <= 0:
@@ -298,3 +304,5 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+func positivePowerOfTwo(n int64) bool { return n > 0 && n&(n-1) == 0 }

@@ -79,6 +79,38 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateLLCGeometry: the LLC must be one the cache can index — a
+// positive power of two of sets — so the size a run is warmed for is the
+// size it simulates.
+func TestValidateLLCGeometry(t *testing.T) {
+	cases := []struct {
+		name    string
+		bytes   int64
+		ways    int
+		latency int64
+		ok      bool
+	}{
+		{"table II", 8 << 20, 8, 20, true},
+		{"1 MiB 16-way", 1 << 20, 16, 20, true},
+		{"one set", 8 * 64, 8, 0, true},
+		{"12-way, 4096 sets", 12 * 64 * 4096, 12, 20, true},
+		{"zero ways", 8 << 20, 0, 20, false},
+		{"negative ways", 8 << 20, -8, 20, false},
+		{"negative latency", 8 << 20, 8, -1, false},
+		{"12 MiB is 24576 sets", 12 << 20, 8, 20, false},
+		{"smaller than one set", 4 * 64, 8, 20, false},
+		{"zero bytes", 0, 8, 20, false},
+		{"negative bytes", -8 << 20, 8, 20, false},
+	}
+	for _, tc := range cases {
+		c := Default()
+		c.CPU.LLCBytes, c.CPU.LLCWays, c.CPU.LLCLatency = tc.bytes, tc.ways, tc.latency
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestSystemKindString(t *testing.T) {
 	cases := map[SystemKind]string{
 		SystemBaseline: "baseline",

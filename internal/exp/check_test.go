@@ -27,20 +27,7 @@ func TestCheckedRunsClean(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := config.Default()
 			cfg.Check = config.CheckOracle
-			var profs []trace.Profile
-			var err error
-			if m, ok := mixByName(tc.workload); ok {
-				profs, err = MixProfiles(m)
-			} else {
-				var p trace.Profile
-				p, err = trace.ByName(tc.workload)
-				if err == nil {
-					profs = RateMode(p, cfg.CPU.Cores)
-				}
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+			profs := workloadProfiles(t, tc.workload, cfg.CPU.Cores)
 			if _, err := Run(RunConfig{
 				Cfg: cfg, Kind: tc.kind, Profiles: profs,
 				AccessesPerCore: 1500, Seed: 42,

@@ -174,22 +174,7 @@ func Run(rc RunConfig) (Metrics, error) {
 		MSHRs:      cfg.CPU.MSHRs,
 		Audit:      sys.Audit(), // nil when cfg.Check is off
 	}
-	// Warm the LLC to steady state (the paper warms for 40 B
-	// instructions): each core's stream flows into the cache without
-	// timing, then the measured run continues from the warmed state.
-	gens := make([]trace.Source, ncores)
-	warmPerCore := 2 * cfg.CPU.LLCBytes / config.LineSize / int64(ncores)
-	for i := range gens {
-		if rc.Sources != nil {
-			gens[i] = rc.Sources[i]
-		} else {
-			gens[i] = trace.NewGeneratorAt(rc.Profiles[i], rc.Seed+int64(i)*7919, uint64(i)*mixSliceLines)
-		}
-		for w := int64(0); w < warmPerCore; w++ {
-			a := gens[i].Next()
-			llc.Prefill(a.LineAddr, a.Store)
-		}
-	}
+	gens := warmStart(rc, llc, sys.Audit())
 
 	cores := make([]*cpu.Core, ncores)
 	for i := range cores {

@@ -128,6 +128,18 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(RunConfig{Cfg: cfg, Profiles: RateMode(p, cfg.CPU.Cores), AccessesPerCore: 0}); err == nil {
 		t.Fatal("expected error for zero accesses")
 	}
+	// LLC geometry the cache cannot index comes back as Run's error: zero
+	// ways used to panic in cache.New, 12 MiB used to run as 8 MiB.
+	for _, mut := range []func(*config.Config){
+		func(c *config.Config) { c.CPU.LLCWays = 0 },
+		func(c *config.Config) { c.CPU.LLCBytes = 12 << 20 },
+	} {
+		bad := cfg
+		mut(&bad)
+		if _, err := Run(RunConfig{Cfg: bad, Profiles: RateMode(p, cfg.CPU.Cores), AccessesPerCore: 10}); err == nil {
+			t.Fatalf("expected error for LLC of %d bytes, %d ways", bad.CPU.LLCBytes, bad.CPU.LLCWays)
+		}
+	}
 }
 
 func TestRunDeterministic(t *testing.T) {

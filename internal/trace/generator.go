@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 )
 
 // Pattern classifies a workload's memory access behaviour.
@@ -62,6 +63,7 @@ type Access struct {
 // deterministic per (profile, seed) pair.
 type Generator struct {
 	prof     Profile
+	src      rand.Source // what rng draws from, kept so Clone can copy it
 	rng      *rand.Rand
 	baseLine uint64 // per-core offset so rate-mode cores do not share data
 	lines    uint64 // footprint in lines
@@ -86,14 +88,31 @@ func NewGeneratorAt(prof Profile, seed int64, baseLine uint64) *Generator {
 		panic(fmt.Sprintf("trace: footprint %d too small", prof.FootprintBytes))
 	}
 	lines := prof.FootprintBytes / LineSize
+	src := rand.NewSource(seed)
 	g := &Generator{
 		prof:     prof,
-		rng:      rand.New(rand.NewSource(seed)),
+		src:      src,
+		rng:      rand.New(src),
 		baseLine: baseLine,
 		lines:    lines,
 	}
 	g.cursor = uint64(g.rng.Int63n(int64(lines)))
 	return g
+}
+
+// Clone returns an independent generator at g's exact position, for the
+// cost of copying the state rather than redoing the draws. math/rand has
+// no way to copy a source, so Clone copies the value behind the
+// rand.Source pointer by reflection; TestCloneSourceIsFlat fails if a Go
+// release makes that a shallow copy. g is only read.
+func (g *Generator) Clone() *Generator {
+	c := *g
+	v := reflect.ValueOf(g.src).Elem()
+	p := reflect.New(v.Type())
+	p.Elem().Set(v)
+	c.src = p.Interface().(rand.Source)
+	c.rng = rand.New(c.src)
+	return &c
 }
 
 // Profile reports the generating profile.

@@ -20,7 +20,7 @@
 #     broken benchmark that stopped measuring the work. Either way the
 #     gate should not wave it through silently.
 #
-# Also writes BENCH_17.json (name, ns/op, allocs/op per benchmark) — on a
+# Also writes BENCH_20.json (name, ns/op, allocs/op per benchmark) — on a
 # re-pin too, so the copy committed at the repo root is the summary of the
 # committed baseline — and prints a benchstat comparison when benchstat is
 # on PATH (report only — the gate itself needs nothing beyond awk).
@@ -41,7 +41,7 @@ export LC_ALL
 cd "$(dirname "$0")/.."
 
 baseline=scripts/bench_baseline.txt
-json="${BENCH_JSON:-BENCH_17.json}"
+json="${BENCH_JSON:-BENCH_20.json}"
 count="${BENCH_COUNT:-5}"
 time_tol="${BENCH_GATE_TIME_TOL:-10}"
 alloc_tol="${BENCH_GATE_ALLOC_TOL:-0.2}"
@@ -80,7 +80,7 @@ summarize() {
 
 summarize "$current" > "${current}.cur"
 
-# BENCH_17.json: the summary, one record per benchmark.
+# BENCH_20.json: the summary, one record per benchmark.
 awk '
 	BEGIN { print "[" }
 	{
