@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -105,7 +106,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}()
 	}
 
+	if !(*scale > 0) || math.IsInf(*scale, 1) { // NaN fails every comparison
+		return fail(2, "-scale must be a positive finite number, got %v", *scale)
+	}
 	h := exp.NewHarness(*scale)
+	if h.AccessesPerCore > int64(exp.RefsPerCore**scale) { // NewHarness's floor
+		fmt.Fprintf(stderr, "attachesim: -scale %v is below the shortest run; running %d references per core\n", *scale, h.AccessesPerCore)
+	}
 	h.Parallelism = *parallel
 	lvl, err := config.ParseCheckLevel(*checkMode)
 	if err != nil {
@@ -131,6 +138,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	if *verbose {
 		h.Progress = func(msg string) { fmt.Fprintln(stderr, msg) }
+		defer func() {
+			const mib = 1 << 20
+			w := exp.WarmStats()
+			fmt.Fprintf(stderr, "warm images: %d built, %d hits, %d evicted, %.1f of %d MiB resident\n",
+				w.Builds, w.Hits, w.Evictions, float64(w.ResidentBytes)/mib, w.BoundBytes/mib)
+		}()
 	}
 
 	if *tracePath != "" {

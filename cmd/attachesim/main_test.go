@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"attache/internal/exp"
 )
 
 // sim runs the CLI in-process and returns its exit code and streams.
@@ -57,6 +59,56 @@ func TestBadInputExitsTwo(t *testing.T) {
 	}
 	if code, _, _ := sim("-trace", filepath.Join(t.TempDir(), "missing")); code != 1 {
 		t.Errorf("unreadable trace: exit %d, want 1", code)
+	}
+}
+
+// TestScaleIsValidated: a scale that is not a positive finite number is a
+// bad value, and one below the shortest run says that it ran the shortest.
+func TestScaleIsValidated(t *testing.T) {
+	for _, v := range []string{"0", "-1", "NaN", "Inf", "-Inf"} {
+		code, out, errs := sim("-experiment", "fig12", "-scale", v)
+		if code != 2 || out != "" || !strings.HasPrefix(errs, "attachesim: -scale must be") {
+			t.Errorf("-scale %s: exit %d, stdout %q, stderr %q; want exit 2 and only a diagnostic", v, code, out, errs)
+		}
+	}
+	// 500 references per core is scale 0.0417.
+	args := []string{"-trace", writeTrace(t), "-experiment", "systems", "-format", "csv", "-scale"}
+	code, floored, note := sim(append(args, "0.001")...)
+	if code != 0 || strings.Count(note, "\n") != 1 || !strings.Contains(note, "-scale 0.001 is below the shortest run; running 500 references per core") {
+		t.Errorf("-scale 0.001: exit %d, stderr %q; want a run and one note naming the 500-reference floor", code, note)
+	}
+	code, atFloor, note := sim(append(args, "0.0417")...)
+	if code != 0 || note != "" || atFloor != floored {
+		t.Errorf("-scale 0.0417: exit %d, stderr %q; want silence and the floored run's table\n%s\nvs\n%s", code, note, atFloor, floored)
+	}
+}
+
+// TestVerboseReportsWarmImages: -v closes with the warm-image cache's own
+// account — one build per workload, every other simulation a hit. The
+// cache is the process's, so the line counts from the start of the test
+// binary; the seed is one no other test warms.
+func TestVerboseReportsWarmImages(t *testing.T) {
+	before := exp.WarmStats()
+	code, _, errs := sim("-experiment", "fig12", "-scale", "0.05", "-seeds", "977", "-format", "csv", "-v")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, errs)
+	}
+	lines := strings.Split(strings.TrimSpace(errs), "\n")
+	var got exp.WarmCacheStats
+	var resident float64
+	var bound int64
+	if _, err := fmt.Sscanf(lines[len(lines)-1], "warm images: %d built, %d hits, %d evicted, %f of %d MiB resident",
+		&got.Builds, &got.Hits, &got.Evictions, &resident, &bound); err != nil {
+		t.Fatalf("closing line %q: %v", lines[len(lines)-1], err)
+	}
+	after := exp.WarmStats()
+	if got.Builds != after.Builds || got.Hits != after.Hits || got.Evictions != after.Evictions ||
+		bound != after.BoundBytes>>20 || resident <= 0 || resident > float64(bound) {
+		t.Errorf("closing line %q disagrees with exp.WarmStats() = %+v", lines[len(lines)-1], after)
+	}
+	workloads := uint64(len(exp.NewHarness(1).Workloads()))
+	if built := after.Builds - before.Builds; built != workloads || after.Hits == before.Hits {
+		t.Errorf("%d images built and %d hits for %d workloads; want one build each and hits", built, after.Hits-before.Hits, workloads)
 	}
 }
 

@@ -77,10 +77,13 @@ type memoRun struct {
 	err  error
 }
 
-// NewHarness builds a harness; scale multiplies the default per-core
-// access count (12000).
+// RefsPerCore is a run's length at scale 1, in memory references per core.
+const RefsPerCore = 12000
+
+// NewHarness builds a harness; scale multiplies RefsPerCore, and no run is
+// shorter than 500 references per core.
 func NewHarness(scale float64) *Harness {
-	n := int64(12000 * scale)
+	n := int64(RefsPerCore * scale)
 	if n < 500 {
 		n = 500
 	}

@@ -57,11 +57,33 @@ type warmCache struct {
 	mu      sync.Mutex
 	entries []*warmEntry // least recently used first; builds in flight included
 	bytes   int64        // sum of the entries' sizes, at most warmCacheBytes
+
+	builds, hits, evictions uint64 // WarmCacheStats' counts
 }
 
 // warmImages is shared by every simulation of the process: an image is a
 // pure function of its key.
 var warmImages warmCache
+
+// WarmCacheStats is the warm-image cache's account of itself. Every lookup
+// is a build or a hit.
+type WarmCacheStats struct {
+	Builds        uint64 // lookups that found nothing and ran the warm-up
+	Hits          uint64 // lookups that found an image, finished or being built
+	Evictions     uint64 // images dropped to make room for a newer one
+	ResidentBytes int64  // what the images held now are charged
+	BoundBytes    int64  // what the cache may hold
+}
+
+// WarmStats reports what the process-wide warm-image cache has done so far.
+func WarmStats() WarmCacheStats { return warmImages.stats() }
+
+func (c *warmCache) stats() WarmCacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return WarmCacheStats{Builds: c.builds, Hits: c.hits, Evictions: c.evictions,
+		ResidentBytes: c.bytes, BoundBytes: warmCacheBytes}
+}
 
 // get returns k's image; concurrent callers of one key wait for one build
 // (built reports that this call ran it). A build that panics unwinds
@@ -75,6 +97,7 @@ func (c *warmCache) get(k warmKey, build func() *warmImage) (img *warmImage, bui
 		}
 		e := c.entries[i]
 		c.entries = append(slices.Delete(c.entries, i, i+1), e)
+		c.hits++
 		c.mu.Unlock()
 		<-e.done
 		if e.img != nil {
@@ -84,6 +107,7 @@ func (c *warmCache) get(k warmKey, build func() *warmImage) (img *warmImage, bui
 	k.profiles = slices.Clone(k.profiles) // the caller's slice is the caller's to change
 	e := &warmEntry{key: k, done: make(chan struct{})}
 	c.entries = append(c.entries, e)
+	c.builds++
 	c.mu.Unlock()
 
 	defer close(e.done)
@@ -108,6 +132,7 @@ func (c *warmCache) settle(e *warmEntry) {
 		if v := c.entries[i]; v != e && v.size > 0 {
 			c.bytes -= v.size
 			c.entries = slices.Delete(c.entries, i, i+1)
+			c.evictions++
 		} else {
 			i++
 		}

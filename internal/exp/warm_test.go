@@ -319,6 +319,24 @@ func TestWarmCacheBounded(t *testing.T) {
 	if len(c.resident(t)) != fits {
 		t.Error("an oversized image displaced resident ones")
 	}
+
+	// The cache's own counters tell the same story: every key but the hot
+	// one was built once, the hot one hit ever after, and all but what fits
+	// went to make room.
+	st := c.stats()
+	if want := uint64(keys) + 2; st.Builds != want || st.Hits != uint64(keys)-1 {
+		t.Errorf("counted %d builds and %d hits, want %d and %d", st.Builds, st.Hits, want, keys-1)
+	}
+	if st.Evictions != st.Builds-1-uint64(fits) || st.Evictions == 0 {
+		t.Errorf("counted %d evictions with %d built and %d resident", st.Evictions, st.Builds, fits)
+	}
+	var held int64
+	for _, e := range c.resident(t) {
+		held += e.size
+	}
+	if st.ResidentBytes != held || st.ResidentBytes > st.BoundBytes || st.BoundBytes != warmCacheBytes {
+		t.Errorf("counted %d bytes resident of %d; the %d images held are charged %d", st.ResidentBytes, st.BoundBytes, fits, held)
+	}
 }
 
 // TestWarmSingleflight: concurrent runs of one key build its image once,

@@ -4,7 +4,14 @@
 // Time is measured in CPU cycles (int64). Components schedule closures at
 // absolute times; the Engine executes them in (time, insertion-order) order,
 // which makes every simulation fully deterministic for a given seed.
+//
+// The event queue is a calendar (DESIGN.md §5): a wheel of one FIFO per
+// cycle for the next horizon cycles, where scheduling appends and stepping
+// pops with no comparison, plus a binary heap that only stores the rare
+// event scheduled further ahead until the wheel reaches it.
 package sim
+
+import "math/bits"
 
 // Time is an absolute simulation time in CPU cycles.
 type Time = int64
@@ -18,10 +25,12 @@ type scheduledEvent struct {
 	fn  Event
 }
 
-// eventQueue is a hand-rolled binary min-heap ordered by (at, seq).
+// eventQueue is a hand-rolled binary min-heap ordered by (at, seq). It is
+// the engine's overflow store only: an event lives here from a Schedule
+// horizon or more cycles ahead until the clock comes within horizon of it,
+// and no nearer event ever touches it.
 // container/heap is deliberately not used: its interface methods box every
-// scheduledEvent into an `any` on Push and Pop, which made the two calls
-// the largest allocation sites of whole-system simulations.
+// scheduledEvent into an `any` on Push and Pop.
 type eventQueue []scheduledEvent
 
 func (q eventQueue) less(i, j int) bool {
@@ -72,19 +81,50 @@ func (q *eventQueue) pop() scheduledEvent {
 	return top
 }
 
+// horizon is how many cycles ahead of the clock the wheel reaches, a power
+// of two. Every schedule of Table II's configuration lands within it (the
+// farthest measured is 3 495 cycles ahead; DESIGN.md §5 has the histogram).
+const (
+	horizon  = 4096
+	slotMask = horizon - 1
+)
+
+// node is one event on the wheel: a link of its cycle's FIFO, or of the
+// free list. Index 0 of the arena is the nil link.
+type node struct {
+	fn   Event
+	next int32
+}
+
+// slot is the FIFO of the events of one cycle, as arena indexes.
+type slot struct{ head, tail int32 }
+
 // Engine is a deterministic discrete-event simulator.
+//
+// Events less than horizon cycles ahead of the clock sit on the wheel:
+// slot at&slotMask holds cycle at's events in insertion order, and occupied
+// has a bit per non-empty slot. Events further ahead wait in overflow, all
+// of them at least horizon cycles ahead of now; advance moves each onto the
+// wheel as soon as the clock comes within horizon of it, which is before
+// anything else can be scheduled for its cycle — so a slot's FIFO is its
+// cycle's events in ascending seq.
 //
 // The zero value is not ready to use; call NewEngine.
 type Engine struct {
-	now    Time
-	seq    uint64
-	queue  eventQueue
-	nsteps uint64
+	now      Time
+	seq      uint64
+	nsteps   uint64
+	onWheel  int
+	free     int32 // head of the LIFO free list through nodes
+	nodes    []node
+	overflow eventQueue
+	occupied [horizon / 64]uint64
+	slots    [horizon]slot
 }
 
 // NewEngine returns an empty engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{queue: make(eventQueue, 0, 64)}
+	return &Engine{nodes: make([]node, 1, 64)}
 }
 
 // Now reports the current simulation time.
@@ -100,7 +140,7 @@ func (e *Engine) Steps() uint64 { return e.nsteps }
 func (e *Engine) Scheduled() uint64 { return e.seq }
 
 // Pending reports the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.onWheel + len(e.overflow) }
 
 // Schedule enqueues fn to run at absolute time at. Scheduling in the past
 // (at < Now) is clamped to the current time: the event runs "now", after any
@@ -110,7 +150,11 @@ func (e *Engine) Schedule(at Time, fn Event) {
 		at = e.now
 	}
 	e.seq++
-	e.queue.push(scheduledEvent{at: at, seq: e.seq, fn: fn})
+	if at-e.now >= horizon {
+		e.overflow.push(scheduledEvent{at: at, seq: e.seq, fn: fn})
+		return
+	}
+	e.place(at, fn)
 }
 
 // ScheduleAfter enqueues fn to run delay cycles from now.
@@ -118,16 +162,78 @@ func (e *Engine) ScheduleAfter(delay Time, fn Event) {
 	e.Schedule(e.now+delay, fn)
 }
 
+// place appends fn to the FIFO of cycle at, which is within the wheel.
+func (e *Engine) place(at Time, fn Event) {
+	n := e.free
+	if n != 0 {
+		e.free = e.nodes[n].next
+		e.nodes[n] = node{fn: fn}
+	} else {
+		n = int32(len(e.nodes))
+		e.nodes = append(e.nodes, node{fn: fn})
+	}
+	i := at & slotMask
+	s := &e.slots[i]
+	if s.head == 0 {
+		s.head = n
+		e.occupied[i>>6] |= 1 << (i & 63)
+	} else {
+		e.nodes[s.tail].next = n
+	}
+	s.tail = n
+	e.onWheel++
+}
+
+// next reports the time of the earliest pending event without changing
+// anything; the queue must not be empty. Whatever is on the wheel is
+// earlier than anything in overflow.
+func (e *Engine) next() Time {
+	if e.onWheel == 0 {
+		return e.overflow[0].at
+	}
+	from := e.now & slotMask
+	w := from >> 6
+	word := e.occupied[w] &^ (1<<(from&63) - 1)
+	for word == 0 { // ends: a slot is occupied, at worst one below from in w
+		w = (w + 1) & (horizon/64 - 1)
+		word = e.occupied[w]
+	}
+	i := w<<6 | Time(bits.TrailingZeros64(word))
+	return e.now + (i-from)&slotMask
+}
+
+// advance moves the clock to the earliest pending event and then brings
+// every overflow event the wheel now reaches onto it, in (at, seq) order.
+func (e *Engine) advance() {
+	e.now = e.next()
+	for len(e.overflow) > 0 && e.overflow[0].at-e.now < horizon {
+		ev := e.overflow.pop()
+		e.place(ev.at, ev.fn)
+	}
+}
+
 // Step executes the single earliest event. It reports false when the queue
 // is empty.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
-		return false
+	if e.slots[e.now&slotMask].head == 0 {
+		if e.Pending() == 0 {
+			return false
+		}
+		e.advance()
 	}
-	ev := e.queue.pop()
-	e.now = ev.at
+	i := e.now & slotMask
+	s := &e.slots[i]
+	n := s.head
+	fn := e.nodes[n].fn
+	s.head = e.nodes[n].next
+	if s.head == 0 {
+		e.occupied[i>>6] &^= 1 << (i & 63)
+	}
+	e.nodes[n] = node{next: e.free} // drop the Event so the GC can collect it
+	e.free = n
+	e.onWheel--
 	e.nsteps++
-	ev.fn(e.now)
+	fn(e.now)
 	return true
 }
 
@@ -136,8 +242,8 @@ func (e *Engine) Step() bool {
 // negative until to run until the queue drains.
 func (e *Engine) Run(until Time) uint64 {
 	var n uint64
-	for len(e.queue) > 0 {
-		if until >= 0 && e.queue[0].at >= until {
+	for e.Pending() > 0 {
+		if until >= 0 && e.next() >= until {
 			break
 		}
 		e.Step()
@@ -155,5 +261,5 @@ func (e *Engine) RunUntilDone(maxEvents uint64) bool {
 			return true
 		}
 	}
-	return len(e.queue) == 0
+	return e.Pending() == 0
 }

@@ -20,10 +20,12 @@
 #     broken benchmark that stopped measuring the work. Either way the
 #     gate should not wave it through silently.
 #
-# Also writes BENCH_20.json (name, ns/op, allocs/op per benchmark) — on a
+# Also writes BENCH_21.json (name, ns/op, allocs/op per benchmark) — on a
 # re-pin too, so the copy committed at the repo root is the summary of the
-# committed baseline — and prints a benchstat comparison when benchstat is
-# on PATH (report only — the gate itself needs nothing beyond awk).
+# committed baseline; a PR that re-pins moves the default to BENCH_<pr>.json
+# and leaves its predecessors in place, so the tree holds the trajectory —
+# and prints a benchstat comparison when benchstat is on PATH (report only —
+# the gate itself needs nothing beyond awk).
 #
 # Refresh the baseline (deliberately, on the machine the gate will run
 # on — time/op does not transfer between machines):
@@ -41,7 +43,7 @@ export LC_ALL
 cd "$(dirname "$0")/.."
 
 baseline=scripts/bench_baseline.txt
-json="${BENCH_JSON:-BENCH_20.json}"
+json="${BENCH_JSON:-BENCH_21.json}"
 count="${BENCH_COUNT:-5}"
 time_tol="${BENCH_GATE_TIME_TOL:-10}"
 alloc_tol="${BENCH_GATE_ALLOC_TOL:-0.2}"
@@ -80,7 +82,7 @@ summarize() {
 
 summarize "$current" > "${current}.cur"
 
-# BENCH_20.json: the summary, one record per benchmark.
+# The summary, one record per benchmark.
 awk '
 	BEGIN { print "[" }
 	{
