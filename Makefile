@@ -57,14 +57,16 @@ race:
 # The benchmarks the gate pins, the simulator kernel's rung (the event
 # queue on a sweep's own mix of schedule distances), the warm-image rung (a
 # simulation that warms its own LLC against one that restores an image),
-# then the wire rungs of the ladder (codec, handler, client over
-# loopback), once, with allocation counts.
+# the core.Memory rung between Framework.Store and the sharded engine
+# (Store/LoadInto plus the line table, over 32 Ki lines), then the wire
+# rungs of the ladder (codec, handler, client over loopback), once, with
+# allocation counts.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput$$' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkScheduleStep$$' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkRunWarm$$' -benchmem ./internal/exp
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedThroughput$$|BenchmarkSubmitLatency$$' -benchmem ./internal/shard
-	$(GO) test -run '^$$' -bench 'BenchmarkFrameworkStore$$' -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkFrameworkStore$$|BenchmarkMemoryWrite$$|BenchmarkMemoryReadInto$$' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec$$' -benchmem ./internal/wire
 	$(GO) test -run '^$$' -bench 'BenchmarkHandlerBatch64$$' -benchmem ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkClientLoopbackBatch64$$' -benchmem ./client
@@ -74,7 +76,7 @@ bench:
 bench-gate:
 	./scripts/bench_gate.sh
 
-# Re-pin scripts/bench_baseline.txt (and BENCH_21.json, its summary; the
+# Re-pin scripts/bench_baseline.txt (and BENCH_22.json, its summary; the
 # earlier BENCH_<pr>.json files stay as the trajectory) via
 # min-of-5 in one step. Run this
 # on the machine the gate will run on, and commit the result together

@@ -11,10 +11,12 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"attache/internal/blem"
 	"attache/internal/compress"
@@ -59,6 +61,7 @@ func bucketFor(size int) int {
 var bucketNames = [9]string{"1B", "2-4B", "5-8B", "9-12B", "13-16B", "17-22B", "23-30B", "31-63B", "64B"}
 
 func analyze(r io.Reader, eng *compress.Engine, bl *blem.Engine, scr *scramble.Scrambler, rep *report) error {
+	r = bufio.NewReaderSize(r, 1<<16) // not one read call per 64-byte line
 	buf := make([]byte, compress.LineSize)
 	addr := uint64(rep.lines)
 	for {
@@ -76,10 +79,12 @@ func analyze(r io.Reader, eng *compress.Engine, bl *blem.Engine, scr *scramble.S
 		rep.lines++
 		rep.bytesRaw += compress.LineSize
 
-		c := eng.Compress(buf)
-		packed := c.Pack()
-		rep.sizeBuckets[bucketFor(len(packed))]++
-		switch c.Algo {
+		// The stored form, built as Framework.Store builds it: only the
+		// winning encoder runs, into a stack buffer.
+		var image [compress.LineSize]byte
+		packed, algo := eng.AppendPacked(image[:0], buf)
+		size := len(packed)
+		switch algo {
 		case compress.AlgoBDI:
 			rep.bdiWins++
 			if packed[0] == byte(compress.BDIZeros) {
@@ -90,15 +95,18 @@ func analyze(r io.Reader, eng *compress.Engine, bl *blem.Engine, scr *scramble.S
 			rep.fpcWins++
 			rep.bytesPacked += 32
 		default:
+			size = compress.LineSize
 			rep.incompress++
 			rep.bytesPacked += 64
 			// Uncompressed lines go through scramble + BLEM: count the
 			// real CID collisions this data would produce.
-			scrambled := scr.Scrambled(addr, buf)
-			if _, collision := bl.StoreUncompressed(addr, scrambled); collision {
+			copy(image[:], buf)
+			scr.Apply(addr, image[:])
+			if _, collision := bl.StoreUncompressed(addr, image[:]); collision {
 				rep.collisions++
 			}
 		}
+		rep.sizeBuckets[bucketFor(size)]++
 		addr++
 		if err == io.ErrUnexpectedEOF {
 			return nil
@@ -107,61 +115,67 @@ func analyze(r io.Reader, eng *compress.Engine, bl *blem.Engine, scr *scramble.S
 }
 
 func main() {
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [file ...]   (reads stdin when no files given)\n", os.Args[0])
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is main with its streams and exit code handed in, so a test can
+// drive the whole command in-process.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("linecomp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: linecomp [file ...]   (reads stdin when no files given)")
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	eng := compress.NewEngine()
 	bl := blem.NewEngine(15, 0x41747461)
 	scr := scramble.New(0xC0FFEE)
 	rep := &report{}
 
-	if flag.NArg() == 0 {
-		if err := analyze(os.Stdin, eng, bl, scr, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "linecomp: stdin: %v\n", err)
-			os.Exit(1)
+	if fs.NArg() == 0 {
+		if err := analyze(stdin, eng, bl, scr, rep); err != nil {
+			fmt.Fprintf(stderr, "linecomp: stdin: %v\n", err)
+			return 1
 		}
 	}
-	for _, name := range flag.Args() {
+	for _, name := range fs.Args() {
 		f, err := os.Open(name)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "linecomp: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "linecomp: %v\n", err)
+			return 1
 		}
 		err = analyze(f, eng, bl, scr, rep)
 		f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "linecomp: %s: %v\n", name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "linecomp: %s: %v\n", name, err)
+			return 1
 		}
 	}
 
 	if rep.lines == 0 {
-		fmt.Println("no input")
-		return
+		fmt.Fprintln(stdout, "no input")
+		return 0
 	}
 	pct := func(n int) float64 { return float64(n) / float64(rep.lines) * 100 }
 	comp := rep.bdiWins + rep.fpcWins
-	fmt.Printf("lines analyzed:            %d (%d bytes)\n", rep.lines, rep.bytesRaw)
-	fmt.Printf("compressible to <=30B:     %d (%.1f%%)   [paper Fig. 4 avg: ~50%%]\n", comp, pct(comp))
-	fmt.Printf("  won by BDI:              %d (%.1f%%), of which all-zero: %d\n", rep.bdiWins, pct(rep.bdiWins), rep.zeroLines)
-	fmt.Printf("  won by FPC:              %d (%.1f%%)\n", rep.fpcWins, pct(rep.fpcWins))
-	fmt.Printf("incompressible:            %d (%.1f%%)\n", rep.incompress, pct(rep.incompress))
-	fmt.Printf("CID collisions (15-bit):   %d (expected ~%.2f)\n",
+	fmt.Fprintf(stdout, "lines analyzed:            %d (%d bytes)\n", rep.lines, rep.bytesRaw)
+	fmt.Fprintf(stdout, "compressible to <=30B:     %d (%.1f%%)   [paper Fig. 4 avg: ~50%%]\n", comp, pct(comp))
+	fmt.Fprintf(stdout, "  won by BDI:              %d (%.1f%%), of which all-zero: %d\n", rep.bdiWins, pct(rep.bdiWins), rep.zeroLines)
+	fmt.Fprintf(stdout, "  won by FPC:              %d (%.1f%%)\n", rep.fpcWins, pct(rep.fpcWins))
+	fmt.Fprintf(stdout, "incompressible:            %d (%.1f%%)\n", rep.incompress, pct(rep.incompress))
+	fmt.Fprintf(stdout, "CID collisions (15-bit):   %d (expected ~%.2f)\n",
 		rep.collisions, float64(rep.incompress)/32768)
-	fmt.Printf("sub-rank bytes if stored:  %d (%.1f%% of raw; 50%% is the floor)\n",
+	fmt.Fprintf(stdout, "sub-rank bytes if stored:  %d (%.1f%% of raw; 50%% is the floor)\n",
 		rep.bytesPacked, float64(rep.bytesPacked)/float64(rep.bytesRaw)*100)
-	fmt.Println("\npacked size distribution:")
+	fmt.Fprintln(stdout, "\npacked size distribution:")
 	for i, n := range rep.sizeBuckets {
 		if n == 0 {
 			continue
 		}
-		bar := ""
-		for j := 0; j < int(pct(n)/2); j++ {
-			bar += "#"
-		}
-		fmt.Printf("  %-7s %7d (%5.1f%%) %s\n", bucketNames[i], n, pct(n), bar)
+		fmt.Fprintf(stdout, "  %-7s %7d (%5.1f%%) %s\n", bucketNames[i], n, pct(n), strings.Repeat("#", int(pct(n)/2)))
 	}
+	return 0
 }

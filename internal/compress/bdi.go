@@ -52,23 +52,33 @@ type bdiShape struct {
 	enc   BDIEncoding
 	seg   int // segment size in bytes
 	delta int // delta size in bytes
+	mask  int // immediate-mask bytes, one bit per segment; filled in at init
+	size  int // bdiShapeSize, filled in at init
 }
 
 // bdiShapes is ordered by encoded size (bdiShapeSize ascending: 18, 23,
-// 26, 39, 39, 42 bytes). BDICompress and BDISize rely on this order to
-// return the first shape that fits, which is also the smallest.
+// 26, 39, 39, 42 bytes). bdiFit relies on this order to return the first
+// shape that fits, which is also the smallest.
 var bdiShapes = []bdiShape{
-	{BDIB8D1, 8, 1},
-	{BDIB4D1, 4, 1},
-	{BDIB8D2, 8, 2},
-	{BDIB2D1, 2, 1},
-	{BDIB4D2, 4, 2},
-	{BDIB8D4, 8, 4},
+	{enc: BDIB8D1, seg: 8, delta: 1},
+	{enc: BDIB4D1, seg: 4, delta: 1},
+	{enc: BDIB8D2, seg: 8, delta: 2},
+	{enc: BDIB2D1, seg: 2, delta: 1},
+	{enc: BDIB4D2, seg: 4, delta: 2},
+	{enc: BDIB8D4, seg: 8, delta: 4},
 }
 
-// bdiMaxSegs is the largest segment count any shape produces (2-byte
-// segments of a 64-byte line) — the scratch-array bound for the planners.
-const bdiMaxSegs = LineSize / 2
+// bdiByTag indexes bdiShapes by encoding tag; the tags that are not
+// base-delta shapes stay nil.
+var bdiByTag [BDIUncompressed]*bdiShape
+
+func init() {
+	for i := range bdiShapes {
+		s := &bdiShapes[i]
+		s.mask, s.size = LineSize/s.seg/8, bdiShapeSize(*s)
+		bdiByTag[s.enc] = s
+	}
+}
 
 // bdiShapeSize reports the encoded byte size for a base-delta shape:
 // encoding byte + immediate mask + base + one delta per segment.
@@ -77,35 +87,51 @@ func bdiShapeSize(s bdiShape) int {
 	return 1 + nseg/8 + s.seg + nseg*s.delta
 }
 
+// bdiPlan is what bdiFit decided and all bdiEncode needs beside the line:
+// the encoding and its size, rep's value or the shape's base, and bit i
+// set for a segment stored as an immediate.
+type bdiPlan struct {
+	enc       BDIEncoding
+	size      int
+	base      uint64
+	immediate uint32
+}
+
+// bdiFit is the one BDI planner: the smallest encoding of line that takes
+// at most limit bytes — zeros, rep, then the shapes in size order — or
+// BDIUncompressed at LineSize when there is none. A shape over limit is
+// never tried: the caller could not have used it.
+func bdiFit(line []byte, limit int) bdiPlan {
+	if len(line) != LineSize {
+		panic(fmt.Sprintf("compress: BDI needs a %d-byte line, got %d", LineSize, len(line)))
+	}
+	switch v, rep := repeated8(line); {
+	case rep && v == 0 && limit >= 1:
+		return bdiPlan{enc: BDIZeros, size: 1}
+	case rep && limit >= 9:
+		return bdiPlan{enc: BDIRep, size: 9, base: v}
+	}
+	for i := range bdiShapes {
+		s := &bdiShapes[i]
+		if s.size > limit {
+			break
+		}
+		if base, immediate, ok := bdiFits(line, s); ok {
+			return bdiPlan{enc: s.enc, size: s.size, base: base, immediate: immediate}
+		}
+	}
+	return bdiPlan{enc: BDIUncompressed, size: LineSize}
+}
+
 // BDICompress compresses a 64-byte line with the smallest applicable BDI
 // encoding. It returns the encoded bytes (first byte is the encoding tag)
 // and ok=false when no encoding beats the raw line.
 func BDICompress(line []byte) (encoded []byte, ok bool) {
-	return bdiAppend(nil, line)
-}
-
-// bdiAppend is the BDI encoder: it appends the encoding of line to dst, or
-// returns dst untouched and ok=false when no encoding beats the raw line.
-func bdiAppend(dst, line []byte) (encoded []byte, ok bool) {
-	if len(line) != LineSize {
-		panic(fmt.Sprintf("compress: BDICompress needs a %d-byte line, got %d", LineSize, len(line)))
+	p := bdiFit(line, LineSize-1)
+	if p.enc == BDIUncompressed {
+		return nil, false
 	}
-	if isZeros(line) {
-		return append(dst, byte(BDIZeros)), true
-	}
-	if v, rep := repeated8(line); rep {
-		return binary.LittleEndian.AppendUint64(append(dst, byte(BDIRep)), v), true
-	}
-	var segs [bdiMaxSegs]uint64
-	var immediate [bdiMaxSegs]bool
-	for _, s := range bdiShapes {
-		base, ok := bdiPlan(line, s, &segs, &immediate)
-		if !ok {
-			continue
-		}
-		return bdiEncode(dst, s, base, &segs, &immediate), true
-	}
-	return dst, false
+	return bdiEncode(nil, line, p), true
 }
 
 // BDIDecompress reverses BDICompress. It returns an error on a malformed
@@ -134,10 +160,8 @@ func bdiDecode(dst *[LineSize]byte, encoded []byte) error {
 		}
 		return nil
 	}
-	for _, s := range bdiShapes {
-		if s.enc == enc {
-			return decodeBaseDelta(dst, encoded, s)
-		}
+	if enc < BDIUncompressed {
+		return decodeBaseDelta(dst, encoded, bdiByTag[enc])
 	}
 	return fmt.Errorf("compress: unknown BDI encoding tag %d", encoded[0])
 }
@@ -145,34 +169,7 @@ func bdiDecode(dst *[LineSize]byte, encoded []byte) error {
 // BDISize reports the compressed size in bytes BDI achieves for line, or
 // LineSize when the line is incompressible under BDI. Unlike BDICompress
 // it allocates nothing: it only plans the encodings.
-func BDISize(line []byte) int {
-	if len(line) != LineSize {
-		panic(fmt.Sprintf("compress: BDISize needs a %d-byte line, got %d", LineSize, len(line)))
-	}
-	if isZeros(line) {
-		return 1
-	}
-	if _, rep := repeated8(line); rep {
-		return 9
-	}
-	var segs [bdiMaxSegs]uint64
-	var immediate [bdiMaxSegs]bool
-	for _, s := range bdiShapes {
-		if _, ok := bdiPlan(line, s, &segs, &immediate); ok {
-			return bdiShapeSize(s)
-		}
-	}
-	return LineSize
-}
-
-func isZeros(line []byte) bool {
-	for _, b := range line {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
+func BDISize(line []byte) int { return bdiFit(line, LineSize-1).size }
 
 func repeated8(line []byte) (uint64, bool) {
 	v := binary.LittleEndian.Uint64(line)
@@ -184,100 +181,99 @@ func repeated8(line []byte) (uint64, bool) {
 	return v, true
 }
 
-func readSeg(line []byte, off, size int) uint64 {
-	var v uint64
-	for i := size - 1; i >= 0; i-- {
-		v = v<<8 | uint64(line[off+i])
+// readSeg loads the size-byte little-endian value at b[off:]; size is one
+// of the widths a shape's mask, base, segment or delta can have.
+func readSeg(b []byte, off, size int) uint64 {
+	switch size {
+	case 1:
+		return uint64(b[off])
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b[off:]))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b[off:]))
+	default:
+		return binary.LittleEndian.Uint64(b[off:])
 	}
-	return v
 }
 
-func writeSeg(out []byte, off, size int, v uint64) {
-	for i := 0; i < size; i++ {
-		out[off+i] = byte(v >> uint(8*i))
+// writeSeg stores the low size bytes of v at b[off:], widths as in readSeg.
+func writeSeg(b []byte, off, size int, v uint64) {
+	switch size {
+	case 1:
+		b[off] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(b[off:], uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(b[off:], uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(b[off:], v)
 	}
 }
 
-// bdiPlan decides whether the given shape fits. Each segment is stored
-// either as a delta from the line's base (the first non-immediate segment)
-// or, when it is small on its own, as an "immediate" delta from zero.
-// Segment values and the immediate flags land in the caller's scratch
-// arrays (no allocation) for bdiEncode; ok is false when some segment fits
-// neither form.
-func bdiPlan(line []byte, s bdiShape, segs *[bdiMaxSegs]uint64, immediate *[bdiMaxSegs]bool) (base uint64, ok bool) {
-	nseg := LineSize / s.seg
-	segBits := s.seg * 8
-	deltaBits := s.delta * 8
-
+// bdiFits decides whether shape s fits. Each segment is stored either as a
+// delta from the line's base (the first non-immediate segment) or, when it
+// is small on its own, as an "immediate" delta from zero; ok is false when
+// some segment fits neither form. A seg-byte value x fits a signed delta
+// of d bits iff (x + 2^(d-1)) mod 2^(8*seg) < 2^d.
+func bdiFits(line []byte, s *bdiShape) (base uint64, immediate uint32, ok bool) {
+	segMask := maskBits(s.seg * 8)
+	half := uint64(1) << uint(s.delta*8-1)
 	haveBase := false
-	for i := 0; i < nseg; i++ {
-		v := readSeg(line, i*s.seg, s.seg)
-		segs[i] = v
-		if fitsSigned(signExtend(v, segBits), deltaBits) {
-			immediate[i] = true
+	for i, off := 0, 0; off < LineSize; i, off = i+1, off+s.seg {
+		v := readSeg(line, off, s.seg)
+		if (v+half)&segMask < 2*half {
+			immediate |= 1 << uint(i)
 			continue
 		}
-		immediate[i] = false
 		if !haveBase {
-			base = v
-			haveBase = true
+			base, haveBase = v, true
 		}
-		delta := (v - base) & maskBits(segBits)
-		if !fitsSigned(signExtend(delta, segBits), deltaBits) {
-			return 0, false
+		if (v-base+half)&segMask >= 2*half {
+			return 0, 0, false
 		}
 	}
-	return base, true
+	return base, immediate, true
 }
 
-// bdiEncode appends the encoding bdiPlan validated to dst.
-func bdiEncode(dst []byte, s bdiShape, base uint64, segs *[bdiMaxSegs]uint64, immediate *[bdiMaxSegs]bool) []byte {
-	nseg := LineSize / s.seg
-	segBits := s.seg * 8
-	deltaBits := s.delta * 8
-	var zero [LineSize]byte // grows dst zeroed: the mask bits are OR-ed in
-	dst = append(dst, zero[:bdiShapeSize(s)]...)
-	out := dst[len(dst)-bdiShapeSize(s):]
+// bdiEncode appends the encoding bdiFit planned for line to dst.
+func bdiEncode(dst, line []byte, p bdiPlan) []byte {
+	switch p.enc {
+	case BDIZeros:
+		return append(dst, byte(BDIZeros))
+	case BDIRep:
+		return binary.LittleEndian.AppendUint64(append(dst, byte(BDIRep)), p.base)
+	}
+	s := bdiByTag[p.enc]
+	var zero [LineSize]byte
+	dst = append(dst, zero[:s.size]...)
+	out := dst[len(dst)-s.size:]
 	out[0] = byte(s.enc)
-	maskOff := 1
-	baseOff := maskOff + nseg/8
-	deltaOff := baseOff + s.seg
-	writeSeg(out, baseOff, s.seg, base)
-	for i := 0; i < nseg; i++ {
-		v := segs[i]
-		if immediate[i] {
-			out[maskOff+i/8] |= 1 << uint(i%8)
-			writeSeg(out, deltaOff+i*s.delta, s.delta, v&maskBits(deltaBits))
-			continue
+	writeSeg(out, 1, s.mask, uint64(p.immediate))
+	writeSeg(out, 1+s.mask, s.seg, p.base)
+	deltaOff := 1 + s.mask + s.seg
+	for i, off := 0, 0; off < LineSize; i, off = i+1, off+s.seg {
+		v := readSeg(line, off, s.seg)
+		if p.immediate&(1<<uint(i)) == 0 {
+			v -= p.base
 		}
-		delta := (v - base) & maskBits(segBits)
-		writeSeg(out, deltaOff+i*s.delta, s.delta, delta&maskBits(deltaBits))
+		writeSeg(out, deltaOff+i*s.delta, s.delta, v) // keeps the low delta bytes
 	}
 	return dst
 }
 
-func decodeBaseDelta(dst *[LineSize]byte, encoded []byte, s bdiShape) error {
-	nseg := LineSize / s.seg
-	want := bdiShapeSize(s)
-	if len(encoded) != want {
-		return fmt.Errorf("compress: %s encoding needs %d bytes, got %d", s.enc, want, len(encoded))
+func decodeBaseDelta(dst *[LineSize]byte, encoded []byte, s *bdiShape) error {
+	if len(encoded) != s.size {
+		return fmt.Errorf("compress: %s encoding needs %d bytes, got %d", s.enc, s.size, len(encoded))
 	}
-	segBits := s.seg * 8
-	deltaBits := s.delta * 8
-	maskOff := 1
-	baseOff := maskOff + nseg/8
-	deltaOff := baseOff + s.seg
-	base := readSeg(encoded, baseOff, s.seg)
-	for i := 0; i < nseg; i++ {
-		raw := readSeg(encoded, deltaOff+i*s.delta, s.delta)
-		delta := uint64(signExtend(raw, deltaBits)) & maskBits(segBits)
-		var v uint64
-		if encoded[maskOff+i/8]&(1<<uint(i%8)) != 0 {
-			v = delta // immediate: delta from zero
-		} else {
-			v = (base + delta) & maskBits(segBits)
+	immediate := readSeg(encoded, 1, s.mask)
+	base := readSeg(encoded, 1+s.mask, s.seg)
+	deltaOff := 1 + s.mask + s.seg
+	for i, off := 0, 0; off < LineSize; i, off = i+1, off+s.seg {
+		v := uint64(signExtend(readSeg(encoded, deltaOff+i*s.delta, s.delta), s.delta*8))
+		if immediate&(1<<uint(i)) == 0 {
+			v += base // else an immediate: a delta from zero
 		}
-		writeSeg(dst[:], i*s.seg, s.seg, v)
+		writeSeg(dst[:], off, s.seg, v) // keeps the low seg bytes
 	}
 	return nil
 }

@@ -182,35 +182,39 @@ func cpackDecodeWord(r *BitReader, dict []uint32) (word uint32, pushed bool, err
 // CPackSize reports the compressed size CPack achieves, or LineSize when
 // it does not beat the raw line. Unlike CPackCompress it allocates
 // nothing: it runs the same dictionary walk but only counts code widths.
-func CPackSize(line []byte) int {
+func CPackSize(line []byte) int { return cpackSize(line, LineSize-1) }
+
+// cpackSize is the CPack size pass, bounded like fpcSize: the encoded size
+// when it is at most limit bytes, else LineSize, the sixteen two-bit
+// prefixes every code starts with counted up front.
+func cpackSize(line []byte, limit int) int {
 	if len(line) != LineSize {
 		panic(fmt.Sprintf("compress: CPackSize needs a %d-byte line, got %d", LineSize, len(line)))
 	}
 	var dictArr [cpackDictSize]uint32
 	dict := dictArr[:0]
-	bits := 0
-	for i := 0; i < fpcWords; i++ {
+	bits := 2 * fpcWords
+	for i := 0; i < fpcWords && bits <= 8*limit; i++ {
 		word := binary.LittleEndian.Uint32(line[i*4:])
 		switch {
-		case word == 0:
-			bits += 2
+		case word == 0: // the prefix is the code
 		case word&0xFFFFFF00 == 0:
-			bits += 4 + 8
+			bits += 2 + 8
 		default:
 			switch _, kind := cpackMatch(dict, word); kind {
 			case 2:
-				bits += 2 + 4
+				bits += 4
 			case 1:
-				bits += 4 + 4 + 8
+				bits += 2 + 4 + 8
 			case 0:
-				bits += 4 + 4 + 16
+				bits += 2 + 4 + 16
 			default:
-				bits += 2 + 32
+				bits += 32
 			}
 			dict = cpackPush(dict, word)
 		}
 	}
-	if n := (bits + 7) / 8; n < LineSize {
+	if n := (bits + 7) / 8; n <= limit {
 		return n
 	}
 	return LineSize

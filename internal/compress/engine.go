@@ -171,41 +171,49 @@ func NewExtendedEngine() *Engine { return &Engine{Target: 30, EnableCPack: true}
 // strictly smaller than the winner so far. size is the packed size,
 // LineSize for AlgoNone.
 func (e *Engine) Choose(line []byte) (algo Algorithm, size int) {
+	algo, size, _ = e.choose(line)
+	return algo, size
+}
+
+// choose is Choose, keeping the BDI plan for the encoder. Every size pass
+// is bounded by what it must come in at to be chosen: bound is the largest
+// packed size that still wins, Target until a codec wins and one under the
+// winner from then on. A pass stops as soon as it is over its bound — it
+// could not have been chosen — so each returns LineSize or a winner.
+func (e *Engine) choose(line []byte) (algo Algorithm, size int, plan bdiPlan) {
 	algo, size = AlgoNone, LineSize
-	if s := BDISize(line); s < LineSize && s <= e.Target {
-		algo, size = AlgoBDI, s
+	bound := min(e.Target, LineSize)
+	if plan = bdiFit(line, min(bound, LineSize-1)); plan.enc != BDIUncompressed {
+		algo, size = AlgoBDI, plan.size
+		bound = size - 1
 	}
-	if s := FPCSize(line); s < LineSize && s+1 <= e.Target && (algo == AlgoNone || s+1 < size) {
+	if s := fpcSize(line, bound-1); s < LineSize { // bound-1: the tag byte
 		algo, size = AlgoFPC, s+1
+		bound = s
 	}
 	if e.EnableCPack {
-		if s := CPackSize(line); s < LineSize && s+1 <= e.Target && (algo == AlgoNone || s+1 < size) {
+		if s := cpackSize(line, bound-1); s < LineSize {
 			algo, size = AlgoCPack, s+1
 		}
 	}
-	return algo, size
+	return algo, size, plan
 }
 
 // AppendPacked appends the packed form of line (what Compress(line).Pack()
 // returns) to dst and names the algorithm chosen. Only the winning encoder
-// runs; for AlgoNone dst comes back untouched. With Target spare bytes in
-// dst it allocates nothing.
+// runs, a BDI winner from the plan that chose it; for AlgoNone dst comes
+// back untouched. With Target spare bytes in dst it allocates nothing.
 func (e *Engine) AppendPacked(dst, line []byte) ([]byte, Algorithm) {
-	algo, _ := e.Choose(line)
-	return appendPacked(dst, line, algo), algo
-}
-
-// appendPacked runs the one encoder algo names, tag byte first.
-func appendPacked(dst, line []byte, algo Algorithm) []byte {
+	algo, _, plan := e.choose(line)
 	switch algo {
 	case AlgoBDI:
-		dst, _ = bdiAppend(dst, line)
+		dst = bdiEncode(dst, line, plan)
 	case AlgoFPC:
 		dst, _ = fpcAppend(append(dst, fpcTag), line)
 	case AlgoCPack:
 		dst, _ = cpackAppend(append(dst, cpackTag), line)
 	}
-	return dst
+	return dst, algo
 }
 
 // Compress selects the codec with Choose and runs it. When no codec
@@ -215,12 +223,11 @@ func (e *Engine) Compress(line []byte) Compressed {
 	if len(line) != LineSize {
 		panic(fmt.Sprintf("compress: Engine.Compress needs a %d-byte line, got %d", LineSize, len(line)))
 	}
-	algo, size := e.Choose(line)
-	if algo == AlgoNone {
-		return Compressed{Algo: AlgoNone, Payload: append([]byte(nil), line...)}
-	}
-	payload := appendPacked(make([]byte, 0, size), line, algo)
-	if algo != AlgoBDI {
+	payload, algo := e.AppendPacked(make([]byte, 0, LineSize), line)
+	switch algo {
+	case AlgoNone:
+		payload = append(payload, line...)
+	case AlgoFPC, AlgoCPack:
 		payload = payload[1:] // Pack re-adds the tag byte
 	}
 	return Compressed{Algo: algo, Payload: payload}

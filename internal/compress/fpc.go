@@ -76,16 +76,22 @@ func fpcDecode(dst *[LineSize]byte, encoded []byte) error {
 // FPCSize reports the compressed size in bytes FPC achieves for line, or
 // LineSize when FPC does not beat the raw line. Unlike FPCCompress it
 // allocates nothing: the size needs only the per-word pattern widths.
-func FPCSize(line []byte) int {
+func FPCSize(line []byte) int { return fpcSize(line, LineSize-1) }
+
+// fpcSize is the FPC size pass: the encoded size when it is at most limit
+// bytes, else LineSize. The sixteen prefixes are counted up front, so the
+// pass stops at the first word that takes the running bit count over limit
+// — before the first when not even sixteen zero words would fit.
+func fpcSize(line []byte, limit int) int {
 	if len(line) != LineSize {
 		panic(fmt.Sprintf("compress: FPCSize needs a %d-byte line, got %d", LineSize, len(line)))
 	}
-	bits := 0
-	for i := 0; i < fpcWords; i++ {
+	bits := 3 * fpcWords
+	for i := 0; i < fpcWords && bits <= 8*limit; i++ {
 		pat, _ := fpcClassify(binary.LittleEndian.Uint32(line[i*4:]))
-		bits += 3 + fpcDataBits[pat]
+		bits += fpcDataBits[pat]
 	}
-	if n := (bits + 7) / 8; n < LineSize {
+	if n := (bits + 7) / 8; n <= limit {
 		return n
 	}
 	return LineSize

@@ -148,6 +148,24 @@ func FuzzEngineCompressMatchesReference(f *testing.F) {
 	})
 }
 
+// FuzzEngineTargetMatchesReference fuzzes the target beside the line: the
+// BDI planner's limit and the bounds handed to the FPC and CPack size
+// passes all derive from it, and each must stop exactly where the
+// reference's run-everything-then-compare selection would have turned the
+// codec down. (A second target because a corpus is tied to its signature.)
+func FuzzEngineTargetMatchesReference(f *testing.F) {
+	for i, line := range edgeLines() {
+		f.Add(line, uint8(boundaryTargets[i%len(boundaryTargets)]))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, target uint8) {
+		if len(data) != LineSize {
+			return
+		}
+		checkCompressMatchesReference(t, &Engine{Target: int(target)}, data)
+		checkCompressMatchesReference(t, &Engine{Target: int(target), EnableCPack: true}, data)
+	})
+}
+
 // FuzzDecodersNeverPanic feeds arbitrary bytes to every decoder: errors
 // are fine, panics are not (a corrupted DRAM block must not crash the
 // controller model).

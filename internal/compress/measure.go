@@ -21,16 +21,11 @@ func MeasurePacked(buf []byte) (int, error) {
 		}
 		return 9, nil
 	case tag < fpcTag:
-		for _, s := range bdiShapes {
-			if byte(s.enc) == tag {
-				n := bdiShapeSize(s)
-				if len(buf) < n {
-					return 0, fmt.Errorf("compress: truncated %s payload (%d < %d)", s.enc, len(buf), n)
-				}
-				return n, nil
-			}
+		s := bdiByTag[tag]
+		if len(buf) < s.size {
+			return 0, fmt.Errorf("compress: truncated %s payload (%d < %d)", s.enc, len(buf), s.size)
 		}
-		return 0, fmt.Errorf("compress: unknown BDI tag %d", tag)
+		return s.size, nil
 	case tag == fpcTag:
 		n, err := fpcEncodedLen(buf[1:])
 		if err != nil {

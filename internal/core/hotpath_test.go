@@ -82,7 +82,9 @@ func hotPathClasses(tb testing.TB) []hotPathClass {
 
 // TestHotPathAllocations pins the codec hot path's allocation budget for
 // every stored form: Store builds the line image in stack buffers and
-// allocates nothing; Load allocates the returned line and nothing else.
+// allocates nothing; Load allocates the returned line and nothing else;
+// a Memory allocates only for an address that takes its table past its
+// peak size.
 func TestHotPathAllocations(t *testing.T) {
 	for _, c := range hotPathClasses(t) {
 		f, err := New(c.opts)
@@ -102,6 +104,21 @@ func TestHotPathAllocations(t *testing.T) {
 		var dst [LineSize]byte
 		if n := testing.AllocsPerRun(200, func() { f.LoadInto(&dst, c.addr, st) }); n != 0 {
 			t.Errorf("%s: LoadInto allocates %.1f times per line, want 0", c.name, n)
+		}
+		// One rung up: an overwrite reuses the line's table entry, and a
+		// re-write after a Delete the entry the Delete set aside.
+		m, err := NewMemory(c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Write(c.addr, c.line); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(200, func() { m.Write(c.addr, c.line) }); n != 0 {
+			t.Errorf("%s: Memory.Write over a stored line allocates %.1f times, want 0", c.name, n)
+		}
+		if n := testing.AllocsPerRun(200, func() { m.Delete(c.addr); m.Write(c.addr, c.line) }); n != 0 {
+			t.Errorf("%s: Delete then Write allocates %.1f times, want 0", c.name, n)
 		}
 	}
 }

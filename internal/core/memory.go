@@ -69,8 +69,14 @@ func (s *StatsSnapshot) Accumulate(o StatsSnapshot) {
 // submitted them (the inline fast path), so Memory must not assume any
 // goroutine affinity, only mutual exclusion.
 type Memory struct {
-	f     *Framework
-	lines map[uint64]StoredLine
+	f *Framework
+	// lines holds one entry per stored line, overwritten in place; free
+	// holds the entries Delete unlinked, for the next new address to pop,
+	// so it never holds more than peak minus current lines and a steady
+	// exchange of lines (a tier's promotions and demotions) allocates
+	// nothing.
+	lines map[uint64]*StoredLine
+	free  []*StoredLine
 	// shadow, when non-nil (EnableCheck), keeps the raw bytes of every
 	// written line so Read can assert the compress/scramble/BLEM
 	// round-trip returned exactly what was stored.
@@ -88,7 +94,7 @@ func NewMemory(opts Options) (*Memory, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Memory{f: f, lines: make(map[uint64]StoredLine)}, nil
+	return &Memory{f: f, lines: make(map[uint64]*StoredLine)}, nil
 }
 
 // Framework exposes the underlying framework (predictor stats, BLEM
@@ -107,12 +113,23 @@ func (m *Memory) EnableCheck() {
 
 // Write stores a 64-byte line at lineAddr.
 func (m *Memory) Write(lineAddr uint64, data []byte) error {
-	prev, existed := m.lines[lineAddr]
 	st, tr, err := m.f.Store(lineAddr, data)
 	if err != nil {
 		return err
 	}
-	m.lines[lineAddr] = st
+	l := m.lines[lineAddr]
+	var wasCompressed, wasCollided bool // false for a new line
+	if l != nil {
+		wasCompressed, wasCollided = l.Compressed, l.Collision
+	} else {
+		if n := len(m.free); n > 0 {
+			l, m.free = m.free[n-1], m.free[:n-1]
+		} else {
+			l = new(StoredLine)
+		}
+		m.lines[lineAddr] = l
+	}
+	*l = st
 	if m.shadow != nil {
 		var raw [LineSize]byte
 		copy(raw[:], data)
@@ -124,15 +141,15 @@ func (m *Memory) Write(lineAddr uint64, data []byte) error {
 		m.stats.RAAccesses++
 	}
 	switch {
-	case st.Compressed && (!existed || !prev.Compressed):
+	case st.Compressed && !wasCompressed:
 		m.stats.CompressedLines++
-	case !st.Compressed && existed && prev.Compressed:
+	case !st.Compressed && wasCompressed:
 		dec(&m.stats.CompressedLines)
 	}
 	switch {
-	case st.Collision && (!existed || !prev.Collision):
+	case st.Collision && !wasCollided:
 		m.stats.RAOccupancy++
-	case !st.Collision && existed && prev.Collision:
+	case !st.Collision && wasCollided:
 		dec(&m.stats.RAOccupancy)
 	}
 	return nil
@@ -152,11 +169,11 @@ func (m *Memory) Read(lineAddr uint64) ([]byte, error) {
 // allocating; it is the one read path (Read wraps it). On an error dst
 // holds unspecified bytes.
 func (m *Memory) ReadInto(dst *[LineSize]byte, lineAddr uint64) error {
-	st, ok := m.lines[lineAddr]
-	if !ok {
+	st := m.lines[lineAddr]
+	if st == nil {
 		return fmt.Errorf("core: line %#x: %w", lineAddr, ErrNeverWritten)
 	}
-	tr, err := m.f.LoadInto(dst, lineAddr, st)
+	tr, err := m.f.LoadInto(dst, lineAddr, *st)
 	if err != nil {
 		return err
 	}

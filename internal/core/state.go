@@ -7,11 +7,12 @@ import "attache/internal/snap"
 // The tiered backend uses it to keep residency exclusive: promoting a
 // line to the near tier removes the far copy.
 func (m *Memory) Delete(lineAddr uint64) bool {
-	st, ok := m.lines[lineAddr]
-	if !ok {
+	st := m.lines[lineAddr]
+	if st == nil {
 		return false
 	}
 	delete(m.lines, lineAddr)
+	m.free = append(m.free, st)
 	if m.shadow != nil {
 		delete(m.shadow, lineAddr)
 	}
@@ -54,7 +55,11 @@ func (m *Memory) SnapshotBytes() int {
 // stored lines. Lines and PredictionAccuracy are derived, never stored.
 func (m *Memory) WalkSnap(c *snap.Cursor) {
 	var compressed, collided uint64
-	snap.Map(c, &m.lines, snapLineBytes, "line", func(addr uint64, l *StoredLine) {
+	snap.Map(c, &m.lines, snapLineBytes, "line", func(addr uint64, entry **StoredLine) {
+		if *entry == nil { // decoding: the table holds pointers
+			*entry = new(StoredLine)
+		}
+		l := *entry
 		c.Flags("line", &l.Compressed, &l.Collision)
 		if l.Compressed && l.Collision {
 			c.Fail("line %#x both compressed and collided", addr)

@@ -102,7 +102,7 @@ func TestWalkSnapRoundTrip(t *testing.T) {
 func TestWalkSnapRefuses(t *testing.T) {
 	anyLine := func(m *Memory, pick func(StoredLine) bool) uint64 {
 		for a, l := range m.lines {
-			if pick(l) {
+			if pick(*l) {
 				return a
 			}
 		}

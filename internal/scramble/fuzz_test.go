@@ -6,8 +6,8 @@ import (
 )
 
 // FuzzScrambleInvolution asserts the scrambler's defining property over
-// arbitrary keys, addresses, and data: applying the transform twice is
-// the identity (one unit serves as both scrambler and descrambler), and
+// arbitrary keys, addresses, and data: Apply is the bytewise reference's
+// transform, applying it twice is the identity (one unit serves as both scrambler and descrambler), and
 // Scrambled never mutates its input.
 func FuzzScrambleInvolution(f *testing.F) {
 	f.Add(uint64(0), uint64(0), []byte{})
@@ -17,7 +17,12 @@ func FuzzScrambleInvolution(f *testing.F) {
 		s := New(key)
 		orig := append([]byte(nil), data...)
 
+		want := append([]byte(nil), data...)
+		refApply(s, addr, want)
 		s.Apply(addr, data)
+		if !bytes.Equal(data, want) {
+			t.Fatal("Apply differs from the bytewise reference")
+		}
 		s.Apply(addr, data)
 		if !bytes.Equal(data, orig) {
 			t.Fatal("Apply twice is not the identity")

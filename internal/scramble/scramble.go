@@ -10,7 +10,11 @@
 // scrambler and descrambler.
 package scramble
 
-import "attache/internal/stats"
+import (
+	"encoding/binary"
+
+	"attache/internal/stats"
+)
 
 // Scrambler generates a per-address keystream from a boot-time key. The
 // paper's scramblers "choose hashes with memory block address as an input"
@@ -32,17 +36,18 @@ func (s *Scrambler) keyword(addr uint64, i int) uint64 {
 }
 
 // Apply XORs data in place with the keystream for the given block address.
-// Byte k of the stream comes from keystream word k/8. Because XOR is its
-// own inverse, Apply both scrambles and descrambles.
+// Byte k of the stream comes from keystream word k/8: whole words are
+// XOR-ed in eight bytes at a time, a tail of up to seven bytes one by one.
+// Because XOR is its own inverse, Apply both scrambles and descrambles.
 func (s *Scrambler) Apply(addr uint64, data []byte) {
-	for i := 0; i < len(data); i += 8 {
-		w := s.keyword(addr, i/8)
-		n := len(data) - i
-		if n > 8 {
-			n = 8
-		}
-		for j := 0; j < n; j++ {
-			data[i+j] ^= byte(w >> uint(8*j))
+	i := 0
+	for ; i+8 <= len(data); i += 8 {
+		w := binary.LittleEndian.Uint64(data[i:]) ^ s.keyword(addr, i/8)
+		binary.LittleEndian.PutUint64(data[i:], w)
+	}
+	if i < len(data) {
+		for w := s.keyword(addr, i/8); i < len(data); i, w = i+1, w>>8 {
+			data[i] ^= byte(w)
 		}
 	}
 }

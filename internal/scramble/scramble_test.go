@@ -50,18 +50,40 @@ func TestDifferentKeysDifferentStreams(t *testing.T) {
 	}
 }
 
+// refApply is the byte-at-a-time Apply the word-wise one replaced, kept as
+// its oracle: byte k of the stream is byte k%8 of keystream word k/8.
+func refApply(s *Scrambler, addr uint64, data []byte) {
+	for k := range data {
+		data[k] ^= byte(s.keyword(addr, k/8) >> uint(8*(k%8)))
+	}
+}
+
+// TestShortAndOddLengths holds Apply to refApply on every length a payload
+// or a line can have and a few past it, at every alignment of the slice's
+// first byte against the machine word (packed payloads sit at odd offsets
+// of their blocks), so every split into whole words and a tail occurs; the
+// bytes around the slice must stay untouched.
 func TestShortAndOddLengths(t *testing.T) {
 	s := New(5)
-	for _, n := range []int{0, 1, 3, 7, 8, 9, 15, 30, 31, 63} {
-		data := make([]byte, n)
-		for i := range data {
-			data[i] = byte(i)
-		}
-		orig := append([]byte(nil), data...)
-		s.Apply(11, data)
-		s.Apply(11, data)
-		if !bytes.Equal(data, orig) {
-			t.Fatalf("length %d: involution failed", n)
+	for _, addr := range []uint64{0, 11, 1<<40 + 3} {
+		for n := 0; n <= 72; n++ {
+			for off := 0; off < 8; off++ {
+				buf := make([]byte, off+n+8)
+				for i := range buf {
+					buf[i] = byte(i*7 + n)
+				}
+				orig := append([]byte(nil), buf...)
+				want := append([]byte(nil), buf...)
+				refApply(s, addr, want[off:off+n])
+				s.Apply(addr, buf[off:off+n])
+				if !bytes.Equal(buf, want) {
+					t.Fatalf("addr %#x length %d offset %d: Apply\n%x, reference\n%x", addr, n, off, buf, want)
+				}
+				s.Apply(addr, buf[off:off+n])
+				if !bytes.Equal(buf, orig) {
+					t.Fatalf("addr %#x length %d offset %d: involution failed", addr, n, off)
+				}
+			}
 		}
 	}
 }

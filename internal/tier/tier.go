@@ -297,6 +297,7 @@ func (m *Memory) victim() (*node, bool) {
 // reports false when the policy declined to make room (the line stays
 // far); any error comes from the demotion writeback.
 func (m *Memory) install(addr uint64, data []byte) (bool, error) {
+	var n *node // the demoted victim's node, reused; fresh while the tier fills
 	if m.cfg.NearLines >= 0 && int64(len(m.near)) >= m.cfg.NearLines {
 		v, ok := m.victim()
 		if !ok {
@@ -308,8 +309,11 @@ func (m *Memory) install(addr uint64, data []byte) (bool, error) {
 		m.unlink(v)
 		delete(m.near, v.addr)
 		m.c.Demotions++
+		n = v
+	} else {
+		n = new(node)
 	}
-	n := &node{addr: addr}
+	*n = node{addr: addr}
 	copy(n.data[:], data)
 	if m.cfg.Policy == PolicyFreq {
 		n.freq = m.farFreq[addr]

@@ -322,6 +322,40 @@ func TestReadIntoBothTiers(t *testing.T) {
 	}
 }
 
+// TestExchangeAllocatesNothing: on a full near tier a far hit is a whole
+// exchange — far read, demotion (a far write), promotion, far delete — and
+// moves lines between structures that already exist: the promoted line
+// takes the victim's node, and the far memory's table hands the entry the
+// delete set aside to the next demotion. A scan over a working set 16x the
+// near tier misses every time.
+func TestExchangeAllocatesNothing(t *testing.T) {
+	const near, lines = 64, 16 * 64
+	m := newTier(t, Config{NearLines: near, Policy: PolicyLRU}, 1)
+	for a := uint64(0); a < lines; a++ {
+		if err := m.Write(a, line(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var dst [LineSize]byte
+	next := uint64(0)
+	before := m.Snapshot()
+	allocs := testing.AllocsPerRun(4*lines, func() {
+		if err := m.ReadInto(&dst, next%lines); err != nil || !bytes.Equal(dst[:], line(next%lines)) {
+			t.Fatalf("line %#x: %v, got %x", next%lines, err, dst)
+		}
+		next++
+	})
+	after := m.Snapshot()
+	if moved := after.Promotions - before.Promotions; moved != next || after.Demotions-before.Demotions != next || after.NearReads != before.NearReads {
+		t.Fatalf("%d reads made %d promotions, %d demotions and %d near hits: not every read was an exchange",
+			next, moved, after.Demotions-before.Demotions, after.NearReads-before.NearReads)
+	}
+	if allocs != 0 {
+		t.Fatalf("an exchange allocates %.1f times, want 0", allocs)
+	}
+	checkInvariants(t, m, next)
+}
+
 // TestFreqThresholdGate: the freq policy leaves a line far until it has
 // been touched FreqThreshold times.
 func TestFreqThresholdGate(t *testing.T) {
