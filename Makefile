@@ -14,7 +14,7 @@ test:
 
 # Mirror of CI's test job (minus the race passes, which `make race`
 # covers): run this before pushing and the test job cannot surprise you.
-ci: vet fmt-check build test bench-module
+ci: vet fmt-check build test bench-module loc
 	./scripts/coverage_ratchet.sh
 	./scripts/twin_gate.sh
 
@@ -24,9 +24,16 @@ bench-module:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# The size metric ROADMAP aim 2 tracks: non-test Go lines outside bench/.
+# The size metric ROADMAP aim 2 tracks, as a ratchet: non-test Go lines
+# outside bench/ may not exceed scripts/loc_baseline.txt. A PR that shrinks
+# the tree lowers the file; one that must grow it raises the file and says
+# why in CHANGES.md. bench/ is counted on a line of its own, ungated.
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1
+	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \
+	max=$$(cat scripts/loc_baseline.txt); \
+	echo "$$n non-test Go lines outside bench/ (baseline $$max)"; \
+	echo "$$(find bench -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) non-test Go lines in bench/"; \
+	[ "$$n" -le "$$max" ] || { echo "loc: FAIL — the tree grew past its baseline"; exit 1; }
 
 # gofmt as a check (CI mode), not a rewrite: lists offending files and
 # fails, leaving the tree untouched.

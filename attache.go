@@ -18,16 +18,16 @@
 //     attachesim command, that reproduces every table and figure of the
 //     paper's evaluation (see DESIGN.md and EXPERIMENTS.md).
 //
-// Constructors take either the classic Options struct or functional
-// options:
+// There is one constructor per type, and each takes functional options
+// over DefaultOptions; WithOptions is the bridge from an Options struct:
 //
-//	mem, err := attache.NewMemory(attache.DefaultOptions())
-//	mem, err := attache.NewMemoryWith(attache.WithCIDWidth(13), attache.WithSeed(7))
+//	mem, err := attache.NewMemory(attache.WithCIDWidth(13), attache.WithSeed(7))
+//	mem, err := attache.NewMemory(attache.WithOptions(opts))
 //	eng, err := attache.NewEngine(attache.WithShards(8))
 //
 // Quickstart:
 //
-//	mem, err := attache.NewMemory(attache.DefaultOptions())
+//	mem, err := attache.NewMemory()
 //	if err != nil { ... }
 //	line := make([]byte, attache.LineSize)
 //	copy(line, myData)
@@ -84,10 +84,9 @@ type AccessTrace = core.AccessTrace
 // sharded Memory shards, each owned by one goroutine behind a batched
 // request pipeline. All Engine methods are safe for concurrent use.
 //
-// Besides the blocking Do/Read/Write surface, the engine offers
-// context-aware variants (DoCtx/ReadCtx/WriteCtx) that honor deadlines
-// and cancellation and shed load with ErrOverloaded when a shard queue
-// is saturated instead of blocking.
+// Besides the blocking Do/Read/Write surface, the engine offers DoCtx,
+// which honors deadlines and cancellation and sheds load with
+// ErrOverloaded when a shard queue is saturated instead of blocking.
 type Engine = shard.Engine
 
 // Op is one read or write in an Engine batch.
@@ -195,8 +194,8 @@ type settings struct {
 // options win.
 type Option func(*settings)
 
-// WithOptions replaces the framework Options wholesale — the bridge from
-// the classic struct to the functional-options surface. Engine-level
+// WithOptions replaces the framework Options wholesale — the one bridge
+// from the struct to the functional-options surface. Engine-level
 // settings (shards, queue depth, capacity) are untouched.
 func WithOptions(o Options) Option {
 	return func(s *settings) { s.opts = o }
@@ -232,7 +231,7 @@ func WithExtendedCompression() Option {
 }
 
 // WithShards sets an Engine's shard count (0 = GOMAXPROCS). Ignored by
-// NewMemoryWith, which always builds a single unsharded Memory.
+// NewMemory, which always builds a single unsharded Memory.
 //
 // Shards bound parallelism, not baseline cost: an uncontended shard
 // executes ops inline on the submitting goroutine (no handoff, no
@@ -249,21 +248,21 @@ func WithShards(n int) Option {
 // many submitted tasks a busy shard holds before Do blocks
 // (backpressure) and DoCtx sheds with ErrOverloaded. The depth is only
 // felt under contention — uncontended submissions bypass the ring
-// entirely. Ignored by NewMemoryWith.
+// entirely. Ignored by NewMemory.
 func WithQueueDepth(n int) Option {
 	return func(s *settings) { s.queueDepth = n }
 }
 
 // WithMaxLines bounds an Engine's line address space: ops at addresses
 // >= n fail with ErrOutOfRange. 0 (the default) means unbounded. Ignored
-// by NewMemoryWith.
+// by NewMemory.
 func WithMaxLines(n uint64) Option {
 	return func(s *settings) { s.maxLines = n }
 }
 
 // WithFaultPlan enables seeded fault injection on an Engine's shard
 // pipelines — the chaos-testing hook. Off by default (and zero-cost when
-// off). Ignored by NewMemoryWith.
+// off). Ignored by NewMemory.
 func WithFaultPlan(p FaultPlan) Option {
 	return func(s *settings) { s.faults = p }
 }
@@ -275,7 +274,7 @@ func WithFaultPlan(p FaultPlan) Option {
 // gains a Tiers section; Total then describes the far tier only. The
 // configured NearLines capacity is for the whole engine and is split
 // across shards. cfg.NearLines == 0 means a zero-capacity near tier —
-// bit-identical to the untiered engine. Ignored by NewMemoryWith.
+// bit-identical to the untiered engine. Ignored by NewMemory.
 func WithTiers(cfg TierConfig) Option {
 	return func(s *settings) { s.tiers = &cfg }
 }
@@ -289,7 +288,7 @@ func DefaultTierLink() TierLinkModel { return tier.DefaultLink() }
 // rest, per the observer's SampleRate — get per-stage pipeline spans
 // (enqueue, dequeue, execute, respond) decomposing latency into queue
 // wait vs. service time. The unsampled path stays allocation-free.
-// Ignored by NewMemoryWith.
+// Ignored by NewMemory.
 func WithObserver(o *Observer) Option {
 	return func(s *settings) { s.obs = o }
 }
@@ -321,17 +320,13 @@ func apply(opts []Option) settings {
 	return s
 }
 
-// New builds a Framework.
-func New(opts Options) (*Framework, error) { return core.New(opts) }
+// New builds a Framework from functional options, starting from
+// DefaultOptions.
+func New(opts ...Option) (*Framework, error) { return core.New(apply(opts).opts) }
 
-// NewMemory builds a functional compressed Memory from an Options struct.
-func NewMemory(opts Options) (*Memory, error) { return core.NewMemory(opts) }
-
-// NewMemoryWith builds a functional compressed Memory from functional
+// NewMemory builds a functional compressed Memory from functional
 // options, starting from DefaultOptions.
-func NewMemoryWith(opts ...Option) (*Memory, error) {
-	return core.NewMemory(apply(opts).opts)
-}
+func NewMemory(opts ...Option) (*Memory, error) { return core.NewMemory(apply(opts).opts) }
 
 // NewEngine builds a sharded concurrent Engine from functional options,
 // starting from DefaultOptions and GOMAXPROCS shards. A 1-shard engine

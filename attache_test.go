@@ -11,7 +11,7 @@ import (
 
 // TestPublicAPIQuickstart exercises the documented quickstart flow.
 func TestPublicAPIQuickstart(t *testing.T) {
-	mem, err := attache.NewMemory(attache.DefaultOptions())
+	mem, err := attache.NewMemory()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 }
 
 func TestPublicFramework(t *testing.T) {
-	f, err := attache.New(attache.DefaultOptions())
+	f, err := attache.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestPublicFramework(t *testing.T) {
 // TestFunctionalOptions checks the options surface composes and agrees
 // with the classic Options struct.
 func TestFunctionalOptions(t *testing.T) {
-	mem, err := attache.NewMemoryWith(
+	mem, err := attache.NewMemory(
 		attache.WithCIDWidth(13),
 		attache.WithSeed(99),
 		attache.WithPredictorSizing(attache.DefaultPredictorConfig()),
@@ -75,7 +75,7 @@ func TestFunctionalOptions(t *testing.T) {
 	o := attache.DefaultOptions()
 	o.CIDBits = 13
 	o.Seed = 99
-	ref, err := attache.NewMemory(o)
+	ref, err := attache.NewMemory(attache.WithOptions(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,27 +95,27 @@ func TestFunctionalOptions(t *testing.T) {
 
 	// WithOptions bridges the struct into the options chain; a later
 	// option overrides it.
-	mem2, err := attache.NewMemoryWith(attache.WithOptions(o), attache.WithSeed(100))
+	mem2, err := attache.NewMemory(attache.WithOptions(o), attache.WithSeed(100))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mem2 == nil {
 		t.Fatal("nil memory")
 	}
-	if _, err := attache.NewMemoryWith(attache.WithCIDWidth(0)); !errors.Is(err, attache.ErrOutOfRange) {
+	if _, err := attache.NewMemory(attache.WithCIDWidth(0)); !errors.Is(err, attache.ErrOutOfRange) {
 		t.Fatalf("CID width 0 err = %v, want ErrOutOfRange", err)
 	}
 	// A predictor sizing copr.New would panic on is an error too.
 	bad := attache.DefaultPredictorConfig()
 	bad.PaPRWays = 0
-	if _, err := attache.NewMemoryWith(attache.WithPredictorSizing(bad)); !errors.Is(err, attache.ErrOutOfRange) {
+	if _, err := attache.NewMemory(attache.WithPredictorSizing(bad)); !errors.Is(err, attache.ErrOutOfRange) {
 		t.Fatalf("zero PaPR ways err = %v, want ErrOutOfRange", err)
 	}
 }
 
 // TestSentinelErrors checks the typed errors flow through the public API.
 func TestSentinelErrors(t *testing.T) {
-	mem, err := attache.NewMemoryWith()
+	mem, err := attache.NewMemory()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +127,10 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
-// TestMemoryBatch checks the fail-fast Memory batch helpers.
+// TestMemoryBatch runs a batch as what it is on a Memory: a loop over
+// Write and Read that stops at the first error.
 func TestMemoryBatch(t *testing.T) {
-	mem, err := attache.NewMemoryWith()
+	mem, err := attache.NewMemory()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,19 +141,30 @@ func TestMemoryBatch(t *testing.T) {
 		}
 		return l
 	}
-	if err := mem.BatchWrite([]uint64{1, 2, 3}, [][]byte{mk(1), mk(2), mk(3)}); err != nil {
-		t.Fatal(err)
+	for _, a := range []uint64{1, 2, 3} {
+		if err := mem.Write(a, mk(byte(a))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, err := mem.BatchRead([]uint64{3, 1, 2})
+	readAll := func(addrs ...uint64) (got [][]byte, err error) {
+		for _, a := range addrs {
+			line, err := mem.Read(a)
+			if err != nil {
+				return got, err
+			}
+			got = append(got, line)
+		}
+		return got, nil
+	}
+	got, err := readAll(3, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || !bytes.Equal(got[0], mk(3)) || !bytes.Equal(got[1], mk(1)) {
 		t.Fatal("batch read order not preserved")
 	}
-	// Fail-fast: the error names the op and wraps the sentinel; the
-	// successful prefix is returned.
-	got, err = mem.BatchRead([]uint64{1, 99, 2})
+	// The error wraps the sentinel; the successful prefix stands.
+	got, err = readAll(1, 99, 2)
 	if !errors.Is(err, attache.ErrNeverWritten) {
 		t.Fatalf("batch read err = %v, want ErrNeverWritten", err)
 	}

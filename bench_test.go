@@ -133,13 +133,13 @@ func BenchmarkAblationScrambling(b *testing.B) {
 		eS := blem.NewEngine(15, 4) // engine CID is whatever the seed gives
 		eR := blem.NewEngine(15, 4)
 		// Adversarial content: the first two bytes of every line equal
-		// the CID pattern.
-		h := eR.CID() << 1
+		// the CID pattern — the header of a compressed block.
+		hdr, _ := eR.PackCompressed(nil)
 		for j := 0; j < n; j++ {
 			for k := range line {
 				line[k] = 0
 			}
-			line[0], line[1] = byte(h>>8), byte(h)
+			line[0], line[1] = hdr[0], hdr[1]
 			if _, c := eR.StoreUncompressed(uint64(j), line); c {
 				collideRaw++
 			}
@@ -253,7 +253,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // compress + scramble + BLEM store and predict + classify + decompress
 // load per line.
 func BenchmarkFrameworkStoreLoad(b *testing.B) {
-	mem, err := attache.NewMemory(attache.DefaultOptions())
+	mem, err := attache.NewMemory()
 	if err != nil {
 		b.Fatal(err)
 	}

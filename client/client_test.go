@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"attache"
+	"attache/internal/cluster"
 	"attache/internal/core"
 	"attache/internal/serve"
 	"attache/internal/shard"
@@ -217,5 +219,68 @@ func TestParseRetryAfter(t *testing.T) {
 		if got := parseRetryAfter(h); got != want {
 			t.Errorf("parseRetryAfter(%q) = %v, want %v", h, got, want)
 		}
+	}
+}
+
+// TestOverBurstBatchIsNotRetryable runs a batch larger than its tenant's
+// whole burst through the real handler and this client: no amount of
+// backing off would ever fit it, so it must not come back as the
+// "overloaded, retry" shed. Every op fails as out of range, the tenant's
+// shed_quota stays put and no token is spent — with the admission clock
+// frozen, the burst-sized batch sent right after is admitted whole.
+func TestOverBurstBatchIsNotRetryable(t *testing.T) {
+	frozen := time.Unix(1_700_000_000, 0)
+	cl, err := cluster.New(core.DefaultOptions(), shard.Config{Shards: 2}, 1, cluster.Config{
+		Quotas: map[string]cluster.Quota{"hog": {Rate: 10, Burst: 10}},
+		Now:    func() time.Time { return frozen },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	ts := httptest.NewServer(serve.NewCluster(cl, serve.Config{}).Handler())
+	t.Cleanup(ts.Close)
+	c := New(ts.URL, fastOpts(WithTenant("hog"))...)
+	ctx := context.Background()
+
+	ops := make([]attache.Op, 11)
+	for i := range ops {
+		ops[i] = attache.Op{Write: true, Addr: uint64(i), Data: testLine(byte(i))}
+	}
+	res, err := c.Do(ctx, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if !errors.Is(r.Err, attache.ErrOutOfRange) || errors.Is(r.Err, attache.ErrOverloaded) {
+			t.Fatalf("op %d of an 11-op batch against a burst of 10: %v, want ErrOutOfRange", i, r.Err)
+		}
+		if msg := r.Err.Error(); !strings.Contains(msg, "11 ops") || !strings.Contains(msg, "burst of 10") {
+			t.Fatalf("op %d: %q does not name the batch size and the burst", i, msg)
+		}
+	}
+	hog := func() cluster.TenantSnapshot {
+		t.Helper()
+		doc, err := c.StatsV2(ctx)
+		if err != nil || len(doc.Tenants) != 1 || doc.Tenants[0].Tenant != "hog" {
+			t.Fatalf("stats: %v, tenants %+v", err, doc.Tenants)
+		}
+		return doc.Tenants[0]
+	}
+	if b := hog(); b.Ops != 11 || b.Errors != 11 || b.ShedQuota != 0 || b.OK != 0 {
+		t.Fatalf("hog book after the refusal = %+v, want 11 ops, all errors, no quota shed", b)
+	}
+
+	res, err = c.Do(ctx, ops[:10])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("op %d of the burst-sized batch after the refusal: %v", i, r.Err)
+		}
+	}
+	if b := hog(); b.OK != 10 || b.ShedQuota != 0 {
+		t.Fatalf("hog book after the admitted batch = %+v, want 10 ok", b)
 	}
 }

@@ -71,8 +71,8 @@ func TestWriteSnapshotFile(t *testing.T) {
 	}
 	defer cl.Close()
 	line := make([]byte, core.LineSize)
-	if err := cl.Write(1, line); err != nil {
-		t.Fatal(err)
+	if res, err := cl.DoCtx(t.Context(), []shard.Op{{Write: true, Addr: 1, Data: line}}); err != nil || res[0].Err != nil {
+		t.Fatal(err, res)
 	}
 
 	path := filepath.Join(t.TempDir(), "drain.snap")

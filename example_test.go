@@ -10,7 +10,7 @@ import (
 // ExampleMemory demonstrates the compressed-memory container: write a
 // cacheline of array-like data, read it back, and inspect the traffic.
 func ExampleMemory() {
-	mem, err := attache.NewMemory(attache.DefaultOptions())
+	mem, err := attache.NewMemory()
 	if err != nil {
 		panic(err)
 	}
@@ -39,7 +39,7 @@ func ExampleMemory() {
 // physical sub-rank image, load reconstructs the data and reports the
 // access trace the paper's evaluation counts.
 func ExampleFramework() {
-	f, err := attache.New(attache.DefaultOptions())
+	f, err := attache.New()
 	if err != nil {
 		panic(err)
 	}

@@ -25,7 +25,7 @@ type kvStore struct {
 }
 
 func newKVStore() (*kvStore, error) {
-	mem, err := attache.NewMemoryWith()
+	mem, err := attache.NewMemory()
 	if err != nil {
 		return nil, err
 	}

@@ -14,9 +14,9 @@ import (
 )
 
 func main() {
-	// Functional options; attache.NewMemory(attache.DefaultOptions())
-	// still works for struct-style configuration.
-	mem, err := attache.NewMemoryWith(attache.WithSeed(0x41747461))
+	// Functional options over DefaultOptions; attache.WithOptions(o)
+	// takes a whole Options struct.
+	mem, err := attache.NewMemory(attache.WithSeed(0x41747461))
 	if err != nil {
 		log.Fatal(err)
 	}

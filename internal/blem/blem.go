@@ -120,12 +120,6 @@ func NewEngine(cidBits int, seed int64) *Engine {
 	}
 }
 
-// CIDBits reports the configured CID width.
-func (e *Engine) CIDBits() int { return e.cidBits }
-
-// CID reports the engine's Compression ID value (low CIDBits bits).
-func (e *Engine) CID() uint16 { return e.cid }
-
 // ReplacementArea exposes the engine's RA, mainly for tests and capacity
 // accounting.
 func (e *Engine) ReplacementArea() *ReplacementArea { return e.ra }
@@ -203,15 +197,6 @@ func (e *Engine) PackCompressedInfo(packedPayload []byte, info uint8) ([SubRankS
 	e.Stats.Writes.Inc()
 	e.Stats.CompressedWrites.Inc()
 	return block, nil
-}
-
-// InfoOf extracts the information bits from a compressed block's header.
-func (e *Engine) InfoOf(block []byte) uint8 {
-	if len(block) < HeaderBytes {
-		panic("blem: InfoOf needs at least the 2-byte header")
-	}
-	mask := uint16(1)<<uint(e.InfoBits()) - 1
-	return uint8(header16(block) & mask)
 }
 
 // PayloadOf returns the packed payload region of a compressed block.

@@ -11,11 +11,11 @@ import (
 func TestNewEngineCIDWidth(t *testing.T) {
 	for bits := 1; bits <= 15; bits++ {
 		e := NewEngine(bits, 42)
-		if e.CIDBits() != bits {
-			t.Fatalf("CIDBits = %d, want %d", e.CIDBits(), bits)
+		if e.cidBits != bits {
+			t.Fatalf("cidBits = %d, want %d", e.cidBits, bits)
 		}
-		if e.CID() >= 1<<uint(bits) {
-			t.Fatalf("CID %#x wider than %d bits", e.CID(), bits)
+		if e.cid >= 1<<uint(bits) {
+			t.Fatalf("CID %#x wider than %d bits", e.cid, bits)
 		}
 	}
 }
@@ -59,7 +59,7 @@ func TestStoreUncompressedNoCollision(t *testing.T) {
 	e := NewEngine(15, 7)
 	// Build a line whose top 15 bits deliberately differ from the CID.
 	line := make([]byte, LineSize)
-	h := (e.CID() ^ 0x1) << 1 // flip a CID bit
+	h := (e.cid ^ 0x1) << 1 // flip a CID bit
 	line[0], line[1] = byte(h>>8), byte(h)
 	stored, collision := e.StoreUncompressed(100, line)
 	if collision {
@@ -78,12 +78,12 @@ func TestStoreUncompressedNoCollision(t *testing.T) {
 func buildCollidingLine(e *Engine, xid bool, rng *rand.Rand) []byte {
 	line := make([]byte, LineSize)
 	rng.Read(line)
-	h := e.CID() << uint(16-e.CIDBits())
-	keepMask := uint16(1<<uint(16-e.CIDBits()-1)) - 1 // bits below XID
+	h := e.cid << uint(16-e.cidBits)
+	keepMask := uint16(1<<uint(16-e.cidBits-1)) - 1 // bits below XID
 	orig := uint16(line[0])<<8 | uint16(line[1])
 	h |= orig & keepMask
 	if xid {
-		h |= 1 << uint(15-e.CIDBits())
+		h |= 1 << uint(15-e.cidBits)
 	}
 	line[0], line[1] = byte(h>>8), byte(h)
 	return line
@@ -286,4 +286,15 @@ func TestInfoBitsOverflowRejected(t *testing.T) {
 	if _, err := e15.PackCompressedInfo([]byte{1}, 1); err == nil {
 		t.Fatal("expected info overflow error at 15-bit CID")
 	}
+}
+
+// InfoOf extracts the information bits from a compressed block's header:
+// what PackCompressedInfo stored, read back by the tests and the fuzz
+// target.
+func (e *Engine) InfoOf(block []byte) uint8 {
+	if len(block) < HeaderBytes {
+		panic("blem: InfoOf needs at least the 2-byte header")
+	}
+	mask := uint16(1)<<uint(e.InfoBits()) - 1
+	return uint8(header16(block) & mask)
 }

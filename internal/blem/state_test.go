@@ -45,8 +45,8 @@ func TestWalkSnapRoundTrip(t *testing.T) {
 	if !bytes.Equal(snapshot(r), image) {
 		t.Fatal("restore→snapshot changed the bytes")
 	}
-	if r.CID() != 0xB || r.ra.Len() != 4 || !r.ra.Load(9) || r.ra.Load(1<<40) {
-		t.Fatalf("restored CID %#x, %d RA entries", r.CID(), r.ra.Len())
+	if r.cid != 0xB || r.ra.Len() != 4 || !r.ra.Load(9) || r.ra.Load(1<<40) {
+		t.Fatalf("restored CID %#x, %d RA entries", r.cid, r.ra.Len())
 	}
 	if r.Stats != e.Stats {
 		t.Fatalf("counters %+v restored as %+v", e.Stats, r.Stats)

@@ -109,9 +109,6 @@ func New(eng *sim.Engine, backend Backend, sizeBytes int64, ways int, latency si
 	}
 }
 
-// Sets reports the number of sets.
-func (c *LLC) Sets() int { return c.sets }
-
 // EnableNextLinePrefetch turns the sequential prefetcher on or off.
 func (c *LLC) EnableNextLinePrefetch(on bool) { c.prefetchNextLine = on }
 
@@ -243,9 +240,6 @@ func (c *LLC) fill(e *mshrEntry, now sim.Time) {
 	e.dirty = false
 	c.mshrFree = append(c.mshrFree, e)
 }
-
-// OutstandingMisses reports in-flight fills (for drain checks).
-func (c *LLC) OutstandingMisses() int { return len(c.mshr) }
 
 // Prefill installs addr without generating memory traffic or statistics.
 // The experiment harness uses it to warm the cache to steady state before

@@ -116,13 +116,13 @@ func TestStoreMergesIntoInflightFill(t *testing.T) {
 func TestLRUKeepsHotLines(t *testing.T) {
 	eng, _, c := newLLC(64*4, 4)
 	for addr := uint64(0); addr < 4; addr++ {
-		c.Read(addr*uint64(c.Sets()), func(sim.Time) {})
+		c.Read(addr*uint64(c.sets), func(sim.Time) {})
 	}
 	eng.RunUntilDone(1000)
 	hot := uint64(0)
 	c.Read(hot, func(sim.Time) {}) // refresh
 	eng.RunUntilDone(100)
-	c.Read(9*uint64(c.Sets()), func(sim.Time) {}) // evicts someone else
+	c.Read(9*uint64(c.sets), func(sim.Time) {}) // evicts someone else
 	eng.RunUntilDone(1000)
 	hits := c.Stats.Hits.Value()
 	c.Read(hot, func(sim.Time) {})
@@ -137,11 +137,11 @@ func TestOutstandingMissesDrain(t *testing.T) {
 	for addr := uint64(0); addr < 10; addr++ {
 		c.Read(addr, func(sim.Time) {})
 	}
-	if c.OutstandingMisses() != 10 {
-		t.Fatalf("outstanding = %d, want 10", c.OutstandingMisses())
+	if len(c.mshr) != 10 {
+		t.Fatalf("outstanding = %d, want 10", len(c.mshr))
 	}
 	eng.RunUntilDone(10000)
-	if c.OutstandingMisses() != 0 {
+	if len(c.mshr) != 0 {
 		t.Fatal("misses did not drain")
 	}
 }
@@ -278,8 +278,8 @@ func TestPrefetchEntryRecyclesCleanly(t *testing.T) {
 	c.EnableNextLinePrefetch(true)
 	c.Read(100, func(sim.Time) {}) // demand 100 + prefetch 101
 	eng.RunUntilDone(10000)
-	if c.OutstandingMisses() != 0 || len(c.mshrFree) != 2 {
-		t.Fatalf("after the fills: %d in flight, %d recycled, want 0 and 2", c.OutstandingMisses(), len(c.mshrFree))
+	if len(c.mshr) != 0 || len(c.mshrFree) != 2 {
+		t.Fatalf("after the fills: %d in flight, %d recycled, want 0 and 2", len(c.mshr), len(c.mshrFree))
 	}
 	for _, e := range c.mshrFree {
 		if len(e.waiters) != 0 || e.dirty {

@@ -62,6 +62,3 @@ func (r *Recorder) Err() error {
 	}
 	return r.first
 }
-
-// OK reports whether no failure has been recorded.
-func (r *Recorder) OK() bool { return r.first == nil }

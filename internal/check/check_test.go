@@ -7,12 +7,12 @@ import (
 
 func TestRecorderKeepsFirstFailure(t *testing.T) {
 	var r Recorder
-	if !r.OK() || r.Err() != nil {
+	if r.first != nil || r.Err() != nil {
 		t.Fatal("fresh recorder must be clean")
 	}
 	r.Failf(0xabc, 120, "first: %d", 1)
 	r.Failf(0xdef, 240, "second: %d", 2)
-	if r.OK() {
+	if r.first == nil {
 		t.Fatal("recorder must report failure")
 	}
 	err := r.Err()
@@ -48,7 +48,7 @@ func TestBusAuditOverlapDetected(t *testing.T) {
 	a.OnBurst(0, 100, 116, 10, 100)
 	a.OnIssue(11, 6)
 	a.OnBurst(0, 110, 126, 11, 110) // starts before the previous burst ended
-	if r.OK() {
+	if r.first == nil {
 		t.Fatal("overlapping bursts on one sub-rank must fail")
 	}
 	if !strings.Contains(r.Err().Error(), "data-bus overlap") {
@@ -80,7 +80,7 @@ func TestBusAuditConservationAtDrain(t *testing.T) {
 	a.OnSubmit()
 	a.OnIssue(1, 0)
 	a.CheckDrained(0, 0, 50) // one submitted request vanished
-	if r.OK() {
+	if r.first == nil {
 		t.Fatal("lost request must fail conservation")
 	}
 	if !strings.Contains(r.Err().Error(), "request conservation") {
@@ -94,7 +94,7 @@ func TestBusAuditIssueOverrun(t *testing.T) {
 	a.OnSubmit()
 	a.OnIssue(1, 0)
 	a.OnIssue(2, 0) // issued a request that was never submitted
-	if r.OK() {
+	if r.first == nil {
 		t.Fatal("issuing more than submitted must fail")
 	}
 }

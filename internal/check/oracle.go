@@ -77,9 +77,6 @@ func NewOracle(rec *Recorder, dm DataModel, cidBits int, seed int64, coprCfg cop
 	}, nil
 }
 
-// Recorder exposes the failure recorder the oracle reports into.
-func (o *Oracle) Recorder() *Recorder { return o.rec }
-
 // ensure materializes the stored image and ideal copy of lineAddr on
 // first touch, running the full Attaché store path on the line's real
 // bytes.
@@ -187,20 +184,6 @@ func (o *Oracle) Finish(now sim.Time) {
 	if got, want := o.fw.Blem.ReplacementArea().Len(), len(o.collided); got != want {
 		o.rec.Failf(0, now, "replacement-area bits in use (%d) != observed CID collisions (%d)", got, want)
 	}
-}
-
-// CorruptStoredBit flips one bit of the stored Attaché image of
-// lineAddr — block 0 carries the BLEM header in its first two bytes.
-// This is the fault-injection hook for the mutation tests that prove the
-// oracle has teeth; it has no other callers.
-func (o *Oracle) CorruptStoredBit(lineAddr uint64, block, bit int) bool {
-	st, ok := o.stored[lineAddr]
-	if !ok {
-		return false
-	}
-	st.Blocks[block][bit/8] ^= 1 << uint(bit%8)
-	o.stored[lineAddr] = st
-	return true
 }
 
 // Lines reports how many distinct lines the oracle has materialized.

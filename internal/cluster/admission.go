@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"fmt"
 	"sync"
 	"time"
+
+	"attache/internal/core"
 )
 
 // Quota is a per-tenant token-bucket admission limit. Rate is the
@@ -63,14 +66,20 @@ func newAdmitter(quotas map[string]Quota, fallback Quota, now func() time.Time) 
 // admit asks to spend n ops of tenant's quota. It is all-or-nothing: a
 // batch either fits in the bucket or is shed whole (partial admission
 // would break in-batch read-your-write ordering). Unlimited tenants
-// never touch a bucket.
-func (a *admitter) admit(tenant string, n int) bool {
+// never touch a bucket. A refusal wraps core.ErrOverloaded when waiting
+// for the bucket to refill would admit the batch, and core.ErrOutOfRange
+// when the batch is larger than the bucket can ever hold; neither spends
+// a token.
+func (a *admitter) admit(tenant string, n int) error {
 	q, ok := a.quotas[tenant]
 	if !ok {
 		q = a.fallback
 	}
 	if q.unlimited() {
-		return true
+		return nil
+	}
+	if burst := q.capacity(); float64(n) > burst {
+		return fmt.Errorf("cluster: batch of %d ops exceeds tenant %q's burst of %g: %w", n, tenant, burst, core.ErrOutOfRange)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -88,8 +97,8 @@ func (a *admitter) admit(tenant string, n int) bool {
 		b.last = t
 	}
 	if b.tokens < float64(n) {
-		return false
+		return fmt.Errorf("cluster: tenant %q over quota: %w", tenant, core.ErrOverloaded)
 	}
 	b.tokens -= float64(n)
-	return true
+	return nil
 }

@@ -11,8 +11,7 @@
 // applies one layer down).
 //
 // Every routing decision can be recorded (inputs and outcome) into a
-// bounded ring, and WhatIf replays those decisions under an alternative
-// policy for counterfactual analysis.
+// bounded ring that /v1/stats serves.
 package cluster
 
 import (
@@ -152,32 +151,27 @@ func (c *Cluster) Shards() int {
 	return n
 }
 
-// Engine returns instance i's engine, for tests that inspect one
-// instance directly.
-func (c *Cluster) Engine(i int) *shard.Engine { return c.engines[i] }
-
-// Do submits a batch without a context: untenanted, never quota-shed
-// (unless a default quota is set), blocking on backpressure like
-// shard.Engine.Do.
-func (c *Cluster) Do(ops []shard.Op) ([]shard.Result, error) {
-	return c.DoCtx(context.Background(), ops)
-}
-
 // DoCtx routes a batch to its instance(s) and blocks until every op
 // completes, with shard.Engine.DoCtx's deadline/shed semantics per
-// instance. The context's tenant (obs.ContextWithTenant) selects the
-// admission quota and SLO class; an over-quota batch is refused whole —
-// every op fails with core.ErrOverloaded and nothing reaches an engine,
-// so callers see the same sentinel (and servers the same 429) as an
-// engine-level shed.
+// instance: a ctx that is already done returns (nil, ctx.Err()) before
+// admission, so a request that never runs spends no quota. The context's
+// tenant (obs.ContextWithTenant) selects the admission quota and SLO
+// class; an over-quota batch is refused whole — every op fails with
+// core.ErrOverloaded and nothing reaches an engine, so callers see the
+// same sentinel (and servers the same 429) as an engine-level shed. A
+// batch larger than the tenant's whole burst can never be admitted and
+// fails with core.ErrOutOfRange instead: retrying it is pointless.
 func (c *Cluster) DoCtx(ctx context.Context, ops []shard.Op) ([]shard.Result, error) {
-	tenant := obs.TenantFromContext(ctx)
-	if len(ops) == 0 {
-		return nil, nil
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	if !c.adm.admit(tenant, len(ops)) {
-		c.slo.recordQuotaShed(tenant, len(ops))
-		err := fmt.Errorf("cluster: tenant %q over quota: %w", tenant, core.ErrOverloaded)
+	if len(ops) == 0 {
+		// Nothing to admit, route or record: the answer is an engine's.
+		return c.engines[0].DoCtx(ctx, ops)
+	}
+	tenant := obs.TenantFromContext(ctx)
+	if err := c.adm.admit(tenant, len(ops)); err != nil {
+		c.slo.recordRefused(tenant, len(ops), err)
 		res := make([]shard.Result, len(ops))
 		for i := range res {
 			res[i].Err = err
@@ -306,33 +300,6 @@ func (c *Cluster) record(tenant string, ops []shard.Op, loads []int64, assign []
 	c.slo.record(tenant, lat, len(ops), ok, shed, errs)
 }
 
-// Read, Write, ReadCtx, WriteCtx are single-op conveniences mirroring
-// shard.Engine's, routed and accounted like any batch.
-
-func (c *Cluster) Read(addr uint64) ([]byte, error) {
-	return c.ReadCtx(context.Background(), addr)
-}
-
-func (c *Cluster) Write(addr uint64, data []byte) error {
-	return c.WriteCtx(context.Background(), addr, data)
-}
-
-func (c *Cluster) ReadCtx(ctx context.Context, addr uint64) ([]byte, error) {
-	res, err := c.DoCtx(ctx, []shard.Op{{Addr: addr}})
-	if err != nil {
-		return nil, err
-	}
-	return res[0].Data, res[0].Err
-}
-
-func (c *Cluster) WriteCtx(ctx context.Context, addr uint64, data []byte) error {
-	res, err := c.DoCtx(ctx, []shard.Op{{Write: true, Addr: addr, Data: data}})
-	if err != nil {
-		return err
-	}
-	return res[0].Err
-}
-
 // EngineSnapshot merges every instance into one shard.Snapshot — the
 // view v1 stats and the metrics exposition render. PerShard concatenates
 // instance shards in order, totals and robust counters sum, so a
@@ -396,8 +363,7 @@ func (c *Cluster) TenantSnapshots() []TenantSnapshot { return c.slo.TenantSnapsh
 // throughput (1.0 = perfectly even; 1/n = one tenant got everything).
 func (c *Cluster) JainFairness() float64 { return c.slo.JainFairness() }
 
-// Decisions returns up to n recent routing decisions, oldest first, for
-// counterfactual replay with WhatIf.
+// Decisions returns up to n recent routing decisions, oldest first.
 func (c *Cluster) Decisions(n int) []Decision { return c.log.recent(n) }
 
 // Close closes every engine, returning the first error.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -87,7 +88,7 @@ func TestPassthroughBitIdentity(t *testing.T) {
 			}
 		}
 		want, werr := eng.Do(cloneOps(ops))
-		got, gerr := cl.Do(cloneOps(ops))
+		got, gerr := do(cl, cloneOps(ops))
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("batch %d: call errors diverged: engine %v, cluster %v", i, werr, gerr)
 		}
@@ -104,6 +105,15 @@ func TestPassthroughBitIdentity(t *testing.T) {
 		}
 	}
 
+	// A zero-op batch gets the engine's answer too: empty, not nil.
+	for _, ops := range [][]shard.Op{nil, {}} {
+		want, werr := eng.Do(ops)
+		got, gerr := do(cl, ops)
+		if werr != nil || gerr != nil || want == nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("zero-op batch: engine %#v, %v; cluster %#v, %v", want, werr, got, gerr)
+		}
+	}
+
 	if es, cs := eng.StatsSnapshot(), cl.EngineSnapshot(); !reflect.DeepEqual(es, cs) {
 		t.Fatalf("snapshots diverged:\nengine  %+v\ncluster %+v", es, cs)
 	}
@@ -113,6 +123,28 @@ func cloneOps(ops []shard.Op) []shard.Op {
 	out := make([]shard.Op, len(ops))
 	copy(out, ops)
 	return out
+}
+
+// do submits one untenanted batch.
+func do(cl *Cluster, ops []shard.Op) ([]shard.Result, error) {
+	return cl.DoCtx(context.Background(), ops)
+}
+
+// writeOne and readOne submit a one-op batch, as serve's handlers do.
+func writeOne(ctx context.Context, cl *Cluster, addr uint64, data []byte) error {
+	res, err := cl.DoCtx(ctx, []shard.Op{{Write: true, Addr: addr, Data: data}})
+	if err != nil {
+		return err
+	}
+	return res[0].Err
+}
+
+func readOne(ctx context.Context, cl *Cluster, addr uint64) ([]byte, error) {
+	res, err := cl.DoCtx(ctx, []shard.Op{{Addr: addr}})
+	if err != nil {
+		return nil, err
+	}
+	return res[0].Data, res[0].Err
 }
 
 // TestQuotaShedsOnlyOverQuota pins admission semantics end to end: only
@@ -135,7 +167,7 @@ func TestQuotaShedsOnlyOverQuota(t *testing.T) {
 
 	var hogOK, hogShed int
 	for i := 0; i < 15; i++ {
-		err := cl.WriteCtx(hog, uint64(i), testLine(uint64(i)))
+		err := writeOne(hog, cl, uint64(i), testLine(uint64(i)))
 		switch {
 		case err == nil:
 			hogOK++
@@ -149,7 +181,7 @@ func TestQuotaShedsOnlyOverQuota(t *testing.T) {
 		t.Fatalf("hog: %d ok / %d shed, want 10/5", hogOK, hogShed)
 	}
 	for i := 0; i < 20; i++ {
-		if err := cl.WriteCtx(polite, uint64(1000+i), testLine(uint64(i))); err != nil {
+		if err := writeOne(polite, cl, uint64(1000+i), testLine(uint64(i))); err != nil {
 			t.Fatalf("unquotaed tenant shed: write %d: %v", i, err)
 		}
 	}
@@ -183,76 +215,96 @@ func TestQuotaShedsOnlyOverQuota(t *testing.T) {
 	// Refill restores the hog's service without touching anyone else.
 	clk.advance(time.Second)
 	for i := 0; i < 10; i++ {
-		if err := cl.WriteCtx(hog, uint64(i), testLine(uint64(i))); err != nil {
+		if err := writeOne(hog, cl, uint64(i), testLine(uint64(i))); err != nil {
 			t.Fatalf("hog post-refill write %d: %v", i, err)
 		}
 	}
 }
 
-// pinnedRouter always routes to one instance — a WhatIf foil.
-type pinnedRouter struct{ to int }
-
-func (p pinnedRouter) Name() string { return "pinned" }
-func (p pinnedRouter) Route(ops []shard.Op, loads []int64, assign []int) {
-	for i := range assign {
-		assign[i] = p.to
-	}
-}
-
-// TestWhatIfCounterfactual pins the decision log and its replay: an
-// identical policy reports zero divergence, a policy that must move
-// traffic reports exactly the ops it moves.
-func TestWhatIfCounterfactual(t *testing.T) {
-	cl, err := New(core.DefaultOptions(), shard.Config{Shards: 1}, 2, Config{Router: Affinity})
+// TestCancelledBatchSpendsNoQuota: a batch whose context is already done
+// never runs, so it must not be charged — the tenant's next burst-sized
+// batch is admitted whole, with the clock standing still.
+func TestCancelledBatchSpendsNoQuota(t *testing.T) {
+	cl, err := New(core.DefaultOptions(), shard.Config{Shards: 2}, 1, Config{
+		Quotas: map[string]Quota{"hog": {Rate: 10, Burst: 10}},
+		Now:    newFakeClock().now,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	batch := make([]shard.Op, 10)
+	for i := range batch {
+		batch[i] = shard.Op{Write: true, Addr: uint64(i), Data: testLine(uint64(i))}
+	}
+	hog := obs.ContextWithTenant(t.Context(), "hog")
 
-	rng := rand.New(rand.NewSource(3))
-	totalOps := 0
-	for i := 0; i < 50; i++ {
-		ops := make([]shard.Op, 4)
-		for j := range ops {
-			ops[j] = shard.Op{Write: true, Addr: uint64(rng.Intn(1 << 12)), Data: testLine(uint64(i))}
+	dead, cancel := context.WithCancel(hog)
+	cancel()
+	if res, err := cl.DoCtx(dead, batch); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancelled batch: %v, %v; want nil, context.Canceled", res, err)
+	}
+	if tenants := cl.TenantSnapshots(); len(tenants) != 0 {
+		t.Fatalf("a batch that never ran was booked: %+v", tenants)
+	}
+	res, err := cl.DoCtx(hog, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("op %d of the burst-sized batch after a cancelled one: %v", i, r.Err)
 		}
-		if _, err := cl.Do(ops); err != nil {
+	}
+}
+
+// TestDecisionRing pins what Decisions(n) returns — the ring /v1/stats
+// serves: one contiguous-sequence entry per executed batch, oldest first,
+// each accounting for every op of its batch; a full ring keeps the newest
+// entries; a negative DecisionLog records nothing.
+func TestDecisionRing(t *testing.T) {
+	for _, size := range []int{0, 8, -1} {
+		cl, err := New(core.DefaultOptions(), shard.Config{Shards: 1}, 2, Config{Router: Affinity, DecisionLog: size})
+		if err != nil {
 			t.Fatal(err)
 		}
-		totalOps += len(ops)
-	}
-
-	decisions := cl.Decisions(100)
-	if len(decisions) != 50 {
-		t.Fatalf("decision log holds %d decisions, want 50", len(decisions))
-	}
-	for i := 1; i < len(decisions); i++ {
-		if decisions[i].Seq != decisions[i-1].Seq+1 {
-			t.Fatalf("decision seqs not contiguous: %d then %d", decisions[i-1].Seq, decisions[i].Seq)
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 50; i++ {
+			ops := make([]shard.Op, 4)
+			for j := range ops {
+				ops[j] = shard.Op{Write: true, Addr: uint64(rng.Intn(1 << 12)), Data: testLine(uint64(i))}
+			}
+			if _, err := do(cl, ops); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
+		cl.Close()
 
-	// Replaying the same policy the cluster ran must not diverge.
-	same := WhatIf(decisions, NewAffinityRouter(2, DefaultAffinityPrefixBits))
-	if same.Diverged != 0 || same.OpsMoved != 0 {
-		t.Fatalf("self-replay diverged: %+v", same)
-	}
-	if same.Decisions != 50 {
-		t.Fatalf("self-replay covered %d decisions, want 50", same.Decisions)
-	}
-
-	// Pinning everything to instance 1 must move exactly the ops that
-	// were recorded on instance 0.
-	on0 := 0
-	for _, d := range decisions {
-		on0 += d.PerInstance[0]
-	}
-	pinned := WhatIf(decisions, pinnedRouter{to: 1})
-	if pinned.OpsMoved != on0 {
-		t.Fatalf("pinned replay moved %d ops, want the %d recorded on instance 0", pinned.OpsMoved, on0)
-	}
-	if got := pinned.PerInstance[1]; got != totalOps {
-		t.Fatalf("pinned replay placed %d ops on instance 1, want all %d", got, totalOps)
+		decisions := cl.Decisions(100)
+		want := map[int]int{0: 50, 8: 8, -1: 0}[size]
+		if len(decisions) != want {
+			t.Fatalf("DecisionLog %d: log holds %d decisions, want %d", size, len(decisions), want)
+		}
+		if want == 0 {
+			continue
+		}
+		if last := decisions[want-1].Seq; last != 50 {
+			t.Fatalf("DecisionLog %d: newest decision has seq %d, want 50", size, last)
+		}
+		if got := cl.Decisions(3); len(got) != 3 || got[2].Seq != 50 || got[0].Seq != 48 {
+			t.Fatalf("DecisionLog %d: Decisions(3) = %+v, want seqs 48..50", size, got)
+		}
+		for i, d := range decisions {
+			if i > 0 && d.Seq != decisions[i-1].Seq+1 {
+				t.Fatalf("decision seqs not contiguous: %d then %d", decisions[i-1].Seq, d.Seq)
+			}
+			if d.Ops != 4 || len(d.Addrs) != 4 || len(d.Loads) != 2 || d.PerInstance[0]+d.PerInstance[1] != 4 {
+				t.Fatalf("decision %d does not account for its 4-op batch: %+v", d.Seq, d)
+			}
+			if d.PerInstance[d.Chosen] < d.PerInstance[1-d.Chosen] {
+				t.Fatalf("decision %d: chosen instance %d served the minority: %+v", d.Seq, d.Chosen, d)
+			}
+		}
 	}
 }
 
@@ -279,7 +331,7 @@ func composeScenario(t *testing.T, name string, seed int64, events int, cl *Clus
 		for a := base; a < prefill && a < base+chunk; a++ {
 			ops = append(ops, shard.Op{Write: true, Addr: uint64(a), Data: pay(uint64(a))})
 		}
-		if _, err := cl.Do(ops); err != nil {
+		if _, err := do(cl, ops); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -305,7 +357,7 @@ func TestAffinityKeepsPredictorAccuracy(t *testing.T) {
 		const batch = 64
 		for i := 0; i < len(ops); i += batch {
 			end := min(i+batch, len(ops))
-			if _, err := cl.Do(ops[i:end]); err != nil {
+			if _, err := do(cl, ops[i:end]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -353,7 +405,7 @@ func TestLeastLoadedBalancesWriteBurst(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for ops := range feed {
-				if _, err := cl.Do(ops); err != nil {
+				if _, err := do(cl, ops); err != nil {
 					t.Error(err)
 					return
 				}
@@ -386,7 +438,7 @@ func TestLeastLoadedBalancesWriteBurst(t *testing.T) {
 }
 
 // TestClusterStatsSurfaces covers the read-side API a stats consumer
-// walks: the convenience ops, per-instance snapshots, global shard
+// walks: one-op batches, per-instance snapshots, global shard
 // gauges, and the ordered per-class quantile books (gold, silver,
 // best-effort all populated).
 func TestClusterStatsSurfaces(t *testing.T) {
@@ -404,21 +456,21 @@ func TestClusterStatsSurfaces(t *testing.T) {
 	if cl.Shards() != 4 {
 		t.Fatalf("Shards() = %d, want 2 instances x 2 shards", cl.Shards())
 	}
-	if cl.Engine(0) == cl.Engine(1) {
-		t.Fatal("Engine(0) and Engine(1) are the same engine")
+	if cl.engines[0] == cl.engines[1] {
+		t.Fatal("instances 0 and 1 are the same engine")
 	}
 
-	// Convenience single-op surface; affinity routing makes the read
-	// land on the instance that took the write.
-	if err := cl.Write(7, testLine(7)); err != nil {
+	// One-op batches; affinity routing makes the read land on the
+	// instance that took the write.
+	if err := writeOne(t.Context(), cl, 7, testLine(7)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.Read(7)
+	got, err := readOne(t.Context(), cl, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, testLine(7)) {
-		t.Fatal("read-your-write through the convenience surface failed")
+		t.Fatal("read-your-write through one-op batches failed")
 	}
 
 	// One classed call per tenant so every class has samples.
@@ -426,10 +478,10 @@ func TestClusterStatsSurfaces(t *testing.T) {
 		ctx := obs.ContextWithTenant(t.Context(), tenant)
 		for j := 0; j < 8; j++ {
 			addr := uint64(1000*(i+1) + j)
-			if err := cl.WriteCtx(ctx, addr, testLine(addr)); err != nil {
+			if err := writeOne(ctx, cl, addr, testLine(addr)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cl.ReadCtx(ctx, addr); err != nil {
+			if _, err := readOne(ctx, cl, addr); err != nil {
 				t.Fatal(err)
 			}
 		}

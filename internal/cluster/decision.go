@@ -1,21 +1,14 @@
 package cluster
 
-import (
-	"sync"
-
-	"attache/internal/shard"
-)
+import "sync"
 
 // decisionAddrCap bounds how many addresses one Decision records. Big
-// batches keep their first 32 addresses — enough to replay the routing
-// of any realistic batch while bounding ring memory.
+// batches keep their first 32 addresses — enough to see where any
+// realistic batch was headed while bounding ring memory.
 const decisionAddrCap = 32
 
 // Decision is one recorded routing outcome: which instance(s) a batch
-// went to, and the inputs (loads, addresses) the router saw. Recording
-// the inputs is what makes counterfactual replay honest — WhatIf re-runs
-// an alternative policy against the loads that actually prevailed, not
-// today's.
+// went to, and the inputs (loads, addresses) the router saw.
 type Decision struct {
 	Seq         uint64   `json:"seq"`
 	Tenant      string   `json:"tenant,omitempty"`
@@ -81,100 +74,4 @@ func (l *decisionLog) recent(n int) []Decision {
 		out = append(out, l.ring[(start+i)%len(l.ring)])
 	}
 	return out
-}
-
-// Divergence is the outcome of replaying recorded decisions under an
-// alternative router: how many batches would have landed elsewhere, and
-// how many ops would have moved to each instance.
-type Divergence struct {
-	Router      string `json:"router"`       // alternative policy replayed
-	Decisions   int    `json:"decisions"`    // batches replayed
-	Diverged    int    `json:"diverged"`     // batches whose placement changed
-	OpsMoved    int    `json:"ops_moved"`    // ops that changed instance
-	PerInstance []int  `json:"per_instance"` // ops per instance under alt policy
-}
-
-// WhatIf replays recorded routing decisions under alt, feeding it the
-// loads each decision actually saw, and reports how placement would
-// have differed. Decisions whose batch exceeded the recorded address
-// cap replay only the recorded prefix — the comparison stays apples to
-// apples because both placements are compared over the same prefix.
-func WhatIf(decisions []Decision, alt Router) Divergence {
-	div := Divergence{Router: alt.Name()}
-	for _, d := range decisions {
-		if len(d.Addrs) == 0 {
-			continue
-		}
-		n := len(d.PerInstance)
-		if n == 0 {
-			continue
-		}
-		if div.PerInstance == nil {
-			div.PerInstance = make([]int, n)
-		}
-		ops := make([]shard.Op, len(d.Addrs))
-		for i, a := range d.Addrs {
-			ops[i] = shard.Op{Addr: a}
-		}
-		assign := make([]int, len(ops))
-		alt.Route(ops, d.Loads, assign)
-		div.Decisions++
-
-		// Reconstruct the recorded per-op placement over the same
-		// prefix. Whole-batch routers recorded one instance; the
-		// affinity router's per-op split is deterministic on Addr, so
-		// recompute it from PerInstance order-preservingly.
-		recorded := recordedAssignment(d, len(ops))
-		moved := 0
-		for i := range assign {
-			if assign[i] != recorded[i] {
-				moved++
-			}
-			if assign[i] >= 0 && assign[i] < n {
-				div.PerInstance[assign[i]]++
-			}
-		}
-		if moved > 0 {
-			div.Diverged++
-			div.OpsMoved += moved
-		}
-	}
-	return div
-}
-
-// recordedAssignment rebuilds a per-op instance assignment consistent
-// with the decision's PerInstance histogram: ops are dealt to instances
-// in index order, matching how the cluster splits batches (stable,
-// order-preserving grouping).
-func recordedAssignment(d Decision, n int) []int {
-	out := make([]int, n)
-	if single := singleInstance(d.PerInstance); single >= 0 {
-		for i := range out {
-			out[i] = single
-		}
-		return out
-	}
-	// Multi-instance decisions come only from per-op routers whose
-	// mapping is a pure function of Addr — recompute via the affinity
-	// hash with default prefix bits (the only per-op policy shipped).
-	r := affinityRouter{n: uint64(len(d.PerInstance)), prefixBits: DefaultAffinityPrefixBits}
-	for i, a := range d.Addrs[:n] {
-		out[i] = r.instanceFor(a)
-	}
-	return out
-}
-
-// singleInstance returns the lone instance with ops, or -1 if the batch
-// was split.
-func singleInstance(per []int) int {
-	idx := -1
-	for i, c := range per {
-		if c > 0 {
-			if idx >= 0 {
-				return -1
-			}
-			idx = i
-		}
-	}
-	return idx
 }

@@ -18,8 +18,7 @@ import (
 // count at decision time, the live signal load-aware policies key off.
 //
 // Routing is deliberately a pure placement decision — no admission, no
-// retries — so a decision can be recorded and replayed counterfactually
-// (WhatIf) under a different policy.
+// retries — so a recorded decision (Cluster.Decisions) says all of it.
 type Router interface {
 	Name() string
 	Route(ops []shard.Op, loads []int64, assign []int)

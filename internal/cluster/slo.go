@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"sort"
 	"sync"
 	"time"
 
+	"attache/internal/core"
 	"attache/internal/stats"
 )
 
@@ -104,17 +106,23 @@ func (b *sloBook) tenant(tenant string) *tenantStats {
 	return t
 }
 
-// recordQuotaShed books a batch refused by admission control.
-func (b *sloBook) recordQuotaShed(tenant string, ops int) {
+// recordRefused books a batch admission control turned away: a quota
+// shed the tenant may retry, or — the batch exceeds its whole burst — an
+// error it may not.
+func (b *sloBook) recordRefused(tenant string, ops int, why error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	t := b.tenant(tenant)
 	t.ops += int64(ops)
-	t.shedQuota += int64(ops)
+	if errors.Is(why, core.ErrOverloaded) {
+		t.shedQuota += int64(ops)
+	} else {
+		t.errors += int64(ops)
+	}
 }
 
 // record books one executed batch: latency into the tenant's class
-// reservoir, per-op outcomes into the tenant counters. Quota sheds are
+// reservoir, per-op outcomes into the tenant counters. Refusals are
 // booked separately — their latency is a refusal, not service time.
 func (b *sloBook) record(tenant string, lat time.Duration, ops, ok, shedBackend, errs int) {
 	b.mu.Lock()

@@ -55,7 +55,7 @@ func TestClusterSnapshotRestore(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 200; i++ {
-		if _, err := cl.Do(clusterBatch(rng, i)); err != nil {
+		if _, err := do(cl, clusterBatch(rng, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,8 +90,8 @@ func TestClusterSnapshotRestore(t *testing.T) {
 	// counters on the same instance.
 	for i := 200; i < 320; i++ {
 		ops := clusterBatch(rng, i)
-		a, aerr := cl.Do(append([]shard.Op(nil), ops...))
-		b, berr := re.Do(append([]shard.Op(nil), ops...))
+		a, aerr := do(cl, append([]shard.Op(nil), ops...))
+		b, berr := do(re, append([]shard.Op(nil), ops...))
 		if (aerr == nil) != (berr == nil) {
 			t.Fatalf("batch %d: call errors diverged: %v vs %v", i, aerr, berr)
 		}
@@ -122,7 +122,7 @@ func TestClusterTierMerge(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 150; i++ {
-		if _, err := cl.Do(clusterBatch(rng, i)); err != nil {
+		if _, err := do(cl, clusterBatch(rng, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func TestClusterUntieredNoTierSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Write(1, testLine(1)); err != nil {
+	if err := writeOne(t.Context(), cl, 1, testLine(1)); err != nil {
 		t.Fatal(err)
 	}
 	if s := cl.EngineSnapshot(); s.Tiers != nil {

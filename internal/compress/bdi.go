@@ -123,23 +123,6 @@ func bdiFit(line []byte, limit int) bdiPlan {
 	return bdiPlan{enc: BDIUncompressed, size: LineSize}
 }
 
-// BDICompress compresses a 64-byte line with the smallest applicable BDI
-// encoding. It returns the encoded bytes (first byte is the encoding tag)
-// and ok=false when no encoding beats the raw line.
-func BDICompress(line []byte) (encoded []byte, ok bool) {
-	p := bdiFit(line, LineSize-1)
-	if p.enc == BDIUncompressed {
-		return nil, false
-	}
-	return bdiEncode(nil, line, p), true
-}
-
-// BDIDecompress reverses BDICompress. It returns an error on a malformed
-// encoding.
-func BDIDecompress(encoded []byte) ([]byte, error) {
-	return decodeLine(AlgoBDI, encoded)
-}
-
 // bdiDecode is the BDI decoder, writing the line into dst.
 func bdiDecode(dst *[LineSize]byte, encoded []byte) error {
 	if len(encoded) == 0 {
@@ -165,11 +148,6 @@ func bdiDecode(dst *[LineSize]byte, encoded []byte) error {
 	}
 	return fmt.Errorf("compress: unknown BDI encoding tag %d", encoded[0])
 }
-
-// BDISize reports the compressed size in bytes BDI achieves for line, or
-// LineSize when the line is incompressible under BDI. Unlike BDICompress
-// it allocates nothing: it only plans the encodings.
-func BDISize(line []byte) int { return bdiFit(line, LineSize-1).size }
 
 func repeated8(line []byte) (uint64, bool) {
 	v := binary.LittleEndian.Uint64(line)

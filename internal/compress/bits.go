@@ -84,9 +84,6 @@ func (r *BitReader) ReadBits(n int) (uint64, error) {
 	return v, nil
 }
 
-// Remaining reports the number of unread bits.
-func (r *BitReader) Remaining() int { return len(r.buf)*8 - r.pos }
-
 // signExtend interprets the low `bits` bits of v as a two's-complement
 // value and returns it sign-extended to int64.
 func signExtend(v uint64, bits int) int64 {

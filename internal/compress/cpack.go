@@ -27,13 +27,6 @@ const (
 	cpackDictSize = 16
 )
 
-// CPackCompress compresses a 64-byte line. ok is false when the encoding
-// does not beat the raw line.
-func CPackCompress(line []byte) (encoded []byte, ok bool) {
-	// Worst case is 16 uncompressed words: 16 x 34 bits = 68 bytes.
-	return cpackAppend(make([]byte, 0, 68), line)
-}
-
 // cpackAppend is the CPack encoder: it appends the encoding of line to dst
 // and reports whether it beat the raw line.
 func cpackAppend(dst, line []byte) (encoded []byte, ok bool) {
@@ -93,11 +86,6 @@ func cpackPush(dict []uint32, word uint32) []uint32 {
 		return dict
 	}
 	return append(dict, word)
-}
-
-// CPackDecompress reverses CPackCompress.
-func CPackDecompress(encoded []byte) ([]byte, error) {
-	return decodeLine(AlgoCPack, encoded)
 }
 
 // cpackDecode is the CPack decoder, writing the line into dst.
@@ -178,11 +166,6 @@ func cpackDecodeWord(r *BitReader, dict []uint32) (word uint32, pushed bool, err
 		}
 	}
 }
-
-// CPackSize reports the compressed size CPack achieves, or LineSize when
-// it does not beat the raw line. Unlike CPackCompress it allocates
-// nothing: it runs the same dictionary walk but only counts code widths.
-func CPackSize(line []byte) int { return cpackSize(line, LineSize-1) }
 
 // cpackSize is the CPack size pass, bounded like fpcSize: the encoded size
 // when it is at most limit bytes, else LineSize, the sixteen two-bit

@@ -39,17 +39,6 @@ type Compressed struct {
 	Payload []byte // codec output for AlgoBDI/AlgoFPC; the raw line for AlgoNone
 }
 
-// Size reports the stored payload size in bytes: the packed form that
-// actually lands in a sub-rank (see Pack). It allocates nothing.
-func (c Compressed) Size() int {
-	switch c.Algo {
-	case AlgoFPC, AlgoCPack:
-		return 1 + len(c.Payload) // one tag byte (see Pack)
-	default:
-		return len(c.Payload)
-	}
-}
-
 // fpcTag and cpackTag mark packed FPC/CPack payloads. BDI payloads are
 // self-tagging: their first byte is a BDIEncoding in [0, 7], so any first
 // byte >= 8 is free.
@@ -251,14 +240,4 @@ func (e *Engine) Decompress(c Compressed) ([]byte, error) {
 func (e *Engine) Compressible(line []byte) bool {
 	algo, _ := e.Choose(line)
 	return algo != AlgoNone
-}
-
-// BestSize reports the smallest size either codec achieves regardless of
-// the target — useful for compressibility CDFs.
-func BestSize(line []byte) int {
-	b, f := BDISize(line), FPCSize(line)
-	if b < f {
-		return b
-	}
-	return f
 }

@@ -13,8 +13,8 @@ func TestEngineSelectsBest(t *testing.T) {
 
 	// Zero line: both codecs work; BDI (1 byte) beats FPC (6 bytes).
 	c := e.Compress(make([]byte, LineSize))
-	if c.Algo != AlgoBDI || c.Size() != 1 {
-		t.Fatalf("zero line: algo=%v size=%d, want bdi/1", c.Algo, c.Size())
+	if c.Algo != AlgoBDI || len(c.Pack()) != 1 {
+		t.Fatalf("zero line: algo=%v size=%d, want bdi/1", c.Algo, len(c.Pack()))
 	}
 
 	// A line of small independent 32-bit values: FPC-friendly, BDI-hostile
@@ -106,12 +106,6 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
-func TestBestSize(t *testing.T) {
-	if s := BestSize(make([]byte, LineSize)); s != 1 {
-		t.Fatalf("zero line best size = %d, want 1 (BDI)", s)
-	}
-}
-
 // Property: engine round-trips every line exactly, compressed or not.
 func TestEngineQuickRoundTrip(t *testing.T) {
 	e := NewEngine()
@@ -134,10 +128,10 @@ func TestEngineCompressibleFitsSubRank(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		l := genCompressibleCandidate(rng)
 		c := e.Compress(l)
-		if c.Algo != AlgoNone && c.Size() > e.Target {
-			t.Fatalf("compressed size %d exceeds target %d", c.Size(), e.Target)
+		if c.Algo != AlgoNone && len(c.Pack()) > e.Target {
+			t.Fatalf("compressed size %d exceeds target %d", len(c.Pack()), e.Target)
 		}
-		if c.Algo != AlgoNone && c.Size()+2 > 32 {
+		if c.Algo != AlgoNone && len(c.Pack())+2 > 32 {
 			t.Fatalf("compressed line + header does not fit a sub-rank")
 		}
 	}

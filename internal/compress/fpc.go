@@ -22,15 +22,6 @@ var fpcDataBits = [8]int{0, 4, 8, 16, 16, 16, 8, 32}
 
 const fpcWords = LineSize / 4
 
-// FPCCompress compresses a 64-byte line with Frequent-Pattern-Compression.
-// The returned buffer packs sixteen (3-bit prefix, variable data) codes
-// MSB-first; the last byte is zero-padded. FPC always succeeds — in the
-// worst case every word is stored uncompressed (16 x 35 bits = 70 bytes),
-// in which case ok=false signals the encoding did not beat the raw line.
-func FPCCompress(line []byte) (encoded []byte, ok bool) {
-	return fpcAppend(make([]byte, 0, 70), line)
-}
-
 // fpcAppend is the FPC encoder: it appends the encoding of line to dst and
 // reports whether it beat the raw line.
 func fpcAppend(dst, line []byte) (encoded []byte, ok bool) {
@@ -45,11 +36,6 @@ func fpcAppend(dst, line []byte) (encoded []byte, ok bool) {
 	}
 	enc := w.Bytes() // in dst's spare capacity unless the writer outgrew it
 	return append(dst, enc...), len(enc) < LineSize
-}
-
-// FPCDecompress reverses FPCCompress.
-func FPCDecompress(encoded []byte) ([]byte, error) {
-	return decodeLine(AlgoFPC, encoded)
 }
 
 // fpcDecode is the FPC decoder, writing the line into dst.
@@ -72,11 +58,6 @@ func fpcDecode(dst *[LineSize]byte, encoded []byte) error {
 	}
 	return nil
 }
-
-// FPCSize reports the compressed size in bytes FPC achieves for line, or
-// LineSize when FPC does not beat the raw line. Unlike FPCCompress it
-// allocates nothing: the size needs only the per-word pattern widths.
-func FPCSize(line []byte) int { return fpcSize(line, LineSize-1) }
 
 // fpcSize is the FPC size pass: the encoded size when it is at most limit
 // bytes, else LineSize. The sixteen prefixes are counted up front, so the

@@ -181,12 +181,12 @@ func refCompress(e *Engine, line []byte) Compressed {
 		best = Compressed{Algo: AlgoBDI, Payload: bdi}
 	}
 	if fpc, ok := refFPCCompress(line); ok && len(fpc)+1 <= e.Target &&
-		(best.Algo == AlgoNone || len(fpc)+1 < best.Size()) {
+		(best.Algo == AlgoNone || len(fpc)+1 < len(best.Pack())) {
 		best = Compressed{Algo: AlgoFPC, Payload: fpc}
 	}
 	if e.EnableCPack {
 		if cp, ok := refCPackCompress(line); ok && len(cp)+1 <= e.Target &&
-			(best.Algo == AlgoNone || len(cp)+1 < best.Size()) {
+			(best.Algo == AlgoNone || len(cp)+1 < len(best.Pack())) {
 			best = Compressed{Algo: AlgoCPack, Payload: cp}
 		}
 	}
@@ -205,8 +205,8 @@ func checkCompressMatchesReference(t *testing.T, e *Engine, line []byte) {
 	if got.Algo != want.Algo || !bytes.Equal(got.Payload, want.Payload) || !bytes.Equal(got.Pack(), want.Pack()) {
 		t.Fatalf("Compress = %v %x, reference %v %x", got.Algo, got.Payload, want.Algo, want.Payload)
 	}
-	if algo, size := e.Choose(line); algo != want.Algo || size != want.Size() {
-		t.Fatalf("Choose = %v/%d, reference %v/%d", algo, size, want.Algo, want.Size())
+	if algo, size := e.Choose(line); algo != want.Algo || size != len(want.Pack()) {
+		t.Fatalf("Choose = %v/%d, reference %v/%d", algo, size, want.Algo, len(want.Pack()))
 	}
 	if e.Compressible(line) != (want.Algo != AlgoNone) {
 		t.Fatalf("Compressible = %v, reference chose %v", e.Compressible(line), want.Algo)
@@ -482,8 +482,8 @@ func TestBitStreamMatchesReference(t *testing.T) {
 			if got != want || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 				t.Fatalf("trial %d read %d (width %d): %#x/%v, reference %#x/%v", trial, i, n, got, err, want, wantErr)
 			}
-			if r.Remaining() != len(ref.buf)*8-refR.pos {
-				t.Fatalf("trial %d read %d: Remaining=%d, reference %d", trial, i, r.Remaining(), len(ref.buf)*8-refR.pos)
+			if r.pos != refR.pos {
+				t.Fatalf("trial %d read %d: at bit %d, reference at %d", trial, i, r.pos, refR.pos)
 			}
 		}
 	}

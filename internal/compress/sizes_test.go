@@ -94,14 +94,14 @@ func TestCompressibleMatchesCompress(t *testing.T) {
 	}
 }
 
-// TestCompressedSizeMatchesPack pins the allocation-free Size against the
-// packed byte string.
+// TestCompressedSizeMatchesPack pins the size the allocation-free Choose
+// reports against the packed byte string Compress produces.
 func TestCompressedSizeMatchesPack(t *testing.T) {
 	e := NewExtendedEngine()
 	for i, line := range testLines(200) {
 		c := e.Compress(line)
-		if c.Size() != len(c.Pack()) {
-			t.Fatalf("line %d (%v): Size=%d, len(Pack)=%d", i, c.Algo, c.Size(), len(c.Pack()))
+		if algo, size := e.Choose(line); algo != c.Algo || size != len(c.Pack()) {
+			t.Fatalf("line %d: Choose = %v/%d, Compress packed %v/%d", i, algo, size, c.Algo, len(c.Pack()))
 		}
 	}
 }

@@ -5,15 +5,8 @@ package config
 
 import "fmt"
 
-// Cacheline and sub-rank geometry (paper §I, §II).
-const (
-	LineSize        = 64 // bytes per cacheline / memory block
-	SubRankSize     = 32 // bytes provided by one sub-rank per access
-	TargetPayload   = 30 // compressed payload that fits one sub-rank with the 2-byte Metadata-Header
-	MetaHeaderBytes = 2  // 15-bit CID + 1-bit XID
-	PageSize        = 4096
-	LinesPerPage    = PageSize / LineSize // 64 — matches the 64-bit LiPR entry
-)
+// LineSize is the bytes per cacheline / memory block (paper §I, §II).
+const LineSize = 64
 
 // CheckLevel selects how much runtime self-validation the simulator
 // performs (DESIGN.md §8). Checking never changes simulated behaviour or

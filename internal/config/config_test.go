@@ -125,12 +125,3 @@ func TestSystemKindString(t *testing.T) {
 		}
 	}
 }
-
-func TestGeometryConstants(t *testing.T) {
-	if LinesPerPage != 64 {
-		t.Fatalf("LinesPerPage = %d, want 64 (matches 64-bit LiPR entries)", LinesPerPage)
-	}
-	if TargetPayload+MetaHeaderBytes != SubRankSize {
-		t.Fatal("target payload + header must fill one sub-rank")
-	}
-}

@@ -42,9 +42,6 @@ func newAssoc[V any](entries, ways int) *assoc[V] {
 	}
 }
 
-// capacity reports the number of entries the table can hold.
-func (a *assoc[V]) capacity() int { return a.sets * a.ways }
-
 func (a *assoc[V]) set(key uint64) []assocEntry[V] {
 	s := int(key) & (a.sets - 1)
 	return a.entries[s*a.ways : (s+1)*a.ways]

@@ -7,8 +7,8 @@ import (
 
 func TestAssocBasic(t *testing.T) {
 	a := newAssoc[int](16, 4)
-	if a.capacity() != 16 {
-		t.Fatalf("capacity = %d, want 16", a.capacity())
+	if a.sets*a.ways != 16 {
+		t.Fatalf("capacity = %d, want 16", a.sets*a.ways)
 	}
 	a.insert(1, 100)
 	a.insert(2, 200)
@@ -96,7 +96,7 @@ func TestPaPRCapacityFromBudget(t *testing.T) {
 	p := newPagePredictor(192<<10, 16)
 	// 192KB * 8 / 19 bits ~= 82K entries; power-of-two set rounding can
 	// halve that at worst.
-	if c := p.capacity(); c < 40000 || c > 90000 {
+	if c := p.table.sets * p.table.ways; c < 40000 || c > 90000 {
 		t.Fatalf("PaPR capacity = %d entries, want 40K..90K", c)
 	}
 }
@@ -104,7 +104,7 @@ func TestPaPRCapacityFromBudget(t *testing.T) {
 func TestLiPRCapacityFromBudget(t *testing.T) {
 	l := newLinePredictor(176<<10, 16)
 	// 176KB * 8 / 81 bits ~= 17.8K entries.
-	if c := l.capacity(); c < 8000 || c > 18000 {
+	if c := l.table.sets * l.table.ways; c < 8000 || c > 18000 {
 		t.Fatalf("LiPR capacity = %d entries, want 8K..18K", c)
 	}
 }

@@ -65,6 +65,3 @@ func (l *linePredictor) train(page uint64, lineIdx int, compressed, homogeneous,
 	e.seen |= bit
 	l.table.insert(page, e)
 }
-
-// capacity reports the number of page entries.
-func (l *linePredictor) capacity() int { return l.table.capacity() }

@@ -49,6 +49,3 @@ func (p *pagePredictor) insert(page uint64, counter uint8) {
 	}
 	p.table.insert(page, counter)
 }
-
-// capacity reports the number of page entries.
-func (p *pagePredictor) capacity() int { return p.table.capacity() }

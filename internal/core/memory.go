@@ -193,37 +193,6 @@ func (m *Memory) ReadInto(dst *[LineSize]byte, lineAddr uint64) error {
 	return nil
 }
 
-// BatchRead loads the lines at addrs in order. It fails fast: on the
-// first error it returns the successfully read prefix alongside an error
-// that names the failing index and address and wraps the cause (so
-// errors.Is sees ErrNeverWritten etc.). Per-op failure isolation lives
-// one level up, in the sharded engine's Do.
-func (m *Memory) BatchRead(addrs []uint64) ([][]byte, error) {
-	out := make([][]byte, 0, len(addrs))
-	for i, a := range addrs {
-		data, err := m.Read(a)
-		if err != nil {
-			return out, fmt.Errorf("core: batch read op %d (addr %#x): %w", i, a, err)
-		}
-		out = append(out, data)
-	}
-	return out, nil
-}
-
-// BatchWrite stores lines[i] at addrs[i] in order, failing fast like
-// BatchRead. The two slices must be the same length.
-func (m *Memory) BatchWrite(addrs []uint64, lines [][]byte) error {
-	if len(addrs) != len(lines) {
-		return fmt.Errorf("core: batch write has %d addrs but %d lines", len(addrs), len(lines))
-	}
-	for i, a := range addrs {
-		if err := m.Write(a, lines[i]); err != nil {
-			return fmt.Errorf("core: batch write op %d (addr %#x): %w", i, a, err)
-		}
-	}
-	return nil
-}
-
 // StatsSnapshot returns an immutable copy of the memory's counters and
 // derived metrics. This is the supported way to read stats: the returned
 // value never changes, so callers can hold it across further traffic.

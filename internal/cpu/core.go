@@ -109,9 +109,6 @@ func NewCore(eng *sim.Engine, id int, cfg Config, gen trace.Source, target int64
 	return c
 }
 
-// Start schedules the core's first activity at time zero.
-func (c *Core) Start() { c.StartAt(0) }
-
 // StartAt schedules the core's first activity at the given time. The
 // harness staggers rate-mode cores by a few cycles so identical traces do
 // not run in lockstep and phase-lock against the write-drain machinery.
@@ -124,14 +121,6 @@ func (c *Core) StartAt(at sim.Time) {
 
 // Finished reports completion and the finish time.
 func (c *Core) Finished() (bool, sim.Time) { return c.finished, c.finishTime }
-
-// IPC reports retired instructions per cycle at finish time.
-func (c *Core) IPC() float64 {
-	if c.finishTime == 0 {
-		return 0
-	}
-	return float64(c.Stats.Instructions) / float64(c.finishTime)
-}
 
 func (c *Core) wake(at sim.Time) {
 	if c.wakePending && c.wakeAt <= at {

@@ -49,7 +49,7 @@ func runCore(t *testing.T, prof trace.Profile, cfg Config, latency sim.Time, tar
 	gen := trace.NewGenerator(prof, 11, 0)
 	var finish sim.Time = -1
 	c := NewCore(eng, 0, cfg, gen, target, mem, func(now sim.Time) { finish = now })
-	c.Start()
+	c.StartAt(0)
 	if !eng.RunUntilDone(50_000_000) {
 		t.Fatal("simulation did not drain")
 	}
@@ -148,7 +148,8 @@ func TestStoresArePosted(t *testing.T) {
 
 func TestIPCWithinIssueWidth(t *testing.T) {
 	c, _, _ := runCore(t, coreProfile(trace.PatternRandom, 30, 0.2), defaultCfg(), 80, 2000)
-	ipc := c.IPC()
+	_, finish := c.Finished()
+	ipc := float64(c.Stats.Instructions) / float64(finish)
 	if ipc <= 0 || ipc > 4 {
 		t.Fatalf("IPC = %.2f, want (0, 4]", ipc)
 	}
@@ -189,7 +190,7 @@ func TestDeterminism(t *testing.T) {
 		gen := trace.NewGenerator(coreProfile(trace.PatternPageLocal, 12, 0.3), 5, 0)
 		var finish sim.Time
 		c := NewCore(eng, 0, defaultCfg(), gen, 800, mem, func(now sim.Time) { finish = now })
-		c.Start()
+		c.StartAt(0)
 		eng.RunUntilDone(10_000_000)
 		return finish
 	}
@@ -203,11 +204,8 @@ func TestIPCZeroBeforeFinish(t *testing.T) {
 	mem := &fixedMem{eng: eng, latency: 1000}
 	gen := trace.NewGenerator(coreProfile(trace.PatternRandom, 5, 0), 1, 0)
 	c := NewCore(eng, 0, defaultCfg(), gen, 1000, mem, nil)
-	c.Start()
-	if c.IPC() != 0 {
-		t.Fatal("IPC before finish should be 0")
-	}
-	if done, _ := c.Finished(); done {
+	c.StartAt(0)
+	if done, at := c.Finished(); done || at != 0 {
 		t.Fatal("core finished without running")
 	}
 }
@@ -234,7 +232,7 @@ func TestFileTraceDrivesCore(t *testing.T) {
 	}
 	var finish sim.Time
 	c := NewCore(eng, 0, defaultCfg(), ft, 9, mem, func(now sim.Time) { finish = now }) // 3 loops
-	c.Start()
+	c.StartAt(0)
 	eng.RunUntilDone(1_000_000)
 	if finish == 0 {
 		t.Fatal("core did not finish")

@@ -89,30 +89,5 @@ func (m *AddressMapper) Decode(lineAddr uint64) Location {
 	return Location{Channel: ch, Group: bg, Bank: bank, Row: row, Col: col}
 }
 
-// Encode is the inverse of Decode for in-capacity locations; tests use it
-// to build addresses with specific locality. The bank XOR hash is an
-// involution, so encoding applies the same permutation.
-func (m *AddressMapper) Encode(loc Location) uint64 {
-	bank := loc.Bank ^ (loc.Row & (m.banks - 1))
-	bg := loc.Group ^ ((loc.Row >> m.bankBits) & (m.groups - 1))
-	a := uint64(loc.Row)
-	a = a<<m.bankBits | uint64(bank)
-	a = a<<m.bgBits | uint64(bg)
-	a = a<<m.chBits | uint64(loc.Channel)
-	a = a<<m.colBits | uint64(loc.Col)
-	return a
-}
-
-// BankIndex flattens (group, bank) into one index in [0, groups*banks).
-func (m *AddressMapper) BankIndex(loc Location) int {
-	return loc.Group*m.banks + loc.Bank
-}
-
-// BanksPerChannel reports the number of banks a channel schedules across.
-func (m *AddressMapper) BanksPerChannel() int { return m.groups * m.banks }
-
-// Channels reports the channel count.
-func (m *AddressMapper) Channels() int { return m.channels }
-
 // LinesPerRow reports blocks per row (the metadata-region covering unit).
 func (m *AddressMapper) LinesPerRow() int { return m.cols }

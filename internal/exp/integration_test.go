@@ -29,7 +29,7 @@ func TestFunctionalAndPerformanceModelsAgree(t *testing.T) {
 		gen := trace.NewGenerator(p, 3, 0)
 		for i := 0; i < 500; i++ {
 			a := gen.Next()
-			line := dm.Line(a.LineAddr)
+			line := dm.LineInto(a.LineAddr, nil)
 			st, _, err := f.Store(a.LineAddr, line)
 			if err != nil {
 				t.Fatal(err)
@@ -170,7 +170,7 @@ func TestCompressionEngineAgreesWithPackedStorage(t *testing.T) {
 	for _, p := range trace.Catalog() {
 		dm := p.DataModel()
 		for addr := uint64(0); addr < 300; addr++ {
-			line := dm.Line(addr)
+			line := dm.LineInto(addr, nil)
 			c := e.Compress(line)
 			if c.Algo == compress.AlgoNone {
 				continue

@@ -4,7 +4,7 @@ import "testing"
 
 // keyForSet returns the n-th distinct key mapping to set s of c.
 func keyForSet(c *Cache, s int, n int) uint64 {
-	return uint64(s) + uint64(n)*uint64(c.Sets())
+	return uint64(s) + uint64(n)*uint64(c.sets)
 }
 
 // TestSetSaturationAllPolicies drives one set far past its associativity
@@ -25,15 +25,15 @@ func TestSetSaturationAllPolicies(t *testing.T) {
 					resident++
 				}
 			}
-			if resident != c.Ways() {
-				t.Fatalf("saturated set holds %d lines, want exactly %d", resident, c.Ways())
+			if resident != c.ways {
+				t.Fatalf("saturated set holds %d lines, want exactly %d", resident, c.ways)
 			}
 			if got := c.Stats.Installs.Value(); got != rounds {
 				t.Fatalf("installs = %d, want %d (every distinct key misses)", got, rounds)
 			}
 			// The most recent insertions must be the survivors under LRU.
 			if pol == LRU {
-				for n := rounds - c.Ways(); n < rounds; n++ {
+				for n := rounds - c.ways; n < rounds; n++ {
 					if !c.Contains(keyForSet(c, 3, n)) {
 						t.Fatalf("LRU evicted a most-recent line (n=%d)", n)
 					}
@@ -204,7 +204,7 @@ func TestRRIPAgingTerminates(t *testing.T) {
 func TestDuelingLeaderSetsCoverBothPolicies(t *testing.T) {
 	c := New(64*32*LineSize, 4, DRRIP) // 512 sets: 16 SRRIP + 16 BRRIP leaders
 	var srrip, brrip, followers int
-	for s := 0; s < c.Sets(); s++ {
+	for s := 0; s < c.sets; s++ {
 		switch c.leaderKind(uint64(s)) {
 		case 0:
 			srrip++
@@ -235,8 +235,8 @@ func TestDuelingLeaderSetsCoverBothPolicies(t *testing.T) {
 func TestTinyCacheDegenerateGeometry(t *testing.T) {
 	for _, pol := range []Policy{LRU, DRRIP, SHiP} {
 		c := New(LineSize, 8, pol) // fewer lines than ways
-		if c.Sets() != 1 {
-			t.Fatalf("%v: sets = %d, want 1", pol, c.Sets())
+		if c.sets != 1 {
+			t.Fatalf("%v: sets = %d, want 1", pol, c.sets)
 		}
 		for n := uint64(0); n < 20; n++ {
 			c.Access(n, true)

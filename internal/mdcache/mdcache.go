@@ -151,18 +151,6 @@ func New(sizeBytes, ways int, policy Policy) *Cache {
 	return c
 }
 
-// Policy reports the configured replacement policy.
-func (c *Cache) Policy() Policy { return c.policy }
-
-// Sets reports the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways reports the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
-// CapacityLines reports the number of metadata lines the cache holds.
-func (c *Cache) CapacityLines() int { return c.sets * c.ways }
-
 func (c *Cache) setIndex(key uint64) int { return int(key) & (c.sets - 1) }
 
 func (c *Cache) set(key uint64) []line {
@@ -222,17 +210,6 @@ func (c *Cache) Access(key uint64, write bool) Result {
 	}
 	c.updateDueling(key)
 	return res
-}
-
-// Contains reports whether key is cached, without touching replacement
-// state.
-func (c *Cache) Contains(key uint64) bool {
-	for _, l := range c.set(key) {
-		if l.valid && l.tag == key {
-			return true
-		}
-	}
-	return false
 }
 
 func (c *Cache) onHit(key uint64, l *line) {

@@ -28,11 +28,11 @@ func TestPolicyString(t *testing.T) {
 
 func TestCapacityGeometry(t *testing.T) {
 	c := New(1<<20, 16, LRU)
-	if c.CapacityLines() != 1<<20/64 {
-		t.Fatalf("capacity = %d lines, want %d", c.CapacityLines(), 1<<20/64)
+	if c.sets*c.ways != 1<<20/64 {
+		t.Fatalf("capacity = %d lines, want %d", c.sets*c.ways, 1<<20/64)
 	}
-	if c.Sets() != 1024 || c.Ways() != 16 {
-		t.Fatalf("geometry = %dx%d, want 1024x16", c.Sets(), c.Ways())
+	if c.sets != 1024 || c.ways != 16 {
+		t.Fatalf("geometry = %dx%d, want 1024x16", c.sets, c.ways)
 	}
 }
 
@@ -225,4 +225,15 @@ func TestPaperHitRateBallpark(t *testing.T) {
 	if hr := c.Stats.HitRate(); hr < 0.7 || hr > 0.95 {
 		t.Fatalf("hit rate = %.3f, want 0.70..0.95", hr)
 	}
+}
+
+// Contains reports whether key is cached, without touching replacement
+// state.
+func (c *Cache) Contains(key uint64) bool {
+	for _, l := range c.set(key) {
+		if l.valid && l.tag == key {
+			return true
+		}
+	}
+	return false
 }

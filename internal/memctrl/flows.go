@@ -242,13 +242,7 @@ func (s *System) writeAttache(lineAddr uint64) {
 	loc := s.mapper.Decode(lineAddr)
 	// The controller just compressed this line, so it knows the outcome:
 	// keep the predictor warm with write-path observations too.
-	if s.suppressTrain != nil && s.suppressTrain[lineAddr] {
-		// Mutation-test injection (InjectSuppressTrain): drop this one
-		// training call so the oracle can prove it notices the drift.
-		delete(s.suppressTrain, lineAddr)
-	} else {
-		defer s.copr.Train(lineAddr*config.LineSize, s.compressed(lineAddr))
-	}
+	defer s.copr.Train(lineAddr*config.LineSize, s.compressed(lineAddr))
 	if s.checker != nil {
 		s.checker.OnWrite(lineAddr, s.compressed(lineAddr), s.eng.Now())
 	}

@@ -77,9 +77,6 @@ type System struct {
 	// can supply real bytes.
 	rec     *check.Recorder
 	checker *check.Oracle
-	// suppressTrain is the fault-injection state of the mutation tests:
-	// the next write to a listed address skips its COPR training call.
-	suppressTrain map[uint64]bool
 
 	Stats Stats
 }
@@ -155,9 +152,6 @@ func coprConfigFor(cfg config.Config) copr.Config {
 	}
 }
 
-// Kind reports the system organization.
-func (s *System) Kind() config.SystemKind { return s.kind }
-
 // Predictor exposes COPR (Attaché systems only; nil otherwise).
 func (s *System) Predictor() *copr.Predictor { return s.copr }
 
@@ -179,10 +173,6 @@ func (s *System) Drained() bool {
 
 // Audit exposes the failure recorder (nil when checking is off).
 func (s *System) Audit() *check.Recorder { return s.rec }
-
-// Checker exposes the differential oracle (nil unless the system runs at
-// CheckOracle, is an Attaché system, and its LineModel supplies bytes).
-func (s *System) Checker() *check.Oracle { return s.checker }
 
 // CheckErr finalizes the end-of-run checks — per-channel request
 // conservation at drain and the oracle's Replacement-Area conservation —

@@ -220,7 +220,7 @@ func TestAttacheLatencyIncludesPredictorLookup(t *testing.T) {
 
 func TestSystemKindAccessors(t *testing.T) {
 	_, a := newSystem(t, config.SystemAttache, allCompressible())
-	if a.Kind() != config.SystemAttache || a.Predictor() == nil || a.MetadataCache() != nil {
+	if a.kind != config.SystemAttache || a.Predictor() == nil || a.MetadataCache() != nil {
 		t.Fatal("attache accessors wrong")
 	}
 	_, m := newSystem(t, config.SystemMDCache, allCompressible())

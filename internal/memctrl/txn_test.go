@@ -41,8 +41,8 @@ func TestReentrantReadReusesRecord(t *testing.T) {
 		if doneA[0] != wantA || doneB[0] != wantB {
 			t.Errorf("%v: reads finished at %d and %d, want %d and %d", kind, doneA[0], doneB[0], wantA, wantB)
 		}
-		if n, sum := s.Stats.ReadLatency.N(), s.Stats.ReadLatency.Sum(); n != 2 || sum != float64(wantB) {
-			t.Errorf("%v: latency samples = %d summing to %v, want 2 summing to %d", kind, n, sum, wantB)
+		if n, mean := s.Stats.ReadLatency.N(), s.Stats.ReadLatency.Value(); n != 2 || mean != float64(wantB)/2 {
+			t.Errorf("%v: latency samples = %d averaging %v, want 2 summing to %d", kind, n, mean, wantB)
 		}
 		if len(s.txnFree) != 1 {
 			t.Errorf("%v: %d records pooled after two serial reads, want the one reused", kind, len(s.txnFree))

@@ -51,10 +51,3 @@ func (s *Scrambler) Apply(addr uint64, data []byte) {
 		}
 	}
 }
-
-// Scrambled returns a scrambled copy of data, leaving the input intact.
-func (s *Scrambler) Scrambled(addr uint64, data []byte) []byte {
-	out := append([]byte(nil), data...)
-	s.Apply(addr, out)
-	return out
-}

@@ -161,3 +161,10 @@ func TestInvolutionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Scrambled returns a scrambled copy of data, leaving the input intact.
+func (s *Scrambler) Scrambled(addr uint64, data []byte) []byte {
+	out := append([]byte(nil), data...)
+	s.Apply(addr, out)
+	return out
+}

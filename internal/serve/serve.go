@@ -457,6 +457,20 @@ func (s *Server) lineReq(st *reqState, w http.ResponseWriter, r *http.Request) (
 	return req, true
 }
 
+// doOne records and submits the one-op batch of a /v1/read or /v1/write
+// and folds the op's error into the call's.
+func (s *Server) doOne(r *http.Request, op shard.Op) ([]byte, error) {
+	ops := []shard.Op{op}
+	if s.cfg.Record != nil {
+		s.cfg.Record.RecordOps(ops)
+	}
+	res, err := s.cl.DoCtx(r.Context(), ops)
+	if err != nil {
+		return nil, err
+	}
+	return res[0].Data, res[0].Err
+}
+
 func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	st := reqStates.Get().(*reqState)
 	defer st.release()
@@ -464,10 +478,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if s.cfg.Record != nil {
-		s.cfg.Record.RecordOps([]shard.Op{{Addr: *req.Addr}})
-	}
-	data, err := s.cl.ReadCtx(r.Context(), *req.Addr)
+	data, err := s.doOne(r, shard.Op{Addr: *req.Addr})
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -483,10 +494,7 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if s.cfg.Record != nil {
-		s.cfg.Record.RecordOps([]shard.Op{{Write: true, Addr: *req.Addr, Data: req.Data}})
-	}
-	if err := s.cl.WriteCtx(r.Context(), *req.Addr, req.Data); err != nil {
+	if _, err := s.doOne(r, shard.Op{Write: true, Addr: *req.Addr, Data: req.Data}); err != nil {
 		s.writeErr(w, err)
 		return
 	}

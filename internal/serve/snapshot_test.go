@@ -58,12 +58,19 @@ func TestSnapshotEndpoint(t *testing.T) {
 		t.Fatalf("restore from endpoint body: %v", err)
 	}
 	defer re.Close()
-	for i := 0; i < 16; i++ {
-		got, err := re.Read(uint64(i))
-		if err != nil {
-			t.Fatalf("read %d after restore: %v", i, err)
+	reads := make([]shard.Op, 16)
+	for i := range reads {
+		reads[i].Addr = uint64(i)
+	}
+	got, err := re.DoCtx(t.Context(), reads)
+	if err != nil {
+		t.Fatalf("read after restore: %v", err)
+	}
+	for i, r := range got {
+		if r.Err != nil {
+			t.Fatalf("read %d after restore: %v", i, r.Err)
 		}
-		if !bytes.Equal(got, testLine(byte(i))) {
+		if !bytes.Equal(r.Data, testLine(byte(i))) {
 			t.Fatalf("line %d diverged after restore", i)
 		}
 	}

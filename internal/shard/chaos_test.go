@@ -75,7 +75,7 @@ func TestChaosConservation(t *testing.T) {
 					addr := base + uint64(rng.Intn(64))
 					version := uint64(rng.Intn(1 << 20))
 					tl.attemptedWrites++
-					err := e.WriteCtx(ctx, addr, testLine(version))
+					err := writeCtx(ctx, e, addr, testLine(version))
 					switch {
 					case err == nil:
 						tl.okWrites++
@@ -95,7 +95,7 @@ func TestChaosConservation(t *testing.T) {
 						break
 					}
 					tl.attemptedReads++
-					data, err := e.ReadCtx(ctx, addr)
+					data, err := readCtx(ctx, e, addr)
 					switch {
 					case err == nil:
 						tl.okReads++
@@ -163,7 +163,7 @@ func TestChaosConservation(t *testing.T) {
 		var err error
 		for attempt := 0; attempt < 100; attempt++ {
 			var data []byte
-			data, err = e.ReadCtx(ctx, addr)
+			data, err = readCtx(ctx, e, addr)
 			if err == nil {
 				return data, nil
 			}

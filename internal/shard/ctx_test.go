@@ -9,6 +9,23 @@ import (
 	"attache/internal/core"
 )
 
+// readCtx and writeCtx submit a one-op DoCtx batch and unwrap its result.
+func readCtx(ctx context.Context, e *Engine, addr uint64) ([]byte, error) {
+	res, err := e.DoCtx(ctx, []Op{{Addr: addr}})
+	if err != nil {
+		return nil, err
+	}
+	return res[0].Data, res[0].Err
+}
+
+func writeCtx(ctx context.Context, e *Engine, addr uint64, data []byte) error {
+	res, err := e.DoCtx(ctx, []Op{{Write: true, Addr: addr, Data: data}})
+	if err != nil {
+		return err
+	}
+	return res[0].Err
+}
+
 // TestDoCtxExpiredBeforeSubmit is the deadline-propagation table: a
 // context that is already dead must return immediately from DoCtx (and
 // the Read/Write wrappers) without enqueueing anything — no stats
@@ -38,11 +55,8 @@ func TestDoCtxExpiredBeforeSubmit(t *testing.T) {
 			if _, err := e.DoCtx(tc.ctx, []Op{{Addr: 1}}); !errors.Is(err, tc.wantErr) {
 				t.Fatalf("DoCtx err = %v, want %v", err, tc.wantErr)
 			}
-			if _, err := e.ReadCtx(tc.ctx, 1); !errors.Is(err, tc.wantErr) {
-				t.Fatalf("ReadCtx err = %v, want %v", err, tc.wantErr)
-			}
-			if err := e.WriteCtx(tc.ctx, 2, testLine(2)); !errors.Is(err, tc.wantErr) {
-				t.Fatalf("WriteCtx err = %v, want %v", err, tc.wantErr)
+			if res, err := e.DoCtx(tc.ctx, []Op{{Write: true, Addr: 2, Data: testLine(2)}}); !errors.Is(err, tc.wantErr) || res != nil {
+				t.Fatalf("DoCtx write = %v, %v, want nil, %v", res, err, tc.wantErr)
 			}
 		})
 	}
@@ -63,8 +77,8 @@ func TestDoCtxMatchesDoWhenHealthy(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for a := uint64(0); a < 128; a++ {
-		if err := e.WriteCtx(ctx, a, testLine(a)); err != nil {
-			t.Fatalf("WriteCtx %d: %v", a, err)
+		if err := writeCtx(ctx, e, a, testLine(a)); err != nil {
+			t.Fatalf("write %d: %v", a, err)
 		}
 	}
 	res, err := e.DoCtx(ctx, []Op{{Addr: 3}, {Addr: 99}, {Write: true, Addr: 1000, Data: testLine(9)}})
@@ -76,9 +90,9 @@ func TestDoCtxMatchesDoWhenHealthy(t *testing.T) {
 			t.Fatalf("op %d: %v", i, r.Err)
 		}
 	}
-	got, err := e.ReadCtx(ctx, 1000)
+	got, err := readCtx(ctx, e, 1000)
 	if err != nil || string(got) != string(testLine(9)) {
-		t.Fatalf("ReadCtx round trip: %v", err)
+		t.Fatalf("read round trip: %v", err)
 	}
 }
 
@@ -173,7 +187,7 @@ func TestDoCtxShedsOnFullQueue(t *testing.T) {
 	<-first
 	<-second
 	// Once the queue drains, DoCtx admits again.
-	if _, err := e.ReadCtx(context.Background(), 1); err != nil {
+	if _, err := readCtx(context.Background(), e, 1); err != nil {
 		t.Fatalf("read after drain: %v", err)
 	}
 }

@@ -811,46 +811,6 @@ func (e *Engine) Write(addr uint64, data []byte) error {
 	return res[0].Err
 }
 
-// ReadCtx is Read with DoCtx's deadline and load-shed semantics.
-func (e *Engine) ReadCtx(ctx context.Context, addr uint64) ([]byte, error) {
-	res, err := e.DoCtx(ctx, []Op{{Addr: addr}})
-	if err != nil {
-		return nil, err
-	}
-	return res[0].Data, res[0].Err
-}
-
-// WriteCtx is Write with DoCtx's deadline and load-shed semantics.
-func (e *Engine) WriteCtx(ctx context.Context, addr uint64, data []byte) error {
-	res, err := e.DoCtx(ctx, []Op{{Write: true, Addr: addr, Data: data}})
-	if err != nil {
-		return err
-	}
-	return res[0].Err
-}
-
-// BatchRead loads every address, isolating failures per op.
-func (e *Engine) BatchRead(addrs []uint64) ([]Result, error) {
-	ops := make([]Op, len(addrs))
-	for i, a := range addrs {
-		ops[i] = Op{Addr: a}
-	}
-	return e.Do(ops)
-}
-
-// BatchWrite stores lines[i] at addrs[i], isolating failures per op.
-// The two slices must be the same length.
-func (e *Engine) BatchWrite(addrs []uint64, lines [][]byte) ([]Result, error) {
-	if len(addrs) != len(lines) {
-		return nil, fmt.Errorf("shard: batch write has %d addrs but %d lines", len(addrs), len(lines))
-	}
-	ops := make([]Op, len(addrs))
-	for i, a := range addrs {
-		ops[i] = Op{Write: true, Addr: a, Data: lines[i]}
-	}
-	return e.Do(ops)
-}
-
 // Snapshot is the engine-level stats view: the merged totals plus each
 // shard's own snapshot.
 type Snapshot struct {

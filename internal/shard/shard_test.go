@@ -162,25 +162,16 @@ func TestBatchSemantics(t *testing.T) {
 		t.Fatalf("op5 did not observe the in-batch write: %v", res[5].Err)
 	}
 
-	// BatchRead/BatchWrite wrappers.
-	wres, err := e.BatchWrite([]uint64{20, 21}, [][]byte{testLine(20), testLine(21)})
-	if err != nil {
+	// A read-only batch returns its lines in op order.
+	if _, err := e.Do([]Op{{Write: true, Addr: 20, Data: testLine(20)}, {Write: true, Addr: 21, Data: testLine(21)}}); err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range wres {
-		if r.Err != nil {
-			t.Fatalf("batch write %d: %v", i, r.Err)
-		}
-	}
-	rres, err := e.BatchRead([]uint64{21, 20})
+	rres, err := e.Do([]Op{{Addr: 21}, {Addr: 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rres[0].Data, testLine(21)) || !bytes.Equal(rres[1].Data, testLine(20)) {
 		t.Fatal("batch read order not preserved")
-	}
-	if _, err := e.BatchWrite([]uint64{1}, nil); err == nil {
-		t.Fatal("mismatched batch write lengths must error")
 	}
 }
 

@@ -457,7 +457,7 @@ func TestFixtureSectionsPopulated(t *testing.T) {
 				c := snap.NewEncoder(0)
 				framing := len(c.Bytes())
 				w.tier.WalkSnap(c)
-				n := w.tier.NearResident()
+				n := int(w.tier.Snapshot().NearResident)
 				near += n
 				freq += int(binary.LittleEndian.Uint64(c.Bytes()[framing+8+80*n:]))
 			}

@@ -1,4 +1,4 @@
-// Package stats provides the counters, histograms, and derived-metric
+// Package stats provides the counters and derived-metric
 // helpers used by every component of the Attaché simulator, plus small
 // table-formatting utilities for the experiment harness. It is also the
 // leaf where the serving side keeps the two numeric definitions its
@@ -8,8 +8,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
 
@@ -64,33 +62,20 @@ func (r *Ratio) Value() float64 {
 	return float64(r.hits) / float64(r.total)
 }
 
-// Mean tracks a running mean and extrema without storing samples.
+// Mean tracks a running mean without storing samples.
 type Mean struct {
-	n    uint64
-	sum  float64
-	min  float64
-	max  float64
-	init bool
+	n   uint64
+	sum float64
 }
 
 // Observe records one sample.
 func (m *Mean) Observe(v float64) {
 	m.n++
 	m.sum += v
-	if !m.init || v < m.min {
-		m.min = v
-	}
-	if !m.init || v > m.max {
-		m.max = v
-	}
-	m.init = true
 }
 
 // N reports the number of samples.
 func (m *Mean) N() uint64 { return m.n }
-
-// Sum reports the sum of all samples.
-func (m *Mean) Sum() float64 { return m.sum }
 
 // Value reports the arithmetic mean, or 0 with no samples.
 func (m *Mean) Value() float64 {
@@ -98,80 +83,6 @@ func (m *Mean) Value() float64 {
 		return 0
 	}
 	return m.sum / float64(m.n)
-}
-
-// Min reports the smallest sample, or 0 with no samples.
-func (m *Mean) Min() float64 { return m.min }
-
-// Max reports the largest sample, or 0 with no samples.
-func (m *Mean) Max() float64 { return m.max }
-
-// Histogram is a fixed-bucket linear histogram with overflow.
-type Histogram struct {
-	bucketWidth float64
-	buckets     []uint64
-	overflow    uint64
-	n           uint64
-	sum         float64
-}
-
-// NewHistogram creates a histogram with nBuckets linear buckets of the
-// given width starting at zero; samples past the last bucket land in an
-// overflow bucket.
-func NewHistogram(bucketWidth float64, nBuckets int) *Histogram {
-	if bucketWidth <= 0 {
-		panic("stats: bucket width must be positive")
-	}
-	if nBuckets <= 0 {
-		panic("stats: need at least one bucket")
-	}
-	return &Histogram{bucketWidth: bucketWidth, buckets: make([]uint64, nBuckets)}
-}
-
-// Observe records one sample. Negative samples clamp into the first bucket.
-func (h *Histogram) Observe(v float64) {
-	h.n++
-	h.sum += v
-	if v < 0 {
-		h.buckets[0]++
-		return
-	}
-	if v >= h.bucketWidth*float64(len(h.buckets)) {
-		h.overflow++
-		return
-	}
-	h.buckets[int(v/h.bucketWidth)]++
-}
-
-// N reports the number of samples.
-func (h *Histogram) N() uint64 { return h.n }
-
-// Mean reports the sample mean, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Percentile reports an approximate percentile (0 < p <= 100) using the
-// bucket midpoints. Overflow samples report the overflow boundary.
-func (h *Histogram) Percentile(p float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(p / 100 * float64(h.n)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.buckets {
-		cum += c
-		if cum >= target {
-			return (float64(i) + 0.5) * h.bucketWidth
-		}
-	}
-	return float64(len(h.buckets)) * h.bucketWidth
 }
 
 // Quantile reads the q-quantile (0 <= q <= 1) of a non-empty sample
@@ -196,12 +107,6 @@ func SplitMix64(x uint64) uint64 {
 	x = (x ^ x>>27) * 0x94D049BB133111EB
 	return x ^ x>>31
 }
-
-// Bucket reports the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// Overflow reports the number of samples beyond the last bucket.
-func (h *Histogram) Overflow() uint64 { return h.overflow }
 
 // Table accumulates labelled rows of float columns and renders them as an
 // aligned text table; the experiment harness uses it to print the same
@@ -316,31 +221,4 @@ func (t *Table) CSV() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// GeoMean computes the geometric mean of vs, ignoring non-positive values.
-func GeoMean(vs []float64) float64 {
-	var logSum float64
-	var n int
-	for _, v := range vs {
-		if v > 0 {
-			logSum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
-}
-
-// SortedKeys returns the keys of m in sorted order; the experiment harness
-// uses it for deterministic iteration.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -40,9 +39,6 @@ func TestMean(t *testing.T) {
 	if m.Value() != 4 {
 		t.Fatalf("mean = %v, want 4", m.Value())
 	}
-	if m.Min() != 2 || m.Max() != 6 {
-		t.Fatalf("min/max = %v/%v", m.Min(), m.Max())
-	}
 	if m.N() != 3 {
 		t.Fatalf("n = %d", m.N())
 	}
@@ -52,42 +48,8 @@ func TestMeanNegativeValues(t *testing.T) {
 	var m Mean
 	m.Observe(-5)
 	m.Observe(5)
-	if m.Min() != -5 || m.Max() != 5 || m.Value() != 0 {
-		t.Fatalf("min/max/mean = %v/%v/%v", m.Min(), m.Max(), m.Value())
-	}
-}
-
-func TestHistogramBasic(t *testing.T) {
-	h := NewHistogram(10, 10)
-	for _, v := range []float64{5, 15, 15, 95, 200} {
-		h.Observe(v)
-	}
-	if h.Bucket(0) != 1 || h.Bucket(1) != 2 || h.Bucket(9) != 1 {
-		t.Fatalf("bucket counts wrong: %d %d %d", h.Bucket(0), h.Bucket(1), h.Bucket(9))
-	}
-	if h.Overflow() != 1 {
-		t.Fatalf("overflow = %d, want 1", h.Overflow())
-	}
-	if h.N() != 5 {
-		t.Fatalf("n = %d", h.N())
-	}
-	if math.Abs(h.Mean()-66) > 1e-9 {
-		t.Fatalf("mean = %v, want 66", h.Mean())
-	}
-}
-
-func TestHistogramPercentile(t *testing.T) {
-	h := NewHistogram(1, 100)
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i))
-	}
-	p50 := h.Percentile(50)
-	if p50 < 48 || p50 > 52 {
-		t.Fatalf("p50 = %v, want ~50", p50)
-	}
-	p99 := h.Percentile(99)
-	if p99 < 97 || p99 > 100 {
-		t.Fatalf("p99 = %v, want ~99", p99)
+	if m.Value() != 0 {
+		t.Fatalf("mean = %v, want 0", m.Value())
 	}
 }
 
@@ -113,30 +75,6 @@ func TestSplitMix64(t *testing.T) {
 		if got := SplitMix64(uint64(i) * gamma); got != want {
 			t.Errorf("output %d = %#x, want %#x", i, got, want)
 		}
-	}
-}
-
-func TestHistogramNegativeClamps(t *testing.T) {
-	h := NewHistogram(1, 4)
-	h.Observe(-3)
-	if h.Bucket(0) != 1 {
-		t.Fatal("negative sample should clamp to bucket 0")
-	}
-}
-
-func TestHistogramPanicsOnBadArgs(t *testing.T) {
-	for _, tc := range []struct {
-		w float64
-		n int
-	}{{0, 4}, {1, 0}, {-1, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewHistogram(%v,%d) did not panic", tc.w, tc.n)
-				}
-			}()
-			NewHistogram(tc.w, tc.n)
-		}()
 	}
 }
 
@@ -180,24 +118,6 @@ func TestTablePanicsOnCellMismatch(t *testing.T) {
 	tb.AddRow("x", 1)
 }
 
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1, 100})
-	if math.Abs(got-10) > 1e-9 {
-		t.Fatalf("geomean = %v, want 10", got)
-	}
-	if GeoMean([]float64{-1, 0}) != 0 {
-		t.Fatal("geomean of non-positive should be 0")
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"c": 1, "a": 2, "b": 3}
-	keys := SortedKeys(m)
-	if len(keys) != 3 || keys[0] != "a" || keys[1] != "b" || keys[2] != "c" {
-		t.Fatalf("keys = %v", keys)
-	}
-}
-
 // Property: ratio value is always within [0, 1].
 func TestRatioBoundsProperty(t *testing.T) {
 	f := func(obs []bool) bool {
@@ -207,27 +127,6 @@ func TestRatioBoundsProperty(t *testing.T) {
 		}
 		v := r.Value()
 		return v >= 0 && v <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: histogram never loses samples (buckets + overflow == N).
-func TestHistogramConservationProperty(t *testing.T) {
-	f := func(samples []float64) bool {
-		h := NewHistogram(5, 8)
-		for _, s := range samples {
-			if math.IsNaN(s) || math.IsInf(s, 0) {
-				continue
-			}
-			h.Observe(s)
-		}
-		var total uint64
-		for i := 0; i < 8; i++ {
-			total += h.Bucket(i)
-		}
-		return total+h.Overflow() == h.N()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -168,15 +168,6 @@ func NewMemory(cfg Config, far *core.Memory) (*Memory, error) {
 	return m, nil
 }
 
-// Far exposes the far-tier memory, mainly for stats and tests.
-func (m *Memory) Far() *core.Memory { return m.far }
-
-// Config reports the (defaulted) configuration.
-func (m *Memory) Config() Config { return m.cfg }
-
-// NearResident reports how many lines are currently near.
-func (m *Memory) NearResident() int { return len(m.near) }
-
 // list helpers -----------------------------------------------------------
 
 func (m *Memory) pushFront(n *node) {

@@ -93,11 +93,11 @@ func line(tag uint64) []byte {
 func checkInvariants(t *testing.T, m *Memory, okReads uint64) {
 	t.Helper()
 	s := m.Snapshot()
-	far := m.Far().StatsSnapshot()
+	far := m.far.StatsSnapshot()
 
 	// Exclusive residency: no near-resident address may also be far.
 	for addr := range nearSet(t, m) {
-		if m.Far().Contains(addr) {
+		if m.far.Contains(addr) {
 			t.Fatalf("address %#x resident in both tiers", addr)
 		}
 	}
@@ -220,7 +220,7 @@ func TestZeroCapacityNearBitIdentical(t *testing.T) {
 		t.Fatalf("bad-size write errors diverge: %v vs %v", e1, e2)
 	}
 
-	ts, ps := tiered.Far().StatsSnapshot(), plain.StatsSnapshot()
+	ts, ps := tiered.far.StatsSnapshot(), plain.StatsSnapshot()
 	if !reflect.DeepEqual(ts, ps) {
 		t.Fatalf("far stats diverge from plain memory:\n tiered %+v\n plain  %+v", ts, ps)
 	}
@@ -280,7 +280,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if !resident[1] || !resident[3] || resident[2] {
 		t.Fatalf("LRU kept the wrong lines near: %v", resident)
 	}
-	if !m.Far().Contains(2) {
+	if !m.far.Contains(2) {
 		t.Fatal("demoted line 2 lost instead of written far")
 	}
 	got, err := m.Read(2)
@@ -307,8 +307,8 @@ func TestReadIntoBothTiers(t *testing.T) {
 		if err := m.ReadInto(&dst, 7); err != nil || !bytes.Equal(dst[:], line(7)) {
 			t.Fatalf("pass %d: %v, got %x", pass, err, dst)
 		}
-		if m.NearResident() != wantNear {
-			t.Fatalf("pass %d: %d lines near, want %d", pass, m.NearResident(), wantNear)
+		if len(m.near) != wantNear {
+			t.Fatalf("pass %d: %d lines near, want %d", pass, len(m.near), wantNear)
 		}
 	}
 	if s := m.Snapshot(); s.FarReads != 1 || s.NearReads != 2 || s.Promotions != 1 {
@@ -363,19 +363,19 @@ func TestFreqThresholdGate(t *testing.T) {
 	if err := m.Write(9, line(9)); err != nil { // touch 1: stays far
 		t.Fatal(err)
 	}
-	if m.NearResident() != 0 {
+	if len(m.near) != 0 {
 		t.Fatalf("line promoted after 1 touch (threshold 3)")
 	}
 	if _, err := m.Read(9); err != nil { // touch 2: stays far
 		t.Fatal(err)
 	}
-	if m.NearResident() != 0 {
+	if len(m.near) != 0 {
 		t.Fatalf("line promoted after 2 touches (threshold 3)")
 	}
 	if _, err := m.Read(9); err != nil { // touch 3: promotes
 		t.Fatal(err)
 	}
-	if m.NearResident() != 1 {
+	if len(m.near) != 1 {
 		t.Fatalf("line not promoted after reaching threshold")
 	}
 	s := m.Snapshot()
@@ -566,7 +566,7 @@ func TestLinkModelFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := m.Snapshot()
-	far := m.Far().StatsSnapshot()
+	far := m.far.StatsSnapshot()
 	wantBlocks := far.BlocksRead + far.BlocksWritten
 	if s.FarAccesses != 2 || s.FarLinkBlocks != wantBlocks {
 		t.Fatalf("far traffic wrong: %+v", s)

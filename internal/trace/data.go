@@ -76,12 +76,6 @@ func (d *DataModel) Compressible(lineAddr uint64) bool {
 	return unitFloat(mix(d.seed, lineAddr, 0xC0DE)) < d.compFrac
 }
 
-// Line synthesizes the 64-byte content of lineAddr, consistent with
-// Compressible(lineAddr).
-func (d *DataModel) Line(lineAddr uint64) []byte {
-	return d.LineInto(lineAddr, nil)
-}
-
 // LineInto is Line with buffer reuse: it writes the content into buf when
 // buf has capacity for a full line (allocating otherwise) and returns the
 // 64-byte slice. Hot loops that classify millions of lines pass the same
@@ -139,9 +133,6 @@ func (d *DataModel) LineInto(lineAddr uint64, buf []byte) []byte {
 	}
 	return line
 }
-
-// CompressibleFrac reports the target fraction of compressible lines.
-func (d *DataModel) CompressibleFrac() float64 { return d.compFrac }
 
 // CIDCollides reports whether the line at lineAddr, when stored
 // uncompressed and scrambled, collides with a CID of the given width.

@@ -11,8 +11,8 @@ import (
 func TestDataModelDeterministic(t *testing.T) {
 	d := NewDataModel(42, 0.5, 0.9)
 	for addr := uint64(0); addr < 200; addr++ {
-		a := d.Line(addr)
-		b := d.Line(addr)
+		a := d.LineInto(addr, nil)
+		b := d.LineInto(addr, nil)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("line %d not deterministic", addr)
 		}
@@ -26,7 +26,7 @@ func TestDataMatchesClass(t *testing.T) {
 	e := compress.NewEngine()
 	d := NewDataModel(7, 0.5, 0.8)
 	for addr := uint64(0); addr < 5000; addr++ {
-		line := d.Line(addr)
+		line := d.LineInto(addr, nil)
 		got := e.Compressible(line)
 		if got != d.Compressible(addr) {
 			t.Fatalf("line %d: engine says %v, model says %v", addr, got, d.Compressible(addr))

@@ -109,6 +109,3 @@ func (f *FileTrace) Clone() *FileTrace {
 	c := *f
 	return &c
 }
-
-// Rewind restarts the replay.
-func (f *FileTrace) Rewind() { f.pos = 0 }

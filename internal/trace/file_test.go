@@ -43,10 +43,6 @@ ST 128
 	if a.LineAddr != 0x1000/64 {
 		t.Fatal("trace did not loop")
 	}
-	ft.Rewind()
-	if ft.Next().LineAddr != 0x1000/64 {
-		t.Fatal("rewind failed")
-	}
 }
 
 func TestParseTraceErrors(t *testing.T) {

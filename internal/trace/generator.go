@@ -115,9 +115,6 @@ func (g *Generator) Clone() *Generator {
 	return &c
 }
 
-// Profile reports the generating profile.
-func (g *Generator) Profile() Profile { return g.prof }
-
 // pick draws a random line index, honoring the profile's hot-region skew:
 // with probability HotProb the access lands in the first HotFrac slice of
 // the footprint. Real irregular workloads (graph kernels on power-law

@@ -64,31 +64,6 @@ type Bands struct {
 	MinPearson  map[string]float64 `json:"min_pearson"`
 }
 
-// HardCeilings are the acceptance bounds the bands themselves may never
-// exceed, even when regenerated: the paper-level metrics must calibrate
-// to ≤15% MAPE and ≥0.95 Pearson; the count-like metrics (collision
-// occupancy, far-link bytes) are noisier — small expected counts and
-// LRU transients — and get documented looser bounds.
-var HardCeilings = struct {
-	MaxMAPE    map[string]float64
-	MinPearson map[string]float64
-}{
-	MaxMAPE: map[string]float64{
-		"compression_ratio":  0.15,
-		"bandwidth_savings":  0.15,
-		"predictor_accuracy": 0.15,
-		"ra_occupancy":       0.40,
-		"far_link_bytes":     0.40,
-	},
-	MinPearson: map[string]float64{
-		"compression_ratio":  0.95,
-		"bandwidth_savings":  0.95,
-		"predictor_accuracy": 0.90,
-		"ra_occupancy":       0.90,
-		"far_link_bytes":     0.90,
-	},
-}
-
 // metricFloor is the absolute error floor per metric: relative error is
 // |twin−sim| / max(|sim|, floor), so near-zero measurements (an
 // expected collision count of 0.4, a ratio of 0) do not explode MAPE.
@@ -340,48 +315,6 @@ func CheckBands(sum map[string]MetricSummary, b Bands) []error {
 	return errs
 }
 
-// DeriveBands turns an observed summary into committable bands with
-// headroom (×1.3 MAPE, ×0.99 Pearson), clamped to the hard acceptance
-// ceilings. It fails when the observed calibration misses a ceiling:
-// regeneration must never launder a real regression into the contract.
-func DeriveBands(sum map[string]MetricSummary, events int) (Bands, error) {
-	b := Bands{
-		Description: "Calibration contract: twin-vs-simulator MAPE ceilings and Pearson floors over the DefaultSweep grid. Regenerate with: go test ./internal/twin -run TestCalibration -update",
-		Events:      events,
-		MaxMAPE:     map[string]float64{},
-		MinPearson:  map[string]float64{},
-	}
-	for name, s := range sum {
-		ceilM, ok := HardCeilings.MaxMAPE[name]
-		if !ok {
-			return b, fmt.Errorf("metric %s has no hard MAPE ceiling", name)
-		}
-		floorP, ok := HardCeilings.MinPearson[name]
-		if !ok {
-			return b, fmt.Errorf("metric %s has no hard Pearson floor", name)
-		}
-		if s.MAPE > ceilM {
-			return b, fmt.Errorf("metric %s: observed MAPE %.4f exceeds hard ceiling %.4f", name, s.MAPE, ceilM)
-		}
-		if s.Pearson < floorP {
-			return b, fmt.Errorf("metric %s: observed Pearson %.4f below hard floor %.4f", name, s.Pearson, floorP)
-		}
-		b.MaxMAPE[name] = math.Min(ceilM, roundUp(s.MAPE*1.3+0.005, 3))
-		b.MinPearson[name] = math.Max(floorP, roundDown(s.Pearson*0.99, 3))
-	}
-	return b, nil
-}
-
-func roundUp(v float64, digits int) float64 {
-	scale := math.Pow(10, float64(digits))
-	return math.Ceil(v*scale) / scale
-}
-
-func roundDown(v float64, digits int) float64 {
-	scale := math.Pow(10, float64(digits))
-	return math.Floor(v*scale) / scale
-}
-
 // LoadBands reads a committed bands file.
 func LoadBands(path string) (Bands, error) {
 	var b Bands
@@ -393,13 +326,4 @@ func LoadBands(path string) (Bands, error) {
 		return b, fmt.Errorf("%s: %w", path, err)
 	}
 	return b, nil
-}
-
-// WriteBands writes a bands file with a trailing newline.
-func WriteBands(path string, b Bands) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

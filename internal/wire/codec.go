@@ -163,10 +163,6 @@ func (s *Scanner) Reset(body []byte) { *s = Scanner{b: body} }
 // Err reports why iteration stopped early; nil after a clean end.
 func (s *Scanner) Err() error { return s.err }
 
-// Failed reports the answer's "failed" member once NextResult has
-// returned false.
-func (s *Scanner) Failed() int { return s.failed }
-
 // Next scans the next op of a /v1/batch request — one JSON array of op
 // objects, or op objects one after another (NDJSON) — and reports whether
 // there was one. op.Addr points into the scanner and op.Data may alias

@@ -72,7 +72,7 @@ func scanBatch(body []byte) (Batch, error) {
 	for s.NextResult(&r, new([LineSize]byte)) {
 		b.Results = append(b.Results, r)
 	}
-	b.Failed = s.Failed()
+	b.Failed = s.failed
 	return b, s.Err()
 }
 

@@ -54,25 +54,6 @@ type traceEvent struct {
 	Ops []traceOp `json:"ops"`
 }
 
-// EncodeTrace writes events as a tracev1 NDJSON stream.
-func EncodeTrace(w io.Writer, events []loadgen.Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(traceHeader{Format: TraceFormat, Version: TraceVersion}); err != nil {
-		return fmt.Errorf("workload: encode trace header: %w", err)
-	}
-	for i, ev := range events {
-		te := traceEvent{At: int64(ev.At), Ops: make([]traceOp, len(ev.Ops))}
-		for j, op := range ev.Ops {
-			te.Ops[j] = traceOp{Write: op.Write, Addr: op.Addr, Data: op.Data}
-		}
-		if err := enc.Encode(te); err != nil {
-			return fmt.Errorf("workload: encode trace event %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
 // DecodeTrace parses a tracev1 stream back into replayable events.
 // Every malformed input — wrong header, unknown version, bad JSON,
 // negative offsets, empty or oversized events — is a returned error,

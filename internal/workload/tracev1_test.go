@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -182,4 +185,23 @@ func TestTraceWriterConcurrent(t *testing.T) {
 			t.Fatalf("event %d payload was not deep-copied at record time", i)
 		}
 	}
+}
+
+// EncodeTrace writes events as a tracev1 NDJSON stream.
+func EncodeTrace(w io.Writer, events []loadgen.Event) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	if err := enc.Encode(traceHeader{Format: TraceFormat, Version: TraceVersion}); err != nil {
+		return fmt.Errorf("workload: encode trace header: %w", err)
+	}
+	for i, ev := range events {
+		te := traceEvent{At: int64(ev.At), Ops: make([]traceOp, len(ev.Ops))}
+		for j, op := range ev.Ops {
+			te.Ops[j] = traceOp{Write: op.Write, Addr: op.Addr, Data: op.Data}
+		}
+		if err := enc.Encode(te); err != nil {
+			return fmt.Errorf("workload: encode trace event %d: %w", i, err)
+		}
+	}
+	return bw.Flush()
 }

@@ -20,7 +20,7 @@
 // OpChecksum), and two clients never share RNG state: adding a client
 // does not perturb the others' sequences.
 //
-// The companion tracev1 codec (EncodeTrace/DecodeTrace/TraceWriter)
+// The companion tracev1 codec (TraceWriter/DecodeTrace)
 // records real daemon traffic as versioned NDJSON so a capture taken
 // once can be replayed byte-deterministically — see cmd/attacheload
 // -replay and serve.Config.Record.
