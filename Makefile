@@ -83,7 +83,7 @@ bench:
 bench-gate:
 	./scripts/bench_gate.sh
 
-# Re-pin scripts/bench_baseline.txt (and BENCH_22.json, its summary; the
+# Re-pin scripts/bench_baseline.txt (and BENCH_24.json, its summary; the
 # earlier BENCH_<pr>.json files stay as the trajectory) via
 # min-of-5 in one step. Run this
 # on the machine the gate will run on, and commit the result together

@@ -81,12 +81,14 @@ type StoredLine = core.StoredLine
 type AccessTrace = core.AccessTrace
 
 // Engine is the sharded concurrent compressed-memory pool: N address-
-// sharded Memory shards, each owned by one goroutine behind a batched
-// request pipeline. All Engine methods are safe for concurrent use.
+// sharded Memory shards, each behind one lock that the submitter holds
+// while it runs its own ops. All Engine methods are safe for concurrent
+// use.
 //
 // Besides the blocking Do/Read/Write surface, the engine offers DoCtx,
 // which honors deadlines and cancellation and sheds load with
-// ErrOverloaded when a shard queue is saturated instead of blocking.
+// ErrOverloaded when a busy shard already has its full count of waiting
+// submitters, instead of blocking.
 type Engine = shard.Engine
 
 // Op is one read or write in an Engine batch.
@@ -233,22 +235,22 @@ func WithExtendedCompression() Option {
 // WithShards sets an Engine's shard count (0 = GOMAXPROCS). Ignored by
 // NewMemory, which always builds a single unsharded Memory.
 //
-// Shards bound parallelism, not baseline cost: an uncontended shard
-// executes ops inline on the submitting goroutine (no handoff, no
+// Shards bound parallelism, not baseline cost: a shard is a lock, and
+// the submitting goroutine executes its own ops under it (no handoff, no
 // per-op allocation), so a lightly loaded engine performs like a plain
 // Memory at any shard count, and extra shards only start paying off —
-// rather than costing — as concurrent submitters pile up. A 1-shard
-// engine remains bit-identical to an unsharded Memory with the same
-// options.
+// rather than costing — as concurrent submitters pile up: they are the
+// submitters that may wait for a busy shard. A 1-shard engine remains
+// bit-identical to an unsharded Memory with the same options.
 func WithShards(n int) Option {
 	return func(s *settings) { s.shards = n }
 }
 
-// WithQueueDepth sets an Engine's per-shard ring buffer (0 = 64): how
-// many submitted tasks a busy shard holds before Do blocks
-// (backpressure) and DoCtx sheds with ErrOverloaded. The depth is only
-// felt under contention — uncontended submissions bypass the ring
-// entirely. Ignored by NewMemory.
+// WithQueueDepth sets, per shard, how many submitters that may wait for
+// a busy shard (0 = 64): a DoCtx that would be one more sheds with
+// ErrOverloaded, a Do waits regardless (backpressure). The depth is only
+// felt under contention — a submission that finds its shard free never
+// waits. Ignored by NewMemory.
 func WithQueueDepth(n int) Option {
 	return func(s *settings) { s.queueDepth = n }
 }
@@ -331,7 +333,7 @@ func NewMemory(opts ...Option) (*Memory, error) { return core.NewMemory(apply(op
 // NewEngine builds a sharded concurrent Engine from functional options,
 // starting from DefaultOptions and GOMAXPROCS shards. A 1-shard engine
 // produces bit-identical results to a plain Memory with the same
-// options. Close it to drain the pipelines.
+// options. Close waits for the submissions in flight and refuses the rest.
 func NewEngine(opts ...Option) (*Engine, error) {
 	s := apply(opts)
 	return shard.New(s.opts, shard.Config{

@@ -68,7 +68,7 @@ func main() {
 	var (
 		addr            = flag.String("addr", ":8080", "listen address")
 		shards          = flag.Int("shards", runtime.GOMAXPROCS(0), "shard count (independent Memory pools)")
-		queueDepth      = flag.Int("queue-depth", 64, "per-shard request queue depth")
+		queueDepth      = flag.Int("queue-depth", 64, "per shard, the submitters that may wait for a busy shard before requests for it are shed (429)")
 		maxLines        = flag.Uint64("max-lines", 0, "line-address capacity (0 = unbounded)")
 		cidBits         = flag.Int("cid-bits", attache.DefaultOptions().CIDBits, "Compression ID width in bits [1,15]")
 		seed            = flag.Int64("seed", attache.DefaultOptions().Seed, "CID/scrambler seed")

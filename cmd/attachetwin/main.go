@@ -130,8 +130,6 @@ func runPredict(args []string) error {
 		fmt.Printf("  far link bytes   %12.1f\n", pred.Tier.FarLinkBytes)
 		fmt.Printf("  far latency ns   %12.1f\n", pred.Tier.FarLatencyNs)
 	}
-	cm := pred.CostModel()
-	fmt.Printf("  op cost r/w      %12.4f / %.4f (router hook)\n", cm.OpCost(false), cm.OpCost(true))
 	return nil
 }
 

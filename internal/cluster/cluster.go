@@ -47,11 +47,6 @@ type Config struct {
 	// Now is the admission clock; nil means time.Now. Injectable so
 	// quota tests drive time deterministically.
 	Now func() time.Time
-	// OpCost prices one op for the least-loaded router, so it balances
-	// predicted work instead of op counts. Nil means every op costs 1.
-	// twin.Prediction.CostModel().OpCost fits here; other policies
-	// ignore it.
-	OpCost func(write bool) float64
 }
 
 // Cluster owns N engines behind a router. Safe for concurrent use.
@@ -119,9 +114,6 @@ func Wrap(engines []*shard.Engine, cfg Config) (*Cluster, error) {
 	r, err := NewRouter(policy, len(engines))
 	if err != nil {
 		return nil, err
-	}
-	if ll, ok := r.(*leastLoadedRouter); ok && cfg.OpCost != nil {
-		ll.cost = cfg.OpCost
 	}
 	logSize := cfg.DecisionLog
 	if logSize == 0 {

@@ -53,7 +53,7 @@ func NewRouter(policy string, n int) (Router, error) {
 	case RoundRobin:
 		return &roundRobinRouter{n: n}, nil
 	case LeastLoaded:
-		return &leastLoadedRouter{routed: make([]float64, n)}, nil
+		return &leastLoadedRouter{routed: make([]int64, n)}, nil
 	case Affinity:
 		return NewAffinityRouter(n, DefaultAffinityPrefixBits), nil
 	}
@@ -105,38 +105,26 @@ const leastLoadedPenalty = 32
 // instance that is momentarily busy. A pure inflight argmin would veto
 // any busy instance outright, which under mixed batch sizes starves the
 // instance serving large batches and funnels every burst to it.
-// An optional cost hook (cluster Config.OpCost — e.g. the analytical
-// twin's CostModel) reweighs ops by predicted blocks moved, so a batch
-// of hostile-payload writes counts as more work than an equal batch of
-// compressed reads; nil keeps the historical 1-op-1-unit accounting.
 type leastLoadedRouter struct {
 	mu     sync.Mutex
-	routed []float64 // cumulative op cost assigned per instance
-	cost   func(write bool) float64
+	routed []int64 // cumulative ops assigned per instance
 }
 
 func (r *leastLoadedRouter) Name() string { return LeastLoaded }
 
 func (r *leastLoadedRouter) Route(ops []shard.Op, loads []int64, assign []int) {
-	batch := float64(len(ops))
-	if r.cost != nil {
-		batch = 0
-		for i := range ops {
-			batch += r.cost(ops[i].Write)
-		}
-	}
 	r.mu.Lock()
-	pick, best := 0, 0.0
+	pick, best := 0, int64(0)
 	for i := range r.routed {
 		score := r.routed[i]
 		if i < len(loads) {
-			score += leastLoadedPenalty * float64(loads[i])
+			score += leastLoadedPenalty * loads[i]
 		}
 		if i == 0 || score < best {
 			pick, best = i, score
 		}
 	}
-	r.routed[pick] += batch
+	r.routed[pick] += int64(len(ops))
 	r.mu.Unlock()
 	for i := range assign {
 		assign[i] = pick

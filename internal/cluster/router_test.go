@@ -96,69 +96,3 @@ func TestAffinityPinsPagesAndSpreadsThem(t *testing.T) {
 		}
 	}
 }
-
-// With a cost hook installed, the least-loaded router balances
-// predicted blocks moved instead of op counts: a stream of expensive
-// write batches and cheap read batches should even out so each
-// instance carries roughly equal cost, not equal ops.
-func TestLeastLoadedHonorsCostHook(t *testing.T) {
-	r := &leastLoadedRouter{
-		routed: make([]float64, 2),
-		cost: func(write bool) float64 {
-			if write {
-				return 4
-			}
-			return 1
-		},
-	}
-	route := func(write bool, n int) int {
-		ops := make([]shard.Op, n)
-		for i := range ops {
-			ops[i].Write = write
-		}
-		assign := make([]int, n)
-		r.Route(ops, []int64{0, 0}, assign)
-		return assign[0]
-	}
-	// One write batch (cost 4) then four read batches (cost 1 each):
-	// the writes instance must sit out until the reads catch up.
-	first := route(true, 1)
-	for i := 0; i < 4; i++ {
-		if got := route(false, 1); got == first {
-			t.Fatalf("read batch %d routed to the write-loaded instance %d before cost evened out (routed %v)", i, got, r.routed)
-		}
-	}
-	// Now both instances carry cost 4: the next batch may go anywhere,
-	// but cumulative cost must stay balanced.
-	if r.routed[0] != r.routed[1] {
-		t.Fatalf("cost imbalance after interleaving: %v", r.routed)
-	}
-}
-
-// The hook is wired through cluster Config: Wrap must install OpCost
-// on a least-loaded router and ignore it for other policies.
-func TestConfigOpCostInstalled(t *testing.T) {
-	cost := func(write bool) float64 { return 7 }
-	c, err := New(core.DefaultOptions(), shard.Config{Shards: 1}, 2, Config{Router: LeastLoaded, OpCost: cost})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ll, ok := c.router.(*leastLoadedRouter)
-	if !ok {
-		t.Fatalf("router is %T, want *leastLoadedRouter", c.router)
-	}
-	if ll.cost == nil {
-		t.Fatal("Wrap did not install Config.OpCost on the least-loaded router")
-	}
-	if got := ll.cost(true); got != 7 {
-		t.Fatalf("installed cost hook returned %v, want 7", got)
-	}
-
-	// Other policies must tolerate (and ignore) the hook.
-	c2, err := New(core.DefaultOptions(), shard.Config{Shards: 1}, 2, Config{Router: RoundRobin, OpCost: cost})
-	if err != nil {
-		t.Fatalf("round-robin with OpCost: %v", err)
-	}
-	c2.Close()
-}

@@ -134,8 +134,7 @@ type DRAM struct {
 	BurstBusCycles int64 // BL8: 4 bus cycles per 64B (or 32B per sub-rank)
 	SubRanks       int   // 2 when sub-ranking is enabled
 
-	// Controller queueing.
-	ReadQueueDepth int
+	// Controller queueing (the read queue is unbounded).
 	WriteBufDepth  int
 	WriteHighWater int // drain writes above this occupancy
 	WriteLowWater  int // stop draining below this
@@ -166,11 +165,10 @@ type Attache struct {
 
 // MDCache holds the Metadata-Cache baseline parameters (§II-G, §IV-C1).
 type MDCache struct {
-	Bytes           int    // 1 MB by default ("optimistically impractical")
-	Ways            int    // 16
-	Policy          string // "lru", "drrip", "ship"
-	Latency         int64  // 8 CPU cycles lookup
-	MetaBitsPerLine int    // 4 bits of metadata per data line (§IV-A1)
+	Bytes   int    // 1 MB by default ("optimistically impractical")
+	Ways    int    // 16
+	Policy  string // "lru", "drrip", "ship"
+	Latency int64  // 8 CPU cycles lookup
 }
 
 // Config bundles a full system configuration.
@@ -213,7 +211,6 @@ func Default() Config {
 			TREFI:          12480, // 7.8 us @ 1600 MHz
 			BurstBusCycles: 4,
 			SubRanks:       2,
-			ReadQueueDepth: 64,
 			WriteBufDepth:  64,
 			WriteHighWater: 48,
 			WriteLowWater:  16,
@@ -231,11 +228,10 @@ func Default() Config {
 			PredictorLatency: 8,
 		},
 		MDCache: MDCache{
-			Bytes:           1 << 20,
-			Ways:            16,
-			Policy:          "lru",
-			Latency:         8,
-			MetaBitsPerLine: 4,
+			Bytes:   1 << 20,
+			Ways:    16,
+			Policy:  "lru",
+			Latency: 8,
 		},
 	}
 }

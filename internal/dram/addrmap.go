@@ -19,7 +19,6 @@ import (
 // Location is a fully decoded DRAM coordinate for one 64-byte block.
 type Location struct {
 	Channel int
-	Rank    int
 	Group   int // bank group
 	Bank    int // bank within group
 	Row     int

@@ -30,10 +30,6 @@ type Request struct {
 	// serviced by a single sub-rank (Fig. 2(b), sub-ranking without
 	// compression).
 	DoubleBurst bool
-	// Priority requests jump the queue (still honoring bus
-	// availability): used for misprediction-correction fetches, whose
-	// load already blocks a core's ROB head.
-	Priority bool
 	// Done runs at completion (reads: data returned; writes: written).
 	// May be nil for posted writes.
 	Done func(now sim.Time)
@@ -50,7 +46,6 @@ type queued struct {
 	subRanks SubRankMask
 	write    bool
 	double   bool
-	priority bool
 }
 
 // reqQueue is one of a channel's two request queues.
@@ -101,10 +96,9 @@ type bank struct {
 // request queues, and the FR-FCFS scheduler with read priority and
 // watermark-based write draining (paper §V).
 type Channel struct {
-	eng    *sim.Engine
-	cfg    config.Config
-	id     int
-	nbanks int
+	eng *sim.Engine
+	cfg config.Config
+	id  int
 
 	banks   [2][]bank // [subRank][bankIndex]; lockstep in baseline mode
 	busFree [2]sim.Time
@@ -141,7 +135,6 @@ func NewChannel(eng *sim.Engine, cfg config.Config, id int) *Channel {
 		eng:    eng,
 		cfg:    cfg,
 		id:     id,
-		nbanks: nb,
 		tRCD:   cfg.BusToCPU(cfg.DRAM.TRCD),
 		tRP:    cfg.BusToCPU(cfg.DRAM.TRP),
 		tCAS:   cfg.BusToCPU(cfg.DRAM.TCAS),
@@ -197,7 +190,6 @@ func (c *Channel) Submit(r *Request) {
 		subRanks: r.SubRanks,
 		write:    r.Write,
 		double:   r.DoubleBurst,
-		priority: r.Priority,
 	})
 	if len(q.reqs) > *depthMax {
 		*depthMax = len(q.reqs)
@@ -293,14 +285,13 @@ func (c *Channel) pickQueue() *reqQueue {
 }
 
 // pickIssuable applies FR-FCFS among requests whose data bus will be free
-// within one burst slot: the first row hit wins, then the oldest priority
-// request (a blocking metadata fetch or misprediction correction), then
-// the oldest request. It returns -1 when every candidate's bus is
+// within one burst slot: the first row hit wins, then the oldest
+// request. It returns -1 when every candidate's bus is
 // committed too far ahead, keeping scheduling decisions within a burst of
 // real time — and then also the earliest time one of them will pass,
 // the queue's quiet time.
 func (c *Channel) pickIssuable(q []queued, now sim.Time) (idx int, quiet sim.Time) {
-	oldest, prio := -1, -1
+	oldest := -1
 	quiet = math.MaxInt64
 	for i := range q {
 		r := &q[i]
@@ -313,15 +304,9 @@ func (c *Channel) pickIssuable(q []queued, now sim.Time) (idx int, quiet sim.Tim
 		if !c.cfg.DRAM.SchedFCFS && c.isRowHit(r) {
 			return i, 0
 		}
-		if prio < 0 && r.priority {
-			prio = i
-		}
 		if oldest < 0 {
 			oldest = i
 		}
-	}
-	if prio >= 0 {
-		return prio, 0
 	}
 	return oldest, quiet
 }

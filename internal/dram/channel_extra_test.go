@@ -8,46 +8,6 @@ import (
 	"attache/internal/sim"
 )
 
-func TestPriorityBeatsOlderRowMiss(t *testing.T) {
-	eng, ch, _ := testChannel()
-	// Open row 1 so the queue has no row hits, then enqueue an older
-	// plain miss and a younger priority miss while the channel is busy.
-	submitRead(eng, ch, Location{Row: 1}, SubRankBoth)
-	eng.RunUntilDone(1000)
-	at := eng.Now() + 500
-	var plain, prio sim.Time
-	eng.Schedule(at, func(sim.Time) {
-		ch.Submit(&Request{Loc: Location{Row: 5, Bank: 1}, SubRanks: SubRankBoth,
-			Done: func(now sim.Time) { plain = now }})
-		ch.Submit(&Request{Loc: Location{Row: 9, Bank: 2}, SubRanks: SubRankBoth, Priority: true,
-			Done: func(now sim.Time) { prio = now }})
-	})
-	eng.RunUntilDone(100000)
-	if prio >= plain {
-		t.Fatalf("priority request finished at %d, after plain at %d", prio, plain)
-	}
-}
-
-func TestRowHitStillBeatsPriority(t *testing.T) {
-	eng, ch, _ := testChannel()
-	submitRead(eng, ch, Location{Row: 1, Col: 0}, SubRankBoth)
-	eng.RunUntilDone(1000)
-	at := eng.Now() + 500
-	var hit, prio sim.Time
-	eng.Schedule(at, func(sim.Time) {
-		// Priority miss submitted first, row hit second: FR-FCFS keeps
-		// preferring the open row.
-		ch.Submit(&Request{Loc: Location{Row: 9, Bank: 3}, SubRanks: SubRankBoth, Priority: true,
-			Done: func(now sim.Time) { prio = now }})
-		ch.Submit(&Request{Loc: Location{Row: 1, Col: 5}, SubRanks: SubRankBoth,
-			Done: func(now sim.Time) { hit = now }})
-	})
-	eng.RunUntilDone(100000)
-	if hit >= prio {
-		t.Fatalf("row hit at %d should finish before priority miss at %d", hit, prio)
-	}
-}
-
 func TestDoubleBurstEnergyCountsFullLine(t *testing.T) {
 	eng, ch, _ := testChannel()
 	ch.Submit(&Request{Loc: Location{Row: 1}, SubRanks: SubRank0, DoubleBurst: true})

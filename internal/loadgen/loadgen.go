@@ -550,8 +550,12 @@ func prefill(ctx context.Context, target Target, cfg Config) error {
 				return err
 			}
 			var retry []shard.Op
+			var failed error // the first op error of this attempt
 			for i, r := range res {
 				if r.Err != nil {
+					if failed == nil {
+						failed = r.Err
+					}
 					retry = append(retry, ops[i])
 				}
 			}
@@ -559,7 +563,7 @@ func prefill(ctx context.Context, target Target, cfg Config) error {
 				break
 			}
 			if attempt > 100 {
-				return fmt.Errorf("prefill op kept failing: %w", res[0].Err)
+				return fmt.Errorf("prefill op kept failing: %w", failed)
 			}
 			ops = retry
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -163,6 +164,47 @@ func TestRunHonorsContext(t *testing.T) {
 	}
 	if rep.Ops >= 100000 {
 		t.Fatal("cancelled run still executed every event")
+	}
+}
+
+// failFrom is a target that answers the first n ops of every call and
+// fails the rest as shed.
+type failFrom int
+
+func (n failFrom) DoCtx(_ context.Context, ops []shard.Op) ([]shard.Result, error) {
+	res := make([]shard.Result, len(ops))
+	for i := int(n); i < len(res); i++ {
+		res[i].Err = fmt.Errorf("op %d: %w", i, core.ErrOverloaded)
+	}
+	return res, nil
+}
+
+// TestPrefillGivesUpWithTheFailingOpsError pins what prefill reports when
+// a target keeps refusing: the first op that failed on the last attempt,
+// wrapped — also when that is not the attempt's first op (it once read
+// res[0].Err, nil on a target that answers its first op and fails its
+// second, and returned "%!w(<nil>)").
+func TestPrefillGivesUpWithTheFailingOpsError(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		target failFrom
+		fails  bool
+	}{
+		{"answers everything", 1 << 20, false},
+		{"fails every op", 0, true},
+		{"fails only from its second op on", 1, true},
+	} {
+		// 128 lines: more than the 100 attempts shrink a retry list by.
+		err := prefill(context.Background(), tc.target, Config{Prefill: 128})
+		if !tc.fails {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, core.ErrOverloaded) || strings.Contains(fmt.Sprint(err), "%!w") {
+			t.Errorf("%s: prefill error %q does not wrap the op's error", tc.name, err)
+		}
 	}
 }
 

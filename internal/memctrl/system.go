@@ -8,7 +8,6 @@ package memctrl
 
 import (
 	"fmt"
-	"math/rand"
 
 	"attache/internal/check"
 	"attache/internal/config"
@@ -64,7 +63,6 @@ type System struct {
 	cidBits int
 	mdc     *mdcache.Cache // MDCache only
 	lastOut *lastOutcome   // ECC-metadata system only
-	rng     *rand.Rand
 
 	raBase   uint64 // first line of the Replacement Area region
 	capLines uint64
@@ -93,7 +91,6 @@ func New(eng *sim.Engine, cfg config.Config, kind config.SystemKind, lines LineM
 		mapper:  dram.NewAddressMapper(cfg),
 		lines:   lines,
 		cidBits: cfg.Attache.CIDBits,
-		rng:     rand.New(rand.NewSource(seed)),
 	}
 	s.capLines = uint64(cfg.MemorySize() / config.LineSize)
 	// The Replacement Area is the top 1/512 of memory (paper §IV-A7).

@@ -12,14 +12,15 @@ import (
 )
 
 // TestCloseInterruptsInFlightDo pins the Close-vs-Do race: callers
-// blocked in backpressure sends when Close fires must come back with
-// per-op ErrClosed (or completed results) instead of hanging. Run under
-// -race in CI, this also proves the stop-channel handoff is clean.
+// waiting for a busy shard when Close fires must come back — with
+// completed results if they were past the closed check, ErrClosed if not
+// — instead of hanging, and Close must return once those in flight have
+// run. Run under -race in CI, this also proves mu orders the two cleanly.
 func TestCloseInterruptsInFlightDo(t *testing.T) {
 	e, err := New(core.DefaultOptions(), Config{
 		Shards:     1,
 		QueueDepth: 1,
-		// Slow every op down so queues stay full and submitters block.
+		// Slow every op down so the shard stays busy and submitters wait.
 		Faults: FaultPlan{Seed: 11, DelayP: 1, Delay: 10 * time.Millisecond},
 	})
 	if err != nil {
@@ -51,7 +52,7 @@ func TestCloseInterruptsInFlightDo(t *testing.T) {
 		}(g)
 	}
 
-	time.Sleep(40 * time.Millisecond) // let the queue fill and senders block
+	time.Sleep(40 * time.Millisecond) // let the submitters pile up on the lock
 	closed := make(chan struct{})
 	go func() { defer close(closed); e.Close() }()
 

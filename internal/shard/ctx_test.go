@@ -97,7 +97,7 @@ func TestDoCtxMatchesDoWhenHealthy(t *testing.T) {
 }
 
 // TestMidQueueCancellationFreesSlot enqueues a task behind a slow op,
-// cancels it while it waits, and verifies the worker skips it without
+// cancels it while it waits, and verifies its submitter skips it without
 // executing: the op reports context.Canceled (not ErrNeverWritten, which
 // is what executing it would produce), the canceled counter moves, and
 // the shard keeps serving afterwards.
@@ -107,13 +107,13 @@ func TestMidQueueCancellationFreesSlot(t *testing.T) {
 		Faults:     FaultPlan{Seed: 7, DelayP: 1, Delay: 100 * time.Millisecond},
 	})
 
-	// Occupy the worker: every op sleeps 100ms under the fault plan.
+	// Occupy the shard: every op sleeps 100ms under the fault plan.
 	blocker := make(chan struct{})
 	go func() {
 		defer close(blocker)
 		e.Do([]Op{{Write: true, Addr: 1, Data: testLine(1)}})
 	}()
-	time.Sleep(20 * time.Millisecond) // let the blocker reach the worker
+	time.Sleep(20 * time.Millisecond) // let the blocker take the shard
 
 	ctx, cancel := context.WithCancel(context.Background())
 	resc := make(chan []Result, 1)
@@ -159,7 +159,7 @@ func TestDoCtxShedsOnFullQueue(t *testing.T) {
 		Faults:     FaultPlan{Seed: 3, DelayP: 1, Delay: 80 * time.Millisecond},
 	})
 
-	// One op executing (worker sleeps), one op parked in the queue.
+	// One op executing (its submitter sleeps), one submitter waiting.
 	first := make(chan struct{})
 	go func() { defer close(first); e.Do([]Op{{Write: true, Addr: 1, Data: testLine(1)}}) }()
 	time.Sleep(20 * time.Millisecond)
@@ -186,7 +186,7 @@ func TestDoCtxShedsOnFullQueue(t *testing.T) {
 
 	<-first
 	<-second
-	// Once the queue drains, DoCtx admits again.
+	// Once the waiters are through, DoCtx gets in again.
 	if _, err := readCtx(context.Background(), e, 1); err != nil {
 		t.Fatalf("read after drain: %v", err)
 	}

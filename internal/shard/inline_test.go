@@ -14,83 +14,12 @@ import (
 	"attache/internal/tier"
 )
 
-// TestInlineFastPathMatchesQueuedPath pins the central fast-path
-// contract: an engine that executes inline (uncontended submission) and
-// an engine forced through the ring handoff (noInline) produce
-// byte-identical results, identical in-batch ordering, and identical
-// statistics for the same deterministic op stream.
-func TestInlineFastPathMatchesQueuedPath(t *testing.T) {
-	type outcome struct {
-		data []byte
-		err  string
-	}
-	run := func(noInline bool) ([]outcome, Snapshot) {
-		e, err := New(core.DefaultOptions(), Config{Shards: 3, MaxLines: 1 << 16, noInline: noInline})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		rng := rand.New(rand.NewSource(77))
-		var out []outcome
-		for iter := 0; iter < 60; iter++ {
-			n := 1 + rng.Intn(24)
-			ops := make([]Op, n)
-			for i := range ops {
-				a := uint64(rng.Intn(300))
-				switch {
-				case i%5 == 4:
-					// In-batch write-then-read of the same address: the
-					// read must observe the write regardless of path.
-					ops[i] = Op{Addr: ops[i-1].Addr}
-				case rng.Intn(2) == 0:
-					ops[i] = Op{Write: true, Addr: a, Data: testLine(a*31 + uint64(iter))}
-				default:
-					ops[i] = Op{Addr: a}
-				}
-			}
-			// Sprinkle in out-of-range ops: failure isolation must not
-			// depend on the path either.
-			if iter%7 == 0 {
-				ops[rng.Intn(n)] = Op{Addr: 1 << 20}
-			}
-			res, err := e.Do(ops)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range res {
-				o := outcome{data: append([]byte(nil), r.Data...)}
-				if r.Err != nil {
-					o.err = r.Err.Error()
-				}
-				out = append(out, o)
-			}
-		}
-		return out, e.StatsSnapshot()
-	}
-	inline, inlineSnap := run(false)
-	queued, queuedSnap := run(true)
-	if len(inline) != len(queued) {
-		t.Fatalf("result counts diverge: inline %d, queued %d", len(inline), len(queued))
-	}
-	for i := range inline {
-		if !bytes.Equal(inline[i].data, queued[i].data) {
-			t.Fatalf("op %d: inline data != queued data", i)
-		}
-		if inline[i].err != queued[i].err {
-			t.Fatalf("op %d: inline err %q, queued err %q", i, inline[i].err, queued[i].err)
-		}
-	}
-	if inlineSnap.Total != queuedSnap.Total {
-		t.Fatalf("stats diverge:\ninline %+v\nqueued %+v", inlineSnap.Total, queuedSnap.Total)
-	}
-}
-
 // TestInlineContendedSubmissionQueues forces real contention
 // deterministically: the test holds shard 0's execution lock (exactly
-// what a long-running drain would), so inline claims must fail and every
-// submission must take the ring. Releasing the lock lets the shard
-// goroutine drain, and every op must have landed exactly once, in order
-// per goroutine.
+// what a long-running submission would), so no claim of a free shard can
+// succeed and every submission must wait for the lock. Releasing it lets
+// the waiters run one after another, and every op must have landed
+// exactly once.
 func TestInlineContendedSubmissionQueues(t *testing.T) {
 	e, err := New(core.DefaultOptions(), Config{Shards: 1, QueueDepth: 16})
 	if err != nil {
@@ -99,7 +28,7 @@ func TestInlineContendedSubmissionQueues(t *testing.T) {
 	defer e.Close()
 
 	w := e.shards[0]
-	w.memMu.Lock() // the shard is "busy": no submitter may execute inline
+	w.memMu.Lock() // the shard is "busy": no submitter may execute yet
 
 	const goroutines = 4
 	var wg sync.WaitGroup
@@ -116,13 +45,13 @@ func TestInlineContendedSubmissionQueues(t *testing.T) {
 			errs[g] = res[0].Err
 		}(g)
 	}
-	// All four submissions must end up queued — none may sneak past the
+	// All four submissions must end up waiting — none may sneak past the
 	// held execution lock.
 	deadline := time.Now().Add(5 * time.Second)
-	for w.qlen.Load() != goroutines {
+	for w.waiters.Load() != goroutines {
 		if time.Now().After(deadline) {
 			w.memMu.Unlock()
-			t.Fatalf("queue depth = %d, want %d (inline path bypassed a busy shard?)", w.qlen.Load(), goroutines)
+			t.Fatalf("queue depth = %d, want %d (a submitter bypassed a busy shard?)", w.waiters.Load(), goroutines)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -1,6 +1,6 @@
 // Package shard provides the concurrent entry point to the Attaché
 // functional memory: an N-way address-sharded pool of core.Memory
-// instances fed through a low-overhead submission pipeline.
+// instances, each behind one lock.
 //
 // The design follows the shape CRAM and the CXL-pooling line of work give
 // compressed memory — a shared pool behind a request interface:
@@ -11,27 +11,35 @@
 //     framework (its own CID, scrambler key, and COPR predictor), exactly
 //     as the paper's per-controller state would be replicated across
 //     memory controllers.
-//   - Inline fast path: when a shard is uncontended (its execution lock
-//     is free and its ring is empty), the submitter applies that shard's
-//     ops on its own goroutine — no handoff, no wakeup, no allocation.
-//     This is the software analogue of the paper's thesis: the per-access
-//     metadata cost (here, a channel send and a goroutine switch per op)
-//     is elided entirely on the common path, not merely parallelized.
-//   - Batched ring: when a shard is busy, tasks land in a mutex-guarded
-//     power-of-two ring with a single coalescing wake signal; the shard
-//     goroutine drains the whole backlog per wakeup, so one handoff
-//     amortizes across every queued task.
-//   - Stats: each shard mutates only its own Memory's counters. Snapshot
-//     claims each shard's execution lock (or routes a marker through its
-//     ring) so every shard publishes a coherent core.StatsSnapshot, then
-//     merges them with Accumulate — aggregation by ownership rather than
-//     by atomics.
+//   - A shard is a lock, not a goroutine: the submitter applies its ops
+//     itself, on its own goroutine, while it holds the shard's execution
+//     lock — no handoff, no goroutine switch, no allocation. It first
+//     tries every shard it has ops for and runs the free ones; for each
+//     that was busy it then waits for the lock as one of at most
+//     Config.QueueDepth submitters that may wait for a busy shard (DoCtx
+//     sheds past that bound, Do waits regardless). This is the software
+//     analogue of the paper's thesis: the per-access metadata cost (here,
+//     a queue and a goroutine switch per submission) is elided, not
+//     parallelized.
+//   - Pooled envelopes: the per-shard index lists a submission routes
+//     with are reused, so a submission allocates its results and nothing
+//     else.
+//   - Stats: each shard mutates only its own Memory's counters.
+//     StatsSnapshot takes each shard's lock in turn, so every shard
+//     publishes a coherent core.StatsSnapshot, then merges them with
+//     Accumulate — aggregation by ownership rather than by atomics.
+//
+// Two things this shape does not give: waiters get a busy shard in
+// sync.Mutex order (a new arrival may barge past them until the mutex's
+// 1 ms starvation mode hands off strictly) rather than first come, first
+// served — racing submissions never had a defined order — and one
+// submission's shards do not execute in parallel when several are busy.
 //
 // core.Memory itself is not safe for concurrent use; this package is how
 // concurrent callers (cmd/attached, tests, user code via
-// attache.NewEngine) get at it. Exclusive ownership is enforced by each
-// shard's execution lock: either the shard goroutine (draining the ring)
-// or one inline submitter holds it, never both.
+// attache.NewEngine) get at it. Exclusive ownership is the shard's
+// execution lock: whoever holds it — one submitter, a stats read or a
+// snapshot — owns the shard's memory.
 package shard
 
 import (
@@ -84,13 +92,13 @@ var OpErrors = []struct {
 
 // Config sizes the engine.
 type Config struct {
-	// Shards is the number of independent Memory shards (and goroutines).
-	// 0 defaults to GOMAXPROCS.
+	// Shards is the number of independent Memory shards, each behind its
+	// own lock. 0 defaults to GOMAXPROCS.
 	Shards int
-	// QueueDepth is the per-shard ring buffer: how many submitted tasks a
-	// shard can hold before backpressure kicks in. Do blocks on a full
-	// ring; DoCtx sheds instead, failing the shard's ops with
-	// core.ErrOverloaded. 0 defaults to 64.
+	// QueueDepth is, per shard, how many submitters that may wait for a
+	// busy shard: a DoCtx that would be one more sheds instead, failing
+	// the shard's ops with core.ErrOverloaded; Do waits regardless.
+	// 0 defaults to 64.
 	QueueDepth int
 	// MaxLines, when non-zero, bounds the line address space: ops at
 	// addresses >= MaxLines fail with core.ErrOutOfRange.
@@ -109,14 +117,9 @@ type Config struct {
 	// observer's sample rate) get enqueue/dequeue/execute/respond spans
 	// recorded, decomposing latency into queue wait vs. service time.
 	// nil (the default) costs one branch per submission and zero
-	// allocations. Spans survive the inline fast path: an inline-executed
-	// task records the same four stages with a ~zero queue wait.
+	// allocations. A task that found its shard free records the same four
+	// stages with a ~zero queue wait.
 	Obs *obs.Observer
-
-	// noInline disables the inline fast path, forcing every task through
-	// the ring and the shard goroutine — the deterministic "contended"
-	// configuration used by tests and benchmarks to pin the handoff path.
-	noInline bool
 }
 
 func (c Config) withDefaults() Config {
@@ -152,37 +155,29 @@ type Result struct {
 	Err error
 }
 
-// task is one shard's slice of a submitted batch, or (when snap is
-// non-nil) a stats-snapshot marker flowing through the same pipeline so
-// it serializes against in-flight ops. ops is the submitter's full batch
-// and idx the positions owned by this shard; both are borrowed, never
-// copied — the submitter blocks until done fires, so sharing is safe and
-// the steady-state path allocates nothing. ctx is non-nil only for DoCtx
-// submissions; execution checks it once per task so a cancelled task
-// frees its ring slot without executing.
+// task is one shard's slice of a submitted batch. ops is the submitter's
+// full batch and idx the positions owned by this shard; both are
+// borrowed, never copied — the submitter runs the task itself, so the
+// steady-state path allocates nothing. ctx is non-nil only for DoCtx
+// submissions; execution checks it once per task, so a task whose
+// context died while it waited for the shard is skipped.
 type task struct {
-	ctx  context.Context
-	ops  []Op
-	idx  []int // positions of this shard's ops in ops / res
-	res  []Result
-	snap *shardStats
-	done *sync.WaitGroup
+	ctx context.Context
+	ops []Op
+	idx []int // positions of this shard's ops in ops / res
+	res []Result
 
 	// tr, when non-nil, receives this task's pipeline spans; enq is the
-	// trace-relative enqueue instant the dequeue span starts from. Both
+	// trace-relative arrival instant the dequeue span starts from. Both
 	// are zero on the untraced path.
 	tr  *obs.Trace
 	enq time.Duration
 }
 
-// submitState is the reusable per-submission envelope: the per-shard
-// index lists and the completion WaitGroup. Pooled per engine so the
-// steady-state submit path performs zero envelope allocations; it is
-// returned to the pool only after done.Wait(), when no worker can still
-// reference its slices.
+// submitState is the reusable per-submission envelope, pooled per engine:
+// the per-shard index lists.
 type submitState struct {
 	perShard [][]int
-	done     sync.WaitGroup
 }
 
 // robustCounters are the engine-level degradation counters: everything
@@ -207,11 +202,11 @@ func (r *robustCounters) load() RobustStats {
 
 // RobustStats is the exported snapshot of the degradation counters.
 type RobustStats struct {
-	// Sheds counts ops rejected with ErrOverloaded because their shard's
-	// ring was full at DoCtx admission.
+	// Sheds counts ops rejected with ErrOverloaded because their shard
+	// already had QueueDepth submitters waiting when a DoCtx arrived.
 	Sheds uint64 `json:"sheds" prom:"attached_shed_ops_total,counter" help:"Ops rejected with ErrOverloaded at shard-queue admission."`
 	// Canceled counts ops that returned a context error: expired or
-	// cancelled while queued, skipped without executing.
+	// cancelled while waiting for their shard, skipped without executing.
 	Canceled uint64 `json:"canceled" prom:"attached_canceled_ops_total,counter" help:"Ops skipped because their context expired in the queue."`
 	// InjectedErrors / InjectedDelays count fault-injection outcomes
 	// (always 0 with injection off).
@@ -219,17 +214,13 @@ type RobustStats struct {
 	InjectedDelays uint64 `json:"injected_delays" prom:"attached_injected_delays_total,counter" help:"Fault-injection delays (0 unless a fault plan is active)."`
 }
 
-// worker owns one shard: one Memory, one goroutine, one ring, and (when
-// fault injection is on) one seeded injector.
+// worker owns one shard: one Memory, one lock, and (when fault injection
+// is on) one seeded injector.
 //
-// Two locks with distinct roles: memMu is the execution right — whoever
-// holds it (the shard goroutine draining the ring, or a submitter on the
-// inline fast path) owns mem exclusively; mu guards the ring state and
-// the condition variable blocked submitters wait on. The only path that
-// holds both is the drain loop (memMu outermost), so the pair cannot
-// deadlock. inflight and lastBatch are the shard's queue telemetry,
-// maintained unconditionally (two atomic ops per task, no allocation) so
-// Engine.Gauges always has live data.
+// memMu is the execution right — whoever holds it (a submitter, a stats
+// read, a snapshot) owns mem exclusively. waiters, inflight and lastBatch
+// are the shard's queue telemetry, maintained unconditionally (atomic
+// ops, no allocation) so Engine.Gauges always has live data.
 type worker struct {
 	id  int
 	mem *core.Memory
@@ -240,148 +231,41 @@ type worker struct {
 	inj    *injector
 	robust *robustCounters
 
-	memMu sync.Mutex // execution right over mem (drain loop or inline submitter)
+	memMu sync.Mutex // execution right over mem
 
-	mu          sync.Mutex
-	cond        sync.Cond // ring space freed, or Close fired
-	ring        []task    // power-of-two circular buffer
-	mask        uint64
-	head        uint64 // ring[head&mask] is the next task to pop
-	tail        uint64 // ring[tail&mask] is the next free slot
-	depth       uint64 // admission cap (Config.QueueDepth)
-	interrupted bool   // Close fired: blocked admits abandon with ErrClosed
-	stopped     bool   // no enqueue can ever arrive again: drain and exit
-
-	wake chan struct{} // cap-1 doorbell: the ring went non-empty
-
-	qlen      atomic.Int64 // tasks currently in the ring
-	inflight  atomic.Int64 // op tasks admitted but not yet completed
+	waiters   atomic.Int64 // submitters blocked on memMu
+	inflight  atomic.Int64 // tasks waiting for memMu or executing under it
 	lastBatch atomic.Int64 // ops in the most recently executed task
 }
 
-// push appends t to the ring. Callers hold w.mu and have checked space.
-func (w *worker) push(t task) {
-	w.ring[w.tail&w.mask] = t
-	w.tail++
-	w.qlen.Add(1)
-}
-
-// signal rings the worker's doorbell; a full buffer means a wakeup is
-// already pending, which covers this push too.
-func (w *worker) signal() {
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
-}
-
-// admit pushes t with Do's blocking backpressure: a full ring waits for
-// space. Reports false when Close interrupts the wait instead.
-func (w *worker) admit(t task) bool {
-	w.mu.Lock()
-	for w.tail-w.head >= w.depth {
-		if w.interrupted {
-			w.mu.Unlock()
+// join counts the caller among the submitters blocked on w.memMu. A
+// bounded caller (DoCtx) is refused, and not counted, when depth of them
+// already wait; the compare-and-swap keeps the count from ever passing
+// depth on bounded callers' account, even for an instant.
+func (w *worker) join(bounded bool, depth int64) bool {
+	for {
+		n := w.waiters.Load()
+		if bounded && n >= depth {
 			return false
 		}
-		w.cond.Wait()
-	}
-	w.push(t)
-	w.mu.Unlock()
-	w.signal()
-	return true
-}
-
-// tryAdmit pushes t only if the ring has space — DoCtx's shed-on-full
-// admission control.
-func (w *worker) tryAdmit(t task) bool {
-	w.mu.Lock()
-	if w.tail-w.head >= w.depth {
-		w.mu.Unlock()
-		return false
-	}
-	w.push(t)
-	w.mu.Unlock()
-	w.signal()
-	return true
-}
-
-// admitAlways pushes t, waiting out a full ring even during Close — used
-// by StatsSnapshot markers, which must reach the shard as long as its
-// goroutine is alive (guaranteed while the submitter holds the engine's
-// read lock).
-func (w *worker) admitAlways(t task) {
-	w.mu.Lock()
-	for w.tail-w.head >= w.depth {
-		w.cond.Wait()
-	}
-	w.push(t)
-	w.mu.Unlock()
-	w.signal()
-}
-
-// run is the shard goroutine: sleep on the doorbell, drain the whole
-// backlog, exit once Close has guaranteed no further enqueues and the
-// ring is empty.
-func (w *worker) run(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		<-w.wake
-		w.drain()
-		w.mu.Lock()
-		exit := w.stopped && w.head == w.tail
-		w.mu.Unlock()
-		if exit {
-			return
+		if w.waiters.CompareAndSwap(n, n+1) {
+			return true
 		}
 	}
 }
 
-// drain claims the execution right once and applies every queued task —
-// the amortization that replaces a per-task channel handoff. Popping a
-// task frees its ring slot immediately (before execution), so blocked
-// submitters make progress while the batch runs.
-func (w *worker) drain() {
-	if w.qlen.Load() == 0 {
-		return
-	}
-	w.memMu.Lock()
-	for {
-		w.mu.Lock()
-		if w.head == w.tail {
-			w.mu.Unlock()
-			break
-		}
-		t := w.ring[w.head&w.mask]
-		w.ring[w.head&w.mask] = task{} // drop borrowed slices promptly
-		w.head++
-		w.qlen.Add(-1)
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		w.execute(&t)
-	}
-	w.memMu.Unlock()
-}
-
-// execute applies one admitted task against the shard's memory. The
-// caller holds w.memMu. Snapshot markers publish and return; op tasks
-// honor cancellation, fault injection, and span recording exactly the
-// same way whether they arrived through the ring or the inline path.
+// execute applies one task against the shard's memory and counts it out
+// of inflight. The caller holds w.memMu. Cancellation, fault injection
+// and span recording are the same whether or not the task had to wait.
 func (w *worker) execute(t *task) {
-	if t.snap != nil {
-		*t.snap = w.stats()
-		t.done.Done()
-		return
-	}
 	w.lastBatch.Store(int64(len(t.idx)))
 	if t.tr != nil {
-		// The dequeue span is the queue wait: enqueue instant → now.
-		// Inline tasks record it too (≈zero), so timelines stay balanced.
+		// The dequeue span is the wait for the shard: arrival → lock held
+		// (≈zero on a free shard), so timelines stay balanced.
 		t.tr.Record(obs.StageDequeue, w.id, len(t.idx), t.enq, t.tr.Now())
 	}
-	// A task whose context died while it sat in the ring is skipped
-	// wholesale: the slot was already freed, the memory is untouched, and
-	// every op reports the context's error.
+	// A task whose context died while it waited is skipped wholesale: the
+	// memory is untouched and every op reports the context's error.
 	if t.ctx != nil {
 		if err := t.ctx.Err(); err != nil {
 			for _, j := range t.idx {
@@ -389,7 +273,6 @@ func (w *worker) execute(t *task) {
 			}
 			w.robust.canceled.Add(uint64(len(t.idx)))
 			w.inflight.Add(-1)
-			t.done.Done()
 			return
 		}
 	}
@@ -436,7 +319,6 @@ func (w *worker) execute(t *task) {
 		t.tr.Record(obs.StageExecute, w.id, len(t.idx), x0, t.tr.Now())
 	}
 	w.inflight.Add(-1)
-	t.done.Done()
 }
 
 // Engine is the sharded concurrent compressed-memory pool. All methods
@@ -450,11 +332,12 @@ type Engine struct {
 	obs       *obs.Observer // nil = tracing off
 	states    sync.Pool     // *submitState envelopes, reused across submissions
 
-	closing atomic.Bool
-
-	mu     sync.RWMutex // guards closed vs. submissions; not on the per-shard hot path
+	// mu orders Close against submissions: a submission holds it for
+	// reading from its closed check until its last shard unlocks, Close
+	// takes it for writing. Lock order is mu (read), then at most one
+	// memMu; EncodeSnapshot alone holds several memMu, and never mu.
+	mu     sync.RWMutex
 	closed bool
-	wg     sync.WaitGroup
 }
 
 // New builds an engine of cfg.Shards independent Memory shards, each
@@ -481,8 +364,8 @@ func shardTierConfig(tc tier.Config, i, shards int) tier.Config {
 // build is the shared constructor behind New and DecodeEngine: c, when
 // non-nil, is a decoder positioned at the first shard's section, and
 // each shard's fresh memory and tier read their state from it instead
-// of starting empty. No goroutine starts until every shard is built, so
-// a failure leaves nothing to close.
+// of starting empty. An engine owns no goroutine, so a failure leaves
+// nothing to close.
 func build(opts core.Options, cfg Config, c *snap.Cursor) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards < 1 {
@@ -502,10 +385,6 @@ func build(opts core.Options, cfg Config, c *snap.Cursor) (*Engine, error) {
 	e := &Engine{cfg: cfg, opts: opts, shards: make([]*worker, cfg.Shards), obs: cfg.Obs}
 	e.states.New = func() any {
 		return &submitState{perShard: make([][]int, cfg.Shards)}
-	}
-	ringLen := uint64(1)
-	for ringLen < uint64(cfg.QueueDepth) {
-		ringLen <<= 1
 	}
 	for i := range e.shards {
 		o := opts
@@ -530,18 +409,7 @@ func build(opts core.Options, cfg Config, c *snap.Cursor) (*Engine, error) {
 			}
 		}
 		e.sramBytes += mem.Framework().StorageOverheadBytes()
-		w := &worker{
-			id:     i,
-			mem:    mem,
-			tier:   tm,
-			ring:   make([]task, ringLen),
-			mask:   ringLen - 1,
-			depth:  uint64(cfg.QueueDepth),
-			wake:   make(chan struct{}, 1),
-			inj:    newInjector(cfg.Faults, i),
-			robust: &e.robust,
-		}
-		w.cond.L = &w.mu
+		w := &worker{id: i, mem: mem, tier: tm, inj: newInjector(cfg.Faults, i), robust: &e.robust}
 		e.shards[i] = w
 		if c != nil {
 			w.walkSnap(c)
@@ -549,10 +417,6 @@ func build(opts core.Options, cfg Config, c *snap.Cursor) (*Engine, error) {
 				return nil, fmt.Errorf("shard %d: %w", i, err)
 			}
 		}
-	}
-	for _, w := range e.shards {
-		e.wg.Add(1)
-		go w.run(&e.wg)
 	}
 	return e, nil
 }
@@ -574,8 +438,8 @@ func (e *Engine) Shards() int { return len(e.shards) }
 // predictor tables and CID register.
 func (e *Engine) StorageOverheadBytes() int { return e.sramBytes }
 
-// InFlight reports the total tasks admitted to the engine but not yet
-// completed, summed across shards. Lock-free and safe at any time; the
+// InFlight reports the total tasks waiting for a shard or executing on
+// one, summed across shards. Lock-free and safe at any time; the
 // cluster's least-loaded router reads it as its load signal.
 func (e *Engine) InFlight() int64 {
 	var n int64
@@ -585,16 +449,16 @@ func (e *Engine) InFlight() int64 {
 	return n
 }
 
-// Gauges reads each shard's live queue telemetry: ring depth (tasks
-// buffered waiting for the shard), in-flight count (tasks admitted but
-// not yet completed), and the size of the last executed batch. Lock-free
-// and safe at any time; feed it to obs.PollGauges for a periodic signal.
+// Gauges reads each shard's live queue telemetry: queue depth (tasks
+// waiting for the shard), in-flight count (waiting plus executing), and
+// the size of the last executed batch. Lock-free and safe at any time;
+// feed it to obs.PollGauges for a periodic signal.
 func (e *Engine) Gauges() []obs.ShardGauge {
 	out := make([]obs.ShardGauge, len(e.shards))
 	for i, w := range e.shards {
 		out[i] = obs.ShardGauge{
 			Shard:        i,
-			QueueDepth:   int(w.qlen.Load()),
+			QueueDepth:   int(w.waiters.Load()),
 			InFlight:     w.inflight.Load(),
 			LastBatchOps: w.lastBatch.Load(),
 		}
@@ -606,15 +470,14 @@ func (e *Engine) Gauges() []obs.ShardGauge {
 // returning results in submission order. Failures are isolated per op.
 // Do itself errors only when the engine is closed.
 //
-// A full shard ring applies backpressure: Do blocks until the shard
-// drains (or Close interrupts the wait, failing the unsent ops with
-// ErrClosed per op). For deadline-aware submission and load shedding use
-// DoCtx.
+// A busy shard applies backpressure: Do waits for it however many
+// submitters already do. For deadline-aware submission and load shedding
+// use DoCtx.
 //
-// Ops for the same shard are applied in batch order; ops for different
-// shards run concurrently. Two racing Do calls that touch the same
-// address are serialized by that address's shard, in admission order
-// (inline claims and ring order).
+// Ops for the same shard are applied in batch order and never interleave
+// with another submission's. Two racing Do calls that touch the same
+// address are serialized by that address's shard, in the order they get
+// its lock.
 func (e *Engine) Do(ops []Op) ([]Result, error) {
 	return e.submit(nil, ops)
 }
@@ -622,17 +485,15 @@ func (e *Engine) Do(ops []Op) ([]Result, error) {
 // DoCtx is Do with deadline, cancellation, and load-shed semantics:
 //
 //   - An already-expired or cancelled ctx returns (nil, ctx.Err())
-//     immediately — nothing is enqueued, nothing executes.
-//   - Admission is non-blocking: a full shard ring sheds that shard's
-//     ops with core.ErrOverloaded per op instead of waiting. Shed ops
-//     were never enqueued and had no effect.
-//   - If ctx dies while a task is queued, the owning shard skips the
-//     task (freeing the slot without executing) and its ops report
-//     ctx.Err() per op.
+//     immediately — nothing executes.
+//   - A busy shard that already has QueueDepth submitters waiting sheds
+//     this submission's ops for it with core.ErrOverloaded per op
+//     instead of waiting. Shed ops had no effect.
+//   - If ctx dies while a task waits for its shard, the task is skipped
+//     once it gets there and its ops report ctx.Err() per op.
 //
-// Ops that were already enqueued when ctx expires still complete if the
-// shard reaches them first; DoCtx always waits for enqueued tasks to be
-// resolved one way or the other, so results are never torn.
+// A task already executing when ctx expires completes, so results are
+// never torn.
 func (e *Engine) DoCtx(ctx context.Context, ops []Op) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -640,17 +501,18 @@ func (e *Engine) DoCtx(ctx context.Context, ops []Op) ([]Result, error) {
 	return e.submit(ctx, ops)
 }
 
-// submit routes ops to their shards. ctx == nil selects Do's blocking
-// backpressure; a non-nil ctx selects DoCtx's shed-on-full admission.
+// submit routes ops to their shards and applies them. ctx == nil selects
+// Do's wait-regardless backpressure; a non-nil ctx selects DoCtx's
+// shedding.
 //
-// Per shard, admission takes the inline fast path when the shard is
-// uncontended: claim the execution lock, verify the ring is empty, and
-// apply the ops right here on the submitting goroutine — zero handoff,
-// zero allocation. A busy shard falls back to the ring. The steady-state
-// cost of a submission is therefore two allocations whatever its size:
-// the Result slice, and — when the batch has reads — one arena of 64
-// bytes per read that every read's Data is a capacity-clipped slice of.
-// The index lists and completion WaitGroup come from the engine's pool.
+// It makes two passes over the shards it has ops for: the first claims
+// every free shard's execution lock and applies that shard's ops right
+// here on the submitting goroutine; the second, over the shards that were
+// busy, waits for each lock in turn. The steady-state cost of a
+// submission is two allocations whatever its size: the Result slice, and
+// — when the batch has reads — one arena of 64 bytes per read that every
+// read's Data is a capacity-clipped slice of. The index lists come from
+// the engine's pool.
 //
 // The arena is fresh per call and never recycled, so results stay valid
 // for as long as the caller keeps them; the price is that retaining one
@@ -683,6 +545,7 @@ func (e *Engine) submit(ctx context.Context, ops []Op) ([]Result, error) {
 		}
 	}
 	st := e.states.Get().(*submitState)
+	defer e.states.Put(st)
 	perShard := st.perShard
 	for i := range perShard {
 		perShard[i] = perShard[i][:0]
@@ -703,71 +566,44 @@ func (e *Engine) submit(ctx context.Context, ops []Op) ([]Result, error) {
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
-		e.states.Put(st)
 		return nil, ErrClosed
 	}
-	closing := false
+	t := task{ctx: ctx, ops: ops, res: res, tr: tr}
 	for s, idx := range perShard {
 		if len(idx) == 0 {
 			continue
 		}
-		if closing {
-			// Close fired mid-submission: fail the rest without blocking.
-			markAll(res, idx, fmt.Errorf("shard: shard %d: submit interrupted by Close: %w", s, ErrClosed))
+		w := e.shards[s]
+		if !w.memMu.TryLock() {
+			continue
+		}
+		// The shard is free and we hold its execution right.
+		w.arrive(&t, idx)
+		w.execute(&t)
+		w.memMu.Unlock()
+		perShard[s] = idx[:0] // done: the second pass skips it
+	}
+	for s, idx := range perShard {
+		if len(idx) == 0 {
 			continue
 		}
 		w := e.shards[s]
-		t := task{ctx: ctx, ops: ops, idx: idx, res: res, done: &st.done}
-		if tr != nil {
-			t.tr = tr
-			t.enq = tr.Now()
-		}
-		st.done.Add(1)
-		if !e.cfg.noInline && w.memMu.TryLock() {
-			if w.qlen.Load() == 0 {
-				// Inline fast path: the shard is idle and we hold its
-				// execution right — run the ops here, no handoff.
-				w.inflight.Add(1)
-				if tr != nil {
-					tr.Record(obs.StageEnqueue, s, len(idx), t.enq, t.enq)
-				}
-				w.execute(&t)
-				w.memMu.Unlock()
-				continue
+		if !w.join(ctx != nil, int64(e.cfg.QueueDepth)) {
+			// Shed before arriving, so a shed submission leaves no span.
+			e.robust.sheds.Add(uint64(len(idx)))
+			err := fmt.Errorf("shard: shard %d queue full (depth %d): %w", s, e.cfg.QueueDepth, core.ErrOverloaded)
+			for _, j := range idx {
+				res[j].Err = err
 			}
-			// Tasks are queued ahead of us; keep FIFO, use the ring.
-			w.memMu.Unlock()
+			continue
 		}
-		sent := false
-		if ctx == nil {
-			if w.admit(t) {
-				sent = true
-			} else {
-				st.done.Done()
-				closing = true
-				markAll(res, idx, fmt.Errorf("shard: shard %d: submit interrupted by Close: %w", s, ErrClosed))
-			}
-		} else {
-			if w.tryAdmit(t) {
-				sent = true
-			} else {
-				st.done.Done()
-				e.robust.sheds.Add(uint64(len(idx)))
-				markAll(res, idx, fmt.Errorf("shard: shard %d queue full (depth %d): %w",
-					s, e.cfg.QueueDepth, core.ErrOverloaded))
-			}
-		}
-		if sent {
-			w.inflight.Add(1)
-			if tr != nil {
-				// Enqueue is recorded only for tasks that actually entered
-				// a ring, so shed submissions never leave a dangling span.
-				tr.Record(obs.StageEnqueue, s, len(idx), t.enq, t.enq)
-			}
-		}
+		w.arrive(&t, idx)
+		w.memMu.Lock()
+		w.waiters.Add(-1)
+		w.execute(&t)
+		w.memMu.Unlock()
 	}
 	e.mu.RUnlock()
-	st.done.Wait()
 	if tr != nil {
 		now := tr.Now()
 		tr.Record(obs.StageRespond, -1, len(ops), now, now)
@@ -775,8 +611,6 @@ func (e *Engine) submit(ctx context.Context, ops []Op) ([]Result, error) {
 			e.obs.Finish(tr)
 		}
 	}
-	// Every task has completed; no worker references the envelope now.
-	e.states.Put(st)
 	// A read that failed, was shed, cancelled or never ran keeps no slot.
 	for i := range res {
 		if res[i].Err != nil {
@@ -786,10 +620,15 @@ func (e *Engine) submit(ctx context.Context, ops []Op) ([]Result, error) {
 	return res, nil
 }
 
-// markAll fails every op at positions idx with err.
-func markAll(res []Result, idx []int, err error) {
-	for _, j := range idx {
-		res[j].Err = err
+// arrive points t at this shard's slice of the batch and counts it in: in
+// flight from now until execute returns, its enqueue span recorded at
+// this instant.
+func (w *worker) arrive(t *task, idx []int) {
+	t.idx = idx
+	w.inflight.Add(1)
+	if t.tr != nil {
+		t.enq = t.tr.Now()
+		t.tr.Record(obs.StageEnqueue, w.id, len(idx), t.enq, t.enq)
 	}
 }
 
@@ -831,48 +670,24 @@ type Snapshot struct {
 	Tiers *tier.Snapshot `json:"tiers,omitempty"`
 }
 
-// StatsSnapshot captures a coherent per-shard snapshot: an idle shard is
-// read directly under its execution lock; a busy one gets a marker
-// routed through its ring so the snapshot serializes against in-flight
-// ops. After Close it reads the idle shards directly, so a final
-// post-drain snapshot still works.
+// StatsSnapshot captures a coherent per-shard snapshot: it takes each
+// shard's execution lock in turn, so every shard's record falls between
+// two tasks, never inside one. It works after Close too.
 func (e *Engine) StatsSnapshot() Snapshot {
 	snap := Snapshot{
 		PerShard:  make([]core.StatsSnapshot, len(e.shards)),
 		SRAMBytes: e.sramBytes,
 		Robust:    e.robust.load(),
 	}
-	per := make([]shardStats, len(e.shards))
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		// Workers have exited (Close waited for them), so direct reads
-		// are exclusive again.
-		for i, w := range e.shards {
-			per[i] = w.stats()
-		}
-	} else {
-		var done sync.WaitGroup
-		for i, w := range e.shards {
-			if w.memMu.TryLock() {
-				if w.qlen.Load() == 0 {
-					per[i] = w.stats()
-					w.memMu.Unlock()
-					continue
-				}
-				w.memMu.Unlock()
-			}
-			done.Add(1)
-			w.admitAlways(task{snap: &per[i], done: &done})
-		}
-		e.mu.RUnlock()
-		done.Wait()
-	}
 	var tiers tier.Snapshot
-	for i, s := range per {
-		snap.PerShard[i] = s.mem
-		snap.Total.Accumulate(s.mem)
-		tiers.Accumulate(s.tier)
+	for i, w := range e.shards {
+		w.memMu.Lock()
+		snap.PerShard[i] = w.mem.StatsSnapshot()
+		if w.tier != nil {
+			tiers.Accumulate(w.tier.Snapshot())
+		}
+		w.memMu.Unlock()
+		snap.Total.Accumulate(snap.PerShard[i])
 	}
 	if e.cfg.Tier != nil {
 		snap.Tiers = &tiers
@@ -880,30 +695,12 @@ func (e *Engine) StatsSnapshot() Snapshot {
 	return snap
 }
 
-// shardStats is one shard's stats record, the single channel from a
-// worker to StatsSnapshot: the far (or only) memory's counters, plus
-// the tier's on a tiered engine (zero otherwise).
-type shardStats struct {
-	mem  core.StatsSnapshot
-	tier tier.Snapshot
-}
-
-// stats reads the shard's record. The caller holds the execution right
-// (w.memMu, or the engine is closed).
-func (w *worker) stats() shardStats {
-	s := shardStats{mem: w.mem.StatsSnapshot()}
-	if w.tier != nil {
-		s.tier = w.tier.Snapshot()
-	}
-	return s
-}
-
 // Tiered reports whether the engine runs the two-tier backend.
 func (e *Engine) Tiered() bool { return e.cfg.Tier != nil }
 
 // TierSnapshot reports the merged tier snapshot of a tiered engine; ok
 // is false on a classic single-tier engine. Coherence matches
-// StatsSnapshot (execution lock or marker per shard).
+// StatsSnapshot (each shard under its execution lock).
 func (e *Engine) TierSnapshot() (tier.Snapshot, bool) {
 	if e.cfg.Tier == nil {
 		return tier.Snapshot{}, false
@@ -912,36 +709,16 @@ func (e *Engine) TierSnapshot() (tier.Snapshot, bool) {
 	return *s.Tiers, true
 }
 
-// Close drains every shard's ring and stops the shard goroutines.
-// In-flight and queued ops complete; subsequent submissions fail with
-// ErrClosed. A Do blocked on a full ring when Close fires is
-// interrupted: its unsent ops fail with ErrClosed per op instead of
-// holding the caller (and Close) hostage behind backpressure. Close is
-// idempotent: the first call drains, later calls report ErrClosed.
+// Close stops the engine: it waits for every submission already past its
+// closed check to finish — nothing is cut short — and subsequent
+// submissions fail with ErrClosed. StatsSnapshot and WriteSnapshot keep
+// working. Close is idempotent: later calls report ErrClosed.
 func (e *Engine) Close() error {
-	if !e.closing.CompareAndSwap(false, true) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
 		return ErrClosed
 	}
-	// Interrupt submitters blocked on full rings first; only then can the
-	// write lock be acquired (blocked submitters hold the read lock while
-	// they wait for ring space).
-	for _, w := range e.shards {
-		w.mu.Lock()
-		w.interrupted = true
-		w.cond.Broadcast()
-		w.mu.Unlock()
-	}
-	e.mu.Lock()
 	e.closed = true
-	e.mu.Unlock()
-	// No submitter can admit past this point (they all observe closed);
-	// tell the shard goroutines to finish the backlog and exit.
-	for _, w := range e.shards {
-		w.mu.Lock()
-		w.stopped = true
-		w.mu.Unlock()
-		w.signal()
-	}
-	e.wg.Wait()
 	return nil
 }

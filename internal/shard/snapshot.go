@@ -72,13 +72,13 @@ func (w *worker) walkSnap(c *snap.Cursor) {
 
 // EncodeSnapshot appends the engine's snapv1 section to c as one
 // consistent cut: it acquires every shard's execution lock (in shard
-// order, so concurrent snapshots cannot deadlock), encodes into c's
-// memory, then releases. Traffic stalls for the duration — inline
-// submitters fall back to the rings and ring drains wait on the
-// execution locks — but no op is ever torn across the cut, and nothing
-// slower than memory is touched while the locks are held. It also works
-// after Close (the locks are simply uncontended), which is how
-// -snapshot-on-drain captures final state.
+// order, so concurrent snapshots cannot deadlock; nothing else holds
+// more than one), encodes into c's memory, then releases. Traffic
+// stalls for the duration — submitters wait on the execution locks —
+// but no op is ever torn across the cut, and nothing slower than memory
+// is touched while the locks are held. It also works after Close (the
+// locks are simply uncontended), which is how attached's snapshot on
+// shutdown captures final state.
 func (e *Engine) EncodeSnapshot(c *snap.Cursor) {
 	for _, w := range e.shards {
 		w.memMu.Lock()

@@ -9,7 +9,7 @@ import (
 
 // ClassProfile is the per-codec size distribution of one payload class:
 // the probability a line of that class compresses under the engine's
-// codecs, and the expected packed size when it does. These are measured
+// codecs. It is measured
 // once per process by running the class's deterministic line builder
 // through the real compression engine — the twin never hardcodes codec
 // behavior, so a codec change recalibrates the model automatically.
@@ -17,9 +17,6 @@ type ClassProfile struct {
 	// PCompress is the probability a write of this class stores
 	// compressed (fits one sub-rank block).
 	PCompress float64
-	// MeanPackedBytes is the mean packed payload size of the compressed
-	// fraction (0 when nothing compresses).
-	MeanPackedBytes float64
 }
 
 // classProbeSamples is the number of (addr, version) points probed per
@@ -40,21 +37,16 @@ func Classes() map[workload.PayloadKind]ClassProfile {
 		eng := compress.NewEngine()
 		classProfiles = make(map[workload.PayloadKind]ClassProfile, 5)
 		for _, kind := range workload.Kinds() {
-			var compressed, packed float64
+			var compressed float64
 			for i := 0; i < classProbeSamples; i++ {
 				// Spread addresses and versions so parity- and
 				// version-dependent builders are sampled evenly.
 				line := workload.PayloadLine(kind, uint64(i)*3+1, uint64(i)/2)
-				if algo, size := eng.Choose(line); algo != compress.AlgoNone {
+				if algo, _ := eng.Choose(line); algo != compress.AlgoNone {
 					compressed++
-					packed += float64(size)
 				}
 			}
-			p := ClassProfile{PCompress: compressed / classProbeSamples}
-			if compressed > 0 {
-				p.MeanPackedBytes = packed / compressed
-			}
-			classProfiles[kind] = p
+			classProfiles[kind] = ClassProfile{PCompress: compressed / classProbeSamples}
 		}
 	})
 	return classProfiles

@@ -30,8 +30,7 @@
 //
 // Evaluate is pure and allocation-light: one call runs in well under a
 // millisecond (BenchmarkTwinEvaluate pins this), which is what makes
-// the twin usable for capacity planning and for the cluster router's
-// cost scoring (CostModel).
+// the twin usable for capacity planning.
 package twin
 
 import (

@@ -214,36 +214,6 @@ func TestClassesProfile(t *testing.T) {
 	}
 }
 
-func TestCostModel(t *testing.T) {
-	spec := mustSpec(t, "compression-hostile")
-	pred, err := Evaluate(spec, Config{CIDBits: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm := pred.CostModel()
-	if cm.ReadCost < 1 || cm.ReadCost > 2 {
-		t.Errorf("ReadCost %v out of [1,2]", cm.ReadCost)
-	}
-	if cm.WriteCost < 1 || cm.WriteCost > 2 {
-		t.Errorf("WriteCost %v out of [1,2]", cm.WriteCost)
-	}
-	if cm.FarPenalty != 0 {
-		t.Errorf("untiered FarPenalty = %v, want 0", cm.FarPenalty)
-	}
-	if cm.OpCost(false) != cm.ReadCost || cm.OpCost(true) != cm.WriteCost {
-		t.Error("OpCost does not dispatch on op direction")
-	}
-	// Hostile payloads compress rarely: writes should cost nearly the
-	// full two blocks.
-	if cm.WriteCost < 1.8 {
-		t.Errorf("hostile WriteCost = %v, want ≈2", cm.WriteCost)
-	}
-	var zero CostModel
-	if zero.OpCost(false) != 2 || zero.OpCost(true) != 2 {
-		t.Error("zero-value CostModel must default to 2 blocks/op")
-	}
-}
-
 // The acceptance bound: one twin evaluation of a (spec, config) point
 // must stay under a millisecond. Measured directly (10-run average)
 // in addition to BenchmarkTwinEvaluate so plain `go test` enforces it.

@@ -143,8 +143,7 @@ type Scanner struct {
 	results bool // the answer's "results" member was seen
 	err     error
 
-	addr   uint64 // what Op.Addr and LineReq.Addr point at
-	failed int
+	addr uint64 // what Op.Addr and LineReq.Addr point at
 }
 
 // fields is one scanned object before it is shaped into its wire type.
@@ -285,11 +284,9 @@ func (s *Scanner) batchMembers() error {
 				return err
 			}
 		case key == kFailed:
-			v, err := s.integer(strconv.IntSize)
-			if err != nil {
+			if _, err := s.integer(strconv.IntSize); err != nil {
 				return err
 			}
-			s.failed = int(v)
 		default:
 			if err := s.skip(0); err != nil {
 				return err

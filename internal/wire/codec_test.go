@@ -72,7 +72,6 @@ func scanBatch(body []byte) (Batch, error) {
 	for s.NextResult(&r, new([LineSize]byte)) {
 		b.Results = append(b.Results, r)
 	}
-	b.Failed = s.failed
 	return b, s.Err()
 }
 
@@ -100,9 +99,9 @@ func showOp(op Op) string {
 
 func sameBatch(t *testing.T, body []byte, got, want Batch) {
 	t.Helper()
-	if got.Failed != want.Failed || len(got.Results) != len(want.Results) {
-		t.Fatalf("%q: scanner read %d results failed=%d, encoding/json %d failed=%d",
-			body, len(got.Results), got.Failed, len(want.Results), want.Failed)
+	// "failed" the scanner checks and drops: its readers count errors.
+	if len(got.Results) != len(want.Results) {
+		t.Fatalf("%q: scanner read %d results, encoding/json %d", body, len(got.Results), len(want.Results))
 	}
 	for i := range got.Results {
 		g, w := got.Results[i], want.Results[i]

@@ -20,7 +20,7 @@
 #     broken benchmark that stopped measuring the work. Either way the
 #     gate should not wave it through silently.
 #
-# Also writes BENCH_22.json (name, ns/op, allocs/op per benchmark) — on a
+# Also writes BENCH_24.json (name, ns/op, allocs/op per benchmark) — on a
 # re-pin too, so the copy committed at the repo root is the summary of the
 # committed baseline; a PR that re-pins moves the default to BENCH_<pr>.json
 # and leaves its predecessors in place, so the tree holds the trajectory —
@@ -43,7 +43,7 @@ export LC_ALL
 cd "$(dirname "$0")/.."
 
 baseline=scripts/bench_baseline.txt
-json="${BENCH_JSON:-BENCH_22.json}"
+json="${BENCH_JSON:-BENCH_24.json}"
 count="${BENCH_COUNT:-5}"
 time_tol="${BENCH_GATE_TIME_TOL:-10}"
 alloc_tol="${BENCH_GATE_ALLOC_TOL:-0.2}"
