@@ -1,10 +1,10 @@
-// Benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation (DESIGN.md §3 maps ids to artifacts), plus ablation
-// benches for the design choices DESIGN.md §6 calls out.
+// Benchmark harness: one testing.B sub-benchmark per table and figure of
+// the paper's evaluation (DESIGN.md §3 maps ids to artifacts), plus
+// ablation benches for the design choices DESIGN.md §6 calls out.
 //
-// Each figure bench runs its experiment end-to-end at a reduced scale and
-// prints the same rows/series the paper reports (visible with -v). For
-// paper-scale numbers use:
+// Each experiment bench runs end-to-end at a reduced scale and prints the
+// same rows/series the paper reports (visible with -v). For paper-scale
+// numbers use:
 //
 //	go run ./cmd/attachesim -experiment all -scale 2
 package attache_test
@@ -29,66 +29,24 @@ import (
 // benchScale keeps every figure bench in single-digit seconds.
 const benchScale = 0.15
 
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tab, err := exp.NewHarness(benchScale).Experiment(id)()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tab.String())
-		}
+// BenchmarkExperiments regenerates every table and figure of the
+// evaluation end to end, one sub-benchmark per experiment id, printing
+// the table once (visible with -v): go test -bench 'Experiments/fig12' -v .
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range exp.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tab, err := e.Run(exp.NewHarness(benchScale))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.Logf("\n%s", tab.String())
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkFig1 regenerates Figure 1: metadata traffic overhead with a
-// 1 MB metadata cache, per benchmark.
-func BenchmarkFig1(b *testing.B) { runExperiment(b, "fig1") }
-
-// BenchmarkFig2 regenerates Figure 2: baseline vs sub-ranking vs
-// sub-ranking + compression latency/bandwidth micro-comparison.
-func BenchmarkFig2(b *testing.B) { runExperiment(b, "fig2") }
-
-// BenchmarkFig4 regenerates Figure 4: % of cachelines compressible to
-// 30 bytes under the real BDI/FPC codecs.
-func BenchmarkFig4(b *testing.B) { runExperiment(b, "fig4") }
-
-// BenchmarkFig5 regenerates Figure 5: metadata-cache size sweep.
-func BenchmarkFig5(b *testing.B) { runExperiment(b, "fig5") }
-
-// BenchmarkFig8 regenerates Figure 8: CID collision probability vs
-// number of accesses (analytic + Monte-Carlo through the scrambler).
-func BenchmarkFig8(b *testing.B) { runExperiment(b, "fig8") }
-
-// BenchmarkTable1 regenerates Table I: CID width vs information bits vs
-// collision probability.
-func BenchmarkTable1(b *testing.B) { runExperiment(b, "tab1") }
-
-// BenchmarkFig11 regenerates Figure 11: COPR prediction accuracy.
-func BenchmarkFig11(b *testing.B) { runExperiment(b, "fig11") }
-
-// BenchmarkFig12 regenerates Figure 12: speedup of MDCache / Attaché /
-// Ideal over the uncompressed baseline.
-func BenchmarkFig12(b *testing.B) { runExperiment(b, "fig12") }
-
-// BenchmarkFig13 regenerates Figure 13: normalized energy.
-func BenchmarkFig13(b *testing.B) { runExperiment(b, "fig13") }
-
-// BenchmarkFig14 regenerates Figure 14: bandwidth usage and average
-// memory latency per system.
-func BenchmarkFig14(b *testing.B) { runExperiment(b, "fig14") }
-
-// BenchmarkFig15 regenerates Figure 15: normalized request counts under
-// metadata caching.
-func BenchmarkFig15(b *testing.B) { runExperiment(b, "fig15") }
-
-// BenchmarkFig16 regenerates Figure 16: metadata-cache hit rate under
-// LRU / DRRIP / SHiP.
-func BenchmarkFig16(b *testing.B) { runExperiment(b, "fig16") }
-
-// BenchmarkFig17 regenerates Figure 17: speedup by COPR component mix.
-func BenchmarkFig17(b *testing.B) { runExperiment(b, "fig17") }
 
 // --- Ablation benches (DESIGN.md §6) ------------------------------------
 
@@ -359,13 +317,6 @@ func BenchmarkAblationExtendedEngine(b *testing.B) {
 func benchStdEngine() *compress.Engine { return compress.NewEngine() }
 
 func benchExtEngine() *compress.Engine { return compress.NewExtendedEngine() }
-
-// BenchmarkPredictorsExtension regenerates the §VII-A comparison: COPR
-// vs an ECC-metadata system with a last-outcome predictor.
-func BenchmarkPredictorsExtension(b *testing.B) { runExperiment(b, "predictors") }
-
-// BenchmarkEnergyBreakdown regenerates the per-component energy split.
-func BenchmarkEnergyBreakdown(b *testing.B) { runExperiment(b, "energy") }
 
 // BenchmarkAblationLLCPrefetch compares the systems with and without the
 // LLC's next-line prefetcher on a strided workload — prefetching raises

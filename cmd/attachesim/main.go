@@ -7,6 +7,7 @@
 //	attachesim -experiment fig12
 //	attachesim -experiment fig12,fig13 -scale 2 -seeds 42,1337 -v
 //	attachesim -experiment all
+//	attachesim -scale 0.05 -format markdown > report.md
 //	attachesim -trace mytrace.txt -compressibility 0.5 -experiment systems
 //
 // Scale multiplies the per-core memory-reference count (default 12000);
@@ -63,10 +64,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		scale      = fs.Float64("scale", 1.0, "run-length multiplier (1.0 = 12000 memory references per core)")
 		seeds      = fs.String("seeds", "42", "comma-separated RNG seeds; results are averaged")
 		verbose    = fs.Bool("v", false, "print one line per completed simulation run")
-		list       = fs.Bool("list", false, "list experiment ids and exit")
-		format     = fs.String("format", "table", "output format: table or csv")
+		list       = fs.Bool("list", false, "list experiment ids with their titles and exit")
+		format     = fs.String("format", "table", "output format: table, csv or markdown")
 		outDir     = fs.String("out", "", "also write each result to <dir>/<id>.txt and <id>.csv")
-		report     = fs.String("report", "", "run every experiment and write a markdown report to this file")
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulations (results are identical at any value)")
 		checkMode  = fs.String("check", "off", "runtime checking: off, invariants, or oracle (validates the simulation; results are unchanged)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -121,9 +121,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	h.Cfg.Check = lvl
 
 	if *list {
-		fmt.Fprintln(stdout, "available experiments (paper artifact -> id):")
-		for _, e := range h.Experiments() {
-			fmt.Fprintf(stdout, "  %s\n", e.ID)
+		fmt.Fprintln(stdout, "available experiments (id, title):")
+		for _, e := range exp.Experiments() {
+			fmt.Fprintf(stdout, "  %-13s %s\n", e.ID, e.Title)
 		}
 		return 0
 	}
@@ -163,46 +163,34 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			Compressibility: *comp, Homogeneity: *homog}
 	}
 
-	if *report != "" {
-		f, err := os.Create(*report)
-		if err != nil {
-			return fail(1, "%v", err)
-		}
-		if err := h.WriteReport(f); err != nil {
-			return fail(1, "%v", err)
-		}
-		if err := f.Close(); err != nil {
-			return fail(1, "%v", err)
-		}
-		fmt.Fprintf(stdout, "report written to %s\n", *report)
-		return 0
-	}
-
-	exps := h.Experiments()
+	exps := exp.Experiments()
 	if *experiment != "all" {
 		exps = nil
 		for _, id := range strings.Split(*experiment, ",") {
 			id = strings.TrimSpace(id)
-			r := h.Experiment(id)
-			if r == nil {
+			e, ok := exp.Lookup(id)
+			if !ok {
 				return fail(2, "unknown experiment %q (try -list)", id)
 			}
-			exps = append(exps, exp.Experiment{ID: id, Run: r})
+			exps = append(exps, e)
 		}
 	}
 
-	if *format != "table" && *format != "csv" {
-		return fail(2, "unknown format %q (want table or csv)", *format)
+	if *format != "table" && *format != "csv" && *format != "markdown" {
+		return fail(2, "unknown format %q (want table, csv or markdown)", *format)
 	}
 	for _, e := range exps {
 		start := time.Now()
-		tab, err := e.Run()
+		tab, err := e.Run(h)
 		if err != nil {
 			return fail(1, "%s failed: %v", e.ID, err)
 		}
-		if *format == "csv" {
+		switch *format {
+		case "csv":
 			fmt.Fprintf(stdout, "# %s\n%s\n", e.ID, tab.CSV())
-		} else {
+		case "markdown":
+			fmt.Fprintf(stdout, "## %s\n\n%s\n", tab.Title, tab.Markdown())
+		default:
 			fmt.Fprintln(stdout, tab.String())
 			fmt.Fprintf(stdout, "(%s completed in %s)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		}

@@ -36,10 +36,36 @@ func TestListIsTheRegistryInPaperOrder(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(mustSim(t, "-list")), "\n")
 	var got []string
 	for _, l := range lines[1:] { // after the heading
-		got = append(got, strings.TrimSpace(l))
+		id, title, _ := strings.Cut(strings.TrimSpace(l), " ")
+		got = append(got, id)
+		if e, ok := exp.Lookup(id); !ok || strings.TrimSpace(title) != e.Title {
+			t.Errorf("-list line %q is not an id and its title", l)
+		}
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("-list printed %v, want %v", got, want)
+	}
+}
+
+// TestFormatMarkdownRendersEveryExperiment: -format markdown prints each
+// experiment as a "## title" heading and its markdown table, in list
+// order.
+func TestFormatMarkdownRendersEveryExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	out := mustSim(t, "-scale", "0.05", "-format", "markdown")
+	rest := out
+	for _, e := range exp.Experiments() {
+		heading := "## " + e.Title + "\n\n| benchmark | " + strings.Join(e.Columns, " | ") + " |\n"
+		_, after, ok := strings.Cut(rest, heading)
+		if !ok {
+			t.Fatalf("no %s section, in order, in:\n%s", e.ID, out)
+		}
+		rest = after
+	}
+	if !strings.Contains(out, "| §I: COPR SRAM (KB) | 368.000 | 368.000 | 1.000 |\n") {
+		t.Errorf("compare's markdown lacks the §I row:\n%s", out)
 	}
 }
 

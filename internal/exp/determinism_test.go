@@ -17,10 +17,7 @@ func TestSameSeedByteIdentical(t *testing.T) {
 	render := func() string {
 		h := NewHarness(0.05)
 		h.Seeds = []int64{42}
-		tab, err := h.Fig11()
-		if err != nil {
-			t.Fatal(err)
-		}
+		tab := runID(t, h, "fig11")
 		return tab.String() + "\n" + tab.CSV()
 	}
 	first := render()

@@ -83,13 +83,9 @@ const RefsPerCore = 12000
 // NewHarness builds a harness; scale multiplies RefsPerCore, and no run is
 // shorter than 500 references per core.
 func NewHarness(scale float64) *Harness {
-	n := int64(RefsPerCore * scale)
-	if n < 500 {
-		n = 500
-	}
 	return &Harness{
 		Cfg:             config.Default(),
-		AccessesPerCore: n,
+		AccessesPerCore: max(int64(RefsPerCore*scale), 500),
 		Seeds:           []int64{42},
 		Parallelism:     runtime.GOMAXPROCS(0),
 	}
@@ -202,26 +198,170 @@ func (h *Harness) executeRun(name string, key runInputs) (Metrics, error) {
 	return acc, nil
 }
 
-// Fig1 reproduces Figure 1: per benchmark, the proportion of compressed
-// memory blocks and the extra memory traffic caused by metadata accesses
-// with a 1 MB Metadata-Cache.
-func (h *Harness) Fig1() (*stats.Table, error) {
-	t := stats.NewTable("Fig 1: metadata traffic overhead (1MB metadata cache)",
-		"compressed_pct", "extra_traffic_pct")
-	return h.perWorkload(t, func(m []Metrics) []float64 {
-		data := float64(m[0].DataReads + m[0].DataWrites)
-		meta := float64(m[0].MetaReads + m[0].MetaWrites)
-		return []float64{m[0].CompressedReadFrac * 100, meta / data * 100}
-	}, sys(config.SystemMDCache))
+// Experiments returns the evaluation as one list of declarations: the
+// paper's artifacts in paper order, then the extensions. The CLI, the
+// golden snapshots, the benchmarks and compare all walk it.
+func Experiments() []Experiment {
+	mdSize := func(bytes int) runSpec {
+		return runSpec{fmt.Sprintf("size=%d", bytes), config.SystemMDCache,
+			func(cfg config.Config) config.Config { cfg.MDCache.Bytes = bytes; return cfg }}
+	}
+	policy := func(pol string) runSpec {
+		return runSpec{"policy=" + pol, config.SystemMDCache,
+			func(cfg config.Config) config.Config { cfg.MDCache.Policy = pol; return cfg }}
+	}
+	copr := func(label string, gi, lipr bool) runSpec {
+		return runSpec{label, config.SystemAttache, func(cfg config.Config) config.Config {
+			cfg.Attache.EnableGI, cfg.Attache.EnablePaPR, cfg.Attache.EnableLiPR = gi, true, lipr
+			return cfg
+		}}
+	}
+	speedups := func(m []Metrics) []float64 { return vsBaseline(m, speedup) }
+
+	return []Experiment{
+		// Fig. 1: per benchmark, the proportion of compressed memory
+		// blocks and the extra memory traffic metadata accesses cause.
+		{ID: "fig1", Title: "Fig 1: metadata traffic overhead (1MB metadata cache)",
+			Columns: []string{"compressed_pct", "extra_traffic_pct"},
+			specs:   []runSpec{sys(config.SystemMDCache)},
+			row: func(m []Metrics) []float64 {
+				data := float64(m[0].DataReads + m[0].DataWrites)
+				meta := float64(m[0].MetaReads + m[0].MetaWrites)
+				return []float64{m[0].CompressedReadFrac * 100, meta / data * 100}
+			}},
+		{ID: "fig2", Title: "Fig 2: sub-ranking latency/bandwidth micro-comparison",
+			Columns: []string{"idle_latency_cycles", "stream_cycles", "relative_bandwidth"},
+			body:    subRanking},
+		{ID: "fig4", Title: "Fig 4: % of 64B lines compressible to 30B",
+			Columns: []string{"compressible_pct"},
+			body:    compressibility},
+		// Fig. 5: hit rate and the speedup it buys as the metadata cache
+		// grows from 64 KB to 1 MB.
+		{ID: "fig5", Title: "Fig 5: metadata-cache size sweep (suite averages)",
+			Columns: []string{"hit_rate", "speedup"},
+			specs: []runSpec{sys(config.SystemBaseline),
+				mdSize(64 << 10), mdSize(128 << 10), mdSize(256 << 10), mdSize(512 << 10), mdSize(1 << 20)},
+			rows: []string{"64KB", "128KB", "256KB", "512KB", "1024KB"},
+			cells: func(m []Metrics, r int) []float64 {
+				return []float64{m[r+1].MDHitRate, speedup(m[r+1], m[0])}
+			}},
+		{ID: "fig8", Title: "Fig 8: CID collision probability vs accesses (15-bit CID)",
+			Columns: []string{"analytic_p", "measured_p"},
+			body:    collisionCurve},
+		{ID: "tab1", Title: "Table I: extending CID to store additional information",
+			Columns: []string{"info_bits", "analytic_collision_pct", "measured_collision_pct"},
+			body:    cidWidths},
+		{ID: "fig11", Title: "Fig 11: COPR prediction accuracy",
+			Columns: []string{"accuracy"},
+			specs:   []runSpec{sys(config.SystemAttache)},
+			row:     func(m []Metrics) []float64 { return []float64{m[0].CoprAccuracy} }},
+		{ID: "fig12", Title: "Fig 12: speedup normalized to baseline",
+			Columns: []string{"mdcache", "attache", "ideal"},
+			specs:   fourSystems,
+			row:     speedups},
+		{ID: "fig13", Title: "Fig 13: energy normalized to baseline",
+			Columns: []string{"mdcache", "attache", "ideal"},
+			specs:   fourSystems,
+			row:     func(m []Metrics) []float64 { return vsBaseline(m, energyRatio) }},
+		// Fig. 14: "useful bandwidth" is work per cycle. The systems move
+		// the same payload, so the payload rate ratio is the inverse cycle
+		// ratio.
+		{ID: "fig14", Title: "Fig 14: useful bandwidth (a) and memory latency (b), normalized to baseline",
+			Columns: []string{"bw_mdcache", "bw_attache", "bw_ideal", "lat_mdcache", "lat_attache", "lat_ideal"},
+			specs:   fourSystems,
+			row: func(m []Metrics) []float64 {
+				return append(vsBaseline(m, speedup), vsBaseline(m, latencyRatio)...)
+			}},
+		// Fig. 15: the Metadata-Cache system's requests normalized to its
+		// own data requests, split into reads and writes.
+		{ID: "fig15", Title: "Fig 15: normalized requests with metadata caching",
+			Columns: []string{"norm_reads", "norm_writes", "norm_total"},
+			specs:   []runSpec{sys(config.SystemMDCache)},
+			row: func(ms []Metrics) []float64 {
+				m := ms[0]
+				dataReads := float64(m.DataReads + m.CorrectionReads)
+				dataWrites := float64(m.DataWrites)
+				return []float64{
+					(dataReads + float64(m.MetaReads)) / dataReads,
+					(dataWrites + float64(m.MetaWrites)) / dataWrites,
+					(dataReads + dataWrites + float64(m.MetaReads+m.MetaWrites)) / (dataReads + dataWrites),
+				}
+			}},
+		{ID: "fig16", Title: "Fig 16: metadata-cache hit rate by replacement policy",
+			Columns: []string{"lru", "drrip", "ship"},
+			specs:   []runSpec{policy("lru"), policy("drrip"), policy("ship")},
+			row: func(m []Metrics) []float64 {
+				return []float64{m[0].MDHitRate, m[1].MDHitRate, m[2].MDHitRate}
+			}},
+		// Fig. 17: PaPR alone, PaPR + GI, and the full predictor (adding
+		// LiPR, which matters for the mixed workloads).
+		{ID: "fig17", Title: "Fig 17: speedup by COPR component mix",
+			Columns: []string{"papr_only", "papr_gi", "full"},
+			specs: []runSpec{sys(config.SystemBaseline),
+				copr("papr", false, false), copr("papr+gi", true, false), copr("full", true, true)},
+			row: speedups},
+		{ID: "compare", Title: "Paper vs measured (suite-level claims)",
+			Columns: []string{"paper", "measured", "ratio"},
+			body:    compare},
+		// Where each system's energy goes. It explains Fig. 13:
+		// compression saves dynamic transfer and activation energy
+		// directly, and background energy through shorter runtime.
+		{ID: "energy", Title: "Energy breakdown by component (suite-mean fractions)",
+			Columns: []string{"activate", "read", "write", "refresh", "background"},
+			body:    energyBreakdown},
+		// COPR's contribution in isolation: the Deb et al. alternative
+		// (§VII-A) keeps metadata in ECC bits and guesses with a
+		// same-budget last-outcome predictor. Both systems have
+		// metadata-free reads, so the remaining gap is predictor quality.
+		{ID: "predictors", Title: "COPR vs last-outcome predictor (ECC metadata, Deb et al.)",
+			Columns: []string{"ecc_speedup", "attache_speedup", "ecc_accuracy", "copr_accuracy"},
+			specs:   []runSpec{sys(config.SystemBaseline), sys(config.SystemECC), sys(config.SystemAttache)},
+			row: func(m []Metrics) []float64 {
+				return append(vsBaseline(m, speedup), m[1].ECCAccuracy, m[2].CoprAccuracy)
+			}},
+		// Which COPR level answers each prediction, and how accurately:
+		// the division of labor Fig. 10 implies — LiPR for observed lines,
+		// PaPR for page-resident pages, GI for cold pages.
+		{ID: "copr-anatomy", Title: "COPR anatomy: share of predictions (and accuracy) by level",
+			Columns: []string{"lipr_share", "lipr_acc", "papr_share", "papr_acc", "gi_share", "gi_acc"},
+			specs:   []runSpec{sys(config.SystemAttache)},
+			row: func(ms []Metrics) []float64 {
+				m := ms[0]
+				return []float64{
+					m.CoprSourceShare[0], m.CoprSourceAcc[0],
+					m.CoprSourceShare[1], m.CoprSourceAcc[1],
+					m.CoprSourceShare[2], m.CoprSourceAcc[2],
+				}
+			}},
+		// The five memory systems side by side. On a recorded trace
+		// (Harness.Trace) the suite is that one workload, so the table
+		// reads as its own cycles, speedup, bytes moved and read latency.
+		{ID: "systems", Title: "Systems compared (suite means)",
+			Columns: []string{"cycles", "speedup", "bytes_moved", "read_latency"},
+			specs: []runSpec{sys(config.SystemBaseline), sys(config.SystemMDCache),
+				sys(config.SystemECC), sys(config.SystemAttache), sys(config.SystemIdeal)},
+			rows: []string{"baseline", "mdcache", "ecc-meta", "attache", "ideal"},
+			cells: func(m []Metrics, r int) []float64 {
+				return []float64{float64(m[r].Cycles), speedup(m[r], m[0]), float64(m[r].BytesMoved), m[r].AvgReadLatency}
+			}},
+	}
 }
 
-// Fig2 reproduces Figure 2's latency/bandwidth comparison with a
-// micro-stream on one channel: (a) baseline lockstep, (b) sub-ranking
-// without compression (double burst from one sub-rank), (c) sub-ranking
-// with compression (32-byte blocks alternating sub-ranks).
-func (h *Harness) Fig2() (*stats.Table, error) {
-	t := stats.NewTable("Fig 2: sub-ranking latency/bandwidth micro-comparison",
-		"idle_latency_cycles", "stream_cycles", "relative_bandwidth")
+// Lookup returns the experiment declared under id.
+func Lookup(id string) (Experiment, bool) {
+	for _, e := range Experiments() {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// subRanking is Fig. 2's micro-stream on one channel: (a) baseline
+// lockstep, (b) sub-ranking without compression (double burst from one
+// sub-rank), (c) sub-ranking with compression (32-byte blocks alternating
+// sub-ranks).
+func subRanking(h *Harness, t *stats.Table) error {
 	const n = 512
 	type variant struct {
 		name string
@@ -271,14 +411,12 @@ func (h *Harness) Fig2() (*stats.Table, error) {
 		}
 		t.AddRow(v.name, float64(idle), float64(last), baseCycles/float64(last))
 	}
-	return t, nil
+	return nil
 }
 
-// Fig4 reproduces Figure 4: the percentage of cachelines compressible to
-// 30 bytes, measured by running both real codecs over each benchmark's
-// synthesized data.
-func (h *Harness) Fig4() (*stats.Table, error) {
-	t := stats.NewTable("Fig 4: % of 64B lines compressible to 30B", "compressible_pct")
+// compressibility is Fig. 4: the share of each benchmark's synthesized
+// lines that both real codecs together compress to 30 bytes.
+func compressibility(h *Harness, t *stats.Table) error {
 	eng := compress.NewEngine()
 	const samples = 4000
 	scratch := make([]byte, trace.LineSize)
@@ -295,42 +433,14 @@ func (h *Harness) Fig4() (*stats.Table, error) {
 		t.AddRow(p.Name, float64(comp)/samples*100)
 	}
 	t.AddMeanRow()
-	return t, nil
+	return nil
 }
 
-// Fig5 reproduces Figure 5: metadata-cache hit rate and resulting speedup
-// as the cache grows from 64 KB to 1 MB (suite averages).
-func (h *Harness) Fig5() (*stats.Table, error) {
-	t := stats.NewTable("Fig 5: metadata-cache size sweep (suite averages)",
-		"hit_rate", "speedup")
-	sizes := []int{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
-	specs := []runSpec{sys(config.SystemBaseline)}
-	for _, size := range sizes {
-		specs = append(specs, runSpec{fmt.Sprintf("size=%d", size), config.SystemMDCache,
-			func(cfg config.Config) config.Config { cfg.MDCache.Bytes = size; return cfg }})
-	}
-	ms, err := h.sweep(specs...)
-	if err != nil {
-		return nil, err
-	}
-	n := float64(len(ms))
-	for j, size := range sizes {
-		var hit, sp float64
-		for _, m := range ms {
-			hit += m[j+1].MDHitRate
-			sp += speedup(m[j+1], m[0])
-		}
-		t.AddRow(fmt.Sprintf("%dKB", size>>10), hit/n, sp/n)
-	}
-	return t, nil
-}
-
-// Fig8 reproduces Figure 8: probability of at least one CID collision
-// versus the number of accesses to uncompressed lines, analytically and
-// by Monte-Carlo through the real scrambler + BLEM classifier.
-func (h *Harness) Fig8() (*stats.Table, error) {
-	t := stats.NewTable("Fig 8: CID collision probability vs accesses (15-bit CID)",
-		"analytic_p", "measured_p")
+// collisionCurve is Fig. 8: the probability of at least one CID
+// collision versus the number of accesses to uncompressed lines,
+// analytically and by Monte-Carlo through the real scrambler and BLEM
+// classifier.
+func collisionCurve(h *Harness, t *stats.Table) error {
 	scr := scramble.New(0xFEEDFACE)
 	line := make([]byte, 64)
 	const trials = 64
@@ -341,9 +451,7 @@ func (h *Harness) Fig8() (*stats.Table, error) {
 		eTrial := blem.NewEngine(15, int64(trial)*131+7)
 		firstHit := maxN + 1
 		for i := 0; i < maxN; i++ {
-			for j := range line {
-				line[j] = 0 // adversarially constant data...
-			}
+			clear(line) // adversarially constant data...
 			addr := uint64(trial*maxN + i)
 			scr.Apply(addr, line) // ...made safe by scrambling
 			if _, collision := eTrial.StoreUncompressed(addr, line); collision {
@@ -361,14 +469,12 @@ func (h *Harness) Fig8() (*stats.Table, error) {
 		analytic := 1 - math.Pow(1-blem.CollisionProbability(15), float64(n))
 		t.AddRow(fmt.Sprintf("%d accesses", n), analytic, float64(counts[n])/trials)
 	}
-	return t, nil
+	return nil
 }
 
-// Table1 reproduces Table I: CID width versus spare information bits and
-// collision probability (analytic and Monte-Carlo measured).
-func (h *Harness) Table1() (*stats.Table, error) {
-	t := stats.NewTable("Table I: extending CID to store additional information",
-		"info_bits", "analytic_collision_pct", "measured_collision_pct")
+// cidWidths is Table I: CID width against spare information bits and
+// collision probability, analytic and Monte-Carlo measured.
+func cidWidths(h *Harness, t *stats.Table) error {
 	scr := scramble.New(0xABCD)
 	for _, bits := range []int{15, 14, 13} {
 		e := blem.NewEngine(bits, 99)
@@ -376,9 +482,7 @@ func (h *Harness) Table1() (*stats.Table, error) {
 		collisions := 0
 		line := make([]byte, 64)
 		for i := 0; i < trials; i++ {
-			for j := range line {
-				line[j] = 0
-			}
+			clear(line)
 			scr.Apply(uint64(i), line)
 			if _, c := e.StoreUncompressed(uint64(i), line); c {
 				collisions++
@@ -389,109 +493,16 @@ func (h *Harness) Table1() (*stats.Table, error) {
 			blem.CollisionProbability(bits)*100,
 			float64(collisions)/trials*100)
 	}
-	return t, nil
+	return nil
 }
 
-// Fig11 reproduces Figure 11: COPR prediction accuracy per benchmark.
-func (h *Harness) Fig11() (*stats.Table, error) {
-	t := stats.NewTable("Fig 11: COPR prediction accuracy", "accuracy")
-	return h.perWorkload(t, func(m []Metrics) []float64 {
-		return []float64{m[0].CoprAccuracy}
-	}, sys(config.SystemAttache))
-}
-
-// Fig12 reproduces Figure 12: speedup of the Metadata-Cache system,
-// Attaché, and the ideal system, normalized to the uncompressed baseline.
-func (h *Harness) Fig12() (*stats.Table, error) {
-	t := stats.NewTable("Fig 12: speedup normalized to baseline",
-		"mdcache", "attache", "ideal")
-	return h.perWorkload(t, func(m []Metrics) []float64 {
-		return vsBaseline(m, speedup)
-	}, fourSystems...)
-}
-
-// Fig13 reproduces Figure 13: energy consumption normalized to baseline.
-func (h *Harness) Fig13() (*stats.Table, error) {
-	t := stats.NewTable("Fig 13: energy normalized to baseline",
-		"mdcache", "attache", "ideal")
-	return h.perWorkload(t, func(m []Metrics) []float64 {
-		return vsBaseline(m, energyRatio)
-	}, fourSystems...)
-}
-
-// Fig14 reproduces Figure 14: memory bandwidth improvement (a) and
-// average memory latency (b), per benchmark, normalized to the baseline.
-// "Useful bandwidth" is work per cycle: the systems move the same
-// payload, so the payload rate ratio is the inverse cycle ratio.
-func (h *Harness) Fig14() (*stats.Table, error) {
-	t := stats.NewTable("Fig 14: useful bandwidth (a) and memory latency (b), normalized to baseline",
-		"bw_mdcache", "bw_attache", "bw_ideal", "lat_mdcache", "lat_attache", "lat_ideal")
-	return h.perWorkload(t, func(m []Metrics) []float64 {
-		return append(vsBaseline(m, speedup), vsBaseline(m, latencyRatio)...)
-	}, fourSystems...)
-}
-
-// Fig15 reproduces Figure 15: number of memory requests in the
-// Metadata-Cache system normalized to its own data requests, split into
-// reads and writes.
-func (h *Harness) Fig15() (*stats.Table, error) {
-	t := stats.NewTable("Fig 15: normalized requests with metadata caching",
-		"norm_reads", "norm_writes", "norm_total")
-	return h.perWorkload(t, func(ms []Metrics) []float64 {
-		m := ms[0]
-		dataReads := float64(m.DataReads + m.CorrectionReads)
-		dataWrites := float64(m.DataWrites)
-		return []float64{
-			(dataReads + float64(m.MetaReads)) / dataReads,
-			(dataWrites + float64(m.MetaWrites)) / dataWrites,
-			(dataReads + dataWrites + float64(m.MetaReads+m.MetaWrites)) / (dataReads + dataWrites),
-		}
-	}, sys(config.SystemMDCache))
-}
-
-// Fig16 reproduces Figure 16: 1MB metadata-cache hit rate under LRU,
-// DRRIP, and SHiP replacement.
-func (h *Harness) Fig16() (*stats.Table, error) {
-	policies := []string{"lru", "drrip", "ship"}
-	t := stats.NewTable("Fig 16: metadata-cache hit rate by replacement policy", policies...)
-	var specs []runSpec
-	for _, pol := range policies {
-		specs = append(specs, runSpec{"policy=" + pol, config.SystemMDCache,
-			func(cfg config.Config) config.Config { cfg.MDCache.Policy = pol; return cfg }})
-	}
-	return h.perWorkload(t, func(m []Metrics) []float64 {
-		return []float64{m[0].MDHitRate, m[1].MDHitRate, m[2].MDHitRate}
-	}, specs...)
-}
-
-// Fig17 reproduces Figure 17: Attaché speedup with different COPR
-// component combinations: PaPR alone, PaPR + GI, and the full predictor
-// (adding LiPR, which matters for the mixed workloads).
-func (h *Harness) Fig17() (*stats.Table, error) {
-	t := stats.NewTable("Fig 17: speedup by COPR component mix",
-		"papr_only", "papr_gi", "full")
-	copr := func(label string, gi, lipr bool) runSpec {
-		return runSpec{label, config.SystemAttache, func(cfg config.Config) config.Config {
-			cfg.Attache.EnableGI, cfg.Attache.EnablePaPR, cfg.Attache.EnableLiPR = gi, true, lipr
-			return cfg
-		}}
-	}
-	return h.perWorkload(t, func(m []Metrics) []float64 {
-		return vsBaseline(m, speedup)
-	}, sys(config.SystemBaseline), copr("papr", false, false), copr("papr+gi", true, false), copr("full", true, true))
-}
-
-// EnergyBreakdown is an extension experiment: where each system's energy
-// goes (activation / read / write / refresh / background), as suite-mean
-// fractions. It explains Fig. 13: compression saves dynamic transfer and
-// activation energy directly, and background energy through shorter
-// runtime.
-func (h *Harness) EnergyBreakdown() (*stats.Table, error) {
-	t := stats.NewTable("Energy breakdown by component (suite-mean fractions)",
-		"activate", "read", "write", "refresh", "background")
+// energyBreakdown splits each system's energy into activation, read,
+// write, refresh and background, each the suite's total of that
+// component over the suite's total energy.
+func energyBreakdown(h *Harness, t *stats.Table) error {
 	ms, err := h.sweep(fourSystems...)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for j, s := range fourSystems {
 		var act, rd, wr, ref, bg, tot float64
@@ -505,92 +516,6 @@ func (h *Harness) EnergyBreakdown() (*stats.Table, error) {
 			tot += m.EnergyNJ
 		}
 		t.AddRow(s.kind.String(), act/tot, rd/tot, wr/tot, ref/tot, bg/tot)
-	}
-	return t, nil
-}
-
-// Predictors is an extension experiment isolating COPR's contribution:
-// it compares Attaché against the Deb et al. alternative (§VII-A) where
-// metadata rides in ECC bits and the pre-read guess comes from a simple
-// last-outcome predictor with the same storage budget. Both systems have
-// metadata-free reads, so the remaining gap is pure predictor quality.
-func (h *Harness) Predictors() (*stats.Table, error) {
-	t := stats.NewTable("COPR vs last-outcome predictor (ECC metadata, Deb et al.)",
-		"ecc_speedup", "attache_speedup", "ecc_accuracy", "copr_accuracy")
-	return h.perWorkload(t, func(m []Metrics) []float64 {
-		return append(vsBaseline(m, speedup), m[1].ECCAccuracy, m[2].CoprAccuracy)
-	}, sys(config.SystemBaseline), sys(config.SystemECC), sys(config.SystemAttache))
-}
-
-// CoprAnatomy is an extension experiment: which COPR level answers each
-// prediction and how accurate each level is, per workload. It shows the
-// division of labor Fig. 10 implies: LiPR for observed lines, PaPR for
-// page-resident pages, GI for cold pages.
-func (h *Harness) CoprAnatomy() (*stats.Table, error) {
-	t := stats.NewTable("COPR anatomy: share of predictions (and accuracy) by level",
-		"lipr_share", "lipr_acc", "papr_share", "papr_acc", "gi_share", "gi_acc")
-	return h.perWorkload(t, func(ms []Metrics) []float64 {
-		m := ms[0]
-		return []float64{
-			m.CoprSourceShare[0], m.CoprSourceAcc[0],
-			m.CoprSourceShare[1], m.CoprSourceAcc[1],
-			m.CoprSourceShare[2], m.CoprSourceAcc[2],
-		}
-	}, sys(config.SystemAttache))
-}
-
-// Systems is an extension experiment: the five memory-system
-// organizations side by side as suite means — on a recorded trace
-// (Harness.Trace) the suite is that one workload, so the table reads as
-// its cycles, speedup, DRAM bytes moved and read latency per system.
-func (h *Harness) Systems() (*stats.Table, error) {
-	t := stats.NewTable("Systems compared (suite means)",
-		"cycles", "speedup", "bytes_moved", "read_latency")
-	specs := []runSpec{sys(config.SystemBaseline), sys(config.SystemMDCache),
-		sys(config.SystemECC), sys(config.SystemAttache), sys(config.SystemIdeal)}
-	ms, err := h.sweep(specs...)
-	if err != nil {
-		return nil, err
-	}
-	n := float64(len(ms))
-	for j, s := range specs {
-		var cycles, sp, moved, lat float64
-		for _, m := range ms {
-			cycles += float64(m[j].Cycles)
-			sp += speedup(m[j], m[0])
-			moved += float64(m[j].BytesMoved)
-			lat += m[j].AvgReadLatency
-		}
-		t.AddRow(s.kind.String(), cycles/n, sp/n, moved/n, lat/n)
-	}
-	return t, nil
-}
-
-// Experiment is one registry entry: an id and the method regenerating its
-// table.
-type Experiment struct {
-	ID  string
-	Run func() (*stats.Table, error)
-}
-
-// Experiments returns the experiment registry: the paper's artifacts in
-// paper order, then the extensions.
-func (h *Harness) Experiments() []Experiment {
-	return []Experiment{
-		{"fig1", h.Fig1}, {"fig2", h.Fig2}, {"fig4", h.Fig4}, {"fig5", h.Fig5},
-		{"fig8", h.Fig8}, {"tab1", h.Table1}, {"fig11", h.Fig11}, {"fig12", h.Fig12},
-		{"fig13", h.Fig13}, {"fig14", h.Fig14}, {"fig15", h.Fig15}, {"fig16", h.Fig16},
-		{"fig17", h.Fig17}, {"compare", h.Compare}, {"energy", h.EnergyBreakdown},
-		{"predictors", h.Predictors}, {"copr-anatomy", h.CoprAnatomy}, {"systems", h.Systems},
-	}
-}
-
-// Experiment returns the runner registered under id, or nil.
-func (h *Harness) Experiment(id string) func() (*stats.Table, error) {
-	for _, e := range h.Experiments() {
-		if e.ID == id {
-			return e.Run
-		}
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"attache/internal/config"
@@ -10,10 +9,18 @@ import (
 	"attache/internal/trace"
 )
 
-func statsTableForTest() *stats.Table {
-	tb := stats.NewTable("t", "a", "b")
-	tb.AddRow("x|y", 1, 2.5)
-	return tb
+// runID renders the experiment declared under id on h.
+func runID(t *testing.T, h *Harness, id string) *stats.Table {
+	t.Helper()
+	e, ok := Lookup(id)
+	if !ok {
+		t.Fatalf("no experiment %q", id)
+	}
+	tab, err := e.Run(h)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return tab
 }
 
 // tinyHarness trims the workload set and run length so every experiment
@@ -34,10 +41,7 @@ func sweepHarness() *Harness {
 
 func TestFig4CompressibilityShape(t *testing.T) {
 	h := tinyHarness()
-	tab, err := h.Fig4()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runID(t, h, "fig4")
 	if tab.Rows() != len(trace.Catalog())+1 {
 		t.Fatalf("rows = %d", tab.Rows())
 	}
@@ -57,10 +61,7 @@ func TestFig4CompressibilityShape(t *testing.T) {
 
 func TestFig2SubRankingShape(t *testing.T) {
 	h := tinyHarness()
-	tab, err := h.Fig2()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runID(t, h, "fig2")
 	// (a) baseline: idle latency 120 cycles.
 	if tab.Cell(0, 0) != 120 {
 		t.Fatalf("baseline idle latency = %v", tab.Cell(0, 0))
@@ -83,10 +84,7 @@ func TestFig2SubRankingShape(t *testing.T) {
 
 func TestFig8CollisionCurve(t *testing.T) {
 	h := tinyHarness()
-	tab, err := h.Fig8()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runID(t, h, "fig8")
 	// Analytic column is monotonically increasing; at 32K accesses the
 	// collision probability is ~63% (paper: "a 15-bit CID collides every
 	// 32K accesses").
@@ -117,10 +115,7 @@ func TestFig8CollisionCurve(t *testing.T) {
 
 func TestTable1Shape(t *testing.T) {
 	h := tinyHarness()
-	tab, err := h.Table1()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runID(t, h, "tab1")
 	if tab.Rows() != 3 {
 		t.Fatalf("rows = %d, want 3", tab.Rows())
 	}
@@ -143,10 +138,7 @@ func TestFig12SmallSweepShape(t *testing.T) {
 		t.Skip("full-suite sweep")
 	}
 	h := sweepHarness()
-	tab, err := h.Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runID(t, h, "fig12")
 	mean := tab.Rows() - 1
 	mdAvg, attAvg, idealAvg := tab.Cell(mean, 0), tab.Cell(mean, 1), tab.Cell(mean, 2)
 	t.Logf("fig12 means at tiny scale: md=%.3f att=%.3f ideal=%.3f", mdAvg, attAvg, idealAvg)
@@ -166,10 +158,7 @@ func TestFig13EnergyShape(t *testing.T) {
 		t.Skip("full-suite sweep")
 	}
 	h := sweepHarness()
-	tab, err := h.Fig13()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runID(t, h, "fig13")
 	mean := tab.Rows() - 1
 	mdE, attE, idealE := tab.Cell(mean, 0), tab.Cell(mean, 1), tab.Cell(mean, 2)
 	t.Logf("fig13 means at tiny scale: md=%.3f att=%.3f ideal=%.3f", mdE, attE, idealE)
@@ -189,10 +178,7 @@ func TestFig16PolicyShape(t *testing.T) {
 		t.Skip("full-suite sweep")
 	}
 	h := sweepHarness()
-	tab, err := h.Fig16()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runID(t, h, "fig16")
 	mean := tab.Rows() - 1
 	lru := tab.Cell(mean, 0)
 	if lru <= 0.3 || lru > 1 {
@@ -208,17 +194,24 @@ func TestFig16PolicyShape(t *testing.T) {
 }
 
 func TestExperimentRegistryComplete(t *testing.T) {
-	h := tinyHarness()
-	exps := h.Experiments()
+	exps := Experiments()
 	if len(exps) != 18 {
 		t.Fatalf("experiments = %d, want 18 (13 paper artifacts + 5 extensions)", len(exps))
 	}
 	for i, e := range exps {
-		if e.Run == nil {
-			t.Fatalf("experiment %q has no runner", e.ID)
+		// Exactly one body: a per-workload row, per-label suite means, or
+		// a table of its own.
+		bodies := 0
+		for _, set := range []bool{e.row != nil, e.cells != nil, e.body != nil} {
+			if set {
+				bodies++
+			}
 		}
-		if got := h.Experiment(e.ID); got == nil {
-			t.Fatalf("Experiment(%q) = nil", e.ID)
+		if bodies != 1 || (e.body == nil) == (len(e.specs) == 0) || (e.cells == nil) != (len(e.rows) == 0) {
+			t.Errorf("experiment %q does not declare exactly one body", e.ID)
+		}
+		if got, ok := Lookup(e.ID); !ok || got.Title != e.Title {
+			t.Fatalf("Lookup(%q) = %q, %v", e.ID, got.Title, ok)
 		}
 		for _, prev := range exps[:i] {
 			if prev.ID == e.ID {
@@ -226,8 +219,8 @@ func TestExperimentRegistryComplete(t *testing.T) {
 			}
 		}
 	}
-	if h.Experiment("fig99") != nil {
-		t.Fatal("unknown id has a runner")
+	if _, ok := Lookup("fig99"); ok {
+		t.Fatal("unknown id found")
 	}
 }
 
@@ -245,32 +238,6 @@ func TestRunCacheReused(t *testing.T) {
 	}
 }
 
-func TestMarkdownTableRender(t *testing.T) {
-	tb := statsTableForTest()
-	md := MarkdownTable(tb)
-	want := "| benchmark | a | b |\n|---|---:|---:|\n| x\\|y | 1.000 | 2.500 |\n"
-	if md != want {
-		t.Fatalf("markdown = %q, want %q", md, want)
-	}
-}
-
-func TestWriteReportTinyScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment")
-	}
-	h := sweepHarness()
-	var sb strings.Builder
-	if err := h.WriteReport(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"# Attaché reproduction report", "Fig 12", "Paper vs measured", "COPR anatomy"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q", want)
-		}
-	}
-}
-
 // TestExperimentShapesShareOneSweep validates the structural properties
 // of the remaining experiment tables from a single cached sweep.
 func TestExperimentShapesShareOneSweep(t *testing.T) {
@@ -280,10 +247,7 @@ func TestExperimentShapesShareOneSweep(t *testing.T) {
 	h := sweepHarness()
 	n := len(h.Workloads())
 
-	fig1, err := h.Fig1()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig1 := runID(t, h, "fig1")
 	if fig1.Rows() != n+1 {
 		t.Fatalf("fig1 rows = %d", fig1.Rows())
 	}
@@ -291,18 +255,12 @@ func TestExperimentShapesShareOneSweep(t *testing.T) {
 		t.Fatalf("fig1 mean extra traffic = %v, want positive", mean)
 	}
 
-	fig11, err := h.Fig11()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig11 := runID(t, h, "fig11")
 	if acc := fig11.Cell(n, 0); acc < 0.5 || acc > 1 {
 		t.Fatalf("fig11 mean accuracy = %v", acc)
 	}
 
-	fig14, err := h.Fig14()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig14 := runID(t, h, "fig14")
 	// Mean row: attache latency must beat mdcache latency; attache
 	// bandwidth must beat mdcache bandwidth.
 	if !(fig14.Cell(n, 1) > fig14.Cell(n, 0)) {
@@ -312,20 +270,14 @@ func TestExperimentShapesShareOneSweep(t *testing.T) {
 		t.Fatalf("fig14: attache latency %.3f not below mdcache %.3f", fig14.Cell(n, 4), fig14.Cell(n, 3))
 	}
 
-	fig15, err := h.Fig15()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig15 := runID(t, h, "fig15")
 	for r := 0; r < fig15.Rows(); r++ {
 		if fig15.Cell(r, 2) < 1 {
 			t.Fatalf("fig15 %s: normalized total %.3f below 1", fig15.RowLabel(r), fig15.Cell(r, 2))
 		}
 	}
 
-	anat, err := h.CoprAnatomy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	anat := runID(t, h, "copr-anatomy")
 	// Shares of the three levels (plus the default source, not shown)
 	// cannot exceed 1.
 	for r := 0; r < anat.Rows(); r++ {
@@ -335,20 +287,14 @@ func TestExperimentShapesShareOneSweep(t *testing.T) {
 		}
 	}
 
-	pred, err := h.Predictors()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pred := runID(t, h, "predictors")
 	// COPR must be at least as accurate as the last-outcome predictor on
 	// average (that is the point of the comparison).
 	if !(pred.Cell(n, 3) > pred.Cell(n, 2)) {
 		t.Fatalf("copr accuracy %.3f not above last-outcome %.3f", pred.Cell(n, 3), pred.Cell(n, 2))
 	}
 
-	eb, err := h.EnergyBreakdown()
-	if err != nil {
-		t.Fatal(err)
-	}
+	eb := runID(t, h, "energy")
 	// Component fractions sum to ~1 for every system.
 	for r := 0; r < eb.Rows(); r++ {
 		var sum float64

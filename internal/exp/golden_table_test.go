@@ -69,7 +69,9 @@ func compareGolden(got, want goldenTable, tol tolerance) error {
 		}
 		for c := range want.Rows[r].Cells {
 			g, w := got.Rows[r].Cells[c], want.Rows[r].Cells[c]
-			if math.Abs(g-w) > tol.Abs+tol.Rel*math.Abs(w) {
+			// Pass only inside the band: a NaN cell compares false with
+			// everything, so "outside" would let it through.
+			if !(math.Abs(g-w) <= tol.Abs+tol.Rel*math.Abs(w)) {
 				return fmt.Errorf("%s / %s: got %.6g, want %.6g (tolerance rel=%g abs=%g)",
 					got.Rows[r].Label, want.Columns[c], g, w, tol.Rel, tol.Abs)
 			}

@@ -1,126 +1,82 @@
 package exp
 
 import (
+	"fmt"
+	"slices"
+
 	"attache/internal/config"
+	"attache/internal/memctrl"
+	"attache/internal/sim"
 	"attache/internal/stats"
 )
 
-// PaperValue is one quantitative claim from the paper, paired with how to
-// measure it on this simulator.
-type PaperValue struct {
-	Artifact string // figure/table the claim comes from
-	Claim    string
-	Paper    float64
-	Measure  func(h *Harness) (float64, error)
+// claim is one quantitative claim from the paper and the cell of an
+// experiment's table that measures it, by row label and column name,
+// divided by div. An empty id is the one structural claim, §I's COPR
+// SRAM.
+type claim struct {
+	artifact, text string
+	paper          float64
+	id, row, col   string
+	div            float64
 }
 
-// PaperClaims returns the paper's headline numbers with their measurement
-// procedures. Compare() evaluates all of them.
-func PaperClaims() []PaperValue {
-	meanOf := func(ratio func(m, base Metrics) float64, kind config.SystemKind) func(h *Harness) (float64, error) {
-		return func(h *Harness) (float64, error) {
-			return h.suiteMean(func(m []Metrics) float64 { return ratio(m[1], m[0]) },
-				sys(config.SystemBaseline), sys(kind))
-		}
-	}
-
-	return []PaperValue{
-		{
-			Artifact: "Fig 4", Claim: "fraction of lines compressible to 30B (suite mean)",
-			Paper: 0.50,
-			Measure: func(h *Harness) (float64, error) {
-				t, err := h.Fig4()
-				if err != nil {
-					return 0, err
-				}
-				return t.Cell(t.Rows()-1, 0) / 100, nil
-			},
-		},
-		{
-			Artifact: "Fig 5/16", Claim: "1MB metadata-cache hit rate (suite mean, LRU)",
-			Paper: 0.77,
-			Measure: func(h *Harness) (float64, error) {
-				return h.suiteMean(func(m []Metrics) float64 { return m[0].MDHitRate }, sys(config.SystemMDCache))
-			},
-		},
-		{
-			Artifact: "Fig 11", Claim: "COPR prediction accuracy (suite mean)",
-			Paper: 0.88,
-			Measure: func(h *Harness) (float64, error) {
-				return h.suiteMean(func(m []Metrics) float64 { return m[0].CoprAccuracy }, sys(config.SystemAttache))
-			},
-		},
-		{Artifact: "Fig 12", Claim: "metadata-cache speedup over baseline", Paper: 1.08,
-			Measure: meanOf(speedup, config.SystemMDCache)},
-		{Artifact: "Fig 12", Claim: "Attaché speedup over baseline", Paper: 1.153,
-			Measure: meanOf(speedup, config.SystemAttache)},
-		{Artifact: "Fig 12", Claim: "ideal speedup over baseline", Paper: 1.17,
-			Measure: meanOf(speedup, config.SystemIdeal)},
-		{Artifact: "Fig 13", Claim: "metadata-cache energy vs baseline", Paper: 0.90,
-			Measure: meanOf(energyRatio, config.SystemMDCache)},
-		{Artifact: "Fig 13", Claim: "Attaché energy vs baseline", Paper: 0.78,
-			Measure: meanOf(energyRatio, config.SystemAttache)},
-		{Artifact: "Fig 13", Claim: "ideal energy vs baseline", Paper: 0.77,
-			Measure: meanOf(energyRatio, config.SystemIdeal)},
-		{
-			Artifact: "Fig 14a", Claim: "Attaché bandwidth improvement over baseline",
-			Paper: 1.16,
-			// Useful work per cycle: the baseline moves the same payload
-			// in more cycles, so payload-rate ratio equals inverse cycle
-			// ratio.
-			Measure: meanOf(speedup, config.SystemAttache),
-		},
-		{
-			Artifact: "Fig 14b", Claim: "Attaché average memory latency vs baseline",
-			Paper:   0.86,
-			Measure: meanOf(latencyRatio, config.SystemAttache),
-		},
-		{
-			Artifact: "Fig 15", Claim: "extra requests from metadata caching (suite mean)",
-			Paper: 1.25,
-			Measure: func(h *Harness) (float64, error) {
-				t, err := h.Fig15()
-				if err != nil {
-					return 0, err
-				}
-				return t.Cell(t.Rows()-1, 2), nil
-			},
-		},
-		{
-			Artifact: "Table I", Claim: "15-bit CID collision probability (%)",
-			Paper: 0.003,
-			Measure: func(h *Harness) (float64, error) {
-				t, err := h.Table1()
-				if err != nil {
-					return 0, err
-				}
-				return t.Cell(0, 2), nil // measured column, 15-bit row
-			},
-		},
-		{
-			Artifact: "§I", Claim: "COPR SRAM (KB)",
-			Paper: 368,
-			Measure: func(h *Harness) (float64, error) {
-				return 368, nil // structural: asserted by unit tests on copr.StorageBytes
-			},
-		},
-	}
+// claims are the paper's headline numbers, in EXPERIMENTS.md's order.
+var claims = []claim{
+	{"Fig 4", "fraction of lines compressible to 30B (suite mean)", 0.50, "fig4", "mean", "compressible_pct", 100},
+	{"Fig 5/16", "1MB metadata-cache hit rate (suite mean, LRU)", 0.77, "fig16", "mean", "lru", 1},
+	{"Fig 11", "COPR prediction accuracy (suite mean)", 0.88, "fig11", "mean", "accuracy", 1},
+	{"Fig 12", "metadata-cache speedup over baseline", 1.08, "fig12", "mean", "mdcache", 1},
+	{"Fig 12", "Attaché speedup over baseline", 1.153, "fig12", "mean", "attache", 1},
+	{"Fig 12", "ideal speedup over baseline", 1.17, "fig12", "mean", "ideal", 1},
+	{"Fig 13", "metadata-cache energy vs baseline", 0.90, "fig13", "mean", "mdcache", 1},
+	{"Fig 13", "Attaché energy vs baseline", 0.78, "fig13", "mean", "attache", 1},
+	{"Fig 13", "ideal energy vs baseline", 0.77, "fig13", "mean", "ideal", 1},
+	{"Fig 14a", "Attaché bandwidth improvement over baseline", 1.16, "fig14", "mean", "bw_attache", 1},
+	{"Fig 14b", "Attaché average memory latency vs baseline", 0.86, "fig14", "mean", "lat_attache", 1},
+	{"Fig 15", "extra requests from metadata caching (suite mean)", 1.25, "fig15", "mean", "norm_total", 1},
+	{"Table I", "15-bit CID collision probability (%)", 0.003, "tab1", "CID 15 bits", "measured_collision_pct", 1},
+	{"§I", "COPR SRAM (KB)", 368, "", "", "", 1},
 }
 
-// Compare evaluates every paper claim on this simulator and tabulates
-// paper-vs-measured values — the source of EXPERIMENTS.md.
-func (h *Harness) Compare() (*stats.Table, error) {
-	t := stats.NewTable("Paper vs measured (suite-level claims)", "paper", "measured", "ratio")
-	for _, c := range PaperClaims() {
-		got, err := c.Measure(h)
+// compare evaluates every paper claim on h and tabulates paper against
+// measured, the source of EXPERIMENTS.md's headline table. Each table a
+// claim reads is rendered once.
+func compare(h *Harness, t *stats.Table) error {
+	tables := map[string]*stats.Table{}
+	for _, c := range claims {
+		got, err := c.cell(h, tables)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ratio := 0.0
-		if c.Paper != 0 {
-			ratio = got / c.Paper
-		}
-		t.AddRow(c.Artifact+": "+c.Claim, c.Paper, got, ratio)
+		t.AddRow(c.artifact+": "+c.text, c.paper, got, got/c.paper)
 	}
-	return t, nil
+	return nil
+}
+
+// cell reads c's measured value on h, rendering the table it reads into
+// tables unless an earlier claim already did.
+func (c claim) cell(h *Harness, tables map[string]*stats.Table) (float64, error) {
+	if c.id == "" { // the SRAM of the predictor an Attaché system built for h.Cfg carries
+		s, err := memctrl.New(sim.NewEngine(), h.Cfg, config.SystemAttache, nil, 0)
+		if err != nil {
+			return 0, err
+		}
+		return float64(s.Predictor().StorageBytes() >> 10), nil
+	}
+	tab, ok := tables[c.id]
+	if !ok {
+		e, _ := Lookup(c.id) // TestClaimsReadDeclaredCells holds every id to a declaration
+		var err error
+		if tab, err = e.Run(h); err != nil {
+			return 0, err
+		}
+		tables[c.id] = tab
+	}
+	for r := 0; r < tab.Rows(); r++ {
+		if tab.RowLabel(r) == c.row {
+			return tab.Cell(r, slices.Index(tab.Columns, c.col)) / c.div, nil
+		}
+	}
+	return 0, fmt.Errorf("compare: %s has no row %q", c.id, c.row)
 }

@@ -184,10 +184,7 @@ func Run(rc RunConfig) (Metrics, error) {
 		cores[i].StartAt(sim.Time(i) * 61)
 	}
 
-	maxEvents := uint64(rc.AccessesPerCore) * uint64(ncores) * 400
-	if maxEvents < 1_000_000 {
-		maxEvents = 1_000_000
-	}
+	maxEvents := max(uint64(rc.AccessesPerCore)*uint64(ncores)*400, 1_000_000)
 	if !eng.RunUntilDone(maxEvents) {
 		return Metrics{}, fmt.Errorf("exp: simulation exceeded %d events (deadlock or runaway)", maxEvents)
 	}

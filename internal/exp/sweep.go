@@ -66,31 +66,59 @@ func (h *Harness) sweep(specs ...runSpec) ([][]Metrics, error) {
 	return ms, nil
 }
 
-// perWorkload fills t with one row per workload — row turns that
-// workload's runs, one per spec, into the cells — and a closing mean row.
-func (h *Harness) perWorkload(t *stats.Table, row func(m []Metrics) []float64, specs ...runSpec) (*stats.Table, error) {
-	ms, err := h.sweep(specs...)
+// Experiment is one table of the evaluation, declared: an id, a title,
+// its columns and one of three bodies.
+//   - specs and row: a sweep of every workload under specs, one row per
+//     workload (row turns that workload's runs, one per spec, into its
+//     cells), then the mean row.
+//   - specs, rows and cells: a sweep reduced to one row per label in rows,
+//     row r holding the suite mean of cells(m, r), summed in workload order.
+//   - body: a table that is not a sweep, or not reduced by a mean, filled
+//     by body itself.
+type Experiment struct {
+	ID, Title string
+	Columns   []string
+
+	specs []runSpec
+	row   func(m []Metrics) []float64
+	rows  []string
+	cells func(m []Metrics, r int) []float64
+	body  func(h *Harness, t *stats.Table) error
+}
+
+// Run renders e's table on h.
+func (e Experiment) Run(h *Harness) (*stats.Table, error) {
+	t := stats.NewTable(e.Title, e.Columns...)
+	if e.body != nil {
+		if err := e.body(h, t); err != nil {
+			return nil, err
+		}
+		return t, nil
+	}
+	ms, err := h.sweep(e.specs...)
 	if err != nil {
 		return nil, err
 	}
-	for i, w := range h.Workloads() {
-		t.AddRow(w, row(ms[i])...)
+	if e.row != nil {
+		for i, w := range h.Workloads() {
+			t.AddRow(w, e.row(ms[i])...)
+		}
+		t.AddMeanRow()
+		return t, nil
 	}
-	t.AddMeanRow()
+	for r, label := range e.rows {
+		mean := make([]float64, len(e.Columns))
+		for _, m := range ms {
+			for c, v := range e.cells(m, r) {
+				mean[c] += v
+			}
+		}
+		for c := range mean {
+			mean[c] /= float64(len(ms))
+		}
+		t.AddRow(label, mean...)
+	}
 	return t, nil
-}
-
-// suiteMean averages get over the workloads' runs under specs.
-func (h *Harness) suiteMean(get func(m []Metrics) float64, specs ...runSpec) (float64, error) {
-	ms, err := h.sweep(specs...)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, m := range ms {
-		sum += get(m)
-	}
-	return sum / float64(len(ms)), nil
 }
 
 // vsBaseline applies ratio to every run after the first against the

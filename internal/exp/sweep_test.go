@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"attache/internal/config"
-	"attache/internal/stats"
 )
 
 // parTestHarness is a harness small enough to simulate the whole
@@ -43,13 +42,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 	par := parTestHarness()
 	par.Parallelism = 8
 
-	parExps := par.Experiments()
-	for i, e := range serial.Experiments() {
-		want, err := e.Run()
+	for _, e := range Experiments() {
+		want, err := e.Run(serial)
 		if err != nil {
 			t.Fatalf("serial %s: %v", e.ID, err)
 		}
-		got, err := parExps[i].Run()
+		got, err := e.Run(par)
 		if err != nil {
 			t.Fatalf("parallel %s: %v", e.ID, err)
 		}
@@ -117,8 +115,8 @@ func TestRegistrySimulationCount(t *testing.T) {
 	fakeSimulate(t, func(RunConfig) (Metrics, error) { return Metrics{Cycles: 1}, nil })
 	var executions atomic.Int32
 	h.Progress = func(string) { executions.Add(1) }
-	for _, e := range h.Experiments() {
-		if _, err := e.Run(); err != nil {
+	for _, e := range Experiments() {
+		if _, err := e.Run(h); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
 	}
@@ -153,11 +151,12 @@ func TestSweepBoundsConcurrency(t *testing.T) {
 		return Metrics{Cycles: 1}, nil
 	})
 	var wg sync.WaitGroup
-	for _, run := range []func() (*stats.Table, error){h.Fig12, h.Fig5} {
+	for _, id := range []string{"fig12", "fig5"} {
+		e, _ := Lookup(id)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := run(); err != nil {
+			if _, err := e.Run(h); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -181,10 +180,12 @@ func TestSweepSurfacesRunError(t *testing.T) {
 			}
 			return Metrics{Cycles: 1}, nil
 		})
-		if _, err := h.Fig11(); err != nil {
+		fig11, _ := Lookup("fig11")
+		if _, err := fig11.Run(h); err != nil {
 			t.Fatalf("parallelism %d: fig11 needs no ideal run, got %v", par, err)
 		}
-		_, err := h.Fig12()
+		fig12, _ := Lookup("fig12")
+		_, err := fig12.Run(h)
 		first := h.Workloads()[0]
 		_, want := h.runCached(first, sys(config.SystemIdeal))
 		if want == nil || err != want {

@@ -222,3 +222,26 @@ func (t *Table) CSV() string {
 	}
 	return b.String()
 }
+
+// Markdown renders the table as GitHub-flavored markdown with 3-decimal
+// cells.
+func (t *Table) Markdown() string {
+	var b strings.Builder
+	b.WriteString("| benchmark |")
+	for _, c := range t.Columns {
+		fmt.Fprintf(&b, " %s |", c)
+	}
+	b.WriteString("\n|---|")
+	for range t.Columns {
+		b.WriteString("---:|")
+	}
+	b.WriteByte('\n')
+	for _, r := range t.rows {
+		fmt.Fprintf(&b, "| %s |", strings.ReplaceAll(r.label, "|", "\\|"))
+		for _, v := range r.cells {
+			fmt.Fprintf(&b, " %.3f |", v)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}

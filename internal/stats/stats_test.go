@@ -108,6 +108,16 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
+func TestTableMarkdown(t *testing.T) {
+	tb := NewTable("t", "a", "b")
+	tb.AddRow("x|y", 1, 2.5)
+	md := tb.Markdown()
+	want := "| benchmark | a | b |\n|---|---:|---:|\n| x\\|y | 1.000 | 2.500 |\n"
+	if md != want {
+		t.Fatalf("markdown = %q, want %q", md, want)
+	}
+}
+
 func TestTablePanicsOnCellMismatch(t *testing.T) {
 	tb := NewTable("t", "a", "b")
 	defer func() {
