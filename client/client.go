@@ -459,8 +459,8 @@ func opErr(msg string) error {
 // StatsV2 is the schema-version-2 stats document served at /v1/stats —
 // the very type the daemon encodes: nested sections with per-instance
 // engine snapshots (and the merged Engine.Tiers view on a tiered
-// daemon), per-SLO-class latency quantiles, a Jain fairness index,
-// routing decisions when requested, and per-tenant accounting.
+// daemon), per-SLO-class latency quantiles, a Jain fairness index, and
+// per-tenant accounting.
 type StatsV2 = wire.Stats
 
 // StatsV2 fetches the current (schema v2) stats document.

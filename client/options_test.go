@@ -138,8 +138,8 @@ func TestStatsV2RoundTrip(t *testing.T) {
 	if doc.SchemaVersion != 2 {
 		t.Fatalf("schema_version = %d, want 2", doc.SchemaVersion)
 	}
-	if doc.Cluster.Instances != 1 || doc.Cluster.Router != "passthrough" {
-		t.Fatalf("cluster section = %+v, want 1 passthrough instance", doc.Cluster)
+	if doc.Cluster.Instances != 1 {
+		t.Fatalf("cluster section = %+v, want 1 instance", doc.Cluster)
 	}
 	if doc.Engine.Total.Reads != 1 || doc.Engine.Total.Writes != 1 {
 		t.Fatalf("engine totals = %+v, want 1 read / 1 write", doc.Engine.Total)
@@ -154,8 +154,8 @@ func TestStatsV2RoundTrip(t *testing.T) {
 
 // TestStatsV2SeesWhatTheServerSends: the client's stats type is the
 // daemon's, so nothing the daemon sends is dropped on the way in — the
-// merged tier view and inlined routing decisions included — and a
-// decoded document re-encodes to the bytes it came from.
+// merged tier view included — and a decoded document re-encodes to the
+// bytes it came from.
 func TestStatsV2SeesWhatTheServerSends(t *testing.T) {
 	ts, eng := newDaemon(t, shard.Config{Shards: 2, Tier: &tier.Config{NearLines: 8}})
 	c := New(ts.URL, fastOpts()...)
@@ -178,21 +178,18 @@ func TestStatsV2SeesWhatTheServerSends(t *testing.T) {
 		t.Fatalf("Engine.Tiers = %+v, want the server's merged tier snapshot %+v", doc.Engine.Tiers, want)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/stats?decisions=4")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/stats?decisions=4: %d, %v", resp.StatusCode, err)
+		t.Fatalf("GET /v1/stats: %d, %v", resp.StatusCode, err)
 	}
 	var raw StatsV2
 	if err := json.Unmarshal(body, &raw); err != nil {
 		t.Fatal(err)
-	}
-	if ds := raw.Cluster.Decisions; len(ds) != 4 || ds[3].Seq != 64 || ds[3].Ops != 1 || len(ds[3].Addrs) != 1 {
-		t.Fatalf("Cluster.Decisions = %+v, want the last four of 64 one-op decisions", ds)
 	}
 	again, err := json.Marshal(raw)
 	if err != nil {

@@ -27,14 +27,14 @@
 //	... traffic ...
 //	go run ./cmd/attacheload -replay capture.ndjson
 //
-// Cluster mode: -cluster N runs N engine instances behind a router
-// (-router round-robin | least-loaded | affinity) with per-tenant
-// token-bucket admission (-quotas "acme=5000,globex=1000:2000",
-// -default-quota) and SLO classes (-classes "acme=gold"). Clients name
-// their tenant in the X-Attache-Tenant header; /v1/stats (schema v2)
-// reports per-instance, per-class, and per-tenant breakdowns plus a
-// Jain fairness index. The default -cluster 1 with the passthrough
-// router is bit-identical to the pre-cluster daemon.
+// Cluster mode: -cluster N runs N engine instances, each address placed
+// on exactly one of them by its 4 KB page (so a read always reaches the
+// instance that took the write), with per-tenant token-bucket admission
+// (-quotas "acme=5000,globex=1000:2000", -default-quota) and SLO classes
+// (-classes "acme=gold"). Clients name their tenant in the
+// X-Attache-Tenant header; /v1/stats (schema v2) reports per-instance,
+// per-class, and per-tenant breakdowns plus a Jain fairness index. The
+// default -cluster 1 is bit-identical to the pre-cluster daemon.
 //
 // SIGTERM/SIGINT starts a graceful drain: the listener stops accepting,
 // in-flight requests finish (bounded by -shutdown-timeout), the engine's
@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -92,11 +93,10 @@ func main() {
 		snapshotOnDrain = flag.String("snapshot-on-drain", "", "write a snapv1 state snapshot to this path after the drain completes")
 		restore         = flag.String("restore", "", "restore engine state from this snapv1 snapshot at startup (snapshot is authoritative for options, tier config, shard and instance count)")
 
-		// Cluster knobs: N engine instances behind a router, per-tenant
-		// admission quotas, and SLO classes. The default (1 instance,
-		// passthrough) is bit-identical to the pre-cluster daemon.
-		instances    = flag.Int("cluster", 1, "engine instance count behind the router")
-		router       = flag.String("router", "", "routing policy: passthrough, round-robin, least-loaded, affinity (default: passthrough for 1 instance, round-robin otherwise)")
+		// Cluster knobs: N engine instances, per-tenant admission quotas,
+		// and SLO classes. The default (1 instance) is bit-identical to
+		// the pre-cluster daemon.
+		instances    = flag.Int("cluster", 1, "engine instance count; each address lives on the one its page maps to")
 		quotas       = flag.String("quotas", "", `per-tenant admission quotas, "tenant=rate[:burst],..." in ops/sec (e.g. "acme=5000,globex=1000:2000")`)
 		defaultQuota = flag.String("default-quota", "", `quota shape for tenants without an explicit one, "rate[:burst]" (empty = unlimited)`)
 		classes      = flag.String("classes", "", `per-tenant SLO classes, "tenant=class,..." with class gold|silver|best-effort (unmapped tenants are best-effort)`)
@@ -170,7 +170,6 @@ func main() {
 		shardCfg.Tier = tc
 	}
 	clusterCfg := cluster.Config{
-		Router:       *router,
 		Quotas:       quotaMap,
 		DefaultQuota: fallback,
 		Classes:      classMap,
@@ -233,7 +232,7 @@ func main() {
 	go func() {
 		<-srv.Ready()
 		logger.Info("serving",
-			"addr", srv.Addr(), "instances", cl.Instances(), "router", cl.RouterName(),
+			"addr", srv.Addr(), "instances", cl.Instances(),
 			"shards", cl.Shards(), "queue_depth", *queueDepth,
 			"sram_overhead_kb", cl.EngineSnapshot().SRAMBytes>>10,
 			"trace_sample", *traceSample, "pprof", *pprof)
@@ -305,19 +304,24 @@ func writeSnapshotFile(cl *cluster.Cluster, path string) error {
 func parseQuota(s string) (cluster.Quota, error) {
 	rateStr, burstStr, hasBurst := strings.Cut(s, ":")
 	rate, err := strconv.ParseFloat(rateStr, 64)
-	if err != nil || rate < 0 {
+	if err != nil || !finiteNonNegative(rate) {
 		return cluster.Quota{}, fmt.Errorf("bad rate %q (want ops/sec)", rateStr)
 	}
 	q := cluster.Quota{Rate: rate}
 	if hasBurst {
 		burst, err := strconv.ParseFloat(burstStr, 64)
-		if err != nil || burst < 0 {
+		if err != nil || !finiteNonNegative(burst) {
 			return cluster.Quota{}, fmt.Errorf("bad burst %q (want ops)", burstStr)
 		}
 		q.Burst = burst
 	}
 	return q, nil
 }
+
+// finiteNonNegative reports whether f is a usable rate or burst.
+// ParseFloat accepts "NaN" and "Inf", and a NaN quota compares false
+// against every bound, so the admitter would never refuse its tenant.
+func finiteNonNegative(f float64) bool { return f >= 0 && !math.IsInf(f, 1) }
 
 // parseQuotas parses "tenant=rate[:burst],..." into per-tenant quotas.
 func parseQuotas(s string) (map[string]cluster.Quota, error) {

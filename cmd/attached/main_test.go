@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,11 +20,54 @@ func TestParseQuota(t *testing.T) {
 	if err != nil || q != (cluster.Quota{Rate: 1000, Burst: 2000}) {
 		t.Fatalf("parseQuota(1000:2000) = %+v, %v", q, err)
 	}
-	for _, bad := range []string{"", "fast", "-5", "100:-1", "100:nope"} {
+	for _, bad := range []string{"", "fast", "-5", "100:-1", "100:nope", "NaN", "Inf", "100:NaN", "100:+Inf"} {
 		if _, err := parseQuota(bad); err == nil {
 			t.Errorf("parseQuota(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseQuotas: parseQuotas never panics, and every quota it accepts
+// is finite and non-negative — a NaN would admit its tenant without
+// limit.
+func FuzzParseQuotas(f *testing.F) {
+	for _, s := range []string{"hog=1000:2000, vip=50", "acme=NaN", "acme=Inf", "acme=5:NaN", "acme=1:-Inf", "a=1e400", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		qs, err := parseQuotas(s)
+		if err != nil {
+			return
+		}
+		for tenant, q := range qs {
+			for _, v := range []float64{q.Rate, q.Burst} {
+				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					t.Fatalf("parseQuotas(%q) accepted tenant %q with quota %+v", s, tenant, q)
+				}
+			}
+		}
+	})
+}
+
+// FuzzParseClasses: parseClasses never panics, and every class it
+// accepts is one of the three it names.
+func FuzzParseClasses(f *testing.F) {
+	for _, s := range []string{"vip=gold, batch=best-effort, mid=silver", "vip=NaN", "vip=Inf", "vip=platinum", "=gold", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		cs, err := parseClasses(s)
+		if err != nil {
+			return
+		}
+		for tenant, c := range cs {
+			switch c {
+			case cluster.ClassGold, cluster.ClassSilver, cluster.ClassBestEffort:
+			default:
+				t.Fatalf("parseClasses(%q) accepted tenant %q with class %q", s, tenant, c)
+			}
+		}
+	})
 }
 
 func TestParseQuotas(t *testing.T) {

@@ -1,23 +1,22 @@
-// Package cluster fronts N shard.Engine instances with a pluggable
-// router, per-tenant token-bucket admission control, and SLO-class
+// Package cluster fronts N shard.Engine instances with address
+// placement, per-tenant token-bucket admission control, and SLO-class
 // accounting — the scale-out layer between the HTTP daemon and the
 // engines.
 //
 // Layering: serve → cluster → shard.Engine → core.Memory. The cluster
-// is deliberately thin on the data path: route, forward, account. A
-// 1-instance cluster with the passthrough router forwards each batch
-// verbatim to its engine, so it is bit-identical to calling the engine
-// directly (the same pinning discipline TestSingleShardMatchesMemory
-// applies one layer down).
-//
-// Every routing decision can be recorded (inputs and outcome) into a
-// bounded ring that /v1/stats serves.
+// is deliberately thin on the data path: place, forward, account. Every
+// address lives on exactly one instance (instanceFor), so a read always
+// reaches the instance that took the write. A 1-instance cluster
+// forwards each batch verbatim to its engine, so it is bit-identical to
+// calling the engine directly (the same pinning discipline
+// TestSingleShardMatchesMemory applies one layer down).
 package cluster
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -30,9 +29,6 @@ import (
 
 // Config shapes a cluster around its engines.
 type Config struct {
-	// Router names the routing policy (see NewRouter). Empty defaults to
-	// passthrough for 1 instance and round-robin otherwise.
-	Router string
 	// Quotas maps tenant → admission quota. Tenants absent from the map
 	// use DefaultQuota.
 	Quotas map[string]Quota
@@ -41,21 +37,35 @@ type Config struct {
 	DefaultQuota Quota
 	// Classes maps tenant → SLO class; unmapped tenants are best-effort.
 	Classes map[string]Class
-	// DecisionLog sizes the routing-decision ring: 0 defaults to 1024,
-	// negative disables recording.
-	DecisionLog int
 	// Now is the admission clock; nil means time.Now. Injectable so
 	// quota tests drive time deterministically.
 	Now func() time.Time
 }
 
-// Cluster owns N engines behind a router. Safe for concurrent use.
+// Cluster owns N engines and places every address on one of them. Safe
+// for concurrent use.
 type Cluster struct {
 	engines []*shard.Engine
-	router  Router
 	adm     *admitter
 	slo     *sloBook
-	log     *decisionLog
+}
+
+// pagePrefixBits is how many low address bits placement ignores: 6 bits
+// groups 64 lines (one 4 KB page of 64-byte lines) onto the same
+// instance, so a hot page trains exactly one instance's COPR predictor
+// instead of smearing its history across all of them.
+const pagePrefixBits = 6
+
+// instanceFor places addr on one of n instances: the page prefix
+// (addr >> pagePrefixBits) mixed through the splitmix64 finalizer and
+// Lemire-reduced to [0, n) — the same unbiased mapping the engine's
+// shardFor uses, over page prefixes instead of line addresses. It is the
+// cluster's only placement: a function of the address alone, so every
+// address has exactly one home and needs no directory. With n = 1 it is
+// always 0.
+func instanceFor(addr uint64, n int) int {
+	hi, _ := bits.Mul64(stats.SplitMix64(addr>>pagePrefixBits), uint64(n))
+	return int(hi)
 }
 
 // InstanceSeed derives instance i's engine seed from a base seed.
@@ -69,7 +79,7 @@ func InstanceSeed(base int64, i int) int64 {
 }
 
 // New builds instances engines, each of shardCfg shards configured from
-// opts with InstanceSeed-derived seeds, behind cfg's router.
+// opts with InstanceSeed-derived seeds, behind one cluster.
 func New(opts core.Options, shardCfg shard.Config, instances int, cfg Config) (*Cluster, error) {
 	if instances < 1 {
 		return nil, fmt.Errorf("cluster: instance count %d not in [1,∞): %w", instances, core.ErrOutOfRange)
@@ -87,14 +97,7 @@ func New(opts core.Options, shardCfg shard.Config, instances int, cfg Config) (*
 		}
 		engines[i] = eng
 	}
-	c, err := Wrap(engines, cfg)
-	if err != nil {
-		for _, e := range engines {
-			e.Close()
-		}
-		return nil, err
-	}
-	return c, nil
+	return Wrap(engines, cfg)
 }
 
 // Wrap fronts existing engines with a cluster. The cluster takes
@@ -103,36 +106,15 @@ func Wrap(engines []*shard.Engine, cfg Config) (*Cluster, error) {
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("cluster: need at least one engine: %w", core.ErrOutOfRange)
 	}
-	policy := cfg.Router
-	if policy == "" {
-		if len(engines) == 1 {
-			policy = Passthrough
-		} else {
-			policy = RoundRobin
-		}
-	}
-	r, err := NewRouter(policy, len(engines))
-	if err != nil {
-		return nil, err
-	}
-	logSize := cfg.DecisionLog
-	if logSize == 0 {
-		logSize = 1024
-	}
 	return &Cluster{
 		engines: engines,
-		router:  r,
 		adm:     newAdmitter(cfg.Quotas, cfg.DefaultQuota, cfg.Now),
 		slo:     newSLOBook(cfg.Classes),
-		log:     newDecisionLog(logSize),
 	}, nil
 }
 
 // Instances reports the engine count.
 func (c *Cluster) Instances() int { return len(c.engines) }
-
-// RouterName reports the active routing policy.
-func (c *Cluster) RouterName() string { return c.router.Name() }
 
 // Shards reports the total shard count across instances.
 func (c *Cluster) Shards() int {
@@ -143,7 +125,7 @@ func (c *Cluster) Shards() int {
 	return n
 }
 
-// DoCtx routes a batch to its instance(s) and blocks until every op
+// DoCtx places a batch on its instance(s) and blocks until every op
 // completes, with shard.Engine.DoCtx's deadline/shed semantics per
 // instance: a ctx that is already done returns (nil, ctx.Err()) before
 // admission, so a request that never runs spends no quota. The context's
@@ -158,7 +140,7 @@ func (c *Cluster) DoCtx(ctx context.Context, ops []shard.Op) ([]shard.Result, er
 		return nil, err
 	}
 	if len(ops) == 0 {
-		// Nothing to admit, route or record: the answer is an engine's.
+		// Nothing to admit, place or record: the answer is an engine's.
 		return c.engines[0].DoCtx(ctx, ops)
 	}
 	tenant := obs.TenantFromContext(ctx)
@@ -171,40 +153,37 @@ func (c *Cluster) DoCtx(ctx context.Context, ops []shard.Op) ([]shard.Result, er
 		return res, nil
 	}
 
-	loads := make([]int64, len(c.engines))
-	for i, e := range c.engines {
-		loads[i] = e.InFlight()
-	}
-	assign := make([]int, len(ops))
-	c.router.Route(ops, loads, assign)
-
 	start := time.Now()
-	res, err := c.dispatch(ctx, ops, assign)
-	c.record(tenant, ops, loads, assign, time.Since(start), res, err)
+	res, err := c.dispatch(ctx, ops)
+	c.record(tenant, len(ops), time.Since(start), res, err)
 	return res, err
 }
 
-// dispatch executes the routed batch. The single-instance case — every
-// whole-batch router, and any affinity batch that happens to map to one
-// instance — forwards the caller's ops slice verbatim, which is what
-// makes the 1-instance passthrough cluster bit-identical to a bare
-// engine. Split batches regroup per instance, run concurrently, and
-// scatter results back into submission order.
-func (c *Cluster) dispatch(ctx context.Context, ops []shard.Op, assign []int) ([]shard.Result, error) {
+// dispatch executes the batch where its addresses live. A batch whose
+// ops all live on one instance — every batch of a 1-instance cluster —
+// goes to it as the caller's ops slice verbatim, which is what makes the
+// 1-instance cluster bit-identical to a bare engine. Split batches
+// regroup per instance, run concurrently, and scatter results back into
+// submission order; ops on one address share an instance, so their
+// in-batch order holds.
+func (c *Cluster) dispatch(ctx context.Context, ops []shard.Op) ([]shard.Result, error) {
+	n := len(c.engines)
+	home := instanceFor(ops[0].Addr, n)
 	single := true
-	for _, a := range assign[1:] {
-		if a != assign[0] {
+	for _, op := range ops[1:] {
+		if instanceFor(op.Addr, n) != home {
 			single = false
 			break
 		}
 	}
 	if single {
-		return c.engines[assign[0]].DoCtx(ctx, ops)
+		return c.engines[home].DoCtx(ctx, ops)
 	}
 
-	groups := make(map[int][]int, len(c.engines))
-	for i, a := range assign {
-		groups[a] = append(groups[a], i)
+	groups := make([][]int, n)
+	for i, op := range ops {
+		k := instanceFor(op.Addr, n)
+		groups[k] = append(groups[k], i)
 	}
 	res := make([]shard.Result, len(ops))
 	var (
@@ -212,8 +191,13 @@ func (c *Cluster) dispatch(ctx context.Context, ops []shard.Op, assign []int) ([
 		errMu    sync.Mutex
 		firstErr error
 		failed   int
+		used     int
 	)
 	for inst, idx := range groups {
+		if len(idx) == 0 {
+			continue
+		}
+		used++
 		wg.Add(1)
 		go func(inst int, idx []int) {
 			defer wg.Done()
@@ -242,40 +226,16 @@ func (c *Cluster) dispatch(ctx context.Context, ops []shard.Op, assign []int) ([
 		}(inst, idx)
 	}
 	wg.Wait()
-	if failed == len(groups) {
+	if failed == used {
 		return nil, firstErr
 	}
 	return res, nil
 }
 
-// record books the decision and the SLO outcome for one executed batch.
-func (c *Cluster) record(tenant string, ops []shard.Op, loads []int64, assign []int, lat time.Duration, res []shard.Result, err error) {
-	per := make([]int, len(c.engines))
-	for _, a := range assign {
-		per[a]++
-	}
-	chosen := 0
-	for i, n := range per {
-		if n > per[chosen] {
-			chosen = i
-		}
-	}
-	addrs := make([]uint64, 0, min(len(ops), decisionAddrCap))
-	for i := 0; i < len(ops) && i < decisionAddrCap; i++ {
-		addrs = append(addrs, ops[i].Addr)
-	}
-	c.log.add(Decision{
-		Tenant:      tenant,
-		Class:       c.slo.classFor(tenant),
-		Ops:         len(ops),
-		Addrs:       addrs,
-		Loads:       loads,
-		PerInstance: per,
-		Chosen:      chosen,
-	})
-
+// record books the SLO outcome of one executed batch of n ops.
+func (c *Cluster) record(tenant string, n int, lat time.Duration, res []shard.Result, err error) {
 	if err != nil {
-		c.slo.record(tenant, lat, len(ops), 0, 0, len(ops))
+		c.slo.record(tenant, lat, n, 0, 0, n)
 		return
 	}
 	ok, shed, errs := 0, 0, 0
@@ -289,7 +249,7 @@ func (c *Cluster) record(tenant string, ops []shard.Op, loads []int64, assign []
 			errs++
 		}
 	}
-	c.slo.record(tenant, lat, len(ops), ok, shed, errs)
+	c.slo.record(tenant, lat, n, ok, shed, errs)
 }
 
 // EngineSnapshot merges every instance into one shard.Snapshot — the
@@ -354,9 +314,6 @@ func (c *Cluster) TenantSnapshots() []TenantSnapshot { return c.slo.TenantSnapsh
 // JainFairness reports Jain's fairness index over per-tenant successful
 // throughput (1.0 = perfectly even; 1/n = one tenant got everything).
 func (c *Cluster) JainFairness() float64 { return c.slo.JainFairness() }
-
-// Decisions returns up to n recent routing decisions, oldest first.
-func (c *Cluster) Decisions(n int) []Decision { return c.log.recent(n) }
 
 // Close closes every engine, returning the first error.
 func (c *Cluster) Close() error {

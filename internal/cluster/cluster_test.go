@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -41,7 +40,7 @@ func TestInstanceSeedDerivation(t *testing.T) {
 }
 
 // TestPassthroughBitIdentity is the acceptance gate for cluster mode: a
-// 1-instance passthrough cluster must be indistinguishable from calling
+// 1-instance cluster must be indistinguishable from calling
 // the engine directly — same per-op results (including seeded injected
 // faults) and a byte-identical stats snapshot — under a chaos-flavored
 // mixed workload.
@@ -63,9 +62,6 @@ func TestPassthroughBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if cl.RouterName() != Passthrough {
-		t.Fatalf("1-instance default router = %s, want passthrough", cl.RouterName())
-	}
 
 	// The same seeded op sequence, submitted sequentially to both, must
 	// produce identical outcomes op for op.
@@ -258,58 +254,8 @@ func TestCancelledBatchSpendsNoQuota(t *testing.T) {
 	}
 }
 
-// TestDecisionRing pins what Decisions(n) returns — the ring /v1/stats
-// serves: one contiguous-sequence entry per executed batch, oldest first,
-// each accounting for every op of its batch; a full ring keeps the newest
-// entries; a negative DecisionLog records nothing.
-func TestDecisionRing(t *testing.T) {
-	for _, size := range []int{0, 8, -1} {
-		cl, err := New(core.DefaultOptions(), shard.Config{Shards: 1}, 2, Config{Router: Affinity, DecisionLog: size})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(3))
-		for i := 0; i < 50; i++ {
-			ops := make([]shard.Op, 4)
-			for j := range ops {
-				ops[j] = shard.Op{Write: true, Addr: uint64(rng.Intn(1 << 12)), Data: testLine(uint64(i))}
-			}
-			if _, err := do(cl, ops); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cl.Close()
-
-		decisions := cl.Decisions(100)
-		want := map[int]int{0: 50, 8: 8, -1: 0}[size]
-		if len(decisions) != want {
-			t.Fatalf("DecisionLog %d: log holds %d decisions, want %d", size, len(decisions), want)
-		}
-		if want == 0 {
-			continue
-		}
-		if last := decisions[want-1].Seq; last != 50 {
-			t.Fatalf("DecisionLog %d: newest decision has seq %d, want 50", size, last)
-		}
-		if got := cl.Decisions(3); len(got) != 3 || got[2].Seq != 50 || got[0].Seq != 48 {
-			t.Fatalf("DecisionLog %d: Decisions(3) = %+v, want seqs 48..50", size, got)
-		}
-		for i, d := range decisions {
-			if i > 0 && d.Seq != decisions[i-1].Seq+1 {
-				t.Fatalf("decision seqs not contiguous: %d then %d", decisions[i-1].Seq, d.Seq)
-			}
-			if d.Ops != 4 || len(d.Addrs) != 4 || len(d.Loads) != 2 || d.PerInstance[0]+d.PerInstance[1] != 4 {
-				t.Fatalf("decision %d does not account for its 4-op batch: %+v", d.Seq, d)
-			}
-			if d.PerInstance[d.Chosen] < d.PerInstance[1-d.Chosen] {
-				t.Fatalf("decision %d: chosen instance %d served the minority: %+v", d.Seq, d.Chosen, d)
-			}
-		}
-	}
-}
-
 // composeScenario expands a preset and prefills target through the
-// cluster itself, so lines live wherever the router puts them.
+// cluster itself, so lines live wherever placement puts them.
 func composeScenario(t *testing.T, name string, seed int64, events int, cl *Cluster) ([]shard.Op, uint64) {
 	t.Helper()
 	spec, err := workload.Preset(name, seed, events)
@@ -342,13 +288,13 @@ func composeScenario(t *testing.T, name string, seed int64, events int, cl *Clus
 	return flat, spec.AddrSpace
 }
 
-// TestAffinityKeepsPredictorAccuracy is the router-locality acceptance
-// test: on zipfian-hot-page, page-affinity routing must keep the fleet's
-// COPR accuracy within tolerance of a single instance seeing the whole
-// stream, because each hot page trains exactly one predictor.
+// TestAffinityKeepsPredictorAccuracy is the placement-locality
+// acceptance test: on zipfian-hot-page, page placement must keep the
+// fleet's COPR accuracy within tolerance of a single instance seeing the
+// whole stream, because each hot page trains exactly one predictor.
 func TestAffinityKeepsPredictorAccuracy(t *testing.T) {
-	run := func(instances int, router string) float64 {
-		cl, err := New(core.DefaultOptions(), shard.Config{Shards: 1}, instances, Config{Router: router, DecisionLog: -1})
+	run := func(instances int) float64 {
+		cl, err := New(core.DefaultOptions(), shard.Config{Shards: 1}, instances, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,76 +310,14 @@ func TestAffinityKeepsPredictorAccuracy(t *testing.T) {
 		return cl.EngineSnapshot().Total.PredictionAccuracy
 	}
 
-	single := run(1, Passthrough)
-	multi := run(3, Affinity)
+	single := run(1)
+	multi := run(3)
 	if single <= 0 || single > 1 {
 		t.Fatalf("single-instance accuracy %v out of range", single)
 	}
 	if diff := math.Abs(single - multi); diff > 0.05 {
-		t.Fatalf("affinity accuracy %v strayed %.4f from single-instance %v (tolerance 0.05)",
+		t.Fatalf("3-instance accuracy %v strayed %.4f from single-instance %v (tolerance 0.05)",
 			multi, diff, single)
-	}
-}
-
-// TestLeastLoadedBalancesWriteBurst pins the load-aware policy's whole
-// point: under write-burst no instance is starved and no instance hogs —
-// the max/min ratio of ops routed per instance stays within a small
-// constant factor. (Routed ops, from the decision log, is the quantity
-// the policy actually balances; served-write counts additionally depend
-// on each batch's read/write mix.)
-func TestLeastLoadedBalancesWriteBurst(t *testing.T) {
-	cl, err := New(core.DefaultOptions(), shard.Config{Shards: 1}, 3, Config{Router: LeastLoaded, DecisionLog: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	spec, err := workload.Preset("write-burst", 5, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs, err := workload.Compose(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Concurrent submitters make the inflight gauge a live signal.
-	feed := make(chan []shard.Op)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ops := range feed {
-				if _, err := do(cl, ops); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	for _, ev := range evs {
-		feed <- ev.Ops
-	}
-	close(feed)
-	wg.Wait()
-
-	routed := make([]int, cl.Instances())
-	for _, d := range cl.Decisions(4096) {
-		for i, n := range d.PerInstance {
-			routed[i] += n
-		}
-	}
-	lo, hi := routed[0], routed[0]
-	for i, n := range routed {
-		if n == 0 {
-			t.Fatalf("instance %d was routed no ops (routed %v)", i, routed)
-		}
-		lo = min(lo, n)
-		hi = max(hi, n)
-	}
-	if ratio := float64(hi) / float64(lo); ratio > 2.0 {
-		t.Fatalf("routing imbalance %0.2f (routed %v), want <= 2.0", ratio, routed)
 	}
 }
 
@@ -444,7 +328,6 @@ func TestLeastLoadedBalancesWriteBurst(t *testing.T) {
 func TestClusterStatsSurfaces(t *testing.T) {
 	clk := newFakeClock()
 	cl, err := New(core.DefaultOptions(), shard.Config{Shards: 2}, 2, Config{
-		Router:  Affinity,
 		Classes: map[string]Class{"au": ClassGold, "ag": ClassSilver},
 		Now:     clk.now,
 	})
@@ -460,8 +343,8 @@ func TestClusterStatsSurfaces(t *testing.T) {
 		t.Fatal("instances 0 and 1 are the same engine")
 	}
 
-	// One-op batches; affinity routing makes the read land on the
-	// instance that took the write.
+	// One-op batches; placement makes the read land on the instance that
+	// took the write.
 	if err := writeOne(t.Context(), cl, 7, testLine(7)); err != nil {
 		t.Fatal(err)
 	}

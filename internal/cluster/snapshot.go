@@ -31,10 +31,11 @@ func (c *Cluster) WriteSnapshot(out io.Writer) error {
 // RestoreFrom reads a snapv1 snapshot from r and rebuilds the cluster it
 // holds: one engine per serialized instance (each through
 // shard.DecodeEngine, so the snapshot is authoritative for options,
-// tier configuration, and shard count), fronted by cfg's router and
-// admission control. Router and admission state are rebuilt fresh —
-// they are load-balancing hints, not behavioral state, and are not part
-// of snapv1. On any failure every engine already built is closed.
+// tier configuration, and shard count), fronted by cfg's admission
+// control. Placement needs no state: the instance count fixes it, and
+// the snapshot carries that. Admission state is rebuilt fresh — it is a
+// rate limit, not behavioral state, and is not part of snapv1. On any
+// failure every engine already built is closed.
 func RestoreFrom(r io.Reader, shardCfg shard.Config, cfg Config) (_ *Cluster, err error) {
 	cur, n, err := snap.Open(r)
 	if err != nil {

@@ -2,7 +2,9 @@ package copr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -54,8 +56,8 @@ func TestWalkSnapRoundTrip(t *testing.T) {
 	cfg := smallConfig()
 	p := trained(cfg)
 	image := snapshot(p)
-	if want := 12 + 4 + 2*(1+8+4+4) + 5*16 + cfg.SnapshotBytes(); len(image) != want {
-		t.Fatalf("image is %d bytes; framing, headers and Config.SnapshotBytes add up to %d", len(image), want)
+	if want := 12 + 4 + 2*(1+8+4+4) + 5*16 + cfg.SnapshotBytes() + 4; len(image) != want {
+		t.Fatalf("image is %d bytes; framing, headers, Config.SnapshotBytes and the trailer add up to %d", len(image), want)
 	}
 	q, err := restore(t, cfg, image)
 	if err != nil {
@@ -114,7 +116,11 @@ func TestWalkSnapRefuses(t *testing.T) {
 			}
 			image := snapshot(p)
 			if tc.image != nil {
+				// Edit the body and re-seal it, so that the walk, not
+				// the CRC-32C trailer, is what refuses it.
 				tc.image(image)
+				body := len(image) - 4
+				binary.LittleEndian.PutUint32(image[body:], crc32.Checksum(image[:body], crc32.MakeTable(crc32.Castagnoli)))
 			}
 			into := cfg
 			if tc.restore != (Config{}) {

@@ -7,19 +7,25 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"attache/internal/cluster"
+	"attache/internal/core"
+	"attache/internal/shard"
+	"attache/internal/tier"
 )
 
-// scrape loads a server with a little traffic (one tenant-attributed
-// write, so the tenant families exist) and returns /metrics split into
-// its sorted "# HELP"/"# TYPE" lines and its unlabelled samples.
+// scrape loads a server with a little traffic (tenant-attributed writes,
+// so the tenant families exist) and returns /metrics split into its
+// sorted "# HELP"/"# TYPE" lines and its unlabelled samples. Each line
+// sits on its own 4 KB page, so a cluster spreads them over instances.
 func scrape(t *testing.T, srv *Server) (families []string, samples map[string]string) {
 	t.Helper()
 	for i := uint64(0); i < 24; i++ {
-		if code := postWrite(t, srv, "acme", i); code != 200 {
+		if code := postWrite(t, srv, "acme", i<<6); code != 200 {
 			t.Fatalf("write %d: %d", i, code)
 		}
 		// An older line: on a tiered engine some have been demoted by now.
-		do(t, srv.Handler(), "POST", "/v1/read", fmt.Sprintf(`{"addr":%d}`, i/2))
+		do(t, srv.Handler(), "POST", "/v1/read", fmt.Sprintf(`{"addr":%d}`, i/2<<6))
 	}
 	samples = map[string]string{}
 	for _, l := range strings.Split(do(t, srv.Handler(), "GET", "/metrics", "").Body.String(), "\n") {
@@ -70,26 +76,53 @@ func TestMetricsFamilies(t *testing.T) {
 
 // TestMetricsAgreeWithStats: every prom-tagged field of the three stats
 // structs reads the same in /metrics as in the /v1/stats document — both
-// render the one merged snapshot, so they cannot disagree.
+// render the one merged snapshot, so they cannot disagree — on one
+// tiered engine and on a tiered 3-instance cluster, whose merge sums
+// instances.
 func TestMetricsAgreeWithStats(t *testing.T) {
-	srv := newTieredServer(t)
-	_, samples := scrape(t, srv)
-	doc := srv.statsDoc(0)
-	checked := 0
-	for _, v := range []any{doc.Engine.Total, doc.Robust, *doc.Engine.Tiers} {
-		rv := reflect.ValueOf(v)
-		for i := 0; i < rv.NumField(); i++ {
-			name, _, ok := strings.Cut(rv.Type().Field(i).Tag.Get("prom"), ",")
-			if !ok {
-				continue
+	for _, tc := range []struct {
+		name string
+		srv  *Server
+	}{
+		{"engine", newTieredServer(t)},
+		{"cluster", newTieredClusterServer(t)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, samples := scrape(t, tc.srv)
+			doc := tc.srv.statsDoc()
+			checked := 0
+			for _, v := range []any{doc.Engine.Total, doc.Robust, *doc.Engine.Tiers} {
+				rv := reflect.ValueOf(v)
+				for i := 0; i < rv.NumField(); i++ {
+					name, _, ok := strings.Cut(rv.Type().Field(i).Tag.Get("prom"), ",")
+					if !ok {
+						continue
+					}
+					checked++
+					if want := fmt.Sprint(rv.Field(i).Interface()); samples[name] != want {
+						t.Errorf("%s: /metrics says %q, /v1/stats %s says %s", name, samples[name], rv.Type().Field(i).Name, want)
+					}
+				}
 			}
-			checked++
-			if want := fmt.Sprint(rv.Field(i).Interface()); samples[name] != want {
-				t.Errorf("%s: /metrics says %q, /v1/stats %s says %s", name, samples[name], rv.Type().Field(i).Name, want)
+			if tiers := doc.Engine.Tiers; tiers.NearReads+tiers.FarReads != 24 || tiers.FarReads == 0 || checked < 20 {
+				t.Fatalf("test did not exercise the engine: tiers %+v, %d series checked", *tiers, checked)
 			}
-		}
+		})
 	}
-	if tiers := doc.Engine.Tiers; tiers.NearReads+tiers.FarReads != 24 || tiers.FarReads == 0 || checked < 20 {
-		t.Fatalf("test did not exercise the engine: tiers %+v, %d series checked", *tiers, checked)
+}
+
+// newTieredClusterServer serves a 3-instance cluster of 2-shard engines,
+// each with a 2-line near tier, so scrape's traffic demotes lines on
+// every instance it reaches.
+func newTieredClusterServer(t *testing.T) *Server {
+	t.Helper()
+	cl, err := cluster.New(core.DefaultOptions(), shard.Config{
+		Shards: 2,
+		Tier:   &tier.Config{NearLines: 2, Policy: tier.PolicyLRU},
+	}, 3, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { cl.Close() })
+	return NewCluster(cl, Config{})
 }

@@ -580,24 +580,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStats serves the versioned stats document, schema v2; ?v= pins
-// the version and any other value answers 400. ?decisions=N additionally
-// inlines the N most recent routing decisions into the cluster section.
+// the version and any other value answers 400.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("v"); v != "" && v != "2" {
 		writeJSON(w, http.StatusBadRequest,
 			wire.Error{Error: fmt.Sprintf("unknown stats schema version %q (want 2)", v)})
 		return
 	}
-	n := 0
-	if d := r.URL.Query().Get("decisions"); d != "" {
-		var err error
-		if n, err = strconv.Atoi(d); err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest,
-				wire.Error{Error: fmt.Sprintf("bad decisions count %q (want a non-negative integer)", d)})
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, s.statsDoc(n))
+	writeJSON(w, http.StatusOK, s.statsDoc())
 }
 
 // handleTrace serves one traced request's timeline by ID

@@ -82,8 +82,6 @@ func TestHandlers(t *testing.T) {
 		{"batch empty body", "POST", "/v1/batch", "", 400, "empty batch"},
 		{"healthz", "GET", "/healthz", "", 200, "ok"},
 		{"stats", "GET", "/v1/stats", "", 200, `"per_shard"`},
-		{"stats decisions not a number", "GET", "/v1/stats?decisions=abc", "", 400, `bad decisions count \"abc\"`},
-		{"stats decisions negative", "GET", "/v1/stats?decisions=-3", "", 400, `bad decisions count \"-3\"`},
 		{"metrics", "GET", "/metrics", "", 200, "attached_reads_total"},
 	}
 	for _, tc := range cases {

@@ -6,9 +6,8 @@ import (
 	"attache/internal/wire"
 )
 
-// statsDoc builds the /v1/stats document (wire.Stats, schema v2);
-// decisions > 0 inlines that many recent routing decisions.
-func (s *Server) statsDoc(decisions int) wire.Stats {
+// statsDoc builds the /v1/stats document (wire.Stats, schema v2).
+func (s *Server) statsDoc() wire.Stats {
 	merged := s.cl.EngineSnapshot()
 	return wire.Stats{
 		SchemaVersion: 2,
@@ -26,10 +25,8 @@ func (s *Server) statsDoc(decisions int) wire.Stats {
 		},
 		Cluster: wire.Cluster{
 			Instances:    s.cl.Instances(),
-			Router:       s.cl.RouterName(),
 			Classes:      s.cl.ClassSnapshots(),
 			JainFairness: s.cl.JainFairness(),
-			Decisions:    s.cl.Decisions(decisions),
 		},
 		Tenants: s.cl.TenantSnapshots(),
 	}

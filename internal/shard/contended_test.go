@@ -225,8 +225,10 @@ func runContended(t *testing.T, shards int, ctxOnly bool) contendedTally {
 	}
 	t.Logf("%+v", total)
 	snap := e.StatsSnapshot()
-	if in := e.InFlight(); in != 0 {
-		t.Fatalf("InFlight = %d after Close", in)
+	for _, g := range e.Gauges() {
+		if g.InFlight != 0 {
+			t.Fatalf("shard %d: InFlight gauge = %d after Close", g.Shard, g.InFlight)
+		}
 	}
 	for _, c := range []struct {
 		name        string

@@ -438,17 +438,6 @@ func (e *Engine) Shards() int { return len(e.shards) }
 // predictor tables and CID register.
 func (e *Engine) StorageOverheadBytes() int { return e.sramBytes }
 
-// InFlight reports the total tasks waiting for a shard or executing on
-// one, summed across shards. Lock-free and safe at any time; the
-// cluster's least-loaded router reads it as its load signal.
-func (e *Engine) InFlight() int64 {
-	var n int64
-	for _, w := range e.shards {
-		n += w.inflight.Load()
-	}
-	return n
-}
-
 // Gauges reads each shard's live queue telemetry: queue depth (tasks
 // waiting for the shard), in-flight count (waiting plus executing), and
 // the size of the last executed batch. Lock-free and safe at any time;

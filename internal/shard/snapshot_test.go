@@ -386,7 +386,8 @@ func TestRestoreRejectsHostileOptions(t *testing.T) {
 	}
 	var h header
 	h.walk(c)
-	rest := img[len(img)-c.Remaining():]
+	rest := make([]byte, c.Remaining())
+	c.Raw(rest)
 
 	for name, mutate := range map[string]func(*copr.Config){
 		"zero-ways":       func(p *copr.Config) { p.PaPRWays = 0 },
@@ -399,7 +400,8 @@ func TestRestoreRejectsHostileOptions(t *testing.T) {
 			mutate(&bad.opts.Predictor)
 			enc := snap.NewEncoder(1)
 			bad.walk(enc)
-			hostile := append(enc.Bytes(), rest...)
+			enc.Raw(rest)
+			hostile := enc.Bytes()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			start := time.Now()
@@ -453,9 +455,10 @@ func TestFixtureSectionsPopulated(t *testing.T) {
 					continue
 				}
 				// The tier section opens u64 n | n × 80 B near lines |
-				// u64 freq-counter count.
+				// u64 freq-counter count. It follows the 12-byte framing
+				// (magic, version, engine count).
 				c := snap.NewEncoder(0)
-				framing := len(c.Bytes())
+				const framing = 12
 				w.tier.WalkSnap(c)
 				n := int(w.tier.Snapshot().NearResident)
 				near += n

@@ -12,7 +12,8 @@
 // with one method that serves both directions; the layout is the
 // concatenation of those walks (all integers little-endian):
 //
-//	snap     magic "ATSNAP" | u16 version=1 | u32 engineCount
+//	snap     magic "ATSNAP" | u16 version=2 | u32 engineCount | cluster |
+//	         u32 CRC-32C of every byte before it
 //	cluster  engines...
 //	shard    engine  = core.Options | tier config? | 4 robust counters |
 //	                   u32 shardCount | shards...
@@ -35,6 +36,12 @@
 // flag ranges and counter ranges, so for any bytes a restore accepts,
 // writing the restored state yields those bytes again.
 //
+// Canonical form alone does not catch a flipped bit: a flip inside a
+// line's payload or a counter decodes to a valid, different state. So
+// version 2 seals the image with a CRC-32C trailer, and Open refuses a
+// mismatch before any walk runs. Version 1 images are version 2 without
+// the trailer; Open still reads them, and writing one back seals it.
+//
 // Version-evolution rules: a new persisted field is one line in its
 // owner's walk plus a Version bump; a reader rejects versions it does
 // not know with ErrVersion (never guesses), and every count is vetted
@@ -47,15 +54,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"slices"
 )
 
 // Version is the current snapv1 format version.
-const Version = 1
+const Version = 2
 
 var magic = [6]byte{'A', 'T', 'S', 'N', 'A', 'P'}
+
+// crcTable is the Castagnoli polynomial's table: CRC-32C, which
+// hash/crc32 computes with the CPU's CRC instruction where there is one.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports a snapshot the decoder cannot make sense of.
 var ErrCorrupt = errors.New("snap: corrupt snapshot")
@@ -86,8 +98,9 @@ func NewEncoder(engines int) *Cursor {
 }
 
 // Open reads the whole of in — snapv1 has nothing a reader could stream
-// on — checks the framing, and returns a decoder positioned at the
-// first of the engines sections it announces.
+// on — checks the framing and, from version 2, the trailer, and returns
+// a decoder positioned at the first of the engines sections it
+// announces.
 func Open(in io.Reader) (*Cursor, int, error) {
 	b, err := io.ReadAll(in)
 	if err != nil {
@@ -107,10 +120,30 @@ func (c *Cursor) frame(engines int) int {
 	}
 	v := uint16(Version)
 	c.U16(&v)
-	if c.err == nil && v != Version {
-		c.err = fmt.Errorf("%w: got version %d, support %d", ErrVersion, v, Version)
+	switch {
+	case c.err != nil || !c.dec || v == 1:
+		// An earlier failure, an encode, or an unsealed version-1 image.
+	case v == Version:
+		c.unseal()
+	default:
+		c.err = fmt.Errorf("%w: got version %d, support 1 and %d", ErrVersion, v, Version)
 	}
 	return c.Count32(engines, "engine")
+}
+
+// unseal checks a sealed image's CRC-32C trailer and drops it from the
+// input, so the walks that follow, and Finish, see only the body.
+func (c *Cursor) unseal() {
+	body := len(c.b) - 4
+	if body < c.off {
+		c.Fail("truncated before the %d-byte trailer", 4)
+		return
+	}
+	if got, want := binary.LittleEndian.Uint32(c.b[body:]), crc32.Checksum(c.b[:body], crcTable); got != want {
+		c.Fail("CRC-32C trailer %08x does not match the image's %08x", got, want)
+		return
+	}
+	c.b = c.b[:body]
 }
 
 // Decoding reports the direction; walks guard the decoder-only work —
@@ -144,8 +177,11 @@ func (c *Cursor) Grow(n int) {
 	}
 }
 
-// Bytes returns the image encoded so far.
-func (c *Cursor) Bytes() []byte { return c.b }
+// Bytes ends an encode: it returns everything encoded, followed by the
+// CRC-32C trailer over it.
+func (c *Cursor) Bytes() []byte {
+	return binary.LittleEndian.AppendUint32(c.b, crc32.Checksum(c.b, crcTable))
+}
 
 // Finish ends a decode: the first error, or ErrCorrupt if input is left.
 func (c *Cursor) Finish() error {

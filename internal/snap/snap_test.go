@@ -6,7 +6,9 @@ package snap_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
@@ -245,32 +247,76 @@ var fixtures = []struct {
 	{"tiered-freq.snapv1", true},
 }
 
-// TestFixtures pins the snapv1 byte layout against snapshots written by
-// the two-sided encoder over mirrored state trees that preceded the
-// per-package walks (same workload): today's WriteSnapshot must
-// reproduce them byte for byte, and they must survive restore→write
-// unchanged. Never regenerate these files to make the test pass — a
-// diff here is a format change and needs a Version bump. (That every
-// optional section is populated in them is shard's
-// TestFixtureSectionsPopulated, which can see the live state.)
+// sealed is a version-1 image as today's writer lays it out: the same
+// body with version field 2, then the CRC-32C of every byte before it.
+func sealed(v1 []byte) []byte {
+	b := append([]byte(nil), v1...)
+	binary.LittleEndian.PutUint16(b[6:], 2)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestFixtures pins the snapshot byte layout against version-1 images
+// written by the two-sided encoder over mirrored state trees that
+// preceded the per-package walks (same workload): they must still
+// restore, and both today's WriteSnapshot and restore→write must
+// reproduce them byte for byte, sealed as version 2. Never regenerate
+// these files to make the test pass — a diff here is a format change
+// and needs a Version bump. (That every optional section is populated
+// in them is shard's TestFixtureSectionsPopulated, which can see the
+// live state.)
 func TestFixtures(t *testing.T) {
 	for _, fx := range fixtures {
 		t.Run(fx.file, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", fx.file))
+			v1, err := os.ReadFile(filepath.Join("testdata", fx.file))
 			if err != nil {
 				t.Fatal(err)
 			}
+			if v := binary.LittleEndian.Uint16(v1[6:]); v != 1 {
+				t.Fatalf("fixture has version %d, want 1", v)
+			}
+			want := sealed(v1)
 			eng := fixtureEngine(t, fx.tiered)
 			if got := image(t, eng); !bytes.Equal(got, want) {
-				t.Fatalf("WriteSnapshot wrote %d bytes that differ from the %d-byte fixture", len(got), len(want))
+				t.Fatalf("WriteSnapshot wrote %d bytes that differ from the %d-byte sealed fixture", len(got), len(want))
 			}
-			got, err := restoreWrite(bytes.NewReader(want))
+			got, err := restoreWrite(bytes.NewReader(v1))
 			if err != nil {
 				t.Fatalf("fixture does not restore: %v", err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatal("write(restore(fixture)) != fixture")
+				t.Fatal("write(restore(fixture)) != sealed fixture")
 			}
 		})
+	}
+}
+
+// TestBitFlipsAreRejected: no single flipped bit restores. The image is
+// one written line in a 1-shard, predictor-off engine, where without
+// the trailer a flip in the line's payload or in a counter decodes to a
+// valid state that reads back different bytes.
+func TestBitFlipsAreRejected(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.DisablePredictor = true
+	eng, err := shard.New(opts, shard.Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	line := make([]byte, core.LineSize)
+	for i := range line {
+		line[i] = byte(i)
+	}
+	if err := eng.Write(5, line); err != nil {
+		t.Fatal(err)
+	}
+	img := image(t, eng)
+	// Offsets 0-7 are the magic and the version, whose flips fail on
+	// their own checks; everything after them is the trailer's to guard.
+	for off := 8; off < len(img); off++ {
+		bad := append([]byte(nil), img...)
+		bad[off] ^= 1
+		if _, err := restoreWrite(bytes.NewReader(bad)); !errors.Is(err, snap.ErrCorrupt) {
+			t.Fatalf("low bit flipped at offset %d of %d: got %v, want ErrCorrupt", off, len(img), err)
+		}
 	}
 }

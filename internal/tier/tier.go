@@ -26,6 +26,7 @@ package tier
 
 import (
 	"fmt"
+	"math"
 
 	"attache/internal/core"
 	"attache/internal/stats"
@@ -118,9 +119,14 @@ func (c Config) Validate() error {
 	if c.PinShift > 63 {
 		return fmt.Errorf("tier: pin shift %d out of range [0,63]", c.PinShift)
 	}
-	if c.Link.FarBandwidthMult < 0 || c.Link.FarLatencyNs < 0 ||
-		c.Link.NearEnergyPerByte < 0 || c.Link.FarEnergyPerByte < 0 {
-		return fmt.Errorf("tier: link model fields must be non-negative")
+	// NaN passes every "< 0" test and would reach the stats document,
+	// which encoding/json cannot encode; so every field must be a finite
+	// non-negative number.
+	for _, f := range []float64{c.Link.FarBandwidthMult, c.Link.FarLatencyNs,
+		c.Link.NearEnergyPerByte, c.Link.FarEnergyPerByte} {
+		if !(f >= 0) || math.IsInf(f, 1) {
+			return fmt.Errorf("tier: link model fields must be finite and non-negative")
+		}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -606,11 +607,39 @@ func TestParseSpec(t *testing.T) {
 	for _, bad := range []string{
 		"", "policy=lru", "near=x", "near=4,policy=mru", "near=4,pin=7",
 		"near=4,pin=7@70", "near=4,bw=0", "near=4,lat=-1", "near=4,zap=1", "near=4,near",
+		"near=8,bw=NaN", "near=8,lat=NaN", "near=8,bw=Inf", "near=8,far-energy=+Inf",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted a bad spec", bad)
 		}
 	}
+}
+
+// FuzzParseSpec: ParseSpec never panics, and a spec it accepts is a
+// config Validate accepts, with every link-model field finite.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"near=4096,policy=freq,freq-threshold=3,freq-decay=512,pin=0x1f@20,lat=350,bw=1.5,near-energy=0.2,far-energy=2",
+		"near=-1", "near=8,bw=NaN", "near=8,lat=nan", "near=8,near-energy=Inf",
+		"near=8,far-energy=+Inf", "near=8,lat=-Inf", "near=8,bw=1e400",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		cfg, err := ParseSpec(s)
+		if err != nil {
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("ParseSpec(%q) accepted a config Validate refuses: %v", s, err)
+		}
+		l := cfg.Link
+		for _, v := range []float64{l.FarLatencyNs, l.FarBandwidthMult, l.NearEnergyPerByte, l.FarEnergyPerByte} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("ParseSpec(%q) accepted a non-finite link model %+v", s, l)
+			}
+		}
+	})
 }
 
 // TestConfigValidate pins the config error paths.
@@ -623,6 +652,14 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (Config{Link: LinkModel{FarLatencyNs: -1}}).Validate(); err == nil {
 		t.Fatal("negative latency accepted")
+	}
+	for _, l := range []LinkModel{
+		{FarLatencyNs: math.NaN()}, {FarBandwidthMult: math.NaN()},
+		{NearEnergyPerByte: math.Inf(1)}, {FarEnergyPerByte: math.NaN()},
+	} {
+		if err := (Config{Link: l}).Validate(); err == nil {
+			t.Fatalf("non-finite link model %+v accepted", l)
+		}
 	}
 	if _, err := NewMemory(Config{Policy: "bogus"}, newFar(t, 1)); err == nil {
 		t.Fatal("NewMemory accepted an invalid config")

@@ -108,13 +108,10 @@ type Telemetry struct {
 	Gauges        []obs.ShardGauge `json:"gauges"`
 }
 
-// Cluster is the routing/SLO view: per-class latency quantiles, the
-// Jain fairness index over per-tenant throughput, and (on request)
-// recent routing decisions for counterfactual analysis.
+// Cluster is the SLO view: the instance count, per-class latency
+// quantiles, and the Jain fairness index over per-tenant throughput.
 type Cluster struct {
 	Instances    int                     `json:"instances"`
-	Router       string                  `json:"router"`
 	Classes      []cluster.ClassSnapshot `json:"classes"`
 	JainFairness float64                 `json:"jain_fairness"`
-	Decisions    []cluster.Decision      `json:"decisions,omitempty"`
 }
