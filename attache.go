@@ -11,9 +11,10 @@
 //     scrambler, the CID/XID blended-metadata header, the Replacement
 //     Area, and the COPR predictor — with traffic accounting in sub-rank
 //     block units. A Memory is single-goroutine.
-//   - A sharded concurrent Engine (NewEngine) that pools N Memory shards
-//     behind a batched request pipeline — the concurrent entry point,
-//     served over HTTP by the cmd/attached daemon.
+//   - A sharded concurrent Engine (NewEngine) that pools N Memory shards,
+//     each behind a lock its submitter holds while it runs its own ops —
+//     the concurrent entry point, served over HTTP by the cmd/attached
+//     daemon.
 //   - A full performance-simulation stack under internal/, driven by the
 //     attachesim command, that reproduces every table and figure of the
 //     paper's evaluation (see DESIGN.md and EXPERIMENTS.md).
@@ -126,31 +127,22 @@ type TierSnapshot = tier.Snapshot
 // latency, bandwidth multiplier, and per-byte energy weights.
 type TierLinkModel = tier.LinkModel
 
-// Observer is the observability hub an Engine (and the serve layer)
-// reports into: structured slog logging, sampled request tracing with
-// ring-buffer retention, and per-shard queue gauges. Build one with
-// NewObserver and attach it with WithObserver. A nil Observer is "off"
-// and costs one branch per submission.
-type Observer = obs.Observer
-
-// ObserverConfig sizes an Observer: logger, trace sample rate, and
-// retained-trace ring size.
-type ObserverConfig = obs.Config
-
 // TraceID identifies one traced request (16 hex digits).
 type TraceID = obs.TraceID
 
 // Trace accumulates one request's pipeline spans. Create one with
 // NewTrace, attach it with ContextWithTrace, submit through DoCtx, and
-// read the queue-wait/service-time split with Decompose or Timeline.
+// read the queue-wait/service-time split with Decompose or Timeline. The
+// caller owns the trace: the Engine only records into it.
 type Trace = obs.Trace
 
 // Timeline is the JSON rendering of a finished Trace: raw span events
 // plus the queue-wait / service-time / total decomposition.
 type Timeline = obs.Timeline
 
-// ShardGauge is one shard's point-in-time queue telemetry (depth,
-// in-flight, last batch size), as returned by Engine.Gauges.
+// ShardGauge is one shard's point-in-time telemetry (submitters waiting
+// for its lock, in-flight tasks, last batch size), as returned by
+// Engine.Gauges.
 type ShardGauge = obs.ShardGauge
 
 // Typed sentinel errors; every error the package returns wraps one of
@@ -188,7 +180,6 @@ type settings struct {
 	queueDepth int
 	maxLines   uint64
 	faults     FaultPlan
-	obs        *Observer
 	tiers      *TierConfig
 }
 
@@ -285,24 +276,10 @@ func WithTiers(cfg TierConfig) Option {
 // latency, 1x bandwidth, DRAM-vs-CXL energy weights).
 func DefaultTierLink() TierLinkModel { return tier.DefaultLink() }
 
-// WithObserver attaches an observability hub to an Engine: requests
-// carrying a Trace in their context — and a sampled fraction of the
-// rest, per the observer's SampleRate — get per-stage pipeline spans
-// (enqueue, dequeue, execute, respond) decomposing latency into queue
-// wait vs. service time. The unsampled path stays allocation-free.
-// Ignored by NewMemory.
-func WithObserver(o *Observer) Option {
-	return func(s *settings) { s.obs = o }
-}
-
-// NewObserver builds an observability hub (see WithObserver and
-// serve.Config.Obs).
-func NewObserver(cfg ObserverConfig) *Observer { return obs.New(cfg) }
-
-// NewTrace starts an explicit request trace; attach it to a context
-// with ContextWithTrace and submit through the Engine's ctx-aware ops.
-// id 0 is replaced by a generated ID when used with an Observer's
-// StartTrace; here it is kept as given.
+// NewTrace starts an explicit request trace under id, kept as given;
+// attach it to a context with ContextWithTrace and submit through the
+// Engine's ctx-aware ops. Any Engine records into it, with no further
+// setup; the untraced path stays allocation-free.
 func NewTrace(id TraceID) *Trace { return obs.NewTrace(id) }
 
 // ContextWithTrace returns a child context carrying tr; Engine ops
@@ -341,7 +318,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		QueueDepth: s.queueDepth,
 		MaxLines:   s.maxLines,
 		Faults:     s.faults,
-		Obs:        s.obs,
 		Tier:       s.tiers,
 	})
 }
@@ -352,7 +328,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 // it would have on the original. The snapshot is authoritative for the
 // framework options, tier configuration, and shard count; the given
 // functional options may supply only runtime knobs (queue depth, fault
-// plan, observer, max lines). WithShards must be absent or match the
+// plan, max lines). WithShards must be absent or match the
 // snapshot; WithTiers must be absent (the snapshot carries the tier
 // configuration).
 func RestoreEngine(r io.Reader, opts ...Option) (*Engine, error) {
@@ -362,7 +338,6 @@ func RestoreEngine(r io.Reader, opts ...Option) (*Engine, error) {
 		QueueDepth: s.queueDepth,
 		MaxLines:   s.maxLines,
 		Faults:     s.faults,
-		Obs:        s.obs,
 		Tier:       s.tiers,
 	})
 }

@@ -57,7 +57,6 @@ type Client struct {
 	maxBackoff  time.Duration
 	budget      time.Duration
 	tenant      string
-	traceHeader string
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -81,13 +80,6 @@ func WithRetry(n int) Option {
 // quota and SLO class. A per-call ContextWithTenant overrides it.
 func WithTenant(tenant string) Option {
 	return func(c *Client) { c.tenant = tenant }
-}
-
-// WithTraceHeader renames the header carrying the outgoing trace ID
-// (default "X-Attache-Trace") — for daemons behind proxies that rewrite
-// or reserve the canonical name. The daemon must be configured to match.
-func WithTraceHeader(name string) Option {
-	return func(c *Client) { c.traceHeader = name }
 }
 
 // WithBackoff sets the exponential-backoff window: sleeps are drawn
@@ -117,14 +109,10 @@ func New(baseURL string, opts ...Option) *Client {
 		maxRetries:  4,
 		baseBackoff: 50 * time.Millisecond,
 		maxBackoff:  2 * time.Second,
-		traceHeader: obs.TraceHeader,
 		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	for _, o := range opts {
 		o(c)
-	}
-	if c.traceHeader == "" {
-		c.traceHeader = obs.TraceHeader
 	}
 	return c
 }
@@ -269,7 +257,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body, buf [
 		}
 		req.Header.Set("Content-Type", "application/json")
 		if id, ok := ctx.Value(traceKey{}).(string); ok && id != "" {
-			req.Header.Set(c.traceHeader, id)
+			req.Header.Set(obs.TraceHeader, id)
 		}
 		if t := obs.TenantFromContext(ctx); t != "" {
 			req.Header.Set(obs.TenantHeader, t)

@@ -27,8 +27,7 @@ func TestNewOptions(t *testing.T) {
 	}{
 		{
 			name: "no options = all defaults",
-			want: &Client{maxRetries: 4, baseBackoff: 50 * time.Millisecond, maxBackoff: 2 * time.Second,
-				traceHeader: obs.TraceHeader},
+			want: &Client{maxRetries: 4, baseBackoff: 50 * time.Millisecond, maxBackoff: 2 * time.Second},
 		},
 		{
 			name: "every knob set",
@@ -38,17 +37,10 @@ func TestNewOptions(t *testing.T) {
 				WithBackoff(5*time.Millisecond, 80*time.Millisecond),
 				WithDeadlineBudget(250 * time.Millisecond),
 				WithTenant("acme"),
-				WithTraceHeader("X-Proxy-Trace"),
 				WithJitterSeed(42),
 			},
 			want: &Client{hc: hc, maxRetries: 7, baseBackoff: 5 * time.Millisecond, maxBackoff: 80 * time.Millisecond,
-				budget: 250 * time.Millisecond, tenant: "acme", traceHeader: "X-Proxy-Trace"},
-		},
-		{
-			name: "empty trace header keeps the default",
-			opts: []Option{WithTraceHeader("")},
-			want: &Client{maxRetries: 4, baseBackoff: 50 * time.Millisecond, maxBackoff: 2 * time.Second,
-				traceHeader: obs.TraceHeader},
+				budget: 250 * time.Millisecond, tenant: "acme"},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,9 +62,6 @@ func TestNewOptions(t *testing.T) {
 			}
 			if got.tenant != want.tenant {
 				t.Errorf("tenant = %q, want %q", got.tenant, want.tenant)
-			}
-			if got.traceHeader != want.traceHeader {
-				t.Errorf("traceHeader = %q, want %q", got.traceHeader, want.traceHeader)
 			}
 		})
 	}

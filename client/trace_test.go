@@ -17,8 +17,8 @@ import (
 // pipeline stages with the queue-wait + service-time decomposition —
 // trace ID surviving engine → HTTP → client and back.
 func TestTraceRoundTripThroughClient(t *testing.T) {
-	o := attache.NewObserver(attache.ObserverConfig{Seed: 1})
-	eng, err := attache.NewEngine(attache.WithShards(2), attache.WithObserver(o))
+	o := obs.New(obs.Config{Seed: 1})
+	eng, err := attache.NewEngine(attache.WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@
 // -log-level); -trace-sample samples that fraction of requests into the
 // trace ring, browsable at /v1/trace and /v1/trace/{id} (clients opt in
 // per request with an X-Attache-Trace header); /debug/pprof/* is
-// mounted unless -pprof=false; per-shard queue-depth gauges are polled
-// every -gauge-interval and exported at /metrics and /v1/stats.
+// mounted unless -pprof=false; per-shard gauges are read live at
+// /metrics and /v1/stats.
 //
 // Record/replay: -record captures every op the data endpoints offer to
 // the engine as a versioned NDJSON trace (tracev1) — in submission
@@ -102,11 +102,10 @@ func main() {
 		classes      = flag.String("classes", "", `per-tenant SLO classes, "tenant=class,..." with class gold|silver|best-effort (unmapped tenants are best-effort)`)
 
 		// Observability knobs.
-		logLevel      = flag.String("log-level", "info", "log level: debug, info, warn, error (access logs for 2xx log at debug)")
-		traceSample   = flag.Float64("trace-sample", 0, "fraction of requests to trace [0,1]; explicit X-Attache-Trace requests are always traced")
-		traceRing     = flag.Int("trace-ring", 1024, "completed traces retained for /v1/trace lookup")
-		pprof         = flag.Bool("pprof", true, "mount /debug/pprof/*")
-		gaugeInterval = flag.Duration("gauge-interval", 10*time.Second, "queue-depth gauge polling period")
+		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error (access logs for 2xx log at debug)")
+		traceSample = flag.Float64("trace-sample", 0, "fraction of requests to trace [0,1]; explicit X-Attache-Trace requests are always traced")
+		traceRing   = flag.Int("trace-ring", 1024, "completed traces retained for /v1/trace lookup")
+		pprof       = flag.Bool("pprof", true, "mount /debug/pprof/*")
 
 		// Chaos knobs: seeded fault injection on the shard pipelines, for
 		// resilience testing with cmd/attacheload. All off by default.
@@ -124,7 +123,7 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	slog.SetDefault(logger)
-	observer := attache.NewObserver(attache.ObserverConfig{
+	observer := obs.New(obs.Config{
 		Logger:     logger,
 		SampleRate: *traceSample,
 		RingSize:   *traceRing,
@@ -146,7 +145,6 @@ func main() {
 			Delay:    *faultDelayDur,
 			PartialP: *faultPartial,
 		},
-		Obs: observer,
 	}
 	quotaMap, err := parseQuotas(*quotas)
 	if err != nil {
@@ -219,7 +217,6 @@ func main() {
 		RetryAfter:      *retryAfter,
 		Obs:             observer,
 		EnablePprof:     *pprof,
-		GaugeInterval:   *gaugeInterval,
 	}
 	if recorder != nil {
 		cfg.Record = recorder

@@ -41,7 +41,7 @@
 // and the full error taxonomy; -json emits it as one JSON object.
 // -trace-queue-wait threads a pipeline trace through every event
 // (in-process targets only) and adds per-kind queue-wait quantiles —
-// the time ops sat in shard queues before a worker picked them up —
+// the time ops waited for a busy shard's lock —
 // so queueing delay can be told apart from service time.
 package main
 
@@ -221,11 +221,6 @@ func main() {
 				log.Fatalf("attacheload: -tiers: %v", err)
 			}
 			opts = append(opts, attache.WithTiers(*tc))
-		}
-		if *queueWait {
-			// A rate-0 observer never samples on its own but makes the
-			// engine honor the traces the harness puts in each context.
-			opts = append(opts, attache.WithObserver(attache.NewObserver(attache.ObserverConfig{Logger: logger})))
 		}
 		eng, err := attache.NewEngine(opts...)
 		if err != nil {

@@ -1,6 +1,7 @@
 package attache_test
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 
@@ -33,6 +34,30 @@ func ExampleMemory() {
 	// round trip ok: true
 	// compressed lines: 1
 	// blocks written: 1 (an uncompressed system writes 2)
+}
+
+// ExampleNewTrace traces one in-process submission: the caller owns the
+// trace, and any Engine records its pipeline spans into it — no
+// observer involved.
+func ExampleNewTrace() {
+	eng, err := attache.NewEngine(attache.WithShards(2))
+	if err != nil {
+		panic(err)
+	}
+	defer eng.Close()
+	tr := attache.NewTrace(0xabc)
+	ctx := attache.ContextWithTrace(context.Background(), tr)
+	line := make([]byte, attache.LineSize)
+	if _, err := eng.DoCtx(ctx, []attache.Op{{Write: true, Addr: 1, Data: line}, {Write: true, Addr: 2, Data: line}}); err != nil {
+		panic(err)
+	}
+	stages := make(map[string]int) // ops covered per stage
+	for _, ev := range tr.Timeline().Events {
+		stages[ev.Stage] += ev.Ops
+	}
+	fmt.Println("trace", tr.ID(), "executed", stages["execute"], "ops, responded", stages["respond"])
+	// Output:
+	// trace 0000000000000abc executed 2 ops, responded 2
 }
 
 // ExampleFramework shows the controller-level flow: store produces the

@@ -89,9 +89,8 @@ type Config struct {
 	Tenants []string
 	// TraceQueueWait attaches a pipeline trace to every event so the
 	// report can split event latency into queue wait vs. service time
-	// (Report.QueueWait). Only meaningful against an in-process engine
-	// built with an Observer (the engine ignores context traces when it
-	// has none — that keeps its untraced hot path free): traces do not
+	// (Report.QueueWait). The harness owns these traces and any
+	// in-process engine or cluster records into them; traces do not
 	// cross the HTTP boundary, so with an HTTP target the samples are
 	// all zero.
 	TraceQueueWait bool
@@ -286,7 +285,7 @@ type Report struct {
 	// Latency holds per-kind event-latency quantiles.
 	Latency map[string]Quantiles `json:"latency"`
 	// QueueWait holds per-kind queue-wait quantiles (time an event's ops
-	// spent buffered in shard queues before a worker picked them up).
+	// waited for their shards' locks).
 	// Populated only when Config.TraceQueueWait is set.
 	QueueWait map[string]Quantiles `json:"queue_wait,omitempty"`
 	// PerTenant breaks offered/succeeded/shed ops down by tenant label.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"attache/internal/core"
-	"attache/internal/obs"
 	"attache/internal/shard"
 )
 
@@ -266,13 +265,13 @@ func sum(m map[string]uint64) uint64 {
 	return n
 }
 
-// TestRunQueueWaitReport: with TraceQueueWait on (and an observer on the
-// engine so context traces are honored), the report carries per-kind
-// queue-wait quantiles, one sample per event, each no larger than the
-// event's own latency.
+// TestRunQueueWaitReport: with TraceQueueWait on, against a plain engine,
+// the report carries per-kind queue-wait quantiles, one sample per event,
+// each no larger than the event's own latency — and the engine recorded
+// into the planted traces, so the waits are not all zero.
 func TestRunQueueWaitReport(t *testing.T) {
 	cfg := Config{Seed: 5, Events: 200, Concurrency: 4, AddrSpace: 128, Prefill: 128, TraceQueueWait: true}
-	eng := newEngine(t, shard.Config{Shards: 2, Obs: obs.New(obs.Config{Seed: 1})})
+	eng := newEngine(t, shard.Config{Shards: 2})
 	rep, err := Run(context.Background(), eng, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -281,8 +280,10 @@ func TestRunQueueWaitReport(t *testing.T) {
 		t.Fatalf("TraceQueueWait set but report has no queue-wait buckets: %+v", rep)
 	}
 	var samples uint64
+	var longest time.Duration
 	for kind, q := range rep.QueueWait {
 		samples += q.Count
+		longest = max(longest, q.Max)
 		lat, ok := rep.Latency[kind]
 		if !ok {
 			t.Fatalf("queue-wait bucket %q has no latency bucket", kind)
@@ -296,6 +297,9 @@ func TestRunQueueWaitReport(t *testing.T) {
 	}
 	if samples != uint64(rep.Events) {
 		t.Fatalf("queue-wait samples %d != events %d", samples, rep.Events)
+	}
+	if longest <= 0 {
+		t.Fatal("every queue-wait sample is 0: the engine recorded no dequeue span into the planted traces")
 	}
 
 	// Without the flag the section is absent entirely.

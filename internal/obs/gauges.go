@@ -1,69 +1,12 @@
 package obs
 
-import (
-	"context"
-	"log/slog"
-	"time"
-)
-
-// ShardGauge is one shard's point-in-time queue telemetry: how deep its
-// request queue is, how many tasks are admitted but unfinished, and how
-// large the most recently dequeued batch was. The engine produces these
-// on demand; PollGauges turns them into a periodic signal.
+// ShardGauge is one shard's point-in-time telemetry: how many submitters
+// are waiting for its lock, how many tasks are waiting or executing, and
+// how large the most recently executed task was. The engine produces
+// these on demand; /metrics and /v1/stats read them live.
 type ShardGauge struct {
 	Shard        int   `json:"shard"`
 	QueueDepth   int   `json:"queue_depth"`
 	InFlight     int64 `json:"in_flight"`
 	LastBatchOps int64 `json:"last_batch_ops"`
-}
-
-// LatestGauges returns the most recent PollGauges snapshot (nil before
-// the first poll).
-func (o *Observer) LatestGauges() []ShardGauge {
-	if o == nil {
-		return nil
-	}
-	if p := o.gauges.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// PollGauges reads fn every interval until ctx is done, storing the
-// latest snapshot (LatestGauges) and logging the aggregate at Debug
-// level. Run it on its own goroutine; it blocks. interval <= 0
-// defaults to 10s.
-func (o *Observer) PollGauges(ctx context.Context, interval time.Duration, fn func() []ShardGauge) {
-	if o == nil || fn == nil {
-		return
-	}
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		g := fn()
-		o.gauges.Store(&g)
-		var depth, inflight int64
-		maxDepth := 0
-		for _, s := range g {
-			depth += int64(s.QueueDepth)
-			inflight += s.InFlight
-			if s.QueueDepth > maxDepth {
-				maxDepth = s.QueueDepth
-			}
-		}
-		o.logger.LogAttrs(ctx, slog.LevelDebug, "gauges",
-			slog.Int("shards", len(g)),
-			slog.Int64("queue_depth_total", depth),
-			slog.Int("queue_depth_max", maxDepth),
-			slog.Int64("in_flight", inflight),
-		)
-	}
 }

@@ -1,7 +1,7 @@
 // Package obs is the zero-dependency observability substrate for the
 // attache engine stack: structured logging (log/slog), request-scoped
 // trace IDs, lightweight pipeline spans with ring-buffer retention, and
-// periodic shard gauges.
+// the per-shard gauge type.
 //
 // The design principle is the paper's own: know where the cycles go.
 // Attaché's argument (§4–§6) is an accounting of per-access overheads —
@@ -12,17 +12,17 @@
 //
 // Cost model, in order of importance:
 //
-//   - Observer off (nil): zero cost. Callers nil-check before touching
-//     anything here; the engine hot path adds one branch.
-//   - Observer on, request unsampled: allocation-free. Sampled() is one
-//     atomic add and a modulo; no trace is created.
-//   - Request sampled (or explicitly traced via a context Trace): the
-//     trace allocates, and span recording takes the trace's mutex. This
-//     path is paid only by the sampled fraction.
+//   - Untraced request: the engine pays one context lookup per DoCtx
+//     submission and allocates nothing; the HTTP layer's Sampled() is
+//     one atomic add and a modulo.
+//   - Traced request (sampled, or explicitly traced via a context
+//     Trace): the trace allocates, and span recording takes the trace's
+//     mutex. This path is paid only by the traced fraction.
 //
-// Trace lifecycle: whoever creates a Trace (NewTrace or
-// Observer.StartTrace) owns it and calls Observer.Finish to seal it
-// into the retention ring, where Timeline/Recent serve it to the
+// Trace lifecycle: a trace has one owner, whoever received the request
+// and created it (NewTrace or Observer.StartTrace). The owner decides
+// whether to trace and, with an Observer, calls Finish to seal it into
+// the retention ring, where Timeline/Recent serve it to the
 // /v1/trace/{id} endpoint. Components in between (the shard engine)
 // only Record spans into a Trace they find in the request context.
 package obs
@@ -46,8 +46,7 @@ const TraceHeader = "X-Attache-Trace"
 
 // Config sizes an Observer.
 type Config struct {
-	// Logger receives structured events (access logs, gauge reports).
-	// nil discards.
+	// Logger receives structured events (access logs). nil discards.
 	Logger *slog.Logger
 	// SampleRate is the traced fraction of requests in [0,1]: 0 never
 	// samples (explicit context traces are still recorded), 1 traces
@@ -61,10 +60,10 @@ type Config struct {
 	Seed int64
 }
 
-// Observer is the shared observability hub: sampling decisions, the
-// completed-trace ring, the gauge snapshot, and the logger. All methods
-// are safe for concurrent use. A nil *Observer is a valid "off" value
-// for the packages that accept one.
+// Observer is the request receiver's observability hub: sampling
+// decisions, the completed-trace ring, and the logger. All methods are
+// safe for concurrent use. A nil *Observer is a valid "off" value for
+// the packages that accept one.
 type Observer struct {
 	logger *slog.Logger
 	every  uint64 // sample 1 in every; 0 = never
@@ -76,8 +75,6 @@ type Observer struct {
 	ring []*Trace
 	byID map[TraceID]*Trace
 	next int
-
-	gauges atomic.Pointer[[]ShardGauge]
 }
 
 // New builds an Observer from cfg.

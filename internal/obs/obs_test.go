@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -171,64 +170,12 @@ func TestContextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPollGauges(t *testing.T) {
-	var buf safeBuffer
-	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	o := New(Config{Logger: logger, Seed: 1})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		o.PollGauges(ctx, time.Millisecond, func() []ShardGauge {
-			return []ShardGauge{{Shard: 0, QueueDepth: 3, InFlight: 2, LastBatchOps: 64}}
-		})
-	}()
-	deadline := time.After(2 * time.Second)
-	for o.LatestGauges() == nil {
-		select {
-		case <-deadline:
-			t.Fatal("no gauge snapshot within 2s")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	cancel()
-	<-done
-	g := o.LatestGauges()
-	if len(g) != 1 || g[0].QueueDepth != 3 || g[0].InFlight != 2 {
-		t.Fatalf("LatestGauges = %+v", g)
-	}
-	if !strings.Contains(buf.String(), "gauges") {
-		t.Fatalf("gauge poll logged nothing: %q", buf.String())
-	}
-}
-
 func TestNilObserverIsSafe(t *testing.T) {
 	var o *Observer
 	if o.Sampled() {
 		t.Fatal("nil observer sampled")
 	}
 	o.Finish(NewTrace(1))
-	if g := o.LatestGauges(); g != nil {
-		t.Fatal("nil observer returned gauges")
-	}
 	var tr *Trace
 	tr.Record(StageEnqueue, 0, 1, 0, 0) // must not panic
-}
-
-// safeBuffer is a mutex-guarded strings.Builder for concurrent slog use.
-type safeBuffer struct {
-	mu sync.Mutex
-	b  strings.Builder
-}
-
-func (s *safeBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *safeBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
 }

@@ -9,18 +9,19 @@ import (
 )
 
 // Stage labels one pipeline stage of a traced request. The four stages
-// decompose end-to-end latency: enqueue→dequeue is queue wait,
+// decompose end-to-end latency: enqueue→dequeue is the wait for a shard,
 // execute start→end is service time, respond marks results handed back.
 type Stage uint8
 
 const (
-	// StageEnqueue is the instant a shard task entered its queue.
+	// StageEnqueue is the instant a shard task arrived at its shard.
 	StageEnqueue Stage = iota
-	// StageDequeue spans the queue wait: start is the enqueue instant,
-	// end is when the shard worker picked the task up.
+	// StageDequeue spans the wait for the shard: start is the arrival
+	// instant, end is when the submitter acquired the shard's lock
+	// (≈zero when the shard was free).
 	StageDequeue
-	// StageExecute spans the service time: the worker applying the
-	// task's ops against its Memory.
+	// StageExecute spans the service time: the submitter applying the
+	// task's ops against the shard's Memory under its lock.
 	StageExecute
 	// StageRespond is the instant results were handed back to the
 	// submitter, after every touched shard completed.
@@ -86,8 +87,7 @@ type Trace struct {
 }
 
 // NewTrace starts a trace with the given ID; the monotonic clock starts
-// now. Use Observer.StartTrace when an observer is at hand (it fills in
-// a generated ID).
+// now. Observer.StartTrace wraps it and fills in a generated ID.
 func NewTrace(id TraceID) *Trace {
 	return &Trace{id: id, begin: time.Now(), events: make([]Event, 0, 8)}
 }
@@ -101,9 +101,8 @@ func (t *Trace) Now() time.Duration { return time.Since(t.begin) }
 
 // Record appends one span event. Nil-safe, so call sites can skip their
 // own nil checks only when they are on a hot path. Safe from any
-// goroutine: the engine records spans both from shard workers and from
-// submitter goroutines executing on the inline fast path, often
-// concurrently for one trace.
+// goroutine: the instances of a cluster record one split batch's spans
+// concurrently.
 func (t *Trace) Record(stage Stage, shard, ops int, start, end time.Duration) {
 	if t == nil {
 		return

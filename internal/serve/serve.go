@@ -14,20 +14,22 @@
 //	GET  /metrics    Prometheus text exposition
 //	GET  /debug/pprof/*  runtime profiles (Config.EnablePprof)
 //
-// The server fronts a cluster.Cluster — one or many engines behind a
-// router. New wraps a single engine in a passthrough cluster (the
-// bit-identical 1-instance configuration); NewCluster serves a real
-// one. Data requests carrying an X-Attache-Tenant header run under that
-// tenant: the cluster applies its admission quota (over-quota batches
-// answer 429 like any shed) and books the ops to its SLO class.
+// The server fronts a cluster.Cluster — one or many engines, each line
+// placed on the one its address maps to. New wraps a single engine in a
+// 1-instance cluster (bit-identical to serving the engine directly);
+// NewCluster serves a real one. Data requests carrying an
+// X-Attache-Tenant header run under that tenant: the cluster applies its
+// admission quota (over-quota batches answer 429 like any shed) and
+// books the ops to its SLO class.
 //
-// With Config.Obs set, the /v1 data endpoints are traced: a request
-// carrying an X-Attache-Trace header is always traced under that ID
-// (the header is echoed back), others are sampled at the observer's
-// rate, and every traced request's engine pipeline timeline is
-// retrievable from /v1/trace/{id}. The observer's slog logger receives
-// access logs (Debug for 2xx, Info for 4xx, Warn for 5xx) and periodic
-// per-shard queue gauges.
+// With Config.Obs set, the /v1 data endpoints are traced, and the server
+// is the only owner of their traces: a request carrying an
+// X-Attache-Trace header is always traced under that ID (the header is
+// echoed back), others are sampled at the observer's rate. The server
+// creates each trace, the engines record their spans into it through
+// the request context, and the server finishes it into the ring that
+// /v1/trace/{id} reads. The observer's slog logger receives access logs
+// (Debug for 2xx, Info for 4xx, Warn for 5xx).
 //
 // With Config.Record set, every op batch the data endpoints offer to
 // the engine is captured — in submission order, shed or not — through a
@@ -99,8 +101,8 @@ type Config struct {
 	// engine sheds load. 0 defaults to 1s.
 	RetryAfter time.Duration
 	// Obs enables the observability layer: request tracing with
-	// X-Attache-Trace propagation, the /v1/trace endpoints, slog access
-	// logs, and periodic queue gauges. nil disables all of it.
+	// X-Attache-Trace propagation, the /v1/trace endpoints, and slog
+	// access logs. nil disables all of it.
 	Obs *obs.Observer
 	// Record, when non-nil, captures every op batch the data endpoints
 	// offer to the engine — reads, writes, and batches, in submission
@@ -113,9 +115,6 @@ type Config struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default; cmd/attached turns it on unless -pprof=false.
 	EnablePprof bool
-	// GaugeInterval paces the queue-gauge poller when Obs is set.
-	// 0 defaults to 10s.
-	GaugeInterval time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -143,8 +142,8 @@ type Recorder interface {
 	RecordOps(ops []shard.Op)
 }
 
-// Server serves a cluster.Cluster (possibly a 1-instance passthrough
-// around a single engine) over HTTP.
+// Server serves a cluster.Cluster (possibly a 1-instance cluster around
+// a single engine) over HTTP.
 type Server struct {
 	cl       *cluster.Cluster
 	cfg      Config
@@ -158,13 +157,13 @@ type Server struct {
 }
 
 // New wires a server around a single engine by wrapping it in a
-// 1-instance passthrough cluster — request-for-request identical to
+// 1-instance cluster — request-for-request identical to
 // serving the engine directly. Call ListenAndServe to run it, or test
 // against Handler directly.
 func New(eng *shard.Engine, cfg Config) *Server {
 	cl, err := cluster.Wrap([]*shard.Engine{eng}, cluster.Config{})
 	if err != nil {
-		// Unreachable: a 1-engine passthrough wrap cannot fail.
+		// Unreachable: a 1-engine wrap cannot fail.
 		panic(err)
 	}
 	return NewCluster(cl, cfg)
@@ -237,11 +236,6 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	if s.cfg.Obs != nil {
-		// Periodic queue-depth/in-flight gauges; the poller exits with ctx
-		// when the drain starts.
-		go s.cfg.Obs.PollGauges(ctx, s.cfg.GaugeInterval, s.cl.Gauges)
-	}
 
 	select {
 	case err := <-errc:
@@ -277,9 +271,10 @@ func (w *statusWriter) WriteHeader(code int) {
 // instrument wraps a handler with metrics, and — when an observer is
 // configured — tracing (for pipeline endpoints) and slog access logs.
 // An X-Attache-Trace request header forces tracing under that ID (an
-// unparseable one gets a fresh ID); otherwise the sampler decides. The
-// assigned ID is echoed in the response header, and the finished trace
-// lands in the observer's ring for /v1/trace/{id}.
+// unparseable one gets a fresh ID); otherwise the sampler decides, here
+// and nowhere else. The assigned ID is echoed in the response header,
+// and the finished trace lands in the observer's ring for
+// /v1/trace/{id}.
 func (s *Server) instrument(endpoint string, traced bool, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"attache/internal/cluster"
 	"attache/internal/core"
 	"attache/internal/obs"
 	"attache/internal/shard"
@@ -19,7 +20,7 @@ import (
 
 func newTracedServer(t *testing.T, o *obs.Observer) (*Server, *shard.Engine) {
 	t.Helper()
-	eng, err := shard.New(core.DefaultOptions(), shard.Config{Shards: 2, Obs: o})
+	eng, err := shard.New(core.DefaultOptions(), shard.Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +133,95 @@ func TestTraceEndpointErrors(t *testing.T) {
 	plain.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/trace/1", nil))
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("trace endpoint without observer = %d, want 404", rec.Code)
+	}
+}
+
+// TestSampledTraceHasOneOwner: the server is the only sampler and the
+// only finisher. At every rate, exactly 1 in every requests is echoed a
+// trace ID, the ring holds exactly the echoed IDs, and each one's
+// timeline shows execute spans over every op of its request — on a
+// 2-shard engine serving /v1/read and on a 3-instance cluster serving
+// 16-op /v1/batch requests that touch every instance.
+func TestSampledTraceHasOneOwner(t *testing.T) {
+	ops := make([]string, 16)
+	for j := range ops {
+		// One op per 4 KB page, so the ops land on every instance.
+		ops[j] = fmt.Sprintf(`{"op":"write","addr":%d,"data":%q}`, j*64, b64(testLine(byte(j))))
+	}
+	batch := "[" + strings.Join(ops, ",") + "]"
+
+	for _, setup := range []struct {
+		name      string
+		instances int
+		path      string
+		body      func(i int) string
+		ops       int
+	}{
+		{"engine-read", 1, "/v1/read", func(i int) string { return fmt.Sprintf(`{"addr":%d}`, i) }, 1},
+		{"cluster-batch", 3, "/v1/batch", func(int) string { return batch }, 16},
+	} {
+		for _, every := range []int{2, 4, 100} {
+			t.Run(fmt.Sprintf("%s/every%d", setup.name, every), func(t *testing.T) {
+				o := obs.New(obs.Config{SampleRate: 1 / float64(every), Seed: 1})
+				var srv *Server
+				if setup.instances == 1 {
+					eng, err := shard.New(core.DefaultOptions(), shard.Config{Shards: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					srv = New(eng, Config{Obs: o})
+				} else {
+					cl, err := cluster.New(core.DefaultOptions(), shard.Config{Shards: 2}, setup.instances, cluster.Config{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					srv = NewCluster(cl, Config{Obs: o})
+				}
+				t.Cleanup(func() { srv.cl.Close() })
+				h := srv.Handler()
+
+				echoed := make(map[string]bool)
+				for i := 0; i < 1000; i++ {
+					rec := do(t, h, http.MethodPost, setup.path, setup.body(i))
+					if id := rec.Header().Get(obs.TraceHeader); id != "" {
+						echoed[id] = true
+					}
+				}
+				if len(echoed) != 1000/every {
+					t.Fatalf("%d of 1000 responses carry a trace ID, want %d", len(echoed), 1000/every)
+				}
+				ring := o.Recent(0)
+				if len(ring) != len(echoed) {
+					t.Fatalf("ring holds %d traces, want the %d echoed", len(ring), len(echoed))
+				}
+				for _, tl := range ring {
+					if !echoed[tl.TraceID] {
+						t.Fatalf("ring holds trace %s that no response echoed", tl.TraceID)
+					}
+				}
+				for id := range echoed {
+					rec := do(t, h, http.MethodGet, "/v1/trace/"+id, "")
+					var tl obs.Timeline
+					if err := json.Unmarshal(rec.Body.Bytes(), &tl); rec.Code != http.StatusOK || err != nil {
+						t.Fatalf("GET /v1/trace/%s = %d (%v): %s", id, rec.Code, err, rec.Body)
+					}
+					executed := 0
+					for _, ev := range tl.Events {
+						if ev.Stage == obs.StageExecute.String() {
+							executed += ev.Ops
+						}
+					}
+					if executed != setup.ops {
+						t.Fatalf("trace %s: execute spans cover %d ops, want %d", id, executed, setup.ops)
+					}
+				}
+				for i, s := range srv.cl.PerInstanceSnapshots() {
+					if setup.instances > 1 && s.Total.Writes == 0 {
+						t.Fatalf("instance %d took no write of the batch", i)
+					}
+				}
+			})
+		}
 	}
 }
 

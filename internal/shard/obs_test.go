@@ -14,8 +14,7 @@ import (
 // request-level respond event — and the dequeue/execute spans decompose
 // into non-negative queue-wait and service time.
 func TestSpanTimelineBalanced(t *testing.T) {
-	o := obs.New(obs.Config{Seed: 1})
-	e, err := New(core.DefaultOptions(), Config{Shards: 4, Obs: o})
+	e, err := New(core.DefaultOptions(), Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,82 +81,6 @@ func TestSpanTimelineBalanced(t *testing.T) {
 	}
 	if tot < qw+0 || tot < sv {
 		t.Fatalf("total %v below components (wait %v, service %v)", tot, qw, sv)
-	}
-}
-
-// TestEngineSampledTraceReachesRing covers the engine-owned sampling
-// path: with SampleRate 1 a plain Do (no context, no explicit trace) is
-// traced and finished into the observer's ring.
-func TestEngineSampledTraceReachesRing(t *testing.T) {
-	o := obs.New(obs.Config{SampleRate: 1, Seed: 1})
-	e, err := New(core.DefaultOptions(), Config{Shards: 2, Obs: o})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	line := make([]byte, core.LineSize)
-	if err := e.Write(7, line); err != nil {
-		t.Fatal(err)
-	}
-	recent := o.Recent(1)
-	if len(recent) != 1 {
-		t.Fatalf("ring holds %d traces after a sampled Do, want 1", len(recent))
-	}
-	stages := make(map[string]bool)
-	for _, ev := range recent[0].Events {
-		stages[ev.Stage] = true
-	}
-	for _, want := range []string{"enqueue", "dequeue", "execute", "respond"} {
-		if !stages[want] {
-			t.Fatalf("sampled timeline missing stage %q: %+v", want, recent[0].Events)
-		}
-	}
-	if id, err := obs.ParseTraceID(recent[0].TraceID); err != nil {
-		t.Fatalf("ring trace ID %q unparseable: %v", recent[0].TraceID, err)
-	} else if _, ok := o.Timeline(id); !ok {
-		t.Fatalf("trace %s not resolvable by ID", recent[0].TraceID)
-	}
-}
-
-// TestUnsampledPathAllocationFree pins the zero-cost-when-off
-// guarantee: an engine with an observer at sample rate 0 allocates
-// exactly as much per op as an engine with no observer at all.
-func TestUnsampledPathAllocationFree(t *testing.T) {
-	mk := func(o *obs.Observer) *Engine {
-		e, err := New(core.DefaultOptions(), Config{Shards: 1, Obs: o})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	line := make([]byte, core.LineSize)
-	single := []Op{{Write: true, Addr: 3, Data: line}}
-	batch := make([]Op, 8)
-	for i := range batch {
-		batch[i] = Op{Write: true, Addr: uint64(i * 131), Data: line}
-	}
-	measure := func(e *Engine, ops []Op) float64 {
-		return testing.AllocsPerRun(200, func() {
-			if _, err := e.Do(ops); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	plain := mk(nil)
-	defer plain.Close()
-	unsampled := mk(obs.New(obs.Config{SampleRate: 0, Seed: 1}))
-	defer unsampled.Close()
-
-	// The whole submit path — routing, inline execution, envelope pooling
-	// — must cost the same with an idle observer, for single ops and for
-	// batches.
-	for _, ops := range [][]Op{single, batch} {
-		base, withObs := measure(plain, ops), measure(unsampled, ops)
-		if withObs > base {
-			t.Fatalf("unsampled observer path allocates %.1f per %d-op Do vs %.1f without observer",
-				withObs, len(ops), base)
-		}
 	}
 }
 

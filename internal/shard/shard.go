@@ -112,14 +112,6 @@ type Config struct {
 	// single-tier engine, and a zero-capacity near tier is bit-identical
 	// to it by construction.
 	Tier *tier.Config
-	// Obs, when non-nil, turns on pipeline tracing: requests carrying a
-	// trace in their context (and a sampled fraction of the rest, per the
-	// observer's sample rate) get enqueue/dequeue/execute/respond spans
-	// recorded, decomposing latency into queue wait vs. service time.
-	// nil (the default) costs one branch per submission and zero
-	// allocations. A task that found its shard free records the same four
-	// stages with a ~zero queue wait.
-	Obs *obs.Observer
 }
 
 func (c Config) withDefaults() Config {
@@ -329,8 +321,7 @@ type Engine struct {
 	shards    []*worker
 	sramBytes int
 	robust    robustCounters
-	obs       *obs.Observer // nil = tracing off
-	states    sync.Pool     // *submitState envelopes, reused across submissions
+	states    sync.Pool // *submitState envelopes, reused across submissions
 
 	// mu orders Close against submissions: a submission holds it for
 	// reading from its closed check until its last shard unlocks, Close
@@ -382,7 +373,7 @@ func build(opts core.Options, cfg Config, c *snap.Cursor) (*Engine, error) {
 			return nil, err
 		}
 	}
-	e := &Engine{cfg: cfg, opts: opts, shards: make([]*worker, cfg.Shards), obs: cfg.Obs}
+	e := &Engine{cfg: cfg, opts: opts, shards: make([]*worker, cfg.Shards)}
 	e.states.New = func() any {
 		return &submitState{perShard: make([][]int, cfg.Shards)}
 	}
@@ -440,8 +431,7 @@ func (e *Engine) StorageOverheadBytes() int { return e.sramBytes }
 
 // Gauges reads each shard's live queue telemetry: queue depth (tasks
 // waiting for the shard), in-flight count (waiting plus executing), and
-// the size of the last executed batch. Lock-free and safe at any time;
-// feed it to obs.PollGauges for a periodic signal.
+// the size of the last executed batch. Lock-free and safe at any time.
 func (e *Engine) Gauges() []obs.ShardGauge {
 	out := make([]obs.ShardGauge, len(e.shards))
 	for i, w := range e.shards {
@@ -480,6 +470,8 @@ func (e *Engine) Do(ops []Op) ([]Result, error) {
 //     instead of waiting. Shed ops had no effect.
 //   - If ctx dies while a task waits for its shard, the task is skipped
 //     once it gets there and its ops report ctx.Err() per op.
+//   - A trace in ctx (obs.ContextWithTrace) receives the submission's
+//     enqueue, dequeue, execute and respond spans; its owner finishes it.
 //
 // A task already executing when ctx expires completes, so results are
 // never torn.
@@ -518,20 +510,12 @@ func (e *Engine) submit(ctx context.Context, ops []Op) ([]Result, error) {
 		}
 	}
 	arena := make([]byte, reads*core.LineSize)
-	// Trace resolution: a trace already in the context (the HTTP layer or
-	// a harness put it there) is always honored; otherwise the observer's
-	// sampler may start one that the engine owns and finishes itself.
-	// With no observer configured this is a single nil check.
+	// The engine records spans into the trace its caller's context carries
+	// and never starts or finishes one: whoever received the request (the
+	// HTTP layer, a harness, an in-process caller) owns the trace.
 	var tr *obs.Trace
-	owned := false
-	if e.obs != nil {
-		if ctx != nil {
-			tr = obs.TraceFromContext(ctx)
-		}
-		if tr == nil && e.obs.Sampled() {
-			tr = e.obs.StartTrace(0)
-			owned = true
-		}
+	if ctx != nil {
+		tr = obs.TraceFromContext(ctx)
 	}
 	st := e.states.Get().(*submitState)
 	defer e.states.Put(st)
@@ -596,9 +580,6 @@ func (e *Engine) submit(ctx context.Context, ops []Op) ([]Result, error) {
 	if tr != nil {
 		now := tr.Now()
 		tr.Record(obs.StageRespond, -1, len(ops), now, now)
-		if owned {
-			e.obs.Finish(tr)
-		}
 	}
 	// A read that failed, was shed, cancelled or never ran keeps no slot.
 	for i := range res {
