@@ -50,6 +50,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -274,8 +275,9 @@ func main() {
 
 // writeSnapshotFile writes the cluster's snapv1 image to path via a
 // same-directory temp file and an atomic rename. The file is synced
-// before the rename: otherwise a crash shortly after the drain could
-// leave the new name pointing at data that never reached the disk.
+// before the rename and the directory after it, so a crash cannot leave
+// the name pointing at data that never reached the disk, nor forget the
+// rename. A failure leaves any earlier file at path, and no temp file.
 func writeSnapshotFile(cl *cluster.Cluster, path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -289,11 +291,19 @@ func writeSnapshotFile(cl *cluster.Cluster, path string) error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, path)
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // parseQuota parses "rate[:burst]" into a Quota, e.g. "5000" or

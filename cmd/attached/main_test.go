@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"math"
 	"os"
+	"os/exec"
+	"os/signal"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 
 	"attache/internal/cluster"
@@ -139,5 +144,49 @@ func TestWriteSnapshotFile(t *testing.T) {
 
 	if err := writeSnapshotFile(cl, filepath.Join(t.TempDir(), "missing", "x.snap")); err == nil {
 		t.Fatal("write into a missing directory succeeded")
+	}
+}
+
+// TestMain runs the test binary as the daemon itself when
+// ATTACHED_FULL_DISK is set, with the file-size limit at 4 KiB and SIGXFSZ
+// ignored: a longer write then fails with EFBIG, as on a full disk.
+func TestMain(m *testing.M) {
+	if os.Getenv("ATTACHED_FULL_DISK") == "" {
+		os.Exit(m.Run())
+	}
+	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &syscall.Rlimit{Cur: 4096, Max: 4096}); err != nil {
+		panic(err)
+	}
+	signal.Ignore(syscall.SIGXFSZ)
+	main()
+}
+
+// TestDrainSnapshotOnFullDisk drives a real daemon whose drain snapshot
+// cannot be written: it exits non-zero saying why, the earlier snapshot at
+// the path is unchanged, and no temp file is left.
+func TestDrainSnapshotOnFullDisk(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "drain.snap")
+	if err := os.WriteFile(path, []byte("earlier"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-shards", "1", "-snapshot-on-drain", path)
+	cmd.Env = append(os.Environ(), "ATTACHED_FULL_DISK=1")
+	stderr, err := cmd.StderrPipe()
+	if err == nil {
+		err = cmd.Start()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	for lines := bufio.NewScanner(stderr); lines.Scan(); {
+		if out.WriteString(lines.Text() + "\n"); strings.Contains(lines.Text(), "msg=serving") {
+			cmd.Process.Signal(syscall.SIGTERM)
+		}
+	}
+	err = cmd.Wait()
+	got, rerr := os.ReadFile(path)
+	if _, terr := os.Stat(path + ".tmp"); err == nil || !strings.Contains(out.String(), "file too large") || string(got) != "earlier" || !os.IsNotExist(terr) {
+		t.Fatalf("daemon %v; %q (%v) at the path; temp file %v; log:\n%s", cmd.ProcessState, got, rerr, terr, out.String())
 	}
 }

@@ -163,19 +163,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			Compressibility: *comp, Homogeneity: *homog}
 	}
 
-	exps := exp.Experiments()
-	if *experiment != "all" {
-		exps = nil
-		for _, id := range strings.Split(*experiment, ",") {
-			id = strings.TrimSpace(id)
-			e, ok := exp.Lookup(id)
-			if !ok {
-				return fail(2, "unknown experiment %q (try -list)", id)
-			}
-			exps = append(exps, e)
-		}
+	exps, err := experimentList(*experiment)
+	if err != nil {
+		return fail(2, "%v (try -list)", err)
 	}
-
 	if *format != "table" && *format != "csv" && *format != "markdown" {
 		return fail(2, "unknown format %q (want table, csv or markdown)", *format)
 	}
@@ -207,6 +198,21 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	return 0
+}
+
+// experimentList resolves -experiment: "all", or ids separated by commas.
+func experimentList(list string) (exps []exp.Experiment, err error) {
+	if list == "all" {
+		return exp.Experiments(), nil
+	}
+	for _, id := range strings.Split(list, ",") {
+		e, ok := exp.Lookup(strings.TrimSpace(id))
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q", strings.TrimSpace(id))
+		}
+		exps = append(exps, e)
+	}
+	return exps, nil
 }
 
 func writeHeapProfile(path string) error {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -67,6 +68,32 @@ func TestFormatMarkdownRendersEveryExperiment(t *testing.T) {
 	if !strings.Contains(out, "| §I: COPR SRAM (KB) | 368.000 | 368.000 | 1.000 |\n") {
 		t.Errorf("compare's markdown lacks the §I row:\n%s", out)
 	}
+}
+
+// FuzzExperimentList: the -experiment grammar never panics, a list it
+// accepts is the experiments its ids name, in order, and "all" is the
+// registry. Of the seeds, ",fig1" and "all,fig1" are refused (neither ""
+// nor "all" names an experiment in a list), " fig1 " is fig1 (ids are
+// trimmed), and "fig1,fig1" runs fig1 twice.
+func FuzzExperimentList(f *testing.F) {
+	for _, s := range []string{",fig1", " fig1 ", "all,fig1", "fig1,fig1", "all"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, list string) {
+		exps, err := experimentList(list)
+		want := exp.Experiments()
+		if list != "all" {
+			want = nil
+			for _, id := range strings.Split(list, ",") {
+				e, _ := exp.Lookup(strings.TrimSpace(id))
+				want = append(want, e)
+			}
+		}
+		sameIDs := slices.EqualFunc(exps, want, func(a, b exp.Experiment) bool { return a.ID == b.ID })
+		if err == nil && !sameIDs || list == "all" && err != nil {
+			t.Fatalf("%q resolved to %d experiments (%v), want %d", list, len(exps), err, len(want))
+		}
+	})
 }
 
 func TestBadInputExitsTwo(t *testing.T) {

@@ -134,7 +134,8 @@ func (c *Cluster) Shards() int {
 // core.ErrOverloaded and nothing reaches an engine, so callers see the
 // same sentinel (and servers the same 429) as an engine-level shed. A
 // batch larger than the tenant's whole burst can never be admitted and
-// fails with core.ErrOutOfRange instead: retrying it is pointless.
+// fails with core.ErrOutOfRange instead: retrying it is pointless. The
+// call itself fails with it when the tenant cannot be booked (enroll).
 func (c *Cluster) DoCtx(ctx context.Context, ops []shard.Op) ([]shard.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -144,6 +145,10 @@ func (c *Cluster) DoCtx(ctx context.Context, ops []shard.Op) ([]shard.Result, er
 		return c.engines[0].DoCtx(ctx, ops)
 	}
 	tenant := obs.TenantFromContext(ctx)
+	_, quoted := c.adm.quotas[tenant]
+	if err := c.slo.enroll(tenant, quoted || tenant == ""); err != nil {
+		return nil, err
+	}
 	if err := c.adm.admit(tenant, len(ops)); err != nil {
 		c.slo.recordRefused(tenant, len(ops), err)
 		res := make([]shard.Result, len(ops))

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -95,6 +96,25 @@ func (b *sloBook) classFor(tenant string) Class {
 		return c
 	}
 	return ClassBestEffort
+}
+
+// A tenant name is outside input (the X-Attache-Tenant header). enroll
+// books it, or refuses a name over maxTenantName bytes, or a new one once
+// maxTenants are booked — unless it is reserved: untenanted traffic ("")
+// and tenants with an explicit quota always book.
+const maxTenantName, maxTenants = 64, 1024
+
+func (b *sloBook) enroll(tenant string, reserved bool) error {
+	if len(tenant) > maxTenantName {
+		return fmt.Errorf("cluster: tenant name of %d bytes exceeds %d: %w", len(tenant), maxTenantName, core.ErrOutOfRange)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if _, ok := b.tenants[tenant]; !ok && !reserved && len(b.tenants) >= maxTenants {
+		return fmt.Errorf("cluster: tenant table full (%d tenants): %w", maxTenants, core.ErrOutOfRange)
+	}
+	b.tenant(tenant)
+	return nil
 }
 
 func (b *sloBook) tenant(tenant string) *tenantStats {

@@ -9,16 +9,14 @@ import (
 )
 
 // Snapshot returns the whole cluster as one snapv1 image: the framing,
-// then every instance's section in instance order. Each instance's cut
-// is internally consistent (all of its shard locks held at once);
-// instances are cut one after another, so cross-instance skew is
-// possible while traffic flows — take the snapshot on a drained cluster
-// for a globally exact image. Safe at any time, including after Close.
+// then every instance's section in instance order. The image is one cut
+// across instances: every shard lock of every instance is held before any
+// is encoded, so an image that holds a write holds every write
+// acknowledged before that one was sent. Safe at any time, including
+// after Close.
 func (c *Cluster) Snapshot() []byte {
 	cur := snap.NewEncoder(len(c.engines))
-	for _, e := range c.engines {
-		e.EncodeSnapshot(cur)
-	}
+	c.engines[0].EncodeSnapshot(cur, c.engines[1:]...)
 	return cur.Bytes()
 }
 

@@ -51,6 +51,34 @@ func postWrite(t *testing.T, srv *Server, tenant string, addr uint64) int {
 	return rec.Code
 }
 
+// TestTenantNamesAreBounded: the tenant header is outside input the
+// cluster books for good, so a name over 64 bytes is a 400, and once 1024
+// tenants are booked so is a new one — while booked tenants, tenants with
+// an explicit quota and untenanted traffic still get through.
+func TestTenantNamesAreBounded(t *testing.T) {
+	srv := newClusterServer(t)
+	send := func(tenant string, code int, body string) {
+		t.Helper()
+		rec, req := httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(`[{"op":"read","addr":1}]`))
+		req.Header.Set(obs.TenantHeader, tenant)
+		if srv.Handler().ServeHTTP(rec, req); rec.Code != code || !strings.Contains(rec.Body.String(), body) {
+			t.Fatalf("tenant %.16q...: %d %s, want %d and %q", tenant, rec.Code, rec.Body, code, body)
+		}
+	}
+	send(strings.Repeat("x", 512<<10), 400, "tenant name of 524288 bytes exceeds 64")
+	send(strings.Repeat("x", 65), 400, "out of range")
+	for i := range 1024 {
+		send(fmt.Sprintf("%064d", i), 200, "never written")
+	}
+	send("one-too-many", 400, "tenant table full (1024 tenants)")
+	for _, tenant := range []string{fmt.Sprintf("%064d", 7), "hog", ""} {
+		send(tenant, 200, "never written")
+	}
+	if n := len(srv.cl.TenantSnapshots()); n != 1026 {
+		t.Fatalf("%d tenants booked, want the 1024 named ones, hog and untenanted traffic", n)
+	}
+}
+
 // TestClusterServeEndToEnd is the serve-layer acceptance test for
 // cluster mode: multi-tenant traffic over HTTP, 429s only for the
 // over-quota tenant, per-tenant books that conserve, and the full v2

@@ -100,8 +100,8 @@ func (s *Server) renderMetrics() string {
 	return b.String()
 }
 
-// renderTenants emits per-tenant op counters; absent until the first
-// tenant-attributed request arrives.
+// renderTenants emits per-tenant op counters; absent until the first op
+// arrives. Untenanted traffic is booked too, as tenant "".
 func (s *Server) renderTenants(b *strings.Builder) {
 	tenants := s.cl.TenantSnapshots()
 	if len(tenants) == 0 {

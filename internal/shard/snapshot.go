@@ -70,34 +70,35 @@ func (w *worker) walkSnap(c *snap.Cursor) {
 	}
 }
 
-// EncodeSnapshot appends the engine's snapv1 section to c as one
-// consistent cut: it acquires every shard's execution lock (in shard
-// order, so concurrent snapshots cannot deadlock; nothing else holds
-// more than one), encodes into c's memory, then releases. Traffic
-// stalls for the duration — submitters wait on the execution locks —
-// but no op is ever torn across the cut, and nothing slower than memory
-// is touched while the locks are held. It also works after Close (the
-// locks are simply uncontended), which is how attached's snapshot on
+// EncodeSnapshot appends the snapv1 sections of e and then of each of
+// rest to c as one consistent cut: it takes every execution lock of every
+// engine (engine by engine, each in shard order, so concurrent snapshots
+// cannot deadlock; nothing else holds more than one) before encoding any.
+// Traffic stalls for the duration — submitters wait on the execution
+// locks — but no op is ever torn across the cut, and nothing slower than
+// memory is touched while the locks are held. It also works after Close
+// (the locks are simply uncontended), which is how attached's snapshot on
 // shutdown captures final state.
-func (e *Engine) EncodeSnapshot(c *snap.Cursor) {
-	for _, w := range e.shards {
-		w.memMu.Lock()
-	}
-	h := header{opts: e.opts, tier: e.cfg.Tier, robust: e.robust.load(), shards: len(e.shards)}
-	size := 256
-	for _, w := range e.shards {
-		size += w.mem.SnapshotBytes()
-		if w.tier != nil {
-			size += w.tier.SnapshotBytes()
+func (e *Engine) EncodeSnapshot(c *snap.Cursor, rest ...*Engine) {
+	engines := append([]*Engine{e}, rest...)
+	size := 0
+	for _, x := range engines {
+		for _, w := range x.shards {
+			w.memMu.Lock()
+			defer w.memMu.Unlock()
+			size += w.mem.SnapshotBytes()
+			if w.tier != nil {
+				size += w.tier.SnapshotBytes()
+			}
 		}
 	}
-	c.Grow(size)
-	h.walk(c)
-	for _, w := range e.shards {
-		w.walkSnap(c)
-	}
-	for _, w := range e.shards {
-		w.memMu.Unlock()
+	c.Grow(size + 256*len(engines))
+	for _, x := range engines {
+		h := header{opts: x.opts, tier: x.cfg.Tier, robust: x.robust.load(), shards: len(x.shards)}
+		h.walk(c)
+		for _, w := range x.shards {
+			w.walkSnap(c)
+		}
 	}
 }
 

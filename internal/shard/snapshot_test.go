@@ -80,68 +80,6 @@ func runLockstep(t *testing.T, a, b *Engine, rng *rand.Rand, from, to int) {
 	}
 }
 
-// TestSnapshotRestoreEquivalence is the acceptance gate for engine
-// snapshot/restore, the pin alongside TestPassthroughBitIdentity: run a
-// seeded workload to its midpoint, snapshot, restore into a fresh
-// engine, and the second half must be byte-identical op for op on both
-// — finishing with byte-identical stats (and tier) snapshots.
-func TestSnapshotRestoreEquivalence(t *testing.T) {
-	configs := map[string]*tier.Config{
-		"untiered": nil,
-		"tiered":   {NearLines: 12, Policy: tier.PolicyFreq, FreqThreshold: 2, FreqDecayEvery: 64},
-		"lru":      {NearLines: 16, Policy: tier.PolicyLRU},
-	}
-	for name, tc := range configs {
-		t.Run(name, func(t *testing.T) {
-			opts := core.DefaultOptions()
-			opts.Seed = 7
-			cfg := Config{Shards: 2, Tier: tc}
-			a, err := New(opts, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer a.Close()
-
-			// First half on the original engine only.
-			rng := rand.New(rand.NewSource(1))
-			for i := 0; i < 200; i++ {
-				if _, err := a.Do(seededBatch(rng, i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			// Snapshot mid-workload and restore. The snapshot carries the
-			// options, tier config, and shard count; cfg stays empty.
-			b, err := RestoreEngineFrom(bytes.NewReader(image(t, a)), Config{})
-			if err != nil {
-				t.Fatalf("restore: %v", err)
-			}
-			defer b.Close()
-			if b.Tiered() != a.Tiered() {
-				t.Fatalf("restored engine tiered = %v, want %v", b.Tiered(), a.Tiered())
-			}
-
-			// The restored engine must already agree on the books...
-			if as, bs := a.StatsSnapshot(), b.StatsSnapshot(); !reflect.DeepEqual(as, bs) {
-				t.Fatalf("post-restore snapshots diverged:\noriginal %+v\nrestored %+v", as, bs)
-			}
-
-			// ...and stay in lockstep through the second half.
-			runLockstep(t, a, b, rng, 200, 400)
-			if as, bs := a.StatsSnapshot(), b.StatsSnapshot(); !reflect.DeepEqual(as, bs) {
-				t.Fatalf("final snapshots diverged:\noriginal %+v\nrestored %+v", as, bs)
-			}
-			if tc != nil {
-				at, _ := a.TierSnapshot()
-				bt, _ := b.TierSnapshot()
-				if !reflect.DeepEqual(at, bt) {
-					t.Fatalf("tier snapshots diverged:\noriginal %+v\nrestored %+v", at, bt)
-				}
-			}
-		})
-	}
-}
-
 // TestSnapshotRestoreFromStream: the same equivalence holds for three
 // shards under the default (lru) policy, reading straight from the
 // buffer WriteSnapshot filled.

@@ -3,7 +3,6 @@ package tier
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -86,103 +85,6 @@ func line(tag uint64) []byte {
 		}
 	}
 	return b
-}
-
-// checkInvariants asserts the conservation laws that define the tier:
-// exclusive residency, the promotion/demotion balance, read and write
-// conservation against the far memory's own counters.
-func checkInvariants(t *testing.T, m *Memory, okReads uint64) {
-	t.Helper()
-	s := m.Snapshot()
-	far := m.far.StatsSnapshot()
-
-	// Exclusive residency: no near-resident address may also be far.
-	for addr := range nearSet(t, m) {
-		if m.far.Contains(addr) {
-			t.Fatalf("address %#x resident in both tiers", addr)
-		}
-	}
-
-	// Every promotion either displaced a line (demotion) or grew the
-	// near tier: promotions == demotions + near_resident.
-	if s.Promotions != s.Demotions+s.NearResident {
-		t.Fatalf("promotion balance broken: %d promotions != %d demotions + %d resident",
-			s.Promotions, s.Demotions, s.NearResident)
-	}
-
-	// Reads conservation: every successful client read was served by
-	// exactly one tier.
-	if okReads != s.NearReads+s.FarReads {
-		t.Fatalf("reads not conserved: %d ok reads != %d near + %d far",
-			okReads, s.NearReads, s.FarReads)
-	}
-
-	// The far memory's own traffic decomposes into client far ops plus
-	// demotion writebacks.
-	if far.Reads != s.FarReads {
-		t.Fatalf("far core reads %d != tier far reads %d", far.Reads, s.FarReads)
-	}
-	if far.Writes != s.FarWrites+s.Demotions {
-		t.Fatalf("far core writes %d != tier far writes %d + demotions %d",
-			far.Writes, s.FarWrites, s.Demotions)
-	}
-}
-
-// TestTierInvariantsProperty drives randomized workloads over every
-// policy and several seeds and checks the conservation laws hold at
-// every step boundary, with the data read back always matching the data
-// last written.
-func TestTierInvariantsProperty(t *testing.T) {
-	configs := []Config{
-		{NearLines: 8, Policy: PolicyLRU},
-		{NearLines: 8, Policy: PolicyFreq, FreqThreshold: 2, FreqDecayEvery: 64},
-		{NearLines: 8, Policy: PolicyStatic, PinShift: 4, PinPrefix: 1},
-		{NearLines: 1, Policy: PolicyLRU},
-		{NearLines: -1, Policy: PolicyLRU},
-		{NearLines: 0, Policy: PolicyFreq},
-	}
-	for _, cfg := range configs {
-		for _, seed := range []int64{1, 7, 42} {
-			name := fmt.Sprintf("%s/near=%d/seed=%d", cfg.WithDefaults().Policy, cfg.NearLines, seed)
-			t.Run(name, func(t *testing.T) {
-				m := newTier(t, cfg, seed)
-				rng := rand.New(rand.NewSource(seed))
-				written := make(map[uint64][]byte)
-				var okReads uint64
-				const space = 64
-				for i := 0; i < 2000; i++ {
-					addr := uint64(rng.Intn(space))
-					if rng.Intn(2) == 0 {
-						data := line(addr*1000 + uint64(i))
-						if err := m.Write(addr, data); err != nil {
-							t.Fatalf("write %#x: %v", addr, err)
-						}
-						written[addr] = data
-					} else {
-						got, err := m.Read(addr)
-						want, ok := written[addr]
-						if !ok {
-							if !errors.Is(err, core.ErrNeverWritten) {
-								t.Fatalf("read of unwritten %#x: got %v, want ErrNeverWritten", addr, err)
-							}
-							continue
-						}
-						if err != nil {
-							t.Fatalf("read %#x: %v", addr, err)
-						}
-						okReads++
-						if !bytes.Equal(got, want) {
-							t.Fatalf("read %#x returned wrong data", addr)
-						}
-					}
-					if i%97 == 0 {
-						checkInvariants(t, m, okReads)
-					}
-				}
-				checkInvariants(t, m, okReads)
-			})
-		}
-	}
 }
 
 // TestZeroCapacityNearBitIdentical: a zero-capacity near tier is a pure
@@ -354,7 +256,6 @@ func TestExchangeAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("an exchange allocates %.1f times, want 0", allocs)
 	}
-	checkInvariants(t, m, next)
 }
 
 // TestFreqThresholdGate: the freq policy leaves a line far until it has
