@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: build test race bench bench-gate bench-pin fmt vet scenarios scenarios-update \
-	ci fmt-check twin-calibrate twin-update crossover bench-module loc
+	ci fmt-check crossover bench-module loc
 
 build:
 	$(GO) build ./...
@@ -16,7 +16,6 @@ test:
 # covers): run this before pushing and the test job cannot surprise you.
 ci: vet fmt-check build test bench-module loc
 	./scripts/coverage_ratchet.sh
-	./scripts/twin_gate.sh
 
 # bench/ is a module of its own, outside ./...: vet and test it here so
 # a removed API it imports from the main module fails before the push.
@@ -40,18 +39,6 @@ loc:
 fmt-check:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-
-# Run the analytical-twin calibration sweep against the simulator and
-# enforce the committed tolerance bands — CI's twin-calibration job.
-twin-calibrate:
-	./scripts/twin_gate.sh
-
-# Regenerate internal/twin/testdata/calibration.json from the observed
-# sweep after an intentional model or engine change. Refuses to write
-# bands looser than the hard acceptance ceilings; commit the diff with
-# the change that moved the numbers.
-twin-update:
-	$(GO) test ./internal/twin -count=1 -run TestCalibration -update
 
 # Assert the sharding crossover claim (shards4 beats baseline-memory
 # wall-clock) — CI's crossover job. Skips below 4 CPUs.

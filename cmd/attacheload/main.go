@@ -43,6 +43,11 @@
 // (in-process targets only) and adds per-kind queue-wait quantiles —
 // the time ops waited for a busy shard's lock —
 // so queueing delay can be told apart from service time.
+//
+// With an in-process engine the report ends with what the engine
+// measured over the run: compressed-line ratio, prediction accuracy,
+// bandwidth savings, RA occupancy, and the tier section with -tiers.
+// Against a daemon, its /v1/stats holds the same counters.
 package main
 
 import (
@@ -301,6 +306,12 @@ func printReport(rep loadgen.Report) {
 		fmt.Println("errors         none")
 	}
 
+	if e := rep.Engine; e != nil {
+		fmt.Printf("engine         %d lines, %.4f compressed, %.4f prediction accuracy\n",
+			e.Lines, e.CompressedLineRatio(), e.PredictionAccuracy)
+		fmt.Printf("engine traffic %.4f bandwidth savings, %d RA occupancy\n",
+			e.BandwidthSavings(), e.RAOccupancy)
+	}
 	if t := rep.Tiers; t != nil {
 		fmt.Printf("tiers  %-12s near %d resident / %s cap, far %d resident\n",
 			t.Policy, t.NearResident, tierCap(t.NearCapacity), t.FarResident)

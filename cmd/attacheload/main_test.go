@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"attache/internal/core"
 	"attache/internal/loadgen"
 	"attache/internal/tier"
 )
@@ -20,8 +21,8 @@ func TestTierCap(t *testing.T) {
 	}
 }
 
-// TestPrintReport renders a fully-populated report (tier section,
-// tenants, queue wait, errors) and checks every section appears.
+// TestPrintReport renders a fully-populated report (engine and tier
+// sections, tenants, queue wait, errors) and checks every section appears.
 func TestPrintReport(t *testing.T) {
 	rep := loadgen.Report{
 		Checksum:   "deadbeef",
@@ -33,6 +34,10 @@ func TestPrintReport(t *testing.T) {
 		Errors:     map[string]uint64{"overloaded": 2},
 		Latency:    map[string]loadgen.Quantiles{"read": {Count: 9}},
 		QueueWait:  map[string]loadgen.Quantiles{"read": {Count: 9}},
+		Engine: &core.StatsSnapshot{
+			Reads: 10, Writes: 10, BlocksRead: 15, BlocksWritten: 15,
+			CompressedLines: 4, Lines: 8, RAOccupancy: 1, PredictionAccuracy: 0.75,
+		},
 		Tiers: &tier.Snapshot{
 			Policy: "freq", NearCapacity: -1, NearResident: 3,
 			NearReads: 5, FarReads: 4, Promotions: 3,
@@ -61,6 +66,8 @@ func TestPrintReport(t *testing.T) {
 		"latency read",
 		"qwait   read",
 		"errors overloaded",
+		"engine         8 lines, 0.5000 compressed, 0.7500 prediction accuracy",
+		"engine traffic 0.2500 bandwidth savings, 1 RA occupancy",
 		"tiers  freq",
 		"unbounded cap",
 		"tier traffic",

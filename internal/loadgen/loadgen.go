@@ -292,16 +292,18 @@ type Report struct {
 	// Populated only when events carry tenants (Config.Tenants or
 	// AssignTenants).
 	PerTenant map[string]TenantReport `json:"per_tenant,omitempty"`
-	// Tiers is the target's two-tier stats view after the run. Populated
-	// only for in-process targets running a tiered backend (the target
-	// implements TierSnapshot and reports one).
-	Tiers *tier.Snapshot `json:"tiers,omitempty"`
+	// Engine is the target's merged counter totals after the run:
+	// compressed-line ratio, COPR accuracy, bandwidth savings and RA
+	// occupancy, measured. Tiers is its two-tier stats view, when it runs
+	// a tiered backend. Both are read from one StatsSnapshot, so they are
+	// populated only for in-process targets (shard.Engine).
+	Engine *core.StatsSnapshot `json:"engine,omitempty"`
+	Tiers  *tier.Snapshot      `json:"tiers,omitempty"`
 }
 
-// tierReporter is implemented by targets that can report a two-tier
-// stats view (shard.Engine when built with a tier config).
-type tierReporter interface {
-	TierSnapshot() (tier.Snapshot, bool)
+// statsReporter is implemented by in-process targets (shard.Engine).
+type statsReporter interface {
+	StatsSnapshot() shard.Snapshot
 }
 
 // TenantReport is one tenant's slice of a run.
@@ -518,10 +520,9 @@ func RunEvents(ctx context.Context, target Target, cfg Config, events []Event) (
 			rep.QueueWait[k.String()] = quantiles(s)
 		}
 	}
-	if tr, ok := target.(tierReporter); ok {
-		if ts, tiered := tr.TierSnapshot(); tiered {
-			rep.Tiers = &ts
-		}
+	if sr, ok := target.(statsReporter); ok {
+		snap := sr.StatsSnapshot()
+		rep.Engine, rep.Tiers = &snap.Total, snap.Tiers
 	}
 	return rep, nil
 }

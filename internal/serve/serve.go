@@ -9,7 +9,8 @@
 //	GET  /v1/trace/{id}  one traced request's pipeline timeline (Config.Obs)
 //	GET  /v1/trace   the most recent retained timelines
 //	GET  /v1/snapshot  the cluster's full snapv1 state image
-//	                 (octet-stream); restore it with attached -restore
+//	                 (octet-stream), one at a time (429 while another is
+//	                 in flight); restore it with attached -restore
 //	GET  /healthz    liveness ("ok", or 503 once draining)
 //	GET  /metrics    Prometheus text exposition
 //	GET  /debug/pprof/*  runtime profiles (Config.EnablePprof)
@@ -74,6 +75,7 @@ import (
 	"time"
 
 	"attache/internal/cluster"
+	"attache/internal/core"
 	"attache/internal/obs"
 	"attache/internal/shard"
 	"attache/internal/wire"
@@ -151,6 +153,10 @@ type Server struct {
 	metrics  *metricsSet
 	started  time.Time
 	draining atomic.Bool
+	// imaging is held by the one /v1/snapshot request whose image is
+	// being built or written; it bounds the endpoint to one full copy
+	// of the memory at a time.
+	imaging atomic.Bool
 
 	readyCh chan struct{}
 	addr    atomic.Value // string, set once listening
@@ -613,17 +619,28 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, tl)
 }
 
+// errImaging answers a /v1/snapshot request that arrives while another
+// one's image is still being built or written.
+var errImaging = fmt.Errorf("serve: a snapshot is already in progress: %w", core.ErrOverloaded)
+
 // handleSnapshot serves the cluster's snapv1 state image. Taking it
 // quiesces every shard for the duration (each instance's cut is
 // internally consistent), so this is an admin endpoint, not a data-path
 // one — on a loaded cluster prefer -snapshot-on-drain. The image is
 // complete, and every lock released, before the first byte is written.
+// One image exists at a time: a request that arrives while another is
+// being built or written answers 429 with Retry-After and takes no lock.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		writeJSON(w, http.StatusMethodNotAllowed, wire.Error{Error: "use GET"})
 		return
 	}
+	if !s.imaging.CompareAndSwap(false, true) {
+		s.writeErr(w, errImaging)
+		return
+	}
+	defer s.imaging.Store(false)
 	image := s.cl.Snapshot()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(image)))

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"attache/internal/cluster"
 	"attache/internal/core"
@@ -81,6 +83,66 @@ func TestSnapshotEndpoint(t *testing.T) {
 	}
 	if allow := wp.Header().Get("Allow"); allow != "GET" {
 		t.Fatalf("Allow = %q, want GET", allow)
+	}
+}
+
+// blockingWriter records a response but parks its first body Write until
+// release is closed, announcing on writing that it got there.
+type blockingWriter struct {
+	*httptest.ResponseRecorder
+	writing, release chan struct{}
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	close(w.writing)
+	<-w.release
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestSnapshotOneAtATime: while one GET /v1/snapshot is still writing
+// its image, a second answers 429 with the configured Retry-After; once
+// the first is done, a third is served the same image.
+func TestSnapshotOneAtATime(t *testing.T) {
+	eng, err := shard.New(core.DefaultOptions(), shard.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	h := New(eng, Config{RetryAfter: 3 * time.Second}).Handler()
+	for i := 0; i < 16; i++ {
+		body := fmt.Sprintf(`{"addr":%d,"data":%q}`, i, b64(testLine(byte(i))))
+		if w := do(t, h, "POST", "/v1/write", body); w.Code != 200 {
+			t.Fatalf("write %d: %d %s", i, w.Code, w.Body)
+		}
+	}
+
+	first := &blockingWriter{httptest.NewRecorder(), make(chan struct{}), make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(first, httptest.NewRequest("GET", "/v1/snapshot", nil))
+	}()
+	<-first.writing
+
+	second := do(t, h, "GET", "/v1/snapshot", "")
+	if second.Code != 429 {
+		t.Fatalf("second GET /v1/snapshot while the first is writing: %d %s, want 429", second.Code, second.Body)
+	}
+	if ra := second.Header().Get("Retry-After"); ra != "3" {
+		t.Fatalf("Retry-After = %q, want the configured 3", ra)
+	}
+
+	close(first.release)
+	<-done
+	if first.Code != 200 {
+		t.Fatalf("first GET /v1/snapshot: %d", first.Code)
+	}
+	third := do(t, h, "GET", "/v1/snapshot", "")
+	if third.Code != 200 {
+		t.Fatalf("third GET /v1/snapshot after the first finished: %d %s", third.Code, third.Body)
+	}
+	if !bytes.Equal(third.Body.Bytes(), first.Body.Bytes()) {
+		t.Fatalf("third image (%d bytes) differs from the first (%d bytes)", third.Body.Len(), first.Body.Len())
 	}
 }
 

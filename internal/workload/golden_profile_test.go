@@ -92,7 +92,7 @@ func MeasureProfile(ctx context.Context, spec Spec) (Profile, error) {
 	if err != nil {
 		return Profile{}, err
 	}
-	snap := eng.StatsSnapshot()
+	total := rep.Engine
 	p := Profile{
 		Scenario:          spec.Name,
 		Seed:              spec.Seed,
@@ -102,9 +102,9 @@ func MeasureProfile(ctx context.Context, spec Spec) (Profile, error) {
 		Ops:               rep.Ops,
 		OpsOK:             rep.OpsOK,
 		Errors:            rep.Errors,
-		CompressionRatio:  snap.Total.CompressedLineRatio(),
-		PredictorAccuracy: snap.Total.PredictionAccuracy,
-		BandwidthSavings:  snap.Total.BandwidthSavings(),
+		CompressionRatio:  total.CompressedLineRatio(),
+		PredictorAccuracy: total.PredictionAccuracy,
+		BandwidthSavings:  total.BandwidthSavings(),
 		ShedRate:          rep.ShedRate,
 		Latency:           rep.Latency,
 	}

@@ -535,6 +535,12 @@ func payloadFunc(kind PayloadKind) func(addr, version uint64) []byte {
 	}
 }
 
+// PayloadLine builds one line of the given payload class — the same
+// pure (addr, version) function Compose uses for that class.
+func PayloadLine(kind PayloadKind, addr, version uint64) []byte {
+	return payloadFunc(kind)(addr, version)
+}
+
 // compressibleLine: eight words walking up from a shared base in 1-byte
 // deltas — BDI's base+Δ1 sweet spot, well under the sub-rank block.
 func compressibleLine(addr, version uint64) []byte {
