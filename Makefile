@@ -3,8 +3,8 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-gate bench-pin fmt vet scenarios scenarios-update \
-	ci fmt-check crossover bench-module loc
+.PHONY: build test race bench fmt vet scenarios scenarios-update \
+	ci fmt-check bench-module loc
 
 build:
 	$(GO) build ./...
@@ -40,23 +40,19 @@ fmt-check:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Assert the sharding crossover claim (shards4 beats baseline-memory
-# wall-clock) — CI's crossover job. Skips below 4 CPUs.
-crossover:
-	./scripts/crossover_gate.sh
-
 race:
 	$(GO) test -race ./...
 
-# The benchmarks the gate pins, the simulator kernel's rung (the event
-# queue on a sweep's own mix of schedule distances), the warm-image rung (a
-# simulation that warms its own LLC against one that restores an image),
-# the core.Memory rung between Framework.Store and the sharded engine
-# (Store/LoadInto plus the line table, over 32 Ki lines), then the wire
-# rungs of the ladder (codec, handler, client over loopback), once, with
-# allocation counts.
+# The package benchmark rungs, once, with allocation counts: the
+# simulator kernel (the event queue on a sweep's own mix of schedule
+# distances), the warm-image rung (a simulation that warms its own LLC
+# against one that restores an image), the sharded engine and its submit
+# path, Framework.Store and the core.Memory rung above it (Store/LoadInto
+# plus the line table, over 32 Ki lines), then the wire rungs (codec,
+# handler, client over loopback). They measure; the allocation pins that
+# gate are tests (go test -run 'Alloc' ./...), and the end-to-end ruler
+# is bench/.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput$$' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkScheduleStep$$' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkRunWarm$$' -benchmem ./internal/exp
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedThroughput$$|BenchmarkSubmitLatency$$' -benchmem ./internal/shard
@@ -64,19 +60,6 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec$$' -benchmem ./internal/wire
 	$(GO) test -run '^$$' -bench 'BenchmarkHandlerBatch64$$' -benchmem ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkClientLoopbackBatch64$$' -benchmem ./client
-
-# Compare min-of-5 against scripts/bench_baseline.txt; fails on
-# regression and on >BENCH_GATE_IMPROVE_TOL% unexplained improvement.
-bench-gate:
-	./scripts/bench_gate.sh
-
-# Re-pin scripts/bench_baseline.txt (and BENCH_24.json, its summary; the
-# earlier BENCH_<pr>.json files stay as the trajectory) via
-# min-of-5 in one step. Run this
-# on the machine the gate will run on, and commit the result together
-# with the change that moved the numbers.
-bench-pin:
-	UPDATE=1 ./scripts/bench_gate.sh
 
 # Run every preset workload scenario against its golden behavioral
 # profile (internal/workload/testdata/golden/).

@@ -177,36 +177,6 @@ func BenchmarkAblationSubRankPlacement(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed: simulated
-// memory references per wall-second for the full 8-core Attaché stack.
-// The seed is fixed so that every measured iteration restores the warm
-// image the first calibration run left, as all but the first run of a
-// workload in a sweep do: allocs/op, which the gate pins, is then the same
-// at any b.N. With a seed per iteration the mix of cold runs and restores
-// followed b.N and -count (1 115 to 1 140 allocs/op over one -count=5), and
-// cold runs alone differ by seed (1 135 to 1 160). exp's BenchmarkRunWarm/cold
-// is the run that warms its own LLC.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	prof, err := trace.ByName("zeusmp")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := config.Default()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m, err := exp.Run(exp.RunConfig{
-			Cfg: cfg, Kind: config.SystemAttache,
-			Profiles:        exp.RateMode(prof, cfg.CPU.Cores),
-			AccessesPerCore: 4000, Seed: 42,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = m
-	}
-	b.ReportMetric(float64(4000*cfg.CPU.Cores*b.N), "memrefs/op-total")
-}
-
 // BenchmarkFrameworkStoreLoad measures the functional path: full
 // compress + scramble + BLEM store and predict + classify + decompress
 // load per line.

@@ -82,9 +82,9 @@ func hotPathClasses(tb testing.TB) []hotPathClass {
 
 // TestHotPathAllocations pins the codec hot path's allocation budget for
 // every stored form: Store builds the line image in stack buffers and
-// allocates nothing; Load allocates the returned line and nothing else;
-// a Memory allocates only for an address that takes its table past its
-// peak size.
+// allocates nothing; Load and Memory.Read allocate the returned line and
+// nothing else; a Memory's writes allocate only for an address that takes
+// its table past its peak size.
 func TestHotPathAllocations(t *testing.T) {
 	for _, c := range hotPathClasses(t) {
 		f, err := New(c.opts)
@@ -119,6 +119,9 @@ func TestHotPathAllocations(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(200, func() { m.Delete(c.addr); m.Write(c.addr, c.line) }); n != 0 {
 			t.Errorf("%s: Delete then Write allocates %.1f times, want 0", c.name, n)
+		}
+		if n := testing.AllocsPerRun(200, func() { m.Read(c.addr) }); n > 1 {
+			t.Errorf("%s: Memory.Read allocates %.1f times, want at most 1 (the returned line)", c.name, n)
 		}
 	}
 }

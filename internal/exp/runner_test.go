@@ -229,10 +229,12 @@ func TestRunSourceCountValidated(t *testing.T) {
 // per memory reference, machine-independently: for each system kind the
 // difference between a run of 2N and a run of N references per core
 // cancels everything set-up allocates (LLC, COPR tables, generators,
-// the pools' first fills) and leaves what N more references cost.
+// the pools' first fills) and leaves what N more references cost. Every
+// kind measures under 0.003, so leaking one allocation per ~100
+// references fails.
 func TestSteadyStateAllocationBudget(t *testing.T) {
 	const n = 2000
-	const budget = 0.1 // allocations per memory reference
+	const budget = 0.01 // allocations per memory reference
 	cfg := config.Default()
 	p, err := trace.ByName("mcf")
 	if err != nil {
@@ -252,7 +254,7 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 		perRef := (allocs(2*n) - allocs(n)) / float64(n*cfg.CPU.Cores)
 		t.Logf("%v: %.4f allocations per memory reference", kind, perRef)
 		if perRef > budget {
-			t.Errorf("%v: %.3f allocations per memory reference in steady state, budget %.1f", kind, perRef, budget)
+			t.Errorf("%v: %.3f allocations per memory reference in steady state, budget %.2f", kind, perRef, budget)
 		}
 	}
 }

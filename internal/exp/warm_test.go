@@ -460,19 +460,53 @@ func TestMutationWarmImage(t *testing.T) {
 // this or an earlier round of b.N, has left an image for.
 var coldSeed int64 = 1 << 32
 
-// BenchmarkRunWarm is the warm-image rung: the cell of
-// BenchmarkSimulatorThroughput when the run has to warm its LLC itself
-// and capture the image (cold), and when it restores one (hit). The
-// difference is what a sweep saves on every run after a workload's first.
-func BenchmarkRunWarm(b *testing.B) {
+// warmCell is the warm-image rung's cell: zeusmp in rate mode on Table
+// II's Attaché system, 4 000 references per core.
+func warmCell(tb testing.TB, seed int64) RunConfig {
+	tb.Helper()
 	prof, err := trace.ByName("zeusmp")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := config.Default()
+	return RunConfig{Cfg: cfg, Kind: config.SystemAttache,
+		Profiles: RateMode(prof, cfg.CPU.Cores), AccessesPerCore: 4000, Seed: seed}
+}
+
+// warmHitAllocs is what one warm-image hit of warmCell allocates (go1.24):
+// the run's set-up — the LLC, the COPR tables, the generators restored
+// from the image — and the few allocations the run itself makes.
+const warmHitAllocs = 1093
+
+// TestWarmHitAllocations pins BenchmarkRunWarm/hit's allocations exactly.
+// testing.AllocsPerRun runs at GOMAXPROCS 1, where the count is the same
+// on every run, so a single new allocation in a run's set-up fails here.
+// A change that lowers the count lowers the constant with it.
+func TestWarmHitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; absolute budgets only hold without -race")
+	}
+	rc := warmCell(t, 42)
+	// The uncounted first call leaves the image every counted call hits.
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := Run(rc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > warmHitAllocs {
+		t.Errorf("a warm-image hit allocates %.0f times, budget %d", got, warmHitAllocs)
+	}
+}
+
+// BenchmarkRunWarm is the warm-image rung: warmCell when the run has to
+// warm its LLC itself and capture the image (cold), and when it restores
+// one (hit). The difference is what a sweep saves on every run after a
+// workload's first.
+func BenchmarkRunWarm(b *testing.B) {
+	rc := warmCell(b, 0)
 	run := func(b *testing.B, seed int64) {
-		if _, err := Run(RunConfig{Cfg: cfg, Kind: config.SystemAttache,
-			Profiles: RateMode(prof, cfg.CPU.Cores), AccessesPerCore: 4000, Seed: seed}); err != nil {
+		rc.Seed = seed
+		if _, err := Run(rc); err != nil {
 			b.Fatal(err)
 		}
 	}

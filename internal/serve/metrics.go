@@ -88,7 +88,7 @@ func (s *Server) renderMetrics() string {
 	gauge("attached_sram_overhead_bytes", "Summed predictor+CID SRAM across shards.", float64(snap.SRAMBytes))
 	gauge("attached_shards", "Configured shard count.", float64(s.cl.Shards()))
 	gauge("attached_uptime_seconds", "Seconds since the daemon started serving.", time.Since(s.started).Seconds())
-	gauge("attached_cluster_instances", "Engine instances behind the router.", float64(s.cl.Instances()))
+	gauge("attached_cluster_instances", "Engine instances the cluster places lines across by address.", float64(s.cl.Instances()))
 	gauge("attached_cluster_jain_fairness", "Jain fairness index over per-tenant successful throughput.", s.cl.JainFairness())
 	if snap.Tiers != nil {
 		stats.WriteProm(&b, *snap.Tiers)
@@ -128,7 +128,7 @@ func (s *Server) renderPerShard(b *strings.Builder, snap shard.Snapshot) {
 	}
 
 	gauges := s.cl.Gauges()
-	fmt.Fprintf(b, "# HELP attached_shard_queue_depth Tasks buffered in the shard's pipeline queue.\n# TYPE attached_shard_queue_depth gauge\n")
+	fmt.Fprintf(b, "# HELP attached_shard_queue_depth Submitters waiting for the shard's lock.\n# TYPE attached_shard_queue_depth gauge\n")
 	for _, g := range gauges {
 		fmt.Fprintf(b, "attached_shard_queue_depth{shard=\"%d\"} %d\n", g.Shard, g.QueueDepth)
 	}
@@ -136,7 +136,7 @@ func (s *Server) renderPerShard(b *strings.Builder, snap shard.Snapshot) {
 	for _, g := range gauges {
 		fmt.Fprintf(b, "attached_shard_inflight{shard=\"%d\"} %d\n", g.Shard, g.InFlight)
 	}
-	fmt.Fprintf(b, "# HELP attached_shard_last_batch_ops Ops in the shard's most recently dequeued batch.\n# TYPE attached_shard_last_batch_ops gauge\n")
+	fmt.Fprintf(b, "# HELP attached_shard_last_batch_ops Ops in the shard's most recently executed task.\n# TYPE attached_shard_last_batch_ops gauge\n")
 	for _, g := range gauges {
 		fmt.Fprintf(b, "attached_shard_last_batch_ops{shard=\"%d\"} %d\n", g.Shard, g.LastBatchOps)
 	}

@@ -44,8 +44,8 @@ func scrape(t *testing.T, srv *Server) (families []string, samples map[string]st
 // served by the commit before the exposition was derived from struct
 // tags (a tiered engine's; an untiered one serves the same minus the
 // attached_tier_ families). Sample order is free; the families are the
-// contract dashboards are built on. A new family is a deliberate edit
-// of that file.
+// contract dashboards are built on. A new family or a reworded help
+// string is a deliberate edit of that file.
 func TestMetricsFamilies(t *testing.T) {
 	raw, err := os.ReadFile("testdata/metrics.families")
 	if err != nil {

@@ -83,12 +83,20 @@ func TestInlineContendedSubmissionQueues(t *testing.T) {
 // arena for all its reads — 1 for writes only, 2 with reads, whatever
 // the batch size — and the one-op convenience wrappers one more (their
 // Op-slice literal). The envelope — per-shard index lists, completion
-// state, task — must come from the pool.
+// state, task — must come from the pool, whatever the shard count.
 func TestInlineSubmitPathAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; absolute budgets only hold without -race")
 	}
-	e, err := New(core.DefaultOptions(), Config{Shards: 4})
+	for _, shards := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			testSubmitPathAllocations(t, shards)
+		})
+	}
+}
+
+func testSubmitPathAllocations(t *testing.T, shards int) {
+	e, err := New(core.DefaultOptions(), Config{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

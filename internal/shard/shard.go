@@ -196,10 +196,10 @@ func (r *robustCounters) load() RobustStats {
 type RobustStats struct {
 	// Sheds counts ops rejected with ErrOverloaded because their shard
 	// already had QueueDepth submitters waiting when a DoCtx arrived.
-	Sheds uint64 `json:"sheds" prom:"attached_shed_ops_total,counter" help:"Ops rejected with ErrOverloaded at shard-queue admission."`
+	Sheds uint64 `json:"sheds" prom:"attached_shed_ops_total,counter" help:"Ops rejected with ErrOverloaded because QueueDepth submitters already waited for their shard."`
 	// Canceled counts ops that returned a context error: expired or
 	// cancelled while waiting for their shard, skipped without executing.
-	Canceled uint64 `json:"canceled" prom:"attached_canceled_ops_total,counter" help:"Ops skipped because their context expired in the queue."`
+	Canceled uint64 `json:"canceled" prom:"attached_canceled_ops_total,counter" help:"Ops skipped because their context expired while they waited for their shard."`
 	// InjectedErrors / InjectedDelays count fault-injection outcomes
 	// (always 0 with injection off).
 	InjectedErrors uint64 `json:"injected_errors" prom:"attached_injected_errors_total,counter" help:"Fault-injection errors (0 unless a fault plan is active)."`
