@@ -187,4 +187,10 @@ func TestStatsV2SeesWhatTheServerSends(t *testing.T) {
 	if !bytes.Equal(append(again, '\n'), body) {
 		t.Fatalf("decode→encode changed the document:\n sent %s\n got  %s", body, again)
 	}
+	e := raw.Engine
+	if !bytes.Contains(body, []byte(`"compressed_line_ratio":`)) || !bytes.Contains(body, []byte(`"bandwidth_savings":`)) ||
+		e.CompressedLineRatio != e.Total.CompressedLineRatio() || e.BandwidthSavings != e.Total.BandwidthSavings() {
+		t.Fatalf("engine ratios %v, %v; Total's are %v, %v", e.CompressedLineRatio, e.BandwidthSavings,
+			e.Total.CompressedLineRatio(), e.Total.BandwidthSavings())
+	}
 }

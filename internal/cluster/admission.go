@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -51,12 +52,8 @@ func newAdmitter(quotas map[string]Quota, fallback Quota, now func() time.Time) 
 	if now == nil {
 		now = time.Now
 	}
-	q := make(map[string]Quota, len(quotas))
-	for k, v := range quotas {
-		q[k] = v
-	}
 	return &admitter{
-		quotas:   q,
+		quotas:   maps.Clone(quotas),
 		fallback: fallback,
 		buckets:  make(map[string]*bucket),
 		now:      now,

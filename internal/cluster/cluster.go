@@ -257,17 +257,19 @@ func (c *Cluster) record(tenant string, n int, lat time.Duration, res []shard.Re
 	c.slo.record(tenant, lat, n, ok, shed, errs)
 }
 
-// EngineSnapshot merges every instance into one shard.Snapshot — the
-// view v1 stats and the metrics exposition render. PerShard concatenates
+// EngineSnapshot merges every instance into one shard.Snapshot.
+func (c *Cluster) EngineSnapshot() shard.Snapshot { return Merge(c.PerInstanceSnapshots()) }
+
+// Merge folds per-instance snapshots into one: PerShard concatenates
 // instance shards in order, totals and robust counters sum, so a
-// 1-instance cluster's merged snapshot is exactly its engine's.
-func (c *Cluster) EngineSnapshot() shard.Snapshot {
-	if len(c.engines) == 1 {
-		return c.engines[0].StatsSnapshot()
+// 1-instance cluster's merged snapshot is exactly its engine's. A caller
+// that keeps per as well gets totals that are the sum of its instances.
+func Merge(per []shard.Snapshot) shard.Snapshot {
+	if len(per) == 1 {
+		return per[0]
 	}
 	var merged shard.Snapshot
-	for _, e := range c.engines {
-		s := e.StatsSnapshot()
+	for _, s := range per {
 		merged.PerShard = append(merged.PerShard, s.PerShard...)
 		merged.SRAMBytes += s.SRAMBytes
 		stats.Add(&merged.Robust, s.Robust)

@@ -3,9 +3,13 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
+	"strings"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"attache/internal/core"
 	"attache/internal/stats"
@@ -43,70 +47,54 @@ type ClassSnapshot struct {
 // counts ops refused by admission control (HTTP 429); ShedBackend
 // counts ops the engine itself shed under queue pressure.
 type TenantSnapshot struct {
-	Tenant      string `json:"tenant"`
-	Class       Class  `json:"class"`
-	Ops         int64  `json:"ops"`
+	Tenant      string `json:"tenant" prom:"tenant,label"`
+	Class       Class  `json:"class" prom:"class,label"`
+	Ops         int64  `json:"ops" prom:"attached_tenant_ops_total,counter" help:"Ops submitted, per tenant (including shed ops)."`
 	OK          int64  `json:"ok"`
-	ShedQuota   int64  `json:"shed_quota"`
+	ShedQuota   int64  `json:"shed_quota" prom:"attached_tenant_shed_quota_total,counter" help:"Ops refused by per-tenant admission control."`
 	ShedBackend int64  `json:"shed_backend"`
 	Errors      int64  `json:"errors"`
 }
 
 // classStats is one class's live accumulator.
 type classStats struct {
-	calls   int64
-	ops     int64
-	lat     []float64 // µs, ring once full
-	next    int       // ring cursor
-	wrapped bool
+	calls int64
+	ops   int64
+	lat   []float64 // µs, ring once full
+	next  int       // ring cursor
 }
 
-// tenantStats is one tenant's live accumulator.
-type tenantStats struct {
-	class       Class
-	ops         int64
-	ok          int64
-	shedQuota   int64
-	shedBackend int64
-	errors      int64
-}
-
-// sloBook tracks per-class latency reservoirs and per-tenant counters.
+// sloBook tracks per-class latency reservoirs and per-tenant counters;
+// a tenant's live accumulator is its snapshot.
 type sloBook struct {
 	mu      sync.Mutex
 	classes map[Class]*classStats
-	tenants map[string]*tenantStats
+	tenants map[string]*TenantSnapshot
 	classOf map[string]Class
 }
 
 func newSLOBook(classOf map[string]Class) *sloBook {
-	c := make(map[string]Class, len(classOf))
-	for k, v := range classOf {
-		c[k] = v
-	}
 	return &sloBook{
 		classes: make(map[Class]*classStats),
-		tenants: make(map[string]*tenantStats),
-		classOf: c,
+		tenants: make(map[string]*TenantSnapshot),
+		classOf: maps.Clone(classOf),
 	}
 }
 
-func (b *sloBook) classFor(tenant string) Class {
-	if c, ok := b.classOf[tenant]; ok {
-		return c
-	}
-	return ClassBestEffort
-}
-
-// A tenant name is outside input (the X-Attache-Tenant header). enroll
-// books it, or refuses a name over maxTenantName bytes, or a new one once
-// maxTenants are booked — unless it is reserved: untenanted traffic ("")
-// and tenants with an explicit quota always book.
+// A tenant name is outside input (the X-Attache-Tenant header) that
+// /metrics prints as a label. enroll books it, or refuses a name over
+// maxTenantName bytes, one that is not UTF-8 or holds a control
+// character, or a new one once maxTenants are booked — unless it is
+// reserved: untenanted traffic ("") and tenants with an explicit quota
+// always book.
 const maxTenantName, maxTenants = 64, 1024
 
 func (b *sloBook) enroll(tenant string, reserved bool) error {
 	if len(tenant) > maxTenantName {
 		return fmt.Errorf("cluster: tenant name of %d bytes exceeds %d: %w", len(tenant), maxTenantName, core.ErrOutOfRange)
+	}
+	if !utf8.ValidString(tenant) || strings.ContainsFunc(tenant, unicode.IsControl) {
+		return fmt.Errorf("cluster: tenant name %q holds invalid UTF-8 or a control character: %w", tenant, core.ErrOutOfRange)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -117,10 +105,13 @@ func (b *sloBook) enroll(tenant string, reserved bool) error {
 	return nil
 }
 
-func (b *sloBook) tenant(tenant string) *tenantStats {
+func (b *sloBook) tenant(tenant string) *TenantSnapshot {
 	t := b.tenants[tenant]
 	if t == nil {
-		t = &tenantStats{class: b.classFor(tenant)}
+		t = &TenantSnapshot{Tenant: tenant, Class: ClassBestEffort}
+		if c, ok := b.classOf[tenant]; ok {
+			t.Class = c
+		}
 		b.tenants[tenant] = t
 	}
 	return t
@@ -133,11 +124,11 @@ func (b *sloBook) recordRefused(tenant string, ops int, why error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	t := b.tenant(tenant)
-	t.ops += int64(ops)
+	t.Ops += int64(ops)
 	if errors.Is(why, core.ErrOverloaded) {
-		t.shedQuota += int64(ops)
+		t.ShedQuota += int64(ops)
 	} else {
-		t.errors += int64(ops)
+		t.Errors += int64(ops)
 	}
 }
 
@@ -148,12 +139,12 @@ func (b *sloBook) record(tenant string, lat time.Duration, ops, ok, shedBackend,
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	t := b.tenant(tenant)
-	t.ops += int64(ops)
-	t.ok += int64(ok)
-	t.shedBackend += int64(shedBackend)
-	t.errors += int64(errs)
+	t.Ops += int64(ops)
+	t.OK += int64(ok)
+	t.ShedBackend += int64(shedBackend)
+	t.Errors += int64(errs)
 
-	cl := t.class
+	cl := t.Class
 	c := b.classes[cl]
 	if c == nil {
 		c = &classStats{}
@@ -167,7 +158,6 @@ func (b *sloBook) record(tenant string, lat time.Duration, ops, ok, shedBackend,
 	} else {
 		c.lat[c.next] = us
 		c.next = (c.next + 1) % classReservoirSize
-		c.wrapped = true
 	}
 }
 
@@ -210,16 +200,8 @@ func (b *sloBook) TenantSnapshots() []TenantSnapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := make([]TenantSnapshot, 0, len(b.tenants))
-	for name, t := range b.tenants {
-		out = append(out, TenantSnapshot{
-			Tenant:      name,
-			Class:       t.class,
-			Ops:         t.ops,
-			OK:          t.ok,
-			ShedQuota:   t.shedQuota,
-			ShedBackend: t.shedBackend,
-			Errors:      t.errors,
-		})
+	for _, t := range b.tenants {
+		out = append(out, *t)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
@@ -233,12 +215,11 @@ func (b *sloBook) JainFairness() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var sum, sumSq float64
-	n := 0
+	n := len(b.tenants)
 	for _, t := range b.tenants {
-		x := float64(t.ok)
+		x := float64(t.OK)
 		sum += x
 		sumSq += x * x
-		n++
 	}
 	if n < 2 || sumSq == 0 {
 		return 1

@@ -68,19 +68,58 @@ func fold(dst, src reflect.Value, scale bool, f float64) {
 	}
 }
 
-// WriteProm renders, in declaration order, every field of the struct v
-// tagged `prom:"name,counter|gauge" help:"…"` as one Prometheus text
-// family: HELP, TYPE and a single unlabelled sample. Integer fields
-// print as integers, floats with %g. Untagged fields are skipped.
+// WriteProm renders the struct v as Prometheus text families, walking
+// its exported fields in declaration order. A field tagged
+// `prom:"name,counter|gauge" help:"…"` is one family with one unlabelled
+// sample; an untagged struct, or a non-nil pointer to one, is walked; a
+// slice of structs whose element declares `prom:"<label>,label"` fields
+// gives each of the element's other tagged fields one family with a
+// sample per row, labelled in declaration order (an empty slice renders
+// nothing). Every other field, any other slice included, is skipped.
+// Integers print as integers, floats with %g. Label values are escaped
+// as the text format requires — backslash, double quote and newline,
+// nothing else — so they must already be valid UTF-8.
 func WriteProm(w io.Writer, v any) {
-	rv := reflect.ValueOf(v)
-	for i := 0; i < rv.NumField(); i++ {
-		sf := rv.Type().Field(i)
-		name, kind, ok := strings.Cut(sf.Tag.Get("prom"), ",")
-		if !ok {
-			continue
+	writeProm(w, reflect.ValueOf(v))
+}
+
+func writeProm(w io.Writer, v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		sf, f := v.Type().Field(i), reflect.Indirect(v.Field(i))
+		switch name, kind, tagged := strings.Cut(sf.Tag.Get("prom"), ","); {
+		case !sf.IsExported() || kind == "label":
+		case tagged:
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, sf.Tag.Get("help"), name, kind, name, f)
+		case f.Kind() == reflect.Struct:
+			writeProm(w, f)
+		case f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Struct:
+			writeRows(w, f)
 		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n",
-			name, sf.Tag.Get("help"), name, kind, name, rv.Field(i).Interface())
 	}
 }
+
+func writeRows(w io.Writer, rows reflect.Value) {
+	et := rows.Type().Elem()
+	labels := make([]string, rows.Len()) // each row's `,name="value"` pairs
+	for i := 0; i < et.NumField(); i++ {
+		if name, kind, _ := strings.Cut(et.Field(i).Tag.Get("prom"), ","); kind == "label" {
+			for r := range labels {
+				labels[r] += fmt.Sprintf(`,%s="%s"`, name, labelEscaper.Replace(fmt.Sprint(rows.Index(r).Field(i))))
+			}
+		}
+	}
+	if len(labels) == 0 || labels[0] == "" {
+		return
+	}
+	for i := 0; i < et.NumField(); i++ {
+		sf := et.Field(i)
+		if name, kind, tagged := strings.Cut(sf.Tag.Get("prom"), ","); tagged && kind != "label" {
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, sf.Tag.Get("help"), name, kind)
+			for r, l := range labels {
+				fmt.Fprintf(w, "%s{%s} %v\n", name, l[1:], rows.Index(r).Field(i))
+			}
+		}
+	}
+}
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)

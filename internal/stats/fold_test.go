@@ -11,6 +11,7 @@ import (
 	"attache/internal/shard"
 	"attache/internal/stats"
 	"attache/internal/tier"
+	"attache/internal/wire"
 )
 
 type inner struct {
@@ -59,61 +60,155 @@ func TestAddAndScale(t *testing.T) {
 }
 
 func TestWriteProm(t *testing.T) {
-	var b strings.Builder
-	stats.WriteProm(&b, struct {
-		Ops      uint64  `json:"ops" prom:"x_ops_total,counter" help:"Ops done."`
-		Untagged uint64  `json:"untagged"`
-		Ratio    float64 `prom:"x_ratio,gauge" help:"A ratio."`
-		Big      uint64  `prom:"x_big,gauge" help:"Prints as an integer."`
-	}{Ops: 3, Untagged: 9, Ratio: 0.25, Big: 30000000})
-	want := "# HELP x_ops_total Ops done.\n# TYPE x_ops_total counter\nx_ops_total 3\n" +
-		"# HELP x_ratio A ratio.\n# TYPE x_ratio gauge\nx_ratio 0.25\n" +
-		"# HELP x_big Prints as an integer.\n# TYPE x_big gauge\nx_big 30000000\n"
-	if b.String() != want {
-		t.Fatalf("WriteProm:\n got %q\nwant %q", b.String(), want)
+	type inner struct {
+		Deep uint64 `prom:"x_deep,gauge" help:"Nested."`
+	}
+	type row struct {
+		Name  string  `prom:"name,label"`
+		Shard int     `prom:"shard,label"`
+		Ops   uint64  `prom:"x_row_ops_total,counter" help:"Ops per row."`
+		Note  string  `json:"note"`
+		Ratio float64 `prom:"x_row_ratio,gauge" help:"A ratio per row."`
+	}
+	type unlabelled struct {
+		N uint64 `prom:"x_unlabelled,gauge" help:"Never rendered."`
+	}
+	for _, tc := range []struct {
+		name string
+		v    any
+		want string
+	}{
+		{"flat", struct {
+			Ops      uint64  `json:"ops" prom:"x_ops_total,counter" help:"Ops done."`
+			Untagged uint64  `json:"untagged"`
+			Ratio    float64 `prom:"x_ratio,gauge" help:"A ratio."`
+			Big      uint64  `prom:"x_big,gauge" help:"Prints as an integer."`
+		}{Ops: 3, Untagged: 9, Ratio: 0.25, Big: 30000000},
+			"# HELP x_ops_total Ops done.\n# TYPE x_ops_total counter\nx_ops_total 3\n" +
+				"# HELP x_ratio A ratio.\n# TYPE x_ratio gauge\nx_ratio 0.25\n" +
+				"# HELP x_big Prints as an integer.\n# TYPE x_big gauge\nx_big 30000000\n"},
+		{"nested struct and pointer", struct {
+			In  inner
+			Ptr *inner
+		}{In: inner{1}, Ptr: &inner{2}},
+			"# HELP x_deep Nested.\n# TYPE x_deep gauge\nx_deep 1\n" +
+				"# HELP x_deep Nested.\n# TYPE x_deep gauge\nx_deep 2\n"},
+		{"nil pointer", struct {
+			Ptr   *inner
+			After int `prom:"x_after,gauge" help:"After."`
+		}{After: -4},
+			"# HELP x_after After.\n# TYPE x_after gauge\nx_after -4\n"},
+		{"label rows", struct {
+			Rows  []row
+			Plain []unlabelled
+			Ints  []uint64
+		}{Rows: []row{{"a", 0, 1, "x", 0.5}, {"b", 1, 2, "y", 0.25}}, Plain: []unlabelled{{7}}, Ints: []uint64{8}},
+			"# HELP x_row_ops_total Ops per row.\n# TYPE x_row_ops_total counter\n" +
+				"x_row_ops_total{name=\"a\",shard=\"0\"} 1\nx_row_ops_total{name=\"b\",shard=\"1\"} 2\n" +
+				"# HELP x_row_ratio A ratio per row.\n# TYPE x_row_ratio gauge\n" +
+				"x_row_ratio{name=\"a\",shard=\"0\"} 0.5\nx_row_ratio{name=\"b\",shard=\"1\"} 0.25\n"},
+		{"empty rows", struct{ Rows []row }{Rows: []row{}}, ""},
+		// Exactly backslash, double quote and newline are escaped; a tab and
+		// U+00A0, which %q would mangle, pass through.
+		{"label escapes", struct{ Rows []row }{Rows: []row{{Name: "a\"b\\c\nd\te\u00a0", Ops: 1}}},
+			"# HELP x_row_ops_total Ops per row.\n# TYPE x_row_ops_total counter\n" +
+				"x_row_ops_total{name=\"a\\\"b\\\\c\\nd\te\u00a0\",shard=\"0\"} 1\n" +
+				"# HELP x_row_ratio A ratio per row.\n# TYPE x_row_ratio gauge\n" +
+				"x_row_ratio{name=\"a\\\"b\\\\c\\nd\te\u00a0\",shard=\"0\"} 0\n"},
+	} {
+		var b strings.Builder
+		stats.WriteProm(&b, tc.v)
+		if b.String() != tc.want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, b.String(), tc.want)
+		}
 	}
 }
 
-// TestPromTags holds the three serving-side stats structs to the tag
-// grammar WriteProm and the dashboards rely on.
+// TestPromTags holds every type WriteProm reaches from the /v1/stats
+// document — walking it by WriteProm's own rules — to the tag grammar
+// the exposition and the dashboards rely on: metric and label names,
+// kinds, help strings, one declaration per name across the document,
+// and exactly the counters ending in _total.
 func TestPromTags(t *testing.T) {
 	nameRE := regexp.MustCompile(`^attached_[a-z0-9_]+$`)
+	labelRE := regexp.MustCompile(`^[a-z_][a-z0-9_]*$`)
+	isNumber := func(k reflect.Kind) bool {
+		return k >= reflect.Int && k <= reflect.Uint64 || k == reflect.Float32 || k == reflect.Float64
+	}
+	hasLabels := func(rt reflect.Type) bool {
+		for i := 0; i < rt.NumField(); i++ {
+			if strings.HasSuffix(rt.Field(i).Tag.Get("prom"), ",label") {
+				return true
+			}
+		}
+		return false
+	}
 	seen := map[string]string{}
-	tagged := 0
-	for _, v := range []any{core.StatsSnapshot{}, tier.Snapshot{}, shard.RobustStats{}} {
-		rt := reflect.TypeOf(v)
+	families, labels := 0, 0
+	var walk func(rt reflect.Type, row bool)
+	walk = func(rt reflect.Type, row bool) {
 		for i := 0; i < rt.NumField(); i++ {
 			sf := rt.Field(i)
 			where := rt.String() + "." + sf.Name
-			tag, ok := sf.Tag.Lookup("prom")
-			if !ok {
-				if _, has := sf.Tag.Lookup("help"); has {
-					t.Errorf("%s: help tag without a prom tag", where)
-				}
-				continue
-			}
-			tagged++
+			tag, tagged := sf.Tag.Lookup("prom")
 			name, kind, _ := strings.Cut(tag, ",")
-			if !nameRE.MatchString(name) {
-				t.Errorf("%s: prom name %q does not match %s", where, name, nameRE)
+			_, help := sf.Tag.Lookup("help")
+			ft := sf.Type
+			if ft.Kind() == reflect.Pointer {
+				ft = ft.Elem()
 			}
-			if kind != "counter" && kind != "gauge" {
-				t.Errorf("%s: prom kind %q, want counter or gauge", where, kind)
+			switch {
+			case tagged && !sf.IsExported():
+				t.Errorf("%s: prom tag on an unexported field", where)
+			case kind == "label":
+				labels++
+				if !row {
+					t.Errorf("%s: label field outside a row type", where)
+				}
+				if !labelRE.MatchString(name) || help {
+					t.Errorf("%s: label %q must match %s and carry no help", where, name, labelRE)
+				}
+				if k := sf.Type.Kind(); k != reflect.String && !isNumber(k) {
+					t.Errorf("%s: label of kind %s", where, k)
+				}
+			case tagged:
+				families++
+				if !nameRE.MatchString(name) {
+					t.Errorf("%s: prom name %q does not match %s", where, name, nameRE)
+				}
+				if kind != "counter" && kind != "gauge" {
+					t.Errorf("%s: prom kind %q, want counter, gauge or label", where, kind)
+				}
+				if (kind == "counter") != strings.HasSuffix(name, "_total") {
+					t.Errorf("%s: %s %q: exactly the counters end in _total", where, kind, name)
+				}
+				if sf.Tag.Get("help") == "" {
+					t.Errorf("%s: prom tag without help", where)
+				}
+				if !isNumber(sf.Type.Kind()) {
+					t.Errorf("%s: prom tag on a %s, want a number", where, sf.Type)
+				}
+				if prev, dup := seen[name]; dup {
+					t.Errorf("%s: prom name %q already used by %s", where, name, prev)
+				}
+				seen[name] = where
+			case help:
+				t.Errorf("%s: help tag without a prom tag", where)
+			case row || !sf.IsExported():
+				// A row renders only its own tagged fields.
+			case ft.Kind() == reflect.Struct:
+				walk(ft, false)
+			case sf.Type.Kind() == reflect.Slice && ft.Elem().Kind() == reflect.Struct && hasLabels(ft.Elem()):
+				walk(ft.Elem(), true)
 			}
-			if (kind == "counter") != strings.HasSuffix(name, "_total") {
-				t.Errorf("%s: %s %q: exactly the counters end in _total", where, kind, name)
-			}
-			if sf.Tag.Get("help") == "" {
-				t.Errorf("%s: prom tag without help", where)
-			}
-			if prev, dup := seen[name]; dup {
-				t.Errorf("%s: prom name %q already used by %s", where, name, prev)
-			}
-			seen[name] = where
 		}
 	}
-	if tagged == 0 {
-		t.Error("no prom-tagged field found: the walk is broken")
+	walk(reflect.TypeOf(wire.Stats{}), false)
+	// 37 of /metrics' 41 families are declared by tags (serve names the
+	// other four), three of them per shard and two per tenant, under
+	// three labels.
+	if families != 37 || labels != 3 {
+		t.Errorf("walk found %d families and %d labels, want 37 and 3: is it still following WriteProm?", families, labels)
 	}
 }
 

@@ -89,10 +89,14 @@ type Stats struct {
 // Engine is the storage-side view: merged totals plus each instance's
 // own engine snapshot.
 type Engine struct {
-	Shards      int                `json:"shards"`
-	SRAMBytes   int                `json:"sram_bytes"`
-	Total       core.StatsSnapshot `json:"total"`
-	PerInstance []shard.Snapshot   `json:"per_instance"`
+	Shards    int `json:"shards" prom:"attached_shards,gauge" help:"Configured shard count."`
+	SRAMBytes int `json:"sram_bytes" prom:"attached_sram_overhead_bytes,gauge" help:"Summed predictor+CID SRAM across shards."`
+	// CompressedLineRatio and BandwidthSavings are Total's ratios of the
+	// same names.
+	CompressedLineRatio float64            `json:"compressed_line_ratio" prom:"attached_compressed_line_ratio,gauge" help:"Fraction of stored lines compressed."`
+	BandwidthSavings    float64            `json:"bandwidth_savings" prom:"attached_bandwidth_savings_ratio,gauge" help:"Fraction of sub-rank transfers avoided vs uncompressed."`
+	Total               core.StatsSnapshot `json:"total"`
+	PerInstance         []shard.Snapshot   `json:"per_instance"`
 	// Tiers is the merged two-tier view (near/far residency, tier
 	// traffic, far-link cost model figures), present only when the
 	// cluster runs a tiered backend. Per-instance tier sections live in
@@ -104,14 +108,14 @@ type Engine struct {
 // Telemetry is the daemon-side view: uptime and live queue gauges
 // (shard indices are global across instances).
 type Telemetry struct {
-	UptimeSeconds float64          `json:"uptime_seconds"`
+	UptimeSeconds float64          `json:"uptime_seconds" prom:"attached_uptime_seconds,gauge" help:"Seconds since the daemon started serving."`
 	Gauges        []obs.ShardGauge `json:"gauges"`
 }
 
 // Cluster is the SLO view: the instance count, per-class latency
 // quantiles, and the Jain fairness index over per-tenant throughput.
 type Cluster struct {
-	Instances    int                     `json:"instances"`
+	Instances    int                     `json:"instances" prom:"attached_cluster_instances,gauge" help:"Engine instances the cluster places lines across by address."`
 	Classes      []cluster.ClassSnapshot `json:"classes"`
-	JainFairness float64                 `json:"jain_fairness"`
+	JainFairness float64                 `json:"jain_fairness" prom:"attached_cluster_jain_fairness,gauge" help:"Jain fairness index over per-tenant successful throughput."`
 }
