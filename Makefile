@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: build test race bench fmt vet scenarios scenarios-update \
-	ci fmt-check bench-module loc
+	ci fmt-check bench-module loc fuzz
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,25 @@ loc:
 	echo "$$n non-test Go lines outside bench/ (baseline $$max)"; \
 	echo "$$(find bench -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) non-test Go lines in bench/"; \
 	[ "$$n" -le "$$max" ] || { echo "loc: FAIL — the tree grew past its baseline"; exit 1; }
+
+# The fuzz smoke, CI's fuzz job: every fuzz target for FUZZTIME each.
+# `go test -fuzz` takes one target per invocation, so the targets are
+# found, not named — a new Fuzz function joins by existing. `go test
+# -list` compiles a package's external test package too, which is where
+# FuzzSnapshotRoundTrip lives. The floor keeps a listing that silently
+# came back empty from passing.
+FUZZTIME ?= 10s
+fuzz:
+	@set -eu; n=0; \
+	for pkg in $$($(GO) list ./...); do \
+		listed="$$($(GO) test -list '^Fuzz' "$$pkg")"; \
+		for target in $$(printf '%s\n' "$$listed" | grep '^Fuzz' || true); do \
+			$(GO) test "$$pkg" -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME); \
+			n=$$((n + 1)); \
+		done; \
+	done; \
+	echo "fuzz smoke: $$n targets"; \
+	[ "$$n" -ge 24 ] || { echo "fuzz smoke: found $$n fuzz targets, want at least 24"; exit 1; }
 
 # gofmt as a check (CI mode), not a rewrite: lists offending files and
 # fails, leaving the tree untouched.

@@ -3,6 +3,8 @@ package client
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -106,6 +108,35 @@ func TestBatchResponseShapes(t *testing.T) {
 	got, err = parseBatchResponse(res(wire.OpResult{Addr: 1, Error: "core: line 0x1: " + attache.ErrNeverWritten.Error()}, wire.OpResult{Addr: 2, OK: true}), ops)
 	if err != nil || got[0].Data != nil || !strings.Contains(got[0].Err.Error(), "0x1") {
 		t.Fatalf("per-op error: %v %v", got, err)
+	}
+
+	// Off the canonical form the answer is read as encoding/json reads
+	// it: indented, and with "results" twice, where encoding/json decodes
+	// the second array over the first one's elements. A read's line still
+	// lands in its slot of the slab.
+	indented, err := json.MarshalIndent(wire.Batch{Results: []wire.OpResult{{Addr: 1, Data: line}, {Addr: 2, OK: true}}}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice := `{"results":[{"addr":1,"error":"core: stale"},{"addr":7}],"results":[{"addr":1,"data":"` +
+		base64.StdEncoding.EncodeToString(line) + `"},{"addr":2,"ok":true}],"failed":0}`
+	for _, body := range [][]byte{indented, []byte(twice)} {
+		var want wire.Batch
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := parseBatchResponse(body, ops)
+		if err != nil || len(got) != len(want.Results) {
+			t.Fatalf("%s: %v %v", body, got, err)
+		}
+		for i, w := range want.Results {
+			if (got[i].Err != nil) != (w.Error != "") || (w.Error == "" && !bytes.Equal(got[i].Data, w.Data)) {
+				t.Errorf("%s: result %d is %v, encoding/json reads %+v", body, i, got[i], w)
+			}
+		}
+		if got[0].Err == nil && cap(got[0].Data) != attache.LineSize {
+			t.Errorf("%s: the read's line is not in the slab (capacity %d)", body, cap(got[0].Data))
+		}
 	}
 }
 

@@ -109,6 +109,7 @@ func main() {
 		faultPartial  = flag.Float64("fault-partial", 0, "per-batch partial-failure probability [0,1]")
 	)
 	flag.Parse()
+	given := givenFlags(flag.CommandLine)
 
 	if *listScen {
 		for _, name := range workload.Names() {
@@ -166,14 +167,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("attacheload: %v", err)
 		}
-		// The scenario owns the shape of the space and its baseline
-		// residency; explicit -space/-prefill still win when given.
-		if *space == 1<<16 {
-			cfg.AddrSpace = spec.AddrSpace
-		}
-		if *prefill == 0 {
-			cfg.Prefill = spec.Prefill
-		}
+		scenarioShape(&cfg, spec, given)
 		cfg.PrefillPayload = workload.PrefillPayload(spec)
 		logger.Info("scenario", "name", spec.Name, "events", len(preplanned),
 			"clients", len(spec.Clients), "addr_space", cfg.AddrSpace, "prefill", cfg.Prefill)
@@ -189,7 +183,7 @@ func main() {
 		}
 		// A capture already contains its own writes; default to no
 		// prefill so the replayed run is exactly the recorded load.
-		if *prefill == 0 {
+		if !given["prefill"] {
 			cfg.Prefill = -1
 		}
 		logger.Info("replay", "path", *replay, "events", len(preplanned),
@@ -204,8 +198,10 @@ func main() {
 			logger.Warn("trace-queue-wait ignored: traces do not cross the HTTP boundary", "target", *target)
 			cfg.TraceQueueWait = false
 		}
-		if *tierSpec != "" {
-			logger.Warn("tiers ignored: the tier config belongs to the daemon (attached -tiers)", "target", *target)
+		for _, name := range engineFlags {
+			if given[name] {
+				logger.Warn(name+" ignored: the engine belongs to the daemon", "target", *target)
+			}
 		}
 		tgt = client.New(*target, client.WithRetry(0))
 	} else {
@@ -265,6 +261,27 @@ func tierCap(n int64) string {
 		return "unbounded"
 	}
 	return fmt.Sprintf("%d", n)
+}
+
+// engineFlags shape the in-process engine; -target ignores them.
+var engineFlags = []string{"shards", "queue-depth", "tiers", "fault-seed", "fault-err", "fault-delay", "fault-delay-dur", "fault-partial"}
+
+// givenFlags names the flags the command line set, whatever their value.
+func givenFlags(fs *flag.FlagSet) map[string]bool {
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	return given
+}
+
+// scenarioShape gives cfg the scenario's address space and baseline
+// residency, except where -space or -prefill was given: explicit flags win.
+func scenarioShape(cfg *loadgen.Config, spec workload.Spec, given map[string]bool) {
+	if !given["space"] {
+		cfg.AddrSpace = spec.AddrSpace
+	}
+	if !given["prefill"] {
+		cfg.Prefill = spec.Prefill
+	}
 }
 
 func printReport(rep loadgen.Report) {

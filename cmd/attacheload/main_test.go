@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"os"
 	"strings"
@@ -10,7 +11,41 @@ import (
 	"attache/internal/core"
 	"attache/internal/loadgen"
 	"attache/internal/tier"
+	"attache/internal/workload"
 )
+
+// TestScenarioShapeExplicitFlagsWin: under -scenario, -space and -prefill
+// given on the command line win even when they equal their defaults, and
+// only flags given count as given.
+func TestScenarioShapeExplicitFlagsWin(t *testing.T) {
+	spec := workload.Spec{AddrSpace: 4096, Prefill: 100}
+	for _, c := range []struct {
+		args          []string
+		space         uint64
+		prefill       int
+		engineFlagSet bool
+	}{
+		{nil, 4096, 100, false},
+		{[]string{"-space", "65536"}, 65536, 100, false},
+		{[]string{"-prefill", "0"}, 4096, 0, false},
+		{[]string{"-space", "65536", "-prefill", "0", "-shards", "4"}, 65536, 0, true},
+	} {
+		fs := flag.NewFlagSet("attacheload", flag.ContinueOnError)
+		space := fs.Uint64("space", 1<<16, "")
+		prefill := fs.Int("prefill", 0, "")
+		fs.Int("shards", 4, "")
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		given := givenFlags(fs)
+		cfg := loadgen.Config{AddrSpace: *space, Prefill: *prefill}
+		scenarioShape(&cfg, spec, given)
+		if cfg.AddrSpace != c.space || cfg.Prefill != c.prefill || given["shards"] != c.engineFlagSet {
+			t.Errorf("%v: space %d prefill %d shards given %v, want %d %d %v",
+				c.args, cfg.AddrSpace, cfg.Prefill, given["shards"], c.space, c.prefill, c.engineFlagSet)
+		}
+	}
+}
 
 func TestTierCap(t *testing.T) {
 	if got := tierCap(-1); got != "unbounded" {

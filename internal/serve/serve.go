@@ -417,9 +417,11 @@ func (st *reqState) slot(n int) *[wire.LineSize]byte {
 
 // readBody reads the request body into st and points the scanner at it,
 // answering 400 itself when the body cannot be read (too large, torn).
+// The announced length sizes the buffer only up to MaxBodyBytes, so a
+// pooled state never keeps more than one allowed body.
 func (s *Server) readBody(st *reqState, w http.ResponseWriter, r *http.Request) bool {
 	var err error
-	st.body, err = wire.ReadBody(st.body[:0], http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
+	st.body, err = wire.ReadBody(st.body[:0], http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), min(r.ContentLength, s.cfg.MaxBodyBytes))
 	if err != nil {
 		badJSON(w, err)
 		return false

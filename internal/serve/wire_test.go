@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -87,7 +88,9 @@ func TestRecordCaptureUnchanged(t *testing.T) {
 // TestBatchBodyBounds pins what the scanner decides op by op: the op cap
 // in both body forms (an oversized array is refused without decoding its
 // tail, which need not even be well formed), and anything but whitespace
-// after the closing ']' is a 400.
+// after the closing ']' is a 400. Each row runs canonical and twice off
+// the canonical form — keys reordered, whitespace inside the objects — so
+// the rules hold on the encoding/json path too.
 func TestBatchBodyBounds(t *testing.T) {
 	eng, err := shard.New(core.DefaultOptions(), shard.Config{Shards: 1})
 	if err != nil {
@@ -111,10 +114,116 @@ func TestBatchBodyBounds(t *testing.T) {
 		{"junk after ]", "[" + op + "]]", 400, "bad JSON"},
 		{"junk after empty array", "[] x", 400, "bad JSON"},
 	} {
-		w := do(t, h, "POST", "/v1/batch", c.body)
-		if w.Code != c.code || !strings.Contains(w.Body.String(), c.sub) {
-			t.Errorf("%s: %d %s, want %d with %q", c.name, w.Code, w.Body, c.code, c.sub)
+		for _, twin := range []string{op, `{"addr":1,"op":"read"}`, `{ "op": "read", "addr": 1 }`} {
+			w := do(t, h, "POST", "/v1/batch", strings.ReplaceAll(c.body, op, twin))
+			if w.Code != c.code || !strings.Contains(w.Body.String(), c.sub) {
+				t.Errorf("%s, ops as %s: %d %s, want %d with %q", c.name, twin, w.Code, w.Body, c.code, c.sub)
+			}
 		}
+	}
+}
+
+// TestBatchFormsAnswerAlike sends the same mixed batches to three fresh
+// daemons — canonical, json.MarshalIndent'ed, and a canonical prefix with
+// an indented tail — and wants byte-identical answers and the same engine
+// totals: which path read a body changes nothing downstream.
+func TestBatchFormsAnswerAlike(t *testing.T) {
+	a := func(v uint64) *uint64 { return &v }
+	batches := [][]wire.Op{
+		{{Op: "write", Addr: a(1), Data: testLine(1)}, {Op: "write", Addr: a(2), Data: testLine(2)}, {Op: "read", Addr: a(1)},
+			{Op: "write", Addr: a(3), Data: []byte("short")}, {Op: "frobnicate", Addr: a(4)}, {Op: "read"}},
+		{{Op: "read", Addr: a(2)}, {Op: "read", Addr: a(9)}, {Op: "write", Addr: a(2), Data: testLine(7)},
+			{Op: "read", Addr: a(2)}, {Op: "write", Addr: a(5), Data: bytes.Repeat([]byte{3}, 70)}, {Op: "read", Addr: a(1)}},
+	}
+	indent := func(v any) []byte {
+		b, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	forms := map[string]func([]wire.Op) []byte{
+		"canonical": func(ops []wire.Op) []byte { return canonical(ops) },
+		"indented":  func(ops []wire.Op) []byte { return indent(ops) },
+		"canonical prefix, indented tail": func(ops []wire.Op) []byte {
+			body := canonical(ops[:len(ops)/2])
+			for _, op := range ops[len(ops)/2:] {
+				body = append(append(body[:len(body)-1], ','), indent(op)...)
+				body = append(body, ']')
+			}
+			return body
+		},
+	}
+	var wantAnswers []string
+	var wantTotal core.StatsSnapshot
+	for _, name := range []string{"canonical", "indented", "canonical prefix, indented tail"} {
+		h := newTestServer(t).Handler()
+		var answers []string
+		for _, ops := range batches {
+			w := do(t, h, "POST", "/v1/batch", string(forms[name](ops)))
+			if w.Code != 200 {
+				t.Fatalf("%s: %d %s", name, w.Code, w.Body)
+			}
+			answers = append(answers, w.Body.String())
+		}
+		var st wire.Stats
+		if err := json.Unmarshal(do(t, h, "GET", "/v1/stats", "").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if wantAnswers == nil {
+			wantAnswers, wantTotal = answers, st.Engine.Total
+			continue
+		}
+		for i := range answers {
+			if answers[i] != wantAnswers[i] {
+				t.Errorf("%s: batch %d answered\n%s\nwant\n%s", name, i, answers[i], wantAnswers[i])
+			}
+		}
+		if st.Engine.Total != wantTotal {
+			t.Errorf("%s: engine totals %+v, want %+v", name, st.Engine.Total, wantTotal)
+		}
+	}
+}
+
+// canonical renders ops as wire.AppendOp joins them in an array.
+func canonical(ops []wire.Op) []byte {
+	body := []byte{'['}
+	for i, op := range ops {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = wire.AppendOp(body, op)
+	}
+	return append(body, ']')
+}
+
+// TestBodyHintClamped: an announced Content-Length sizes the body buffer
+// only up to MaxBodyBytes, so a request that claims 1 MiB against a 16 KiB
+// cap does not reserve the 1 MiB (which the pooled state would then keep).
+func TestBodyHintClamped(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	eng, err := shard.New(core.DefaultOptions(), shard.Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	h := New(eng, Config{MaxBodyBytes: 1 << 14}).Handler()
+	body := `[{"op":"read","addr":1}]`
+	req := httptest.NewRequest("POST", "/v1/batch", strings.NewReader(body))
+	req.ContentLength = 1 << 20
+	w := &discard{h: http.Header{}}
+	// Two collections empty the request-state pool, so this request
+	// builds its state and body buffer from nothing.
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(w, req)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("a request announcing 1 MiB against a 16 KiB cap allocated %d bytes, want under 64 KiB", got)
 	}
 }
 

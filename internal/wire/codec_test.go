@@ -112,72 +112,6 @@ func sameBatch(t *testing.T, body []byte, got, want Batch) {
 	}
 }
 
-// narrowing names the documented reason the scanner may reject a body
-// encoding/json takes, or "" when there is none. It over-approximates
-// (any key, any depth): the fuzz targets only need "none of these".
-//
-//  1. a key that matches a declared member only after case folding;
-//  2. a "data" member that is an array of byte values, not a string;
-//  3. a value under an unknown key nested deeper than maxSkipDepth;
-//  4. a second "results" member.
-func narrowing(body []byte) string {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	type frame struct{ object, wantKey bool }
-	var (
-		stack   []frame
-		results int
-		lastKey string
-	)
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return ""
-		}
-		top := len(stack) - 1
-		isKey := top >= 0 && stack[top].object && stack[top].wantKey
-		if top >= 0 && stack[top].object {
-			stack[top].wantKey = !stack[top].wantKey
-		}
-		switch v := tok.(type) {
-		case json.Delim:
-			switch v {
-			case '{', '[':
-				if v == '[' && lastKey == "data" {
-					return "data as an array"
-				}
-				stack = append(stack, frame{object: v == '{', wantKey: true})
-				if len(stack) > maxSkipDepth {
-					return "deep nesting"
-				}
-			default:
-				stack = stack[:top]
-				if len(stack) > 0 && stack[len(stack)-1].object {
-					stack[len(stack)-1].wantKey = true
-				}
-			}
-			lastKey = ""
-		case string:
-			lastKey = ""
-			if !isKey {
-				break
-			}
-			lastKey = v
-			for _, name := range keyNames {
-				if v != name && strings.EqualFold(v, name) {
-					return "case-folded key"
-				}
-			}
-			if v == "results" {
-				if results++; results > 1 {
-					return "second results member"
-				}
-			}
-		default:
-			lastKey = ""
-		}
-	}
-}
-
 // batchParserSeeds is the FuzzBatchParser corpus of internal/serve: its
 // in-code seeds and whatever its testdata directory holds.
 func batchParserSeeds(t testing.TB) [][]byte {
@@ -221,7 +155,8 @@ func batchParserSeeds(t testing.TB) [][]byte {
 }
 
 // grammarSeeds exercise what the corpus above does not: escapes, unknown
-// and nested members, duplicate members, nulls, number shapes.
+// and nested members, duplicate members, nulls, number shapes, and bodies
+// that leave the canonical form after some elements.
 var grammarSeeds = []string{
 	`{"op":"read","addr":7}`,
 	`{"op":"w\\\"\/\b\f\n\r\t😀\ud800x","addr":1}`,
@@ -237,13 +172,15 @@ var grammarSeeds = []string{
 	`{"results":[{"addr":1,"data":"QUJD"},{"addr":2,"ok":true},{"addr":3,"error":"core: \"x\""},null],"failed":1}`,
 	`{"failed":-0,"z":[{"results":1}],"results":null}`, `{"results":[],"results":[]}`, `{"results":[{"addr":5,"addr":null,"ok":true,"ok":null}]}`,
 	`{"failed":9223372036854775808}`, `{"failed":-9223372036854775808}`, `{"Failed":1}`, `{"results":[{"error":"a","ERROR":"b"}]}`,
-	`{"x":` + strings.Repeat("[", maxSkipDepth+2) + strings.Repeat("]", maxSkipDepth+2) + `}`,
+	`{"x":` + strings.Repeat("[", 66) + strings.Repeat("]", 66) + `}`,
+	`[{"op":"read","addr":1},{"addr":2,"op":"read"},{"op":"read","addr":3}]`,
+	`{"results":[{"addr":1,"data":"QUJD"}],"results":[{"addr":2,"ok":true}],"failed":0}`,
+	`{"results":[{"addr":1}],"failed":0,"results":null}`,
 }
 
-// FuzzWireOpsVsJSON holds the request side to encoding/json: a body the
-// scanner accepts, encoding/json accepts with the same ops; a body only
-// encoding/json accepts is one of the documented narrowings; and whatever
-// AppendOp renders, both read back as the op it was given.
+// FuzzWireOpsVsJSON holds the request side to encoding/json: the scanner
+// accepts a body if and only if encoding/json does, with the same ops; and
+// whatever AppendOp renders, both read back as the op it was given.
 func FuzzWireOpsVsJSON(f *testing.F) {
 	for _, s := range batchParserSeeds(f) {
 		f.Add(s, "read", uint64(1), []byte(nil))
@@ -252,16 +189,7 @@ func FuzzWireOpsVsJSON(f *testing.F) {
 		f.Add([]byte(s), "wri\"te\\\x00\x1f\xff <", uint64(1)<<63, bytes.Repeat([]byte{0xA5}, LineSize))
 	}
 	f.Fuzz(func(t *testing.T, body []byte, name string, addr uint64, data []byte) {
-		got, err := scanOps(body)
-		want, jerr := jsonOps(body)
-		switch {
-		case err == nil && jerr != nil:
-			t.Fatalf("%q: scanner accepts, encoding/json says %v", body, jerr)
-		case err == nil:
-			sameOps(t, body, got, want)
-		case jerr == nil && narrowing(body) == "":
-			t.Fatalf("%q: encoding/json accepts (%d ops), scanner says %v", body, len(want), err)
-		}
+		sameOpsVsJSON(t, body)
 
 		ops := []Op{{Op: name, Addr: &addr, Data: data}, {Op: "read"}}
 		array := append(AppendOp(append(AppendOp([]byte{'['}, ops[0]), ','), ops[1]), ']')
@@ -298,47 +226,8 @@ func FuzzWireBatchVsJSON(f *testing.F) {
 		f.Add([]byte(s), "core: line \"0x1\"\\\x00\n\xfe: never written", uint64(1)<<63, bytes.Repeat([]byte{0x5A}, LineSize), true, -3)
 	}
 	f.Fuzz(func(t *testing.T, body []byte, msg string, addr uint64, data []byte, ok bool, failed int) {
-		got, err := scanBatch(body)
-		var want Batch
-		jerr := json.Unmarshal(body, &want)
-		switch {
-		case err == nil && jerr != nil:
-			t.Fatalf("%q: scanner accepts, encoding/json says %v", body, jerr)
-		case err == nil:
-			sameBatch(t, body, got, want)
-		case jerr == nil && narrowing(body) == "":
-			t.Fatalf("%q: encoding/json accepts, scanner says %v", body, err)
-		}
-
-		// The same bytes as a /v1/read or /v1/write body.
-		var (
-			s       Scanner
-			req     LineReq
-			jreq    LineReq
-			line    Line
-			jline   Line
-			lineErr = json.Unmarshal(body, &jline)
-			reqErr  = json.Unmarshal(body, &jreq)
-		)
-		s.Reset(body)
-		if err := s.LineReq(&req, new([LineSize]byte)); err == nil {
-			if reqErr != nil {
-				t.Fatalf("%q: LineReq accepts, encoding/json says %v", body, reqErr)
-			}
-			sameOps(t, body, []Op{{Addr: req.Addr, Data: req.Data}}, []Op{{Addr: jreq.Addr, Data: jreq.Data}})
-		} else if reqErr == nil && narrowing(body) == "" {
-			t.Fatalf("%q: encoding/json accepts as LineReq, scanner says %v", body, err)
-		}
-		s.Reset(body)
-		if err := s.Line(&line, new([LineSize]byte)); err == nil {
-			if lineErr != nil {
-				t.Fatalf("%q: Line accepts, encoding/json says %v", body, lineErr)
-			}
-			sameBatch(t, body, Batch{Results: []OpResult{{Addr: line.Addr, Data: line.Data, OK: line.OK}}},
-				Batch{Results: []OpResult{{Addr: jline.Addr, Data: jline.Data, OK: jline.OK}}})
-		} else if lineErr == nil && narrowing(body) == "" {
-			t.Fatalf("%q: encoding/json accepts as Line, scanner says %v", body, err)
-		}
+		sameBatchVsJSON(t, body)
+		sameLinesVsJSON(t, body)
 
 		b := Batch{Results: []OpResult{{Addr: addr, Data: data}, {Addr: addr, OK: ok}, {Addr: addr, Error: msg}}, Failed: failed}
 		enc := AppendBatch(nil, b)
@@ -351,14 +240,14 @@ func FuzzWireBatchVsJSON(f *testing.F) {
 			t.Fatal(err)
 		}
 		sameBatch(t, enc, dec, ref)
-		got, err = scanBatch(enc)
+		got, err := scanBatch(enc)
 		if err != nil {
 			t.Fatalf("scanner rejects the encoder's %q: %v", enc, err)
 		}
 		sameBatch(t, enc, got, dec)
 
 		lenc := AppendLine(nil, Line{Addr: addr, Data: data, OK: ok})
-		jline = Line{}
+		var jline Line
 		if err := json.Unmarshal(lenc, &jline); err != nil {
 			t.Fatalf("encoding/json rejects the encoder's %q: %v", lenc, err)
 		}
@@ -368,43 +257,83 @@ func FuzzWireBatchVsJSON(f *testing.F) {
 	})
 }
 
-// TestNarrowings pins each body encoding/json takes and the scanner
-// refuses — the whole list DESIGN.md documents — and the one the handler
-// used to take only because its Decoder never looked past the array.
-func TestNarrowings(t *testing.T) {
-	deep := strings.Repeat("[", maxSkipDepth+2) + strings.Repeat("]", maxSkipDepth+2)
-	for _, c := range []struct {
-		name, ops, batch string
-	}{
-		{"case-folded key", `{"Op":"read","ADDR":1}`, `{"Results":[],"FAILED":0}`},
-		{"data as an array", `{"op":"write","addr":1,"data":[1,2,3]}`, `{"results":[{"addr":1,"data":[1,2,3]}]}`},
-		{"deep nesting", `{"op":"read","addr":1,"x":` + deep + `}`, `{"results":[],"x":` + deep + `}`},
-		{"second results member", "", `{"results":[{"addr":1}],"results":[]}`},
-	} {
-		if c.ops != "" {
-			if _, err := jsonOps([]byte(c.ops)); err != nil {
-				t.Errorf("%s: encoding/json rejects %s: %v", c.name, c.ops, err)
-			}
-			if _, err := scanOps([]byte(c.ops)); err == nil {
-				t.Errorf("%s: scanner accepts %s", c.name, c.ops)
-			}
-			if got := narrowing([]byte(c.ops)); got != c.name {
-				t.Errorf("%s: %s classified as %q", c.name, c.ops, got)
-			}
-		}
-		var b Batch
-		if err := json.Unmarshal([]byte(c.batch), &b); err != nil {
-			t.Errorf("%s: encoding/json rejects %s: %v", c.name, c.batch, err)
-		}
-		if _, err := scanBatch([]byte(c.batch)); err == nil {
-			t.Errorf("%s: scanner accepts %s", c.name, c.batch)
-		}
-		if got := narrowing([]byte(c.batch)); got != c.name {
-			t.Errorf("%s: %s classified as %q", c.name, c.batch, got)
-		}
+// sameOpsVsJSON, sameBatchVsJSON and sameLinesVsJSON are the contract on
+// one body: the scanner accepts it if and only if encoding/json does, and
+// then reads the same values.
+func sameOpsVsJSON(t *testing.T, body []byte) {
+	t.Helper()
+	got, err := scanOps(body)
+	want, jerr := jsonOps(body)
+	if (err == nil) != (jerr == nil) {
+		t.Fatalf("%q: scanner says %v, encoding/json %v", body, err, jerr)
 	}
-	// Past the value: a Decoder stops reading there, the scanner and
-	// Unmarshal do not.
+	if err == nil {
+		sameOps(t, body, got, want)
+	}
+}
+
+func sameBatchVsJSON(t *testing.T, body []byte) {
+	t.Helper()
+	got, err := scanBatch(body)
+	var want Batch
+	if jerr := json.Unmarshal(body, &want); (err == nil) != (jerr == nil) {
+		t.Fatalf("%q: scanner says %v, encoding/json %v", body, err, jerr)
+	}
+	if err == nil {
+		sameBatch(t, body, got, want)
+	}
+}
+
+// sameLinesVsJSON reads body as a /v1/read or /v1/write request and answer.
+func sameLinesVsJSON(t *testing.T, body []byte) {
+	t.Helper()
+	var (
+		s     Scanner
+		req   LineReq
+		jreq  LineReq
+		line  Line
+		jline Line
+	)
+	s.Reset(body)
+	err, jerr := s.LineReq(&req, new([LineSize]byte)), json.Unmarshal(body, &jreq)
+	if (err == nil) != (jerr == nil) {
+		t.Fatalf("%q as LineReq: scanner says %v, encoding/json %v", body, err, jerr)
+	}
+	if err == nil {
+		sameOps(t, body, []Op{{Addr: req.Addr, Data: req.Data}}, []Op{{Addr: jreq.Addr, Data: jreq.Data}})
+	}
+	s.Reset(body)
+	err, jerr = s.Line(&line, new([LineSize]byte)), json.Unmarshal(body, &jline)
+	if (err == nil) != (jerr == nil) {
+		t.Fatalf("%q as Line: scanner says %v, encoding/json %v", body, err, jerr)
+	}
+	if err == nil {
+		sameBatch(t, body, Batch{Results: []OpResult{{Addr: line.Addr, Data: line.Data, OK: line.OK}}},
+			Batch{Results: []OpResult{{Addr: jline.Addr, Data: jline.Data, OK: jline.OK}}})
+	}
+}
+
+// TestFormerNarrowingsAccepted: case-folded keys, "data" as an array of
+// byte values, deep nesting under an unknown key and a repeated "results"
+// member are read as encoding/json reads them. What follows the body's
+// value must still be whitespace, as Unmarshal requires.
+func TestFormerNarrowingsAccepted(t *testing.T) {
+	deep := strings.Repeat("[", 66) + strings.Repeat("]", 66)
+	for _, c := range []struct{ name, ops, batch string }{
+		{"case-folded key", `{"Op":"read","ADDR":1}`, `{"Results":[{"ADDR":1}],"FAILED":0}`},
+		{"data as an array", `{"op":"write","addr":1,"data":[1,2,3]}`, `{"results":[{"addr":1,"data":[1,2,3]}]}`},
+		{"deep nesting", `{"op":"read","addr":1,"x":` + deep + `}`, `{"results":[{"addr":1}],"x":` + deep + `}`},
+		{"second results member", `{"op":"read","addr":1,"results":[],"results":[]}`, `{"results":[{"addr":9}],"results":[{"addr":1,"data":"AQID"}]}`},
+	} {
+		if _, err := scanOps([]byte(c.ops)); err != nil {
+			t.Errorf("%s: %s refused: %v", c.name, c.ops, err)
+		}
+		if _, err := scanBatch([]byte(c.batch)); err != nil {
+			t.Errorf("%s: %s refused: %v", c.name, c.batch, err)
+		}
+		sameOpsVsJSON(t, []byte(c.ops))
+		sameBatchVsJSON(t, []byte(c.batch))
+	}
 	for _, body := range []string{`[{"op":"read","addr":1}] x`, `[] []`, `[]]`} {
 		if _, err := scanOps([]byte(body)); err == nil {
 			t.Errorf("scanner accepts %s", body)
@@ -417,30 +346,34 @@ func TestNarrowings(t *testing.T) {
 	}
 }
 
-// TestScannerAcceptsWhatJSONAccepts pins the grammar outside the
-// narrowings: unknown and nested members skipped, escapes resolved, nulls
-// and duplicates resolved the way encoding/json resolves them.
+// TestScannerAcceptsWhatJSONAccepts pins the grammar the fallback brings:
+// unknown and nested members skipped, escapes resolved, nulls and
+// duplicates resolved the way encoding/json resolves them, and a body that
+// leaves the canonical form after some elements read whole.
 func TestScannerAcceptsWhatJSONAccepts(t *testing.T) {
 	for _, body := range grammarSeeds {
-		got, err := scanOps([]byte(body))
-		want, jerr := jsonOps([]byte(body))
-		if (err == nil) != (jerr == nil) && narrowing([]byte(body)) == "" {
-			t.Errorf("%s: scanner %v, encoding/json %v", body, err, jerr)
-		} else if err == nil && jerr == nil {
-			sameOps(t, []byte(body), got, want)
-		}
-		gotB, err := scanBatch([]byte(body))
-		var wantB Batch
-		jerr = json.Unmarshal([]byte(body), &wantB)
-		if (err == nil) != (jerr == nil) && narrowing([]byte(body)) == "" {
-			t.Errorf("%s: batch scanner %v, encoding/json %v", body, err, jerr)
-		} else if err == nil && jerr == nil {
-			sameBatch(t, []byte(body), gotB, wantB)
-		}
+		sameOpsVsJSON(t, []byte(body))
+		sameBatchVsJSON(t, []byte(body))
+		sameLinesVsJSON(t, []byte(body))
 	}
 	ops, err := scanOps([]byte(`{"x":{"a":[1,{"b":null}]},"op":"read","addr":7}`))
 	if err != nil || len(ops) != 1 || ops[0].Op != "read" || ops[0].Addr == nil || *ops[0].Addr != 7 {
 		t.Fatalf("escaped and unknown members: %v %v", ops, err)
+	}
+	// A canonical prefix, then a reordered op: each op once, in order.
+	for _, body := range []string{
+		`[{"op":"read","addr":1},{"op":"read","addr":2},{"addr":3,"op":"read"},{"op":"read","addr":4}]`,
+		`{"op":"read","addr":1}` + "\n" + `{"op":"read","addr":2}` + "\n" + `{"addr":3,"op":"read"}` + "\n" + `{"op":"read","addr":4}`,
+	} {
+		ops, err := scanOps([]byte(body))
+		if err != nil || len(ops) != 4 {
+			t.Fatalf("%s: %d ops, %v", body, len(ops), err)
+		}
+		for i, op := range ops {
+			if *op.Addr != uint64(i+1) {
+				t.Fatalf("%s: op %d has addr %d", body, i, *op.Addr)
+			}
+		}
 	}
 }
 
@@ -478,6 +411,26 @@ func TestDecodeInPlace(t *testing.T) {
 	// lineChars characters without padding are 66 bytes.
 	if op := scan(strings.Repeat("AAAA", lineChars/4)); len(op.Data) != 66 {
 		t.Fatalf("unpadded %d characters decoded to %d bytes", lineChars, len(op.Data))
+	}
+	// Off the canonical form, encoding/json decodes the line, and it
+	// still lands in the slot: in a request, an answer and a line body.
+	enc := base64.StdEncoding.EncodeToString(line)
+	slot = [LineSize]byte{}
+	s.Reset([]byte(`{"addr":1,"op":"write","data":"` + enc + `"}`))
+	if !s.Next(&op, &slot) || !bytes.Equal(op.Data, line) || &op.Data[0] != &slot[0] {
+		t.Fatalf("reordered op: %v, data in the slot: %v", s.Err(), len(op.Data) > 0 && &op.Data[0] == &slot[0])
+	}
+	var r OpResult
+	slot = [LineSize]byte{}
+	s.Reset([]byte(`{"results":[{"data":"` + enc + `","addr":1}],"failed":0}`))
+	if !s.NextResult(&r, &slot) || !bytes.Equal(r.Data, line) || &r.Data[0] != &slot[0] {
+		t.Fatalf("reordered result: %v", s.Err())
+	}
+	var l Line
+	slot = [LineSize]byte{}
+	s.Reset([]byte(`{"data":"` + enc + `","addr":1}`))
+	if err := s.Line(&l, &slot); err != nil || !bytes.Equal(l.Data, line) || &l.Data[0] != &slot[0] {
+		t.Fatalf("reordered line: %v", err)
 	}
 }
 
