@@ -34,19 +34,18 @@ loc:
 	echo "$$(find bench -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) non-test Go lines in bench/"; \
 	[ "$$n" -le "$$max" ] || { echo "loc: FAIL — the tree grew past its baseline"; exit 1; }
 
-# The fuzz smoke, CI's fuzz job: every fuzz target for FUZZTIME each.
+# The fuzz smoke, CI's fuzz job: every fuzz target for 10 s each.
 # `go test -fuzz` takes one target per invocation, so the targets are
 # found, not named — a new Fuzz function joins by existing. `go test
 # -list` compiles a package's external test package too, which is where
 # FuzzSnapshotRoundTrip lives. The floor keeps a listing that silently
 # came back empty from passing.
-FUZZTIME ?= 10s
 fuzz:
 	@set -eu; n=0; \
 	for pkg in $$($(GO) list ./...); do \
 		listed="$$($(GO) test -list '^Fuzz' "$$pkg")"; \
 		for target in $$(printf '%s\n' "$$listed" | grep '^Fuzz' || true); do \
-			$(GO) test "$$pkg" -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME); \
+			$(GO) test "$$pkg" -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s; \
 			n=$$((n + 1)); \
 		done; \
 	done; \

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -201,29 +200,20 @@ func canonical(ops []wire.Op) []byte {
 // only up to MaxBodyBytes, so a request that claims 1 MiB against a 16 KiB
 // cap does not reserve the 1 MiB (which the pooled state would then keep).
 func TestBodyHintClamped(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
 	eng, err := shard.New(core.DefaultOptions(), shard.Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	h := New(eng, Config{MaxBodyBytes: 1 << 14}).Handler()
-	body := `[{"op":"read","addr":1}]`
-	req := httptest.NewRequest("POST", "/v1/batch", strings.NewReader(body))
+	s := New(eng, Config{MaxBodyBytes: 1 << 14})
+	req := httptest.NewRequest("POST", "/v1/batch", strings.NewReader(`[{"op":"read","addr":1}]`))
 	req.ContentLength = 1 << 20
-	w := &discard{h: http.Header{}}
-	// Two collections empty the request-state pool, so this request
-	// builds its state and body buffer from nothing.
-	runtime.GC()
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	h.ServeHTTP(w, req)
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
-		t.Errorf("a request announcing 1 MiB against a 16 KiB cap allocated %d bytes, want under 64 KiB", got)
+	var st reqState
+	if !s.readBody(&st, httptest.NewRecorder(), req) {
+		t.Fatal("readBody refused a 24-byte body")
+	}
+	if c := cap(st.body); c >= 64<<10 {
+		t.Errorf("a request announcing 1 MiB against a 16 KiB cap reserved %d bytes, want under 64 KiB", c)
 	}
 }
 
