@@ -10,6 +10,9 @@
 // with per-op outcomes; per-op failures inside a batch are returned to
 // the caller unretried, since the neighbouring ops already landed.
 //
+// Do speaks internal/wire's binary frame, no JSON or base64; Read and
+// Write speak JSON.
+//
 // Errors carry the daemon's taxonomy: errors.Is works against
 // attache.ErrOverloaded, attache.ErrNeverWritten, attache.ErrClosed,
 // attache.ErrBadLineSize, attache.ErrOutOfRange, and the context
@@ -28,14 +31,13 @@ package client
 
 import (
 	"bytes"
+	"cmp"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -218,7 +220,7 @@ func ContextWithTenant(ctx context.Context, tenant string) context.Context {
 
 // respBufs recycles response-body buffers of the data calls. A buffer
 // goes back once its response is parsed: results are decoded out of it
-// (base64 into the caller's slab, error text into fresh strings), so
+// (lines into the caller's slab, error text into fresh strings), so
 // nothing the caller keeps points into it. Request bodies are not
 // recycled: the transport may still be reading one after Do returns.
 var respBufs = sync.Pool{New: func() any { return new([]byte) }}
@@ -255,7 +257,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body, buf [
 		if err != nil {
 			return 0, nil, fmt.Errorf("client: %w", err)
 		}
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", wire.ContentType(body))
 		if id, ok := ctx.Value(traceKey{}).(string); ok && id != "" {
 			req.Header.Set(obs.TraceHeader, id)
 		}
@@ -322,11 +324,11 @@ func statusToErr(code int, body []byte) error {
 
 // Read fetches the 64-byte line at addr.
 func (c *Client) Read(ctx context.Context, addr uint64) ([]byte, error) {
-	var line wire.Line
+	var line wire.LineReq
 	err := c.exchange(ctx, "/v1/read", wire.AppendLine(nil, wire.Line{Addr: addr}), func(resp []byte) error {
 		var sc wire.Scanner
 		sc.Reset(resp)
-		if err := sc.Line(&line, new([wire.LineSize]byte)); err != nil {
+		if err := sc.LineReq(&line, new([wire.LineSize]byte)); err != nil {
 			return fmt.Errorf("client: bad read response: %w", err)
 		}
 		return nil
@@ -340,73 +342,39 @@ func (c *Client) Write(ctx context.Context, addr uint64, data []byte) error {
 	return c.exchange(ctx, "/v1/write", body, func([]byte) error { return nil })
 }
 
-// appendBatchRequest renders ops as the array form of a /v1/batch body,
-// growing dst once, to the size the body will have.
-func appendBatchRequest(dst []byte, ops []attache.Op) []byte {
-	size := len("[]")
-	for i := range ops {
-		size += len(`{"op":"write","addr":18446744073709551615},`)
-		if ops[i].Write {
-			size += len(`,"data":""`) + base64.StdEncoding.EncodedLen(len(ops[i].Data))
-		}
-	}
-	dst = append(slices.Grow(dst, size), '[')
-	for i := range ops {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		// Addr points into the caller's slice: no per-op allocation.
-		op := wire.Op{Op: "read", Addr: &ops[i].Addr}
-		if ops[i].Write {
-			op.Op, op.Data = "write", ops[i].Data
-		}
-		dst = wire.AppendOp(dst, op)
-	}
-	return append(dst, ']')
-}
-
-// parseBatchResponse turns a /v1/batch answer into one Result per op.
-// Every line read lands in one slab allocated here, 64 bytes per read op,
-// each Data exactly its own slot: the slab is per call and never
+// parseBatchResponse turns a /v1/batch answer frame into one Result per
+// op. Every line read lands in one slab allocated here, 64 bytes per read
+// op, each Data exactly its own slot: the slab is per call and never
 // recycled, and keeping one result alive keeps its batch's slab.
 func parseBatchResponse(resp []byte, ops []attache.Op) ([]attache.Result, error) {
+	var f wire.Frame
+	n, _, err := f.Results(resp)
+	if err == nil && n != len(ops) {
+		err = fmt.Errorf("%d results for %d ops", n, len(ops))
+	}
 	reads := 0
 	for i := range ops {
 		if !ops[i].Write {
 			reads++
 		}
 	}
-	slab := make([][wire.LineSize]byte, 0, reads)
-	out := make([]attache.Result, 0, len(ops))
-	var (
-		sc wire.Scanner
-		r  wire.OpResult
-	)
-	sc.Reset(resp)
-	for {
+	slab := make([][wire.LineSize]byte, reads)
+	out := make([]attache.Result, len(ops))
+	var r wire.OpResult
+	for i := range ops {
 		// Result i answers ops[i]: a read's line goes to the next slot.
 		var slot *[wire.LineSize]byte
-		if i := len(out); i < len(ops) && !ops[i].Write {
-			slab = slab[:len(slab)+1]
-			slot = &slab[len(slab)-1]
+		if !ops[i].Write {
+			slot, slab = &slab[0], slab[1:]
 		}
-		if !sc.NextResult(&r, slot) {
-			break
-		}
-		if len(out) == len(ops) {
-			return nil, fmt.Errorf("client: batch answered more than %d results", len(ops))
-		}
-		if r.Error != "" {
-			out = append(out, attache.Result{Err: opErr(r.Error)})
+		if f.NextResult(&r, slot); r.Error != "" {
+			out[i].Err = opErr(r.Error)
 		} else {
-			out = append(out, attache.Result{Data: r.Data})
+			out[i].Data = r.Data
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err = cmp.Or(err, f.Err()); err != nil {
 		return nil, fmt.Errorf("client: bad batch response: %w", err)
-	}
-	if len(out) != len(ops) {
-		return nil, fmt.Errorf("client: batch answered %d results for %d ops", len(out), len(ops))
 	}
 	return out, nil
 }
@@ -416,7 +384,7 @@ func parseBatchResponse(resp []byte, ops []attache.Op) ([]attache.Result, error)
 // own error (resolved to attache sentinels where possible).
 func (c *Client) Do(ctx context.Context, ops []attache.Op) ([]attache.Result, error) {
 	var out []attache.Result
-	err := c.exchange(ctx, "/v1/batch", appendBatchRequest(nil, ops), func(resp []byte) (err error) {
+	err := c.exchange(ctx, "/v1/batch", wire.AppendFrameOps(nil, ops), func(resp []byte) (err error) {
 		out, err = parseBatchResponse(resp, ops)
 		return err
 	})

@@ -3,8 +3,7 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
-	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -87,7 +86,7 @@ func TestBatchResultsOwnTheirSlab(t *testing.T) {
 func TestBatchResponseShapes(t *testing.T) {
 	line := testLine(9)
 	ops := []attache.Op{{Addr: 1}, {Write: true, Addr: 2, Data: line}}
-	res := func(rs ...wire.OpResult) []byte { return wire.AppendBatch(nil, wire.Batch{Results: rs}) }
+	res := func(rs ...wire.OpResult) []byte { return wire.AppendFrameBatch(nil, wire.Batch{Results: rs}) }
 
 	// A line where a write's "ok" belongs, and a short one for the read:
 	// both arrive, neither through the slab.
@@ -95,55 +94,36 @@ func TestBatchResponseShapes(t *testing.T) {
 	if err != nil || !bytes.Equal(got[0].Data, line[:5]) || !bytes.Equal(got[1].Data, line) {
 		t.Fatalf("odd payloads: %v %v", got, err)
 	}
+	whole := res(wire.OpResult{Addr: 1, Data: line}, wire.OpResult{Addr: 2, OK: true})
 	for name, body := range map[string][]byte{
 		"too few results":  res(wire.OpResult{Addr: 1, Data: line}),
 		"too many results": res(wire.OpResult{Addr: 1, Data: line}, wire.OpResult{Addr: 2, OK: true}, wire.OpResult{Addr: 3, OK: true}),
-		"torn":             res(wire.OpResult{Addr: 1, Data: line}, wire.OpResult{Addr: 2, OK: true})[:40],
-		"not a batch":      []byte(`[1,2]`),
+		"torn":             whole[:40],
+		"trailing bytes":   append(whole, 0),
+		"empty":            nil,
+		"JSON":             wire.AppendBatch(nil, wire.Batch{Results: []wire.OpResult{{Addr: 1, Data: line}, {Addr: 2, OK: true}}}),
 	} {
 		if got, err := parseBatchResponse(body, ops); err == nil {
 			t.Errorf("%s: accepted as %v", name, got)
+		} else if name != "too few results" && name != "too many results" && !strings.Contains(err.Error(), "client: bad batch response") {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 	got, err = parseBatchResponse(res(wire.OpResult{Addr: 1, Error: "core: line 0x1: " + attache.ErrNeverWritten.Error()}, wire.OpResult{Addr: 2, OK: true}), ops)
-	if err != nil || got[0].Data != nil || !strings.Contains(got[0].Err.Error(), "0x1") {
+	if err != nil || got[0].Data != nil || !strings.Contains(got[0].Err.Error(), "0x1") || !errors.Is(got[0].Err, attache.ErrNeverWritten) {
 		t.Fatalf("per-op error: %v %v", got, err)
 	}
-
-	// Off the canonical form the answer is read as encoding/json reads
-	// it: indented, and with "results" twice, where encoding/json decodes
-	// the second array over the first one's elements. A read's line still
-	// lands in its slot of the slab.
-	indented, err := json.MarshalIndent(wire.Batch{Results: []wire.OpResult{{Addr: 1, Data: line}, {Addr: 2, OK: true}}}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	twice := `{"results":[{"addr":1,"error":"core: stale"},{"addr":7}],"results":[{"addr":1,"data":"` +
-		base64.StdEncoding.EncodeToString(line) + `"},{"addr":2,"ok":true}],"failed":0}`
-	for _, body := range [][]byte{indented, []byte(twice)} {
-		var want wire.Batch
-		if err := json.Unmarshal(body, &want); err != nil {
-			t.Fatal(err)
-		}
-		got, err := parseBatchResponse(body, ops)
-		if err != nil || len(got) != len(want.Results) {
-			t.Fatalf("%s: %v %v", body, got, err)
-		}
-		for i, w := range want.Results {
-			if (got[i].Err != nil) != (w.Error != "") || (w.Error == "" && !bytes.Equal(got[i].Data, w.Data)) {
-				t.Errorf("%s: result %d is %v, encoding/json reads %+v", body, i, got[i], w)
-			}
-		}
-		if got[0].Err == nil && cap(got[0].Data) != attache.LineSize {
-			t.Errorf("%s: the read's line is not in the slab (capacity %d)", body, cap(got[0].Data))
-		}
+	got, err = parseBatchResponse(whole, ops)
+	if err != nil || !bytes.Equal(got[0].Data, line) || cap(got[0].Data) != attache.LineSize || got[1].Data != nil {
+		t.Fatalf("the read's line is not in the slab: %v %v", got, err)
 	}
 }
 
 // TestBatchCodecAllocationBudget pins the two halves of Do that are the
-// client's own: rendering a 64-op request into a buffer with room
-// allocates nothing, and parsing its answer allocates the result slice
-// and the slab — two, whatever the batch size.
+// client's own: rendering a 64-op request frame into a buffer with room
+// allocates nothing, and from nothing once (the body, sized up front);
+// parsing its answer allocates the result slice and the slab — two,
+// whatever the batch size.
 func TestBatchCodecAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -157,12 +137,12 @@ func TestBatchCodecAllocationBudget(t *testing.T) {
 			results[i].Data = testLine(byte(i))
 		}
 	}
-	resp := wire.AppendBatch(nil, wire.Batch{Results: results})
-	buf := appendBatchRequest(nil, ops)
-	if n := testing.AllocsPerRun(100, func() { buf = appendBatchRequest(buf[:0], ops) }); n != 0 {
+	resp := wire.AppendFrameBatch(nil, wire.Batch{Results: results})
+	buf := wire.AppendFrameOps(nil, ops)
+	if n := testing.AllocsPerRun(100, func() { buf = wire.AppendFrameOps(buf[:0], ops) }); n != 0 {
 		t.Errorf("rendering a 64-op request allocates %.1f times, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { appendBatchRequest(nil, ops) }); n != 1 {
+	if n := testing.AllocsPerRun(100, func() { wire.AppendFrameOps(nil, ops) }); n != 1 {
 		t.Errorf("rendering a 64-op request from nothing allocates %.1f times, want 1 (the body, sized up front)", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {

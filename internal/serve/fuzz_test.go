@@ -8,12 +8,14 @@ import (
 
 	"attache/internal/core"
 	"attache/internal/shard"
+	"attache/internal/wire"
 )
 
-// FuzzBatchParser throws arbitrary bytes at the /v1/batch decoder — both
-// the JSON-array and NDJSON forms route through it. The contract: never
+// FuzzBatchParser throws arbitrary bytes at the /v1/batch decoders — the
+// frame, and the JSON-array and NDJSON forms. The contract: never
 // panic, never hang, and answer either 200 (parsed, per-op outcomes) or
-// 400 (rejected), no matter how malformed, huge, or truncated the body.
+// 400 (rejected), no matter how malformed, huge, or truncated the body;
+// and a frame answered 200 is answered with a frame.
 func FuzzBatchParser(f *testing.F) {
 	eng, err := shard.New(core.DefaultOptions(), shard.Config{Shards: 1, MaxLines: 1 << 20})
 	if err != nil {
@@ -47,6 +49,26 @@ func FuzzBatchParser(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	// Frames: whole, then broken each way the reader must refuse.
+	reads := wire.AppendFrameOps(nil, []shard.Op{{Addr: 1}, {Addr: 2}})
+	write := wire.AppendFrameOps(nil, []shard.Op{{Write: true, Addr: 1, Data: testLine(7)}})
+	set := func(b []byte, at int, v byte) []byte {
+		b = bytes.Clone(b)
+		b[at] = v
+		return b
+	}
+	for _, seed := range [][]byte{
+		reads, write,
+		reads[:8], // truncated count
+		wire.AppendFrameOps(nil, make([]shard.Op, 17)), // over MaxBatchOps
+		set(reads, 9, 0xFF),                            // a count far over the cap and the bytes
+		set(write, 19, 0xFF),                           // a length prefix past the end
+		set(reads, 10, 9),                              // unknown kind
+		set(reads, 4, 2),                               // unknown version
+		append(bytes.Clone(reads), 0, 0),               // trailing bytes
+	} {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req := httptest.NewRequest("POST", "/v1/batch", bytes.NewReader(body))
@@ -54,6 +76,10 @@ func FuzzBatchParser(f *testing.F) {
 		h.ServeHTTP(w, req) // any panic fails the fuzz run
 		if w.Code != 200 && w.Code != 400 {
 			t.Fatalf("batch parser answered %d (want 200 or 400) for %q", w.Code, body)
+		}
+		var fr wire.Frame
+		if _, _, err := fr.Results(w.Body.Bytes()); w.Code == 200 && wire.IsFrame(body) && err != nil {
+			t.Fatalf("a frame was answered %q: %v", w.Body, err)
 		}
 	})
 }

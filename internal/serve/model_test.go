@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -30,6 +31,7 @@ import (
 	"attache/internal/shard"
 	"attache/internal/stats"
 	"attache/internal/tier"
+	"attache/internal/wire"
 )
 
 // The stacks a run can target.
@@ -37,7 +39,7 @@ const (
 	targetEngine    = iota // shard.Engine, Do and DoCtx mixed
 	targetEngineCtx        // shard.Engine, DoCtx only
 	targetCluster          // cluster.Cluster
-	targetHTTP             // Server.Handler() behind httptest, driven by client.Client
+	targetHTTP             // Server.Handler() behind httptest, driven by client.Client (frames) and raw JSON
 	numTargets
 )
 
@@ -96,14 +98,16 @@ func modelBatch(rng *rand.Rand, page0, pages int) []shard.Op {
 }
 
 // stack is one system under test: cl keeps the books and takes cluster
-// batches, eng (wrapped by cl) engine batches, cli HTTP batches. An HTTP
-// request's ID is the tick it was sent at; sent maps it to its batch's
-// first address, done to the tick its handler returned at.
+// batches, eng (wrapped by cl) engine batches, cli HTTP batches — or, for
+// the batches rawJSON picks, hc posting them as JSON. An HTTP request's
+// ID is the tick it was sent at; sent maps it to its batch's first
+// address, done to the tick its handler returned at.
 type stack struct {
 	cl         *cluster.Cluster
 	eng        *shard.Engine
 	ts         *httptest.Server
 	cli        *client.Client
+	hc         *http.Client
 	tick       atomic.Uint64
 	sent, done sync.Map
 	failed     atomic.Value
@@ -151,8 +155,8 @@ func (r modelRun) stack(t *testing.T, ccfg cluster.Config, image []byte) *stack 
 			}()
 			h.ServeHTTP(w, req)
 		}))
-		hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 8}}
-		s.cli = client.New(s.ts.URL, client.WithRetry(0), client.WithHTTPClient(hc))
+		s.hc = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 8}}
+		s.cli = client.New(s.ts.URL, client.WithRetry(0), client.WithHTTPClient(s.hc))
 	}
 	t.Cleanup(func() { // a failed run may have wedged a shard: leave it
 		if !t.Failed() {
@@ -166,6 +170,10 @@ func (r modelRun) stack(t *testing.T, ccfg cluster.Config, image []byte) *stack 
 // request's, "" in-process.
 func (s *stack) do(ctx context.Context, ops []shard.Op) (res []shard.Result, id string, err error) {
 	switch {
+	case s.cli != nil && rawJSON(ops):
+		id = strconv.FormatUint(s.tick.Add(1), 16)
+		s.sent.Store(id, ops[0].Addr)
+		res, err = s.postJSON(ctx, id, ops)
 	case s.cli != nil:
 		id = strconv.FormatUint(s.tick.Add(1), 16)
 		s.sent.Store(id, ops[0].Addr)
@@ -178,6 +186,64 @@ func (s *stack) do(ctx context.Context, ops []shard.Op) (res []shard.Result, id 
 		res, err = s.eng.DoCtx(ctx, ops)
 	}
 	return res, id, err
+}
+
+// rawJSON picks the HTTP batches that go as JSON: by a bit of the first
+// address, so a restored twin sends each batch the way the original did.
+func rawJSON(ops []shard.Op) bool { return ops[0].Addr&1 == 1 }
+
+// postJSON is the HTTP target's raw-JSON arm: ops as a JSON array,
+// posted with the headers client.Client sends, and the answer read by
+// encoding/json into what client.Client would return for it.
+func (s *stack) postJSON(ctx context.Context, id string, ops []shard.Op) ([]shard.Result, error) {
+	body := make([]wire.Op, len(ops))
+	for i := range ops {
+		body[i] = wire.Op{Op: "read", Addr: &ops[i].Addr}
+		if ops[i].Write {
+			body[i].Op, body[i].Data = "write", ops[i].Data
+		}
+	}
+	raw, _ := json.Marshal(body)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.ts.URL+"/v1/batch", bytes.NewReader(raw))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set(obs.TraceHeader, id)
+	if t := obs.TenantFromContext(ctx); t != "" {
+		req.Header.Set(obs.TenantHeader, t)
+	}
+	resp, err := s.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if raw, err = io.ReadAll(resp.Body); err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		var e wire.Error
+		json.Unmarshal(raw, &e)
+		return nil, &client.StatusError{Code: resp.StatusCode, Message: e.Error}
+	}
+	var b wire.Batch
+	if err := json.Unmarshal(raw, &b); err != nil || len(b.Results) != len(ops) {
+		return nil, fmt.Errorf("JSON batch of %d ops answered %q: %v", len(ops), raw, err)
+	}
+	res := make([]shard.Result, len(ops))
+	for i, r := range b.Results {
+		res[i].Data = r.Data
+		if r.Error == "" {
+			continue
+		}
+		res[i].Err = errors.New(r.Error)
+		for _, row := range shard.OpErrors {
+			if strings.Contains(r.Error, row.Sentinel.Error()) {
+				res[i].Err = fmt.Errorf("%s: %w", r.Error, row.Sentinel)
+				break
+			}
+		}
+	}
+	return res, nil
 }
 
 // shutdown closes the server, which waits for every handler, then the
@@ -264,6 +330,9 @@ func (m *model) settle(r modelRun, tenant, id string, ops []shard.Op, res []shar
 	defer m.mu.Unlock()
 	n, book := uint64(len(ops)), m.books[tenant]
 	m.told["offered"] += n
+	if r.target == targetHTTP {
+		m.told[map[bool]string{false: "frame batch", true: "raw-JSON batch"}[rawJSON(ops)]]++
+	}
 	switch kind := outcome(err); {
 	case err == nil:
 	case kind == "" || kind == "never written":
@@ -614,7 +683,7 @@ func TestServingModelCorpus(t *testing.T) {
 	}
 	for _, path := range []string{"ok near read", "ok far read", "promotion", "demotion", "Replacement-Area park",
 		"quota shed", "backend shed", "cancellation", "injected error", "partial batch",
-		"restore lockstep", "mid-run Close", "HTTP batch split across instances"} {
+		"restore lockstep", "mid-run Close", "HTTP batch split across instances", "frame batch", "raw-JSON batch"} {
 		if took[path] == 0 {
 			t.Errorf("no corpus input took the %s path", path)
 		}

@@ -3,7 +3,7 @@
 //
 //	POST /v1/read    {"addr":42}                     -> {"addr":42,"data":"<base64 64B>"}
 //	POST /v1/write   {"addr":42,"data":"<base64>"}   -> {"addr":42,"ok":true}
-//	POST /v1/batch   ops as a JSON array, or one JSON object per line     -> per-op results
+//	POST /v1/batch   ops as a frame, a JSON array or JSON per line       -> per-op results, in kind
 //	GET  /v1/stats   versioned stats, schema v2 (nested engine/robust/
 //	                 telemetry/cluster/tenants sections); ?v= pins it
 //	GET  /v1/trace/{id}  one traced request's pipeline timeline (Config.Obs)
@@ -46,11 +46,12 @@
 // per-op errors inline ("partial failure" semantics).
 //
 // The three data endpoints read and write their bodies through
-// internal/wire's scanner and encoders, out of a pooled per-request state
-// (reqState): steady state, a request allocates nothing per op. A batch
-// body is bounded while it is scanned — MaxBodyBytes for the bytes,
-// MaxBatchOps op by op in both the array and the NDJSON form — and
-// anything but whitespace after its value is a 400.
+// internal/wire, out of a pooled per-request state (reqState): steady
+// state, a request allocates nothing per op. A batch body whose first
+// byte says so is a frame (wire.IsFrame; the Content-Type is a label),
+// else JSON. MaxBodyBytes bounds its bytes and MaxBatchOps its ops (a
+// frame's count before any op is read); anything after the last op but
+// JSON's whitespace is a 400.
 //
 // Every handler submits through the engine's context-aware ops with the
 // request's context, so a client disconnect or deadline cancels queued
@@ -387,6 +388,7 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 type reqState struct {
 	body    []byte
 	scan    wire.Scanner
+	frame   wire.Frame
 	lines   [][wire.LineSize]byte // decoded write payloads, one slot per write
 	ops     []shard.Op
 	idx     []int // results index of ops[k]
@@ -423,20 +425,24 @@ func (s *Server) readBody(st *reqState, w http.ResponseWriter, r *http.Request) 
 	var err error
 	st.body, err = wire.ReadBody(st.body[:0], http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), min(r.ContentLength, s.cfg.MaxBodyBytes))
 	if err != nil {
-		badJSON(w, err)
+		msg := "bad JSON: " + err.Error()
+		if errors.As(err, new(*http.MaxBytesError)) {
+			msg = fmt.Sprintf("body exceeds limit of %d bytes", s.cfg.MaxBodyBytes)
+		}
+		badRequest(w, msg)
 		return false
 	}
 	st.scan.Reset(st.body)
 	return true
 }
 
-func badJSON(w http.ResponseWriter, err error) {
-	writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad JSON: " + err.Error()})
+func badRequest(w http.ResponseWriter, msg string) {
+	writeJSON(w, http.StatusBadRequest, wire.Error{Error: msg})
 }
 
-// writeBody sends a complete JSON body in one Write.
+// writeBody sends a complete body in one Write.
 func writeBody(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", wire.ContentType(body))
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
 }
@@ -449,7 +455,7 @@ func (s *Server) lineReq(st *reqState, w http.ResponseWriter, r *http.Request) (
 		return req, false
 	}
 	if err := st.scan.LineReq(&req, st.slot(0)); err != nil {
-		badJSON(w, err)
+		badRequest(w, "bad JSON: "+err.Error())
 		return req, false
 	}
 	if req.Addr == nil {
@@ -504,19 +510,23 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, st.out)
 }
 
-// scanBatch turns the body — a single JSON array of ops or a stream of
-// JSON objects (one per line, NDJSON, or whitespace-separated) — into
-// st.ops and one st.results entry per op, stopping at the first op beyond
-// MaxBatchOps in either form. It answers 400 itself.
+// scanBatch turns the body — a frame, a single JSON array of ops or a
+// stream of JSON objects (one per line, NDJSON, or whitespace-separated)
+// — into st.ops and one st.results entry per op. A frame's count over
+// MaxBatchOps is refused before any op is read, JSON at the first op
+// beyond it. It answers 400 itself.
 func (s *Server) scanBatch(st *reqState, w http.ResponseWriter) bool {
 	var op wire.Op
-	writes := 0
-	for st.scan.Next(&op, st.slot(writes)) {
+	frame, writes, over := wire.IsFrame(st.body), 0, false
+	if frame {
+		n, _ := st.frame.Ops(st.body) // a header it refuses yields no op
+		over = n > s.cfg.MaxBatchOps
+	}
+	// Calls, not a method value chosen up front: that would escape.
+	for !over && (frame && st.frame.Next(&op, st.slot(writes)) || !frame && st.scan.Next(&op, st.slot(writes))) {
 		i := len(st.results)
-		if i == s.cfg.MaxBatchOps {
-			writeJSON(w, http.StatusBadRequest,
-				wire.Error{Error: fmt.Sprintf("batch exceeds limit of %d ops", s.cfg.MaxBatchOps)})
-			return false
+		if over = i == s.cfg.MaxBatchOps; over {
+			break
 		}
 		st.results = append(st.results, wire.OpResult{})
 		if op.Addr == nil {
@@ -536,15 +546,21 @@ func (s *Server) scanBatch(st *reqState, w http.ResponseWriter) bool {
 		}
 		st.idx = append(st.idx, i)
 	}
-	switch err := st.scan.Err(); {
-	case errors.Is(err, wire.ErrEmptyBody):
-		writeJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
-		return false
-	case err != nil:
-		badJSON(w, err)
-		return false
+	err, bad := st.scan.Err(), "bad JSON: "
+	if frame {
+		err, bad = st.frame.Err(), "bad frame: "
 	}
-	return true
+	switch {
+	case over:
+		badRequest(w, fmt.Sprintf("batch exceeds limit of %d ops", s.cfg.MaxBatchOps))
+	case errors.Is(err, wire.ErrEmptyBody):
+		badRequest(w, err.Error())
+	case err != nil:
+		badRequest(w, bad+err.Error())
+	default:
+		return true
+	}
+	return false
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -577,7 +593,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			failed++
 		}
 	}
-	st.out = wire.AppendBatch(st.out[:0], wire.Batch{Results: st.results, Failed: failed})
+	if b := (wire.Batch{Results: st.results, Failed: failed}); wire.IsFrame(st.body) {
+		st.out = wire.AppendFrameBatch(st.out[:0], b)
+	} else {
+		st.out = wire.AppendBatch(st.out[:0], b)
+	}
 	writeBody(w, st.out)
 }
 

@@ -35,7 +35,7 @@ func TestTaxonomyRoundTrip(t *testing.T) {
 			mux := http.NewServeMux()
 			mux.HandleFunc("/v1/read", func(w http.ResponseWriter, r *http.Request) { srv.writeErr(w, opErr) })
 			mux.HandleFunc("/v1/batch", func(w http.ResponseWriter, r *http.Request) {
-				writeJSON(w, http.StatusOK, wire.Batch{Results: []wire.OpResult{{Addr: 42, Error: opErr.Error()}}, Failed: 1})
+				writeBody(w, wire.AppendFrameBatch(nil, wire.Batch{Results: []wire.OpResult{{Addr: 42, Error: opErr.Error()}}, Failed: 1}))
 			})
 			ts := httptest.NewServer(mux)
 			defer ts.Close()

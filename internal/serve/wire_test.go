@@ -122,6 +122,55 @@ func TestBatchBodyBounds(t *testing.T) {
 	}
 }
 
+// TestBatchFrameBounds pins what the server decides about a frame: a
+// count over the cap is refused before any op is read, with the JSON
+// forms' text; a frame the reader refuses answers "bad frame: …"; a body
+// over MaxBodyBytes says so in either encoding; and a frame at the cap is
+// answered with a frame.
+func TestBatchFrameBounds(t *testing.T) {
+	eng, err := shard.New(core.DefaultOptions(), shard.Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	h := New(eng, Config{MaxBatchOps: 2, MaxBodyBytes: 1 << 10}).Handler()
+	reads := func(n int) []byte { return wire.AppendFrameOps(nil, make([]shard.Op, n)) }
+	set := func(b []byte, at int, v byte) []byte {
+		b = bytes.Clone(b)
+		b[at] = v
+		return b
+	}
+	write := wire.AppendFrameOps(nil, []shard.Op{{Write: true, Addr: 1, Data: testLine(1)}})
+	for _, c := range []struct {
+		name string
+		body []byte
+		code int
+		sub  string
+	}{
+		{"frame at the cap", reads(2), 200, ""},
+		{"frame over the cap", reads(3), 400, `"batch exceeds limit of 2 ops"`},
+		{"count over the cap, no ops", reads(3)[:10], 400, `"batch exceeds limit of 2 ops"`},
+		{"torn count", reads(1)[:8], 400, `"bad frame: torn header"`},
+		{"bad magic", set(reads(1), 1, 'X'), 400, `"bad frame: bad magic"`},
+		{"unknown version", set(reads(1), 4, 9), 400, `"bad frame: unsupported version 9 (want 1)"`},
+		{"unknown kind", set(reads(1), 10, 2), 400, `"bad frame: item 0x0: unknown kind 2"`},
+		{"length past the end", set(write, 19, 65), 400, `"bad frame: item 0x1: payload runs past the end"`},
+		{"trailing bytes", append(reads(1), 0), 400, `"bad frame: 1 bytes after the last item"`},
+		{"frame over MaxBodyBytes", wire.AppendFrameOps(nil, []shard.Op{{Write: true, Data: make([]byte, 2<<10)}}), 400, `"body exceeds limit of 1024 bytes"`},
+		{"JSON over MaxBodyBytes", []byte(`{"op":"write","addr":1,"data":"` + strings.Repeat("A", 2<<10) + `"}`), 400, `"body exceeds limit of 1024 bytes"`},
+	} {
+		w := do(t, h, "POST", "/v1/batch", string(c.body))
+		if w.Code != c.code || !strings.Contains(w.Body.String(), c.sub) {
+			t.Errorf("%s: %d %s, want %d with %s", c.name, w.Code, w.Body, c.code, c.sub)
+		}
+	}
+	w := do(t, h, "POST", "/v1/batch", string(reads(2)))
+	var f wire.Frame
+	if n, failed, err := f.Results(w.Body.Bytes()); err != nil || n != 2 || failed != 2 || w.Header().Get("Content-Type") != "application/x-attache-frame" {
+		t.Errorf("a frame at the cap answered %q (%s): %d results, %d failed, %v", w.Body, w.Header().Get("Content-Type"), n, failed, err)
+	}
+}
+
 // TestBatchFormsAnswerAlike sends the same mixed batches to three fresh
 // daemons — canonical, json.MarshalIndent'ed, and a canonical prefix with
 // an indented tail — and wants byte-identical answers and the same engine
@@ -184,16 +233,11 @@ func TestBatchFormsAnswerAlike(t *testing.T) {
 	}
 }
 
-// canonical renders ops as wire.AppendOp joins them in an array.
+// canonical renders ops as json.Marshal does, which is the form the
+// scanner matches by hand.
 func canonical(ops []wire.Op) []byte {
-	body := []byte{'['}
-	for i, op := range ops {
-		if i > 0 {
-			body = append(body, ',')
-		}
-		body = wire.AppendOp(body, op)
-	}
-	return append(body, ']')
+	body, _ := json.Marshal(ops)
+	return body
 }
 
 // TestBodyHintClamped: an announced Content-Length sizes the body buffer
@@ -217,24 +261,26 @@ func TestBodyHintClamped(t *testing.T) {
 	}
 }
 
-// batch64 is the wire-batch workload's request: 64 ops, three reads in
-// four, over lines the engine already holds.
-func batch64(t testing.TB, h http.Handler, n int) []byte {
-	var prefill, body []byte
+// batch64 is the wire-batch workload's request, n ops of it (64 in the
+// workload), three reads in four, over lines the engine already holds: as
+// JSON, and as the frame client.Do sends.
+func batch64(t testing.TB, h http.Handler, n int) (jsonBody, frame []byte) {
+	var prefill, body []wire.Op
+	var ops []shard.Op
 	for i := 0; i < n; i++ {
 		addr := uint64(i)
 		w := wire.Op{Op: "write", Addr: &addr, Data: testLine(byte(i))}
-		prefill = wire.AppendOp(append(prefill, ','), w)
+		prefill = append(prefill, w)
+		op := shard.Op{Write: true, Addr: addr, Data: w.Data}
 		if i%4 != 0 {
-			w = wire.Op{Op: "read", Addr: &addr}
+			w, op = wire.Op{Op: "read", Addr: &addr}, shard.Op{Addr: addr}
 		}
-		body = wire.AppendOp(append(body, ','), w)
+		body, ops = append(body, w), append(ops, op)
 	}
-	prefill[0], body[0] = '[', '['
-	if w := do(t, h, "POST", "/v1/batch", string(append(prefill, ']'))); w.Code != 200 || !strings.Contains(w.Body.String(), `"failed":0`) {
+	if w := do(t, h, "POST", "/v1/batch", string(canonical(prefill))); w.Code != 200 || !strings.Contains(w.Body.String(), `"failed":0`) {
 		t.Fatalf("prefill: %d %s", w.Code, w.Body)
 	}
-	return append(body, ']')
+	return canonical(body), wire.AppendFrameOps(nil, ops)
 }
 
 // discard is a ResponseWriter that keeps nothing, so a measurement sees
@@ -251,14 +297,18 @@ func (d *discard) Write(p []byte) (int, error) { return len(p), nil }
 // TestHandlerBatchAllocationBudget: with the request state pooled, what
 // a /v1/batch request allocates does not depend on how many ops it
 // carries — the engine's result slice and read arena, the request's
-// context and header plumbing, and nothing per op.
+// context and header plumbing, and nothing per op — in either encoding,
+// and a frame allocates no more than the same ops in JSON.
 func TestHandlerBatchAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	h := newTestServer(t).Handler()
-	measure := func(n int) float64 {
-		body := batch64(t, h, n)
+	measure := func(n int, frame bool) float64 {
+		body, fbody := batch64(t, h, n)
+		if frame {
+			body = fbody
+		}
 		rd := bytes.NewReader(body)
 		req := httptest.NewRequest("POST", "/v1/batch", rd)
 		w := &discard{h: http.Header{}}
@@ -272,30 +322,42 @@ func TestHandlerBatchAllocationBudget(t *testing.T) {
 			}
 		})
 	}
-	small, large := measure(8), measure(64)
-	t.Logf("allocations per request: %.0f at 8 ops, %.0f at 64 ops", small, large)
-	if large > small+1 {
-		t.Errorf("a 64-op batch allocates %.0f times, an 8-op batch %.0f: allocations grow with ops", large, small)
+	small, large := measure(8, false), measure(64, false)
+	fsmall, flarge := measure(8, true), measure(64, true)
+	t.Logf("allocations per request: %.0f at 8 ops, %.0f at 64 ops; as a frame %.0f and %.0f", small, large, fsmall, flarge)
+	if large > small+1 || flarge > fsmall+1 {
+		t.Errorf("a 64-op batch allocates %.0f times (%.0f as a frame), an 8-op batch %.0f (%.0f): allocations grow with ops",
+			large, flarge, small, fsmall)
 	}
 	if large > 16 {
 		t.Errorf("a 64-op batch allocates %.0f times, budget is 16", large)
 	}
+	if flarge > large {
+		t.Errorf("a 64-op frame allocates %.0f times, the same batch in JSON %.0f", flarge, large)
+	}
 }
 
 // BenchmarkHandlerBatch64 is the handler rung of the ladder: one 64-op
-// batch through Server.Handler(), no socket.
+// batch through Server.Handler(), no socket, as the frame client.Do sends
+// and as JSON.
 func BenchmarkHandlerBatch64(b *testing.B) {
 	h := newTestServer(b).Handler()
-	body := batch64(b, h, 64)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(body)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/batch", bytes.NewReader(body)))
-		if w.Code != 200 {
-			b.Fatalf("batch answered %d: %s", w.Code, w.Body)
-		}
+	jsonBody, frame := batch64(b, h, 64)
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{{"frame", frame}, {"json", jsonBody}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(c.body)))
+			for i := 0; i < b.N; i++ {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/batch", bytes.NewReader(c.body)))
+				if w.Code != 200 {
+					b.Fatalf("batch answered %d: %s", w.Code, w.Body)
+				}
+			}
+		})
 	}
 }
 
@@ -369,14 +431,12 @@ func TestPooledStateNeverCrossesRequests(t *testing.T) {
 				}
 
 				// The checked request: distinct payloads, read back in place.
-				var body []byte
+				var ops []wire.Op
 				for k := 0; k < opsPerBatch; k++ {
 					addr := uint64(g*1000 + k)
-					body = wire.AppendOp(append(body, ','), wire.Op{Op: "write", Addr: &addr, Data: payload(g, i, k)})
-					body = wire.AppendOp(append(body, ','), wire.Op{Op: "read", Addr: &addr})
+					ops = append(ops, wire.Op{Op: "write", Addr: &addr, Data: payload(g, i, k)}, wire.Op{Op: "read", Addr: &addr})
 				}
-				body[0] = '['
-				code, resp, err := post(context.Background(), fast.URL+"/v1/batch", string(append(body, ']')))
+				code, resp, err := post(context.Background(), fast.URL+"/v1/batch", string(canonical(ops)))
 				if err != nil || code != 200 {
 					t.Errorf("worker %d round %d: %d %v %s", g, i, code, err, resp)
 					return

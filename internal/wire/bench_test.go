@@ -4,47 +4,52 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"attache/internal/shard"
 )
 
-// benchBodies builds the batch the wire-batch workload moves — 64 ops,
-// three reads in four — as the request body, the answer, and the values
-// behind both.
-func benchBodies() (req, resp []byte, ops []Op, results []OpResult) {
-	addrs := make([]uint64, 64)
-	for i := range addrs {
-		addrs[i] = uint64(i) * 1021
+// benchBatch is the batch the wire-batch workload moves — 64 ops, three
+// reads in four — as values and as the bodies of both encodings.
+type benchBatch struct {
+	ops                 []shard.Op
+	wireOps             []Op
+	results             []OpResult
+	req, resp           []byte // JSON
+	frameReq, frameResp []byte
+}
+
+func benchBodies() benchBatch {
+	var b benchBatch
+	for i := range 64 {
+		addr := uint64(i) * 1021
 		line := bytes.Repeat([]byte{byte(i)}, LineSize)
 		if i%4 == 0 {
-			ops = append(ops, Op{Op: "write", Addr: &addrs[i], Data: line})
-			results = append(results, OpResult{Addr: addrs[i], OK: true})
+			b.ops = append(b.ops, shard.Op{Write: true, Addr: addr, Data: line})
+			b.wireOps = append(b.wireOps, Op{Op: "write", Addr: &addr, Data: line})
+			b.results = append(b.results, OpResult{Addr: addr, OK: true})
 		} else {
-			ops = append(ops, Op{Op: "read", Addr: &addrs[i]})
-			results = append(results, OpResult{Addr: addrs[i], Data: line})
+			b.ops = append(b.ops, shard.Op{Addr: addr})
+			b.wireOps = append(b.wireOps, Op{Op: "read", Addr: &addr})
+			b.results = append(b.results, OpResult{Addr: addr, Data: line})
 		}
 	}
-	return appendOps(nil, ops), AppendBatch(nil, Batch{Results: results}), ops, results
+	b.req, _ = json.Marshal(b.wireOps)
+	b.resp = AppendBatch(nil, Batch{Results: b.results})
+	b.frameReq = AppendFrameOps(nil, b.ops)
+	b.frameResp = AppendFrameBatch(nil, Batch{Results: b.results})
+	return b
 }
 
-// appendOps renders the array form of a /v1/batch body.
-func appendOps(dst []byte, ops []Op) []byte {
-	dst = append(dst, '[')
-	for i, op := range ops {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = AppendOp(dst, op)
-	}
-	return append(dst, ']')
-}
-
-// BenchmarkWireCodec is the codec rung of the ladder: the four passes a
-// 64-op batch makes through the wire format, each against the
-// encoding/json pass it replaced.
+// BenchmarkWireCodec is the codec rung of the ladder: the passes a 64-op
+// batch makes through each wire encoding — the frame client.Do speaks,
+// the JSON a server still reads and answers, and the encoding/json
+// passes the JSON codec replaced.
 func BenchmarkWireCodec(b *testing.B) {
-	req, resp, ops, results := benchBodies()
-	buf := make([]byte, 0, 2*len(resp))
+	bb := benchBodies()
+	buf := make([]byte, 0, 2*len(bb.resp))
 	var (
 		s     Scanner
+		f     Frame
 		op    Op
 		r     OpResult
 		slots [65][LineSize]byte // one more: the call that finds the end takes a slot too
@@ -53,27 +58,33 @@ func BenchmarkWireCodec(b *testing.B) {
 		name string
 		run  func()
 	}{
-		{"encode-request", func() { buf = appendOps(buf[:0], ops) }},
+		{"frame/encode-request", func() { buf = AppendFrameOps(buf[:0], bb.ops) }},
+		{"frame/scan-request", func() {
+			f.Ops(bb.frameReq)
+			for i := 0; f.Next(&op, &slots[i]); i++ {
+			}
+		}},
+		{"frame/encode-answer", func() { buf = AppendFrameBatch(buf[:0], Batch{Results: bb.results}) }},
+		{"frame/scan-answer", func() {
+			f.Results(bb.frameResp)
+			for i := 0; f.NextResult(&r, &slots[i]); i++ {
+			}
+		}},
 		{"scan-request", func() {
-			s.Reset(req)
+			s.Reset(bb.req)
 			for i := 0; s.Next(&op, &slots[i]); i++ {
 			}
 		}},
-		{"encode-answer", func() { buf = AppendBatch(buf[:0], Batch{Results: results}) }},
-		{"scan-answer", func() {
-			s.Reset(resp)
-			for i := 0; s.NextResult(&r, &slots[i]); i++ {
-			}
-		}},
-		{"json/encode-request", func() { buf, _ = json.Marshal(ops) }},
+		{"encode-answer", func() { buf = AppendBatch(buf[:0], Batch{Results: bb.results}) }},
+		{"json/encode-request", func() { buf, _ = json.Marshal(bb.wireOps) }},
 		{"json/scan-request", func() {
 			var v []Op
-			json.Unmarshal(req, &v)
+			json.Unmarshal(bb.req, &v)
 		}},
-		{"json/encode-answer", func() { buf, _ = json.Marshal(Batch{Results: results}) }},
+		{"json/encode-answer", func() { buf, _ = json.Marshal(Batch{Results: bb.results}) }},
 		{"json/scan-answer", func() {
 			var v Batch
-			json.Unmarshal(resp, &v)
+			json.Unmarshal(bb.resp, &v)
 		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
@@ -81,8 +92,8 @@ func BenchmarkWireCodec(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c.run()
 			}
-			if s.Err() != nil {
-				b.Fatal(s.Err())
+			if s.Err() != nil || f.Err() != nil {
+				b.Fatal(s.Err(), f.Err())
 			}
 		})
 	}

@@ -24,19 +24,6 @@ const (
 
 // --- encoder ---------------------------------------------------------------
 
-// AppendOp appends one /v1/batch request op. The caller joins ops: with
-// ',' inside '[' ']', or with '\n' for the NDJSON form.
-func AppendOp(dst []byte, op Op) []byte {
-	dst = appendString(append(dst, `{"op":`...), op.Op)
-	dst = append(dst, `,"addr":`...)
-	if op.Addr == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = strconv.AppendUint(dst, *op.Addr, 10)
-	}
-	return append(appendData(dst, op.Data), '}')
-}
-
 // AppendLine appends a /v1/read or /v1/write body (request or answer).
 func AppendLine(dst []byte, l Line) []byte {
 	return AppendOpResult(dst, OpResult{Addr: l.Addr, Data: l.Data, OK: l.OK})
@@ -104,22 +91,20 @@ func appendString(dst []byte, s string) []byte {
 // ErrEmptyBody reports a /v1/batch request with no op and no '[' in it.
 var ErrEmptyBody = errors.New("empty batch body")
 
-// Scanner reads the data-path bodies from a byte slice. Reset it on a
-// body, then either iterate (Next over a /v1/batch request, NextResult
-// over its answer) or read the single object a /v1/read or /v1/write
-// exchange carries (LineReq, Line). The zero value is ready for Reset.
+// Scanner reads the JSON data-path bodies from a byte slice: Reset it on
+// a body, then iterate a /v1/batch request (Next) or read a /v1/read or
+// /v1/write body (LineReq). The zero value is ready for Reset.
 //
-// The canonical form — the bytes the Append functions emit, with
-// whitespace allowed around the body and between array elements — it
-// matches by hand, without reflection and without allocating. At the
-// first byte outside that form the body goes to encoding/json, which
-// reads it from the start, passes over the elements already yielded, and
-// settles everything else: the values and the errors.
+// The canonical form — ops as json.Marshal renders them, and lines as
+// AppendLine renders a read's, with whitespace allowed around the body
+// and between array elements — it matches by hand, without reflection and
+// without allocating. At the first byte outside that form the body goes
+// to encoding/json, which reads it from the start, passes over the
+// elements already yielded, and settles the values and the errors.
 //
-// A line payload is base64-decoded into the slot the caller passes: on
-// either path a 64-byte payload lands there and Data aliases it; any
-// other length gets a slice of its own, so a wrong-length write still
-// reaches the engine with its real length.
+// On either path a 64-byte payload is base64-decoded into the caller's
+// slot and Data aliases it; any other length gets a slice of its own, so
+// a wrong-length write still reaches the engine with its real length.
 type Scanner struct {
 	b []byte
 	i int
@@ -128,16 +113,10 @@ type Scanner struct {
 	started bool
 	array   bool // Next: the body is one '[' ... ']'
 	done    bool
-	checked bool // NextResult: the whole answer was matched once, dry
-	dry     bool // match without decoding
 	err     error
 
-	addr uint64 // what Op.Addr and LineReq.Addr point at
-
-	// The encoding/json path, once taken.
-	dec      *json.Decoder // Next
-	fallback bool          // NextResult, which yields from results
-	results  []OpResult
+	addr uint64        // what Op.Addr and LineReq.Addr point at
+	dec  *json.Decoder // Next on the encoding/json path, once taken
 }
 
 // Reset points the scanner at body, which it reads and never modifies.
@@ -228,7 +207,7 @@ func (s *Scanner) decode(op *Op, slot *[LineSize]byte) bool {
 		v := new(Op)
 		if err = s.dec.Decode(v); err == nil {
 			*op = *v
-			inSlot(&op.Data, slot)
+			op.Data = own(op.Data, slot)
 			return true
 		}
 	}
@@ -239,80 +218,11 @@ func (s *Scanner) decode(op *Op, slot *[LineSize]byte) bool {
 	return false
 }
 
-// NextResult reads the next result of a /v1/batch answer and reports
-// whether there was one. r.Data may alias slot.
-func (s *Scanner) NextResult(r *OpResult, slot *[LineSize]byte) bool {
-	if !s.checked {
-		// encoding/json decodes a repeated "results" member over the
-		// first, so nothing is yielded before the whole answer is known
-		// canonical: a dry pass matches it without decoding a payload.
-		s.checked, s.dry = true, true
-		for s.nextResult(r, nil) && !s.done {
-		}
-		canonical := s.done
-		s.i, s.n, s.started, s.done, s.dry = 0, 0, false, false, false
-		if !canonical {
-			s.unmarshal()
-		}
-	}
-	if s.err != nil || s.done {
-		return false
-	}
-	if !s.fallback {
-		if s.nextResult(r, slot) {
-			return !s.done
-		}
-		s.unmarshal()
-	}
-	if s.err != nil || len(s.results) == 0 {
-		s.done = true
-		return false
-	}
-	*r, s.results = s.results[0], s.results[1:]
-	inSlot(&r.Data, slot)
-	return true
-}
-
-// nextResult matches the canonical answer one step further: the next
-// result, or the end of the body (s.done).
-func (s *Scanner) nextResult(r *OpResult, slot *[LineSize]byte) bool {
-	s.ws()
-	if !s.started {
-		s.started = true
-		if !s.lit(`{"results":[`) {
-			return false
-		}
-		s.ws()
-	}
-	switch {
-	case s.lit(`],"failed":`):
-		failed, ok := s.uint()
-		s.done = ok && failed <= math.MaxInt && s.lit("}") && s.end()
-		return s.done
-	case s.n > 0 && !s.lit(","):
-		return false
-	}
-	s.ws()
-	if !s.lit(`{"addr":`) || !s.tail(r, slot) {
-		return false
-	}
-	s.n++
-	return true
-}
-
-// unmarshal is NextResult on the encoding/json path: the whole answer,
-// less the results already yielded.
-func (s *Scanner) unmarshal() {
-	var b Batch
-	s.fallback, s.err = true, json.Unmarshal(s.b, &b)
-	s.results = b.Results[min(s.n, len(b.Results)):]
-}
-
-// LineReq reads a whole /v1/read or /v1/write request body. req.Addr may
-// point into the scanner.
+// LineReq reads a whole /v1/read or /v1/write body, a request or a read's
+// answer. req.Addr may point into the scanner.
 func (s *Scanner) LineReq(req *LineReq, slot *[LineSize]byte) error {
 	var r OpResult
-	if s.line(&r, slot) {
+	if s.ws(); s.lit(`{"addr":`) && s.tail(&r, slot) && s.end() {
 		s.addr = r.Addr
 		*req = LineReq{Addr: &s.addr, Data: r.Data}
 		return nil
@@ -320,35 +230,13 @@ func (s *Scanner) LineReq(req *LineReq, slot *[LineSize]byte) error {
 	v := new(LineReq)
 	s.err = json.Unmarshal(s.b, v)
 	*req = *v
-	inSlot(&req.Data, slot)
+	req.Data = own(req.Data, slot)
 	return s.err
 }
 
-// Line reads a whole /v1/read or /v1/write answer body.
-func (s *Scanner) Line(l *Line, slot *[LineSize]byte) error {
-	var r OpResult
-	if s.line(&r, slot) {
-		*l = Line{Addr: r.Addr, Data: r.Data, OK: r.OK}
-		return nil
-	}
-	v := new(Line)
-	s.err = json.Unmarshal(s.b, v)
-	*l = *v
-	inSlot(&l.Data, slot)
-	return s.err
-}
-
-// line matches a canonical single-object body. A member the target type
-// does not declare ("ok" in a request, "error" anywhere) is one
-// encoding/json ignores, so it may stand.
-func (s *Scanner) line(r *OpResult, slot *[LineSize]byte) bool {
-	s.ws()
-	return s.lit(`{"addr":`) && s.tail(r, slot) && s.end()
-}
-
-// tail matches the rest of an object after `{…"addr":` as AppendOp and
-// AppendOpResult render it: the address, then "data", "ok" and "error",
-// each optional, in that order, and the closing brace.
+// tail matches the rest of an object after `{…"addr":` as json.Marshal
+// renders an op and AppendLine a read's line: the address, then "data" if
+// there is any, and the closing brace.
 func (s *Scanner) tail(r *OpResult, slot *[LineSize]byte) bool {
 	var ok bool
 	*r = OpResult{}
@@ -360,23 +248,13 @@ func (s *Scanner) tail(r *OpResult, slot *[LineSize]byte) bool {
 			return false
 		}
 	}
-	r.OK = s.lit(`,"ok":true`)
-	if s.lit(`,"error":`) {
-		msg, ok := s.str()
-		if !ok {
-			return false
-		}
-		if !s.dry {
-			r.Error = string(msg)
-		}
-	}
 	return s.lit("}")
 }
 
 // data matches a base64 string. A whole line — lineChars characters
 // ending in "==", which decode to at most LineSize bytes whatever stands
 // before the padding — is decoded into slot; anything else into a slice
-// of its own. A dry match decodes nothing.
+// of its own.
 func (s *Scanner) data(slot *[LineSize]byte) ([]byte, bool) {
 	// The whole line needs no string scan: if the lineChars bytes before
 	// the closing quote decode to LineSize bytes, every one of them is in
@@ -389,20 +267,21 @@ func (s *Scanner) data(slot *[LineSize]byte) ([]byte, bool) {
 		}
 	}
 	src, ok := s.str()
-	if !ok || s.dry {
-		return nil, ok
+	if !ok {
+		return nil, false
 	}
 	dst := make([]byte, base64.StdEncoding.DecodedLen(len(src)))
 	n, err := base64.StdEncoding.Decode(dst, src)
 	return dst[:n], err == nil
 }
 
-// inSlot moves a 64-byte payload encoding/json decoded into the caller's
-// slot, where the canonical path decodes it.
-func inSlot(data *[]byte, slot *[LineSize]byte) {
-	if slot != nil && len(*data) == LineSize {
-		*data = slot[:copy(slot[:], *data)]
+// own copies a payload into the caller's slot if it is a whole line, else
+// into a slice of its own, so nothing decoded aliases the body.
+func own(p []byte, slot *[LineSize]byte) []byte {
+	if slot != nil && len(p) == LineSize {
+		return slot[:copy(slot[:], p)]
 	}
+	return bytes.Clone(p)
 }
 
 // plain marks the bytes a string holds verbatim: ASCII, printable, and

@@ -62,19 +62,6 @@ func scanOps(body []byte) ([]Op, error) {
 	}
 }
 
-func scanBatch(body []byte) (Batch, error) {
-	var (
-		s Scanner
-		r OpResult
-		b Batch
-	)
-	s.Reset(body)
-	for s.NextResult(&r, new([LineSize]byte)) {
-		b.Results = append(b.Results, r)
-	}
-	return b, s.Err()
-}
-
 func sameOps(t *testing.T, body []byte, got, want []Op) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -180,7 +167,9 @@ var grammarSeeds = []string{
 
 // FuzzWireOpsVsJSON holds the request side to encoding/json: the scanner
 // accepts a body if and only if encoding/json does, with the same ops; and
-// whatever AppendOp renders, both read back as the op it was given.
+// whatever json.Marshal renders, in either form, the scanner reads back.
+// Marshaled ops with a plain name are the canonical form the scanner
+// matches by hand.
 func FuzzWireOpsVsJSON(f *testing.F) {
 	for _, s := range batchParserSeeds(f) {
 		f.Add(s, "read", uint64(1), []byte(nil))
@@ -192,21 +181,15 @@ func FuzzWireOpsVsJSON(f *testing.F) {
 		sameOpsVsJSON(t, body)
 
 		ops := []Op{{Op: name, Addr: &addr, Data: data}, {Op: "read"}}
-		array := append(AppendOp(append(AppendOp([]byte{'['}, ops[0]), ','), ops[1]), ']')
-		ndjson := AppendOp(append(AppendOp(nil, ops[0]), '\n'), ops[1])
+		array, _ := json.Marshal(ops)
+		first, _ := json.Marshal(ops[0])
+		second, _ := json.Marshal(ops[1])
+		ndjson := append(append(first, '\n'), second...)
 		for _, enc := range [][]byte{array, ndjson} {
 			want, err := jsonOps(enc)
 			if err != nil {
-				t.Fatalf("encoding/json rejects the encoder's %q: %v", enc, err)
+				t.Fatalf("encoding/json rejects its own %q: %v", enc, err)
 			}
-			// The value to expect is what encoding/json's own encoder
-			// round-trips to: invalid UTF-8 in a name arrives as U+FFFD.
-			ref, _ := json.Marshal(ops)
-			var refOps []Op
-			if err := json.Unmarshal(ref, &refOps); err != nil {
-				t.Fatal(err)
-			}
-			sameOps(t, enc, want, refOps)
 			got, err := scanOps(enc)
 			if err != nil {
 				t.Fatalf("scanner rejects the encoder's %q: %v", enc, err)
@@ -216,8 +199,9 @@ func FuzzWireOpsVsJSON(f *testing.F) {
 	})
 }
 
-// FuzzWireBatchVsJSON is the same contract on the answer side, and for
-// the single-line bodies.
+// FuzzWireBatchVsJSON is the same contract for the single-line bodies,
+// and holds the JSON answer encoders to encoding/json: what AppendBatch
+// and AppendLine render, encoding/json reads back as the values given.
 func FuzzWireBatchVsJSON(f *testing.F) {
 	for _, s := range batchParserSeeds(f) {
 		f.Add(s, "", uint64(0), []byte(nil), false, 0)
@@ -226,7 +210,6 @@ func FuzzWireBatchVsJSON(f *testing.F) {
 		f.Add([]byte(s), "core: line \"0x1\"\\\x00\n\xfe: never written", uint64(1)<<63, bytes.Repeat([]byte{0x5A}, LineSize), true, -3)
 	}
 	f.Fuzz(func(t *testing.T, body []byte, msg string, addr uint64, data []byte, ok bool, failed int) {
-		sameBatchVsJSON(t, body)
 		sameLinesVsJSON(t, body)
 
 		b := Batch{Results: []OpResult{{Addr: addr, Data: data}, {Addr: addr, OK: ok}, {Addr: addr, Error: msg}}, Failed: failed}
@@ -240,11 +223,6 @@ func FuzzWireBatchVsJSON(f *testing.F) {
 			t.Fatal(err)
 		}
 		sameBatch(t, enc, dec, ref)
-		got, err := scanBatch(enc)
-		if err != nil {
-			t.Fatalf("scanner rejects the encoder's %q: %v", enc, err)
-		}
-		sameBatch(t, enc, got, dec)
 
 		lenc := AppendLine(nil, Line{Addr: addr, Data: data, OK: ok})
 		var jline Line
@@ -257,8 +235,7 @@ func FuzzWireBatchVsJSON(f *testing.F) {
 	})
 }
 
-// sameOpsVsJSON, sameBatchVsJSON and sameLinesVsJSON are the contract on
-// one body: the scanner accepts it if and only if encoding/json does, and
+// sameOpsVsJSON and sameLinesVsJSON are the contract on one body: the scanner accepts it if and only if encoding/json does, and
 // then reads the same values.
 func sameOpsVsJSON(t *testing.T, body []byte) {
 	t.Helper()
@@ -272,27 +249,13 @@ func sameOpsVsJSON(t *testing.T, body []byte) {
 	}
 }
 
-func sameBatchVsJSON(t *testing.T, body []byte) {
-	t.Helper()
-	got, err := scanBatch(body)
-	var want Batch
-	if jerr := json.Unmarshal(body, &want); (err == nil) != (jerr == nil) {
-		t.Fatalf("%q: scanner says %v, encoding/json %v", body, err, jerr)
-	}
-	if err == nil {
-		sameBatch(t, body, got, want)
-	}
-}
-
-// sameLinesVsJSON reads body as a /v1/read or /v1/write request and answer.
+// sameLinesVsJSON reads body as a /v1/read or /v1/write body.
 func sameLinesVsJSON(t *testing.T, body []byte) {
 	t.Helper()
 	var (
-		s     Scanner
-		req   LineReq
-		jreq  LineReq
-		line  Line
-		jline Line
+		s    Scanner
+		req  LineReq
+		jreq LineReq
 	)
 	s.Reset(body)
 	err, jerr := s.LineReq(&req, new([LineSize]byte)), json.Unmarshal(body, &jreq)
@@ -302,37 +265,24 @@ func sameLinesVsJSON(t *testing.T, body []byte) {
 	if err == nil {
 		sameOps(t, body, []Op{{Addr: req.Addr, Data: req.Data}}, []Op{{Addr: jreq.Addr, Data: jreq.Data}})
 	}
-	s.Reset(body)
-	err, jerr = s.Line(&line, new([LineSize]byte)), json.Unmarshal(body, &jline)
-	if (err == nil) != (jerr == nil) {
-		t.Fatalf("%q as Line: scanner says %v, encoding/json %v", body, err, jerr)
-	}
-	if err == nil {
-		sameBatch(t, body, Batch{Results: []OpResult{{Addr: line.Addr, Data: line.Data, OK: line.OK}}},
-			Batch{Results: []OpResult{{Addr: jline.Addr, Data: jline.Data, OK: jline.OK}}})
-	}
 }
 
 // TestFormerNarrowingsAccepted: case-folded keys, "data" as an array of
-// byte values, deep nesting under an unknown key and a repeated "results"
-// member are read as encoding/json reads them. What follows the body's
-// value must still be whitespace, as Unmarshal requires.
+// byte values, deep nesting under an unknown key and a repeated member
+// are read as encoding/json reads them. What follows the body's value
+// must still be whitespace, as Unmarshal requires.
 func TestFormerNarrowingsAccepted(t *testing.T) {
 	deep := strings.Repeat("[", 66) + strings.Repeat("]", 66)
-	for _, c := range []struct{ name, ops, batch string }{
-		{"case-folded key", `{"Op":"read","ADDR":1}`, `{"Results":[{"ADDR":1}],"FAILED":0}`},
-		{"data as an array", `{"op":"write","addr":1,"data":[1,2,3]}`, `{"results":[{"addr":1,"data":[1,2,3]}]}`},
-		{"deep nesting", `{"op":"read","addr":1,"x":` + deep + `}`, `{"results":[{"addr":1}],"x":` + deep + `}`},
-		{"second results member", `{"op":"read","addr":1,"results":[],"results":[]}`, `{"results":[{"addr":9}],"results":[{"addr":1,"data":"AQID"}]}`},
+	for _, c := range []struct{ name, ops string }{
+		{"case-folded key", `{"Op":"read","ADDR":1}`},
+		{"data as an array", `{"op":"write","addr":1,"data":[1,2,3]}`},
+		{"deep nesting", `{"op":"read","addr":1,"x":` + deep + `}`},
+		{"second results member", `{"op":"read","addr":1,"results":[],"results":[]}`},
 	} {
 		if _, err := scanOps([]byte(c.ops)); err != nil {
 			t.Errorf("%s: %s refused: %v", c.name, c.ops, err)
 		}
-		if _, err := scanBatch([]byte(c.batch)); err != nil {
-			t.Errorf("%s: %s refused: %v", c.name, c.batch, err)
-		}
 		sameOpsVsJSON(t, []byte(c.ops))
-		sameBatchVsJSON(t, []byte(c.batch))
 	}
 	for _, body := range []string{`[{"op":"read","addr":1}] x`, `[] []`, `[]]`} {
 		if _, err := scanOps([]byte(body)); err == nil {
@@ -353,7 +303,6 @@ func TestFormerNarrowingsAccepted(t *testing.T) {
 func TestScannerAcceptsWhatJSONAccepts(t *testing.T) {
 	for _, body := range grammarSeeds {
 		sameOpsVsJSON(t, []byte(body))
-		sameBatchVsJSON(t, []byte(body))
 		sameLinesVsJSON(t, []byte(body))
 	}
 	ops, err := scanOps([]byte(`{"x":{"a":[1,{"b":null}]},"op":"read","addr":7}`))
@@ -413,35 +362,30 @@ func TestDecodeInPlace(t *testing.T) {
 		t.Fatalf("unpadded %d characters decoded to %d bytes", lineChars, len(op.Data))
 	}
 	// Off the canonical form, encoding/json decodes the line, and it
-	// still lands in the slot: in a request, an answer and a line body.
+	// still lands in the slot: in a request and in a line body.
 	enc := base64.StdEncoding.EncodeToString(line)
 	slot = [LineSize]byte{}
 	s.Reset([]byte(`{"addr":1,"op":"write","data":"` + enc + `"}`))
 	if !s.Next(&op, &slot) || !bytes.Equal(op.Data, line) || &op.Data[0] != &slot[0] {
 		t.Fatalf("reordered op: %v, data in the slot: %v", s.Err(), len(op.Data) > 0 && &op.Data[0] == &slot[0])
 	}
-	var r OpResult
-	slot = [LineSize]byte{}
-	s.Reset([]byte(`{"results":[{"data":"` + enc + `","addr":1}],"failed":0}`))
-	if !s.NextResult(&r, &slot) || !bytes.Equal(r.Data, line) || &r.Data[0] != &slot[0] {
-		t.Fatalf("reordered result: %v", s.Err())
-	}
-	var l Line
+	var l LineReq
 	slot = [LineSize]byte{}
 	s.Reset([]byte(`{"data":"` + enc + `","addr":1}`))
-	if err := s.Line(&l, &slot); err != nil || !bytes.Equal(l.Data, line) || &l.Data[0] != &slot[0] {
+	if err := s.LineReq(&l, &slot); err != nil || !bytes.Equal(l.Data, line) || &l.Data[0] != &slot[0] {
 		t.Fatalf("reordered line: %v", err)
 	}
 }
 
-// TestCodecAllocations pins the hot path: encoding a 64-op batch either
-// way and scanning the request allocate nothing; scanning the answer
-// allocates nothing beyond the caller's slab.
+// TestCodecAllocations pins the hot path: encoding a 64-op batch and
+// scanning it allocate nothing, in the frame either way and in the JSON
+// a server reads and answers.
 func TestCodecAllocations(t *testing.T) {
-	req, resp, ops, results := benchBodies()
-	buf := make([]byte, 0, 2*len(resp))
+	bb := benchBodies()
+	buf := make([]byte, 0, 2*len(bb.resp))
 	var (
 		s     Scanner
+		f     Frame
 		op    Op
 		r     OpResult
 		slots [65][LineSize]byte // one more: the call that finds the end takes a slot too
@@ -450,24 +394,30 @@ func TestCodecAllocations(t *testing.T) {
 		name string
 		run  func()
 	}{
-		{"encode request", func() { buf = appendOps(buf[:0], ops) }},
-		{"encode answer", func() { buf = AppendBatch(buf[:0], Batch{Results: results}) }},
-		{"scan request", func() {
-			s.Reset(req)
-			for i := 0; s.Next(&op, &slots[i]); i++ {
+		{"frame encode request", func() { buf = AppendFrameOps(buf[:0], bb.ops) }},
+		{"frame encode answer", func() { buf = AppendFrameBatch(buf[:0], Batch{Results: bb.results}) }},
+		{"frame scan request", func() {
+			f.Ops(bb.frameReq)
+			for i := 0; f.Next(&op, &slots[i]); i++ {
 			}
 		}},
-		{"scan answer", func() {
-			s.Reset(resp)
-			for i := 0; s.NextResult(&r, &slots[i]); i++ {
+		{"frame scan answer", func() {
+			f.Results(bb.frameResp)
+			for i := 0; f.NextResult(&r, &slots[i]); i++ {
+			}
+		}},
+		{"encode answer", func() { buf = AppendBatch(buf[:0], Batch{Results: bb.results}) }},
+		{"scan request", func() {
+			s.Reset(bb.req)
+			for i := 0; s.Next(&op, &slots[i]); i++ {
 			}
 		}},
 	} {
 		if got := testing.AllocsPerRun(100, c.run); got != 0 {
 			t.Errorf("%s allocates %.1f times per 64-op batch, want 0", c.name, got)
 		}
-		if s.Err() != nil {
-			t.Fatal(s.Err())
+		if s.Err() != nil || f.Err() != nil {
+			t.Fatal(s.Err(), f.Err())
 		}
 	}
 }

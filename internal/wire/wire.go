@@ -1,17 +1,13 @@
-// Package wire is the daemon's /v1 wire format, once, for both ends:
-// the declarations of every JSON body, and for the data-path bodies (Op,
-// OpResult, Batch, Line, LineReq) the codec that moves them — append-style
-// encoders and a byte-slice Scanner (codec.go) that internal/serve and
-// client both use. The struct tags below are the definition of the
-// format.
-//
-// The Scanner matches the canonical form — the bytes the encoders emit —
-// by hand, without reflection or allocation, and hands any other body to
-// encoding/json, so what it accepts and the values it reads are
-// encoding/json's by construction; the differential fuzz targets
-// FuzzWireOpsVsJSON and FuzzWireBatchVsJSON hold it to that. The one rule
-// beyond a Decoder's: nothing but whitespace may follow a request array
-// (as for Unmarshal; a Decoder never looked past it).
+// Package wire is the daemon's /v1 wire format, once, for both ends: the
+// declarations of every JSON body (their struct tags define it) and the
+// codecs of the data-path bodies. /v1/batch has two, told apart by the
+// first byte (IsFrame): the binary frame client.Do speaks (frame.go), and
+// JSON (codec.go), whose Scanner matches the canonical form by hand,
+// without allocating, and hands any other body to encoding/json. So what
+// it accepts and reads is encoding/json's by construction; FuzzWireOpsVsJSON
+// and FuzzWireBatchVsJSON hold it to that, FuzzFrameVsJSON the frame to the
+// JSON it stands in for. Beyond a Decoder's rules, only whitespace may
+// follow a request array.
 //
 // The control-plane bodies (Stats, Error, traces) stay on encoding/json.
 package wire
@@ -24,8 +20,9 @@ import (
 	"attache/internal/tier"
 )
 
-// LineReq is a /v1/read or /v1/write request as the server decodes it.
-// Addr is a pointer so a missing address stays distinguishable from 0.
+// LineReq is a /v1/read or /v1/write body as it is decoded: a request, or
+// a read's answer. Addr is a pointer so a missing address stays
+// distinguishable from 0.
 type LineReq struct {
 	Addr *uint64 `json:"addr"`
 	Data []byte  `json:"data,omitempty"` // base64 in JSON; writes only
