@@ -66,7 +66,8 @@ race:
 # distances), the warm-image rung (a simulation that warms its own LLC
 # against one that restores an image), the sharded engine and its submit
 # path, Framework.Store and the core.Memory rung above it (Store/LoadInto
-# plus the line table, over 32 Ki lines), then the wire rungs (codec,
+# plus the line table, over 32 Ki lines; the table's GC cycle, heap and
+# slowest Write at 1 Mi lines, once), then the wire rungs (codec,
 # handler, client over loopback). They measure; the allocation pins that
 # gate are tests (go test -run 'Alloc' ./...), and the end-to-end ruler
 # is bench/.
@@ -75,6 +76,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunWarm$$' -benchmem ./internal/exp
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedThroughput$$|BenchmarkSubmitLatency$$' -benchmem ./internal/shard
 	$(GO) test -run '^$$' -bench 'BenchmarkFrameworkStore$$|BenchmarkMemoryWrite$$|BenchmarkMemoryReadInto$$' -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkMemoryTable$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec$$' -benchmem ./internal/wire
 	$(GO) test -run '^$$' -bench 'BenchmarkHandlerBatch64$$' -benchmem ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkClientLoopbackBatch64$$' -benchmem ./client

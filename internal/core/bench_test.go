@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 // The Framework rung of the ladder: one Store or Load per iteration for
 // each stored form (see hotPathClasses), between the codec benchmarks in
@@ -55,14 +59,21 @@ func BenchmarkFrameworkLoad(b *testing.B) {
 
 const benchTableLines = 32 << 10
 
-func benchMemory(b *testing.B) (*Memory, [][]byte) {
-	b.Helper()
+// defaultLines returns a line of each stored form the default
+// configuration has.
+func defaultLines(b *testing.B) [][]byte {
 	var lines [][]byte
 	for _, c := range hotPathClasses(b) {
 		if c.opts == DefaultOptions() {
 			lines = append(lines, c.line)
 		}
 	}
+	return lines
+}
+
+func benchMemory(b *testing.B) (*Memory, [][]byte) {
+	b.Helper()
+	lines := defaultLines(b)
 	m, err := NewMemory(DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
@@ -112,4 +123,40 @@ func BenchmarkMemoryReadInto(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "lines/s")
+}
+
+// BenchmarkMemoryTable fills a memory with 1 Mi lines, a large shard's
+// worth, and reports what the line table costs besides its speed: the
+// slowest single Write of the fill (worst-write-ns: a table that grows by
+// rehashing everything stalls one Write for all of it), one full GC cycle
+// over the filled memory (gc-ns: what the collector marks), and the live
+// heap the fill added per line (heap-B/line). Run it with -benchtime 1x.
+func BenchmarkMemoryTable(b *testing.B) {
+	const lines = 1 << 20
+	payloads := defaultLines(b)
+	for i := 0; i < b.N; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		m, err := NewMemory(DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		var worst time.Duration
+		for a := 0; a < lines; a++ {
+			t0 := time.Now()
+			if err := m.Write(uint64(a), payloads[a%len(payloads)]); err != nil {
+				b.Fatal(err)
+			}
+			worst = max(worst, time.Since(t0))
+		}
+		t0 := time.Now()
+		runtime.GC()
+		gc := time.Since(t0)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(m)
+		b.ReportMetric(float64(worst.Nanoseconds()), "worst-write-ns")
+		b.ReportMetric(float64(gc.Nanoseconds()), "gc-ns")
+		b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/lines, "heap-B/line")
+	}
 }

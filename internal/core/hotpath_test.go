@@ -106,7 +106,7 @@ func TestHotPathAllocations(t *testing.T) {
 			t.Errorf("%s: LoadInto allocates %.1f times per line, want 0", c.name, n)
 		}
 		// One rung up: an overwrite reuses the line's table entry, and a
-		// re-write after a Delete the entry the Delete set aside.
+		// re-write after a Delete the slot the Delete emptied.
 		m, err := NewMemory(c.opts)
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"attache/internal/stats"
 )
@@ -57,7 +58,7 @@ func (s *StatsSnapshot) Accumulate(o StatsSnapshot) {
 }
 
 // Memory is a functional compressed memory backed by the Attaché
-// framework: a sparse map of stored lines with exact Store/Load
+// framework: a sparse table of stored lines with exact Store/Load
 // round-trips. It is the container the examples build on.
 //
 // A Memory is NOT safe for concurrent use: Read mutates the COPR
@@ -70,13 +71,8 @@ func (s *StatsSnapshot) Accumulate(o StatsSnapshot) {
 // goroutine affinity, only mutual exclusion.
 type Memory struct {
 	f *Framework
-	// lines holds one entry per stored line, overwritten in place; free
-	// holds the entries Delete unlinked, for the next new address to pop,
-	// so it never holds more than peak minus current lines and a steady
-	// exchange of lines (a tier's promotions and demotions) allocates
-	// nothing.
-	lines map[uint64]*StoredLine
-	free  []*StoredLine
+	// lines holds each stored line beside its address (table.go).
+	lines lineTable
 	// shadow, when non-nil (EnableCheck), keeps the raw bytes of every
 	// written line so Read can assert the compress/scramble/BLEM
 	// round-trip returned exactly what was stored.
@@ -94,7 +90,7 @@ func NewMemory(opts Options) (*Memory, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Memory{f: f, lines: make(map[uint64]*StoredLine)}, nil
+	return &Memory{f: f, lines: lineTable{seed: rand.Uint64()}}, nil
 }
 
 // Framework exposes the underlying framework (predictor stats, BLEM
@@ -117,18 +113,8 @@ func (m *Memory) Write(lineAddr uint64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	l := m.lines[lineAddr]
-	var wasCompressed, wasCollided bool // false for a new line
-	if l != nil {
-		wasCompressed, wasCollided = l.Compressed, l.Collision
-	} else {
-		if n := len(m.free); n > 0 {
-			l, m.free = m.free[n-1], m.free[:n-1]
-		} else {
-			l = new(StoredLine)
-		}
-		m.lines[lineAddr] = l
-	}
+	l := m.lines.put(lineAddr) // a new line's flags are false
+	wasCompressed, wasCollided := l.Compressed, l.Collision
 	*l = st
 	if m.shadow != nil {
 		var raw [LineSize]byte
@@ -169,7 +155,7 @@ func (m *Memory) Read(lineAddr uint64) ([]byte, error) {
 // allocating; it is the one read path (Read wraps it). On an error dst
 // holds unspecified bytes.
 func (m *Memory) ReadInto(dst *[LineSize]byte, lineAddr uint64) error {
-	st := m.lines[lineAddr]
+	st := m.lines.find(lineAddr)
 	if st == nil {
 		return fmt.Errorf("core: line %#x: %w", lineAddr, ErrNeverWritten)
 	}
@@ -198,7 +184,7 @@ func (m *Memory) ReadInto(dst *[LineSize]byte, lineAddr uint64) error {
 // value never changes, so callers can hold it across further traffic.
 func (m *Memory) StatsSnapshot() StatsSnapshot {
 	s := m.stats
-	s.Lines = uint64(len(m.lines))
+	s.Lines = uint64(m.lines.n)
 	s.PredictionAccuracy = m.PredictionAccuracy()
 	return s
 }
@@ -213,7 +199,7 @@ func dec(g *uint64) {
 }
 
 // Lines reports how many distinct lines have been written.
-func (m *Memory) Lines() int { return len(m.lines) }
+func (m *Memory) Lines() int { return m.lines.n }
 
 // PredictionAccuracy reports COPR's running accuracy, or 1 when the
 // predictor is disabled. Like every Memory method it must not race with

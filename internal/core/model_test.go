@@ -39,7 +39,6 @@ type memoryModel struct {
 	mems  []*Memory
 	lines map[uint64][LineSize]byte
 	form  map[uint64]int
-	peak  int           // most lines ever live at once
 	want  StatsSnapshot // the counters the forms determine
 }
 
@@ -76,13 +75,11 @@ func (md *memoryModel) payload(form int, addr uint64) []byte {
 	return line
 }
 
-// check compares every memory's books with the model's after an
-// operation on addr; every 64 operations (full) it also recounts each
-// table's flags against its own gauges and holds the free list to its
-// bound.
+// check compares every memory's books and the lines its table holds
+// with the model's after an operation on addr; every 64 operations (full)
+// it also recounts each table's flags against its own gauges.
 func (md *memoryModel) check(op int, addr uint64, full bool) {
 	md.want.Lines = uint64(len(md.lines))
-	md.peak = max(md.peak, len(md.lines))
 	for i, m := range md.mems {
 		got := m.StatsSnapshot()
 		if m.Lines() != len(md.lines) || got.Lines != md.want.Lines ||
@@ -94,11 +91,22 @@ func (md *memoryModel) check(op int, addr uint64, full bool) {
 		if got != md.mems[0].StatsSnapshot() {
 			md.t.Fatalf("seed %d op %d addr %#x: restored memory's stats %+v, original's %+v", md.seed, op, addr, got, md.mems[0].StatsSnapshot())
 		}
+		walked := m.lines.sorted()
+		if m.lines.n != len(md.lines) || len(walked) != len(md.lines) {
+			md.t.Fatalf("seed %d op %d memory %d: table counts %d lines and a walk visits %d, model holds %d",
+				md.seed, op, i, m.lines.n, len(walked), len(md.lines))
+		}
+		for j, a := range walked {
+			if _, live := md.lines[a]; !live || j > 0 && a <= walked[j-1] {
+				md.t.Fatalf("seed %d op %d memory %d: the walk visits %#x at %d of %x", md.seed, op, i, a, j, walked)
+			}
+		}
 		if !full {
 			continue
 		}
 		var compressed, collided uint64
-		for a, l := range m.lines {
+		for _, a := range walked {
+			l := m.lines.find(a)
 			if l.Compressed != (md.form[a] <= formCPack) || l.Collision != (md.form[a] == formCollision) {
 				md.t.Fatalf("seed %d op %d memory %d: line %#x stored compressed=%v collision=%v, written as form %d",
 					md.seed, op, i, a, l.Compressed, l.Collision, md.form[a])
@@ -113,9 +121,6 @@ func (md *memoryModel) check(op int, addr uint64, full bool) {
 		if compressed != got.CompressedLines || collided != got.RAOccupancy {
 			md.t.Fatalf("seed %d op %d memory %d: table holds %d compressed and %d collided lines, gauges say %d and %d",
 				md.seed, op, i, compressed, collided, got.CompressedLines, got.RAOccupancy)
-		}
-		if len(m.free)+len(m.lines) > md.peak {
-			md.t.Fatalf("seed %d op %d memory %d: %d free entries beside %d lines, peak was %d", md.seed, op, i, len(m.free), len(m.lines), md.peak)
 		}
 	}
 }
@@ -237,8 +242,8 @@ func TestMemoryAnswersToModel(t *testing.T) {
 			}
 			md.step(op)
 		}
-		if md.want.RAOccupancy == 0 || md.want.RAAccesses < 100 || len(m.free) == 0 {
-			t.Fatalf("seed %d: the run left %d collided lines after %d RA accesses and %d free entries", seed, md.want.RAOccupancy, md.want.RAAccesses, len(m.free))
+		if md.want.RAOccupancy == 0 || md.want.RAAccesses < 100 {
+			t.Fatalf("seed %d: the run left %d collided lines after %d RA accesses", seed, md.want.RAOccupancy, md.want.RAAccesses)
 		}
 		if !bytes.Equal(snapshot(md.mems[1]), snapshot(m)) {
 			t.Fatalf("seed %d: the restored memory's final image differs from the original's", seed)

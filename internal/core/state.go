@@ -7,12 +7,10 @@ import "attache/internal/snap"
 // The tiered backend uses it to keep residency exclusive: promoting a
 // line to the near tier removes the far copy.
 func (m *Memory) Delete(lineAddr uint64) bool {
-	st := m.lines[lineAddr]
-	if st == nil {
+	st, ok := m.lines.del(lineAddr)
+	if !ok {
 		return false
 	}
-	delete(m.lines, lineAddr)
-	m.free = append(m.free, st)
 	if m.shadow != nil {
 		delete(m.shadow, lineAddr)
 	}
@@ -27,8 +25,7 @@ func (m *Memory) Delete(lineAddr uint64) bool {
 
 // Contains reports whether a line is currently stored at lineAddr.
 func (m *Memory) Contains(lineAddr uint64) bool {
-	_, ok := m.lines[lineAddr]
-	return ok
+	return m.lines.find(lineAddr) != nil
 }
 
 // Options reports the options the memory was built with.
@@ -42,7 +39,7 @@ const snapLineBytes = 8 + 1 + LineSize
 // before walking the memory.
 func (m *Memory) SnapshotBytes() int {
 	cfg, _ := m.f.opts.PredictorConfig() // the zero Config takes no bytes
-	return len(m.lines)*snapLineBytes + m.f.Blem.ReplacementArea().Len()*9 + cfg.SnapshotBytes() + 512
+	return m.lines.n*snapLineBytes + m.f.Blem.ReplacementArea().Len()*9 + cfg.SnapshotBytes() + 512
 }
 
 // WalkSnap carries the memory's snapv1 section — stored lines sorted by
@@ -55,11 +52,8 @@ func (m *Memory) SnapshotBytes() int {
 // stored lines. Lines and PredictionAccuracy are derived, never stored.
 func (m *Memory) WalkSnap(c *snap.Cursor) {
 	var compressed, collided uint64
-	snap.Map(c, &m.lines, snapLineBytes, "line", func(addr uint64, entry **StoredLine) {
-		if *entry == nil { // decoding: the table holds pointers
-			*entry = new(StoredLine)
-		}
-		l := *entry
+	c.Keys(m.lines.sorted(), snapLineBytes, "line", func(addr uint64) {
+		l := m.lines.put(addr) // encoding finds the line; decoding inserts it
 		c.Flags("line", &l.Compressed, &l.Collision)
 		if l.Compressed && l.Collision {
 			c.Fail("line %#x both compressed and collided", addr)

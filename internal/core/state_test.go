@@ -85,7 +85,7 @@ func TestWalkSnapRoundTrip(t *testing.T) {
 	if m.StatsSnapshot() != r.StatsSnapshot() {
 		t.Fatalf("books diverged:\noriginal %+v\nrestored %+v", m.StatsSnapshot(), r.StatsSnapshot())
 	}
-	for addr := range m.lines {
+	for _, addr := range m.lines.sorted() {
 		want, err := m.Read(addr)
 		if err != nil {
 			t.Fatal(err)
@@ -101,8 +101,8 @@ func TestWalkSnapRoundTrip(t *testing.T) {
 // or with the configuration it is restored into, is refused.
 func TestWalkSnapRefuses(t *testing.T) {
 	anyLine := func(m *Memory, pick func(StoredLine) bool) uint64 {
-		for a, l := range m.lines {
-			if pick(*l) {
+		for _, a := range m.lines.sorted() {
+			if pick(*m.lines.find(a)) {
 				return a
 			}
 		}
@@ -117,9 +117,7 @@ func TestWalkSnapRefuses(t *testing.T) {
 		"ra-gauge":         {live: func(m *Memory) { m.stats.RAOccupancy-- }},
 		"compressed-and-collided": {live: func(m *Memory) {
 			a := anyLine(m, func(l StoredLine) bool { return l.Compressed })
-			l := m.lines[a]
-			l.Collision = true
-			m.lines[a] = l
+			m.lines.find(a).Collision = true
 			m.stats.RAOccupancy++ // keep the gauges honest: the flags are the fault
 		}},
 		"predictor-missing": {restore: func(o *Options) { o.DisablePredictor = true }},

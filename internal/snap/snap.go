@@ -365,26 +365,15 @@ func (c *Cursor) Section(configured bool, what string) bool {
 	return has && c.err == nil
 }
 
-// Map carries a map keyed by address the way every map travels: its
-// entry count, then its entries sorted by address — so encoding is
-// deterministic — with elem carrying each value. Decoding vets the count
-// at minElem encoded bytes an entry before allocating the map, and
-// enforces strict ascent, so what it accepts is canonical.
-func Map[V any](c *Cursor, m *map[uint64]V, minElem int, what string, elem func(addr uint64, v *V)) {
-	var addrs []uint64
-	if !c.dec {
-		addrs = make([]uint64, 0, len(*m))
-		for a := range *m {
-			addrs = append(addrs, a)
-		}
-		slices.Sort(addrs)
-	}
+// Keys carries a section keyed by address the way every such section
+// travels: its entry count, then per entry its address and what elem
+// carries. Encoding walks addrs, which the caller sorts; decoding vets the
+// count at minElem encoded bytes an entry, so a caller that allocates per
+// entry allocates only what the input holds, and fails on an address not
+// above the one before it, so what it accepts is canonical.
+func (c *Cursor) Keys(addrs []uint64, minElem int, what string, elem func(addr uint64)) {
 	n := c.Count64(len(addrs), minElem, what)
-	if c.dec && n > 0 {
-		*m = make(map[uint64]V, n)
-	}
 	var prev uint64
-	var v V // one value for the whole walk: elem's pointer makes it escape
 	for i := 0; c.err == nil && i < n; i++ {
 		var a uint64
 		if !c.dec {
@@ -395,10 +384,27 @@ func Map[V any](c *Cursor, m *map[uint64]V, minElem int, what string, elem func(
 			c.Fail("%s addresses not strictly ascending at index %d", what, i)
 		}
 		prev = a
+		elem(a)
+	}
+}
+
+// Map carries a map keyed by address through Keys, elem carrying each
+// value; decoding fills *m, which it makes when nil.
+func Map[V any](c *Cursor, m *map[uint64]V, minElem int, what string, elem func(addr uint64, v *V)) {
+	addrs := make([]uint64, 0, len(*m))
+	for a := range *m {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	var v V // one value for the whole walk: elem's pointer makes it escape
+	c.Keys(addrs, minElem, what, func(a uint64) {
+		if *m == nil {
+			*m = map[uint64]V{}
+		}
 		v = (*m)[a]
 		elem(a, &v)
 		if c.dec {
 			(*m)[a] = v
 		}
-	}
+	})
 }

@@ -228,8 +228,8 @@ func TestReadIntoBothTiers(t *testing.T) {
 // TestExchangeAllocatesNothing: on a full near tier a far hit is a whole
 // exchange — far read, demotion (a far write), promotion, far delete — and
 // moves lines between structures that already exist: the promoted line
-// takes the victim's node, and the far memory's table hands the entry the
-// delete set aside to the next demotion. A scan over a working set 16x the
+// takes the victim's node, and the far memory's table gives the next
+// demotion a slot the delete emptied. A scan over a working set 16x the
 // near tier misses every time.
 func TestExchangeAllocatesNothing(t *testing.T) {
 	const near, lines = 64, 16 * 64

@@ -18,7 +18,11 @@
 # arm's runs, attempted and failed operations and whether every run was
 # correct; per workload and end-to-end metric, each arm's quartiles, the
 # change/parent and control/parent median ratios, and in how many pairs
-# the change beat the parent. Nothing under bench/ is modified: the arms
+# the change beat the parent. Every time bench reports is scaled to a
+# nominal host by the run's host_slowdown note; the raw ratios undo that
+# scaling, run by run, so an arm whose host drifted shows up as a scaled
+# ratio the raw one does not share. Both are printed at the end. Nothing
+# under bench/ is modified: the arms
 # are built from it into a scratch directory and run from their own
 # trees. Needs git, go (1.24 or later for -randlayout) and jq.
 set -euo pipefail
@@ -84,6 +88,10 @@ jq -n --slurpfile base "$work/out/base/results.json" --slurpfile change "$work/o
 	def quartiles: sort as $s | {n: length, q1: at($s; 1), median: at($s; 2), q3: at($s; 3)};
 	def runs($doc; $w): [$doc[0].runs[] | select(.workload == $w and (.traced | not))];
 	def values($doc; $w; $m): [runs($doc; $w)[] | .metrics[$m].value | select(. != null)];
+	# bench multiplies a rate by host_slowdown and divides a time by it.
+	def raw($doc; $w; $d): [runs($doc; $w)[] | (.notes.host_slowdown // 1) as $slow | .metrics[$d.name].value |
+		select(. != null) | if $d.unit == "1/s" then . / $slow elif $d.unit == "s" or $d.unit == "us" then . * $slow else . end];
+	def ratio($c; $b): if ($c | length) > 0 then ($c | quartiles.median) / ($b | quartiles.median) else null end;
 	def ops($doc; $w): runs($doc; $w) |
 		{runs: length, attempted: (map(.attempted) | add), failed: (map(.failed) | add), correct: all(.correct)};
 	{
@@ -96,11 +104,17 @@ jq -n --slurpfile base "$work/out/base/results.json" --slurpfile change "$work/o
 				{key: $d.name, value: {
 					unit: $d.unit, better: $d.better,
 					base: ($b | quartiles), change: ($c | quartiles), control: ($k | quartiles),
-					change_ratio: (($c | quartiles.median) / ($b | quartiles.median)),
-					control_ratio: (if ($k | length) > 0 then ($k | quartiles.median) / ($b | quartiles.median) else null end),
+					change_ratio: ratio($c; $b), control_ratio: ratio($k; $b),
+					raw_change_ratio: ratio(raw($change; $w; $d); raw($base; $w; $d)),
+					raw_control_ratio: ratio(raw($control; $w; $d); raw($base; $w; $d)),
 					change_better_pairs: ([range([$b, $c] | map(length) | min) as $i |
 						select(if $d.better == "higher" then $c[$i] > $b[$i] else $c[$i] < $b[$i] end)] | length)
 				}}) | from_entries)}}) | from_entries)
 	}' >"$out"
+echo
+echo "paired: median ratios against base, scaled to the nominal host (raw)"
+jq -r '.workloads | to_entries[] | .key as $w | .value.metrics | to_entries[] |
+	def x: if . == null then "-" else "×\(. * 1000 | round / 1000)" end;
+	"\($w) \(.key): change \(.value.change_ratio | x) (\(.value.raw_change_ratio | x)), control \(.value.control_ratio | x) (\(.value.raw_control_ratio | x))"' "$out"
 echo
 echo "paired: wrote $out"
