@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -95,13 +96,14 @@ func TestBatchResponseShapes(t *testing.T) {
 		t.Fatalf("odd payloads: %v %v", got, err)
 	}
 	whole := res(wire.OpResult{Addr: 1, Data: line}, wire.OpResult{Addr: 2, OK: true})
+	jsonBatch, _ := json.Marshal(wire.Batch{Results: []wire.OpResult{{Addr: 1, Data: line}, {Addr: 2, OK: true}}})
 	for name, body := range map[string][]byte{
 		"too few results":  res(wire.OpResult{Addr: 1, Data: line}),
 		"too many results": res(wire.OpResult{Addr: 1, Data: line}, wire.OpResult{Addr: 2, OK: true}, wire.OpResult{Addr: 3, OK: true}),
 		"torn":             whole[:40],
 		"trailing bytes":   append(whole, 0),
 		"empty":            nil,
-		"JSON":             wire.AppendBatch(nil, wire.Batch{Results: []wire.OpResult{{Addr: 1, Data: line}, {Addr: 2, OK: true}}}),
+		"JSON":             jsonBatch,
 	} {
 		if got, err := parseBatchResponse(body, ops); err == nil {
 			t.Errorf("%s: accepted as %v", name, got)

@@ -425,7 +425,7 @@ func (s *Server) readBody(st *reqState, w http.ResponseWriter, r *http.Request) 
 	var err error
 	st.body, err = wire.ReadBody(st.body[:0], http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), min(r.ContentLength, s.cfg.MaxBodyBytes))
 	if err != nil {
-		msg := "bad JSON: " + err.Error()
+		msg := "read body: " + err.Error()
 		if errors.As(err, new(*http.MaxBytesError)) {
 			msg = fmt.Sprintf("body exceeds limit of %d bytes", s.cfg.MaxBodyBytes)
 		}
@@ -593,12 +593,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			failed++
 		}
 	}
-	if b := (wire.Batch{Results: st.results, Failed: failed}); wire.IsFrame(st.body) {
+	b := wire.Batch{Results: st.results, Failed: failed}
+	if wire.IsFrame(st.body) {
 		st.out = wire.AppendFrameBatch(st.out[:0], b)
-	} else {
-		st.out = wire.AppendBatch(st.out[:0], b)
+		writeBody(w, st.out)
+		return
 	}
-	writeBody(w, st.out)
+	if b.Results == nil {
+		b.Results = []wire.OpResult{} // "results":[], never null
+	}
+	writeJSON(w, http.StatusOK, b)
 }
 
 // handleStats serves the versioned stats document, schema v2; ?v= pins

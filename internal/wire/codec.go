@@ -5,7 +5,6 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"slices"
@@ -26,64 +25,15 @@ const (
 
 // AppendLine appends a /v1/read or /v1/write body (request or answer).
 func AppendLine(dst []byte, l Line) []byte {
-	return AppendOpResult(dst, OpResult{Addr: l.Addr, Data: l.Data, OK: l.OK})
-}
-
-// AppendOpResult appends one batch result.
-func AppendOpResult(dst []byte, r OpResult) []byte {
-	dst = strconv.AppendUint(append(dst, `{"addr":`...), r.Addr, 10)
-	dst = appendData(dst, r.Data)
-	if r.OK {
+	dst = strconv.AppendUint(append(dst, `{"addr":`...), l.Addr, 10)
+	if len(l.Data) > 0 {
+		dst = append(dst, `,"data":"`...)
+		dst = append(base64.StdEncoding.AppendEncode(dst, l.Data), '"')
+	}
+	if l.OK {
 		dst = append(dst, `,"ok":true`...)
 	}
-	if r.Error != "" {
-		dst = appendString(append(dst, `,"error":`...), r.Error)
-	}
 	return append(dst, '}')
-}
-
-// AppendBatch appends the /v1/batch answer; Results is never null.
-func AppendBatch(dst []byte, b Batch) []byte {
-	dst = append(dst, `{"results":[`...)
-	for i, r := range b.Results {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = AppendOpResult(dst, r)
-	}
-	dst = append(dst, `],"failed":`...)
-	return append(strconv.AppendInt(dst, int64(b.Failed), 10), '}')
-}
-
-// appendData appends the omitempty "data" member.
-func appendData(dst, data []byte) []byte {
-	if len(data) == 0 {
-		return dst
-	}
-	dst = append(dst, `,"data":"`...)
-	return append(base64.StdEncoding.AppendEncode(dst, data), '"')
-}
-
-// appendString appends s as a JSON string: quotes, backslashes and
-// control bytes escaped, each invalid UTF-8 byte replaced by U+FFFD (as
-// encoding/json does), everything else verbatim.
-func appendString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"' || c == '\\':
-			dst = append(dst, '\\', c)
-		case c < 0x20:
-			dst = fmt.Appendf(dst, `\u%04x`, c)
-		case c < utf8.RuneSelf:
-			dst = append(dst, c)
-		default:
-			r, size := utf8.DecodeRuneInString(s[i:])
-			dst = utf8.AppendRune(dst, r) // RuneError encodes as U+FFFD
-			i += size - 1
-		}
-	}
-	return append(dst, '"')
 }
 
 // --- scanner ---------------------------------------------------------------
@@ -95,28 +45,25 @@ var ErrEmptyBody = errors.New("empty batch body")
 // a body, then iterate a /v1/batch request (Next) or read a /v1/read or
 // /v1/write body (LineReq). The zero value is ready for Reset.
 //
-// The canonical form — ops as json.Marshal renders them, and lines as
-// AppendLine renders a read's, with whitespace allowed around the body
-// and between array elements — it matches by hand, without reflection and
-// without allocating. At the first byte outside that form the body goes
-// to encoding/json, which reads it from the start, passes over the
-// elements already yielded, and settles the values and the errors.
+// A /v1/batch request is read by encoding/json's Decoder, op by op. A
+// line body in the canonical form — as AppendLine renders it, with
+// whitespace around it — is matched by hand, without reflection and
+// without allocating; any other line body goes to json.Unmarshal, which
+// settles the values and the errors.
 //
-// On either path a 64-byte payload is base64-decoded into the caller's
-// slot and Data aliases it; any other length gets a slice of its own, so
-// a wrong-length write still reaches the engine with its real length.
+// Either way a 64-byte payload lands in the caller's slot and Data
+// aliases it; any other length gets a slice of its own, so a wrong-length
+// write still reaches the engine with its real length.
 type Scanner struct {
-	b []byte
-	i int
-	n int // elements the canonical matcher has matched
+	b     []byte
+	i     int
+	array bool // Next: the body is one '[' ... ']'
+	done  bool
+	err   error
 
-	started bool
-	array   bool // Next: the body is one '[' ... ']'
-	done    bool
-	err     error
-
-	addr uint64        // what Op.Addr and LineReq.Addr point at
-	dec  *json.Decoder // Next on the encoding/json path, once taken
+	addr uint64        // what LineReq.Addr points at
+	op   Op            // what Next decodes into
+	dec  *json.Decoder // Next's reader, from its first call
 }
 
 // Reset points the scanner at body, which it reads and never modifies.
@@ -127,71 +74,21 @@ func (s *Scanner) Err() error { return s.err }
 
 // Next reads the next op of a /v1/batch request — one JSON array of op
 // objects, or op objects one after another (NDJSON) — and reports whether
-// there was one. op.Addr may point into the scanner and op.Data may alias
-// slot; both are overwritten by the next call.
+// there was one. It reads one op per call, so a caller's cap binds op by
+// op and a tail past it is never read. op.Data may alias slot.
 func (s *Scanner) Next(op *Op, slot *[LineSize]byte) bool {
-	switch {
-	case s.err != nil || s.done:
+	if s.err != nil || s.done {
 		return false
-	case s.dec != nil || !s.nextOp(op, slot):
-		return s.decode(op, slot)
 	}
-	return s.err == nil && !s.done
-}
-
-// nextOp matches the canonical request one step further: the next op,
-// the end of the body (s.done), or an empty body (s.err). It reports
-// false at the first byte outside the form.
-func (s *Scanner) nextOp(op *Op, slot *[LineSize]byte) bool {
-	s.ws()
-	if !s.started {
-		s.started = true
-		if s.i == len(s.b) {
+	if s.dec == nil {
+		if s.ws(); s.i == len(s.b) {
 			s.err = ErrEmptyBody
-			return true
-		}
-		s.array = s.lit("[")
-		s.ws()
-	}
-	switch {
-	case s.array && s.lit("]"):
-		s.done = s.end()
-		return s.done
-	case s.array && s.n > 0 && !s.lit(","):
-		return false
-	case !s.array && s.i == len(s.b):
-		s.done = true
-		return true
-	}
-	s.ws()
-	name := "read"
-	if !s.lit(`{"op":"read","addr":`) {
-		if name = "write"; !s.lit(`{"op":"write","addr":`) {
 			return false
 		}
-	}
-	var r OpResult
-	if !s.tail(&r, slot) {
-		return false
-	}
-	s.addr, s.n = r.Addr, s.n+1
-	*op = Op{Op: name, Addr: &s.addr, Data: r.Data}
-	return true
-}
-
-// decode is Next on the encoding/json path. A Decoder reads the body from
-// its start, passes over the ops already yielded, then yields one op per
-// call, so a caller's cap still binds op by op and a tail past it is
-// never read.
-func (s *Scanner) decode(op *Op, slot *[LineSize]byte) bool {
-	if s.dec == nil {
-		// The matcher has read these bytes as JSON, so neither call fails.
+		s.array = s.b[s.i] == '['
 		s.dec = json.NewDecoder(bytes.NewReader(s.b))
 		if s.array {
-			_, _ = s.dec.Token()
-		}
-		for range s.n {
-			_ = s.dec.Decode(new(Op))
+			_, _ = s.dec.Token() // the '[' just seen
 		}
 	}
 	var err error
@@ -203,10 +100,10 @@ func (s *Scanner) decode(op *Op, slot *[LineSize]byte) bool {
 			err = json.Unmarshal(s.b, new(json.RawMessage))
 		}
 	} else {
-		// A fresh value per op: one from the caller would escape.
-		v := new(Op)
-		if err = s.dec.Decode(v); err == nil {
-			*op = *v
+		// Zeroed first: Decode leaves a member the op lacks as it was.
+		s.op = Op{}
+		if err = s.dec.Decode(&s.op); err == nil {
+			*op = s.op
 			op.Data = own(op.Data, slot)
 			return true
 		}
@@ -234,9 +131,9 @@ func (s *Scanner) LineReq(req *LineReq, slot *[LineSize]byte) error {
 	return s.err
 }
 
-// tail matches the rest of an object after `{…"addr":` as json.Marshal
-// renders an op and AppendLine a read's line: the address, then "data" if
-// there is any, and the closing brace.
+// tail matches the rest of a line body after `{"addr":` as AppendLine
+// renders it: the address, then "data" if there is any, and the closing
+// brace.
 func (s *Scanner) tail(r *OpResult, slot *[LineSize]byte) bool {
 	var ok bool
 	*r = OpResult{}

@@ -1,13 +1,14 @@
 // Package wire is the daemon's /v1 wire format, once, for both ends: the
-// declarations of every JSON body (their struct tags define it) and the
-// codecs of the data-path bodies. /v1/batch has two, told apart by the
-// first byte (IsFrame): the binary frame client.Do speaks (frame.go), and
-// JSON (codec.go), whose Scanner matches the canonical form by hand,
-// without allocating, and hands any other body to encoding/json. So what
-// it accepts and reads is encoding/json's by construction; FuzzWireOpsVsJSON
-// and FuzzWireBatchVsJSON hold it to that, FuzzFrameVsJSON the frame to the
-// JSON it stands in for. Beyond a Decoder's rules, only whitespace may
-// follow a request array.
+// declarations of every JSON body (their struct tags define it) and one
+// reader per data-path body kind. /v1/batch comes as the binary frame
+// client.Do speaks (frame.go) or as JSON, told apart by the first byte
+// (IsFrame); encoding/json reads and answers the JSON. The /v1/read and
+// /v1/write bodies (codec.go) are matched by hand in the form AppendLine
+// renders, and any other line body goes to encoding/json. So what the
+// JSON readers accept is encoding/json's by construction;
+// FuzzWireOpsVsJSON and FuzzWireBatchVsJSON hold them to that,
+// FuzzFrameVsJSON the frame to the JSON it stands in for. Beyond a
+// Decoder's rules, only whitespace may follow a request array.
 //
 // The control-plane bodies (Stats, Error, traces) stay on encoding/json.
 package wire
