@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: build test race bench fmt vet scenarios scenarios-update \
-	ci fmt-check bench-module loc fuzz
+	ci fmt-check bench-module loc fuzz cross
 
 build:
 	$(GO) build ./...
@@ -14,8 +14,15 @@ test:
 
 # Mirror of CI's test job (minus the race passes, which `make race`
 # covers): run this before pushing and the test job cannot surprise you.
-ci: vet fmt-check build test bench-module loc
+ci: vet fmt-check build cross test bench-module loc
 	./scripts/coverage_ratchet.sh
+
+# internal/prefetch is assembly on amd64 and a no-op elsewhere: arm64 and
+# 386 keep the fallback compiling, as `make vet`'s asmdecl keeps the
+# amd64 stub true to its Go declaration.
+cross:
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
+	GOARCH=386 $(GO) build ./...
 
 # bench/ is a module of its own, outside ./...: vet and test it here so
 # a removed API it imports from the main module fails before the push.

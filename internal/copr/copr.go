@@ -146,8 +146,17 @@ func New(cfg Config) *Predictor {
 }
 
 // Predict guesses whether the line at addr is stored compressed, and
-// reports which component decided. It does not mutate predictor state;
-// training happens in Update once BLEM reveals the truth.
+// reports which component decided. It scores nothing and trains nothing,
+// but it is not read-only: like the lookups of the hardware it models, it
+// refreshes the LRU position of the LiPR and PaPR entries it reads, and so
+// changes which entry a later insert evicts. Each table's LRU clock
+// advances by one per lookup that finds its key and per insert:
+//
+//   - Predict: LiPR +1 when the page is present; PaPR +1 when the page is
+//     present and LiPR did not answer.
+//   - Train: LiPR +2 when present, +1 when inserted; PaPR +3 when
+//     present, +1 when inserted.
+//   - Update: what Predict and then Train add.
 func (p *Predictor) Predict(addr uint64) (compressed bool, src Source) {
 	page := addr >> pageShift
 	lineIdx := int(addr>>lineShift) & (LinesPerPage - 1)

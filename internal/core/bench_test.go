@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -53,9 +54,10 @@ func BenchmarkFrameworkLoad(b *testing.B) {
 }
 
 // The Memory rung: Framework.Store/LoadInto plus the line table, over a
-// table of 32 Ki lines — far past the caches, as a served shard's is —
-// addressed in a scattered order, payloads cycling through the stored forms
-// of the default configuration. internal/shard's rungs sit on top of it.
+// table of 32 Ki lines (about 6 MB, past a core's private caches; the
+// reads use 1 Mi lines, past a last-level cache too) addressed in a
+// scattered order, payloads cycling through the stored forms of the
+// default configuration. internal/shard's rungs sit on top of it.
 
 const benchTableLines = 32 << 10
 
@@ -71,14 +73,15 @@ func defaultLines(b *testing.B) [][]byte {
 	return lines
 }
 
-func benchMemory(b *testing.B) (*Memory, [][]byte) {
+// benchMemory fills a memory with n lines, n a power of two.
+func benchMemory(b *testing.B, n int) (*Memory, [][]byte) {
 	b.Helper()
 	lines := defaultLines(b)
 	m, err := NewMemory(DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
-	for a := 0; a < benchTableLines; a++ {
+	for a := 0; a < n; a++ {
 		if err := m.Write(uint64(a), lines[a%len(lines)]); err != nil {
 			b.Fatal(err)
 		}
@@ -86,8 +89,8 @@ func benchMemory(b *testing.B) (*Memory, [][]byte) {
 	return m, lines
 }
 
-// benchAddr scatters iteration i over the table.
-func benchAddr(i int) uint64 { return uint64(i) * 0x9E3779B1 % benchTableLines }
+// benchAddr scatters iteration i over a table of n lines, n a power of two.
+func benchAddr(i, n int) uint64 { return uint64(i) * 0x9E3779B1 % uint64(n) }
 
 func BenchmarkMemoryWrite(b *testing.B) {
 	for _, churn := range []bool{false, true} {
@@ -96,14 +99,14 @@ func BenchmarkMemoryWrite(b *testing.B) {
 			name = "churn" // Delete then Write: a tier's demotion after a promotion
 		}
 		b.Run(name, func(b *testing.B) {
-			m, lines := benchMemory(b)
+			m, lines := benchMemory(b, benchTableLines)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if churn {
-					m.Delete(benchAddr(i))
+					m.Delete(benchAddr(i, benchTableLines))
 				}
-				if err := m.Write(benchAddr(i), lines[(i+1)%len(lines)]); err != nil {
+				if err := m.Write(benchAddr(i, benchTableLines), lines[(i+1)%len(lines)]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -112,17 +115,44 @@ func BenchmarkMemoryWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkMemoryReadInto reads one line per iteration, in scattered
+// order, from a table of 1 Mi lines — about 200 MB, past a server's
+// last-level cache, as a large shard's is. serial reads each line on its
+// own; batch32 first prefetches the next 32 addresses, as a shard does a
+// task's (Memory.Prefetch), and reports the same-run serial/batch32 time
+// ratio: what overlapping the line-table misses saves a read
+// below the shard.
 func BenchmarkMemoryReadInto(b *testing.B) {
-	m, _ := benchMemory(b)
+	const lines = 1 << 20
+	m, _ := benchMemory(b, lines)
 	var dst [LineSize]byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.ReadInto(&dst, benchAddr(i)); err != nil {
-			b.Fatal(err)
+	var serialNs float64 // the serial arm's time per read, from its last run
+	for _, batch := range []int{1, 32} {
+		name := "serial"
+		if batch > 1 {
+			name = fmt.Sprintf("batch%d", batch)
 		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if batch > 1 && i%batch == 0 {
+					for j := i; j < i+batch; j++ {
+						m.Prefetch(benchAddr(j, lines))
+					}
+				}
+				if err := m.ReadInto(&dst, benchAddr(i, lines)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(1e9/ns, "lines/s")
+			if batch == 1 {
+				serialNs = ns
+			} else if serialNs > 0 {
+				b.ReportMetric(serialNs/ns, "serial/"+name)
+			}
+		})
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "lines/s")
 }
 
 // BenchmarkMemoryTable fills a memory with 1 Mi lines, a large shard's

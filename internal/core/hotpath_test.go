@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -84,7 +85,7 @@ func hotPathClasses(tb testing.TB) []hotPathClass {
 // every stored form: Store builds the line image in stack buffers and
 // allocates nothing; Load and Memory.Read allocate the returned line and
 // nothing else; a Memory's writes allocate only for an address that takes
-// its table past its peak size.
+// its table past its peak size; Prefetch allocates nothing.
 func TestHotPathAllocations(t *testing.T) {
 	for _, c := range hotPathClasses(t) {
 		f, err := New(c.opts)
@@ -122,6 +123,9 @@ func TestHotPathAllocations(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(200, func() { m.Read(c.addr) }); n > 1 {
 			t.Errorf("%s: Memory.Read allocates %.1f times, want at most 1 (the returned line)", c.name, n)
+		}
+		if n := testing.AllocsPerRun(200, func() { m.Prefetch(c.addr) }); n != 0 {
+			t.Errorf("%s: Memory.Prefetch allocates %.1f times, want 0", c.name, n)
 		}
 	}
 }
@@ -163,6 +167,61 @@ func TestReadIntoOverwritesDst(t *testing.T) {
 		}
 		if _, err := m.Read(c.addr); err == nil {
 			t.Errorf("%s: self-check missed a divergence through Read", c.name)
+		}
+	}
+}
+
+// TestPrefetchChangesNothing: Prefetch is a cache hint and nothing else.
+// Two memories take the same writes and reads, one of them with a
+// Prefetch before every op — of an empty memory, of never-written
+// addresses, of the line the op touches — with the predictor on and off.
+// Every read answers alike, and the counters and the snapshot (line
+// table, BLEM and COPR state, LRU clocks included) end equal.
+func TestPrefetchChangesNothing(t *testing.T) {
+	off := DefaultOptions()
+	off.DisablePredictor = true
+	for _, opts := range []Options{DefaultOptions(), off} {
+		plain, err := NewMemory(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hinted, err := NewMemory(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hinted.Prefetch(7)
+		if got, want := hinted.StatsSnapshot(), plain.StatsSnapshot(); got != want {
+			t.Errorf("predictor off=%v: Prefetch on an empty memory: %+v, want %+v", opts.DisablePredictor, got, want)
+		}
+		rng := rand.New(rand.NewSource(38))
+		for i := 0; i < 2000; i++ {
+			addr := uint64(rng.Intn(300)) * 7
+			hinted.Prefetch(addr)
+			hinted.Prefetch(addr + 1) // never written
+			if rng.Intn(3) == 0 {
+				line := compressibleLine(i)
+				if i%2 == 0 {
+					line = randomLine(rng)
+				}
+				if err := plain.Write(addr, line); err != nil {
+					t.Fatal(err)
+				}
+				if err := hinted.Write(addr, line); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			want, werr := plain.Read(addr)
+			got, gerr := hinted.Read(addr)
+			if !bytes.Equal(got, want) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Fatalf("predictor off=%v: read %d of %#x: %x, %v; without Prefetch %x, %v", opts.DisablePredictor, i, addr, got, gerr, want, werr)
+			}
+		}
+		if got, want := hinted.StatsSnapshot(), plain.StatsSnapshot(); got != want {
+			t.Errorf("predictor off=%v: counters %+v, without Prefetch %+v", opts.DisablePredictor, got, want)
+		}
+		if !bytes.Equal(snapshot(hinted), snapshot(plain)) {
+			t.Errorf("predictor off=%v: Prefetch changed the memory's snapshot", opts.DisablePredictor)
 		}
 	}
 }

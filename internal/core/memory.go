@@ -179,6 +179,13 @@ func (m *Memory) ReadInto(dst *[LineSize]byte, lineAddr uint64) error {
 	return nil
 }
 
+// Prefetch hints lineAddr's line-table home slot, what a Read or Write of
+// it touches first, into the cache, so that a caller holding a batch can
+// overlap the batch's misses instead of waiting on each in turn. A hint
+// only: it changes no state, no counter and no result, and it allocates
+// nothing.
+func (m *Memory) Prefetch(lineAddr uint64) { m.lines.prefetch(lineAddr) }
+
 // StatsSnapshot returns an immutable copy of the memory's counters and
 // derived metrics. This is the supported way to read stats: the returned
 // value never changes, so callers can hold it across further traffic.

@@ -2,7 +2,9 @@ package core
 
 import (
 	"slices"
+	"unsafe"
 
+	"attache/internal/prefetch"
 	"attache/internal/stats"
 )
 
@@ -73,6 +75,16 @@ func (t *lineTable) find(addr uint64) *StoredLine {
 		return &s.line
 	}
 	return nil
+}
+
+// prefetch hints addr's home slot, both cache lines of it, into the cache.
+func (t *lineTable) prefetch(addr uint64) {
+	if t.dir == nil {
+		return
+	}
+	h := t.hash(addr)
+	s := &t.entry(h).seg[h&segMask]
+	prefetch.Range(uintptr(unsafe.Pointer(s)), unsafe.Sizeof(*s))
 }
 
 // put returns the line stored at addr, inserting a zero one when absent;

@@ -276,6 +276,12 @@ func (w *worker) execute(t *task) {
 	if w.inj != nil {
 		cut = w.inj.cut(cut)
 	}
+	// One pass of cache hints first, so the task's line-table and COPR
+	// misses overlap instead of each op waiting on its own (DESIGN.md,
+	// "A task fetches its memory first").
+	for _, j := range t.idx {
+		w.mem.Prefetch(t.ops[j].Addr)
+	}
 	for i, j := range t.idx {
 		if w.inj != nil {
 			if i >= cut {

@@ -107,6 +107,11 @@ func loadModule(t *testing.T) *module {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") && dir != "bench" {
 			return nil
 		}
+		// A file built for another architecture only (a fallback beside
+		// an assembly stub) would redeclare what this one's declares.
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
+			return err
+		}
 		f, err := parser.ParseFile(m.fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
