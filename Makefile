@@ -74,8 +74,9 @@ race:
 # against one that restores an image), the sharded engine and its submit
 # path, Framework.Store and the core.Memory rung above it (Store/LoadInto
 # plus the line table, over 32 Ki lines; the table's GC cycle, heap and
-# slowest Write at 1 Mi lines, once), then the wire rungs (codec,
-# handler, client over loopback). They measure; the allocation pins that
+# slowest Write at 1 Mi lines, once), the cluster rung (64-op batches
+# through Cluster.DoCtx and the bare engine, with their same-run ratio),
+# then the wire rungs (codec, handler, client over loopback). They measure; the allocation pins that
 # gate are tests (go test -run 'Alloc' ./...), and the end-to-end ruler
 # is bench/.
 bench:
@@ -84,6 +85,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedThroughput$$|BenchmarkSubmitLatency$$' -benchmem ./internal/shard
 	$(GO) test -run '^$$' -bench 'BenchmarkFrameworkStore$$|BenchmarkMemoryWrite$$|BenchmarkMemoryReadInto$$' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkMemoryTable$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterBatch64$$' -benchmem ./internal/cluster
 	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec$$' -benchmem ./internal/wire
 	$(GO) test -run '^$$' -bench 'BenchmarkHandlerBatch64$$' -benchmem ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkClientLoopbackBatch64$$' -benchmem ./client

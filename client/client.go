@@ -412,17 +412,17 @@ func opErr(msg string) error {
 	return errors.New(msg)
 }
 
-// StatsV2 is the schema-version-2 stats document served at /v1/stats —
-// the very type the daemon encodes: nested sections with per-instance
-// engine snapshots (and the merged Engine.Tiers view on a tiered
+// Stats is the schema-version-3 stats document served at /v1/stats —
+// the very type the daemon encodes: nested sections with the engine's
+// totals and per-shard counters (and the Engine.Tiers view on a tiered
 // daemon), per-SLO-class latency quantiles, a Jain fairness index, and
 // per-tenant accounting.
-type StatsV2 = wire.Stats
+type Stats = wire.Stats
 
-// StatsV2 fetches the current (schema v2) stats document.
-func (c *Client) StatsV2(ctx context.Context) (StatsV2, error) {
-	var doc StatsV2
-	code, respBody, err := c.roundTrip(ctx, http.MethodGet, "/v1/stats?v=2", nil, nil)
+// Stats fetches the current (schema v3) stats document.
+func (c *Client) Stats(ctx context.Context) (Stats, error) {
+	var doc Stats
+	code, respBody, err := c.roundTrip(ctx, http.MethodGet, "/v1/stats?v=3", nil, nil)
 	if err != nil {
 		return doc, err
 	}

@@ -83,7 +83,7 @@ func TestRoundTripAgainstRealDaemon(t *testing.T) {
 		t.Fatalf("batch op3 err = %v, want ErrBadLineSize", res[3].Err)
 	}
 
-	doc, err := c.StatsV2(ctx)
+	doc, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
@@ -230,7 +230,7 @@ func TestParseRetryAfter(t *testing.T) {
 // frozen, the burst-sized batch sent right after is admitted whole.
 func TestOverBurstBatchIsNotRetryable(t *testing.T) {
 	frozen := time.Unix(1_700_000_000, 0)
-	cl, err := cluster.New(core.DefaultOptions(), shard.Config{Shards: 2}, 1, cluster.Config{
+	cl, err := cluster.New(core.DefaultOptions(), shard.Config{Shards: 2}, cluster.Config{
 		Quotas: map[string]cluster.Quota{"hog": {Rate: 10, Burst: 10}},
 		Now:    func() time.Time { return frozen },
 	})
@@ -261,7 +261,7 @@ func TestOverBurstBatchIsNotRetryable(t *testing.T) {
 	}
 	hog := func() cluster.TenantSnapshot {
 		t.Helper()
-		doc, err := c.StatsV2(ctx)
+		doc, err := c.Stats(ctx)
 		if err != nil || len(doc.Tenants) != 1 || doc.Tenants[0].Tenant != "hog" {
 			t.Fatalf("stats: %v, tenants %+v", err, doc.Tenants)
 		}

@@ -106,7 +106,7 @@ func TestTenantHeaderSent(t *testing.T) {
 }
 
 // TestStatsV2RoundTrip drives the versioned stats surface end to end
-// against a real daemon: the document carries schema_version 2 and the
+// against a real daemon: the document carries schema_version 3 and the
 // engine, cluster and tenant sections.
 func TestStatsV2RoundTrip(t *testing.T) {
 	ts, _ := newDaemon(t, shard.Config{Shards: 2})
@@ -120,15 +120,15 @@ func TestStatsV2RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	doc, err := c.StatsV2(ctx)
+	doc, err := c.Stats(ctx)
 	if err != nil {
-		t.Fatalf("stats v2: %v", err)
+		t.Fatalf("stats v3: %v", err)
 	}
-	if doc.SchemaVersion != 2 {
-		t.Fatalf("schema_version = %d, want 2", doc.SchemaVersion)
+	if doc.SchemaVersion != 3 {
+		t.Fatalf("schema_version = %d, want 3", doc.SchemaVersion)
 	}
-	if doc.Cluster.Instances != 1 {
-		t.Fatalf("cluster section = %+v, want 1 instance", doc.Cluster)
+	if doc.Engine.Shards != 2 || len(doc.Engine.PerShard) != 2 {
+		t.Fatalf("engine section: %d shards, %d per-shard rows, want 2 and 2", doc.Engine.Shards, len(doc.Engine.PerShard))
 	}
 	if doc.Engine.Total.Reads != 1 || doc.Engine.Total.Writes != 1 {
 		t.Fatalf("engine totals = %+v, want 1 read / 1 write", doc.Engine.Total)
@@ -143,7 +143,7 @@ func TestStatsV2RoundTrip(t *testing.T) {
 
 // TestStatsV2SeesWhatTheServerSends: the client's stats type is the
 // daemon's, so nothing the daemon sends is dropped on the way in — the
-// merged tier view included — and a decoded document re-encodes to the
+// tier view included — and a decoded document re-encodes to the
 // bytes it came from.
 func TestStatsV2SeesWhatTheServerSends(t *testing.T) {
 	ts, eng := newDaemon(t, shard.Config{Shards: 2, Tier: &tier.Config{NearLines: 8}})
@@ -158,13 +158,13 @@ func TestStatsV2SeesWhatTheServerSends(t *testing.T) {
 		}
 	}
 
-	doc, err := c.StatsV2(ctx)
+	doc, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := eng.TierSnapshot()
 	if doc.Engine.Tiers == nil || *doc.Engine.Tiers != want || want.Demotions == 0 {
-		t.Fatalf("Engine.Tiers = %+v, want the server's merged tier snapshot %+v", doc.Engine.Tiers, want)
+		t.Fatalf("Engine.Tiers = %+v, want the server's tier snapshot %+v", doc.Engine.Tiers, want)
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/stats")
@@ -176,7 +176,7 @@ func TestStatsV2SeesWhatTheServerSends(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/stats: %d, %v", resp.StatusCode, err)
 	}
-	var raw StatsV2
+	var raw Stats
 	if err := json.Unmarshal(body, &raw); err != nil {
 		t.Fatal(err)
 	}

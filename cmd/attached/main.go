@@ -27,14 +27,14 @@
 //	... traffic ...
 //	go run ./cmd/attacheload -replay capture.ndjson
 //
-// Cluster mode: -cluster N runs N engine instances, each address placed
-// on exactly one of them by its 4 KB page (so a read always reaches the
-// instance that took the write), with per-tenant token-bucket admission
+// Tenancy: the engine sits behind per-tenant token-bucket admission
 // (-quotas "acme=5000,globex=1000:2000", -default-quota) and SLO classes
 // (-classes "acme=gold"). Clients name their tenant in the
-// X-Attache-Tenant header; /v1/stats (schema v2) reports per-instance,
-// per-class, and per-tenant breakdowns plus a Jain fairness index. The
-// default -cluster 1 is bit-identical to the pre-cluster daemon.
+// X-Attache-Tenant header; /v1/stats (schema v3) reports per-shard,
+// per-class, and per-tenant breakdowns plus a Jain fairness index. With
+// no quotas, the daemon serves every batch exactly as the bare engine
+// would. Each address lives on one shard, so a read always reaches the
+// shard that took the write.
 //
 // SIGTERM/SIGINT starts a graceful drain: the listener stops accepting,
 // in-flight requests finish (bounded by -shutdown-timeout), the engine's
@@ -92,12 +92,9 @@ func main() {
 		// seamless.
 		tiers           = flag.String("tiers", "", `two-tier backend spec, "near=LINES[,policy=lru|freq|static][,freq-threshold=N][,freq-decay=N][,pin=PREFIX@SHIFT][,lat=NS][,bw=MULT][,near-energy=PJ][,far-energy=PJ]" (near=-1 = unbounded)`)
 		snapshotOnDrain = flag.String("snapshot-on-drain", "", "write a snapv1 state snapshot to this path after the drain completes")
-		restore         = flag.String("restore", "", "restore engine state from this snapv1 snapshot at startup (snapshot is authoritative for options, tier config, shard and instance count)")
+		restore         = flag.String("restore", "", "restore engine state from this snapv1 snapshot at startup (snapshot is authoritative for options, tier config and shard count)")
 
-		// Cluster knobs: N engine instances, per-tenant admission quotas,
-		// and SLO classes. The default (1 instance) is bit-identical to
-		// the pre-cluster daemon.
-		instances    = flag.Int("cluster", 1, "engine instance count; each address lives on the one its page maps to")
+		// Tenancy knobs: per-tenant admission quotas and SLO classes.
 		quotas       = flag.String("quotas", "", `per-tenant admission quotas, "tenant=rate[:burst],..." in ops/sec (e.g. "acme=5000,globex=1000:2000")`)
 		defaultQuota = flag.String("default-quota", "", `quota shape for tenants without an explicit one, "rate[:burst]" (empty = unlimited)`)
 		classes      = flag.String("classes", "", `per-tenant SLO classes, "tenant=class,..." with class gold|silver|best-effort (unmapped tenants are best-effort)`)
@@ -178,8 +175,8 @@ func main() {
 		if *tiers != "" {
 			log.Fatalf("attached: -restore and -tiers are mutually exclusive (the snapshot carries the tier configuration)")
 		}
-		// The snapshot is authoritative for shard and instance count;
-		// -shards and -cluster are ignored on restore.
+		// The snapshot is authoritative for the shard count; -shards is
+		// ignored on restore.
 		shardCfg.Shards = 0
 		f, err := os.Open(*restore)
 		if err != nil {
@@ -190,9 +187,9 @@ func main() {
 		if err != nil {
 			log.Fatalf("attached: -restore %s: %v", *restore, err)
 		}
-		logger.Info("restored", "path", *restore, "instances", cl.Instances(), "shards", cl.Shards())
+		logger.Info("restored", "path", *restore, "shards", cl.Shards())
 	} else {
-		cl, err = cluster.New(opts, shardCfg, *instances, clusterCfg)
+		cl, err = cluster.New(opts, shardCfg, clusterCfg)
 		if err != nil {
 			log.Fatalf("attached: %v", err)
 		}
@@ -230,8 +227,7 @@ func main() {
 	go func() {
 		<-srv.Ready()
 		logger.Info("serving",
-			"addr", srv.Addr(), "instances", cl.Instances(),
-			"shards", cl.Shards(), "queue_depth", *queueDepth,
+			"addr", srv.Addr(), "shards", cl.Shards(), "queue_depth", *queueDepth,
 			"sram_overhead_kb", cl.EngineSnapshot().SRAMBytes>>10,
 			"trace_sample", *traceSample, "pprof", *pprof)
 	}()

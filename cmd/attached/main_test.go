@@ -114,7 +114,7 @@ func TestParseClasses(t *testing.T) {
 // TestWriteSnapshotFile: the drain snapshot lands atomically (no .tmp
 // residue) and restores, and a doomed path fails without side effects.
 func TestWriteSnapshotFile(t *testing.T) {
-	cl, err := cluster.New(core.DefaultOptions(), shard.Config{Shards: 2}, 1, cluster.Config{})
+	cl, err := cluster.New(core.DefaultOptions(), shard.Config{Shards: 2}, cluster.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"attache/internal/core"
 	"attache/internal/obs"
 	"attache/internal/shard"
-	"attache/internal/workload"
 )
 
 func testLine(v uint64) []byte {
@@ -22,21 +21,6 @@ func testLine(v uint64) []byte {
 		line[i] = byte(v >> (8 * i))
 	}
 	return line
-}
-
-func TestInstanceSeedDerivation(t *testing.T) {
-	const base = int64(42)
-	if InstanceSeed(base, 0) != base {
-		t.Fatalf("instance 0 seed = %d, want the base %d unchanged", InstanceSeed(base, 0), base)
-	}
-	seen := map[int64]int{}
-	for i := 0; i < 16; i++ {
-		s := InstanceSeed(base, i)
-		if prev, dup := seen[s]; dup {
-			t.Fatalf("instances %d and %d share seed %d", prev, i, s)
-		}
-		seen[s] = i
-	}
 }
 
 // TestPassthroughBitIdentity is the acceptance gate for cluster mode: a
@@ -57,7 +41,7 @@ func TestPassthroughBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	cl, err := New(opts, cfg, 1, Config{})
+	cl, err := New(opts, cfg, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +133,7 @@ func readOne(ctx context.Context, cl *Cluster, addr uint64) ([]byte, error) {
 // conserve, and the Jain index reflects the resulting skew exactly.
 func TestQuotaShedsOnlyOverQuota(t *testing.T) {
 	clk := newFakeClock()
-	cl, err := New(core.DefaultOptions(), shard.Config{Shards: 2}, 1, Config{
+	cl, err := New(core.DefaultOptions(), shard.Config{Shards: 2}, Config{
 		Quotas: map[string]Quota{"hog": {Rate: 10, Burst: 10}},
 		Now:    clk.now,
 	})
@@ -221,7 +205,7 @@ func TestQuotaShedsOnlyOverQuota(t *testing.T) {
 // never runs, so it must not be charged — the tenant's next burst-sized
 // batch is admitted whole, with the clock standing still.
 func TestCancelledBatchSpendsNoQuota(t *testing.T) {
-	cl, err := New(core.DefaultOptions(), shard.Config{Shards: 2}, 1, Config{
+	cl, err := New(core.DefaultOptions(), shard.Config{Shards: 2}, Config{
 		Quotas: map[string]Quota{"hog": {Rate: 10, Burst: 10}},
 		Now:    newFakeClock().now,
 	})
@@ -254,80 +238,13 @@ func TestCancelledBatchSpendsNoQuota(t *testing.T) {
 	}
 }
 
-// composeScenario expands a preset and prefills target through the
-// cluster itself, so lines live wherever placement puts them.
-func composeScenario(t *testing.T, name string, seed int64, events int, cl *Cluster) ([]shard.Op, uint64) {
-	t.Helper()
-	spec, err := workload.Preset(name, seed, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs, err := workload.Compose(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefill := spec.Prefill
-	if prefill == 0 {
-		prefill = int(min(spec.AddrSpace/2, 1<<16))
-	}
-	pay := workload.PrefillPayload(spec)
-	const chunk = 256
-	for base := 0; base < prefill; base += chunk {
-		var ops []shard.Op
-		for a := base; a < prefill && a < base+chunk; a++ {
-			ops = append(ops, shard.Op{Write: true, Addr: uint64(a), Data: pay(uint64(a))})
-		}
-		if _, err := do(cl, ops); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var flat []shard.Op
-	for _, ev := range evs {
-		flat = append(flat, ev.Ops...)
-	}
-	return flat, spec.AddrSpace
-}
-
-// TestAffinityKeepsPredictorAccuracy is the placement-locality
-// acceptance test: on zipfian-hot-page, page placement must keep the
-// fleet's COPR accuracy within tolerance of a single instance seeing the
-// whole stream, because each hot page trains exactly one predictor.
-func TestAffinityKeepsPredictorAccuracy(t *testing.T) {
-	run := func(instances int) float64 {
-		cl, err := New(core.DefaultOptions(), shard.Config{Shards: 1}, instances, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		ops, _ := composeScenario(t, "zipfian-hot-page", 11, 3000, cl)
-		const batch = 64
-		for i := 0; i < len(ops); i += batch {
-			end := min(i+batch, len(ops))
-			if _, err := do(cl, ops[i:end]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return cl.EngineSnapshot().Total.PredictionAccuracy
-	}
-
-	single := run(1)
-	multi := run(3)
-	if single <= 0 || single > 1 {
-		t.Fatalf("single-instance accuracy %v out of range", single)
-	}
-	if diff := math.Abs(single - multi); diff > 0.05 {
-		t.Fatalf("3-instance accuracy %v strayed %.4f from single-instance %v (tolerance 0.05)",
-			multi, diff, single)
-	}
-}
-
 // TestClusterStatsSurfaces covers the read-side API a stats consumer
-// walks: one-op batches, per-instance snapshots, global shard
-// gauges, and the ordered per-class quantile books (gold, silver,
-// best-effort all populated).
+// walks: one-op batches, the per-shard snapshot, shard gauges, and the
+// ordered per-class quantile books (gold, silver, best-effort all
+// populated).
 func TestClusterStatsSurfaces(t *testing.T) {
 	clk := newFakeClock()
-	cl, err := New(core.DefaultOptions(), shard.Config{Shards: 2}, 2, Config{
+	cl, err := New(core.DefaultOptions(), shard.Config{Shards: 4}, Config{
 		Classes: map[string]Class{"au": ClassGold, "ag": ClassSilver},
 		Now:     clk.now,
 	})
@@ -337,13 +254,10 @@ func TestClusterStatsSurfaces(t *testing.T) {
 	defer cl.Close()
 
 	if cl.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 2 instances x 2 shards", cl.Shards())
-	}
-	if cl.engines[0] == cl.engines[1] {
-		t.Fatal("instances 0 and 1 are the same engine")
+		t.Fatalf("Shards() = %d, want 4", cl.Shards())
 	}
 
-	// One-op batches; placement makes the read land on the instance that
+	// One-op batches; placement makes the read land on the shard that
 	// took the write.
 	if err := writeOne(t.Context(), cl, 7, testLine(7)); err != nil {
 		t.Fatal(err)
@@ -370,25 +284,25 @@ func TestClusterStatsSurfaces(t *testing.T) {
 		}
 	}
 
-	snaps := cl.PerInstanceSnapshots()
-	if len(snaps) != 2 {
-		t.Fatalf("per-instance snapshots = %d, want 2", len(snaps))
+	snap := cl.EngineSnapshot()
+	if len(snap.PerShard) != 4 {
+		t.Fatalf("per-shard snapshots = %d, want 4", len(snap.PerShard))
 	}
 	var writes uint64
-	for _, s := range snaps {
-		writes += s.Total.Writes
+	for _, s := range snap.PerShard {
+		writes += s.Writes
 	}
-	if merged := cl.EngineSnapshot(); merged.Total.Writes != writes || writes != 25 {
-		t.Fatalf("writes: merged %d, per-instance sum %d, want 25", merged.Total.Writes, writes)
+	if snap.Total.Writes != writes || writes != 25 {
+		t.Fatalf("writes: total %d, per-shard sum %d, want 25", snap.Total.Writes, writes)
 	}
 
 	gauges := cl.Gauges()
 	if len(gauges) != 4 {
-		t.Fatalf("gauges = %d, want one per global shard", len(gauges))
+		t.Fatalf("gauges = %d, want one per shard", len(gauges))
 	}
 	for i, g := range gauges {
 		if g.Shard != i {
-			t.Fatalf("gauge %d reports shard %d, want global renumbering", i, g.Shard)
+			t.Fatalf("gauge %d reports shard %d", i, g.Shard)
 		}
 	}
 
@@ -412,5 +326,24 @@ func TestClusterStatsSurfaces(t *testing.T) {
 	// convenience ops above.
 	if classes[2].Ops != 16+2 {
 		t.Fatalf("best-effort ops = %d, want 18", classes[2].Ops)
+	}
+}
+
+// TestWrapTakesOneEngine: a cluster fronts exactly one engine. Any other
+// slice is refused with ErrOutOfRange and stays the caller's: a refused
+// engine still serves.
+func TestWrapTakesOneEngine(t *testing.T) {
+	eng, err := shard.New(core.DefaultOptions(), shard.Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, engines := range [][]*shard.Engine{nil, {eng, eng}} {
+		if cl, err := Wrap(engines, Config{}); cl != nil || !errors.Is(err, core.ErrOutOfRange) {
+			t.Fatalf("Wrap of %d engines: %v, %v; want ErrOutOfRange", len(engines), cl, err)
+		}
+	}
+	if err := eng.Write(1, testLine(1)); err != nil {
+		t.Fatalf("an engine Wrap refused was closed: %v", err)
 	}
 }

@@ -31,7 +31,7 @@ const (
 // window, which is what an SLO dashboard wants anyway).
 const classReservoirSize = 4096
 
-// ClassSnapshot is one SLO class's latency view in stats v2.
+// ClassSnapshot is one SLO class's latency view in the stats document.
 type ClassSnapshot struct {
 	Class   Class   `json:"class"`
 	Calls   int64   `json:"calls"`
@@ -43,9 +43,9 @@ type ClassSnapshot struct {
 	Samples int     `json:"samples"`
 }
 
-// TenantSnapshot is one tenant's accounting in stats v2. ShedQuota
-// counts ops refused by admission control (HTTP 429); ShedBackend
-// counts ops the engine itself shed under queue pressure.
+// TenantSnapshot is one tenant's accounting in the stats document.
+// ShedQuota counts ops refused by admission control (HTTP 429);
+// ShedBackend counts ops the engine itself shed under queue pressure.
 type TenantSnapshot struct {
 	Tenant      string `json:"tenant" prom:"tenant,label"`
 	Class       Class  `json:"class" prom:"class,label"`

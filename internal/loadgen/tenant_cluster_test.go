@@ -17,7 +17,7 @@ import (
 // untenanted plan).
 func TestRunPerTenantReport(t *testing.T) {
 	frozen := time.Unix(1_700_000_000, 0)
-	cl, err := cluster.New(core.DefaultOptions(), shard.Config{Shards: 2}, 1, cluster.Config{
+	cl, err := cluster.New(core.DefaultOptions(), shard.Config{Shards: 2}, cluster.Config{
 		Quotas: map[string]cluster.Quota{"hog": {Rate: 50, Burst: 50}},
 		Now:    func() time.Time { return frozen },
 	})

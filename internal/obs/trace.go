@@ -101,8 +101,7 @@ func (t *Trace) Now() time.Duration { return time.Since(t.begin) }
 
 // Record appends one span event. Nil-safe, so call sites can skip their
 // own nil checks only when they are on a hot path. Safe from any
-// goroutine: the instances of a cluster record one split batch's spans
-// concurrently.
+// goroutine: concurrent submissions may share one traced context.
 func (t *Trace) Record(stage Stage, shard, ops int, start, end time.Duration) {
 	if t == nil {
 		return

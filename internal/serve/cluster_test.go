@@ -17,13 +17,13 @@ import (
 	"attache/internal/wire"
 )
 
-// newClusterServer spins up a 3-instance cluster behind the HTTP
-// surface, with a frozen admission clock so quota outcomes are exact:
-// tenant "hog" gets 4 ops, "vip" (gold) is unlimited.
+// newClusterServer spins up a cluster over a 6-shard engine behind the
+// HTTP surface, with a frozen admission clock so quota outcomes are
+// exact: tenant "hog" gets 4 ops, "vip" (gold) is unlimited.
 func newClusterServer(t *testing.T) *Server {
 	t.Helper()
 	frozen := time.Unix(1_700_000_000, 0)
-	cl, err := cluster.New(core.DefaultOptions(), shard.Config{Shards: 2}, 3, cluster.Config{
+	cl, err := cluster.New(core.DefaultOptions(), shard.Config{Shards: 6}, cluster.Config{
 		Quotas:  map[string]cluster.Quota{"hog": {Rate: 4, Burst: 4}},
 		Classes: map[string]cluster.Class{"vip": cluster.ClassGold},
 		Now:     func() time.Time { return frozen },
@@ -81,9 +81,8 @@ func TestTenantNamesAreBounded(t *testing.T) {
 
 // TestClusterServeEndToEnd is the serve-layer acceptance test for
 // cluster mode: multi-tenant traffic over HTTP, 429s only for the
-// over-quota tenant, per-tenant books that conserve, and the full v2
-// stats surface (with v1 still round-tripping and unknown versions
-// rejected).
+// over-quota tenant, per-tenant books that conserve, and the full v3
+// stats surface (with unknown versions rejected).
 func TestClusterServeEndToEnd(t *testing.T) {
 	srv := newClusterServer(t)
 
@@ -108,41 +107,38 @@ func TestClusterServeEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Default stats = schema v2.
+	// Default stats = schema v3.
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats = %d: %s", rec.Code, rec.Body)
 	}
-	var v2 wire.Stats
-	if err := json.Unmarshal(rec.Body.Bytes(), &v2); err != nil {
-		t.Fatalf("bad v2 JSON: %v", err)
+	var v3 wire.Stats
+	if err := json.Unmarshal(rec.Body.Bytes(), &v3); err != nil {
+		t.Fatalf("bad v3 JSON: %v", err)
 	}
-	if v2.SchemaVersion != 2 {
-		t.Fatalf("schema_version = %d, want 2", v2.SchemaVersion)
+	if v3.SchemaVersion != 3 {
+		t.Fatalf("schema_version = %d, want 3", v3.SchemaVersion)
 	}
-	if v2.Cluster.Instances != 3 {
-		t.Fatalf("cluster section = %+v, want 3 instances", v2.Cluster)
+	if len(v3.Engine.PerShard) != 6 || v3.Engine.Shards != 6 {
+		t.Fatalf("engine section: %d per-shard rows / %d shards, want 6 / 6", len(v3.Engine.PerShard), v3.Engine.Shards)
 	}
-	if len(v2.Engine.PerInstance) != 3 || v2.Engine.Shards != 6 {
-		t.Fatalf("engine section: %d instances / %d shards, want 3 / 6", len(v2.Engine.PerInstance), v2.Engine.Shards)
+	if v3.Engine.Total.Writes != 12 {
+		t.Fatalf("writes = %d, want the 12 admitted", v3.Engine.Total.Writes)
 	}
-	if v2.Engine.Total.Writes != 12 {
-		t.Fatalf("merged writes = %d, want the 12 admitted", v2.Engine.Total.Writes)
-	}
-	if len(v2.Telemetry.Gauges) != 6 {
-		t.Fatalf("telemetry gauges = %d, want one per global shard", len(v2.Telemetry.Gauges))
+	if len(v3.Telemetry.Gauges) != 6 {
+		t.Fatalf("telemetry gauges = %d, want one per shard", len(v3.Telemetry.Gauges))
 	}
 	// Per-tenant books: present, classed, and conserving.
-	if len(v2.Tenants) != 2 {
-		t.Fatalf("tenants = %+v, want hog and vip", v2.Tenants)
+	if len(v3.Tenants) != 2 {
+		t.Fatalf("tenants = %+v, want hog and vip", v3.Tenants)
 	}
-	for _, tn := range v2.Tenants {
+	for _, tn := range v3.Tenants {
 		if tn.Ops != tn.OK+tn.ShedQuota+tn.ShedBackend+tn.Errors {
 			t.Fatalf("tenant %s books do not conserve: %+v", tn.Tenant, tn)
 		}
 	}
-	hog, vip := v2.Tenants[0], v2.Tenants[1]
+	hog, vip := v3.Tenants[0], v3.Tenants[1]
 	if hog.Tenant != "hog" || hog.OK != 4 || hog.ShedQuota != 2 {
 		t.Fatalf("hog book = %+v, want 4 ok / 2 quota-shed", hog)
 	}
@@ -151,21 +147,21 @@ func TestClusterServeEndToEnd(t *testing.T) {
 	}
 
 	// Per-class quantiles: gold ahead of best-effort, with real samples.
-	if len(v2.Cluster.Classes) != 2 || v2.Cluster.Classes[0].Class != cluster.ClassGold {
-		t.Fatalf("classes = %+v, want gold then best-effort", v2.Cluster.Classes)
+	if len(v3.Cluster.Classes) != 2 || v3.Cluster.Classes[0].Class != cluster.ClassGold {
+		t.Fatalf("classes = %+v, want gold then best-effort", v3.Cluster.Classes)
 	}
-	for _, c := range v2.Cluster.Classes {
+	for _, c := range v3.Cluster.Classes {
 		if c.Samples == 0 || c.P99us <= 0 || c.P99us < c.P50us {
 			t.Fatalf("class %s quantiles malformed: %+v", c.Class, c)
 		}
 	}
-	if j := v2.Cluster.JainFairness; j <= 0 || j > 1 {
+	if j := v3.Cluster.JainFairness; j <= 0 || j > 1 {
 		t.Fatalf("jain_fairness = %v, want in (0, 1]", j)
 	}
 
-	// Unknown schema versions — the removed v1 included — are rejected,
-	// not guessed at.
-	for _, v := range []string{"1", "3"} {
+	// Unknown schema versions — the removed v1 and v2 included — are
+	// rejected, not guessed at.
+	for _, v := range []string{"1", "2", "4"} {
 		rec = httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats?v="+v, nil))
 		if rec.Code != http.StatusBadRequest {
@@ -177,7 +173,6 @@ func TestClusterServeEndToEnd(t *testing.T) {
 	rec = httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	for _, want := range []string{
-		"attached_cluster_instances 3",
 		"attached_cluster_jain_fairness",
 		`attached_tenant_ops_total{tenant="hog",class="best-effort"}`,
 		`attached_tenant_shed_quota_total{tenant="hog",class="best-effort"} 2`,

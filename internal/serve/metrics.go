@@ -8,9 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"attache/internal/cluster"
 	"attache/internal/core"
-	"attache/internal/shard"
 	"attache/internal/stats"
 	"attache/internal/wire"
 )
@@ -75,27 +73,25 @@ func (m *metricsSet) observe(endpoint string, code int, d time.Duration) {
 	m.mu.Unlock()
 }
 
-// statsDoc builds the /v1/stats document (wire.Stats, schema v2), which
-// /metrics renders too. It snapshots each instance once and merges those
-// same snapshots, so the totals are the sum of the instances it reports.
+// statsDoc builds the /v1/stats document (wire.Stats, schema v3), which
+// /metrics renders too. It takes one engine snapshot, so the totals are
+// the sum of the shards it reports.
 func (s *Server) statsDoc() wire.Stats {
-	per := s.cl.PerInstanceSnapshots()
-	merged := cluster.Merge(per)
+	snap := s.cl.EngineSnapshot()
 	return wire.Stats{
-		SchemaVersion: 2,
+		SchemaVersion: 3,
 		Engine: wire.Engine{
-			Shards:              s.cl.Shards(),
-			SRAMBytes:           merged.SRAMBytes,
-			CompressedLineRatio: merged.Total.CompressedLineRatio(),
-			BandwidthSavings:    merged.Total.BandwidthSavings(),
-			Total:               merged.Total,
-			PerInstance:         per,
-			Tiers:               merged.Tiers,
+			Shards:              len(snap.PerShard),
+			SRAMBytes:           snap.SRAMBytes,
+			CompressedLineRatio: snap.Total.CompressedLineRatio(),
+			BandwidthSavings:    snap.Total.BandwidthSavings(),
+			Total:               snap.Total,
+			PerShard:            snap.PerShard,
+			Tiers:               snap.Tiers,
 		},
-		Robust:    merged.Robust,
+		Robust:    snap.Robust,
 		Telemetry: wire.Telemetry{UptimeSeconds: time.Since(s.started).Seconds(), Gauges: s.cl.Gauges()},
 		Cluster: wire.Cluster{
-			Instances:    s.cl.Instances(),
 			Classes:      s.cl.ClassSnapshots(),
 			JainFairness: s.cl.JainFairness(),
 		},
@@ -106,21 +102,17 @@ func (s *Server) statsDoc() wire.Stats {
 // renderMetrics writes the Prometheus text exposition (version 0.0.4):
 // the /v1/stats document through its struct tags (stats.WriteProm), then
 // the per-shard counters and the HTTP layer, which the document does not
-// carry.
+// render.
 func (s *Server) renderMetrics(w io.Writer) {
 	doc := s.statsDoc()
 	stats.WriteProm(w, doc)
-	renderPerShard(w, doc.Engine.PerInstance)
+	renderPerShard(w, doc.Engine.PerShard)
 	s.renderHTTP(w)
 }
 
-// renderPerShard numbers shards across instances in order, as the
-// document's shard gauges do.
-func renderPerShard(b io.Writer, per []shard.Snapshot) {
-	var shards []core.StatsSnapshot
-	for _, inst := range per {
-		shards = append(shards, inst.PerShard...)
-	}
+// renderPerShard writes each shard's reads and lines, labelled by its
+// index, as the document's shard gauges are.
+func renderPerShard(b io.Writer, shards []core.StatsSnapshot) {
 	fmt.Fprintf(b, "# HELP attached_shard_reads_total Line reads served, per shard.\n# TYPE attached_shard_reads_total counter\n")
 	for i, sh := range shards {
 		fmt.Fprintf(b, "attached_shard_reads_total{shard=\"%d\"} %d\n", i, sh.Reads)

@@ -20,7 +20,6 @@ import (
 	"attache/internal/core"
 	"attache/internal/obs"
 	"attache/internal/shard"
-	"attache/internal/stats"
 	"attache/internal/tier"
 	"attache/internal/wire"
 )
@@ -28,8 +27,7 @@ import (
 // scrape loads a server with a little traffic (tenant-attributed writes,
 // so the tenant families exist) and returns /metrics split into its
 // sorted "# HELP"/"# TYPE" lines and its samples, keyed by series (name
-// and labels). Each line sits on its own 4 KB page, so a cluster spreads
-// them over instances.
+// and labels).
 func scrape(t *testing.T, srv *Server) (families []string, samples map[string]string) {
 	t.Helper()
 	for i := uint64(0); i < 24; i++ {
@@ -89,8 +87,8 @@ func TestMetricsFamilies(t *testing.T) {
 // TestMetricsAgreeWithStats: every series /metrics renders from the
 // /v1/stats document reads the same as the document — every prom-tagged
 // field of its sections, the two ratios, and the per-shard gauge and
-// per-tenant rows — on one tiered engine and on a tiered 3-instance
-// cluster, whose merge sums instances.
+// per-tenant rows — on one tiered engine served bare and on a tiered
+// 6-shard engine served through cluster.New.
 func TestMetricsAgreeWithStats(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -142,9 +140,9 @@ func TestMetricsAgreeWithStats(t *testing.T) {
 	}
 }
 
-// TestStatsDocIsOneCut: with writers running on every instance, each
-// document's totals are the sum of the per-instance snapshots it carries
-// — statsDoc snapshots each instance once and merges those.
+// TestStatsDocIsOneCut: with writers running on every shard, each
+// document's engine totals are the sum of the per-shard counters it
+// carries — statsDoc takes one engine snapshot and reports both from it.
 func TestStatsDocIsOneCut(t *testing.T) {
 	srv := newTieredClusterServer(t)
 	stop := make(chan struct{})
@@ -160,8 +158,7 @@ func TestStatsDocIsOneCut(t *testing.T) {
 					return
 				default:
 				}
-				// Two lines on different pages: the batch usually spans
-				// instances.
+				// Two lines, usually on different shards.
 				a := (i*4 + uint64(w)) % 4096 << 6
 				srv.cl.DoCtx(context.Background(), []shard.Op{
 					{Write: true, Addr: a, Data: line},
@@ -188,20 +185,18 @@ func TestStatsDocIsOneCut(t *testing.T) {
 		}
 		last = srv.statsDoc()
 		var total core.StatsSnapshot
-		var robust shard.RobustStats
-		for _, inst := range last.Engine.PerInstance {
-			total.Accumulate(inst.Total)
-			stats.Add(&robust, inst.Robust)
+		for _, sh := range last.Engine.PerShard {
+			total.Accumulate(sh)
 		}
 		total.PredictionAccuracy = last.Engine.Total.PredictionAccuracy // a mean, in another order
-		if total != last.Engine.Total || robust != last.Robust {
+		if total != last.Engine.Total || len(last.Engine.PerShard) != last.Engine.Shards {
 			torn++
 		}
 	}
 	close(stop)
 	wg.Wait()
 	if torn > 0 {
-		t.Errorf("%d of %d documents have totals that are not the sum of their instances", torn, n)
+		t.Errorf("%d of %d documents have totals that are not the sum of their shards", torn, n)
 	}
 }
 
@@ -260,15 +255,15 @@ func TestTenantLabelsStayWellFormed(t *testing.T) {
 	}
 }
 
-// newTieredClusterServer serves a 3-instance cluster of 2-shard engines,
-// each with a 2-line near tier, so scrape's traffic demotes lines on
-// every instance it reaches.
+// newTieredClusterServer serves a cluster over a 6-shard engine with a
+// 6-line near tier, one line per shard, so scrape's traffic demotes lines
+// on every shard it reaches.
 func newTieredClusterServer(t *testing.T) *Server {
 	t.Helper()
 	cl, err := cluster.New(core.DefaultOptions(), shard.Config{
-		Shards: 2,
-		Tier:   &tier.Config{NearLines: 2, Policy: tier.PolicyLRU},
-	}, 3, cluster.Config{})
+		Shards: 6,
+		Tier:   &tier.Config{NearLines: 6, Policy: tier.PolicyLRU},
+	}, cluster.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -29,7 +28,6 @@ import (
 	"attache/internal/core"
 	"attache/internal/obs"
 	"attache/internal/shard"
-	"attache/internal/stats"
 	"attache/internal/tier"
 	"attache/internal/wire"
 )
@@ -52,13 +50,14 @@ var modelTiers = [...]*tier.Config{nil, {NearLines: 0}, {NearLines: -1},
 // gold, "" is untenanted traffic.
 var modelTenants = [...]string{"free", "tight", ""}
 
-// modelRun is one fuzz input decoded: 1-3 shards (per instance), 1-3
-// instances (cluster and HTTP targets), a tier, a seeded fault plan or
-// else a mid-run WriteSnapshot→RestoreFrom lockstep, and an optional
-// concurrent phase.
+// modelRun is one fuzz input decoded: 1-3 shards, times 1-3 on the
+// cluster and HTTP targets (the input's instances, from when a cluster
+// held several engines: an N×M cluster is now an N·M-shard engine), a
+// tier, a seeded fault plan or else a mid-run WriteSnapshot→RestoreFrom
+// lockstep, and an optional concurrent phase.
 type modelRun struct {
 	seed                int64
-	shards, instances   int
+	shards              int
 	tier                *tier.Config
 	target              int
 	restore, concurrent bool
@@ -66,10 +65,10 @@ type modelRun struct {
 
 func newModelRun(seed int64, shards, instances, tierSel, target int, restore, concurrent bool) modelRun {
 	pick := func(x, n int) int { return (x%n + n) % n }
-	r := modelRun{seed, 1 + pick(shards, 3), 1 + pick(instances, 3), modelTiers[pick(tierSel, len(modelTiers))],
+	r := modelRun{seed, 1 + pick(shards, 3), modelTiers[pick(tierSel, len(modelTiers))],
 		pick(target, numTargets), restore, concurrent}
-	if r.target < targetCluster {
-		r.instances = 1
+	if r.target >= targetCluster {
+		r.shards *= 1 + pick(instances, 3)
 	}
 	return r
 }
@@ -133,7 +132,7 @@ func (r modelRun) stack(t *testing.T, ccfg cluster.Config, image []byte) *stack 
 	case image != nil:
 		s.cl, err = cluster.RestoreFrom(bytes.NewReader(image), cfg, ccfg)
 	default:
-		s.cl, err = cluster.New(opts, cfg, r.instances, ccfg)
+		s.cl, err = cluster.New(opts, cfg, ccfg)
 	}
 	if err == nil && s.eng != nil {
 		s.cl, err = cluster.Wrap([]*shard.Engine{s.eng}, cluster.Config{}) // the engine's own books
@@ -354,17 +353,6 @@ func (m *model) settle(r modelRun, tenant, id string, ops []shard.Op, res []shar
 		}
 		return nil
 	}
-	home := func(a uint64) uint64 { // cluster placement: a page's splitmix64 mix, Lemire-reduced
-		hi, _ := bits.Mul64(stats.SplitMix64(a>>6), uint64(r.instances))
-		return hi
-	}
-	split := false
-	for _, op := range ops {
-		split = split || home(op.Addr) != home(ops[0].Addr)
-	}
-	if split && r.target == targetHTTP {
-		m.told["HTTP batch split across instances"]++
-	}
 	book.Ops += int64(n)
 	for i, op := range ops {
 		e, data := res[i].Err, res[i].Data
@@ -396,8 +384,6 @@ func (m *model) settle(r modelRun, tenant, id string, ops []shard.Op, res []shar
 			if err := m.read(op.Addr, nil); err != nil || op.Write {
 				return fmt.Errorf("op at %#x (write: %v) answered never-written: %v", op.Addr, op.Write, err)
 			}
-		case kind == "cancellation" && split: // the engine's, or the cluster's for a group its engine refused whole
-			m.told["split cancellation"]++
 		case kind == "injected error" && strings.Contains(e.Error(), "batch died"):
 			m.told["partial batch"]++
 		}
@@ -492,11 +478,11 @@ func (m *model) check(t *testing.T, r modelRun, cl *cluster.Cluster, where strin
 	within("executed", executed, n["executed"], n["unknown"])
 	within("shed", s.Robust.Sheds, n["backend shed"], n["unknown"])
 	within("injected", s.Robust.InjectedErrors, n["injected error"], n["unknown"])
-	within("canceled", s.Robust.Canceled, n["cancellation"]-n["split cancellation"], n["split cancellation"]+n["unknown"])
+	within("canceled", s.Robust.Canceled, n["cancellation"], n["unknown"])
 	sum := executed + s.Robust.Sheds + s.Robust.Canceled + s.Robust.InjectedErrors +
 		n["never written"] + n["quota shed"] + n["closed"] + n["refused"]
 	within("executed + never-written + shed + canceled + injected + refused", sum,
-		n["offered"]-n["unknown"]-n["split cancellation"], n["unknown"]+n["split cancellation"])
+		n["offered"]-n["unknown"], n["unknown"])
 	for _, g := range cl.Gauges() {
 		within(fmt.Sprintf("shard %d's InFlight gauge", g.Shard), uint64(g.InFlight), 0, 0)
 	}
@@ -683,7 +669,7 @@ func TestServingModelCorpus(t *testing.T) {
 	}
 	for _, path := range []string{"ok near read", "ok far read", "promotion", "demotion", "Replacement-Area park",
 		"quota shed", "backend shed", "cancellation", "injected error", "partial batch",
-		"restore lockstep", "mid-run Close", "HTTP batch split across instances", "frame batch", "raw-JSON batch"} {
+		"restore lockstep", "mid-run Close", "frame batch", "raw-JSON batch"} {
 		if took[path] == 0 {
 			t.Errorf("no corpus input took the %s path", path)
 		}

@@ -1,24 +1,24 @@
-// Package serve is the HTTP face of the engine cluster: the cmd/attached
+// Package serve is the HTTP face of the engine: the cmd/attached
 // daemon is a thin wrapper around Server. Endpoints:
 //
 //	POST /v1/read    {"addr":42}                     -> {"addr":42,"data":"<base64 64B>"}
 //	POST /v1/write   {"addr":42,"data":"<base64>"}   -> {"addr":42,"ok":true}
 //	POST /v1/batch   ops as a frame, a JSON array or JSON per line       -> per-op results, in kind
-//	GET  /v1/stats   versioned stats, schema v2 (nested engine/robust/
+//	GET  /v1/stats   versioned stats, schema v3 (nested engine/robust/
 //	                 telemetry/cluster/tenants sections); ?v= pins it
 //	GET  /v1/trace/{id}  one traced request's pipeline timeline (Config.Obs)
 //	GET  /v1/trace   the most recent retained timelines
-//	GET  /v1/snapshot  the cluster's full snapv1 state image
+//	GET  /v1/snapshot  the engine's full snapv1 state image
 //	                 (octet-stream), one at a time (429 while another is
 //	                 in flight); restore it with attached -restore
 //	GET  /healthz    liveness ("ok", or 503 once draining)
 //	GET  /metrics    Prometheus text exposition
 //	GET  /debug/pprof/*  runtime profiles (Config.EnablePprof)
 //
-// The server fronts a cluster.Cluster — one or many engines, each line
-// placed on the one its address maps to. New wraps a single engine in a
-// 1-instance cluster (bit-identical to serving the engine directly);
-// NewCluster serves a real one. Data requests carrying an
+// The server fronts a cluster.Cluster: one engine behind tenant
+// admission. New wraps an engine in a cluster with no quotas
+// (bit-identical to serving the engine directly); NewCluster serves one
+// built with quotas and classes. Data requests carrying an
 // X-Attache-Tenant header run under that tenant: the cluster applies its
 // admission quota (over-quota batches answer 429 like any shed) and
 // books the ops to its SLO class.
@@ -27,7 +27,7 @@
 // is the only owner of their traces: a request carrying an
 // X-Attache-Trace header is always traced under that ID (the header is
 // echoed back), others are sampled at the observer's rate. The server
-// creates each trace, the engines record their spans into it through
+// creates each trace, the engine records its spans into it through
 // the request context, and the server finishes it into the ring that
 // /v1/trace/{id} reads. The observer's slog logger receives access logs
 // (Debug for 2xx, Info for 4xx, Warn for 5xx).
@@ -144,8 +144,8 @@ type Recorder interface {
 	RecordOps(ops []shard.Op)
 }
 
-// Server serves a cluster.Cluster (possibly a 1-instance cluster around
-// a single engine) over HTTP.
+// Server serves a cluster.Cluster — one engine behind admission — over
+// HTTP.
 type Server struct {
 	cl       *cluster.Cluster
 	cfg      Config
@@ -162,10 +162,10 @@ type Server struct {
 	addr    atomic.Value // string, set once listening
 }
 
-// New wires a server around a single engine by wrapping it in a
-// 1-instance cluster — request-for-request identical to
-// serving the engine directly. Call ListenAndServe to run it, or test
-// against Handler directly.
+// New wires a server around an engine by wrapping it in a cluster with
+// no quotas — request-for-request identical to serving the engine
+// directly. Call ListenAndServe to run it, or test against Handler
+// directly.
 func New(eng *shard.Engine, cfg Config) *Server {
 	cl, err := cluster.Wrap([]*shard.Engine{eng}, cluster.Config{})
 	if err != nil {
@@ -176,7 +176,7 @@ func New(eng *shard.Engine, cfg Config) *Server {
 }
 
 // NewCluster wires a server around an existing cluster. The server takes
-// ownership: ListenAndServe closes the cluster (and its engines) on
+// ownership: ListenAndServe closes the cluster (and its engine) on
 // drain.
 func NewCluster(cl *cluster.Cluster, cfg Config) *Server {
 	s := &Server{
@@ -605,12 +605,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, b)
 }
 
-// handleStats serves the versioned stats document, schema v2; ?v= pins
+// handleStats serves the versioned stats document, schema v3; ?v= pins
 // the version and any other value answers 400.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if v := r.URL.Query().Get("v"); v != "" && v != "2" {
+	if v := r.URL.Query().Get("v"); v != "" && v != "3" {
 		writeJSON(w, http.StatusBadRequest,
-			wire.Error{Error: fmt.Sprintf("unknown stats schema version %q (want 2)", v)})
+			wire.Error{Error: fmt.Sprintf("unknown stats schema version %q (want 3)", v)})
 		return
 	}
 	writeJSON(w, http.StatusOK, s.statsDoc())
@@ -648,10 +648,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // one's image is still being built or written.
 var errImaging = fmt.Errorf("serve: a snapshot is already in progress: %w", core.ErrOverloaded)
 
-// handleSnapshot serves the cluster's snapv1 state image. Taking it
-// quiesces every shard for the duration (each instance's cut is
-// internally consistent), so this is an admin endpoint, not a data-path
-// one — on a loaded cluster prefer -snapshot-on-drain. The image is
+// handleSnapshot serves the engine's snapv1 state image. Taking it
+// quiesces every shard for the duration (the image is one cut), so this
+// is an admin endpoint, not a data-path one — on a loaded daemon prefer
+// -snapshot-on-drain. The image is
 // complete, and every lock released, before the first byte is written.
 // One image exists at a time: a request that arrives while another is
 // being built or written answers 429 with Retry-After and takes no lock.

@@ -146,7 +146,7 @@ func TestSnapshotOneAtATime(t *testing.T) {
 	}
 }
 
-// TestStatsTiersSection: /v1/stats?v=2 carries the merged tier section
+// TestStatsTiersSection: /v1/stats?v=3 carries the tier section
 // on a tiered server and omits it on a classic one; /metrics exposes
 // the tier series.
 func TestStatsTiersSection(t *testing.T) {
@@ -162,22 +162,22 @@ func TestStatsTiersSection(t *testing.T) {
 		}
 	}
 
-	w := do(t, h, "GET", "/v1/stats?v=2", "")
+	w := do(t, h, "GET", "/v1/stats?v=3", "")
 	if w.Code != 200 {
-		t.Fatalf("stats v2: %d %s", w.Code, w.Body)
+		t.Fatalf("stats v3: %d %s", w.Code, w.Body)
 	}
-	var v2 struct {
+	var v3 struct {
 		Engine struct {
 			Tiers *tier.Snapshot `json:"tiers"`
 		} `json:"engine"`
 	}
-	if err := json.Unmarshal(w.Body.Bytes(), &v2); err != nil {
-		t.Fatalf("stats v2 unmarshal: %v", err)
+	if err := json.Unmarshal(w.Body.Bytes(), &v3); err != nil {
+		t.Fatalf("stats v3 unmarshal: %v", err)
 	}
-	if v2.Engine.Tiers == nil {
-		t.Fatalf("tiered server stats v2 has no tiers section: %s", w.Body)
+	if v3.Engine.Tiers == nil {
+		t.Fatalf("tiered server stats v3 has no tiers section: %s", w.Body)
 	}
-	ts := v2.Engine.Tiers
+	ts := v3.Engine.Tiers
 	if ts.NearReads+ts.FarReads == 0 {
 		t.Fatalf("tier section shows no reads: %+v", ts)
 	}
@@ -202,9 +202,9 @@ func TestStatsTiersSection(t *testing.T) {
 
 	// A classic server must not grow the section or the series.
 	classic := newTestServer(t)
-	wc := do(t, classic.Handler(), "GET", "/v1/stats?v=2", "")
+	wc := do(t, classic.Handler(), "GET", "/v1/stats?v=3", "")
 	if strings.Contains(wc.Body.String(), `"tiers"`) {
-		t.Fatalf("untiered stats v2 grew a tiers section: %s", wc.Body)
+		t.Fatalf("untiered stats v3 grew a tiers section: %s", wc.Body)
 	}
 	wcm := do(t, classic.Handler(), "GET", "/metrics", "")
 	if strings.Contains(wcm.Body.String(), "attached_tier_") {

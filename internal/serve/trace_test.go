@@ -140,38 +140,37 @@ func TestTraceEndpointErrors(t *testing.T) {
 // only finisher. At every rate, exactly 1 in every requests is echoed a
 // trace ID, the ring holds exactly the echoed IDs, and each one's
 // timeline shows execute spans over every op of its request — on a
-// 2-shard engine serving /v1/read and on a 3-instance cluster serving
-// 16-op /v1/batch requests that touch every instance.
+// 2-shard engine serving /v1/read and on a 6-shard engine behind a
+// cluster serving 16-op /v1/batch requests that touch every shard.
 func TestSampledTraceHasOneOwner(t *testing.T) {
 	ops := make([]string, 16)
 	for j := range ops {
-		// One op per 4 KB page, so the ops land on every instance.
 		ops[j] = fmt.Sprintf(`{"op":"write","addr":%d,"data":%q}`, j*64, b64(testLine(byte(j))))
 	}
 	batch := "[" + strings.Join(ops, ",") + "]"
 
 	for _, setup := range []struct {
-		name      string
-		instances int
-		path      string
-		body      func(i int) string
-		ops       int
+		name   string
+		shards int
+		path   string
+		body   func(i int) string
+		ops    int
 	}{
-		{"engine-read", 1, "/v1/read", func(i int) string { return fmt.Sprintf(`{"addr":%d}`, i) }, 1},
-		{"cluster-batch", 3, "/v1/batch", func(int) string { return batch }, 16},
+		{"engine-read", 2, "/v1/read", func(i int) string { return fmt.Sprintf(`{"addr":%d}`, i) }, 1},
+		{"cluster-batch", 6, "/v1/batch", func(int) string { return batch }, 16},
 	} {
 		for _, every := range []int{2, 4, 100} {
 			t.Run(fmt.Sprintf("%s/every%d", setup.name, every), func(t *testing.T) {
 				o := obs.New(obs.Config{SampleRate: 1 / float64(every), Seed: 1})
 				var srv *Server
-				if setup.instances == 1 {
-					eng, err := shard.New(core.DefaultOptions(), shard.Config{Shards: 2})
+				if setup.path == "/v1/read" {
+					eng, err := shard.New(core.DefaultOptions(), shard.Config{Shards: setup.shards})
 					if err != nil {
 						t.Fatal(err)
 					}
 					srv = New(eng, Config{Obs: o})
 				} else {
-					cl, err := cluster.New(core.DefaultOptions(), shard.Config{Shards: 2}, setup.instances, cluster.Config{})
+					cl, err := cluster.New(core.DefaultOptions(), shard.Config{Shards: setup.shards}, cluster.Config{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -215,9 +214,9 @@ func TestSampledTraceHasOneOwner(t *testing.T) {
 						t.Fatalf("trace %s: execute spans cover %d ops, want %d", id, executed, setup.ops)
 					}
 				}
-				for i, s := range srv.cl.PerInstanceSnapshots() {
-					if setup.instances > 1 && s.Total.Writes == 0 {
-						t.Fatalf("instance %d took no write of the batch", i)
+				for i, s := range srv.cl.EngineSnapshot().PerShard {
+					if setup.ops > 1 && s.Writes == 0 {
+						t.Fatalf("shard %d took no write of the batch", i)
 					}
 				}
 			})

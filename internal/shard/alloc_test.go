@@ -13,9 +13,8 @@ import (
 // TestUnsampledPathAllocationFree pins the zero-cost-when-untraced
 // guarantee on the path every served request takes: a DoCtx whose
 // context carries a cancel and a tenant but no trace allocates exactly
-// what a plain Do does, on a 1-shard engine and through a 3-instance
-// cluster, for single ops and for batches. The batch stays on one page,
-// so the cluster hands it to one instance verbatim.
+// what a plain Do does, on a 1-shard engine and through a cluster around
+// one, for single ops and for batches.
 func TestUnsampledPathAllocationFree(t *testing.T) {
 	line := make([]byte, core.LineSize)
 	single := []shard.Op{{Write: true, Addr: 3, Data: line}}
@@ -28,7 +27,7 @@ func TestUnsampledPathAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	cl, err := cluster.New(core.DefaultOptions(), shard.Config{Shards: 1}, 3, cluster.Config{})
+	cl, err := cluster.New(core.DefaultOptions(), shard.Config{Shards: 1}, cluster.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -70,41 +71,35 @@ func (w *worker) walkSnap(c *snap.Cursor) {
 	}
 }
 
-// EncodeSnapshot appends the snapv1 sections of e and then of each of
-// rest to c as one consistent cut: it takes every execution lock of every
-// engine (engine by engine, each in shard order, so concurrent snapshots
-// cannot deadlock; nothing else holds more than one) before encoding any.
-// Traffic stalls for the duration — submitters wait on the execution
-// locks — but no op is ever torn across the cut, and nothing slower than
-// memory is touched while the locks are held. It also works after Close
-// (the locks are simply uncontended), which is how attached's snapshot on
-// shutdown captures final state.
-func (e *Engine) EncodeSnapshot(c *snap.Cursor, rest ...*Engine) {
-	engines := append([]*Engine{e}, rest...)
+// EncodeSnapshot appends e's snapv1 section to c as one consistent cut:
+// it takes every shard's execution lock (in shard order, so concurrent
+// snapshots cannot deadlock; nothing else holds more than one) before
+// encoding any. Traffic stalls for the duration — submitters wait on the
+// execution locks — but no op is ever torn across the cut, and nothing
+// slower than memory is touched while the locks are held. It also works
+// after Close (the locks are simply uncontended), which is how attached's
+// snapshot on shutdown captures final state.
+func (e *Engine) EncodeSnapshot(c *snap.Cursor) {
 	size := 0
-	for _, x := range engines {
-		for _, w := range x.shards {
-			w.memMu.Lock()
-			defer w.memMu.Unlock()
-			size += w.mem.SnapshotBytes()
-			if w.tier != nil {
-				size += w.tier.SnapshotBytes()
-			}
+	for _, w := range e.shards {
+		w.memMu.Lock()
+		defer w.memMu.Unlock()
+		size += w.mem.SnapshotBytes()
+		if w.tier != nil {
+			size += w.tier.SnapshotBytes()
 		}
 	}
-	c.Grow(size + 256*len(engines))
-	for _, x := range engines {
-		h := header{opts: x.opts, tier: x.cfg.Tier, robust: x.robust.load(), shards: len(x.shards)}
-		h.walk(c)
-		for _, w := range x.shards {
-			w.walkSnap(c)
-		}
+	c.Grow(size + 256)
+	h := header{opts: e.opts, tier: e.cfg.Tier, robust: e.robust.load(), shards: len(e.shards)}
+	h.walk(c)
+	for _, w := range e.shards {
+		w.walkSnap(c)
 	}
 }
 
-// WriteSnapshot serializes the engine as a single-instance snapv1
-// snapshot. Safe at any time, including after Close; out is written
-// only once the engine is serving again.
+// WriteSnapshot serializes the engine as a one-engine snapv1 snapshot.
+// Safe at any time, including after Close; out is written only once the
+// engine is serving again.
 func (e *Engine) WriteSnapshot(out io.Writer) error {
 	c := snap.NewEncoder(1)
 	e.EncodeSnapshot(c)
@@ -117,8 +112,8 @@ func (e *Engine) WriteSnapshot(out io.Writer) error {
 // exactly as it would have on the original. The snapshot is
 // authoritative for the framework options, the tier configuration, and
 // the shard count; cfg supplies only runtime knobs (queue depth, fault
-// plan, observer, MaxLines). cfg.Shards, if set, must match the
-// snapshot; cfg.Tier must be nil.
+// plan, MaxLines). cfg.Shards, if set, must match the snapshot;
+// cfg.Tier must be nil.
 func DecodeEngine(c *snap.Cursor, cfg Config) (*Engine, error) {
 	var h header
 	h.walk(c)
@@ -147,16 +142,24 @@ func DecodeEngine(c *snap.Cursor, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// RestoreEngineFrom reads a single-instance snapv1 snapshot from r and
-// restores it (see DecodeEngine). Multi-instance snapshots belong to
-// the cluster layer (cluster.RestoreFrom).
+// ErrMultiEngine refuses a snapv1 image that frames more than one
+// engine: the framing counts engines, and an engine restores from an
+// image of exactly one.
+var ErrMultiEngine = errors.New("shard: snapshot holds more than one engine")
+
+// RestoreEngineFrom reads a one-engine snapv1 snapshot from r and
+// restores it (see DecodeEngine). An image of no engines is corrupt; one
+// of several fails with ErrMultiEngine.
 func RestoreEngineFrom(r io.Reader, cfg Config) (*Engine, error) {
 	c, n, err := snap.Open(r)
 	if err != nil {
 		return nil, err
 	}
-	if n != 1 {
-		return nil, fmt.Errorf("shard: snapshot holds %d engines, want 1 (use the cluster restore path)", n)
+	switch {
+	case n == 0:
+		return nil, fmt.Errorf("shard: snapshot has no engines: %w", snap.ErrCorrupt)
+	case n > 1:
+		return nil, fmt.Errorf("%w: it holds %d, want 1", ErrMultiEngine, n)
 	}
 	e, err := DecodeEngine(c, cfg)
 	if err != nil {

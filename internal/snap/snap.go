@@ -1,11 +1,12 @@
 // Package snap is what every writer and reader of snapv1 shares: the
 // magic/version framing, the error taxonomy, and the Cursor — one
 // direction-agnostic position in a snapshot's bytes. snapv1 is the
-// versioned binary image of a whole cluster: per-shard memory contents,
-// BLEM state (CID + Replacement Area), COPR predictor tables, traffic
+// versioned binary image of an engine: per-shard memory contents, BLEM
+// state (CID + Replacement Area), COPR predictor tables, traffic
 // counters, and tier residency. A snapshot restored through
 // shard.RestoreEngineFrom or cluster.RestoreFrom behaves byte-identically
-// to what it was taken from.
+// to what it was taken from. The framing counts engines; the writers
+// write one, and a restore refuses any other count.
 //
 // The package knows no field of any other package. Each stateful
 // package walks its own live fields through a Cursor, in wire order,
@@ -89,8 +90,8 @@ type Cursor struct {
 	err error
 }
 
-// NewEncoder starts the image of a cluster of the given number of
-// engines: the framing is written, the engines' sections follow.
+// NewEncoder starts an image of the given number of engines: the
+// framing is written, the engines' sections follow.
 func NewEncoder(engines int) *Cursor {
 	c := &Cursor{}
 	c.frame(engines)

@@ -103,8 +103,8 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamRoundTrip: the engine's io.Writer form and a one-instance
-// cluster's []byte form are the same image, and a stream that hands out
+// TestStreamRoundTrip: the engine's io.Writer form and a cluster's
+// []byte form are the same image, and a stream that hands out
 // a byte at a time restores like a buffer does.
 func TestStreamRoundTrip(t *testing.T) {
 	eng := newEngine(t, true)
@@ -125,26 +125,10 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMultiEngine: a multi-instance cluster snapshot round-trips too,
-// its instances free to differ in configuration.
-func TestMultiEngine(t *testing.T) {
-	cl, err := cluster.Wrap([]*shard.Engine{newEngine(t, true), newEngine(t, false)}, cluster.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := cl.Snapshot()
-	got, err := restoreWrite(bytes.NewReader(img))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, img) {
-		t.Fatal("multi-engine snapshot did not round-trip")
-	}
-}
-
 // TestDecodeRejects pins the failure taxonomy: every truncation of a
-// valid snapshot fails cleanly, and targeted corruptions produce
-// ErrCorrupt/ErrVersion rather than panics or silent acceptance.
+// valid snapshot fails cleanly, targeted corruptions produce
+// ErrCorrupt/ErrVersion rather than panics or silent acceptance, and a
+// well-formed image of two engines is refused with ErrMultiEngine.
 func TestDecodeRejects(t *testing.T) {
 	enc := image(t, fixtureEngine(t, true))
 
@@ -180,6 +164,14 @@ func TestDecodeRejects(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
 		if _, err := restoreWrite(bytes.NewReader(nil)); err == nil {
 			t.Fatal("empty input restored")
+		}
+	})
+	t.Run("multi-engine", func(t *testing.T) {
+		c := snap.NewEncoder(2)
+		newEngine(t, true).EncodeSnapshot(c)
+		newEngine(t, false).EncodeSnapshot(c)
+		if _, err := restoreWrite(bytes.NewReader(c.Bytes())); !errors.Is(err, shard.ErrMultiEngine) {
+			t.Fatalf("two-engine image: got %v, want ErrMultiEngine", err)
 		}
 	})
 	t.Run("huge-count", func(t *testing.T) {

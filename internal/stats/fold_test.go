@@ -204,11 +204,11 @@ func TestPromTags(t *testing.T) {
 		}
 	}
 	walk(reflect.TypeOf(wire.Stats{}), false)
-	// 37 of /metrics' 41 families are declared by tags (serve names the
+	// 36 of /metrics' 40 families are declared by tags (serve names the
 	// other four), three of them per shard and two per tenant, under
 	// three labels.
-	if families != 37 || labels != 3 {
-		t.Errorf("walk found %d families and %d labels, want 37 and 3: is it still following WriteProm?", families, labels)
+	if families != 36 || labels != 3 {
+		t.Errorf("walk found %d families and %d labels, want 36 and 3: is it still following WriteProm?", families, labels)
 	}
 }
 

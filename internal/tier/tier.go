@@ -448,8 +448,8 @@ func (m *Memory) Snapshot() Snapshot {
 	return s
 }
 
-// Accumulate folds another tier snapshot into s, so per-shard (and
-// per-instance) snapshots merge into engine- and fleet-level figures.
+// Accumulate folds another tier snapshot into s, so per-shard snapshots
+// merge into engine-level figures.
 // Policy is kept from the receiver; an unbounded capacity on either
 // side makes the merged capacity unbounded.
 func (s *Snapshot) Accumulate(o Snapshot) {

@@ -65,9 +65,8 @@ type Batch struct {
 	Failed  int        `json:"failed"`
 }
 
-// Stats is the /v1/stats document (schema_version 2): nested sections
-// with the per-instance, per-class, and per-tenant breakdowns the
-// cluster layer introduces.
+// Stats is the /v1/stats document (schema_version 3): nested sections
+// with the per-shard, per-class, and per-tenant breakdowns.
 type Stats struct {
 	SchemaVersion int                      `json:"schema_version"`
 	Engine        Engine                   `json:"engine"`
@@ -77,8 +76,8 @@ type Stats struct {
 	Tenants       []cluster.TenantSnapshot `json:"tenants"`
 }
 
-// Engine is the storage-side view: merged totals plus each instance's
-// own engine snapshot.
+// Engine is the storage-side view: the engine's totals plus each shard's
+// own counters, from one snapshot.
 type Engine struct {
 	Shards    int `json:"shards" prom:"attached_shards,gauge" help:"Configured shard count."`
 	SRAMBytes int `json:"sram_bytes" prom:"attached_sram_overhead_bytes,gauge" help:"Summed predictor+CID SRAM across shards."`
@@ -87,26 +86,25 @@ type Engine struct {
 	CompressedLineRatio float64            `json:"compressed_line_ratio" prom:"attached_compressed_line_ratio,gauge" help:"Fraction of stored lines compressed."`
 	BandwidthSavings    float64            `json:"bandwidth_savings" prom:"attached_bandwidth_savings_ratio,gauge" help:"Fraction of sub-rank transfers avoided vs uncompressed."`
 	Total               core.StatsSnapshot `json:"total"`
-	PerInstance         []shard.Snapshot   `json:"per_instance"`
-	// Tiers is the merged two-tier view (near/far residency, tier
-	// traffic, far-link cost model figures), present only when the
-	// cluster runs a tiered backend. Per-instance tier sections live in
-	// each PerInstance snapshot. On tiered engines Total describes the
-	// far (compressed) tier; near-tier accounting is all here.
+	// PerShard holds shard i's counters at index i; Total is their sum.
+	PerShard []core.StatsSnapshot `json:"per_shard"`
+	// Tiers is the two-tier view (near/far residency, tier traffic,
+	// far-link cost model figures), present only when the engine is
+	// tiered. On tiered engines Total describes the far (compressed)
+	// tier; near-tier accounting is all here.
 	Tiers *tier.Snapshot `json:"tiers,omitempty"`
 }
 
-// Telemetry is the daemon-side view: uptime and live queue gauges
-// (shard indices are global across instances).
+// Telemetry is the daemon-side view: uptime and live per-shard queue
+// gauges.
 type Telemetry struct {
 	UptimeSeconds float64          `json:"uptime_seconds" prom:"attached_uptime_seconds,gauge" help:"Seconds since the daemon started serving."`
 	Gauges        []obs.ShardGauge `json:"gauges"`
 }
 
-// Cluster is the SLO view: the instance count, per-class latency
-// quantiles, and the Jain fairness index over per-tenant throughput.
+// Cluster is the SLO view: per-class latency quantiles and the Jain
+// fairness index over per-tenant throughput.
 type Cluster struct {
-	Instances    int                     `json:"instances" prom:"attached_cluster_instances,gauge" help:"Engine instances the cluster places lines across by address."`
 	Classes      []cluster.ClassSnapshot `json:"classes"`
 	JainFairness float64                 `json:"jain_fairness" prom:"attached_cluster_jain_fairness,gauge" help:"Jain fairness index over per-tenant successful throughput."`
 }

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Cluster e2e smoke: boots a 3-instance attached daemon with one
-# quota-capped tenant, drives two tenants through attacheload over real
-# HTTP, and asserts the multi-tenant contract end to end:
+# Cluster e2e smoke: boots an attached daemon with one quota-capped
+# tenant and one gold-class tenant, drives both through attacheload over
+# real HTTP, and asserts the multi-tenant contract end to end:
 #
 #   - per-tenant stats conserve: ops == ok + shed_quota + shed_backend + errors
 #   - only the over-quota tenant is refused (429); the other sees zero
 #     quota sheds
-#   - stats v2 carries the cluster section (instances, classes,
-#     jain_fairness)
+#   - stats v3 carries the cluster section (classes, jain_fairness)
+#   - the engine's totals are the sum of its per-shard counters
 #   - a line written once reads back the same, 30 times over: each
-#     address lives on one instance, so every read reaches the write
+#     address lives on one shard, so every read reaches the write
 #
 # Needs: curl, jq. Exits non-zero on the first broken assertion.
 set -euo pipefail
@@ -24,7 +24,7 @@ trap 'kill "$daemon_pid" 2>/dev/null || true; wait "$daemon_pid" 2>/dev/null || 
 go build -o "$bin/attached" ./cmd/attached
 go build -o "$bin/attacheload" ./cmd/attacheload
 
-"$bin/attached" -addr "$addr" -cluster 3 \
+"$bin/attached" -addr "$addr" \
   -quotas 'hog=2000:2000' -classes 'vip=gold' -log-level warn &
 daemon_pid=$!
 
@@ -44,11 +44,9 @@ jq -e '.per_tenant.hog.shed > 0' "$bin/report.json" >/dev/null ||
 jq -e '.per_tenant.vip.shed == 0' "$bin/report.json" >/dev/null ||
   { echo "FAIL: unquotaed tenant was quota-shed"; exit 1; }
 
-stats="$(curl -sf "$base/v1/stats?v=2")"
-echo "$stats" | jq -e '.schema_version == 2' >/dev/null ||
-  { echo "FAIL: default stats schema is not v2"; exit 1; }
-echo "$stats" | jq -e '.cluster.instances == 3' >/dev/null ||
-  { echo "FAIL: cluster section wrong"; exit 1; }
+stats="$(curl -sf "$base/v1/stats?v=3")"
+echo "$stats" | jq -e '.schema_version == 3' >/dev/null ||
+  { echo "FAIL: stats schema is not v3"; exit 1; }
 echo "$stats" | jq -e 'all(.tenants[]; .ops == .ok + .shed_quota + .shed_backend + .errors)' >/dev/null ||
   { echo "FAIL: per-tenant books do not conserve"; exit 1; }
 echo "$stats" | jq -e '.tenants | map(select(.tenant == "hog"))[0].shed_quota > 0' >/dev/null ||
@@ -60,17 +58,16 @@ echo "$stats" | jq -e '.cluster.jain_fairness > 0 and .cluster.jain_fairness <= 
 echo "$stats" | jq -e '.cluster.classes | map(.class) | index("gold") != null' >/dev/null ||
   { echo "FAIL: gold class missing from quantiles"; exit 1; }
 
-# The admitted work conserves across the fleet: merged totals equal the
-# sum of per-instance totals.
+# The admitted work conserves across the shards: the engine's totals
+# equal the sum of its per-shard counters.
 echo "$stats" | jq -e '
-  .engine.total.writes == ([.engine.per_instance[].total.writes] | add) and
-  .engine.total.reads  == ([.engine.per_instance[].total.reads]  | add)' >/dev/null ||
-  { echo "FAIL: merged totals do not equal per-instance sums"; exit 1; }
+  .engine.total.writes == ([.engine.per_shard[].writes] | add) and
+  .engine.total.reads  == ([.engine.per_shard[].reads]  | add)' >/dev/null ||
+  { echo "FAIL: engine totals do not equal per-shard sums"; exit 1; }
 
 # Read-your-writes across requests: write one line, read it back 30
-# times, and require one answer. A router that rotated requests over the
-# instances would answer most of these reads from an instance that never
-# saw the write.
+# times, and require one answer: every read must reach the shard that
+# took the write.
 line="$(head -c 64 /dev/urandom | base64 | tr -d '\n')"
 curl -sf "$base/v1/write" -d "{\"addr\":4242,\"data\":\"$line\"}" >/dev/null ||
   { echo "FAIL: read-back write refused"; exit 1; }
@@ -86,4 +83,4 @@ done
 kill -TERM "$daemon_pid"
 wait "$daemon_pid" 2>/dev/null || true
 
-echo "cluster smoke OK: $(echo "$stats" | jq -c '{instances: .cluster.instances, jain: .cluster.jain_fairness, tenants: [.tenants[] | {tenant, ok, shed_quota}]}')"
+echo "cluster smoke OK: $(echo "$stats" | jq -c '{shards: .engine.shards, jain: .cluster.jain_fairness, tenants: [.tenants[] | {tenant, ok, shed_quota}]}')"

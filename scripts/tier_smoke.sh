@@ -4,7 +4,7 @@
 # drains it with SIGTERM, restarts from the written snapshot (-restore),
 # and asserts the snapshot/restore contract end to end:
 #
-#   - /v1/stats v2 carries the tiers section while serving, and its
+#   - /v1/stats v3 carries the tiers section while serving, and its
 #     books conserve: promotions == demotions + near_resident
 #   - /v1/snapshot serves a decodable snapv1 image (ATSNAP magic)
 #   - SIGTERM drains and writes the snapshot file atomically
@@ -42,7 +42,7 @@ curl -sf "$base/healthz" >/dev/null
 jq -e '.ops_ok > 0' "$bin/report.json" >/dev/null ||
   { echo "FAIL: load run completed no ops"; exit 1; }
 
-stats1="$(curl -sf "$base/v1/stats?v=2")"
+stats1="$(curl -sf "$base/v1/stats?v=3")"
 echo "$stats1" | jq -e '.engine.tiers != null' >/dev/null ||
   { echo "FAIL: tiered daemon stats carry no tiers section"; exit 1; }
 echo "$stats1" | jq -e '.engine.tiers.policy == "freq"' >/dev/null ||
@@ -72,7 +72,7 @@ for _ in $(seq 100); do
 done
 curl -sf "$base/healthz" >/dev/null
 
-stats2="$(curl -sf "$base/v1/stats?v=2")"
+stats2="$(curl -sf "$base/v1/stats?v=3")"
 # Totals and tier counters must survive the restart exactly.
 same() {
   a="$(echo "$stats1" | jq -c "$1")"
