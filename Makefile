@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench fmt vet scenarios scenarios-update \
+.PHONY: build test race bench bench-smoke fmt vet scenarios scenarios-update \
 	ci fmt-check bench-module loc fuzz cross
 
 build:
@@ -74,21 +74,30 @@ race:
 # against one that restores an image), the sharded engine and its submit
 # path, Framework.Store and the core.Memory rung above it (Store/LoadInto
 # plus the line table, over 32 Ki lines; the table's GC cycle, heap and
-# slowest Write at 1 Mi lines, once), the cluster rung (64-op batches
+# slowest Write at 1 Mi lines, once), the tier rung (a hot set and a
+# scanner over a 1 Ki-line near tier, with the same-run near0/untiered and
+# hotset/untiered ratios), the cluster rung (64-op batches
 # through Cluster.DoCtx and the bare engine, with their same-run ratio),
 # then the wire rungs (codec, handler, client over loopback). They measure; the allocation pins that
 # gate are tests (go test -run 'Alloc' ./...), and the end-to-end ruler
 # is bench/.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkScheduleStep$$' -benchmem ./internal/sim
-	$(GO) test -run '^$$' -bench 'BenchmarkRunWarm$$' -benchmem ./internal/exp
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedThroughput$$|BenchmarkSubmitLatency$$' -benchmem ./internal/shard
-	$(GO) test -run '^$$' -bench 'BenchmarkFrameworkStore$$|BenchmarkMemoryWrite$$|BenchmarkMemoryReadInto$$' -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkScheduleStep$$' -benchmem $(BENCHTIME) ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkRunWarm$$' -benchmem $(BENCHTIME) ./internal/exp
+	$(GO) test -run '^$$' -bench 'BenchmarkShardedThroughput$$|BenchmarkSubmitLatency$$' -benchmem $(BENCHTIME) ./internal/shard
+	$(GO) test -run '^$$' -bench 'BenchmarkFrameworkStore$$|BenchmarkMemoryWrite$$|BenchmarkMemoryReadInto$$' -benchmem $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkMemoryTable$$' -benchtime 1x ./internal/core
-	$(GO) test -run '^$$' -bench 'BenchmarkClusterBatch64$$' -benchmem ./internal/cluster
-	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec$$' -benchmem ./internal/wire
-	$(GO) test -run '^$$' -bench 'BenchmarkHandlerBatch64$$' -benchmem ./internal/serve
-	$(GO) test -run '^$$' -bench 'BenchmarkClientLoopbackBatch64$$' -benchmem ./client
+	$(GO) test -run '^$$' -bench 'BenchmarkTierHotset$$' -benchmem $(BENCHTIME) ./internal/tier
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterBatch64$$' -benchmem $(BENCHTIME) ./internal/cluster
+	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec$$' -benchmem $(BENCHTIME) ./internal/wire
+	$(GO) test -run '^$$' -bench 'BenchmarkHandlerBatch64$$' -benchmem $(BENCHTIME) ./internal/serve
+	$(GO) test -run '^$$' -bench 'BenchmarkClientLoopbackBatch64$$' -benchmem $(BENCHTIME) ./client
+
+# Every rung of `make bench` once (-benchtime 1x), so that a rung which
+# stops compiling, panics or divides by zero fails CI the day it breaks.
+# It times nothing worth reading.
+bench-smoke: BENCHTIME = -benchtime 1x
+bench-smoke: bench
 
 # Run every preset workload scenario against its golden behavioral
 # profile (internal/workload/testdata/golden/).
