@@ -92,21 +92,29 @@ func benchMemory(b *testing.B, n int) (*Memory, [][]byte) {
 // benchAddr scatters iteration i over a table of n lines, n a power of two.
 func benchAddr(i, n int) uint64 { return uint64(i) * 0x9E3779B1 % uint64(n) }
 
+// BenchmarkMemoryWrite writes one line per iteration: over the line
+// stored there (overwrite); after taking it out, as a tier's demotion
+// follows a promotion (churn); or handing back the form taken out, as a
+// clean demotion does (handback).
 func BenchmarkMemoryWrite(b *testing.B) {
-	for _, churn := range []bool{false, true} {
-		name := "overwrite"
-		if churn {
-			name = "churn" // Delete then Write: a tier's demotion after a promotion
-		}
+	for _, name := range []string{"overwrite", "churn", "handback"} {
 		b.Run(name, func(b *testing.B) {
 			m, lines := benchMemory(b, benchTableLines)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if churn {
-					m.Delete(benchAddr(i, benchTableLines))
+				addr, data := benchAddr(i, benchTableLines), lines[(i+1)%len(lines)]
+				switch name {
+				case "churn":
+					m.Take(addr)
+				case "handback": // the line keeps its bytes, so the form taken is its own
+					data = lines[addr%uint64(len(lines))]
+					if st, _ := m.Take(addr); !st.Collision {
+						m.WriteStored(addr, (*[LineSize]byte)(data), st)
+						continue
+					}
 				}
-				if err := m.Write(benchAddr(i, benchTableLines), lines[(i+1)%len(lines)]); err != nil {
+				if err := m.Write(addr, data); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -107,7 +107,9 @@ func TestHotPathAllocations(t *testing.T) {
 			t.Errorf("%s: LoadInto allocates %.1f times per line, want 0", c.name, n)
 		}
 		// One rung up: an overwrite reuses the line's table entry, and a
-		// re-write after a Delete the slot the Delete emptied.
+		// write after a Take the slot the Take lent out, whether it
+		// stores the line again or hands back the form Take returned
+		// (which a collided form may not be).
 		m, err := NewMemory(c.opts)
 		if err != nil {
 			t.Fatal(err)
@@ -118,8 +120,14 @@ func TestHotPathAllocations(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() { m.Write(c.addr, c.line) }); n != 0 {
 			t.Errorf("%s: Memory.Write over a stored line allocates %.1f times, want 0", c.name, n)
 		}
-		if n := testing.AllocsPerRun(200, func() { m.Delete(c.addr); m.Write(c.addr, c.line) }); n != 0 {
-			t.Errorf("%s: Delete then Write allocates %.1f times, want 0", c.name, n)
+		if n := testing.AllocsPerRun(200, func() { m.Take(c.addr); m.Write(c.addr, c.line) }); n != 0 {
+			t.Errorf("%s: Take then Write allocates %.1f times, want 0", c.name, n)
+		}
+		if !c.collision {
+			raw := (*[LineSize]byte)(c.line)
+			if n := testing.AllocsPerRun(200, func() { st, _ := m.Take(c.addr); m.WriteStored(c.addr, raw, st) }); n != 0 {
+				t.Errorf("%s: Take then WriteStored allocates %.1f times, want 0", c.name, n)
+			}
 		}
 		if n := testing.AllocsPerRun(200, func() { m.Read(c.addr) }); n > 1 {
 			t.Errorf("%s: Memory.Read allocates %.1f times, want at most 1 (the returned line)", c.name, n)

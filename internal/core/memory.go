@@ -113,6 +113,36 @@ func (m *Memory) Write(lineAddr uint64, data []byte) error {
 	if err != nil {
 		return err
 	}
+	m.record(lineAddr, data, st, tr)
+	return nil
+}
+
+// WriteStored stores data at lineAddr in st, the form Store made of it
+// there before, without compressing it again. Store is a pure function of
+// the address, the bytes, the CID, the scrambler key and the codec set,
+// apart from the write it counts in BLEM and the training it gives COPR;
+// WriteStored replays those two, so it leaves the memory exactly as Write
+// would. A collided form is refused, since its displaced bit must be
+// parked in the Replacement Area again, which only Write does.
+func (m *Memory) WriteStored(lineAddr uint64, data *[LineSize]byte, st StoredLine) {
+	if st.Collision {
+		panic("core: WriteStored of a collided line")
+	}
+	tr := AccessTrace{BlocksTouched: 2}
+	m.f.Blem.Stats.Writes.Inc()
+	if st.Compressed {
+		m.f.Blem.Stats.CompressedWrites.Inc()
+		tr = AccessTrace{BlocksTouched: 1, ActualCompressed: true}
+	}
+	if m.f.Copr != nil {
+		m.f.Copr.Train(lineAddr*LineSize, st.Compressed)
+	}
+	m.record(lineAddr, data[:], st, tr)
+}
+
+// record puts st, the stored form of data that a write at lineAddr cost tr,
+// in the table, and keeps the shadow, the counters and the gauges.
+func (m *Memory) record(lineAddr uint64, data []byte, st StoredLine, tr AccessTrace) {
 	l := m.lines.put(lineAddr) // a new line's flags are false
 	wasCompressed, wasCollided := l.Compressed, l.Collision
 	*l = st
@@ -138,7 +168,28 @@ func (m *Memory) Write(lineAddr uint64, data []byte) error {
 	case !st.Collision && wasCollided:
 		dec(&m.stats.RAOccupancy)
 	}
-	return nil
+}
+
+// Take removes the line at lineAddr and returns its stored form, keeping
+// the compressed-line and RA-occupancy gauges consistent; ok reports
+// whether the line existed. Its table slot is lent, not freed, so the
+// next write of lineAddr lands where the line was. The tiered backend
+// takes a line out when it promotes it, which keeps residency exclusive,
+// and gives a line it never wrote back through WriteStored.
+func (m *Memory) Take(lineAddr uint64) (st StoredLine, ok bool) {
+	if st, ok = m.lines.take(lineAddr); !ok {
+		return st, false
+	}
+	if m.shadow != nil {
+		delete(m.shadow, lineAddr)
+	}
+	if st.Compressed {
+		dec(&m.stats.CompressedLines)
+	}
+	if st.Collision {
+		dec(&m.stats.RAOccupancy)
+	}
+	return st, true
 }
 
 // Read loads the 64-byte line at lineAddr into a freshly allocated

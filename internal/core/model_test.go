@@ -172,8 +172,8 @@ func (md *memoryModel) step(op int) {
 		md.write(op, addr)
 	case k < 12:
 		for i, m := range md.mems {
-			if m.Delete(addr) != live {
-				md.t.Fatalf("seed %d op %d memory %d: Delete(%#x) = %v, model holds it: %v", md.seed, op, i, addr, !live, live)
+			if _, ok := m.Take(addr); ok != live {
+				md.t.Fatalf("seed %d op %d memory %d: Take(%#x) = %v, model holds it: %v", md.seed, op, i, addr, !live, live)
 			}
 		}
 		if live {
@@ -209,7 +209,7 @@ func (md *memoryModel) step(op int) {
 }
 
 // TestMemoryAnswersToModel drives Write (every stored form, overwrites
-// always in another form), Delete, re-Write, ReadInto and Contains over
+// always in another form), Take, re-Write, ReadInto and Contains over
 // 256 addresses of a memory whose 4-bit CID makes one raw line in sixteen
 // collide, with the self-check on, against the model above. Halfway the
 // memory is snapshotted and restored into a fresh one, and both carry on:

@@ -2,27 +2,6 @@ package core
 
 import "attache/internal/snap"
 
-// Delete removes the line at lineAddr, keeping the compressed-line and
-// RA-occupancy gauges consistent. It reports whether the line existed.
-// The tiered backend uses it to keep residency exclusive: promoting a
-// line to the near tier removes the far copy.
-func (m *Memory) Delete(lineAddr uint64) bool {
-	st, ok := m.lines.del(lineAddr)
-	if !ok {
-		return false
-	}
-	if m.shadow != nil {
-		delete(m.shadow, lineAddr)
-	}
-	if st.Compressed {
-		dec(&m.stats.CompressedLines)
-	}
-	if st.Collision {
-		dec(&m.stats.RAOccupancy)
-	}
-	return true
-}
-
 // Contains reports whether a line is currently stored at lineAddr.
 func (m *Memory) Contains(lineAddr uint64) bool {
 	return m.lines.find(lineAddr) != nil

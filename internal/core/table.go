@@ -12,8 +12,10 @@ import (
 // is one probe into memory that already holds the line. It is an
 // extendible hash table (DESIGN.md, "The line table"): a directory indexed
 // by the top hash bits points at segments probed linearly from the home
-// slot, a ¾-full segment splits in two, deletion shifts the probe run back
-// instead of leaving a tombstone, and only the directory holds pointers.
+// slot, a ¾-full segment splits in two, and only the directory holds
+// pointers. Nothing is ever removed: take lends a line's slot out, so that
+// find and sorted pass over it and the next put of its address lands in
+// it again.
 type lineTable struct {
 	// seed keys the hash: shardFor places lines by the top bits of the
 	// unkeyed SplitMix64, and a client cannot cluster addresses under a
@@ -21,7 +23,7 @@ type lineTable struct {
 	seed  uint64
 	dir   []dirEntry // 1<<depth entries; nil until the first put
 	depth uint
-	n     int
+	n     int      // live lines: occupied slots not lent out
 	spare *segment // what the last split emptied, for the next one
 }
 
@@ -31,10 +33,12 @@ const (
 	segMax  = 3 << segBits / 4
 )
 
-// slot is one 80-byte entry; a segment is exactly ten pages.
+// slot is one 80-byte entry; a segment is exactly ten pages. A used slot
+// holds its address for good; lent marks one whose line was taken.
 type slot struct {
 	addr uint64
 	used bool
+	lent bool
 	line StoredLine
 }
 
@@ -71,7 +75,7 @@ func (t *lineTable) find(addr uint64) *StoredLine {
 		return nil
 	}
 	h := t.hash(addr)
-	if _, s := probe(t.entry(h).seg, h, addr); s.used {
+	if _, s := probe(t.entry(h).seg, h, addr); s.used && !s.lent {
 		return &s.line
 	}
 	return nil
@@ -87,8 +91,9 @@ func (t *lineTable) prefetch(addr uint64) {
 	prefetch.Range(uintptr(unsafe.Pointer(s)), unsafe.Sizeof(*s))
 }
 
-// put returns the line stored at addr, inserting a zero one when absent;
-// the pointer is good until the next put or del.
+// put returns the line stored at addr, inserting a zero one when absent
+// (in its lent slot, if it has one); the pointer is good until the next
+// put.
 func (t *lineTable) put(addr uint64) *StoredLine {
 	if t.dir == nil {
 		t.dir = []dirEntry{{new(segment), &segBooks{}}}
@@ -97,6 +102,10 @@ func (t *lineTable) put(addr uint64) *StoredLine {
 	for {
 		d := t.entry(h)
 		if _, s := probe(d.seg, h, addr); s.used {
+			if s.lent {
+				s.lent, s.line = false, StoredLine{}
+				t.n++
+			}
 			return &s.line
 		} else if d.books.n < segMax {
 			s.used, s.addr = true, addr
@@ -143,29 +152,19 @@ func (t *lineTable) split(h uint64) {
 	t.spare = old.seg
 }
 
-// del removes addr and returns the line it held.
-func (t *lineTable) del(addr uint64) (StoredLine, bool) {
+// take lends addr's slot out and returns the line it held.
+func (t *lineTable) take(addr uint64) (StoredLine, bool) {
 	if t.dir == nil {
 		return StoredLine{}, false
 	}
 	h := t.hash(addr)
-	d := t.entry(h)
-	hole, s := probe(d.seg, h, addr)
-	if !s.used {
+	_, s := probe(t.entry(h).seg, h, addr)
+	if !s.used || s.lent {
 		return StoredLine{}, false
 	}
-	line := s.line
-	// An entry later in the run moves back into the hole unless its home
-	// lies after the hole; the hole then opens where it was.
-	for j := (hole + 1) & segMask; d.seg[j].used; j = (j + 1) & segMask {
-		if home := int(t.hash(d.seg[j].addr) & segMask); (j-home)&segMask >= (j-hole)&segMask {
-			d.seg[hole], hole = d.seg[j], j
-		}
-	}
-	d.seg[hole] = slot{}
-	d.books.n--
+	s.lent = true
 	t.n--
-	return line, true
+	return s.line, true
 }
 
 // sorted returns every stored address in ascending order, the only order
@@ -174,7 +173,7 @@ func (t *lineTable) sorted() []uint64 {
 	addrs := make([]uint64, 0, t.n)
 	for i := 0; i < len(t.dir); i += 1 << (t.depth - t.dir[i].books.depth) {
 		for j := range t.dir[i].seg {
-			if s := &t.dir[i].seg[j]; s.used {
+			if s := &t.dir[i].seg[j]; s.used && !s.lent {
 				addrs = append(addrs, s.addr)
 			}
 		}

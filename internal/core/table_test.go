@@ -7,12 +7,14 @@ import (
 	"unsafe"
 )
 
-// checkTable holds a table to its invariants and to model, the lines it
-// should hold: every line is found with its value, a walk visits exactly
-// the model's addresses in ascending order, each segment's books count its
-// entries and its depth bounds the prefix its entries share, and no probe
-// run has a gap between an entry and its home.
-func checkTable(t *testing.T, tab *lineTable, model map[uint64]StoredLine) {
+// checkTable holds a table to its invariants, to model, the lines it
+// should hold, and to lent, the addresses taken out since their last put:
+// every line is found with its value and no taken address is, a walk
+// visits exactly the model's addresses in ascending order, each taken
+// address keeps exactly one lent slot, each segment's books count its
+// occupied slots, lent ones included, and its depth bounds the prefix its
+// entries share, and no probe run has a gap between an entry and its home.
+func checkTable(t *testing.T, tab *lineTable, model map[uint64]StoredLine, lent map[uint64]bool) {
 	t.Helper()
 	if tab.n != len(model) {
 		t.Fatalf("table counts %d lines, model holds %d", tab.n, len(model))
@@ -20,6 +22,11 @@ func checkTable(t *testing.T, tab *lineTable, model map[uint64]StoredLine) {
 	for a, want := range model {
 		if got := tab.find(a); got == nil || *got != want {
 			t.Fatalf("find(%#x) = %v, model holds %v", a, got, want)
+		}
+	}
+	for a := range lent {
+		if got := tab.find(a); got != nil {
+			t.Fatalf("find(%#x) = %v after it was taken", a, got)
 		}
 	}
 	want := make([]uint64, 0, len(model))
@@ -30,6 +37,7 @@ func checkTable(t *testing.T, tab *lineTable, model map[uint64]StoredLine) {
 	if walked := tab.sorted(); !slices.Equal(walked, want) {
 		t.Fatalf("a walk visits %x, model holds %x", walked, want)
 	}
+	slotsLent := map[uint64]int{}
 	for i, d := range tab.dir {
 		if d.books.depth > tab.depth {
 			t.Fatalf("segment at %d is %d deep, directory %d", i, d.books.depth, tab.depth)
@@ -40,6 +48,15 @@ func checkTable(t *testing.T, tab *lineTable, model map[uint64]StoredLine) {
 				continue
 			}
 			n++
+			if s.lent {
+				if !lent[s.addr] {
+					t.Fatalf("%#x holds a lent slot but was not taken", s.addr)
+				}
+				// A segment that several directory entries share is seen once per entry.
+				if i&(1<<(tab.depth-d.books.depth)-1) == 0 {
+					slotsLent[s.addr]++
+				}
+			}
 			h := tab.hash(s.addr)
 			if h>>(64-tab.depth)>>(tab.depth-d.books.depth) != uint64(i)>>(tab.depth-d.books.depth) {
 				t.Fatalf("%#x sits in the segment at %d, outside its prefix", s.addr, i)
@@ -52,6 +69,11 @@ func checkTable(t *testing.T, tab *lineTable, model map[uint64]StoredLine) {
 		}
 		if n != d.books.n || n > segMax {
 			t.Fatalf("segment at %d holds %d entries, its books say %d, at most %d may be live", i, n, d.books.n, segMax)
+		}
+	}
+	for a := range lent {
+		if slotsLent[a] != 1 {
+			t.Fatalf("taken %#x holds %d lent slots, want 1", a, slotsLent[a])
 		}
 	}
 }
@@ -68,9 +90,10 @@ func homedAt(tab *lineTable, slot uint64, n int) []uint64 {
 	return addrs
 }
 
-// FuzzLineTable drives put, find and del against a map. Each op is three
+// FuzzLineTable drives put, find and take against a map. Each op is three
 // bytes: a kind and a 16-bit address. Kind 3 puts the 1024 addresses from
-// there, enough to split a segment.
+// there, enough to split a segment. A put of an address the map does not
+// hold, taken or never put, must find a zero line.
 func FuzzLineTable(f *testing.F) {
 	const seed = 7
 	op := func(kind byte, addr uint64) []byte { return []byte{kind, byte(addr), byte(addr >> 8)} }
@@ -79,18 +102,25 @@ func FuzzLineTable(f *testing.F) {
 	f.Add(ops(op(3, 0), op(3, 1024), op(3, 4096), op(3, 9000), op(2, 5), op(1, 5))) // splits
 	f.Add(ops(op(3, 0), op(3, 1024), op(3, 2048)))                                  // four segments at the ¾ bound
 	// Three lines homed at the segment's last slot run past its end; one
-	// homed at slot 0 follows. Deleting the first shifts all three back.
+	// homed at slot 0 follows. Taking the first lends a slot the others
+	// are found past, and putting it again lands there.
 	tab := &lineTable{seed: seed}
 	end, zero := homedAt(tab, segMask, 3), homedAt(tab, 0, 1)
-	f.Add(ops(op(0, end[0]), op(0, end[1]), op(0, end[2]), op(0, zero[0]), op(2, end[0]), op(1, zero[0]), op(2, end[2])))
+	f.Add(ops(op(0, end[0]), op(0, end[1]), op(0, end[2]), op(0, zero[0]), op(2, end[0]), op(1, zero[0]), op(2, end[2]), op(0, end[0])))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		tab := &lineTable{seed: seed}
 		model := map[uint64]StoredLine{}
+		lent := map[uint64]bool{}
 		put := func(i int, a uint64) {
 			line := StoredLine{Compressed: i%3 == 0, Collision: i%3 == 1}
 			line.Blocks[0][0], line.Blocks[1][31] = byte(i), byte(a)
-			*tab.put(a) = line
+			l := tab.put(a)
+			if _, live := model[a]; !live && *l != (StoredLine{}) {
+				t.Fatalf("put(%#x) of an absent address (taken: %v) found %v", a, lent[a], *l)
+			}
+			*l = line
 			model[a] = line
+			delete(lent, a)
 		}
 		for i := 0; i+3 <= len(b) && i < 3*256; i += 3 {
 			a := uint64(b[i+1]) | uint64(b[i+2])<<8
@@ -104,10 +134,13 @@ func FuzzLineTable(f *testing.F) {
 				}
 			case 2:
 				want, live := model[a]
-				if got, ok := tab.del(a); ok != live || got != want {
-					t.Fatalf("del(%#x) = %v, %v; model %v, %v", a, got, ok, want, live)
+				if got, ok := tab.take(a); ok != live || got != want {
+					t.Fatalf("take(%#x) = %v, %v; model %v, %v", a, got, ok, want, live)
 				}
-				delete(model, a)
+				if live {
+					delete(model, a)
+					lent[a] = true
+				}
 			case 3:
 				for j := a; j < a+1024; j++ {
 					put(i, j)
@@ -117,7 +150,7 @@ func FuzzLineTable(f *testing.F) {
 				t.Fatalf("op %d: table counts %d lines, model holds %d", i/3, tab.n, len(model))
 			}
 		}
-		checkTable(t, tab, model)
+		checkTable(t, tab, model, lent)
 	})
 }
 
@@ -144,7 +177,7 @@ func TestLineTableResistsClusters(t *testing.T) {
 			tab.put(a).Blocks[0][0] = byte(a >> segBits)
 			model[a] = *tab.find(a)
 		}
-		checkTable(t, tab, model)
+		checkTable(t, tab, model, nil)
 		var total uint64
 		for _, a := range addrs {
 			h := tab.hash(a)

@@ -133,12 +133,17 @@ func (c Config) Validate() error {
 
 // node is one near-resident line on the intrusive recency list (MRU at
 // head). freq backs the freq policy's victim choice and is maintained
-// for every policy, so snapshots are policy-independent.
+// for every policy, so snapshots are policy-independent. A clean node
+// holds, in st, the stored form its promotion took out of the far
+// memory, and data is still what st decodes to; it leaves no trace in a
+// snapshot, so a restored node is dirty.
 type node struct {
 	addr       uint64
 	freq       uint64
 	prev, next *node
 	data       [LineSize]byte
+	st         core.StoredLine
+	clean      bool
 }
 
 // Memory is the two-tier backend: an uncompressed near tier in front of
@@ -158,6 +163,11 @@ type Memory struct {
 	// c holds the six traffic counters in their Snapshot fields; every
 	// other Snapshot field is derived, filled in only by Snapshot().
 	c Snapshot
+
+	// rewriteAll sends every demotion through far.Write, clean ones too:
+	// the slow path a clean demotion must be indistinguishable from, set
+	// only by tests.
+	rewriteAll bool
 }
 
 // NewMemory builds a tiered memory in front of far. The far memory must
@@ -289,18 +299,19 @@ func (m *Memory) victim() (*node, bool) {
 }
 
 // install moves a line into the near tier (the caller already holds its
-// 64 raw bytes), demoting a victim if the tier is full and deleting any
-// far copy so residency stays exclusive. Counts one promotion. It
-// reports false when the policy declined to make room (the line stays
-// far); any error comes from the demotion writeback.
-func (m *Memory) install(addr uint64, data []byte) (bool, error) {
+// 64 raw bytes), demoting a victim if the tier is full and taking any far
+// copy out so residency stays exclusive. Counts one promotion. clean says
+// that data is what the far copy decodes to, as on a read. It reports
+// false when the policy declined to make room (the line stays far); any
+// error comes from the demotion writeback.
+func (m *Memory) install(addr uint64, data []byte, clean bool) (bool, error) {
 	var n *node // the demoted victim's node, reused; fresh while the tier fills
 	if m.cfg.NearLines >= 0 && int64(len(m.near)) >= m.cfg.NearLines {
 		v, ok := m.victim()
 		if !ok {
 			return false, nil
 		}
-		if err := m.far.Write(v.addr, v.data[:]); err != nil {
+		if err := m.demote(v); err != nil {
 			return false, fmt.Errorf("tier: demoting line %#x: %w", v.addr, err)
 		}
 		m.unlink(v)
@@ -318,9 +329,24 @@ func (m *Memory) install(addr uint64, data []byte) (bool, error) {
 	}
 	m.near[addr] = n
 	m.pushFront(n)
-	m.far.Delete(addr)
+	st, held := m.far.Take(addr)
+	// A collided form parked a Replacement Area bit that a rewrite must
+	// park again, so only Write may put it back.
+	n.st, n.clean = st, clean && held && !st.Collision
 	m.c.Promotions++
 	return true, nil
+}
+
+// demote writes a victim back to the far memory: a clean one as the
+// stored form its promotion took out, which leaves the far memory as a
+// rewrite would without compressing the line again, and a dirty one
+// through Write.
+func (m *Memory) demote(v *node) error {
+	if v.clean && !m.rewriteAll {
+		m.far.WriteStored(v.addr, &v.data, v.st)
+		return nil
+	}
+	return m.far.Write(v.addr, v.data[:])
 }
 
 // Read loads the 64-byte line at lineAddr from whichever tier holds it
@@ -351,7 +377,7 @@ func (m *Memory) ReadInto(dst *[LineSize]byte, lineAddr uint64) error {
 	}
 	m.c.FarReads++
 	if m.noteFar(lineAddr) {
-		if _, err := m.install(lineAddr, dst[:]); err != nil {
+		if _, err := m.install(lineAddr, dst[:], true); err != nil {
 			return err
 		}
 	}
@@ -373,11 +399,12 @@ func (m *Memory) Write(lineAddr uint64, data []byte) error {
 		m.moveToFront(n)
 		n.freq++
 		copy(n.data[:], data)
+		n.clean = false
 		m.c.NearWrites++
 		return nil
 	}
 	if m.noteFar(lineAddr) {
-		installed, err := m.install(lineAddr, data)
+		installed, err := m.install(lineAddr, data, false)
 		if err != nil {
 			return err
 		}

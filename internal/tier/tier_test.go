@@ -2,7 +2,9 @@ package tier
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -226,11 +228,11 @@ func TestReadIntoBothTiers(t *testing.T) {
 }
 
 // TestExchangeAllocatesNothing: on a full near tier a far hit is a whole
-// exchange — far read, demotion (a far write), promotion, far delete — and
-// moves lines between structures that already exist: the promoted line
-// takes the victim's node, and the far memory's table gives the next
-// demotion a slot the delete emptied. A scan over a working set 16x the
-// near tier misses every time.
+// exchange — far read, demotion (the victim's stored form handed back to
+// the far memory), promotion, far take — and moves lines between
+// structures that already exist: the promoted line takes the victim's
+// node, and the demotion lands in the table slot the victim's own take
+// lent out. A scan over a working set 16x the near tier misses every time.
 func TestExchangeAllocatesNothing(t *testing.T) {
 	const near, lines = 64, 16 * 64
 	m := newTier(t, Config{NearLines: near, Policy: PolicyLRU}, 1)
@@ -564,5 +566,98 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := NewMemory(Config{Policy: "bogus"}, newFar(t, 1)); err == nil {
 		t.Fatal("NewMemory accepted an invalid config")
+	}
+}
+
+// mixedLine returns a zero, a compressible or a random line, a third of
+// the time each.
+func mixedLine(rng *rand.Rand) []byte {
+	b := make([]byte, LineSize)
+	switch rng.Intn(3) {
+	case 1: // one base, small deltas: BDI's shape
+		base := rng.Uint64()
+		for i := 0; i < LineSize; i += 8 {
+			binary.LittleEndian.PutUint64(b[i:], base+uint64(rng.Intn(100)))
+		}
+	case 2:
+		rng.Read(b)
+	}
+	return b
+}
+
+// TestCleanDemotionIsExact: handing a clean victim's stored form back,
+// instead of storing its bytes again, changes nothing anyone can see. Two
+// tiers run one seeded stream of 200 k reads and writes over 16x the near
+// tier: one sends every demotion through far.Write (rewriteAll), the other
+// runs as shipped and is snapshotted and restored halfway, which turns its
+// near lines dirty. They must agree on every read, on the far memory's
+// stats, the tier's snapshot, BLEM's counters and the snapshot image. At
+// a 3-bit CID one random line in eight collides, so collided lines
+// promote and demote as well.
+func TestCleanDemotionIsExact(t *testing.T) {
+	const ops, lines = 200_000, 1024
+	for _, cidBits := range []int{15, 3} {
+		for _, policy := range []string{PolicyLRU, PolicyFreq, PolicyStatic} {
+			t.Run(fmt.Sprintf("%s/cid%d", policy, cidBits), func(t *testing.T) {
+				cfg := Config{NearLines: lines / 16, Policy: policy, FreqThreshold: 2, FreqDecayEvery: 256, PinShift: 9, PinPrefix: 1}
+				opts := core.DefaultOptions()
+				opts.CIDBits = cidBits
+				var tiers [2]*Memory
+				for i := range tiers {
+					far, err := core.NewMemory(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tiers[i], err = NewMemory(cfg, far); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tiers[0].rewriteAll = true
+				rng := rand.New(rand.NewSource(int64(cidBits)))
+				for op := 0; op < ops; op++ {
+					if op == ops/2 {
+						r, err := restore(t, tiers[1], snapshot(tiers[1]))
+						if err != nil {
+							t.Fatal(err)
+						}
+						tiers[1] = r
+					}
+					addr := uint64(rng.Intn(lines))
+					if rng.Intn(4) == 0 {
+						data := mixedLine(rng)
+						for _, m := range tiers {
+							if err := m.Write(addr, data); err != nil {
+								t.Fatal(err)
+							}
+						}
+						continue
+					}
+					var got [2][LineSize]byte
+					var errs [2]error
+					for i, m := range tiers {
+						errs[i] = m.ReadInto(&got[i], addr)
+					}
+					if got[0] != got[1] || fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+						t.Fatalf("op %d: read %#x: rewritten %x, %v; shipped %x, %v", op, addr, got[0], errs[0], got[1], errs[1])
+					}
+				}
+				rewritten, shipped := tiers[0], tiers[1]
+				if a, b := rewritten.far.StatsSnapshot(), shipped.far.StatsSnapshot(); a != b {
+					t.Fatalf("far stats diverge:\n rewritten %+v\n shipped   %+v", a, b)
+				}
+				if a, b := rewritten.Snapshot(), shipped.Snapshot(); a != b {
+					t.Fatalf("tier snapshots diverge:\n rewritten %+v\n shipped   %+v", a, b)
+				}
+				if a, b := rewritten.far.Framework().Blem.Stats, shipped.far.Framework().Blem.Stats; !reflect.DeepEqual(a, b) {
+					t.Fatalf("BLEM stats diverge:\n rewritten %+v\n shipped   %+v", a, b)
+				}
+				if !bytes.Equal(snapshot(rewritten), snapshot(shipped)) {
+					t.Fatal("snapshot images differ")
+				}
+				if s := shipped.Snapshot(); policy != PolicyStatic && s.Demotions < ops/100 {
+					t.Fatalf("%d demotions in %d ops: the stream hardly exchanges", s.Demotions, ops)
+				}
+			})
+		}
 	}
 }
