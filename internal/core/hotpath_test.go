@@ -233,3 +233,52 @@ func TestPrefetchChangesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteStoredMatchesWrite: handing back the form Take returned leaves
+// a memory exactly as storing the line again does, in every stored form
+// but the collided one, which WriteStored refuses: the same snapshot
+// image, counters and BLEM books.
+func TestWriteStoredMatchesWrite(t *testing.T) {
+	for _, c := range hotPathClasses(t) {
+		var mems [2]*Memory
+		for i := range mems {
+			m, err := NewMemory(c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Write(c.addr, c.line); err != nil {
+				t.Fatal(err)
+			}
+			mems[i] = m
+		}
+		st, ok := mems[1].Take(c.addr)
+		if !ok || st.Collision != c.collision {
+			t.Fatalf("%s: Take = %v, %v", c.name, st, ok)
+		}
+		mems[0].Take(c.addr)
+		if err := mems[0].Write(c.addr, c.line); err != nil {
+			t.Fatal(err)
+		}
+		if c.collision {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: WriteStored of a collided form did not panic", c.name)
+					}
+				}()
+				mems[1].WriteStored(c.addr, (*[LineSize]byte)(c.line), st)
+			}()
+			continue
+		}
+		mems[1].WriteStored(c.addr, (*[LineSize]byte)(c.line), st)
+		if a, b := mems[0].StatsSnapshot(), mems[1].StatsSnapshot(); a != b {
+			t.Errorf("%s: stats %+v after Write, %+v after WriteStored", c.name, a, b)
+		}
+		if a, b := mems[0].Framework().Blem.Stats, mems[1].Framework().Blem.Stats; a != b {
+			t.Errorf("%s: BLEM stats %+v after Write, %+v after WriteStored", c.name, a, b)
+		}
+		if !bytes.Equal(snapshot(mems[0]), snapshot(mems[1])) {
+			t.Errorf("%s: the snapshot images differ", c.name)
+		}
+	}
+}

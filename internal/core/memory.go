@@ -59,7 +59,10 @@ func (s *StatsSnapshot) Accumulate(o StatsSnapshot) {
 
 // Memory is a functional compressed memory backed by the Attaché
 // framework: a sparse table of stored lines with exact Store/Load
-// round-trips. It is the container the examples build on.
+// round-trips. It is the container the examples build on. Take removes a
+// line and returns its stored form, and WriteStored puts an unchanged
+// line back in that form without compressing it again: the tiered
+// backend moves lines between its tiers that way.
 //
 // A Memory is NOT safe for concurrent use: Read mutates the COPR
 // predictor and the stats counters, so concurrent Read/Write or

@@ -16,6 +16,15 @@
 //   - static: pin-by-prefix — only addresses whose page prefix matches
 //     the configured pin go near; nothing ever demotes.
 //
+// A promotion takes the line out of the far memory (core.Memory.Take)
+// and keeps its stored form beside its bytes. A line promoted by a read
+// and never written while near is clean: when it demotes, its stored
+// form goes back as it came (core.Memory.WriteStored), without being
+// compressed, scrambled or packed again, and the far memory ends exactly
+// as a rewrite would leave it. Every other victim (written near,
+// write-allocated, collided, or restored from a snapshot) is stored again
+// through far.Write.
+//
 // A configurable LinkModel (per-access latency, bandwidth multiplier,
 // per-byte energy) turns the traffic split into modeled far-link cost
 // and energy figures, surfaced via Snapshot.
