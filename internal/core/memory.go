@@ -135,7 +135,7 @@ func (m *Memory) WriteStored(lineAddr uint64, data *[LineSize]byte, st StoredLin
 	m.f.Blem.Stats.Writes.Inc()
 	if st.Compressed {
 		m.f.Blem.Stats.CompressedWrites.Inc()
-		tr = AccessTrace{BlocksTouched: 1, ActualCompressed: true}
+		tr.BlocksTouched = 1
 	}
 	if m.f.Copr != nil {
 		m.f.Copr.Train(lineAddr*LineSize, st.Compressed)
