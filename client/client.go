@@ -10,14 +10,20 @@
 // with per-op outcomes; per-op failures inside a batch are returned to
 // the caller unretried, since the neighbouring ops already landed.
 //
-// Do speaks internal/wire's binary frame, no JSON or base64; Read and
-// Write speak JSON.
+// Read, Write and Do speak internal/wire's binary frame, no JSON or
+// base64: Read and Write send a one-op frame to /v1/read and /v1/write,
+// Do any number of ops to /v1/batch.
 //
 // Errors carry the daemon's taxonomy: errors.Is works against
 // attache.ErrOverloaded, attache.ErrNeverWritten, attache.ErrClosed,
 // attache.ErrBadLineSize, attache.ErrOutOfRange, and the context
-// sentinels, whether the failure was a whole response (StatusError) or
-// one op inside a batch.
+// sentinels, for one op inside a batch and for a whole response
+// (StatusError) whose status names one sentinel: 404, 429, 499, 503 or
+// 504. ErrBadLineSize and ErrOutOfRange both answer 400, and 500 is also
+// what an error outside the taxonomy answers, so a StatusError with
+// either code unwraps to nothing and its Message carries the daemon's
+// text. A failed Read or Write is a whole response: a bad line size or an
+// out-of-range address there is such a 400.
 //
 // Tracing: a context built with ContextWithTrace (or ContextWithTraceID)
 // sends its ID in the X-Attache-Trace header on every request made with
@@ -225,20 +231,21 @@ func ContextWithTenant(ctx context.Context, tenant string) context.Context {
 // recycled: the transport may still be reading one after Do returns.
 var respBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// exchange is roundTrip for the data calls: it reads the answer into a
-// pooled buffer and hands it to parse when the status is 200.
-func (c *Client) exchange(ctx context.Context, path string, body []byte, parse func(resp []byte) error) error {
+// send is roundTrip for the data calls: it posts ops to path as a
+// request frame, reads the answer into a pooled buffer and, when the
+// status is 200, parses it as an answer frame.
+func (c *Client) send(ctx context.Context, path string, ops []attache.Op) ([]attache.Result, error) {
 	buf := respBufs.Get().(*[]byte)
 	defer respBufs.Put(buf)
-	code, resp, err := c.roundTrip(ctx, http.MethodPost, path, body, (*buf)[:0])
+	code, resp, err := c.roundTrip(ctx, http.MethodPost, path, wire.AppendFrameOps(nil, ops), (*buf)[:0])
 	if err != nil {
-		return err
+		return nil, err
 	}
 	*buf = resp
 	if code != http.StatusOK {
-		return statusToErr(code, resp)
+		return nil, statusToErr(code, resp)
 	}
-	return parse(resp)
+	return parseBatchResponse(resp, ops)
 }
 
 // roundTrip POSTs (or GETs, for empty body) path with retries and
@@ -324,28 +331,30 @@ func statusToErr(code int, body []byte) error {
 
 // Read fetches the 64-byte line at addr.
 func (c *Client) Read(ctx context.Context, addr uint64) ([]byte, error) {
-	var line wire.LineReq
-	err := c.exchange(ctx, "/v1/read", wire.AppendLine(nil, wire.Line{Addr: addr}), func(resp []byte) error {
-		var sc wire.Scanner
-		sc.Reset(resp)
-		if err := sc.LineReq(&line, new([wire.LineSize]byte)); err != nil {
-			return fmt.Errorf("client: bad read response: %w", err)
-		}
-		return nil
-	})
-	return line.Data, err
+	res, err := c.one(ctx, "/v1/read", attache.Op{Addr: addr})
+	return res.Data, err
 }
 
 // Write stores the 64-byte line data at addr.
 func (c *Client) Write(ctx context.Context, addr uint64, data []byte) error {
-	body := wire.AppendLine(nil, wire.Line{Addr: addr, Data: data})
-	return c.exchange(ctx, "/v1/write", body, func([]byte) error { return nil })
+	_, err := c.one(ctx, "/v1/write", attache.Op{Write: true, Addr: addr, Data: data})
+	return err
 }
 
-// parseBatchResponse turns a /v1/batch answer frame into one Result per
-// op. Every line read lands in one slab allocated here, 64 bytes per read
-// op, each Data exactly its own slot: the slab is per call and never
-// recycled, and keeping one result alive keeps its batch's slab.
+// one sends op alone to /v1/read or /v1/write and returns its result,
+// with the op's error as the call's.
+func (c *Client) one(ctx context.Context, path string, op attache.Op) (attache.Result, error) {
+	res, err := c.send(ctx, path, []attache.Op{op})
+	if err != nil {
+		return attache.Result{}, err
+	}
+	return res[0], res[0].Err
+}
+
+// parseBatchResponse turns an answer frame into one Result per op. Every
+// line read lands in one slab allocated here, 64 bytes per read op, each
+// Data exactly its own slot: the slab is per call and never recycled,
+// and keeping one result alive keeps its batch's slab.
 func parseBatchResponse(resp []byte, ops []attache.Op) ([]attache.Result, error) {
 	var f wire.Frame
 	n, _, err := f.Results(resp)
@@ -383,12 +392,7 @@ func parseBatchResponse(resp []byte, ops []attache.Op) ([]attache.Result, error)
 // the returned slice matches ops in order, and each Result carries its
 // own error (resolved to attache sentinels where possible).
 func (c *Client) Do(ctx context.Context, ops []attache.Op) ([]attache.Result, error) {
-	var out []attache.Result
-	err := c.exchange(ctx, "/v1/batch", wire.AppendFrameOps(nil, ops), func(resp []byte) (err error) {
-		out, err = parseBatchResponse(resp, ops)
-		return err
-	})
-	return out, err
+	return c.send(ctx, "/v1/batch", ops)
 }
 
 // DoCtx is Do under the method name the sharded Engine exposes, so a

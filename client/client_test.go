@@ -17,6 +17,7 @@ import (
 	"attache/internal/core"
 	"attache/internal/serve"
 	"attache/internal/shard"
+	"attache/internal/wire"
 )
 
 func testLine(fill byte) []byte {
@@ -106,7 +107,7 @@ func TestRetriesOverloadedThenSucceeds(t *testing.T) {
 			fmt.Fprint(w, `{"error":"overloaded"}`)
 			return
 		}
-		fmt.Fprintf(w, `{"addr":5,"ok":true}`)
+		w.Write(wire.AppendFrameBatch(nil, wire.Batch{Results: []wire.OpResult{{Addr: 5, OK: true}}}))
 	}))
 	defer ts.Close()
 

@@ -14,6 +14,7 @@ import (
 	"attache/internal/obs"
 	"attache/internal/shard"
 	"attache/internal/tier"
+	"attache/internal/wire"
 )
 
 // TestNewOptions pins what New resolves: the documented defaults with no
@@ -79,7 +80,7 @@ func TestTenantHeaderSent(t *testing.T) {
 		mu.Lock()
 		seen = append(seen, r.Header.Get(obs.TenantHeader))
 		mu.Unlock()
-		w.Write([]byte(`{"addr":1,"ok":true}`))
+		w.Write(wire.AppendFrameBatch(nil, wire.Batch{Results: []wire.OpResult{{Addr: 1, OK: true}}}))
 	}))
 	defer ts.Close()
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,11 +12,13 @@ import (
 	"attache/internal/wire"
 )
 
-// FuzzBatchParser throws arbitrary bytes at the /v1/batch decoders — the
-// frame, and the JSON-array and NDJSON forms. The contract: never
-// panic, never hang, and answer either 200 (parsed, per-op outcomes) or
-// 400 (rejected), no matter how malformed, huge, or truncated the body;
-// and a frame answered 200 is answered with a frame.
+// FuzzBatchParser throws arbitrary bytes at the decoders of the /v1 data
+// endpoints — the frame, the JSON-array and NDJSON batch forms, and the
+// JSON line body — sending each input to /v1/batch, /v1/read and
+// /v1/write. The contract: never panic, never hang, and answer 200
+// (parsed), 400 (rejected) or, on a line endpoint, 404 (a never-written
+// read), no matter how malformed, huge, or truncated the body; a frame
+// answered 200 is answered with a frame, of one item on a line endpoint.
 func FuzzBatchParser(f *testing.F) {
 	eng, err := shard.New(core.DefaultOptions(), shard.Config{Shards: 1, MaxLines: 1 << 20})
 	if err != nil {
@@ -60,26 +63,40 @@ func FuzzBatchParser(f *testing.F) {
 	for _, seed := range [][]byte{
 		reads, write,
 		reads[:8], // truncated count
-		wire.AppendFrameOps(nil, make([]shard.Op, 17)), // over MaxBatchOps
-		set(reads, 9, 0xFF),                            // a count far over the cap and the bytes
-		set(write, 19, 0xFF),                           // a length prefix past the end
-		set(reads, 10, 9),                              // unknown kind
-		set(reads, 4, 2),                               // unknown version
-		append(bytes.Clone(reads), 0, 0),               // trailing bytes
+		wire.AppendFrameOps(nil, make([]shard.Op, 17)),  // over MaxBatchOps
+		set(reads, 9, 0xFF),                             // a count far over the cap and the bytes
+		set(write, 19, 0xFF),                            // a length prefix past the end
+		set(reads, 10, 9),                               // unknown kind
+		set(reads, 4, 2),                                // unknown version
+		append(bytes.Clone(reads), 0, 0),                // trailing bytes
+		wire.AppendFrameOps(nil, []shard.Op{{Addr: 1}}), // one read, as /v1/read takes it
+		write[:len(write)-9],                            // torn in the line
 	} {
 		f.Add(seed)
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest("POST", "/v1/batch", bytes.NewReader(body))
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req) // any panic fails the fuzz run
-		if w.Code != 200 && w.Code != 400 {
-			t.Fatalf("batch parser answered %d (want 200 or 400) for %q", w.Code, body)
-		}
-		var fr wire.Frame
-		if _, _, err := fr.Results(w.Body.Bytes()); w.Code == 200 && wire.IsFrame(body) && err != nil {
-			t.Fatalf("a frame was answered %q: %v", w.Body, err)
+		for _, path := range []string{"/v1/batch", "/v1/read", "/v1/write"} {
+			req := httptest.NewRequest("POST", path, bytes.NewReader(body))
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req) // any panic fails the fuzz run
+			if w.Code != 200 && w.Code != 400 && (w.Code != 404 || path == "/v1/batch") {
+				t.Fatalf("%s answered %d for %q", path, w.Code, body)
+			}
+			if w.Code != 200 || !wire.IsFrame(body) {
+				continue
+			}
+			var fr wire.Frame
+			n, _, err := fr.Results(w.Body.Bytes())
+			if err == nil && path != "/v1/batch" {
+				fr.NextResult(new(wire.OpResult), nil)
+				if err = fr.Err(); n != 1 {
+					err = fmt.Errorf("%d items", n)
+				}
+			}
+			if err != nil {
+				t.Fatalf("%s answered the frame %q with %q: %v", path, body, w.Body, err)
+			}
 		}
 	})
 }

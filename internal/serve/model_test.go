@@ -97,8 +97,9 @@ func modelBatch(rng *rand.Rand, page0, pages int) []shard.Op {
 }
 
 // stack is one system under test: cl keeps the books and takes cluster
-// batches, eng (wrapped by cl) engine batches, cli HTTP batches — or, for
-// the batches rawJSON picks, hc posting them as JSON. An HTTP request's
+// batches, eng (wrapped by cl) engine batches, cli HTTP batches — as
+// frames, or as the line calls and raw-JSON batches httpForm picks, the
+// latter posted by hc. An HTTP request's
 // ID is the tick it was sent at; sent maps it to its batch's first
 // address, done to the tick its handler returned at.
 type stack struct {
@@ -169,14 +170,17 @@ func (r modelRun) stack(t *testing.T, ccfg cluster.Config, image []byte) *stack 
 // request's, "" in-process.
 func (s *stack) do(ctx context.Context, ops []shard.Op) (res []shard.Result, id string, err error) {
 	switch {
-	case s.cli != nil && rawJSON(ops):
-		id = strconv.FormatUint(s.tick.Add(1), 16)
-		s.sent.Store(id, ops[0].Addr)
-		res, err = s.postJSON(ctx, id, ops)
 	case s.cli != nil:
 		id = strconv.FormatUint(s.tick.Add(1), 16)
 		s.sent.Store(id, ops[0].Addr)
-		res, err = s.cli.DoCtx(client.ContextWithTraceID(ctx, id), ops)
+		switch ctx := client.ContextWithTraceID(ctx, id); httpForm(ops) {
+		case "line call":
+			res, err = s.line(ctx, ops[0])
+		case "raw-JSON batch":
+			res, err = s.postJSON(ctx, id, ops)
+		default:
+			res, err = s.cli.DoCtx(ctx, ops)
+		}
 	case s.eng == nil:
 		res, err = s.cl.DoCtx(ctx, ops)
 	case ctx == nil:
@@ -187,9 +191,51 @@ func (s *stack) do(ctx context.Context, ops []shard.Op) (res []shard.Result, id 
 	return res, id, err
 }
 
-// rawJSON picks the HTTP batches that go as JSON: by a bit of the first
-// address, so a restored twin sends each batch the way the original did.
-func rawJSON(ops []shard.Op) bool { return ops[0].Addr&1 == 1 }
+// httpForm picks how an HTTP batch is sent, by bits of its first address,
+// so a restored twin sends each batch the way the original did: a one-op
+// batch through client.Read or client.Write, a batch as JSON, or else as
+// client.Do's frame.
+func httpForm(ops []shard.Op) string {
+	switch {
+	case len(ops) == 1 && ops[0].Addr&2 != 0:
+		return "line call"
+	case ops[0].Addr&1 == 1:
+		return "raw-JSON batch"
+	}
+	return "frame batch"
+}
+
+// line is the HTTP target's line arm: op through client.Read or
+// client.Write. A StatusError, the call's whole answer, becomes the op's
+// result, mapped to its sentinel by message as postJSON maps a per-op
+// error: a 400 or 500 does not unwrap to one by status.
+func (s *stack) line(ctx context.Context, op shard.Op) ([]shard.Result, error) {
+	var (
+		res = make([]shard.Result, 1)
+		err error
+		se  *client.StatusError
+	)
+	if op.Write {
+		err = s.cli.Write(ctx, op.Addr, op.Data)
+	} else {
+		res[0].Data, err = s.cli.Read(ctx, op.Addr)
+	}
+	if errors.As(err, &se) {
+		res[0].Err, err = opErr(se.Message), nil
+	}
+	return res, err
+}
+
+// opErr is the error client.Client returns for an op that failed with
+// msg: wrapping the sentinel msg names, if it names one.
+func opErr(msg string) error {
+	for _, row := range shard.OpErrors {
+		if strings.Contains(msg, row.Sentinel.Error()) {
+			return fmt.Errorf("%s: %w", msg, row.Sentinel)
+		}
+	}
+	return errors.New(msg)
+}
 
 // postJSON is the HTTP target's raw-JSON arm: ops as a JSON array,
 // posted with the headers client.Client sends, and the answer read by
@@ -230,16 +276,8 @@ func (s *stack) postJSON(ctx context.Context, id string, ops []shard.Op) ([]shar
 	}
 	res := make([]shard.Result, len(ops))
 	for i, r := range b.Results {
-		res[i].Data = r.Data
-		if r.Error == "" {
-			continue
-		}
-		res[i].Err = errors.New(r.Error)
-		for _, row := range shard.OpErrors {
-			if strings.Contains(r.Error, row.Sentinel.Error()) {
-				res[i].Err = fmt.Errorf("%s: %w", r.Error, row.Sentinel)
-				break
-			}
+		if res[i].Data = r.Data; r.Error != "" {
+			res[i].Err = opErr(r.Error)
 		}
 	}
 	return res, nil
@@ -330,7 +368,7 @@ func (m *model) settle(r modelRun, tenant, id string, ops []shard.Op, res []shar
 	n, book := uint64(len(ops)), m.books[tenant]
 	m.told["offered"] += n
 	if r.target == targetHTTP {
-		m.told[map[bool]string{false: "frame batch", true: "raw-JSON batch"}[rawJSON(ops)]]++
+		m.told[httpForm(ops)]++
 	}
 	switch kind := outcome(err); {
 	case err == nil:
@@ -669,7 +707,7 @@ func TestServingModelCorpus(t *testing.T) {
 	}
 	for _, path := range []string{"ok near read", "ok far read", "promotion", "demotion", "Replacement-Area park",
 		"quota shed", "backend shed", "cancellation", "injected error", "partial batch",
-		"restore lockstep", "mid-run Close", "frame batch", "raw-JSON batch"} {
+		"restore lockstep", "mid-run Close", "frame batch", "raw-JSON batch", "line call"} {
 		if took[path] == 0 {
 			t.Errorf("no corpus input took the %s path", path)
 		}

@@ -1,9 +1,12 @@
 // Package serve is the HTTP face of the engine: the cmd/attached
 // daemon is a thin wrapper around Server. Endpoints:
 //
-//	POST /v1/read    {"addr":42}                     -> {"addr":42,"data":"<base64 64B>"}
-//	POST /v1/write   {"addr":42,"data":"<base64>"}   -> {"addr":42,"ok":true}
-//	POST /v1/batch   ops as a frame, a JSON array or JSON per line       -> per-op results, in kind
+//	POST /v1/read    one read op as a frame, or {"addr":42}
+//	                 -> one result as a frame, or {"addr":42,"data":"<base64 64B>"}
+//	POST /v1/write   one write op as a frame, or {"addr":42,"data":"<base64>"}
+//	                 -> one result as a frame, or {"addr":42,"ok":true}
+//	POST /v1/batch   ops as a frame, a JSON array or JSON per line
+//	                 -> per-op results, in kind
 //	GET  /v1/stats   versioned stats, schema v3 (nested engine/robust/
 //	                 telemetry/cluster/tenants sections); ?v= pins it
 //	GET  /v1/trace/{id}  one traced request's pipeline timeline (Config.Obs)
@@ -46,12 +49,15 @@
 // per-op errors inline ("partial failure" semantics).
 //
 // The three data endpoints read and write their bodies through
-// internal/wire, out of a pooled per-request state (reqState): steady
-// state, a request allocates nothing per op. A batch body whose first
-// byte says so is a frame (wire.IsFrame; the Content-Type is a label),
-// else JSON. MaxBodyBytes bounds its bytes and MaxBatchOps its ops (a
-// frame's count before any op is read); anything after the last op but
-// JSON's whitespace is a 400.
+// internal/wire, out of a pooled per-request state (reqState). A body
+// whose first byte says so is a frame (wire.IsFrame; the Content-Type is
+// a label), answered with a frame; any other is JSON, answered in JSON. A
+// frame allocates nothing per op in steady state. MaxBodyBytes bounds a
+// body's bytes and MaxBatchOps a batch's ops (a frame's count before any
+// op is read); anything after the last op but JSON's whitespace is a 400.
+// /v1/read and /v1/write take exactly one op of their kind — a frame of
+// any other shape is a 400 "bad frame: …" — and a failed op fails the
+// call, with its status and a JSON wire.Error in either form.
 //
 // Every handler submits through the engine's context-aware ops with the
 // request's context, so a client disconnect or deadline cancels queued
@@ -189,8 +195,8 @@ func NewCluster(cl *cluster.Cluster, cfg Config) *Server {
 	s.metrics = newMetricsSet("/v1/read", "/v1/write", "/v1/batch", "/v1/stats", "/v1/trace", "/v1/snapshot", "/healthz", "/metrics")
 	// The three data endpoints go through the engine pipeline, so they
 	// are the traced ones; the introspection endpoints are not.
-	s.mux.HandleFunc("/v1/read", s.instrument("/v1/read", true, post(s.handleRead)))
-	s.mux.HandleFunc("/v1/write", s.instrument("/v1/write", true, post(s.handleWrite)))
+	s.mux.HandleFunc("/v1/read", s.instrument("/v1/read", true, post(s.handleLine("read"))))
+	s.mux.HandleFunc("/v1/write", s.instrument("/v1/write", true, post(s.handleLine("write"))))
 	s.mux.HandleFunc("/v1/batch", s.instrument("/v1/batch", true, post(s.handleBatch)))
 	s.mux.HandleFunc("/v1/stats", s.instrument("/v1/stats", false, s.handleStats))
 	s.mux.HandleFunc("/v1/trace/", s.instrument("/v1/trace", false, s.handleTrace))
@@ -417,8 +423,8 @@ func (st *reqState) slot(n int) *[wire.LineSize]byte {
 	return &st.lines[n]
 }
 
-// readBody reads the request body into st and points the scanner at it,
-// answering 400 itself when the body cannot be read (too large, torn).
+// readBody reads the request body into st, answering 400 itself when the
+// body cannot be read (too large, torn).
 // The announced length sizes the buffer only up to MaxBodyBytes, so a
 // pooled state never keeps more than one allowed body.
 func (s *Server) readBody(st *reqState, w http.ResponseWriter, r *http.Request) bool {
@@ -432,7 +438,6 @@ func (s *Server) readBody(st *reqState, w http.ResponseWriter, r *http.Request) 
 		badRequest(w, msg)
 		return false
 	}
-	st.scan.Reset(st.body)
 	return true
 }
 
@@ -449,65 +454,76 @@ func writeBody(w http.ResponseWriter, body []byte) {
 
 // --- handlers -------------------------------------------------------------
 
-// lineReq scans a /v1/read or /v1/write body, answering 400 itself.
-func (s *Server) lineReq(st *reqState, w http.ResponseWriter, r *http.Request) (req wire.LineReq, ok bool) {
-	if !s.readBody(st, w, r) {
-		return req, false
+// handleLine serves /v1/read and /v1/write, whose one op is of the given
+// kind: a frame of that op is answered with a one-item answer frame, a
+// JSON wire.LineReq with a JSON wire.OpResult. A failed op fails the call.
+func (s *Server) handleLine(kind string) http.HandlerFunc {
+	write := kind == "write"
+	return func(w http.ResponseWriter, r *http.Request) {
+		st := reqStates.Get().(*reqState)
+		defer st.release()
+		if !s.readBody(st, w, r) {
+			return
+		}
+		var (
+			req   wire.LineReq
+			err   error
+			frame = wire.IsFrame(st.body)
+		)
+		if frame {
+			var op wire.Op
+			n, err := st.frame.Ops(st.body)
+			if err == nil && n == 1 {
+				st.frame.Next(&op, st.slot(0))
+				err = st.frame.Err()
+			}
+			if err == nil && (n != 1 || op.Op != kind) {
+				err = errors.New("want one " + kind + " op")
+			}
+			if err != nil {
+				badRequest(w, "bad frame: "+err.Error())
+				return
+			}
+			req = wire.LineReq{Addr: op.Addr, Data: op.Data}
+		} else if req, err = lineJSON(st.body); err != nil {
+			badRequest(w, "bad JSON: "+err.Error())
+			return
+		} else if req.Addr == nil {
+			badRequest(w, "missing addr")
+			return
+		}
+		st.ops = append(st.ops, shard.Op{Write: write, Addr: *req.Addr})
+		if write {
+			st.ops[0].Data = req.Data
+		}
+		if s.cfg.Record != nil {
+			s.cfg.Record.RecordOps(st.ops)
+		}
+		res, err := s.cl.DoCtx(r.Context(), st.ops)
+		if err == nil {
+			err = res[0].Err
+		}
+		if err != nil {
+			s.writeErr(w, err)
+			return
+		}
+		st.results = append(st.results, wire.OpResult{Addr: *req.Addr, Data: res[0].Data, OK: write})
+		if !frame {
+			body, _ := json.Marshal(st.results[0])
+			writeBody(w, body)
+			return
+		}
+		st.out = wire.AppendFrameBatch(st.out[:0], wire.Batch{Results: st.results})
+		writeBody(w, st.out)
 	}
-	if err := st.scan.LineReq(&req, st.slot(0)); err != nil {
-		badRequest(w, "bad JSON: "+err.Error())
-		return req, false
-	}
-	if req.Addr == nil {
-		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "missing addr"})
-		return req, false
-	}
-	return req, true
 }
 
-// doOne records and submits the one-op batch of a /v1/read or /v1/write
-// and folds the op's error into the call's.
-func (s *Server) doOne(r *http.Request, op shard.Op) ([]byte, error) {
-	ops := []shard.Op{op}
-	if s.cfg.Record != nil {
-		s.cfg.Record.RecordOps(ops)
-	}
-	res, err := s.cl.DoCtx(r.Context(), ops)
-	if err != nil {
-		return nil, err
-	}
-	return res[0].Data, res[0].Err
-}
-
-func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
-	st := reqStates.Get().(*reqState)
-	defer st.release()
-	req, ok := s.lineReq(st, w, r)
-	if !ok {
-		return
-	}
-	data, err := s.doOne(r, shard.Op{Addr: *req.Addr})
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	st.out = wire.AppendLine(st.out[:0], wire.Line{Addr: *req.Addr, Data: data})
-	writeBody(w, st.out)
-}
-
-func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
-	st := reqStates.Get().(*reqState)
-	defer st.release()
-	req, ok := s.lineReq(st, w, r)
-	if !ok {
-		return
-	}
-	if _, err := s.doOne(r, shard.Op{Write: true, Addr: *req.Addr, Data: req.Data}); err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	st.out = wire.AppendLine(st.out[:0], wire.Line{Addr: *req.Addr, OK: true})
-	writeBody(w, st.out)
+// lineJSON decodes a JSON /v1/read or /v1/write body. Returning it by
+// value keeps a frame request from allocating the struct encoding/json
+// decodes into.
+func lineJSON(body []byte) (req wire.LineReq, err error) {
+	err = json.Unmarshal(body, &req)
+	return req, err
 }
 
 // scanBatch turns the body — a frame, a single JSON array of ops or a
@@ -518,6 +534,7 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 func (s *Server) scanBatch(st *reqState, w http.ResponseWriter) bool {
 	var op wire.Op
 	frame, writes, over := wire.IsFrame(st.body), 0, false
+	st.scan.Reset(st.body)
 	if frame {
 		n, _ := st.frame.Ops(st.body) // a header it refuses yields no op
 		over = n > s.cfg.MaxBatchOps

@@ -504,3 +504,43 @@ func TestPooledStateNeverCrossesRequests(t *testing.T) {
 		t.Errorf("the disturbers did not fire: %d cancelled, %d shed", canceled.Load(), shed.Load())
 	}
 }
+
+// TestLineFrames: a frame of one op of the endpoint's kind is answered
+// with a one-item answer frame; a frame of any other shape is a 400 "bad
+// frame: …"; and an op that fails fails the call, answered in JSON as a
+// JSON body's would be.
+func TestLineFrames(t *testing.T) {
+	h := newTestServer(t).Handler()
+	read := func(addr uint64) []byte { return wire.AppendFrameOps(nil, []shard.Op{{Addr: addr}}) }
+	write := func(addr uint64, data []byte) []byte {
+		return wire.AppendFrameOps(nil, []shard.Op{{Write: true, Addr: addr, Data: data}})
+	}
+	answer := func(r wire.OpResult) string {
+		return string(wire.AppendFrameBatch(nil, wire.Batch{Results: []wire.OpResult{r}}))
+	}
+	line := testLine(0xD4)
+	for i, r := range []struct {
+		path string
+		body []byte
+		code int
+		want string
+	}{
+		{"/v1/write", write(3, line), 200, answer(wire.OpResult{Addr: 3, OK: true})},
+		{"/v1/read", read(3), 200, answer(wire.OpResult{Addr: 3, Data: line})},
+		{"/v1/read", write(3, line), 400, `{"error":"bad frame: want one read op"}` + "\n"},
+		{"/v1/write", read(3), 400, `{"error":"bad frame: want one write op"}` + "\n"},
+		{"/v1/read", wire.AppendFrameOps(nil, []shard.Op{{Addr: 3}, {Addr: 3}}), 400, `{"error":"bad frame: want one read op"}` + "\n"},
+		{"/v1/read", wire.AppendFrameOps(nil, nil), 400, `{"error":"bad frame: want one read op"}` + "\n"},
+		{"/v1/read", read(3)[:8], 400, `{"error":"bad frame: torn header"}` + "\n"},
+		{"/v1/write", write(3, line)[:30], 400, `{"error":"bad frame: item 0x3: payload runs past the end"}` + "\n"},
+		{"/v1/read", append(read(3), 0), 400, `{"error":"bad frame: 1 bytes after the last item"}` + "\n"},
+		{"/v1/read", read(99), 404, `{"error":"core: line 0x63: attache: line was never written"}` + "\n"},
+		{"/v1/write", write(4, line[:3]), 400, `{"error":"core: Store needs a 64-byte line, got 3: attache: line must be exactly 64 bytes"}` + "\n"},
+	} {
+		w := do(t, h, "POST", r.path, string(r.body))
+		ctype := map[bool]string{false: "application/json", true: "application/x-attache-frame"}[r.code == 200]
+		if w.Code != r.code || w.Header().Get("Content-Type") != ctype || w.Body.String() != r.want {
+			t.Errorf("row %d: %s answered %d (%s) %q, want %d (%s) %q", i, r.path, w.Code, w.Header().Get("Content-Type"), w.Body, r.code, ctype, r.want)
+		}
+	}
+}

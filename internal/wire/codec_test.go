@@ -197,32 +197,8 @@ func FuzzWireOpsVsJSON(f *testing.F) {
 	})
 }
 
-// FuzzWireBatchVsJSON is the same contract for the single-line bodies,
-// and holds AppendLine to encoding/json: what it renders, encoding/json
-// reads back as the values given.
-func FuzzWireBatchVsJSON(f *testing.F) {
-	for _, s := range batchParserSeeds(f) {
-		f.Add(s, uint64(0), []byte(nil), false)
-	}
-	for _, s := range grammarSeeds {
-		f.Add([]byte(s), uint64(1)<<63, bytes.Repeat([]byte{0x5A}, LineSize), true)
-	}
-	f.Fuzz(func(t *testing.T, body []byte, addr uint64, data []byte, ok bool) {
-		sameLinesVsJSON(t, body)
-
-		lenc := AppendLine(nil, Line{Addr: addr, Data: data, OK: ok})
-		var jline Line
-		if err := json.Unmarshal(lenc, &jline); err != nil {
-			t.Fatalf("encoding/json rejects the encoder's %q: %v", lenc, err)
-		}
-		if jline.Addr != addr || !bytes.Equal(jline.Data, data) || jline.OK != ok {
-			t.Fatalf("%q decodes to %#v", lenc, jline)
-		}
-	})
-}
-
-// sameOpsVsJSON and sameLinesVsJSON are the contract on one body: the scanner accepts it if and only if encoding/json does, and
-// then reads the same values.
+// sameOpsVsJSON is the contract on one body: the scanner accepts it if
+// and only if encoding/json does, and then reads the same ops.
 func sameOpsVsJSON(t *testing.T, body []byte) {
 	t.Helper()
 	got, err := scanOps(body)
@@ -232,24 +208,6 @@ func sameOpsVsJSON(t *testing.T, body []byte) {
 	}
 	if err == nil {
 		sameOps(t, body, got, want)
-	}
-}
-
-// sameLinesVsJSON reads body as a /v1/read or /v1/write body.
-func sameLinesVsJSON(t *testing.T, body []byte) {
-	t.Helper()
-	var (
-		s    Scanner
-		req  LineReq
-		jreq LineReq
-	)
-	s.Reset(body)
-	err, jerr := s.LineReq(&req, new([LineSize]byte)), json.Unmarshal(body, &jreq)
-	if (err == nil) != (jerr == nil) {
-		t.Fatalf("%q as LineReq: scanner says %v, encoding/json %v", body, err, jerr)
-	}
-	if err == nil {
-		sameOps(t, body, []Op{{Addr: req.Addr, Data: req.Data}}, []Op{{Addr: jreq.Addr, Data: jreq.Data}})
 	}
 }
 
@@ -275,11 +233,6 @@ func TestFormerNarrowingsAccepted(t *testing.T) {
 			t.Errorf("scanner accepts %s", body)
 		}
 	}
-	var s Scanner
-	s.Reset([]byte(`{"addr":1} {"addr":2}`))
-	if err := s.LineReq(new(LineReq), nil); err == nil {
-		t.Error("LineReq accepts two objects")
-	}
 }
 
 // TestScannerAcceptsWhatJSONAccepts pins the grammar the fallback brings:
@@ -289,7 +242,6 @@ func TestFormerNarrowingsAccepted(t *testing.T) {
 func TestScannerAcceptsWhatJSONAccepts(t *testing.T) {
 	for _, body := range grammarSeeds {
 		sameOpsVsJSON(t, []byte(body))
-		sameLinesVsJSON(t, []byte(body))
 	}
 	ops, err := scanOps([]byte(`{"x":{"a":[1,{"b":null}]},"op":"read","addr":7}`))
 	if err != nil || len(ops) != 1 || ops[0].Op != "read" || ops[0].Addr == nil || *ops[0].Addr != 7 {
@@ -343,23 +295,16 @@ func TestDecodeInPlace(t *testing.T) {
 			t.Fatalf("%d-byte payload decoded into the slot", n)
 		}
 	}
-	// lineChars characters without padding are 66 bytes.
-	if op := scan(strings.Repeat("AAAA", lineChars/4)); len(op.Data) != 66 {
-		t.Fatalf("unpadded %d characters decoded to %d bytes", lineChars, len(op.Data))
+	// A line's 88 base64 characters without padding are 66 bytes.
+	if op := scan(strings.Repeat("AAAA", 22)); len(op.Data) != 66 {
+		t.Fatalf("88 unpadded characters decoded to %d bytes", len(op.Data))
 	}
-	// Off the canonical form, encoding/json decodes the line, and it
-	// still lands in the slot: in a request and in a line body.
+	// Reordered members change nothing: the line still lands in the slot.
 	enc := base64.StdEncoding.EncodeToString(line)
 	slot = [LineSize]byte{}
 	s.Reset([]byte(`{"addr":1,"op":"write","data":"` + enc + `"}`))
 	if !s.Next(&op, &slot) || !bytes.Equal(op.Data, line) || &op.Data[0] != &slot[0] {
 		t.Fatalf("reordered op: %v, data in the slot: %v", s.Err(), len(op.Data) > 0 && &op.Data[0] == &slot[0])
-	}
-	var l LineReq
-	slot = [LineSize]byte{}
-	s.Reset([]byte(`{"data":"` + enc + `","addr":1}`))
-	if err := s.LineReq(&l, &slot); err != nil || !bytes.Equal(l.Data, line) || &l.Data[0] != &slot[0] {
-		t.Fatalf("reordered line: %v", err)
 	}
 }
 

@@ -8,16 +8,18 @@ import (
 	"attache/internal/shard"
 )
 
-// The binary /v1/batch frame, little-endian, in the snapv1 idiom (a
-// payload is a u32 length and its bytes):
+// The binary frame of the /v1 data endpoints, little-endian, in the
+// snapv1 idiom (a payload is a u32 length and its bytes):
 //
 //	request  magic | u16 version | u32 count | count × (u8 kind | u64 addr [| payload])
 //	answer   magic | u16 version | u32 count | u32 failed | count × (u8 status | u64 addr [| payload])
 //
 // Kinds are read (0) and write (1, with the line); statuses are data (0,
-// with the line), ok (1) and error (2, with the message). The magic's
-// first byte, 0x89, opens no JSON text, so IsFrame tells a frame from a
-// JSON body by that byte alone.
+// with the line), ok (1) and error (2, with the message). /v1/read and
+// /v1/write take a request of one op of their kind and answer one item,
+// never an error: a failed op fails the call. The magic's first byte,
+// 0x89, opens no JSON text, so IsFrame tells a frame from a JSON body by
+// that byte alone.
 const (
 	frameMagic                        = "\x89ATF"
 	frameVersion                      = 1

@@ -1,14 +1,16 @@
 // Package wire is the daemon's /v1 wire format, once, for both ends: the
-// declarations of every JSON body (their struct tags define it) and one
-// reader per data-path body kind. /v1/batch comes as the binary frame
-// client.Do speaks (frame.go) or as JSON, told apart by the first byte
-// (IsFrame); encoding/json reads and answers the JSON. The /v1/read and
-// /v1/write bodies (codec.go) are matched by hand in the form AppendLine
-// renders, and any other line body goes to encoding/json. So what the
-// JSON readers accept is encoding/json's by construction;
-// FuzzWireOpsVsJSON and FuzzWireBatchVsJSON hold them to that,
-// FuzzFrameVsJSON the frame to the JSON it stands in for. Beyond a
-// Decoder's rules, only whitespace may follow a request array.
+// declarations of every JSON body (their struct tags define it), the
+// binary frame (frame.go) and one reader per body kind. A data-path body
+// is a frame or JSON, told apart by its first byte (IsFrame): /v1/batch
+// takes a frame of any number of ops, /v1/read and /v1/write a frame of
+// one op, and each answers a frame with an answer frame. client speaks
+// only frames. A JSON body is read by encoding/json — a /v1/batch request
+// op by op through Scanner, a /v1/read or /v1/write body by Unmarshal into
+// LineReq — and answered through json.Marshal of these declarations, so
+// what the JSON side accepts and renders is encoding/json's by
+// construction; FuzzWireOpsVsJSON holds Scanner to that, FuzzFrameVsJSON
+// the frame to the JSON it stands in for. Beyond a Decoder's rules, only
+// whitespace may follow a request array.
 //
 // The control-plane bodies (Stats, Error, traces) stay on encoding/json.
 package wire
@@ -21,20 +23,11 @@ import (
 	"attache/internal/tier"
 )
 
-// LineReq is a /v1/read or /v1/write body as it is decoded: a request, or
-// a read's answer. Addr is a pointer so a missing address stays
-// distinguishable from 0.
+// LineReq is a JSON /v1/read or /v1/write request as it is decoded. Addr
+// is a pointer so a missing address stays distinguishable from 0.
 type LineReq struct {
 	Addr *uint64 `json:"addr"`
 	Data []byte  `json:"data,omitempty"` // base64 in JSON; writes only
-}
-
-// Line is what the client sends to /v1/read and /v1/write and what both
-// answer with: reads carry Data, writes OK.
-type Line struct {
-	Addr uint64 `json:"addr"`
-	Data []byte `json:"data,omitempty"`
-	OK   bool   `json:"ok,omitempty"`
 }
 
 // Error is the body of every non-2xx JSON answer.
@@ -50,8 +43,9 @@ type Op struct {
 	Data []byte  `json:"data,omitempty"`
 }
 
-// OpResult reports one batch op's outcome; exactly one of Data/OK/Error
-// is meaningful.
+// OpResult reports one op's outcome; exactly one of Data/OK/Error is
+// meaningful. A JSON /v1/read or /v1/write answer is one OpResult, with
+// no Error: an op that fails fails the call.
 type OpResult struct {
 	Addr  uint64 `json:"addr"`
 	Data  []byte `json:"data,omitempty"`

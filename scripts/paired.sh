@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Paired benchmark runs: this checkout's working tree (the change) against
-# its parent — HEAD when the tree has uncommitted changes, else HEAD~1 —
+# its parent — HEAD when the tree changes a Go build input (a .go file,
+# go.mod or go.sum, tracked or not), else HEAD~1 —
 # alternated, beside a control arm — the parent again, relinked with a
 # random function layout (-randlayout=1) — that shows how far two builds
 # of the same source drift apart on this host. A gain the control arm
@@ -33,17 +34,26 @@ while getopts n:w: opt; do
 	case $opt in
 	n) pairs=$OPTARG ;;
 	w) workloads+=("$OPTARG") ;;
-	*) sed -n '9,14p' "$0"; exit 2 ;;
+	*) sed -n '10,15p' "$0"; exit 2 ;;
 	esac
 done
 shift $((OPTIND - 1))
-[ $# -eq 1 ] || { sed -n '9,14p' "$0"; exit 2; }
+[ $# -eq 1 ] || { sed -n '10,15p' "$0"; exit 2; }
 out=$1
 command -v jq >/dev/null || { echo "paired: needs jq" >&2; exit 2; }
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 case $out in /*) ;; *) out=$PWD/$out ;; esac
-if git -C "$root" diff --quiet HEAD; then base=HEAD~1; else base=HEAD; fi
+# Only what the arms are built from decides: an uncommitted doc edit on top
+# of a committed change must not make the change its own parent.
+inputs=('*.go' go.mod go.sum bench/go.mod bench/go.sum)
+if git -C "$root" diff --quiet HEAD -- "${inputs[@]}" &&
+	[ -z "$(git -C "$root" ls-files --others --exclude-standard -- "${inputs[@]}")" ]; then
+	base=HEAD~1 rule="the Go build inputs are committed"
+else
+	base=HEAD rule="the working tree changes Go build inputs"
+fi
+echo "paired: parent $base ($(git -C "$root" rev-parse --short "$base")): $rule"
 if [ ${#workloads[@]} -eq 0 ]; then
 	mapfile -t workloads < <(jq -r '.workloads[].name' "$root/BENCHMARK.json")
 fi
