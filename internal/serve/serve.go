@@ -471,9 +471,11 @@ func (s *Server) handleLine(kind string) http.HandlerFunc {
 			frame = wire.IsFrame(st.body)
 		)
 		if frame {
-			var op wire.Op
-			n, err := st.frame.Ops(st.body)
-			if err == nil && n == 1 {
+			var (
+				op wire.Op
+				n  int
+			)
+			if n, err = st.frame.Ops(st.body); err == nil && n == 1 {
 				st.frame.Next(&op, st.slot(0))
 				err = st.frame.Err()
 			}
