@@ -123,6 +123,17 @@ func bdiFit(line []byte, limit int) bdiPlan {
 	return bdiPlan{enc: BDIUncompressed, size: LineSize}
 }
 
+// bdiSize is the encoded size enc fixes, tag byte included.
+func bdiSize(enc BDIEncoding) int {
+	switch enc {
+	case BDIZeros:
+		return 1
+	case BDIRep:
+		return 9
+	}
+	return bdiByTag[enc].size
+}
+
 // bdiDecode is the BDI decoder, writing the line into dst.
 func bdiDecode(dst *[LineSize]byte, encoded []byte) error {
 	if len(encoded) == 0 {

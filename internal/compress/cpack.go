@@ -202,66 +202,3 @@ func cpackSize(line []byte, limit int) int {
 	}
 	return LineSize
 }
-
-// cpackEncodedLen walks a CPack bitstream and reports its byte length,
-// tracking dictionary occupancy only (contents do not affect lengths).
-func cpackEncodedLen(buf []byte) (int, error) {
-	r := NewBitReader(buf)
-	bits := 0
-	dictLen := 0
-	push := func() {
-		if dictLen < cpackDictSize {
-			dictLen++
-		}
-	}
-	for i := 0; i < fpcWords; i++ {
-		b1, err := r.ReadBits(2)
-		if err != nil {
-			return 0, fmt.Errorf("compress: cpack length scan word %d: %w", i, err)
-		}
-		bits += 2
-		switch b1 {
-		case 0b00:
-		case 0b01:
-			if _, err := r.ReadBits(32); err != nil {
-				return 0, err
-			}
-			bits += 32
-			push()
-		case 0b10:
-			idx, err := r.ReadBits(4)
-			if err != nil {
-				return 0, err
-			}
-			if int(idx) >= dictLen {
-				return 0, fmt.Errorf("compress: cpack length scan word %d: bad index", i)
-			}
-			bits += 4
-			push()
-		default:
-			b2, err := r.ReadBits(2)
-			if err != nil {
-				return 0, err
-			}
-			bits += 2
-			var need int
-			switch b2 {
-			case 0b00:
-				need = 4 + 16
-				push()
-			case 0b01:
-				need = 4 + 8
-				push()
-			case 0b10:
-				need = 8
-			default:
-				return 0, fmt.Errorf("compress: cpack length scan word %d: bad prefix", i)
-			}
-			if _, err := r.ReadBits(need); err != nil {
-				return 0, err
-			}
-			bits += need
-		}
-	}
-	return (bits + 7) / 8, nil
-}

@@ -98,11 +98,17 @@ func Unpack(packed []byte) (Compressed, error) {
 
 // DecodePacked decompresses a packed payload into dst without copying or
 // allocating: Unpack and Decompress in one step, for callers that own the
-// destination line.
+// destination line. packed may run on past the payload, as the padding
+// of a sub-rank block does: a BDI payload is cut to the size its tag
+// fixes, and the FPC and CPack decoders stop after the sixteenth word,
+// so the one decoding walk is also the only length check.
 func DecodePacked(dst *[LineSize]byte, packed []byte) error {
 	algo, payload, err := splitPacked(packed)
 	if err != nil {
 		return err
+	}
+	if algo == AlgoBDI {
+		payload = payload[:min(len(payload), bdiSize(BDIEncoding(payload[0])))]
 	}
 	return decode(dst, algo, payload)
 }

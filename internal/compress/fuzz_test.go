@@ -178,7 +178,8 @@ func FuzzDecodersNeverPanic(f *testing.F) {
 		BDIDecompress(data)
 		FPCDecompress(data)
 		CPackDecompress(data)
-		MeasurePacked(data)
+		var dst [LineSize]byte
+		DecodePacked(&dst, data)
 		if u, err := Unpack(data); err == nil {
 			NewExtendedEngine().Decompress(u)
 		}

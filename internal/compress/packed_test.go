@@ -7,7 +7,13 @@ import (
 	"testing"
 )
 
-func TestMeasurePackedAgainstRealPayloads(t *testing.T) {
+// TestDecodePackedPadded: a packed payload padded to a full sub-rank, as
+// BLEM stores it, decodes to the original line.
+func TestDecodePackedPadded(t *testing.T) {
+	var dst [LineSize]byte
+	if err := DecodePacked(&dst, make([]byte, 30)); err != nil || dst != [LineSize]byte{} {
+		t.Fatalf("zeros tag + padding: err=%v", err)
+	}
 	e := NewEngine()
 	rng := rand.New(rand.NewSource(8))
 	checked := 0
@@ -25,25 +31,10 @@ func TestMeasurePackedAgainstRealPayloads(t *testing.T) {
 		if c.Algo == AlgoNone {
 			continue
 		}
-		packed := c.Pack()
-		// Pad to a full sub-rank as BLEM stores it.
 		padded := make([]byte, 30)
-		copy(padded, packed)
-		n, err := MeasurePacked(padded)
-		if err != nil {
-			t.Fatalf("measure error on %v payload: %v", c.Algo, err)
-		}
-		if n != len(packed) {
-			t.Fatalf("measured %d, want %d (algo %v)", n, len(packed), c.Algo)
-		}
-		// The measured prefix must decode to the original line.
-		u, err := Unpack(padded[:n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := e.Decompress(u)
-		if err != nil || !bytes.Equal(dec, l) {
-			t.Fatal("measured prefix does not round-trip")
+		copy(padded, c.Pack())
+		if err := DecodePacked(&dst, padded); err != nil || !bytes.Equal(dst[:], l) {
+			t.Fatalf("padded %v payload does not round-trip (err %v)", c.Algo, err)
 		}
 		checked++
 	}
@@ -52,7 +43,7 @@ func TestMeasurePackedAgainstRealPayloads(t *testing.T) {
 	}
 }
 
-func TestMeasurePackedErrors(t *testing.T) {
+func TestDecodePackedErrors(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{byte(BDIRep), 0}, // truncated rep
@@ -61,17 +52,13 @@ func TestMeasurePackedErrors(t *testing.T) {
 		{200},             // unknown tag
 		{fpcTag},          // empty FPC stream
 		{fpcTag, 0xFF},    // truncated FPC stream
+		// A shape wider than a padded sub-rank payload.
+		append([]byte{byte(BDIB8D4)}, make([]byte, 29)...),
 	}
+	var dst [LineSize]byte
 	for i, c := range cases {
-		if _, err := MeasurePacked(c); err == nil {
+		if err := DecodePacked(&dst, c); err == nil {
 			t.Errorf("case %d (% x): expected error", i, c)
 		}
-	}
-}
-
-func TestMeasurePackedZeros(t *testing.T) {
-	n, err := MeasurePacked(make([]byte, 30)) // zeros tag + padding
-	if err != nil || n != 1 {
-		t.Fatalf("zeros: n=%d err=%v", n, err)
 	}
 }

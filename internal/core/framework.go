@@ -175,9 +175,11 @@ func (f *Framework) Load(lineAddr uint64, stored StoredLine) ([]byte, AccessTrac
 // LoadInto runs the read path of Fig. 9(d-f): predict with COPR, fetch the
 // predicted sub-rank block(s), classify via the blended header, correct a
 // misprediction with the remaining block, consult the Replacement Area on
-// a collision, then descramble and decompress into dst. It allocates
-// nothing; every byte of dst is written on success, and dst holds
-// unspecified bytes when an error is returned.
+// a collision, then descramble and decompress into dst. A compressed
+// block is decoded in one walk over its padded payload, which also finds
+// where the payload ends; a payload that does not decode is the one
+// error. It allocates nothing; every byte of dst is written on success,
+// and dst holds unspecified bytes when an error is returned.
 func (f *Framework) LoadInto(dst *[LineSize]byte, lineAddr uint64, stored StoredLine) (AccessTrace, error) {
 	tr := AccessTrace{ActualCompressed: stored.Compressed}
 	if f.Copr != nil {
@@ -197,12 +199,8 @@ func (f *Framework) LoadInto(dst *[LineSize]byte, lineAddr uint64, stored Stored
 		var packed [blem.MaxPayload]byte
 		copy(packed[:], blem.PayloadOf(stored.Blocks[0][:]))
 		f.Scr.Apply(lineAddr, packed[:])
-		n, err := compress.MeasurePacked(packed[:])
-		if err != nil {
+		if err := compress.DecodePacked(dst, packed[:]); err != nil {
 			return tr, fmt.Errorf("core: corrupt compressed block at %d: %w", lineAddr, err)
-		}
-		if err := compress.DecodePacked(dst, packed[:n]); err != nil {
-			return tr, err
 		}
 	case blem.ClassUncompressed, blem.ClassCollision:
 		if tr.PredictedCompressed {
