@@ -291,7 +291,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body, buf [
 				return resp.StatusCode, respBody, nil
 			} else {
 				retryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
-				lastErr = &StatusError{Code: resp.StatusCode, Message: strings.TrimSpace(string(respBody))}
+				lastErr = statusToErr(resp.StatusCode, respBody)
 			}
 		}
 

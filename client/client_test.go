@@ -140,6 +140,26 @@ func TestRetriesExhausted(t *testing.T) {
 	}
 }
 
+// TestRetryableStatusReadsWireError: a retryable status's StatusError
+// carries the daemon's wire.Error text, as every other status's does,
+// and resolves to the sentinel of its row.
+func TestRetryableStatusReadsWireError(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprint(w, `{"error":"shard: engine closed"}`)
+	}))
+	defer ts.Close()
+
+	err := New(ts.URL, fastOpts(WithRetry(0))...).Write(context.Background(), 1, testLine(1))
+	var se *StatusError
+	if !errors.As(err, &se) || se.Message != "shard: engine closed" {
+		t.Fatalf("err = %v, want a StatusError with message %q", err, "shard: engine closed")
+	}
+	if !errors.Is(err, attache.ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+}
+
 // TestDeadlineBudget pins that retries respect the budget: against a
 // permanently overloaded server, the call returns once the budget is
 // spent — well before the retries alone would finish — and the error
