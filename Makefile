@@ -85,7 +85,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkScheduleStep$$' -benchmem $(BENCHTIME) ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkRunWarm$$' -benchmem $(BENCHTIME) ./internal/exp
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedThroughput$$|BenchmarkSubmitLatency$$' -benchmem $(BENCHTIME) ./internal/shard
-	$(GO) test -run '^$$' -bench 'BenchmarkFrameworkStore$$|BenchmarkMemoryWrite$$|BenchmarkMemoryReadInto$$' -benchmem $(BENCHTIME) ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkFrameworkStore$$|BenchmarkFrameworkLoad$$|BenchmarkMemoryWrite$$|BenchmarkMemoryReadInto$$' -benchmem $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkMemoryTable$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkTierHotset$$' -benchmem $(BENCHTIME) ./internal/tier
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterBatch64$$' -benchmem $(BENCHTIME) ./internal/cluster

@@ -187,14 +187,14 @@ func Plan(cfg Config) []Event {
 		case w < cfg.ReadWeight+cfg.WriteWeight:
 			ev.Kind = Write
 			addr := rng.Uint64() % cfg.AddrSpace
-			ev.Ops = []shard.Op{{Write: true, Addr: addr, Data: payload(addr, rng.Uint64())}}
+			ev.Ops = []shard.Op{{Write: true, Addr: addr, Data: Payload(addr, rng.Uint64())}}
 		default:
 			ev.Kind = Batch
 			ev.Ops = make([]shard.Op, cfg.BatchSize)
 			for j := range ev.Ops {
 				addr := rng.Uint64() % cfg.AddrSpace
 				if rng.Intn(4) == 0 {
-					ev.Ops[j] = shard.Op{Write: true, Addr: addr, Data: payload(addr, rng.Uint64())}
+					ev.Ops[j] = shard.Op{Write: true, Addr: addr, Data: Payload(addr, rng.Uint64())}
 				} else {
 					ev.Ops[j] = shard.Op{Addr: addr}
 				}
@@ -206,9 +206,10 @@ func Plan(cfg Config) []Event {
 	return events
 }
 
-// payload builds a deterministic 64-byte line from an address and a
-// version: half the lines are array-like (compressible), half are mixed.
-func payload(addr, version uint64) []byte {
+// Payload builds the default deterministic 64-byte line from an address
+// and a version: address parity picks an array-like (compressible) line
+// or keyed xorshift noise, so about half the resident lines compress.
+func Payload(addr, version uint64) []byte {
 	line := make([]byte, core.LineSize)
 	if addr%2 == 0 {
 		base := addr*4096 + version%512
@@ -540,7 +541,7 @@ func prefill(ctx context.Context, target Target, cfg Config) error {
 			if data != nil {
 				ops[i] = shard.Op{Write: true, Addr: addr, Data: data(addr)}
 			} else {
-				ops[i] = shard.Op{Write: true, Addr: addr, Data: payload(addr, 0)}
+				ops[i] = shard.Op{Write: true, Addr: addr, Data: Payload(addr, 0)}
 			}
 		}
 		// Plain retry loop: prefill must land even on a lossy target.

@@ -142,7 +142,7 @@ type PayloadKind uint8
 
 const (
 	// PayloadMixed alternates by address parity between an array-like
-	// line and an incompressible one — loadgen's default mix.
+	// line and an incompressible one: loadgen.Payload, the flat plans' default.
 	PayloadMixed PayloadKind = iota
 	// PayloadCompressible writes base+small-delta word runs that BDI
 	// packs well below the sub-rank block — the best case.
@@ -531,7 +531,7 @@ func payloadFunc(kind PayloadKind) func(addr, version uint64) []byte {
 	case PayloadZero:
 		return zeroLine
 	default:
-		return mixedLine
+		return loadgen.Payload
 	}
 }
 
@@ -579,18 +579,4 @@ func hostileLine(addr, version uint64) []byte {
 
 func zeroLine(addr, version uint64) []byte {
 	return make([]byte, core.LineSize)
-}
-
-// mixedLine mirrors loadgen's default payload: address parity picks
-// array-like or incompressible, yielding a ~50% compressible residency.
-func mixedLine(addr, version uint64) []byte {
-	if addr%2 == 0 {
-		line := make([]byte, core.LineSize)
-		base := addr*4096 + version%512
-		for w := 0; w < 8; w++ {
-			binary.LittleEndian.PutUint64(line[w*8:], base)
-		}
-		return line
-	}
-	return hostileLine(addr, version)
 }

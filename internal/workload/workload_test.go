@@ -234,37 +234,6 @@ func TestPayloadGenerators(t *testing.T) {
 	if bytes.Equal(hostileLine(1, 0), hostileLine(3, 0)) {
 		t.Fatal("hostile payload identical across addresses")
 	}
-	// The mixed generator must stay in lockstep with loadgen's default so
-	// mixed-scenario residency matches flat-plan residency.
-	if !bytes.Equal(mixedLine(6, 3), loadgenDefaultLine(6, 3)) ||
-		!bytes.Equal(mixedLine(7, 3), loadgenDefaultLine(7, 3)) {
-		t.Fatal("mixed payload diverged from loadgen's default generator")
-	}
-}
-
-// loadgenDefaultLine reimplements loadgen's payload() (unexported) to pin
-// the mixed generator against it.
-func loadgenDefaultLine(addr, version uint64) []byte {
-	line := make([]byte, core.LineSize)
-	if addr%2 == 0 {
-		base := addr*4096 + version%512
-		for w := 0; w < 8; w++ {
-			for b := 0; b < 8; b++ {
-				line[w*8+b] = byte(base >> (8 * b))
-			}
-		}
-	} else {
-		x := addr ^ version | 1
-		for w := 0; w < 8; w++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			for b := 0; b < 8; b++ {
-				line[w*8+b] = byte(x >> (8 * b))
-			}
-		}
-	}
-	return line
 }
 
 // TestEnvelope: the rate envelope floors at 0.05 (traffic slows, never
