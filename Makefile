@@ -72,7 +72,7 @@ race:
 # simulator kernel (the event queue on a sweep's own mix of schedule
 # distances), the warm-image rung (a simulation that warms its own LLC
 # against one that restores an image), the sharded engine and its submit
-# path, Framework.Store and the core.Memory rung above it (Store/LoadInto
+# path, Framework.Store and Load, the core.Memory rung above it (Store/LoadInto
 # plus the line table, over 32 Ki lines; the table's GC cycle, heap and
 # slowest Write at 1 Mi lines, once), the tier rung (a hot set and a
 # scanner over a 1 Ki-line near tier, with the same-run near0/untiered and
