@@ -7,13 +7,19 @@ import (
 	"testing"
 )
 
-// TestDecodePackedPadded: a packed payload padded to a full sub-rank, as
-// BLEM stores it, decodes to the original line.
-func TestDecodePackedPadded(t *testing.T) {
-	var dst [LineSize]byte
+// TestDecodePackedZeros: the zeros tag followed by sub-rank padding decodes
+// to an all-zero line.
+func TestDecodePackedZeros(t *testing.T) {
+	dst := [LineSize]byte{1}
 	if err := DecodePacked(&dst, make([]byte, 30)); err != nil || dst != [LineSize]byte{} {
 		t.Fatalf("zeros tag + padding: err=%v", err)
 	}
+}
+
+// TestDecodePackedAgainstRealPayloads: engine payloads padded to a full
+// sub-rank, as BLEM stores them, decode to the original line.
+func TestDecodePackedAgainstRealPayloads(t *testing.T) {
+	var dst [LineSize]byte
 	e := NewEngine()
 	rng := rand.New(rand.NewSource(8))
 	checked := 0
