@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -103,7 +104,10 @@ func benchShards(b *testing.B, shards, batch, space int, mkOps func(*rand.Rand, 
 // BenchmarkSubmitLatency isolates the submission pipeline itself: tiny
 // fixed batches against a prefilled engine, so ns/op is dominated by
 // routing + locking rather than compression work, and allocs/op is
-// exactly the envelope cost the pool is supposed to elide.
+// exactly the envelope cost. ops1 is a lone write, read1 a lone read of
+// a stored line and ops8 alternates writes and reads. Each runs through
+// Do and, as the "-ctx" modes, through DoCtx with a cancellable context —
+// what cmd/attached and the repository benchmark pass on every request.
 //
 // Every mode is "uncontended/…": serial finds each shard free, parallel
 // contends only as much as -cpu makes it. The busy-shard path is what
@@ -122,44 +126,66 @@ func BenchmarkSubmitLatency(b *testing.B) {
 		}
 		return ops
 	}
-	for _, n := range []int{1, 8} {
-		mk := func(b *testing.B) *Engine {
-			e, err := New(core.DefaultOptions(), Config{Shards: 4})
-			if err != nil {
+	mk := func(b *testing.B) *Engine {
+		e, err := New(core.DefaultOptions(), Config{Shards: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for a := uint64(0); a < 512; a++ {
+			if err := e.Write(a, line); err != nil {
 				b.Fatal(err)
 			}
-			for a := uint64(0); a < 512; a++ {
-				if err := e.Write(a, line); err != nil {
-					b.Fatal(err)
-				}
-			}
-			return e
 		}
-		b.Run(fmt.Sprintf("uncontended/ops%d/serial", n), func(b *testing.B) {
-			e := mk(b)
-			defer e.Close()
-			ops := mkBatch(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Do(ops); err != nil {
+		return e
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	batches := []struct {
+		name string
+		ops  func() []Op
+	}{
+		{"ops1", func() []Op { return mkBatch(1) }},
+		{"read1", func() []Op { return []Op{{Addr: 37}} }},
+		{"ops8", func() []Op { return mkBatch(8) }},
+	}
+	for _, batch := range batches {
+		for _, api := range []struct {
+			suffix string
+			ctx    context.Context // nil submits through Do
+		}{{"", nil}, {"-ctx", ctx}} {
+			submit := func(e *Engine, ops []Op) {
+				var err error
+				if api.ctx == nil {
+					_, err = e.Do(ops)
+				} else {
+					_, err = e.DoCtx(api.ctx, ops)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-		b.Run(fmt.Sprintf("uncontended/ops%d/parallel", n), func(b *testing.B) {
-			e := mk(b)
-			defer e.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				ops := mkBatch(n)
-				for pb.Next() {
-					if _, err := e.Do(ops); err != nil {
-						b.Fatal(err)
-					}
+			b.Run(fmt.Sprintf("uncontended/%s/serial%s", batch.name, api.suffix), func(b *testing.B) {
+				e := mk(b)
+				defer e.Close()
+				ops := batch.ops()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					submit(e, ops)
 				}
 			})
-		})
+			b.Run(fmt.Sprintf("uncontended/%s/parallel%s", batch.name, api.suffix), func(b *testing.B) {
+				e := mk(b)
+				defer e.Close()
+				b.ReportAllocs()
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					ops := batch.ops()
+					for pb.Next() {
+						submit(e, ops)
+					}
+				})
+			})
+		}
 	}
 }

@@ -21,9 +21,9 @@
 //     analogue of the paper's thesis: the per-access metadata cost (here,
 //     a queue and a goroutine switch per submission) is elided, not
 //     parallelized.
-//   - Pooled envelopes: the per-shard index lists a submission routes
-//     with are reused, so a submission allocates its results and nothing
-//     else.
+//   - Small envelopes: a batch's per-shard index lists are pooled and a
+//     one-op submission needs none, so a submission allocates its results
+//     and the lines its reads land in, and nothing else.
 //   - Stats: each shard mutates only its own Memory's counters.
 //     StatsSnapshot takes each shard's lock in turn, so every shard
 //     publishes a coherent core.StatsSnapshot, then merges them with
@@ -151,13 +151,14 @@ type Result struct {
 // full batch and idx the positions owned by this shard; both are
 // borrowed, never copied — the submitter runs the task itself, so the
 // steady-state path allocates nothing. ctx is non-nil only for DoCtx
-// submissions; execution checks it once per task, so a task whose
-// context died while it waited for the shard is skipped.
+// submissions, re-checked by execute; ran records that one of the
+// submission's tasks has executed.
 type task struct {
 	ctx context.Context
 	ops []Op
 	idx []int // positions of this shard's ops in ops / res
 	res []Result
+	ran bool
 
 	// tr, when non-nil, receives this task's pipeline spans; enq is the
 	// trace-relative arrival instant the dequeue span starts from. Both
@@ -247,18 +248,24 @@ func (w *worker) join(bounded bool, depth int64) bool {
 }
 
 // execute applies one task against the shard's memory and counts it out
-// of inflight. The caller holds w.memMu. Cancellation, fault injection
-// and span recording are the same whether or not the task had to wait.
-func (w *worker) execute(t *task) {
-	w.lastBatch.Store(int64(len(t.idx)))
+// of inflight. The caller holds w.memMu. A DoCtx task re-reads ctx only
+// if it waited for the shard or another of its submission's tasks ran
+// first — otherwise DoCtx's entry check has just been made — and a task
+// whose context died is skipped wholesale: the memory is untouched and
+// every op reports the context's error.
+func (w *worker) execute(t *task, waited bool) {
+	// Only the lock holder writes lastBatch: a repeat skips the locked store.
+	if n := int64(len(t.idx)); w.lastBatch.Load() != n {
+		w.lastBatch.Store(n)
+	}
 	if t.tr != nil {
 		// The dequeue span is the wait for the shard: arrival → lock held
 		// (≈zero on a free shard), so timelines stay balanced.
 		t.tr.Record(obs.StageDequeue, w.id, len(t.idx), t.enq, t.tr.Now())
 	}
-	// A task whose context died while it waited is skipped wholesale: the
-	// memory is untouched and every op reports the context's error.
-	if t.ctx != nil {
+	recheck := t.ctx != nil && (waited || t.ran)
+	t.ran = true
+	if recheck {
 		if err := t.ctx.Err(); err != nil {
 			for _, j := range t.idx {
 				t.res[j].Err = err
@@ -330,7 +337,7 @@ type Engine struct {
 	states    sync.Pool // *submitState envelopes, reused across submissions
 
 	// mu orders Close against submissions: a submission holds it for
-	// reading from its closed check until its last shard unlocks, Close
+	// reading from its closed check until it returns, Close
 	// takes it for writing. Lock order is mu (read), then at most one
 	// memMu; EncodeSnapshot alone holds several memMu, and never mu.
 	mu     sync.RWMutex
@@ -492,23 +499,74 @@ func (e *Engine) DoCtx(ctx context.Context, ops []Op) ([]Result, error) {
 // Do's wait-regardless backpressure; a non-nil ctx selects DoCtx's
 // shedding.
 //
-// It makes two passes over the shards it has ops for: the first claims
-// every free shard's execution lock and applies that shard's ops right
-// here on the submitting goroutine; the second, over the shards that were
-// busy, waits for each lock in turn. The steady-state cost of a
-// submission is two allocations whatever its size: the Result slice, and
-// — when the batch has reads — one arena of 64 bytes per read that every
-// read's Data is a capacity-clipped slice of. The index lists come from
-// the engine's pool.
+// A batch of two or more ops makes two passes over the shards it has ops
+// for: the first runs every free shard's ops right here on the submitting
+// goroutine, the second waits for each busy one in turn. It allocates
+// twice whatever its size: the Result slice and, when it has reads, one
+// arena of 64 bytes per read that every read's Data is a capacity-clipped
+// slice of; its index lists come from the engine's pool. A one-op
+// submission allocates once, a oneOp, and takes the same per-shard step.
 //
-// The arena is fresh per call and never recycled, so results stay valid
-// for as long as the caller keeps them; the price is that retaining one
-// Result.Data pins its whole batch's arena (at most 64 B x reads).
+// The arena (or oneOp) is fresh per call and never recycled, so results
+// stay valid for as long as the caller keeps them; the price is that
+// retaining one Result.Data pins its whole batch's arena (at most
+// 64 B x reads).
 func (e *Engine) submit(ctx context.Context, ops []Op) ([]Result, error) {
-	res := make([]Result, len(ops))
-	if len(ops) == 0 {
-		return res, nil
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.closed {
+		return nil, ErrClosed
 	}
+	if len(ops) == 0 {
+		return []Result{}, nil
+	}
+	// The engine records spans into the trace its caller's context carries
+	// and never starts or finishes one: whoever received the request (the
+	// HTTP layer, a harness, an in-process caller) owns the trace.
+	var t task // field by field: a composite literal is built and then copied
+	t.ctx, t.ops = ctx, ops
+	if ctx != nil {
+		t.tr = obs.TraceFromContext(ctx)
+	}
+	if len(ops) == 1 {
+		one := new(oneOp)
+		t.res = one.res[:]
+		if one.res[0].Err = e.outOfRange(ops[0].Addr); one.res[0].Err == nil {
+			if !ops[0].Write {
+				one.res[0].Data = one.line[:]
+			}
+			e.runShard(e.shardFor(ops[0].Addr), &t, one.idx[:], true)
+		}
+	} else {
+		e.route(&t)
+	}
+	if t.tr != nil {
+		now := t.tr.Now()
+		t.tr.Record(obs.StageRespond, -1, len(ops), now, now)
+	}
+	// A read that failed, was shed, cancelled or never ran keeps no slot.
+	for i := range t.res {
+		if t.res[i].Err != nil {
+			t.res[i].Data = nil
+		}
+	}
+	return t.res, nil
+}
+
+// oneOp is a one-op submission's envelope in one allocation: its Result,
+// the line a read lands in and its index list, {0}.
+type oneOp struct {
+	res  [1]Result
+	line [core.LineSize]byte
+	idx  [1]int
+}
+
+// route allocates t's results and read arena, groups the batch's op
+// positions by shard in a pooled submitState, then runs the free shards
+// and waits for the busy ones.
+func (e *Engine) route(t *task) {
+	ops := t.ops
+	t.res = make([]Result, len(ops))
 	reads := 0
 	for i := range ops {
 		if !ops[i].Write {
@@ -516,13 +574,6 @@ func (e *Engine) submit(ctx context.Context, ops []Op) ([]Result, error) {
 		}
 	}
 	arena := make([]byte, reads*core.LineSize)
-	// The engine records spans into the trace its caller's context carries
-	// and never starts or finishes one: whoever received the request (the
-	// HTTP layer, a harness, an in-process caller) owns the trace.
-	var tr *obs.Trace
-	if ctx != nil {
-		tr = obs.TraceFromContext(ctx)
-	}
 	st := e.states.Get().(*submitState)
 	defer e.states.Put(st)
 	perShard := st.perShard
@@ -530,82 +581,70 @@ func (e *Engine) submit(ctx context.Context, ops []Op) ([]Result, error) {
 		perShard[i] = perShard[i][:0]
 	}
 	for i, op := range ops {
-		if e.cfg.MaxLines > 0 && op.Addr >= e.cfg.MaxLines {
-			res[i].Err = fmt.Errorf("shard: addr %#x beyond configured capacity %d: %w",
-				op.Addr, e.cfg.MaxLines, core.ErrOutOfRange)
+		if t.res[i].Err = e.outOfRange(op.Addr); t.res[i].Err != nil {
 			continue
 		}
 		if !op.Write {
-			res[i].Data, arena = arena[:core.LineSize:core.LineSize], arena[core.LineSize:]
+			t.res[i].Data, arena = arena[:core.LineSize:core.LineSize], arena[core.LineSize:]
 		}
 		s := e.shardFor(op.Addr)
 		perShard[s] = append(perShard[s], i)
 	}
-
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return nil, ErrClosed
-	}
-	t := task{ctx: ctx, ops: ops, res: res, tr: tr}
 	for s, idx := range perShard {
-		if len(idx) == 0 {
-			continue
+		if len(idx) > 0 && e.runShard(s, t, idx, false) {
+			perShard[s] = idx[:0] // done: the second pass skips it
 		}
-		w := e.shards[s]
-		if !w.memMu.TryLock() {
-			continue
-		}
-		// The shard is free and we hold its execution right.
-		w.arrive(&t, idx)
-		w.execute(&t)
-		w.memMu.Unlock()
-		perShard[s] = idx[:0] // done: the second pass skips it
 	}
 	for s, idx := range perShard {
-		if len(idx) == 0 {
-			continue
-		}
-		w := e.shards[s]
-		if !w.join(ctx != nil, int64(e.cfg.QueueDepth)) {
-			// Shed before arriving, so a shed submission leaves no span.
-			e.robust.sheds.Add(uint64(len(idx)))
-			err := fmt.Errorf("shard: shard %d queue full (depth %d): %w", s, e.cfg.QueueDepth, core.ErrOverloaded)
-			for _, j := range idx {
-				res[j].Err = err
-			}
-			continue
-		}
-		w.arrive(&t, idx)
-		w.memMu.Lock()
-		w.waiters.Add(-1)
-		w.execute(&t)
-		w.memMu.Unlock()
-	}
-	e.mu.RUnlock()
-	if tr != nil {
-		now := tr.Now()
-		tr.Record(obs.StageRespond, -1, len(ops), now, now)
-	}
-	// A read that failed, was shed, cancelled or never ran keeps no slot.
-	for i := range res {
-		if res[i].Err != nil {
-			res[i].Data = nil
+		if len(idx) > 0 {
+			e.runShard(s, t, idx, true)
 		}
 	}
-	return res, nil
 }
 
-// arrive points t at this shard's slice of the batch and counts it in: in
-// flight from now until execute returns, its enqueue span recorded at
-// this instant.
-func (w *worker) arrive(t *task, idx []int) {
+// outOfRange is the error of an op at addr past Config.MaxLines, or nil.
+func (e *Engine) outOfRange(addr uint64) error {
+	if e.cfg.MaxLines > 0 && addr >= e.cfg.MaxLines {
+		return fmt.Errorf("shard: addr %#x beyond configured capacity %d: %w", addr, e.cfg.MaxLines, core.ErrOutOfRange)
+	}
+	return nil
+}
+
+// runShard is a submission's per-shard step: it applies t's ops at
+// positions idx, all owned by shard s, on the submitting goroutine. A
+// busy shard it leaves alone, reporting false, unless mayWait; then it
+// waits for the lock as one of the shard's waiters, or sheds the ops
+// with core.ErrOverloaded if a DoCtx would be one past QueueDepth. The
+// caller holds e.mu for reading.
+func (e *Engine) runShard(s int, t *task, idx []int, mayWait bool) bool {
+	w := e.shards[s]
+	free := w.memMu.TryLock()
+	if !free && !mayWait {
+		return false
+	}
+	if !free && !w.join(t.ctx != nil, int64(e.cfg.QueueDepth)) {
+		// Shed before arriving, so a shed submission leaves no span.
+		e.robust.sheds.Add(uint64(len(idx)))
+		err := fmt.Errorf("shard: shard %d queue full (depth %d): %w", s, e.cfg.QueueDepth, core.ErrOverloaded)
+		for _, j := range idx {
+			t.res[j].Err = err
+		}
+		return true
+	}
+	// Arrive: in flight until execute returns, enqueued at this instant.
 	t.idx = idx
 	w.inflight.Add(1)
 	if t.tr != nil {
 		t.enq = t.tr.Now()
 		t.tr.Record(obs.StageEnqueue, w.id, len(idx), t.enq, t.enq)
 	}
+	if !free {
+		w.memMu.Lock()
+		w.waiters.Add(-1)
+	}
+	w.execute(t, !free)
+	w.memMu.Unlock()
+	return true
 }
 
 // Read loads the 64-byte line at addr through the pipeline.

@@ -7,11 +7,14 @@
 # of the same source drift apart on this host. A gain the control arm
 # shows too is layout noise, not the change.
 #
-#	scripts/paired.sh [-n PAIRS] [-w WORKLOAD]... OUT.json
+#	scripts/paired.sh [-n PAIRS] [-s SEED] [-w WORKLOAD]... OUT.json
 #
 #	-n  pairs (default 10); each pair runs parent, change and control once
 #	    per workload for bench's 10 s, the three in an order that rotates
 #	    from pair to pair
+#	-s  the input generator's seed, passed to every run as bench's -seed
+#	    (default bench's own, 42); a claim should also hold at a seed
+#	    the change was not written against
 #	-w  a workload to run (repeatable; default every one in BENCHMARK.json)
 #
 # It prints `go -C bench run . -compare` for change against parent and
@@ -29,16 +32,18 @@
 set -euo pipefail
 
 pairs=10
+seed=()
 workloads=()
-while getopts n:w: opt; do
+while getopts n:s:w: opt; do
 	case $opt in
 	n) pairs=$OPTARG ;;
+	s) seed=(-seed "$OPTARG") ;;
 	w) workloads+=("$OPTARG") ;;
-	*) sed -n '10,15p' "$0"; exit 2 ;;
+	*) sed -n '10,18p' "$0"; exit 2 ;;
 	esac
 done
 shift $((OPTIND - 1))
-[ $# -eq 1 ] || { sed -n '10,15p' "$0"; exit 2; }
+[ $# -eq 1 ] || { sed -n '10,18p' "$0"; exit 2; }
 out=$1
 command -v jq >/dev/null || { echo "paired: needs jq" >&2; exit 2; }
 
@@ -75,8 +80,8 @@ for ((p = 0; p < pairs; p++)); do
 		for ((k = 0; k < 3; k++)); do
 			arm=${arms[(p + k) % 3]}
 			echo "paired: pair $((p + 1))/$pairs $w $arm"
-			(cd "$(tree "$arm")" && "$work/$arm.bin" -workload "$w" -out "$work/out/$arm") |
-				grep -E '^==|^  (goodput_ops_s|cpu_us_per_op) ' || true
+			(cd "$(tree "$arm")" && "$work/$arm.bin" -workload "$w" "${seed[@]}" -out "$work/out/$arm") |
+				grep -E '^==|^  (goodput_ops_s|event_mid_us|cpu_us_per_op) ' || true
 		done
 	done
 done
@@ -105,7 +110,7 @@ jq -n --slurpfile base "$work/out/base/results.json" --slurpfile change "$work/o
 	def ops($doc; $w): runs($doc; $w) |
 		{runs: length, attempted: (map(.attempted) | add), failed: (map(.failed) | add), correct: all(.correct)};
 	{
-		base: $rev, pairs: $pairs, seconds: 10, control_randlayout: 1, host: $change[0].host,
+		base: $rev, pairs: $pairs, seed: $change[0].runs[0].seed, seconds: 10, control_randlayout: 1, host: $change[0].host,
 		workloads: ([$change[0].runs[] | select(.traced | not) | .workload] | unique | map(. as $w | {key: $w, value: {
 			ops: {base: ops($base; $w), change: ops($change; $w), control: ops($control; $w)},
 			metrics: ($manifest[0].end_to_end | map(. as $d |
