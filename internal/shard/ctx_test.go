@@ -191,3 +191,38 @@ func TestDoCtxShedsOnFullQueue(t *testing.T) {
 		t.Fatalf("read after drain: %v", err)
 	}
 }
+
+// TestCancelBetweenTasksSkipsTheLater pins the context re-check between
+// one submission's shards: both are free, the first task runs under a
+// 100 ms injected delay while ctx is cancelled, and the second — which
+// never waits — must still be skipped with context.Canceled instead of
+// executing (a read of a never-written line would say ErrNeverWritten).
+func TestCancelBetweenTasksSkipsTheLater(t *testing.T) {
+	e := newTestEngine(t, 2, Config{
+		Faults: FaultPlan{Seed: 5, DelayP: 1, Delay: 100 * time.Millisecond},
+	})
+	var first, second uint64
+	for a := uint64(1000); e.shardFor(first) != 0 || e.shardFor(second) != 1; a++ {
+		if e.shardFor(a) == 0 {
+			first = a
+		} else {
+			second = a
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(20*time.Millisecond, cancel)
+	res, err := e.DoCtx(ctx, []Op{{Write: true, Addr: first, Data: testLine(1)}, {Addr: second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err != nil {
+		t.Fatalf("first task err = %v, want it to complete", res[0].Err)
+	}
+	if !errors.Is(res[1].Err, context.Canceled) {
+		t.Fatalf("second task err = %v, want context.Canceled", res[1].Err)
+	}
+	if got := e.StatsSnapshot().Robust.Canceled; got != 1 {
+		t.Fatalf("canceled counter = %d, want 1", got)
+	}
+}

@@ -523,7 +523,7 @@ func (e *Engine) submit(ctx context.Context, ops []Op) ([]Result, error) {
 	// The engine records spans into the trace its caller's context carries
 	// and never starts or finishes one: whoever received the request (the
 	// HTTP layer, a harness, an in-process caller) owns the trace.
-	var t task // field by field: a composite literal is built and then copied
+	var t task // assigned field by field: a composite literal is zeroed, then copied
 	t.ctx, t.ops = ctx, ops
 	if ctx != nil {
 		t.tr = obs.TraceFromContext(ctx)
