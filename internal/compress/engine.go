@@ -127,8 +127,8 @@ func decode(dst *[LineSize]byte, algo Algorithm, payload []byte) error {
 	}
 }
 
-// decodeLine decodes into a freshly allocated line: the exported
-// XDecompress form of each codec.
+// decodeLine decodes into a freshly allocated line, for Engine.Decompress
+// and codecs_test.go's BDIDecompress, FPCDecompress and CPackDecompress.
 func decodeLine(algo Algorithm, payload []byte) ([]byte, error) {
 	out := new([LineSize]byte)
 	if err := decode(out, algo, payload); err != nil {
