@@ -19,16 +19,18 @@
 //     attachesim command, that reproduces every table and figure of the
 //     paper's evaluation (see DESIGN.md and EXPERIMENTS.md).
 //
-// There is one constructor per type, and each takes functional options
-// over DefaultOptions; WithOptions is the bridge from an Options struct:
+// Each constructor takes the structs it is built from: Options (start
+// from DefaultOptions, the paper's configuration) and, for an Engine, an
+// EngineConfig, whose zero value is GOMAXPROCS untiered shards:
 //
-//	mem, err := attache.NewMemory(attache.WithCIDWidth(13), attache.WithSeed(7))
-//	mem, err := attache.NewMemory(attache.WithOptions(opts))
-//	eng, err := attache.NewEngine(attache.WithShards(8))
+//	opts := attache.DefaultOptions()
+//	opts.CIDBits, opts.Seed = 13, 7
+//	mem, err := attache.NewMemory(opts)
+//	eng, err := attache.NewEngine(opts, attache.EngineConfig{Shards: 8})
 //
 // Quickstart:
 //
-//	mem, err := attache.NewMemory()
+//	mem, err := attache.NewMemory(attache.DefaultOptions())
 //	if err != nil { ... }
 //	line := make([]byte, attache.LineSize)
 //	copy(line, myData)
@@ -106,16 +108,26 @@ type EngineSnapshot = shard.Snapshot
 // cancellations, and injected faults.
 type RobustStats = shard.RobustStats
 
+// EngineConfig shapes an Engine: shard count (0 = GOMAXPROCS), per-shard
+// queue depth (0 = 64), address bound (0 = unbounded), fault plan, and
+// an optional two-tier backend. A 1-shard engine produces bit-identical
+// results to a plain Memory with the same Options.
+type EngineConfig = shard.Config
+
 // FaultPlan configures seeded, deterministic fault injection on an
 // Engine's shard pipelines (per-op delay/error probabilities, per-batch
-// partial failure). The zero value disables injection. See WithFaultPlan.
+// partial failure). The zero value disables injection. Set it as
+// EngineConfig.Faults.
 type FaultPlan = shard.FaultPlan
 
-// TierConfig configures an Engine's two-tier backend (see WithTiers):
-// near-tier capacity, replacement policy ("lru", "freq", "static"), and
-// the far-link cost model. The zero value (then WithDefaults) is an
-// unbounded-near LRU tier; NearLines 0 built through WithTiers means
-// zero near capacity (pure far passthrough).
+// TierConfig configures an Engine's two-tier backend, set as
+// EngineConfig.Tier: a near tier holding hot lines uncompressed in front
+// of each shard's compressed far tier, reached across a modeled far
+// link. NearLines is the whole engine's near capacity, split across
+// shards: 0 is a zero-capacity near tier (every access goes far,
+// bit-identical to the untiered engine) and a negative value is
+// unbounded. The policy ("lru", "freq", "static") defaults to LRU and
+// the zero Link to DefaultTierLink.
 type TierConfig = tier.Config
 
 // TierSnapshot is the two-tier stats view an engine or cluster exposes
@@ -172,106 +184,6 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 // DefaultPredictorConfig returns the paper's 368 KB COPR sizing.
 func DefaultPredictorConfig() PredictorConfig { return copr.DefaultConfig() }
 
-// settings is what the functional options assemble: framework Options
-// plus the engine-level knobs that only NewEngine consumes.
-type settings struct {
-	opts       Options
-	shards     int
-	queueDepth int
-	maxLines   uint64
-	faults     FaultPlan
-	tiers      *TierConfig
-}
-
-// Option customizes a constructor. Options compose left to right; later
-// options win.
-type Option func(*settings)
-
-// WithOptions replaces the framework Options wholesale — the one bridge
-// from the struct to the functional-options surface. Engine-level
-// settings (shards, queue depth, capacity) are untouched.
-func WithOptions(o Options) Option {
-	return func(s *settings) { s.opts = o }
-}
-
-// WithCIDWidth sets the Compression ID width in bits (15 in the paper,
-// valid range [1,15] — checked at construction).
-func WithCIDWidth(bits int) Option {
-	return func(s *settings) { s.opts.CIDBits = bits }
-}
-
-// WithSeed sets the seed deriving the boot-time CID and scrambler key.
-func WithSeed(seed int64) Option {
-	return func(s *settings) { s.opts.Seed = seed }
-}
-
-// WithPredictorSizing replaces the COPR predictor sizing (see
-// DefaultPredictorConfig for the paper's 368 KB split).
-func WithPredictorSizing(cfg PredictorConfig) Option {
-	return func(s *settings) { s.opts.Predictor = cfg }
-}
-
-// WithoutPredictor runs BLEM-only: reads conservatively fetch both
-// sub-rank blocks.
-func WithoutPredictor() Option {
-	return func(s *settings) { s.opts.DisablePredictor = true }
-}
-
-// WithExtendedCompression adds the CPack dictionary codec to the
-// compression engine (the §IV-A5 multi-algorithm configuration).
-func WithExtendedCompression() Option {
-	return func(s *settings) { s.opts.ExtendedCompression = true }
-}
-
-// WithShards sets an Engine's shard count (0 = GOMAXPROCS). Ignored by
-// NewMemory, which always builds a single unsharded Memory.
-//
-// Shards bound parallelism, not baseline cost: a shard is a lock, and
-// the submitting goroutine executes its own ops under it (no handoff, no
-// per-op allocation), so a lightly loaded engine performs like a plain
-// Memory at any shard count, and extra shards only start paying off —
-// rather than costing — as concurrent submitters pile up: they are the
-// submitters that may wait for a busy shard. A 1-shard engine remains
-// bit-identical to an unsharded Memory with the same options.
-func WithShards(n int) Option {
-	return func(s *settings) { s.shards = n }
-}
-
-// WithQueueDepth sets, per shard, how many submitters that may wait for
-// a busy shard (0 = 64): a DoCtx that would be one more sheds with
-// ErrOverloaded, a Do waits regardless (backpressure). The depth is only
-// felt under contention — a submission that finds its shard free never
-// waits. Ignored by NewMemory.
-func WithQueueDepth(n int) Option {
-	return func(s *settings) { s.queueDepth = n }
-}
-
-// WithMaxLines bounds an Engine's line address space: ops at addresses
-// >= n fail with ErrOutOfRange. 0 (the default) means unbounded. Ignored
-// by NewMemory.
-func WithMaxLines(n uint64) Option {
-	return func(s *settings) { s.maxLines = n }
-}
-
-// WithFaultPlan enables seeded fault injection on an Engine's shard
-// pipelines — the chaos-testing hook. Off by default (and zero-cost when
-// off). Ignored by NewMemory.
-func WithFaultPlan(p FaultPlan) Option {
-	return func(s *settings) { s.faults = p }
-}
-
-// WithTiers puts a two-tier memory backend in front of each shard's
-// compressed memory: a bounded near tier holding hot lines uncompressed
-// (DRAM-speed, no far-link crossing) over the compressed far tier
-// reached across a modeled CXL-style link. The engine's StatsSnapshot
-// gains a Tiers section; Total then describes the far tier only. The
-// configured NearLines capacity is for the whole engine and is split
-// across shards. cfg.NearLines == 0 means a zero-capacity near tier —
-// bit-identical to the untiered engine. Ignored by NewMemory.
-func WithTiers(cfg TierConfig) Option {
-	return func(s *settings) { s.tiers = &cfg }
-}
-
 // DefaultTierLink returns the default far-link cost model (250 ns added
 // latency, 1x bandwidth, DRAM-vs-CXL energy weights).
 func DefaultTierLink() TierLinkModel { return tier.DefaultLink() }
@@ -291,53 +203,23 @@ func ContextWithTrace(ctx context.Context, tr *Trace) context.Context {
 // TraceFromContext returns the context's trace, or nil.
 func TraceFromContext(ctx context.Context) *Trace { return obs.TraceFromContext(ctx) }
 
-func apply(opts []Option) settings {
-	s := settings{opts: core.DefaultOptions()}
-	for _, o := range opts {
-		o(&s)
-	}
-	return s
-}
+// New builds a Framework from opts.
+func New(opts Options) (*Framework, error) { return core.New(opts) }
 
-// New builds a Framework from functional options, starting from
-// DefaultOptions.
-func New(opts ...Option) (*Framework, error) { return core.New(apply(opts).opts) }
+// NewMemory builds a functional compressed Memory from opts.
+func NewMemory(opts Options) (*Memory, error) { return core.NewMemory(opts) }
 
-// NewMemory builds a functional compressed Memory from functional
-// options, starting from DefaultOptions.
-func NewMemory(opts ...Option) (*Memory, error) { return core.NewMemory(apply(opts).opts) }
-
-// NewEngine builds a sharded concurrent Engine from functional options,
-// starting from DefaultOptions and GOMAXPROCS shards. A 1-shard engine
-// produces bit-identical results to a plain Memory with the same
-// options. Close waits for the submissions in flight and refuses the rest.
-func NewEngine(opts ...Option) (*Engine, error) {
-	s := apply(opts)
-	return shard.New(s.opts, shard.Config{
-		Shards:     s.shards,
-		QueueDepth: s.queueDepth,
-		MaxLines:   s.maxLines,
-		Faults:     s.faults,
-		Tier:       s.tiers,
-	})
-}
+// NewEngine builds a sharded concurrent Engine from opts and cfg. Close
+// waits for the submissions in flight and refuses the rest.
+func NewEngine(opts Options, cfg EngineConfig) (*Engine, error) { return shard.New(opts, cfg) }
 
 // RestoreEngine rebuilds an Engine from a snapv1 snapshot previously
 // written with Engine.WriteSnapshot (or attached -snapshot-on-drain),
 // so that every subsequent operation and stats read behaves exactly as
 // it would have on the original. The snapshot is authoritative for the
-// framework options, tier configuration, and shard count; the given
-// functional options may supply only runtime knobs (queue depth, fault
-// plan, max lines). WithShards must be absent or match the
-// snapshot; WithTiers must be absent (the snapshot carries the tier
-// configuration).
-func RestoreEngine(r io.Reader, opts ...Option) (*Engine, error) {
-	s := apply(opts)
-	return shard.RestoreEngineFrom(r, shard.Config{
-		Shards:     s.shards,
-		QueueDepth: s.queueDepth,
-		MaxLines:   s.maxLines,
-		Faults:     s.faults,
-		Tier:       s.tiers,
-	})
+// framework options, tier configuration, and shard count; cfg supplies
+// only runtime knobs (queue depth, fault plan, max lines). cfg.Shards
+// must be 0 or match the snapshot, and cfg.Tier must be nil.
+func RestoreEngine(r io.Reader, cfg EngineConfig) (*Engine, error) {
+	return shard.RestoreEngineFrom(r, cfg)
 }

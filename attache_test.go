@@ -11,7 +11,7 @@ import (
 
 // TestPublicAPIQuickstart exercises the documented quickstart flow.
 func TestPublicAPIQuickstart(t *testing.T) {
-	mem, err := attache.NewMemory()
+	mem, err := attache.NewMemory(attache.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 }
 
 func TestPublicFramework(t *testing.T) {
-	f, err := attache.New()
+	f, err := attache.New(attache.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,61 +61,25 @@ func TestPublicFramework(t *testing.T) {
 	}
 }
 
-// TestFunctionalOptions checks the options surface composes and agrees
-// with the classic Options struct.
+// TestFunctionalOptions checks that the constructors refuse Options
+// out of range.
 func TestFunctionalOptions(t *testing.T) {
-	mem, err := attache.NewMemory(
-		attache.WithCIDWidth(13),
-		attache.WithSeed(99),
-		attache.WithPredictorSizing(attache.DefaultPredictorConfig()),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	o := attache.DefaultOptions()
-	o.CIDBits = 13
-	o.Seed = 99
-	ref, err := attache.NewMemory(attache.WithOptions(o))
-	if err != nil {
-		t.Fatal(err)
-	}
-	line := make([]byte, attache.LineSize)
-	for a := uint64(0); a < 64; a++ {
-		line[0] = byte(a)
-		if err := mem.Write(a, line); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Write(a, line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if mem.StatsSnapshot() != ref.StatsSnapshot() {
-		t.Fatal("functional options diverge from the equivalent Options struct")
-	}
-
-	// WithOptions bridges the struct into the options chain; a later
-	// option overrides it.
-	mem2, err := attache.NewMemory(attache.WithOptions(o), attache.WithSeed(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mem2 == nil {
-		t.Fatal("nil memory")
-	}
-	if _, err := attache.NewMemory(attache.WithCIDWidth(0)); !errors.Is(err, attache.ErrOutOfRange) {
+	o.CIDBits = 0
+	if _, err := attache.NewMemory(o); !errors.Is(err, attache.ErrOutOfRange) {
 		t.Fatalf("CID width 0 err = %v, want ErrOutOfRange", err)
 	}
 	// A predictor sizing copr.New would panic on is an error too.
-	bad := attache.DefaultPredictorConfig()
-	bad.PaPRWays = 0
-	if _, err := attache.NewMemory(attache.WithPredictorSizing(bad)); !errors.Is(err, attache.ErrOutOfRange) {
+	o = attache.DefaultOptions()
+	o.Predictor.PaPRWays = 0
+	if _, err := attache.NewMemory(o); !errors.Is(err, attache.ErrOutOfRange) {
 		t.Fatalf("zero PaPR ways err = %v, want ErrOutOfRange", err)
 	}
 }
 
 // TestSentinelErrors checks the typed errors flow through the public API.
 func TestSentinelErrors(t *testing.T) {
-	mem, err := attache.NewMemory()
+	mem, err := attache.NewMemory(attache.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +94,7 @@ func TestSentinelErrors(t *testing.T) {
 // TestMemoryBatch runs a batch as what it is on a Memory: a loop over
 // Write and Read that stops at the first error.
 func TestMemoryBatch(t *testing.T) {
-	mem, err := attache.NewMemory()
+	mem, err := attache.NewMemory(attache.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +140,7 @@ func TestMemoryBatch(t *testing.T) {
 // TestPublicEngine smoke-tests the concurrent entry point through the
 // public surface; the heavy concurrency coverage lives in internal/shard.
 func TestPublicEngine(t *testing.T) {
-	eng, err := attache.NewEngine(attache.WithShards(2), attache.WithMaxLines(1024))
+	eng, err := attache.NewEngine(attache.DefaultOptions(), attache.EngineConfig{Shards: 2, MaxLines: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

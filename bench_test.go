@@ -1,6 +1,6 @@
 // Benchmark harness: one testing.B sub-benchmark per table and figure of
 // the paper's evaluation (DESIGN.md §3 maps ids to artifacts), plus
-// ablation benches for the design choices DESIGN.md §6 calls out.
+// ablation benches for the design choices DESIGN.md §7 calls out.
 //
 // Each experiment bench runs end-to-end at a reduced scale and prints the
 // same rows/series the paper reports (visible with -v). For paper-scale
@@ -48,7 +48,7 @@ func BenchmarkExperiments(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md §6) ------------------------------------
+// --- Ablation benches (DESIGN.md §7) ------------------------------------
 
 // BenchmarkAblationCIDWidth sweeps the CID width and reports the measured
 // collision rate and Replacement Area traffic — the trade Table I frames.
@@ -181,7 +181,7 @@ func BenchmarkAblationSubRankPlacement(b *testing.B) {
 // compress + scramble + BLEM store and predict + classify + decompress
 // load per line.
 func BenchmarkFrameworkStoreLoad(b *testing.B) {
-	mem, err := attache.NewMemory()
+	mem, err := attache.NewMemory(attache.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}

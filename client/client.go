@@ -10,9 +10,9 @@
 // with per-op outcomes; per-op failures inside a batch are returned to
 // the caller unretried, since the neighbouring ops already landed.
 //
-// Read, Write and Do speak internal/wire's binary frame, no JSON or
+// Read, Write and DoCtx speak internal/wire's binary frame, no JSON or
 // base64: Read and Write send a one-op frame to /v1/read and /v1/write,
-// Do any number of ops to /v1/batch.
+// DoCtx any number of ops to /v1/batch.
 //
 // Errors carry the daemon's taxonomy: errors.Is works against
 // attache.ErrOverloaded, attache.ErrNeverWritten, attache.ErrClosed,
@@ -228,7 +228,8 @@ func ContextWithTenant(ctx context.Context, tenant string) context.Context {
 // goes back once its response is parsed: results are decoded out of it
 // (lines into the caller's slab, error text into fresh strings), so
 // nothing the caller keeps points into it. Request bodies are not
-// recycled: the transport may still be reading one after Do returns.
+// recycled: the transport may still be reading one after http.Client.Do
+// returns.
 var respBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // send is roundTrip for the data calls: it posts ops to path as a
@@ -388,19 +389,14 @@ func parseBatchResponse(resp []byte, ops []attache.Op) ([]attache.Result, error)
 	return out, nil
 }
 
-// Do submits a batch of ops with the daemon's per-op failure isolation:
-// the returned slice matches ops in order, and each Result carries its
-// own error (resolved to attache sentinels where possible).
-func (c *Client) Do(ctx context.Context, ops []attache.Op) ([]attache.Result, error) {
-	return c.send(ctx, "/v1/batch", ops)
-}
-
-// DoCtx is Do under the method name the sharded Engine exposes, so a
-// *Client satisfies the same batch-submission shape as an in-process
-// engine (loadgen.Target): harnesses and replay tooling drive either
-// interchangeably.
+// DoCtx submits a batch of ops with the daemon's per-op failure
+// isolation: the returned slice matches ops in order, and each Result
+// carries its own error (resolved to attache sentinels where possible).
+// The name is the sharded Engine's, so a *Client satisfies the same
+// batch-submission shape as an in-process engine (loadgen.Target):
+// harnesses and replay tooling drive either interchangeably.
 func (c *Client) DoCtx(ctx context.Context, ops []attache.Op) ([]attache.Result, error) {
-	return c.Do(ctx, ops)
+	return c.send(ctx, "/v1/batch", ops)
 }
 
 // opErr maps a per-op error message from the daemon back onto the typed

@@ -65,7 +65,7 @@ func TestRoundTripAgainstRealDaemon(t *testing.T) {
 		t.Fatalf("read missing err = %v, want ErrNeverWritten", err)
 	}
 
-	res, err := c.Do(ctx, []attache.Op{
+	res, err := c.DoCtx(ctx, []attache.Op{
 		{Write: true, Addr: 1, Data: testLine(1)},
 		{Addr: 1},
 		{Addr: 777}, // never written
@@ -268,7 +268,7 @@ func TestOverBurstBatchIsNotRetryable(t *testing.T) {
 	for i := range ops {
 		ops[i] = attache.Op{Write: true, Addr: uint64(i), Data: testLine(byte(i))}
 	}
-	res, err := c.Do(ctx, ops)
+	res, err := c.DoCtx(ctx, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestOverBurstBatchIsNotRetryable(t *testing.T) {
 		t.Fatalf("hog book after the refusal = %+v, want 11 ops, all errors, no quota shed", b)
 	}
 
-	res, err = c.Do(ctx, ops[:10])
+	res, err = c.DoCtx(ctx, ops[:10])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // trace ID surviving engine → HTTP → client and back.
 func TestTraceRoundTripThroughClient(t *testing.T) {
 	o := obs.New(obs.Config{Seed: 1})
-	eng, err := attache.NewEngine(attache.WithShards(2))
+	eng, err := attache.NewEngine(attache.DefaultOptions(), attache.EngineConfig{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

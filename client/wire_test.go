@@ -25,7 +25,7 @@ func batch64(t testing.TB, c *Client) []attache.Op {
 			ops[i] = prefill[i]
 		}
 	}
-	if res, err := c.Do(context.Background(), prefill); err != nil || res[63].Err != nil {
+	if res, err := c.DoCtx(context.Background(), prefill); err != nil || res[63].Err != nil {
 		t.Fatalf("prefill: %v", err)
 	}
 	return ops
@@ -44,7 +44,7 @@ func TestBatchResultsOwnTheirSlab(t *testing.T) {
 	c := newBenchDaemon(t)
 	ops := batch64(t, c)
 	ctx := context.Background()
-	kept, err := c.Do(ctx, ops)
+	kept, err := c.DoCtx(ctx, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestBatchResultsOwnTheirSlab(t *testing.T) {
 				ops[i].Data = testLine(byte(round))
 			}
 		}
-		if res, err := c.Do(ctx, ops); err != nil || !bytes.Equal(res[5].Data, testLine(5)) {
+		if res, err := c.DoCtx(ctx, ops); err != nil || !bytes.Equal(res[5].Data, testLine(5)) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestBatchCodecAllocationBudget(t *testing.T) {
 }
 
 // BenchmarkClientLoopbackBatch64 is the top rung of the ladder: one 64-op
-// batch from Client.Do through a real loopback listener, the daemon's
+// batch from Client.DoCtx through a real loopback listener, the daemon's
 // handler and a 2-shard engine, and back.
 func BenchmarkClientLoopbackBatch64(b *testing.B) {
 	c := newBenchDaemon(b)
@@ -166,7 +166,7 @@ func BenchmarkClientLoopbackBatch64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Do(ctx, ops)
+		res, err := c.DoCtx(ctx, ops)
 		if err != nil || res[63].Err != nil {
 			b.Fatal(err)
 		}

@@ -280,7 +280,7 @@ func writeSnapshotFile(cl *cluster.Cluster, path string) error {
 	if err != nil {
 		return err
 	}
-	err = cl.WriteSnapshot(f)
+	_, err = f.Write(cl.Snapshot())
 	if err == nil {
 		err = f.Sync()
 	}

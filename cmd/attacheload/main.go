@@ -205,25 +205,25 @@ func main() {
 		}
 		tgt = client.New(*target, client.WithRetry(0))
 	} else {
-		opts := []attache.Option{
-			attache.WithShards(*shards),
-			attache.WithQueueDepth(*queueDepth),
-			attache.WithFaultPlan(attache.FaultPlan{
+		engCfg := attache.EngineConfig{
+			Shards:     *shards,
+			QueueDepth: *queueDepth,
+			Faults: attache.FaultPlan{
 				Seed:     *faultSeed,
 				ErrP:     *faultErr,
 				DelayP:   *faultDelay,
 				Delay:    *faultDelayDur,
 				PartialP: *faultPartial,
-			}),
+			},
 		}
 		if *tierSpec != "" {
 			tc, err := tier.ParseSpec(*tierSpec)
 			if err != nil {
 				log.Fatalf("attacheload: -tiers: %v", err)
 			}
-			opts = append(opts, attache.WithTiers(*tc))
+			engCfg.Tier = tc
 		}
-		eng, err := attache.NewEngine(opts...)
+		eng, err := attache.NewEngine(attache.DefaultOptions(), engCfg)
 		if err != nil {
 			log.Fatalf("attacheload: %v", err)
 		}

@@ -451,7 +451,7 @@ func (tr *docTree) resolve(chain string) string {
 }
 
 // pkgMember reports whether some type of package pkg has a method or
-// field called name: `client.Do` names Client's Do.
+// field called name: `client.DoCtx` names Client's DoCtx.
 func (tr *docTree) pkgMember(pkg, name string) bool {
 	for _, ms := range tr.members[pkg] {
 		if ms[name] {

@@ -11,7 +11,7 @@ import (
 // ExampleMemory demonstrates the compressed-memory container: write a
 // cacheline of array-like data, read it back, and inspect the traffic.
 func ExampleMemory() {
-	mem, err := attache.NewMemory()
+	mem, err := attache.NewMemory(attache.DefaultOptions())
 	if err != nil {
 		panic(err)
 	}
@@ -40,7 +40,7 @@ func ExampleMemory() {
 // trace, and any Engine records its pipeline spans into it — no
 // observer involved.
 func ExampleNewTrace() {
-	eng, err := attache.NewEngine(attache.WithShards(2))
+	eng, err := attache.NewEngine(attache.DefaultOptions(), attache.EngineConfig{Shards: 2})
 	if err != nil {
 		panic(err)
 	}
@@ -64,7 +64,7 @@ func ExampleNewTrace() {
 // physical sub-rank image, load reconstructs the data and reports the
 // access trace the paper's evaluation counts.
 func ExampleFramework() {
-	f, err := attache.New()
+	f, err := attache.New(attache.DefaultOptions())
 	if err != nil {
 		panic(err)
 	}

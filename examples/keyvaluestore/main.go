@@ -25,7 +25,7 @@ type kvStore struct {
 }
 
 func newKVStore() (*kvStore, error) {
-	mem, err := attache.NewMemory()
+	mem, err := attache.NewMemory(attache.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -14,9 +14,10 @@ import (
 )
 
 func main() {
-	// Functional options over DefaultOptions; attache.WithOptions(o)
-	// takes a whole Options struct.
-	mem, err := attache.NewMemory(attache.WithSeed(0x41747461))
+	// The paper's configuration, with the boot seed set.
+	opts := attache.DefaultOptions()
+	opts.Seed = 0x41747461
+	mem, err := attache.NewMemory(opts)
 	if err != nil {
 		log.Fatal(err)
 	}

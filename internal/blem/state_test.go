@@ -9,7 +9,7 @@ import (
 )
 
 func snapshot(e *Engine) []byte {
-	c := snap.NewEncoder(1)
+	c := snap.NewEncoder()
 	e.WalkSnap(c)
 	return c.Bytes()
 }
@@ -17,7 +17,7 @@ func snapshot(e *Engine) []byte {
 // restore decodes image into a fresh engine of the given CID width.
 func restore(t *testing.T, cidBits int, image []byte) (*Engine, error) {
 	t.Helper()
-	c, _, err := snap.Open(bytes.NewReader(image))
+	c, err := snap.Open(bytes.NewReader(image))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,24 +101,36 @@ func TestClusterUntieredNoTierSection(t *testing.T) {
 }
 
 // TestClusterRestoreRejects pins the cluster restore failure modes:
-// engine-less snapshots are corrupt, and an engine restore failure is the
-// cluster's.
+// an image that counts no engines is corrupt, one that counts two is
+// refused, and an engine restore failure is the cluster's.
 func TestClusterRestoreRejects(t *testing.T) {
+	cl, err := New(core.DefaultOptions(), shard.Config{Shards: 2}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	// withEngines copies the image with the u32 engine count at byte 8
+	// (after the magic and the version) set to n, resealed.
+	withEngines := func(n uint32) []byte {
+		b := cl.Snapshot()
+		b = b[:len(b)-4]
+		binary.LittleEndian.PutUint32(b[8:], n)
+		return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+	}
 	t.Run("no-engines", func(t *testing.T) {
-		_, err := RestoreFrom(bytes.NewReader(snap.NewEncoder(0).Bytes()), shard.Config{}, Config{})
-		if !errors.Is(err, snap.ErrCorrupt) {
-			t.Fatalf("empty snapshot: got %v, want ErrCorrupt", err)
+		if _, err := RestoreFrom(bytes.NewReader(withEngines(0)), shard.Config{}, Config{}); !errors.Is(err, snap.ErrCorrupt) {
+			t.Fatalf("zero-engine image: got %v, want ErrCorrupt", err)
+		}
+	})
+	t.Run("multi-engine", func(t *testing.T) {
+		if _, err := RestoreFrom(bytes.NewReader(withEngines(2)), shard.Config{}, Config{}); !errors.Is(err, snap.ErrMultiEngine) {
+			t.Fatalf("two-engine image: got %v, want ErrMultiEngine", err)
 		}
 	})
 	t.Run("instance-restore-failure", func(t *testing.T) {
-		cl, err := New(core.DefaultOptions(), shard.Config{Shards: 2}, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
 		// The snapshot carries the tier configuration: a caller's is
 		// refused.
-		_, err = RestoreFrom(bytes.NewReader(cl.Snapshot()), shard.Config{Tier: &tier.Config{NearLines: 4}}, Config{})
+		_, err := RestoreFrom(bytes.NewReader(cl.Snapshot()), shard.Config{Tier: &tier.Config{NearLines: 4}}, Config{})
 		if err == nil || !strings.Contains(err.Error(), "cfg.Tier must be nil") {
 			t.Fatalf("restore with caller tier config: got %v, want the engine's refusal", err)
 		}

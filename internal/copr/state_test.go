@@ -32,7 +32,7 @@ func trained(cfg Config) *Predictor {
 }
 
 func snapshot(p *Predictor) []byte {
-	c := snap.NewEncoder(1)
+	c := snap.NewEncoder()
 	p.WalkSnap(c)
 	return c.Bytes()
 }
@@ -40,7 +40,7 @@ func snapshot(p *Predictor) []byte {
 // restore decodes image into a fresh predictor built from cfg.
 func restore(t *testing.T, cfg Config, image []byte) (*Predictor, error) {
 	t.Helper()
-	c, _, err := snap.Open(bytes.NewReader(image))
+	c, err := snap.Open(bytes.NewReader(image))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func snapMemory(t *testing.T) *Memory {
 }
 
 func snapshot(m *Memory) []byte {
-	c := snap.NewEncoder(1)
+	c := snap.NewEncoder()
 	m.WalkSnap(c)
 	return c.Bytes()
 }
@@ -55,7 +55,7 @@ func snapshot(m *Memory) []byte {
 // restore decodes image into a fresh memory built from opts.
 func restore(t *testing.T, opts Options, image []byte) (*Memory, error) {
 	t.Helper()
-	c, _, err := snap.Open(bytes.NewReader(image))
+	c, err := snap.Open(bytes.NewReader(image))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ var modelTenants = [...]string{"free", "tight", ""}
 // modelRun is one fuzz input decoded: 1-3 shards, times 1-3 on the
 // cluster and HTTP targets (the input's instances, from when a cluster
 // held several engines: an N×M cluster is now an N·M-shard engine), a
-// tier, a seeded fault plan or else a mid-run WriteSnapshot→RestoreFrom
+// tier, a seeded fault plan or else a mid-run Snapshot→RestoreFrom
 // lockstep, and an optional concurrent phase.
 type modelRun struct {
 	seed                int64
@@ -194,7 +194,7 @@ func (s *stack) do(ctx context.Context, ops []shard.Op) (res []shard.Result, id 
 // httpForm picks how an HTTP batch is sent, by bits of its first address,
 // so a restored twin sends each batch the way the original did: a one-op
 // batch through client.Read or client.Write, a batch as JSON, or else as
-// client.Do's frame.
+// client.DoCtx's frame.
 func httpForm(ops []shard.Op) string {
 	switch {
 	case len(ops) == 1 && ops[0].Addr&2 != 0:
@@ -655,9 +655,7 @@ func (r modelRun) contend(t *testing.T, s *stack, m *model) {
 		if err := m.monotone(s.cl.EngineSnapshot()); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.cl.WriteSnapshot(io.Discard); err != nil {
-			t.Fatalf("WriteSnapshot under load: %v", err)
-		}
+		s.cl.Snapshot()
 		time.Sleep(200 * time.Microsecond)
 	}
 	if failed := s.failed.Load(); failed != nil {

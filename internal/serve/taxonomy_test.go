@@ -53,7 +53,7 @@ func TestTaxonomyRoundTrip(t *testing.T) {
 				t.Errorf("Classify(single-op error) = %q, want %q", got, row.Label)
 			}
 
-			res, err := c.Do(context.Background(), []shard.Op{{Addr: 42}})
+			res, err := c.DoCtx(context.Background(), []shard.Op{{Addr: 42}})
 			if err != nil {
 				t.Fatalf("batch: %v", err)
 			}

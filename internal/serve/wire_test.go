@@ -272,7 +272,7 @@ func TestBodyHintClamped(t *testing.T) {
 
 // batch64 is the wire-batch workload's request, n ops of it (64 in the
 // workload), three reads in four, over lines the engine already holds: as
-// JSON, and as the frame client.Do sends.
+// JSON, and as the frame client.DoCtx sends.
 func batch64(t testing.TB, h http.Handler, n int) (jsonBody, frame []byte) {
 	var prefill, body []wire.Op
 	var ops []shard.Op
@@ -367,8 +367,8 @@ func TestUnreadableBody(t *testing.T) {
 }
 
 // BenchmarkHandlerBatch64 is the handler rung of the ladder: one 64-op
-// batch through Server.Handler(), no socket, as the frame client.Do sends
-// and as JSON. The json arm also reports its time over the frame arm's in
+// batch through Server.Handler(), no socket, as the frame client.DoCtx
+// sends and as JSON. The json arm also reports its time over the frame arm's in
 // the same run (json/frame), a figure that carries across hosts where
 // nanoseconds do not.
 func BenchmarkHandlerBatch64(b *testing.B) {

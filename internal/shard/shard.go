@@ -339,7 +339,7 @@ type Engine struct {
 	// mu orders Close against submissions: a submission holds it for
 	// reading from its closed check until it returns, Close
 	// takes it for writing. Lock order is mu (read), then at most one
-	// memMu; EncodeSnapshot alone holds several memMu, and never mu.
+	// memMu; Snapshot alone holds several memMu, and never mu.
 	mu     sync.RWMutex
 	closed bool
 }
@@ -365,7 +365,7 @@ func shardTierConfig(tc tier.Config, i, shards int) tier.Config {
 	return tc
 }
 
-// build is the shared constructor behind New and DecodeEngine: c, when
+// build is the shared constructor behind New and RestoreEngineFrom: c, when
 // non-nil, is a decoder positioned at the first shard's section, and
 // each shard's fresh memory and tier read their state from it instead
 // of starting empty. An engine owns no goroutine, so a failure leaves

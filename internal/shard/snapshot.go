@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -71,7 +70,7 @@ func (w *worker) walkSnap(c *snap.Cursor) {
 	}
 }
 
-// EncodeSnapshot appends e's snapv1 section to c as one consistent cut:
+// Snapshot returns the engine as one snapv1 image, cut consistently:
 // it takes every shard's execution lock (in shard order, so concurrent
 // snapshots cannot deadlock; nothing else holds more than one) before
 // encoding any. Traffic stalls for the duration — submitters wait on the
@@ -79,7 +78,7 @@ func (w *worker) walkSnap(c *snap.Cursor) {
 // slower than memory is touched while the locks are held. It also works
 // after Close (the locks are simply uncontended), which is how attached's
 // snapshot on shutdown captures final state.
-func (e *Engine) EncodeSnapshot(c *snap.Cursor) {
+func (e *Engine) Snapshot() []byte {
 	size := 0
 	for _, w := range e.shards {
 		w.memMu.Lock()
@@ -89,32 +88,36 @@ func (e *Engine) EncodeSnapshot(c *snap.Cursor) {
 			size += w.tier.SnapshotBytes()
 		}
 	}
+	c := snap.NewEncoder()
 	c.Grow(size + 256)
 	h := header{opts: e.opts, tier: e.cfg.Tier, robust: e.robust.load(), shards: len(e.shards)}
 	h.walk(c)
 	for _, w := range e.shards {
 		w.walkSnap(c)
 	}
+	return c.Bytes()
 }
 
-// WriteSnapshot serializes the engine as a one-engine snapv1 snapshot.
-// Safe at any time, including after Close; out is written only once the
-// engine is serving again.
+// WriteSnapshot writes the engine's Snapshot to out. Safe at any time,
+// including after Close; out is written only once the engine is serving
+// again.
 func (e *Engine) WriteSnapshot(out io.Writer) error {
-	c := snap.NewEncoder(1)
-	e.EncodeSnapshot(c)
-	_, err := out.Write(c.Bytes())
+	_, err := out.Write(e.Snapshot())
 	return err
 }
 
-// DecodeEngine reads one engine's snapv1 section from c and rebuilds the
+// RestoreEngineFrom reads a snapv1 snapshot from r and rebuilds the
 // engine so that every subsequent operation (and stats read) behaves
 // exactly as it would have on the original. The snapshot is
 // authoritative for the framework options, the tier configuration, and
 // the shard count; cfg supplies only runtime knobs (queue depth, fault
 // plan, MaxLines). cfg.Shards, if set, must match the snapshot;
 // cfg.Tier must be nil.
-func DecodeEngine(c *snap.Cursor, cfg Config) (*Engine, error) {
+func RestoreEngineFrom(r io.Reader, cfg Config) (*Engine, error) {
+	c, err := snap.Open(r)
+	if err != nil {
+		return nil, err
+	}
 	var h header
 	h.walk(c)
 	if err := c.Err(); err != nil {
@@ -135,39 +138,13 @@ func DecodeEngine(c *snap.Cursor, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.robust.sheds.Store(h.robust.Sheds)
-	e.robust.canceled.Store(h.robust.Canceled)
-	e.robust.injectedErrs.Store(h.robust.InjectedErrors)
-	e.robust.injectedDelays.Store(h.robust.InjectedDelays)
-	return e, nil
-}
-
-// ErrMultiEngine refuses a snapv1 image that frames more than one
-// engine: the framing counts engines, and an engine restores from an
-// image of exactly one.
-var ErrMultiEngine = errors.New("shard: snapshot holds more than one engine")
-
-// RestoreEngineFrom reads a one-engine snapv1 snapshot from r and
-// restores it (see DecodeEngine). An image of no engines is corrupt; one
-// of several fails with ErrMultiEngine.
-func RestoreEngineFrom(r io.Reader, cfg Config) (*Engine, error) {
-	c, n, err := snap.Open(r)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case n == 0:
-		return nil, fmt.Errorf("shard: snapshot has no engines: %w", snap.ErrCorrupt)
-	case n > 1:
-		return nil, fmt.Errorf("%w: it holds %d, want 1", ErrMultiEngine, n)
-	}
-	e, err := DecodeEngine(c, cfg)
-	if err != nil {
-		return nil, err
-	}
 	if err := c.Finish(); err != nil {
 		e.Close()
 		return nil, err
 	}
+	e.robust.sheds.Store(h.robust.Sheds)
+	e.robust.canceled.Store(h.robust.Canceled)
+	e.robust.injectedErrs.Store(h.robust.InjectedErrors)
+	e.robust.injectedDelays.Store(h.robust.InjectedDelays)
 	return e, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -28,6 +29,15 @@ func image(t *testing.T, e *Engine) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// withEngines copies a sealed image with the u32 engine count at byte 8
+// (after the magic and the version) set to n, and reseals the CRC-32C
+// trailer.
+func withEngines(img []byte, n uint32) []byte {
+	b := append([]byte(nil), img[:len(img)-4]...)
+	binary.LittleEndian.PutUint32(b[8:], n)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
 }
 
 // seededBatch builds the i-th batch of a deterministic chaos-flavored
@@ -238,8 +248,8 @@ func TestZeroCapacityNearEngineBitIdentity(t *testing.T) {
 	}
 }
 
-// TestRestoreEngineRejects pins the restore-side validation: empty
-// snapshots, shard-count mismatches, caller-supplied tier configs and
+// TestRestoreEngineRejects pins the restore-side validation: images
+// that count no engines or two, empty engines, shard-count mismatches, caller-supplied tier configs and
 // impossible predictor books are refused up front.
 func TestRestoreEngineRejects(t *testing.T) {
 	opts := core.DefaultOptions()
@@ -255,7 +265,7 @@ func TestRestoreEngineRejects(t *testing.T) {
 	good := image(t, newEngine(t))
 
 	// An engine section that announces no shards: the header alone.
-	noShards := snap.NewEncoder(1)
+	noShards := snap.NewEncoder()
 	(&header{opts: opts}).walk(noShards)
 
 	// badBooks snapshots an engine whose first shard's predictor had its
@@ -265,11 +275,6 @@ func TestRestoreEngineRejects(t *testing.T) {
 		set(&eng.shards[0].mem.Framework().Copr.Stats)
 		return image(t, eng)
 	}
-
-	twoEngines := snap.NewEncoder(2)
-	eng := newEngine(t)
-	eng.EncodeSnapshot(twoEngines)
-	eng.EncodeSnapshot(twoEngines)
 
 	cases := []struct {
 		name  string
@@ -284,7 +289,8 @@ func TestRestoreEngineRejects(t *testing.T) {
 			Config{}, "2 hits out of 1 predictions"},
 		{"predictor-source-hits-over-total", badBooks(func(s *copr.Stats) { s.BySource[copr.SourceGI].Restore(9, 3) }),
 			Config{}, "9 hits out of 3 predictions"},
-		{"multi-engine-stream", twoEngines.Bytes(), Config{}, "want 1"},
+		{"no-engines", withEngines(good, 0), Config{}, "no engines"},
+		{"multi-engine-stream", withEngines(good, 2), Config{}, "want 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -318,7 +324,7 @@ func TestRestoreRejectsHostileOptions(t *testing.T) {
 	}
 	// Split a real image into its header and everything after it.
 	img := image(t, eng)
-	c, _, err := snap.Open(bytes.NewReader(img))
+	c, err := snap.Open(bytes.NewReader(img))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +342,7 @@ func TestRestoreRejectsHostileOptions(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			bad := h
 			mutate(&bad.opts.Predictor)
-			enc := snap.NewEncoder(1)
+			enc := snap.NewEncoder()
 			bad.walk(enc)
 			enc.Raw(rest)
 			hostile := enc.Bytes()
@@ -395,7 +401,7 @@ func TestFixtureSectionsPopulated(t *testing.T) {
 				// The tier section opens u64 n | n × 80 B near lines |
 				// u64 freq-counter count. It follows the 12-byte framing
 				// (magic, version, engine count).
-				c := snap.NewEncoder(0)
+				c := snap.NewEncoder()
 				const framing = 12
 				w.tier.WalkSnap(c)
 				n := int(w.tier.Snapshot().NearResident)

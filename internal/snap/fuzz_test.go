@@ -15,8 +15,8 @@ import (
 )
 
 // seedImages builds the hand-picked snapshot shapes the fuzzer starts
-// from: a cluster of no engines, a minimal untiered engine, and a small
-// tiered engine with every section populated. The three files under
+// from: an image that counts no engines, a minimal untiered engine, and
+// a small tiered engine with every section populated. The three files under
 // testdata/fuzz/FuzzSnapshotRoundTrip are frozen artifacts: the same
 // three shapes as written by the tree encoder this target used to drive
 // (their writer, TestWriteFuzzCorpus, went with the trees).
@@ -52,7 +52,7 @@ func seedImages(f *testing.F) [][]byte {
 		}
 	}
 
-	images := [][]byte{snap.NewEncoder(0).Bytes()}
+	images := [][]byte{withEngines(snap.NewEncoder().Bytes(), 0)}
 	for _, eng := range []*shard.Engine{minimal, tiered} {
 		var buf bytes.Buffer
 		if err := eng.WriteSnapshot(&buf); err != nil {

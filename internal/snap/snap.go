@@ -5,17 +5,16 @@
 // state (CID + Replacement Area), COPR predictor tables, traffic
 // counters, and tier residency. A snapshot restored through
 // shard.RestoreEngineFrom or cluster.RestoreFrom behaves byte-identically
-// to what it was taken from. The framing counts engines; the writers
-// write one, and a restore refuses any other count.
+// to what it was taken from. An image is one engine: the framing's
+// engine count is always 1, and Open refuses any other.
 //
 // The package knows no field of any other package. Each stateful
 // package walks its own live fields through a Cursor, in wire order,
 // with one method that serves both directions; the layout is the
 // concatenation of those walks (all integers little-endian):
 //
-//	snap     magic "ATSNAP" | u16 version=2 | u32 engineCount | cluster |
+//	snap     magic "ATSNAP" | u16 version=2 | u32 engineCount=1 | engine |
 //	         u32 CRC-32C of every byte before it
-//	cluster  engines...
 //	shard    engine  = core.Options | tier config? | 4 robust counters |
 //	                   u32 shardCount | shards...
 //	         shard   = memory | tier?
@@ -76,6 +75,10 @@ var ErrCorrupt = errors.New("snap: corrupt snapshot")
 // ErrVersion reports a snapshot written by an unknown format version.
 var ErrVersion = errors.New("snap: unsupported snapshot version")
 
+// ErrMultiEngine refuses an image whose framing counts more than one
+// engine: an image is one engine.
+var ErrMultiEngine = errors.New("snap: snapshot holds more than one engine")
+
 // Cursor is a position in snapv1 bytes that either appends (encoding)
 // or consumes (decoding). Every primitive takes a pointer to the field
 // it carries, so one walk describes the layout for both directions.
@@ -90,30 +93,30 @@ type Cursor struct {
 	err error
 }
 
-// NewEncoder starts an image of the given number of engines: the
-// framing is written, the engines' sections follow.
-func NewEncoder(engines int) *Cursor {
+// NewEncoder starts an image: the framing is written, the engine's
+// section follows.
+func NewEncoder() *Cursor {
 	c := &Cursor{}
-	c.frame(engines)
+	c.frame()
 	return c
 }
 
 // Open reads the whole of in — snapv1 has nothing a reader could stream
 // on — checks the framing and, from version 2, the trailer, and returns
-// a decoder positioned at the first of the engines sections it
-// announces.
-func Open(in io.Reader) (*Cursor, int, error) {
+// a decoder positioned at the engine's section.
+func Open(in io.Reader) (*Cursor, error) {
 	b, err := io.ReadAll(in)
 	if err != nil {
-		return nil, 0, fmt.Errorf("snap: reading snapshot: %w", err)
+		return nil, fmt.Errorf("snap: reading snapshot: %w", err)
 	}
 	c := &Cursor{b: b, dec: true}
-	engines := c.frame(0)
-	return c, engines, c.err
+	c.frame()
+	return c, c.err
 }
 
-// frame carries the magic, the format version and the engine count.
-func (c *Cursor) frame(engines int) int {
+// frame carries the magic, the format version and the engine count,
+// which is 1: decoding fails on any other.
+func (c *Cursor) frame() {
 	m := magic
 	c.Raw(m[:])
 	if m != magic {
@@ -129,7 +132,13 @@ func (c *Cursor) frame(engines int) int {
 	default:
 		c.err = fmt.Errorf("%w: got version %d, support 1 and %d", ErrVersion, v, Version)
 	}
-	return c.Count32(engines, "engine")
+	switch n := c.Count32(1, "engine"); {
+	case c.err != nil:
+	case n == 0:
+		c.Fail("snapshot has no engines")
+	case n > 1:
+		c.err = fmt.Errorf("%w: it holds %d, want 1", ErrMultiEngine, n)
+	}
 }
 
 // unseal checks a sealed image's CRC-32C trailer and drops it from the

@@ -127,8 +127,9 @@ func TestStreamRoundTrip(t *testing.T) {
 
 // TestDecodeRejects pins the failure taxonomy: every truncation of a
 // valid snapshot fails cleanly, targeted corruptions produce
-// ErrCorrupt/ErrVersion rather than panics or silent acceptance, and a
-// well-formed image of two engines is refused with ErrMultiEngine.
+// ErrCorrupt/ErrVersion rather than panics or silent acceptance, and an
+// image that counts no engines is corrupt while one that counts two is
+// refused with ErrMultiEngine.
 func TestDecodeRejects(t *testing.T) {
 	enc := image(t, fixtureEngine(t, true))
 
@@ -166,11 +167,13 @@ func TestDecodeRejects(t *testing.T) {
 			t.Fatal("empty input restored")
 		}
 	})
+	t.Run("no-engines", func(t *testing.T) {
+		if _, err := restoreWrite(bytes.NewReader(withEngines(enc, 0))); !errors.Is(err, snap.ErrCorrupt) {
+			t.Fatalf("zero-engine image: got %v, want ErrCorrupt", err)
+		}
+	})
 	t.Run("multi-engine", func(t *testing.T) {
-		c := snap.NewEncoder(2)
-		newEngine(t, true).EncodeSnapshot(c)
-		newEngine(t, false).EncodeSnapshot(c)
-		if _, err := restoreWrite(bytes.NewReader(c.Bytes())); !errors.Is(err, shard.ErrMultiEngine) {
+		if _, err := restoreWrite(bytes.NewReader(withEngines(enc, 2))); !errors.Is(err, snap.ErrMultiEngine) {
 			t.Fatalf("two-engine image: got %v, want ErrMultiEngine", err)
 		}
 	})
@@ -245,6 +248,14 @@ func sealed(v1 []byte) []byte {
 	b := append([]byte(nil), v1...)
 	binary.LittleEndian.PutUint16(b[6:], 2)
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// withEngines copies a sealed image with the u32 engine count at byte 8
+// (after the magic and the version) set to n, and reseals the trailer.
+func withEngines(img []byte, n uint32) []byte {
+	b := append([]byte(nil), img[:len(img)-4]...)
+	binary.LittleEndian.PutUint32(b[8:], n)
+	return sealed(b)
 }
 
 // TestFixtures pins the snapshot byte layout against version-1 images

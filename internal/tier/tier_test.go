@@ -51,7 +51,7 @@ func nearSet(t *testing.T, m *Memory) map[uint64]bool {
 // snapshot encodes the far memory's section and then the tier's, the
 // order a shard writes them in.
 func snapshot(m *Memory) []byte {
-	c := snap.NewEncoder(1)
+	c := snap.NewEncoder()
 	m.far.WalkSnap(c)
 	m.WalkSnap(c)
 	return c.Bytes()
@@ -69,7 +69,7 @@ func restore(t *testing.T, m *Memory, image []byte) (*Memory, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, err := snap.Open(bytes.NewReader(image))
+	c, err := snap.Open(bytes.NewReader(image))
 	if err != nil {
 		t.Fatal(err)
 	}

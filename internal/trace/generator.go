@@ -135,7 +135,7 @@ func (g *Generator) pick() uint64 {
 // spatial implements the irregular patterns' short same-page bursts:
 // after a jump, the next SpatialBurst-ish accesses touch random lines of
 // the same page (struct/field locality) before the next jump.
-func (g *Generator) spatial(_ bool) uint64 {
+func (g *Generator) spatial() uint64 {
 	if g.burstLeft > 0 {
 		g.burstLeft--
 		return g.burstPage*LinesPerPage + uint64(g.rng.Intn(LinesPerPage))
@@ -153,7 +153,7 @@ func (g *Generator) spatial(_ bool) uint64 {
 // same-page touches are independent field reads.
 func (g *Generator) spatialChase() (uint64, bool) {
 	jump := g.burstLeft == 0
-	return g.spatial(true), jump
+	return g.spatial(), jump
 }
 
 // Next produces the next access.
@@ -168,7 +168,7 @@ func (g *Generator) Next() Access {
 		rel = g.cursor
 		g.cursor = (g.cursor + uint64(g.prof.Stride)) % g.lines
 	case PatternRandom:
-		rel = g.spatial(false)
+		rel = g.spatial()
 	case PatternPointerChase:
 		rel, dependent = g.spatialChase()
 	case PatternPageLocal:

@@ -41,7 +41,7 @@ func benchBodies() benchBatch {
 }
 
 // BenchmarkWireCodec is the codec rung of the ladder: the passes a 64-op
-// batch makes through each wire encoding — the frame client.Do speaks,
+// batch makes through each wire encoding — the frame client.DoCtx speaks,
 // and the encoding/json passes a JSON batch takes.
 func BenchmarkWireCodec(b *testing.B) {
 	bb := benchBodies()

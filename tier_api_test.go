@@ -8,18 +8,18 @@ import (
 	"attache"
 )
 
-// TestPublicTieredEngine: the public tiering surface — WithTiers builds
-// a tiered engine whose tier books conserve, and DefaultTierLink is a
+// TestPublicTieredEngine: the public tiering surface — EngineConfig.Tier
+// builds a tiered engine whose tier books conserve, and DefaultTierLink is a
 // usable link model.
 func TestPublicTieredEngine(t *testing.T) {
 	cfg := attache.TierConfig{NearLines: 8, Link: attache.DefaultTierLink()}
-	eng, err := attache.NewEngine(attache.WithShards(2), attache.WithTiers(cfg))
+	eng, err := attache.NewEngine(attache.DefaultOptions(), attache.EngineConfig{Shards: 2, Tier: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	if !eng.Tiered() {
-		t.Fatal("WithTiers engine reports untiered")
+		t.Fatal("tiered engine reports untiered")
 	}
 
 	line := make([]byte, attache.LineSize)
@@ -51,7 +51,7 @@ func TestPublicTieredEngine(t *testing.T) {
 // TestPublicRestoreEngine: WriteSnapshot → RestoreEngine through the
 // public API reproduces contents and books exactly.
 func TestPublicRestoreEngine(t *testing.T) {
-	eng, err := attache.NewEngine(attache.WithShards(2), attache.WithTiers(attache.TierConfig{NearLines: 4}))
+	eng, err := attache.NewEngine(attache.DefaultOptions(), attache.EngineConfig{Shards: 2, Tier: &attache.TierConfig{NearLines: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestPublicRestoreEngine(t *testing.T) {
 	if err := eng.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	re, err := attache.RestoreEngine(&buf)
+	re, err := attache.RestoreEngine(&buf, attache.EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +91,12 @@ func TestPublicRestoreEngine(t *testing.T) {
 		}
 	}
 
-	// WithTiers must be absent on restore — the snapshot is authoritative.
+	// A tier config is refused on restore — the snapshot is authoritative.
 	buf.Reset()
 	if err := eng.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := attache.RestoreEngine(&buf, attache.WithTiers(attache.TierConfig{NearLines: 4})); err == nil {
+	if _, err := attache.RestoreEngine(&buf, attache.EngineConfig{Tier: &attache.TierConfig{NearLines: 4}}); err == nil {
 		t.Fatal("RestoreEngine accepted a caller tier config")
 	}
 }
